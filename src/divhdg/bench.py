@@ -8,6 +8,8 @@ them, and a failure inside one row is captured in that row rather than
 aborting the sweep.
 """
 
+import csv
+import io
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +29,7 @@ PROBLEMS = ("cavity", "step", "elast-steady", "elast-unsteady")
 
 CSV_HEADER = (
     "problem,dim,k,inv_h,mu,tau,inv_lambda,alpha,seed,"
-    "iters,converged,final_relres,setup_ms,solve_ms"
+    "iters,converged,final_relres,setup_ms,solve_ms,error"
 )
 
 # mesh sizes past these need an explicit opt-in: they leave desk-scale runtimes
@@ -99,7 +101,10 @@ class BenchRow:
     error: str = ""  # per-row failure capture; empty on success
 
     def csv_line(self) -> str:
-        return ",".join(
+        """One CSV record; the error text is quoted when it holds a comma,
+        quote or line break, so the record may span several lines."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(
             [
                 self.problem,
                 str(self.dim),
@@ -115,8 +120,10 @@ class BenchRow:
                 _fnum(self.final_relres),
                 _fnum(self.setup_ms),
                 _fnum(self.solve_ms),
+                self.error,
             ]
         )
+        return buf.getvalue()
 
 
 def _fnum(x: float) -> str:
@@ -125,12 +132,11 @@ def _fnum(x: float) -> str:
 
 def parse_csv(text: str) -> list:
     """Inverse of the CSV emitter, for lossless roundtrip checks."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    records = [f for f in csv.reader(io.StringIO(text)) if f]
+    if not records or ",".join(records[0]) != CSV_HEADER:
         raise ValueError("missing or altered CSV header")
     rows = []
-    for ln in lines[1:]:
-        f = ln.split(",")
+    for f in records[1:]:
         rows.append(
             BenchRow(
                 problem=f[0],
@@ -147,6 +153,7 @@ def parse_csv(text: str) -> list:
                 final_relres=float(f[11]),
                 setup_ms=float(f[12]),
                 solve_ms=float(f[13]),
+                error=f[14],
             )
         )
     return rows
@@ -249,7 +256,11 @@ def solve_one(grid: ExperimentGrid, cache: _StructureCache, tup) -> BenchRow:
 def _worker_count(n_jobs: int) -> int:
     env = os.environ.get("HDG_THREADS", "").strip()
     if env:
-        return max(1, min(int(env), max(n_jobs, 1)))
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"HDG_THREADS must be an integer, got {env!r}") from None
+        return max(1, min(n, max(n_jobs, 1)))
     return max(1, min(os.cpu_count() or 1, max(n_jobs, 1)))
 
 

@@ -3,11 +3,14 @@
 Velocity block (auxiliary-space): additive combination of a vertex-patch
 symmetric block Gauss-Seidel smoother on the condensed trace unknowns and a
 coarse correction through the continuous piecewise-linear vector space,
-    Az^{-1} = R + Pi A0^{-1} Pi^T,
-where Pi injects a piecewise-linear field by projecting its normal trace onto
-the facet-normal unknowns and its tangential trace onto the Legendre
-tangential modes, edge by edge (closed two-mode profiles; higher modes get
-nothing). A0 is the linear-element discretization of
+    Az^{-1} = R + Pi A0^{-1} Pi^T.
+The smoother R visits the patches in multicolour order: the patches are
+coloured so that no two of one colour share or couple unknowns, and a sweep
+is one forward pass over the colours and one backward pass, each colour
+solved for all its patches at once.  Pi injects a piecewise-linear field by
+projecting its normal trace onto the facet-normal unknowns and its tangential
+trace onto the Legendre tangential modes, edge by edge (closed two-mode
+profiles; higher modes get nothing). A0 is the linear-element discretization of
 2 mu (grad ., grad .) + tau (., .) on free vertices, solved exactly.
 
 Pressure block: the elementwise-constant Schur approximation
@@ -37,13 +40,9 @@ from .condense import CondensedSystem
 from .linalg import DeflatedFactor, SparseSym, SpdFactor, factor_spd
 from .mesh import TAG_OUTLET, Mesh
 
-try:  # pragma: no cover - exercised indirectly
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
+# no compiled smoother kernel exists; the name stays for benchmark scripts
+# that record it in their environment line
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +162,28 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 
 
 @dataclass
+class _ColourBlock:
+    """One colour of the patch smoother.  ``rows`` holds the unknowns of its
+    patches, grouped by patch size: group ``(lo, hi, inv)`` covers
+    ``rows[lo:hi]`` as a (P, m) block with patch inverses ``inv`` of shape
+    (P, m, m).  ``a_rows`` is the matching row slice of A_g."""
+
+    rows: np.ndarray
+    a_rows: sp.csr_matrix
+    groups: list
+
+    def correct(self, r: np.ndarray, z: np.ndarray) -> None:
+        """Exact block solves on every patch of the colour at once.  Patches
+        of one colour share no unknown and no A_g coupling, so this equals
+        visiting them one by one."""
+        res = r[self.rows] - self.a_rows @ z
+        for lo, hi, inv in self.groups:
+            p, m, _ = inv.shape
+            res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
+        z[self.rows] += res
+
+
+@dataclass
 class AspPrecond:
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
@@ -170,10 +191,9 @@ class AspPrecond:
     a_g: SparseSym
     patch_offsets: np.ndarray = field(repr=False, default=None)
     patch_dofs: np.ndarray = field(repr=False, default=None)
-    inv_offsets: np.ndarray = field(repr=False, default=None)
-    inv_flat: np.ndarray = field(repr=False, default=None)
+    patch_colour: np.ndarray = field(repr=False, default=None)
+    colours: list = field(repr=False, default=None)  # of _ColourBlock
     jacobi_diag: np.ndarray = field(repr=False, default=None)
-    use_numba: bool = True
     exact_factor: SpdFactor = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
@@ -181,19 +201,13 @@ class AspPrecond:
             return self.exact_factor.solve(r)
         if self.smoother == "jacobi":
             return r / self.jacobi_diag
+        # forward over the colours, then back; the last colour is not
+        # repeated, since its residual is already zero after the forward pass
         z = np.zeros_like(r)
-        kernel = _patch_sweep if (self.use_numba and HAVE_NUMBA) else _patch_sweep_py
-        kernel(
-            self.a_g.csr.indptr,
-            self.a_g.csr.indices,
-            self.a_g.csr.data,
-            self.patch_offsets,
-            self.patch_dofs,
-            self.inv_offsets,
-            self.inv_flat,
-            r,
-            z,
-        )
+        for blk in self.colours:
+            blk.correct(r, z)
+        for blk in reversed(self.colours[:-1]):
+            blk.correct(r, z)
         return z
 
     def coarse(self, r: np.ndarray) -> np.ndarray:
@@ -205,30 +219,49 @@ class AspPrecond:
         return self.smooth(r) + self.coarse(r)
 
 
-def _patch_sweep_py(indptr, indices, data, poff, pdofs, ioff, iflat, r, z):
-    n_patches = poff.size - 1
-    for sweep in range(2):
-        patch_range = range(n_patches) if sweep == 0 else range(n_patches - 1, -1, -1)
-        for p in patch_range:
-            lo, hi = poff[p], poff[p + 1]
-            m = hi - lo
-            rr = np.empty(m)
-            for i in range(m):
-                row = pdofs[lo + i]
-                s = r[row]
-                for ptr in range(indptr[row], indptr[row + 1]):
-                    s -= data[ptr] * z[indices[ptr]]
-                rr[i] = s
-            inv = iflat[ioff[p] : ioff[p + 1]].reshape(m, m)
-            delta = inv @ rr
-            for i in range(m):
-                z[pdofs[lo + i]] += delta[i]
+def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
+    """Greedy colouring of the patches, in their given order.  Two patches
+    conflict if they share an unknown or A couples their unknowns: a nonzero
+    of the pattern of P (|A| + I) P^T, with P the patch-to-unknown
+    incidence."""
+    n_p = offsets.size - 1
+    n = a.shape[0]
+    inc = sp.csr_matrix((np.ones(dofs.size), dofs, offsets), shape=(n_p, n))
+    pattern = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+    conflict = (inc @ (pattern + sp.identity(n, format="csr")) @ inc.T).tocsr()
+    ptr = conflict.indptr.tolist()
+    nbr = conflict.indices.tolist()
+    colour = [-1] * n_p
+    for p in range(n_p):
+        used = {colour[q] for q in nbr[ptr[p] : ptr[p + 1]]}
+        c = 0
+        while c in used:
+            c += 1
+        colour[p] = c
+    return np.array(colour, np.int64)
 
 
-if HAVE_NUMBA:
-    _patch_sweep = numba.njit(cache=True)(_patch_sweep_py)
-else:  # pragma: no cover
-    _patch_sweep = _patch_sweep_py
+def _colour_blocks(offsets, dofs, colour, a: sp.csr_matrix) -> list:
+    sizes = np.diff(offsets)
+    blocks = []
+    for c in range(colour.max(initial=-1) + 1):
+        members = np.flatnonzero(colour == c)
+        rows, groups, lo = [], [], 0
+        for m in np.unique(sizes[members]):
+            ps = members[sizes[members] == m]
+            ids = dofs[offsets[ps, None] + np.arange(m)]  # (P, m)
+            shape = (ps.size, m, m)
+            sub = a[
+                np.broadcast_to(ids[:, :, None], shape).ravel(),
+                np.broadcast_to(ids[:, None, :], shape).ravel(),
+            ]
+            inv = np.linalg.inv(np.asarray(sub).reshape(shape))
+            rows.append(ids.ravel())
+            groups.append((lo, lo + ids.size, inv))
+            lo += ids.size
+        rows = np.concatenate(rows)
+        blocks.append(_ColourBlock(rows=rows, a_rows=a[rows], groups=groups))
+    return blocks
 
 
 def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
@@ -238,6 +271,13 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     Gauss-Seidel (default), pointwise Jacobi, or ``"exact"`` -- a debug mode
     that replaces the whole operator with a direct factorization of the block
     and drops the auxiliary correction entirely.
+
+    The vertex patches (all free unknowns on the free edges meeting a vertex)
+    are coloured greedily in natural vertex order so that patches of one
+    colour are uncoupled.  The Gauss-Seidel sweep visits the colours forward
+    and then backward, solving all patches of a colour at once with inverses
+    precomputed per colour and patch size; this is sequential block SGS with
+    the patches taken in colour order.
     """
     if smoother not in ("patch-sgs", "jacobi", "exact"):
         raise ValueError(f"unknown smoother '{smoother}'")
@@ -274,27 +314,32 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     cond_pos = np.full(split.n_cond, -1, np.int64)
     cond_pos[cond.free_cond] = np.arange(cond.free_cond.size)
 
-    rows, cols, vals = [], [], []
-    free_edge = ess.free_mask[np.arange(mesh.num_edges) * (k + 1)]
-    for e in np.flatnonzero(free_edge):
-        le = mesh.edge_lengths[e]
-        t = mesh.tangents[e]
-        nrm = np.array([t[1], -t[0]])
-        for side, v in enumerate(mesh.edges[e]):
-            if vpos[v] < 0:
-                continue
-            for comp in range(2):
-                col = 2 * vpos[v] + comp
-                for m in range(k + 1):
-                    rows.append(cond_pos[e * (k + 1) + m])
-                    cols.append(col)
-                    vals.append(le * nrm[comp] * cprof[side, m])
-                for j in range(k):
-                    rows.append(cond_pos[split.n_bnd + e * k + j])
-                    cols.append(col)
-                    vals.append(t[comp] * mom_hat[side, j])
+    # free edges and their 2k+1 condensed unknowns: normal modes, then tangential
+    fe = np.flatnonzero(ess.free_mask[np.arange(mesh.num_edges) * (k + 1)])
+    normal = fe[:, None] * (k + 1) + np.arange(k + 1)
+    tangential = split.n_bnd + fe[:, None] * k + np.arange(k)
+    edofs = cond_pos[np.concatenate([normal, tangential], axis=1)]  # (E, 2k+1)
+
+    # transfer entries over (free edge, endpoint, component, mode)
+    t = mesh.tangents[fe]
+    nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    le = mesh.edge_lengths[fe]
+    vals = np.concatenate(
+        [
+            le[:, None, None, None] * nrm[:, None, :, None] * cprof[None, :, None, :],
+            t[:, None, :, None] * mom_hat[None, :, None, :],
+        ],
+        axis=3,
+    )
+    vp = vpos[mesh.edges[fe]]  # (E, 2)
+    keep = np.broadcast_to((vp >= 0)[:, :, None, None], vals.shape)
+    rows = np.broadcast_to(edofs[:, None, None, :], vals.shape)
+    cols = np.broadcast_to(
+        2 * vp[:, :, None, None] + np.arange(2)[:, None], vals.shape
+    )
     transfer = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(cond.free_cond.size, 2 * free_v.size)
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(cond.free_cond.size, 2 * free_v.size),
     ).tocsr()
     transfer.sum_duplicates()
     transfer.sort_indices()
@@ -311,38 +356,15 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
             raise ValueError("condensed diagonal not positive")
         return pre
 
-    # vertex patches: all free condensed unknowns on edges meeting the vertex
-    edge_dofs = {}
-    for e in np.flatnonzero(free_edge):
-        ids = [cond_pos[e * (k + 1) + m] for m in range(k + 1)]
-        ids += [cond_pos[split.n_bnd + e * k + j] for j in range(k)]
-        edge_dofs[e] = np.array(ids, np.int64)
-
-    incident = [[] for _ in range(mesh.num_vertices)]
-    for e in np.flatnonzero(free_edge):
-        a, b = mesh.edges[e]
-        incident[a].append(e)
-        incident[b].append(e)
-
-    a_dense_rows = cond.A_g.csr
-    poff = [0]
-    pdofs = []
-    ioff = [0]
-    iflat = []
-    for v in range(mesh.num_vertices):
-        if not incident[v]:
-            continue
-        ids = np.concatenate([edge_dofs[e] for e in incident[v]])
-        sub = a_dense_rows[ids][:, ids].toarray()
-        inv = np.linalg.inv(sub)
-        pdofs.append(ids)
-        poff.append(poff[-1] + ids.size)
-        iflat.append(inv.ravel())
-        ioff.append(ioff[-1] + ids.size * ids.size)
-    pre.patch_offsets = np.array(poff, np.int64)
-    pre.patch_dofs = (
-        np.concatenate(pdofs) if pdofs else np.zeros(0, np.int64)
+    # vertex patches in natural vertex order, each listing the unknowns of its
+    # free edges in ascending edge order
+    ends = mesh.edges[fe].ravel()  # endpoint a, b of each free edge in turn
+    order = np.argsort(ends, kind="stable")
+    counts = np.unique(ends, return_counts=True)[1]
+    pre.patch_dofs = edofs[order // 2].ravel()
+    pre.patch_offsets = np.concatenate([[0], np.cumsum(counts * edofs.shape[1])])
+    pre.patch_colour = _colour_patches(pre.patch_offsets, pre.patch_dofs, cond.A_g.csr)
+    pre.colours = _colour_blocks(
+        pre.patch_offsets, pre.patch_dofs, pre.patch_colour, cond.A_g.csr
     )
-    pre.inv_offsets = np.array(ioff, np.int64)
-    pre.inv_flat = np.concatenate(iflat) if iflat else np.zeros(0)
     return pre

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 
 import numpy as np
@@ -7,6 +9,7 @@ from divhdg.bench import (
     CSV_HEADER,
     BenchRow,
     ExperimentGrid,
+    _worker_count,
     emit,
     parse_csv,
     run_grid,
@@ -29,11 +32,10 @@ def _tiny_grid(**kw):
 
 
 def _strip_timing(text):
-    out = []
-    for line in text.strip().splitlines():
-        cells = line.split(",")
-        out.append(",".join(cells[:-2]))
-    return "\n".join(out)
+    """The CSV records without the setup_ms and solve_ms columns."""
+    records = list(csv.reader(io.StringIO(text)))
+    drop = {records[0].index("setup_ms"), records[0].index("solve_ms")}
+    return [[c for i, c in enumerate(f) if i not in drop] for f in records]
 
 
 class TestCsv:
@@ -41,7 +43,7 @@ class TestCsv:
         assert (
             CSV_HEADER
             == "problem,dim,k,inv_h,mu,tau,inv_lambda,alpha,seed,iters,"
-            "converged,final_relres,setup_ms,solve_ms"
+            "converged,final_relres,setup_ms,solve_ms,error"
         )
 
     def test_empty_table_is_header_only(self):
@@ -84,6 +86,20 @@ class TestCsv:
             "solve_ms",
         ):
             assert getattr(b, name) == getattr(row, name), name
+
+    def test_failed_row_roundtrip_keeps_error(self):
+        ok = BenchRow(
+            "cavity", 2, 2, 4, 1.0, 0.0, 0.0, 8.0, 0, 54, True, 1e-9, 1.0, 2.0
+        )
+        failed = BenchRow(
+            "step", 2, 3, 8, 1.0, 0.0, 0.0, 0.01, 0, 0, False, np.inf, 3.0, 0.0,
+            error='NotSPD: pivot 3, value -1e-3\nat "row 7"',
+        )
+        text = emit([ok, failed], "csv")
+        back = parse_csv(text)
+        assert [r.error for r in back] == ["", failed.error]
+        assert back[1].final_relres == np.inf
+        assert not back[1].converged
 
     def test_bad_header_rejected(self):
         with pytest.raises(Exception):
@@ -169,6 +185,20 @@ class TestRunGrid:
         g = _tiny_grid(problem="elast-steady", taus=[0.0], inv_lambdas=[1.0])
         rows = run_grid(g)
         assert rows[0].converged
+
+
+class TestWorkerCount:
+    def test_env_value_capped_by_jobs(self, monkeypatch):
+        monkeypatch.setenv("HDG_THREADS", "2")
+        assert _worker_count(4) == 2
+        assert _worker_count(1) == 1
+        monkeypatch.setenv("HDG_THREADS", "0")
+        assert _worker_count(3) == 1
+
+    def test_malformed_env_names_variable(self, monkeypatch):
+        monkeypatch.setenv("HDG_THREADS", "two")
+        with pytest.raises(ValueError, match="HDG_THREADS.*'two'"):
+            _worker_count(3)
 
 
 class TestMarkdown:

@@ -215,6 +215,90 @@ class TestSmoother:
             assert abs(s12 - s21) <= 1e-12 * max(abs(s12), 1.0)
 
 
+@pytest.fixture(scope="module")
+def step_built():
+    # k=3 step mesh: patches of several sizes, so colours hold several groups
+    *_, cond = pipeline("step", 2, 3)
+    return cond, build_asp(cond)
+
+
+def _patches(asp):
+    off = asp.patch_offsets
+    return [asp.patch_dofs[off[p] : off[p + 1]] for p in range(off.size - 1)]
+
+
+def _reference_sgs(asp, r):
+    """Plain sequential block symmetric Gauss-Seidel on dense A_g: patches in
+    colour order, a forward pass, then the same patches in reverse."""
+    a = asp.a_g.toarray()
+    patches = _patches(asp)
+    order = np.argsort(asp.patch_colour, kind="stable")
+    sweep = [patches[p] for p in order]
+    z = np.zeros_like(r)
+    for ids in sweep + sweep[::-1]:
+        z[ids] += np.linalg.solve(a[np.ix_(ids, ids)], r[ids] - a[ids] @ z)
+    return z
+
+
+class TestColouredSmoother:
+    @pytest.fixture(params=["cavity", "step"])
+    def built(self, request, smoother_built, step_built):
+        return smoother_built if request.param == "cavity" else step_built
+
+    def test_colours_are_uncoupled(self, built):
+        _, asp = built
+        a = asp.a_g.toarray() != 0.0
+        patches = _patches(asp)
+        assert asp.patch_colour.min() == 0
+        assert len(asp.colours) == asp.patch_colour.max() + 1
+        for c in range(len(asp.colours)):
+            owner = np.full(asp.a_g.n, -1)
+            members = np.flatnonzero(asp.patch_colour == c)
+            for p in members:
+                assert np.all(owner[patches[p]] == -1)  # no shared unknown
+                owner[patches[p]] = p
+            for p in members:
+                coupled = owner[np.flatnonzero(a[patches[p]].any(axis=0))]
+                assert set(coupled.tolist()) <= {-1, int(p)}
+
+    def test_matches_sequential_reference(self, built):
+        _, asp = built
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            r = rng.standard_normal(asp.a_g.n)
+            want = _reference_sgs(asp, r)
+            got = asp.smooth(r)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_structured_mesh_needs_four_colours(self, transfer_built):
+        *_, asp = transfer_built
+        assert len(asp.colours) == 4
+
+
+class TestStepSmoother:
+    def test_several_patch_sizes(self, step_built):
+        _, asp = step_built
+        assert np.unique(np.diff(asp.patch_offsets)).size >= 3
+
+    def test_symmetric_operator(self, step_built):
+        _, asp = step_built
+        rng = np.random.default_rng(12)
+        n = asp.a_g.n
+        for _ in range(20):
+            r1, r2 = rng.standard_normal(n), rng.standard_normal(n)
+            s12 = r1 @ asp.smooth(r2)
+            s21 = r2 @ asp.smooth(r1)
+            assert abs(s12 - s21) <= 1e-12 * max(abs(s12), 1.0)
+
+    def test_positivity(self, step_built):
+        _, asp = step_built
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            r = rng.standard_normal(asp.a_g.n)
+            assert r @ asp.smooth(r) > 0
+            assert r @ asp.apply(r) > 0
+
+
 class TestAspOperator:
     def test_positivity(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
