@@ -33,15 +33,12 @@ from .krylov import (
 )
 from .linalg import (
     CapExceeded,
-    DenseSym,
     NotSPD,
     SparseSym,
     SpdFactor,
     dense_eig_sym,
     factor_spd,
     gen_condition,
-    solve_deflated,
-    spmv,
 )
 from .mesh import (
     Mesh,
@@ -75,7 +72,6 @@ __all__ = [
     "BlockSystem",
     "CapExceeded",
     "CondensedSystem",
-    "DenseSym",
     "DofMap",
     "EssentialData",
     "ExperimentGrid",
@@ -118,8 +114,6 @@ __all__ = [
     "run_grid",
     "run_verification",
     "save_mesh",
-    "solve_deflated",
-    "spmv",
     "step_domain",
     "uniform_refine",
     "unit_square",

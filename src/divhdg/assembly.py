@@ -19,6 +19,13 @@ carriers (-identity). The assembled element blocks split into
 with parameter-independent stacks, so parameter sweeps reuse one integration
 pass. Essential trace data is eliminated by slicing; the eliminated columns
 move to the right-hand side.
+
+The element kernel is shared with static condensation, the auxiliary space
+and the verification suite: ``refbasis.map_piola`` maps basis values,
+``sym_gradients`` forms the symmetric gradients (the only place J^-1 is built,
+through ``inverse_jacobians``), ``facet_groups`` runs the per-(edge,
+orientation) facet loop, and ``scatter_stack`` sums element matrices into a
+global CSR matrix.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +35,7 @@ import scipy.sparse as sp
 
 from .linalg import NotSPD, SparseSym
 from .mesh import Mesh
+from .refbasis import ReferenceBasis, map_piola
 from .spaces import EssentialData, Spaces
 
 _CHUNK = 2048
@@ -61,97 +69,142 @@ class LocalStacks:
         )
 
 
+# ---------------------------------------------------------------------------
+# element kernel
+
+
+def inverse_jacobians(j: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """J^-1 of each (2, 2) Jacobian in the batch, from its adjugate."""
+    jinv = np.empty_like(j)
+    jinv[:, 0, 0] = j[:, 1, 1]
+    jinv[:, 0, 1] = -j[:, 0, 1]
+    jinv[:, 1, 0] = -j[:, 1, 0]
+    jinv[:, 1, 1] = j[:, 0, 0]
+    jinv /= det[:, None, None]
+    return jinv
+
+
+def sym_gradients(j: np.ndarray, det: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Symmetric gradients (E, n, Q, 2, 2) of the Piola-mapped basis on a batch
+    of elements, from reference gradients ``grads`` (n, Q, 2, 2).
+
+    The physical gradient is J grad(phi) J^-1 / det J. The product is taken
+    pairwise: J and J^-1 / det J form one symmetrized 4x4 map per element,
+    which then acts on the flattened reference gradients."""
+    jinv = inverse_jacobians(j, det) / det[:, None, None]
+    op = np.einsum("eab,ecd->eadbc", j, jinv)
+    op = 0.5 * (op + op.transpose(0, 2, 1, 3, 4))
+    out = grads.reshape(-1, 4) @ op.reshape(-1, 4, 4).transpose(0, 2, 1)
+    return out.reshape(j.shape[:1] + grads.shape)
+
+
+@dataclass(frozen=True)
+class FacetGroup:
+    """The elements whose local edge ``l`` has one orientation, with the
+    reference tables and geometry the facet terms need."""
+
+    elems: np.ndarray  # (G,) element ids
+    hat: slice  # local slots of the edge's tangential trace unknowns
+    vals: np.ndarray  # (n_u, Qe, 2) reference values on the edge rule
+    grads: np.ndarray  # (n_u, Qe, 2, 2) reference gradients on the edge rule
+    jac: np.ndarray  # (G, 2, 2)
+    det: np.ndarray  # (G,)
+    tangent: np.ndarray  # (G, 2) global edge tangent
+    normal: np.ndarray  # (G, 2) outward unit normal
+    length: np.ndarray  # (G,)
+
+    def tangential_traces(self) -> np.ndarray:
+        """Tangential traces (G, n_u, Qe) of the Piola-mapped basis."""
+        pv = map_piola(self.jac, self.det, self.vals)
+        return np.einsum("giqd,gd->giq", pv, self.tangent)
+
+    def add(self, stack, uu, uh, hh=None) -> None:
+        """Add a symmetric facet block to the element stack: ``uu`` on the
+        velocity slots, ``uh`` and its transpose between velocity and trace
+        slots, ``hh`` on the trace slots."""
+        u = slice(0, self.vals.shape[0])  # velocity slots come first
+        stack[self.elems, u, u] += uu
+        stack[self.elems, u, self.hat] += uh
+        stack[self.elems, self.hat, u] += np.swapaxes(uh, 1, 2)
+        if hh is not None:
+            stack[self.elems, self.hat, self.hat] += hh
+
+
+def facet_groups(mesh: Mesh, ref: ReferenceBasis):
+    """Yield one FacetGroup per (local edge, orientation) that occurs."""
+    k = ref.k
+    for l in range(3):
+        edges = mesh.tri_edges[:, l]
+        hat = slice(ref.n_u + l * k, ref.n_u + (l + 1) * k)
+        for flip in (0, 1):
+            elems = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flip))
+            if elems.size == 0:
+                continue
+            e = edges[elems]
+            t = mesh.tangents[e]
+            nout = np.column_stack([t[:, 1], -t[:, 0]])
+            yield FacetGroup(
+                elems=elems,
+                hat=hat,
+                vals=ref.edge_vals[(l, flip)],
+                grads=ref.edge_grads[(l, flip)],
+                jac=mesh.jacobians[elems],
+                det=mesh.det_j[elems],
+                tangent=t,
+                normal=-nout if flip else nout,
+                length=mesh.edge_lengths[e],
+            )
+
+
+def scatter_stack(stack: np.ndarray, slots: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum the element matrices ``stack[e]`` into an (n, n) matrix at the rows
+    and columns ``slots[e]``; summed and sorted CSR."""
+    r = np.broadcast_to(slots[:, :, None], stack.shape)
+    c = np.broadcast_to(slots[:, None, :], stack.shape)
+    m = sp.coo_matrix((stack.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
     ref = spaces.ref
     dm = spaces.dofmap
     k = spaces.k
     nt = mesh.num_triangles
-    n_loc = dm.n_loc
     n_u = ref.n_u
-
-    mass = np.zeros((nt, n_loc, n_loc))
-    visc = np.zeros((nt, n_loc, n_loc))
-    pen = np.zeros((nt, n_loc, n_loc))
-
-    j_all = mesh.jacobians
-    det_all = mesh.det_j
-    jinv_all = np.empty_like(j_all)
-    jinv_all[:, 0, 0] = j_all[:, 1, 1]
-    jinv_all[:, 0, 1] = -j_all[:, 0, 1]
-    jinv_all[:, 1, 0] = -j_all[:, 1, 0]
-    jinv_all[:, 1, 1] = j_all[:, 0, 0]
-    jinv_all /= det_all[:, None, None]
+    shape = (nt, dm.n_loc, dm.n_loc)
+    mass, visc, pen = np.zeros(shape), np.zeros(shape), np.zeros(shape)
 
     w = ref.vol_rule.weights
     for start in range(0, nt, _CHUNK):
         sel = slice(start, min(start + _CHUNK, nt))
-        j = j_all[sel]
-        det = det_all[sel]
-        jinv = jinv_all[sel]
-        jv = np.einsum("edc,iqc->eiqd", j, ref.vol_vals)
+        j, det = mesh.jacobians[sel], mesh.det_j[sel]
+        pv = map_piola(j, det, ref.vol_vals)
         mass[sel, :n_u, :n_u] = np.einsum(
-            "eiqd,ejqd,q->eij", jv, jv, w
-        ) / det[:, None, None]
-        gp = np.einsum("eab,iqbc,ecd->eiqad", j, ref.vol_grads, jinv)
-        gp /= det[:, None, None, None, None]
-        dsym = 0.5 * (gp + np.swapaxes(gp, 3, 4))
+            "eiqd,ejqd,q->eij", pv, pv, w
+        ) * det[:, None, None]
+        dsym = sym_gradients(j, det, ref.vol_grads)
         visc[sel, :n_u, :n_u] = np.einsum(
             "eiqad,ejqad,q->eij", dsym, dsym, w
         ) * det[:, None, None]
 
     we = ref.facet.rule.weights
     lh = ref.facet.lhat_vals  # (k, Qe)
-    for l in range(3):
-        e = mesh.tri_edges[:, l]
-        tvec_all = mesh.tangents[e]
-        len_all = mesh.edge_lengths[e]
-        hat0 = n_u + l * k
-        for flipv in (0, 1):
-            gsel = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flipv))
-            if gsel.size == 0:
-                continue
-            vals = ref.edge_vals[(l, flipv)]
-            grads = ref.edge_grads[(l, flipv)]
-            j = j_all[gsel]
-            det = det_all[gsel]
-            jinv = jinv_all[gsel]
-            tvec = tvec_all[gsel]
-            nout = np.column_stack([tvec[:, 1], -tvec[:, 0]])
-            if flipv:
-                nout = -nout
-            le = len_all[gsel]
-
-            pv = np.einsum("gdc,iqc->giqd", j, vals) / det[:, None, None, None]
-            tt = np.einsum("giqd,gd->giq", pv, tvec)
-            gp = np.einsum("gab,iqbc,gcd->giqad", j, grads, jinv)
-            gp /= det[:, None, None, None, None]
-            dsym = 0.5 * (gp + np.swapaxes(gp, 3, 4))
-            dn = np.einsum("giqad,gd,ga->giq", dsym, nout, tvec)
-
-            e_uu = np.einsum("giq,gjq,q->gij", dn, tt, we) * le[:, None, None]
-            e_uh = -np.einsum("giq,mq,q->gim", dn, lh, we) * le[:, None, None]
-            ix = np.ix_(gsel, np.arange(n_u), np.arange(n_u))
-            visc[ix] -= e_uu + np.swapaxes(e_uu, 1, 2)
-            ixh = np.ix_(gsel, np.arange(n_u), np.arange(hat0, hat0 + k))
-            visc[ixh] -= e_uh
-            visc[np.ix_(gsel, np.arange(hat0, hat0 + k), np.arange(n_u))] -= (
-                np.swapaxes(e_uh, 1, 2)
-            )
-
-            bmom = np.einsum("giq,jq,q->gij", tt, lh, we)
-            pen[ix] += np.einsum("gij,gmj->gim", bmom, bmom)
-            pen[ixh] += -bmom
-            pen[np.ix_(gsel, np.arange(hat0, hat0 + k), np.arange(n_u))] += (
-                -np.swapaxes(bmom, 1, 2)
-            )
-            pen[np.ix_(gsel, np.arange(hat0, hat0 + k), np.arange(hat0, hat0 + k))] += (
-                np.eye(k)
-            )
+    for f in facet_groups(mesh, ref):
+        tt = f.tangential_traces()
+        dsym = sym_gradients(f.jac, f.det, f.grads)
+        dn = np.einsum("giqad,gd,ga->giq", dsym, f.normal, f.tangent)
+        le = f.length[:, None, None]
+        e_uu = np.einsum("giq,gjq,q->gij", dn, tt, we) * le
+        e_uh = -np.einsum("giq,mq,q->gim", dn, lh, we) * le
+        f.add(visc, -(e_uu + np.swapaxes(e_uu, 1, 2)), -e_uh)
+        bmom = np.einsum("giq,jq,q->gij", tt, lh, we)
+        f.add(pen, np.einsum("gij,gmj->gim", bmom, bmom), -bmom, np.eye(k))
 
     souter = dm.signs[:, :, None] * dm.signs[:, None, :]
-    mass *= souter
-    visc *= souter
-    pen *= souter
+    for stack in (mass, visc, pen):
+        stack *= souter
     return LocalStacks(mass=mass, visc=visc, pen=pen)
 
 
@@ -272,20 +325,15 @@ def assemble_saddle(
                 "edc,qc->eqd", mesh.jacobians[sel], rule.points
             )
             fv = body_force(pts.reshape(-1, 2)).reshape(pts.shape)
-            jv = np.einsum("edc,iqc->eiqd", mesh.jacobians[sel], vals)
+            det = mesh.det_j[sel]
+            pv = map_piola(mesh.jacobians[sel], det, vals)
             floc[sel, : spaces.ref.n_u] = np.einsum(
-                "eiqd,eqd,q->ei", jv, fv, rule.weights
-            )
+                "eiqd,eqd,q->ei", pv, fv, rule.weights
+            ) * det[:, None]
         floc *= dm.signs
 
     n_vel = split.n_vel
-    r = np.broadcast_to(dm.vel_loc[:, :, None], aloc.shape)
-    c = np.broadcast_to(dm.vel_loc[:, None, :], aloc.shape)
-    a_full = sp.coo_matrix(
-        (aloc.ravel(), (r.ravel(), c.ravel())), shape=(n_vel, n_vel)
-    ).tocsr()
-    a_full.sum_duplicates()
-    a_full.sort_indices()
+    a_full = scatter_stack(aloc, dm.vel_loc, n_vel)
 
     f_full = np.zeros(n_vel)
     np.add.at(f_full, dm.vel_loc.ravel(), floc.ravel())
@@ -326,32 +374,17 @@ def assemble_aux(
     identity, restricted to vertices not on the essentially imposed boundary.
     """
     nv = mesh.num_vertices
-    tris = mesh.triangles
-    nt = mesh.num_triangles
-
-    # P1 gradients: grad lam_i constant per element
-    v = mesh.vertices[tris]  # (nt, 3, 2)
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
     det = mesh.det_j
-    grads = np.empty((nt, 3, 2))
-    grads[:, 1, 0] = e2[:, 1]
-    grads[:, 1, 1] = -e2[:, 0]
-    grads[:, 2, 0] = -e1[:, 1]
-    grads[:, 2, 1] = e1[:, 0]
-    grads[:, 1:] /= det[:, None, None]
-    grads[:, 0] = -(grads[:, 1] + grads[:, 2])
+
+    # P1 gradients, constant per element: grad lam_1, grad lam_2 are the rows
+    # of J^-1
+    jinv = inverse_jacobians(mesh.jacobians, det)
+    grads = np.concatenate([-(jinv[:, :1] + jinv[:, 1:]), jinv], axis=1)
 
     stiff = np.einsum("tid,tjd->tij", grads, grads) * (0.5 * det)[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3)) / 24.0
     massl = mloc[None, :, :] * det[:, None, None]
     loc = 2.0 * params.mu * stiff + params.tau * massl
-
-    r = np.broadcast_to(tris[:, :, None], loc.shape)
-    c = np.broadcast_to(tris[:, None, :], loc.shape)
-    scal = sp.coo_matrix(
-        (loc.ravel(), (r.ravel(), c.ravel())), shape=(nv, nv)
-    ).tocsr()
 
     ess_verts = np.zeros(nv, bool)
     for e in mesh.boundary_edges():
@@ -360,8 +393,5 @@ def assemble_aux(
         ess_verts[mesh.edges[e]] = True
     free_v = np.flatnonzero(~ess_verts)
 
-    scal = scal[free_v][:, free_v]
-    a0 = sp.kron(scal, sp.eye(2), format="csr")
-    a0.sum_duplicates()
-    a0.sort_indices()
-    return SparseSym(a0), free_v
+    scal = scatter_stack(loc, mesh.triangles, nv)[free_v][:, free_v]
+    return SparseSym(sp.kron(scal, sp.eye(2), format="csr")), free_v

@@ -66,6 +66,11 @@ class ExperimentGrid:
                         f"1/h={ih} exceeds the desk-scale cap {cap} for k={k}; "
                         "pass allow_large to run it anyway"
                     )
+        even = self.problem == "step"  # the re-entrant corner must be a vertex
+        for ih in self.inv_hs:
+            if ih < 1 or (even and ih % 2):
+                kind = "a positive even" if even else "a positive"
+                raise ValueError(f"1/h must be {kind} integer, got {ih}")
         for mu in self.mus:
             ProblemParams(mu=mu, alpha=self.alpha)  # validates mu, alpha
         for tau in self.taus:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem
+from .assembly import BlockSystem, scatter_stack
 from .linalg import SparseSym
 from .spaces import Spaces
 
@@ -100,13 +100,7 @@ def eliminate_local(block: BlockSystem) -> CondensedSystem:
 
     g_slots = dm.vel_loc[:, g_slot_idx]
     n_cond = split.n_cond
-    r = np.broadcast_to(g_slots[:, :, None], a_cond.shape)
-    c = np.broadcast_to(g_slots[:, None, :], a_cond.shape)
-    a_g_full = sp.coo_matrix(
-        (a_cond.ravel(), (r.ravel(), c.ravel())), shape=(n_cond, n_cond)
-    ).tocsr()
-    a_g_full.sum_duplicates()
-    a_g_full.sort_indices()
+    a_g_full = scatter_stack(a_cond, g_slots, n_cond)
     f_g_full = np.zeros(n_cond)
     np.add.at(f_g_full, g_slots.ravel(), f_g_loc.ravel())
 

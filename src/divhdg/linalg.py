@@ -1,7 +1,7 @@
-"""Symmetric sparse/dense matrix containers and solver kernels.
+"""Symmetric sparse matrix container, SPD factorizations and dense checks.
 
 Provides the small, fixed vocabulary the rest of the library is written
-against: CSR-backed symmetric matrices, a banded LDL^T factorization of SPD
+against: CSR-backed symmetric matrices, a banded Cholesky factorization of SPD
 matrices under a reverse Cuthill-McKee reordering, nullspace-deflated solves
 for consistent singular SPD systems, and dense verification helpers (symmetric
 eigenvalues, generalized condition numbers of preconditioned operators).
@@ -44,11 +44,6 @@ class SparseSym:
         m = _check_square_csr(self.csr)
         object.__setattr__(self, "csr", m)
 
-    @staticmethod
-    def from_coo(n: int, rows, cols, vals) -> "SparseSym":
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return SparseSym(m)
-
     @property
     def n(self) -> int:
         return self.csr.shape[0]
@@ -63,56 +58,21 @@ class SparseSym:
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
 
-    def symmetry_error(self) -> float:
-        d = self.csr - self.csr.T
-        denom = max(abs(self.csr).max(), 1.0)
-        return float(abs(d).max() / denom) if d.nnz else 0.0
-
-
-@dataclass(frozen=True)
-class DenseSym:
-    """Dense symmetric matrix for verification-scale computations."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"matrix must be square, got {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def spmv(a: SparseSym, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, float)
-    if x.shape[0] != a.n:
-        raise ValueError(f"length mismatch: matrix n={a.n}, vector {x.shape[0]}")
-    return a.csr @ x
-
 
 def _as_dense(a) -> np.ndarray:
     if isinstance(a, SparseSym):
         return a.toarray()
-    if isinstance(a, DenseSym):
-        return a.values
     return np.asarray(a, float)
 
 
 @dataclass
 class SpdFactor:
-    """Banded LDL^T factorization of an SPD matrix under an RCM reordering.
-
-    Stores the permutation, the unit-lower factor in banded layout
-    (band_unit[i, j] = L[perm-row j+i, j], band_unit[0, :] = 1), and the
-    positive pivots d, so A[perm][:, perm] = L diag(d) L^T.
+    """Banded Cholesky factorization of an SPD matrix under an RCM reordering:
+    the permutation and the lower factor L in banded layout
+    (_chol_band[i, j] = L[j+i, j]), so A[perm][:, perm] = L L^T.
     """
 
     perm: np.ndarray
-    band_unit: np.ndarray
-    d: np.ndarray
     n: int
     _chol_band: np.ndarray = field(repr=False, default=None)
     _inv_perm: np.ndarray = field(repr=False, default=None)
@@ -147,12 +107,9 @@ def factor_spd(a: SparseSym, pivot_tol: float = 1e-12) -> SpdFactor:
         raise NotSPD(
             f"pivot {d.min():.3e} below tolerance {pivot_tol:.0e} * {max_diag:.3e}"
         )
-    band_unit = cb / cb[0]
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n)
-    return SpdFactor(
-        perm=perm, band_unit=band_unit, d=d, n=n, _chol_band=cb, _inv_perm=inv_perm
-    )
+    return SpdFactor(perm=perm, n=n, _chol_band=cb, _inv_perm=inv_perm)
 
 
 def _orthonormal_nullspace(nullspace: np.ndarray, n: int) -> np.ndarray:
@@ -206,18 +163,6 @@ class DeflatedFactor:
         x = np.zeros(self.a.n)
         x[self.keep] = self.inner.solve(b[self.keep])
         return self.project(x)
-
-
-def solve_deflated(a, b: np.ndarray, nullspace: np.ndarray = None) -> np.ndarray:
-    """Minimum-norm solve of a consistent singular SPD system.
-
-    Accepts either a prepared DeflatedFactor or a SparseSym plus nullspace.
-    """
-    if isinstance(a, DeflatedFactor):
-        return a.solve(b)
-    if nullspace is None:
-        raise ValueError("nullspace required when passing an unfactored matrix")
-    return DeflatedFactor(a, nullspace).solve(b)
 
 
 def _check_cap(n: int):

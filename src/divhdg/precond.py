@@ -187,7 +187,7 @@ class _ColourBlock:
 class AspPrecond:
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
-    aux_factor: SpdFactor
+    aux_factor: SpdFactor  # None when the auxiliary space is empty
     a_g: SparseSym
     patch_offsets: np.ndarray = field(repr=False, default=None)
     patch_dofs: np.ndarray = field(repr=False, default=None)
@@ -298,7 +298,7 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     fb = spaces.ref.facet
 
     a0, free_v = assemble_aux(mesh, spaces, params, ess)
-    aux_factor = factor_spd(a0)
+    aux_factor = factor_spd(a0) if free_v.size else None  # no interior vertex
     vpos = np.full(mesh.num_vertices, -1, np.int64)
     vpos[free_v] = np.arange(free_v.size)
 

@@ -380,8 +380,14 @@ def _pad_vec(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def map_piola(jac: np.ndarray, det: float, vals: np.ndarray) -> np.ndarray:
-    """Contravariant (Piola) map of reference H(div) values onto a physical
-    element: v -> J v / det J, so normal fluxes are preserved across shared
-    facets. Divergences transform separately as div -> div / det J."""
-    return np.einsum("ab,...b->...a", np.asarray(jac), np.asarray(vals)) / det
+def map_piola(jac: np.ndarray, det, vals: np.ndarray) -> np.ndarray:
+    """Contravariant (Piola) map of reference H(div) values onto physical
+    elements: v -> J v / det J, so normal fluxes are preserved across shared
+    facets. Divergences transform separately as div -> div / det J.
+    ``jac`` (..., 2, 2) and ``det`` (...) may hold a batch of elements sharing
+    the reference ``vals`` (..., 2); the result is jac.shape[:-2] + vals.shape."""
+    jac, det, vals = np.asarray(jac), np.asarray(det), np.asarray(vals)
+    v = vals.reshape(-1, 1, 2)
+    out = jac[..., None, :, 0] * v[..., 0] + jac[..., None, :, 1] * v[..., 1]
+    out = out.reshape(jac.shape[:-2] + vals.shape)
+    return out / det.reshape(det.shape + (1,) * vals.ndim)

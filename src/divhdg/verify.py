@@ -21,7 +21,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import ProblemParams, assemble_local_stacks, assemble_saddle
+from .assembly import (
+    ProblemParams,
+    assemble_local_stacks,
+    assemble_saddle,
+    facet_groups,
+    scatter_stack,
+    sym_gradients,
+)
 from .condense import (
     back_substitute,
     build_condensed_monolithic,
@@ -71,75 +78,27 @@ def _zero_essential(ess: EssentialData) -> EssentialData:
 
 def norm_stacks(mesh: Mesh, spaces: Spaces):
     ref = spaces.ref
-    dm = spaces.dofmap
-    k = spaces.k
-    nt = mesh.num_triangles
-    n_loc = dm.n_loc
     n_u = ref.n_u
+    shape = (mesh.num_triangles, spaces.dofmap.n_loc, spaces.dofmap.n_loc)
+    dstack, jstack = np.zeros(shape), np.zeros(shape)
 
-    dstack = np.zeros((nt, n_loc, n_loc))
-    jstack = np.zeros((nt, n_loc, n_loc))
-
-    j_all = mesh.jacobians
-    det_all = mesh.det_j
-    jinv_all = np.empty_like(j_all)
-    jinv_all[:, 0, 0] = j_all[:, 1, 1]
-    jinv_all[:, 0, 1] = -j_all[:, 0, 1]
-    jinv_all[:, 1, 0] = -j_all[:, 1, 0]
-    jinv_all[:, 1, 1] = j_all[:, 0, 0]
-    jinv_all /= det_all[:, None, None]
-
-    w = ref.vol_rule.weights
-    gp = np.einsum("eab,iqbc,ecd->eiqad", j_all, ref.vol_grads, jinv_all)
-    gp /= det_all[:, None, None, None, None]
-    dsym = 0.5 * (gp + np.swapaxes(gp, 3, 4))
+    dsym = sym_gradients(mesh.jacobians, mesh.det_j, ref.vol_grads)
     dstack[:, :n_u, :n_u] = np.einsum(
-        "eiqad,ejqad,q->eij", dsym, dsym, w
-    ) * det_all[:, None, None]
+        "eiqad,ejqad,q->eij", dsym, dsym, ref.vol_rule.weights
+    ) * mesh.det_j[:, None, None]
 
     we = ref.facet.rule.weights
     lh = ref.facet.lhat_vals
-    for l in range(3):
-        e = mesh.tri_edges[:, l]
-        tvec_all = mesh.tangents[e]
-        hat0 = n_u + l * k
-        for flipv in (0, 1):
-            gsel = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flipv))
-            if gsel.size == 0:
-                continue
-            vals = ref.edge_vals[(l, flipv)]
-            j = j_all[gsel]
-            det = det_all[gsel]
-            tvec = tvec_all[gsel]
-            pv = np.einsum("gdc,iqc->giqd", j, vals) / det[:, None, None, None]
-            tt = np.einsum("giqd,gd->giq", pv, tvec)
-            # 1/h_F weight cancels the |edge| integration factor exactly
-            e_uu = np.einsum("giq,gjq,q->gij", tt, tt, we)
-            e_uh = -np.einsum("giq,mq,q->gim", tt, lh, we)
-            ix = np.ix_(gsel, np.arange(n_u), np.arange(n_u))
-            jstack[ix] += e_uu
-            jstack[np.ix_(gsel, np.arange(n_u), np.arange(hat0, hat0 + k))] += e_uh
-            jstack[np.ix_(gsel, np.arange(hat0, hat0 + k), np.arange(n_u))] += (
-                np.swapaxes(e_uh, 1, 2)
-            )
-            jstack[
-                np.ix_(gsel, np.arange(hat0, hat0 + k), np.arange(hat0, hat0 + k))
-            ] += np.eye(k)
+    for f in facet_groups(mesh, ref):
+        tt = f.tangential_traces()
+        # 1/h_F weight cancels the |edge| integration factor exactly
+        e_uu = np.einsum("giq,gjq,q->gij", tt, tt, we)
+        e_uh = -np.einsum("giq,mq,q->gim", tt, lh, we)
+        f.add(jstack, e_uu, e_uh, np.eye(spaces.k))
 
-    souter = dm.signs[:, :, None] * dm.signs[:, None, :]
+    signs = spaces.dofmap.signs
+    souter = signs[:, :, None] * signs[:, None, :]
     return dstack * souter, jstack * souter
-
-
-def _scatter_velocity(stack: np.ndarray, spaces: Spaces) -> sp.csr_matrix:
-    dm = spaces.dofmap
-    n_vel = spaces.split.n_vel
-    r = np.broadcast_to(dm.vel_loc[:, :, None], stack.shape)
-    c = np.broadcast_to(dm.vel_loc[:, None, :], stack.shape)
-    m = sp.coo_matrix(
-        (stack.ravel(), (r.ravel(), c.ravel())), shape=(n_vel, n_vel)
-    ).tocsr()
-    m.sum_duplicates()
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +398,8 @@ def check_anorm_equivalence(level: str) -> CheckResult:
         dstack, jstack = norm_stacks(mesh, spaces)
         stacks = assemble_local_stacks(mesh, spaces)
         norm_loc = params.tau * stacks.mass + 2.0 * params.mu * (dstack + jstack)
-        norm_mat = _scatter_velocity(norm_loc, spaces)[ess.free_ids][:, ess.free_ids]
+        norm_mat = scatter_stack(norm_loc, spaces.dofmap.vel_loc, spaces.split.n_vel)
+        norm_mat = norm_mat[ess.free_ids][:, ess.free_ids]
         a_mat = block.A.csr
         ev = sla.eigh(a_mat.toarray(), norm_mat.toarray(), eigvals_only=True)
         c1, c2 = float(ev[0]), float(ev[-1])
@@ -468,11 +428,12 @@ def check_infsup(level: str) -> CheckResult:
         nt = mesh.num_triangles
         z = _meanzero_basis(nt)
         free = ess.free_ids
+        vel_loc, n_vel = spaces.dofmap.vel_loc, spaces.split.n_vel
         dstack, jstack = norm_stacks(mesh, spaces)
 
         # viscous-norm inf-sup with the incompressibility-limit constraint:
         # the pivot solves the constrained minimization over the free velocity
-        x1_mat = _scatter_velocity(2.0 * (dstack + jstack), spaces)[free][:, free]
+        x1_mat = scatter_stack(2.0 * (dstack + jstack), vel_loc, n_vel)[free][:, free]
         b = block.B.toarray()
         bbar, bo = b[:nt], b[nt:]
         npo = bo.shape[0]
@@ -488,7 +449,7 @@ def check_infsup(level: str) -> CheckResult:
         # trace unknowns carry no volume mass, so the sup runs over the
         # mass-carrying (normal-trace and interior) velocity components
         stacks = assemble_local_stacks(mesh, spaces)
-        mass_mat = _scatter_velocity(stacks.mass, spaces)[free][:, free]
+        mass_mat = scatter_stack(stacks.mass, vel_loc, n_vel)[free][:, free]
         vol = np.flatnonzero(mass_mat.diagonal() > 1e-14)
         mv = mass_mat[vol][:, vol].toarray()
         bv = bbar[:, vol]
@@ -553,36 +514,30 @@ def _bubble_curl():
     return velocity, d_velocity, forcing
 
 
-def _energy_error(mesh: Mesh, spaces: Spaces, vel: np.ndarray, dvel):
+def _energy_error(mesh: Mesh, spaces: Spaces, vel: np.ndarray, dvel, pen: np.ndarray):
     """Discrete energy seminorm of the error: exact symmetric-gradient
     mismatch at volume quadrature points plus the facet stabilization term.
 
-    The facet term projects the tangential trace difference onto the facet
-    unknown space before measuring it — the same reduced form the bilinear
-    form assembles. The unprojected difference is structurally limited to
-    one order lower for any method whose facet unknowns sit one degree below
-    the volume space, so it cannot certify the volume convergence order."""
+    The facet term is the quadratic form of the penalty stack ``pen`` (see
+    ``LocalStacks``): the tangential trace difference projected onto the facet
+    unknown space -- the same reduced form the bilinear form assembles. The
+    unprojected difference is structurally limited to one order lower for any
+    method whose facet unknowns sit one degree below the volume space, so it
+    cannot certify the volume convergence order."""
     ref = spaces.ref
     dm = spaces.dofmap
-    k = spaces.k
-    uloc = dm.signs * vel[dm.vel_loc]
+    vloc = vel[dm.vel_loc]
+    uloc = dm.signs * vloc
     j_all = mesh.jacobians
     det_all = mesh.det_j
-    jinv_all = np.empty_like(j_all)
-    jinv_all[:, 0, 0] = j_all[:, 1, 1]
-    jinv_all[:, 0, 1] = -j_all[:, 0, 1]
-    jinv_all[:, 1, 0] = -j_all[:, 1, 0]
-    jinv_all[:, 1, 1] = j_all[:, 0, 0]
-    jinv_all /= det_all[:, None, None]
 
     # the exact solution is not polynomial of the basis degree, so integrate
     # the mismatch on a rule far beyond the assembly default
     rule, _, hi_grads, _, _ = ref.volume_tables(14)
     a0 = mesh.vertices[mesh.triangles[:, 0]]
     pts = a0[:, None, :] + np.einsum("edc,qc->eqd", j_all, rule.points)
-    gp = np.einsum("eab,iqbc,ecd->eiqad", j_all, hi_grads, jinv_all)
-    gp /= det_all[:, None, None, None, None]
-    dh = np.einsum("ei,eiqad->eqad", uloc[:, : ref.n_u], 0.5 * (gp + np.swapaxes(gp, 3, 4)))
+    dsym = sym_gradients(j_all, det_all, hi_grads)
+    dh = np.einsum("ei,eiqad->eqad", uloc[:, : ref.n_u], dsym)
     g11, g12, g22 = dvel(pts.reshape(-1, 2))
     shape = pts.shape[:2]
     ex = np.zeros_like(dh)
@@ -591,24 +546,7 @@ def _energy_error(mesh: Mesh, spaces: Spaces, vel: np.ndarray, dvel):
     ex[:, :, 1, 1] = g22.reshape(shape)
     diff = dh - ex
     err2 = np.einsum("eqad,eqad,q->e", diff, diff, rule.weights) @ det_all
-
-    we = ref.facet.rule.weights
-    lh = ref.facet.lhat_vals
-    n_u = ref.n_u
-    for l in range(3):
-        hat0 = n_u + l * k
-        for flipv in (0, 1):
-            gsel = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flipv))
-            if gsel.size == 0:
-                continue
-            vals = ref.edge_vals[(l, flipv)]
-            j = j_all[gsel]
-            det = det_all[gsel]
-            tvec = mesh.tangents[mesh.tri_edges[gsel, l]]
-            pv = np.einsum("gdc,iqc->giqd", j, vals) / det[:, None, None, None]
-            tt = np.einsum("gi,giqd,gd->gq", uloc[gsel, :n_u], pv, tvec)
-            moments = np.einsum("gq,mq,q->gm", tt, lh, we)
-            err2 += np.sum((moments - uloc[gsel, hat0 : hat0 + k]) ** 2)
+    err2 += np.einsum("ei,eij,ej->", vloc, pen, vloc)
     return float(np.sqrt(err2))
 
 
@@ -624,6 +562,7 @@ def check_galerkin(level: str) -> CheckResult:
             mesh = unit_square(n)
             spaces = build_spaces(mesh, k)
             ess = _zero_essential(interpolate_essential(mesh, spaces, "cavity"))
+            stacks = assemble_local_stacks(mesh, spaces)
             block = assemble_saddle(
                 mesh,
                 spaces,
@@ -631,6 +570,7 @@ def check_galerkin(level: str) -> CheckResult:
                 ess,
                 body_force=forcing(1.0, 1.0),
                 volume_quad_degree=14,
+                stacks=stacks,
             )
             cond = eliminate_local(block)
             kc, rc = build_condensed_monolithic(cond)
@@ -640,7 +580,7 @@ def check_galerkin(level: str) -> CheckResult:
             pbar = xc[nf:]
             pbar -= (mesh.areas * pbar).sum() / mesh.areas.sum()
             vel, _ = back_substitute(cond, xc[:nf], pbar)
-            errs.append(_energy_error(mesh, spaces, vel, d_velocity))
+            errs.append(_energy_error(mesh, spaces, vel, d_velocity, stacks.pen))
         rates = [
             np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)
         ]

@@ -5,13 +5,17 @@ import scipy.sparse as sp
 from divhdg.assembly import (
     ProblemParams,
     assemble_aux,
+    assemble_local_stacks,
     assemble_saddle,
     facet_projection,
+    scatter_stack,
+    sym_gradients,
 )
 from divhdg.linalg import NotSPD, dense_eig_sym
-from divhdg.mesh import unit_square
-from divhdg.refbasis import build_facet_basis
+from divhdg.mesh import step_domain, unit_square
+from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
 from divhdg.spaces import build_spaces, interpolate_essential
+from divhdg.verify import _bubble_curl, _energy_error
 
 from conftest import pipeline
 
@@ -160,3 +164,122 @@ class TestRhs:
     def test_lifting_enters_rhs(self, cavity22):
         _, _, _, block, _ = cavity22
         assert np.abs(block.F_u).max() > 0
+
+
+def _random_jacobians(n, seed):
+    """Non-degenerate random Jacobians of both orientations: |det J| >= 0.2."""
+    rng = np.random.default_rng(seed)
+    j = rng.standard_normal((4 * n, 2, 2))
+    det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+    keep = np.abs(det) >= 0.2
+    return j[keep][:n], det[keep][:n]
+
+
+class TestElementKernel:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_batched_piola_matches_per_element(self, k):
+        ref = build_reference_bdm(k)
+        j, det = _random_jacobians(30, k)
+        for vals in (ref.vol_vals, ref.edge_vals[(1, 1)]):
+            batched = map_piola(j, det, vals)
+            assert batched.shape == (30,) + vals.shape
+            single = np.stack([map_piola(j[e], det[e], vals) for e in range(30)])
+            scale = np.abs(single).max()
+            assert np.abs(batched - single).max() <= 1e-15 * scale
+            # extra batch axes carry through
+            grid = map_piola(j.reshape(5, 6, 2, 2), det.reshape(5, 6), vals)
+            assert np.array_equal(grid.reshape(batched.shape), batched)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sym_gradients_match_five_index_einsum(self, k):
+        ref = build_reference_bdm(k)
+        j, det = _random_jacobians(40, 10 + k)
+        for grads in (ref.vol_grads, ref.edge_grads[(0, 1)]):
+            # the former single-einsum evaluation, kept verbatim as reference
+            jinv = np.empty_like(j)
+            jinv[:, 0, 0] = j[:, 1, 1]
+            jinv[:, 0, 1] = -j[:, 0, 1]
+            jinv[:, 1, 0] = -j[:, 1, 0]
+            jinv[:, 1, 1] = j[:, 0, 0]
+            jinv /= det[:, None, None]
+            gp = np.einsum("eab,iqbc,ecd->eiqad", j, grads, jinv)
+            gp /= det[:, None, None, None, None]
+            want = 0.5 * (gp + np.swapaxes(gp, 3, 4))
+            got = sym_gradients(j, det, grads)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_scatter_matches_dense_loop_with_repeated_slots(self):
+        rng = np.random.default_rng(3)
+        n, ne, m = 7, 9, 4
+        stack = rng.standard_normal((ne, m, m))
+        slots = rng.integers(0, n, size=(ne, m))
+        slots[0] = [2, 2, 5, 2]  # repeats inside one element as well
+        want = np.zeros((n, n))
+        for e in range(ne):
+            for a in range(m):
+                for b in range(m):
+                    want[slots[e, a], slots[e, b]] += stack[e, a, b]
+        got = scatter_stack(stack, slots, n)
+        assert isinstance(got, sp.csr_matrix)
+        assert got.has_canonical_format
+        assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("problem,n,k", [("cavity", 2, 2), ("step", 2, 3)])
+    def test_energy_facet_term_matches_moment_formula(self, problem, n, k):
+        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        spaces = build_spaces(mesh, k)
+        ref, dm = spaces.ref, spaces.dofmap
+        vel = np.random.default_rng(k).standard_normal(spaces.split.n_vel)
+        _, d_velocity, _ = _bubble_curl()
+        pen = assemble_local_stacks(mesh, spaces).pen
+
+        # the former evaluation, kept verbatim as reference: volume mismatch
+        # plus the facet moments of the tangential trace minus the trace unknowns
+        uloc = dm.signs * vel[dm.vel_loc]
+        j_all = mesh.jacobians
+        det_all = mesh.det_j
+        jinv_all = np.empty_like(j_all)
+        jinv_all[:, 0, 0] = j_all[:, 1, 1]
+        jinv_all[:, 0, 1] = -j_all[:, 0, 1]
+        jinv_all[:, 1, 0] = -j_all[:, 1, 0]
+        jinv_all[:, 1, 1] = j_all[:, 0, 0]
+        jinv_all /= det_all[:, None, None]
+        rule, _, hi_grads, _, _ = ref.volume_tables(14)
+        a0 = mesh.vertices[mesh.triangles[:, 0]]
+        pts = a0[:, None, :] + np.einsum("edc,qc->eqd", j_all, rule.points)
+        gp = np.einsum("eab,iqbc,ecd->eiqad", j_all, hi_grads, jinv_all)
+        gp /= det_all[:, None, None, None, None]
+        dh = np.einsum(
+            "ei,eiqad->eqad", uloc[:, : ref.n_u], 0.5 * (gp + np.swapaxes(gp, 3, 4))
+        )
+        g11, g12, g22 = d_velocity(pts.reshape(-1, 2))
+        shape = pts.shape[:2]
+        ex = np.zeros_like(dh)
+        ex[:, :, 0, 0] = g11.reshape(shape)
+        ex[:, :, 0, 1] = ex[:, :, 1, 0] = g12.reshape(shape)
+        ex[:, :, 1, 1] = g22.reshape(shape)
+        diff = dh - ex
+        vol2 = np.einsum("eqad,eqad,q->e", diff, diff, rule.weights) @ det_all
+        we = ref.facet.rule.weights
+        lh = ref.facet.lhat_vals
+        n_u = ref.n_u
+        facet2 = 0.0
+        for l in range(3):
+            hat0 = n_u + l * k
+            for flipv in (0, 1):
+                gsel = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flipv))
+                if gsel.size == 0:
+                    continue
+                vals = ref.edge_vals[(l, flipv)]
+                j = j_all[gsel]
+                det = det_all[gsel]
+                tvec = mesh.tangents[mesh.tri_edges[gsel, l]]
+                pv = np.einsum("gdc,iqc->giqd", j, vals) / det[:, None, None, None]
+                tt = np.einsum("gi,giqd,gd->gq", uloc[gsel, :n_u], pv, tvec)
+                moments = np.einsum("gq,mq,q->gm", tt, lh, we)
+                facet2 += np.sum((moments - uloc[gsel, hat0 : hat0 + k]) ** 2)
+
+        assert facet2 > 0.1 * vol2  # the facet term carries real weight here
+        got = _energy_error(mesh, spaces, vel, d_velocity, pen)
+        assert abs(got**2 - (vol2 + facet2)) <= 1e-13 * (vol2 + facet2)

@@ -126,6 +126,20 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             _tiny_grid(inv_lambdas=[-0.1])
 
+    @pytest.mark.parametrize("inv_h", [1, 3, 0])
+    def test_step_mesh_size_must_be_even(self, inv_h):
+        # the re-entrant corner must be a grid vertex; rejected up front rather
+        # than raised out of run_grid while the shared structures are built
+        with pytest.raises(ValueError, match=f"got {inv_h}$"):
+            _tiny_grid(problem="step", inv_hs=[2, inv_h])
+        _tiny_grid(problem="step", inv_hs=[2, 4])
+
+    @pytest.mark.parametrize("inv_h", [0, -2])
+    def test_mesh_size_must_be_positive(self, inv_h):
+        with pytest.raises(ValueError, match=f"got {inv_h}$"):
+            _tiny_grid(inv_hs=[1, inv_h])
+        _tiny_grid(inv_hs=[1, 3])
+
     def test_tuple_order_k_major(self):
         g = _tiny_grid(ks=[1, 2], inv_hs=[2, 4], taus=[0.0, 1.0])
         tups = list(g.tuples())
@@ -159,6 +173,21 @@ class TestRunGrid:
         assert len(rows) == 1
         assert not rows[0].converged
         assert rows[0].error != ""
+
+    @pytest.mark.parametrize("smoother", ["patch-sgs", "jacobi", "exact"])
+    def test_single_element_mesh_has_empty_aux_space(self, smoother):
+        # unit_square(1) has no interior vertex: the coarse correction is zero
+        g = _tiny_grid(
+            ks=[1, 2, 3],
+            inv_hs=[1],
+            taus=[0.0, 1.0],
+            inv_lambdas=[0.0, 1.0],
+            smoother=smoother,
+        )
+        rows = run_grid(g)
+        assert len(rows) == 12
+        assert [r.error for r in rows] == [""] * 12
+        assert all(r.converged for r in rows)
 
     def test_deterministic_modulo_timings(self):
         g = _tiny_grid(inv_hs=[2, 4])
