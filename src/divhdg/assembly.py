@@ -18,17 +18,22 @@ carriers (-identity). The assembled element blocks split into
 
 with parameter-independent stacks, so parameter sweeps reuse one integration
 pass. Essential trace data is eliminated by slicing; the eliminated columns
-move to the right-hand side.
+move to the right-hand side. The solver path keeps the system as element
+stacks, which static condensation reads directly; the unreduced velocity
+matrix and the reduced velocity block are scattered only on first access,
+for verification.
 
 The element kernel is shared with static condensation, the auxiliary space
 and the verification suite: ``refbasis.map_piola`` maps basis values,
 ``sym_gradients`` forms the symmetric gradients (the only place J^-1 is built,
-through ``inverse_jacobians``), ``facet_groups`` runs the per-(edge,
-orientation) facet loop, and ``scatter_stack`` sums element matrices into a
-global CSR matrix.
+through ``inverse_jacobians``), ``gram`` forms the weighted products of
+basis functions as batched matmuls, ``facet_groups`` runs the per-local-edge
+facet loop (both orientations at once), and ``scatter_stack`` sums element
+matrices into a global CSR matrix.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,9 +69,12 @@ class LocalStacks:
     pen: np.ndarray  # jump penalty with 1/h_F included, alpha k^2 excluded
 
     def combine(self, p: ProblemParams, k: int) -> np.ndarray:
-        return p.tau * self.mass + (2.0 * p.mu) * (
-            self.visc + (p.alpha * k * k) * self.pen
-        )
+        """tau * mass + 2 mu * (visc + alpha k^2 * pen), in one buffer."""
+        a = (p.alpha * k * k) * self.pen
+        a += self.visc
+        a *= 2.0 * p.mu
+        a += p.tau * self.mass
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -98,62 +106,100 @@ def sym_gradients(j: np.ndarray, det: np.ndarray, grads: np.ndarray) -> np.ndarr
     return out.reshape(j.shape[:1] + grads.shape)
 
 
+def gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted Gram matrices (E, n, n) of a batch ``x`` (E, n, Q, ...):
+    sum over q and the trailing axes of w_q x[e, i, q, ...] x[e, j, q, ...].
+    One batched matmul of (x sqrt(w)) with its transpose, so the weights must
+    be positive; the result is symmetrized, hence exactly symmetric."""
+    sw = np.sqrt(w).reshape((-1,) + (1,) * (x.ndim - 3))
+    y = (x * sw).reshape(x.shape[0], x.shape[1], -1)
+    g = y @ np.swapaxes(y, 1, 2)
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
 @dataclass(frozen=True)
 class FacetGroup:
-    """The elements whose local edge ``l`` has one orientation, with the
-    reference tables and geometry the facet terms need."""
+    """Every element's local edge ``l``, with the reference tables of both
+    orientations and the geometry the facet terms need. The two orientations
+    partition the elements; per-element results come back in element order,
+    so the facet blocks are added to the stacks with basic slices."""
 
-    elems: np.ndarray  # (G,) element ids
     hat: slice  # local slots of the edge's tangential trace unknowns
-    vals: np.ndarray  # (n_u, Qe, 2) reference values on the edge rule
-    grads: np.ndarray  # (n_u, Qe, 2, 2) reference gradients on the edge rule
-    jac: np.ndarray  # (G, 2, 2)
-    det: np.ndarray  # (G,)
-    tangent: np.ndarray  # (G, 2) global edge tangent
-    normal: np.ndarray  # (G, 2) outward unit normal
-    length: np.ndarray  # (G,)
+    orient: tuple  # element ids traversing the edge along / against its tangent
+    vals: tuple  # per orientation: (n_u, Qe, 2) reference values on the edge rule
+    grads: tuple  # per orientation: (n_u, Qe, 2, 2) reference gradients
+    jac: np.ndarray  # (nt, 2, 2)
+    det: np.ndarray  # (nt,)
+    tangent: np.ndarray  # (nt, 2) global edge tangent
+    normal: np.ndarray  # (nt, 2) outward unit normal
+    length: np.ndarray  # (nt,)
+
+    def _by_orientation(self, fn, tables) -> np.ndarray:
+        """fn(elems, table) on the elements of each orientation with that
+        orientation's reference table, merged in element order."""
+        out = None
+        for elems, table in zip(self.orient, tables):
+            if elems.size == 0:
+                continue
+            part = fn(elems, table)
+            if out is None:
+                out = np.empty(self.det.shape + part.shape[1:])
+            out[elems] = part
+        return out
 
     def tangential_traces(self) -> np.ndarray:
-        """Tangential traces (G, n_u, Qe) of the Piola-mapped basis."""
-        pv = map_piola(self.jac, self.det, self.vals)
-        return np.einsum("giqd,gd->giq", pv, self.tangent)
+        """Tangential traces (nt, n_u, Qe) of the Piola-mapped basis."""
+
+        def traces(elems, vals):
+            pv = map_piola(self.jac[elems], self.det[elems], vals)
+            return (pv.reshape(elems.size, -1, 2) @ self.tangent[elems, :, None]).reshape(
+                pv.shape[:-1]
+            )
+
+        return self._by_orientation(traces, self.vals)
+
+    def normal_tangential_stress(self) -> np.ndarray:
+        """t . D(phi) n (nt, n_u, Qe) of the Piola-mapped basis."""
+
+        def dn(elems, grads):
+            dsym = sym_gradients(self.jac[elems], self.det[elems], grads)
+            tn = self.tangent[elems, :, None] * self.normal[elems, None, :]
+            out = dsym.reshape(elems.size, -1, 4) @ tn.reshape(-1, 4, 1)
+            return out.reshape(dsym.shape[:-2])
+
+        return self._by_orientation(dn, self.grads)
 
     def add(self, stack, uu, uh, hh=None) -> None:
         """Add a symmetric facet block to the element stack: ``uu`` on the
         velocity slots, ``uh`` and its transpose between velocity and trace
         slots, ``hh`` on the trace slots."""
-        u = slice(0, self.vals.shape[0])  # velocity slots come first
-        stack[self.elems, u, u] += uu
-        stack[self.elems, u, self.hat] += uh
-        stack[self.elems, self.hat, u] += np.swapaxes(uh, 1, 2)
+        u = slice(0, self.vals[0].shape[0])  # velocity slots come first
+        stack[:, u, u] += uu
+        stack[:, u, self.hat] += uh
+        stack[:, self.hat, u] += np.swapaxes(uh, 1, 2)
         if hh is not None:
-            stack[self.elems, self.hat, self.hat] += hh
+            stack[:, self.hat, self.hat] += hh
 
 
 def facet_groups(mesh: Mesh, ref: ReferenceBasis):
-    """Yield one FacetGroup per (local edge, orientation) that occurs."""
+    """Yield one FacetGroup per local edge."""
     k = ref.k
     for l in range(3):
-        edges = mesh.tri_edges[:, l]
-        hat = slice(ref.n_u + l * k, ref.n_u + (l + 1) * k)
-        for flip in (0, 1):
-            elems = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flip))
-            if elems.size == 0:
-                continue
-            e = edges[elems]
-            t = mesh.tangents[e]
-            nout = np.column_stack([t[:, 1], -t[:, 0]])
-            yield FacetGroup(
-                elems=elems,
-                hat=hat,
-                vals=ref.edge_vals[(l, flip)],
-                grads=ref.edge_grads[(l, flip)],
-                jac=mesh.jacobians[elems],
-                det=mesh.det_j[elems],
-                tangent=t,
-                normal=-nout if flip else nout,
-                length=mesh.edge_lengths[e],
-            )
+        e = mesh.tri_edges[:, l]
+        flip = mesh.tri_edge_flip[:, l]
+        t = mesh.tangents[e]
+        nout = np.column_stack([t[:, 1], -t[:, 0]])
+        yield FacetGroup(
+            hat=slice(ref.n_u + l * k, ref.n_u + (l + 1) * k),
+            orient=(np.flatnonzero(~flip), np.flatnonzero(flip)),
+            vals=(ref.edge_vals[(l, 0)], ref.edge_vals[(l, 1)]),
+            grads=(ref.edge_grads[(l, 0)], ref.edge_grads[(l, 1)]),
+            jac=mesh.jacobians,
+            det=mesh.det_j,
+            tangent=t,
+            normal=np.where(flip[:, None], -nout, nout),
+            length=mesh.edge_lengths[e],
+        )
 
 
 def scatter_stack(stack: np.ndarray, slots: np.ndarray, n: int) -> sp.csr_matrix:
@@ -180,27 +226,21 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
     for start in range(0, nt, _CHUNK):
         sel = slice(start, min(start + _CHUNK, nt))
         j, det = mesh.jacobians[sel], mesh.det_j[sel]
-        pv = map_piola(j, det, ref.vol_vals)
-        mass[sel, :n_u, :n_u] = np.einsum(
-            "eiqd,ejqd,q->eij", pv, pv, w
-        ) * det[:, None, None]
-        dsym = sym_gradients(j, det, ref.vol_grads)
-        visc[sel, :n_u, :n_u] = np.einsum(
-            "eiqad,ejqad,q->eij", dsym, dsym, w
-        ) * det[:, None, None]
+        mass[sel, :n_u, :n_u] = gram(map_piola(j, det, ref.vol_vals), w) * det[:, None, None]
+        visc[sel, :n_u, :n_u] = gram(sym_gradients(j, det, ref.vol_grads), w) * det[
+            :, None, None
+        ]
 
     we = ref.facet.rule.weights
     lh = ref.facet.lhat_vals  # (k, Qe)
+    lhw = (lh * we).T
     for f in facet_groups(mesh, ref):
         tt = f.tangential_traces()
-        dsym = sym_gradients(f.jac, f.det, f.grads)
-        dn = np.einsum("giqad,gd,ga->giq", dsym, f.normal, f.tangent)
-        le = f.length[:, None, None]
-        e_uu = np.einsum("giq,gjq,q->gij", dn, tt, we) * le
-        e_uh = -np.einsum("giq,mq,q->gim", dn, lh, we) * le
-        f.add(visc, -(e_uu + np.swapaxes(e_uu, 1, 2)), -e_uh)
-        bmom = np.einsum("giq,jq,q->gij", tt, lh, we)
-        f.add(pen, np.einsum("gij,gmj->gim", bmom, bmom), -bmom, np.eye(k))
+        dnw = f.normal_tangential_stress() * (we * f.length[:, None])[:, None, :]
+        e_uu = dnw @ np.swapaxes(tt, 1, 2)
+        f.add(visc, -(e_uu + np.swapaxes(e_uu, 1, 2)), dnw @ lh.T)
+        bmom = tt @ lhw  # facet moments of the traces
+        f.add(pen, gram(bmom, np.ones(k)), -bmom, np.eye(k))
 
     souter = dm.signs[:, :, None] * dm.signs[:, None, :]
     for stack in (mass, visc, pen):
@@ -255,23 +295,40 @@ def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np
 class BlockSystem:
     """Assembled saddle-point system with essential data eliminated.
 
-    A, B, C, F_u, F_p are the reduced blocks (A over free velocity unknowns).
-    The unreduced matrices and the signed element stacks are retained for
-    static condensation and verification.
+    B, C, F_p are the reduced pressure blocks and right side; b_full is the
+    unreduced divergence block and aloc, floc are the signed element stacks,
+    which is all static condensation reads. The reduced velocity block A (over
+    free velocity unknowns), its right side F_u and the unreduced velocity
+    matrix a_full are built from the element stacks on first access, for
+    verification: the condensed solve never forms them.
     """
 
-    A: SparseSym
     B: sp.csr_matrix
     C: SparseSym
-    F_u: np.ndarray
     F_p: np.ndarray
-    a_full: sp.csr_matrix = field(repr=False)
     b_full: sp.csr_matrix = field(repr=False)
     aloc: np.ndarray = field(repr=False)
     floc: np.ndarray = field(repr=False)
     spaces: Spaces = field(repr=False)
-    params: ProblemParams = None
-    essential: EssentialData = field(repr=False, default=None)
+    params: ProblemParams
+    essential: EssentialData = field(repr=False)
+
+    @cached_property
+    def a_full(self) -> sp.csr_matrix:
+        return scatter_stack(self.aloc, self.spaces.dofmap.vel_loc, self.spaces.split.n_vel)
+
+    @cached_property
+    def A(self) -> SparseSym:
+        free = self.essential.free_ids
+        return SparseSym(self.a_full[free][:, free])
+
+    @cached_property
+    def F_u(self) -> np.ndarray:
+        n_vel = self.spaces.split.n_vel
+        f_full = np.zeros(n_vel)
+        np.add.at(f_full, self.spaces.dofmap.vel_loc.ravel(), self.floc.ravel())
+        free = self.essential.free_ids
+        return f_full[free] - self.a_full[free] @ self.essential.full_vector(n_vel)
 
     @property
     def mesh(self) -> Mesh:
@@ -279,7 +336,7 @@ class BlockSystem:
 
     @property
     def n_free(self) -> int:
-        return self.A.n
+        return int(np.count_nonzero(self.essential.free_mask))
 
     @property
     def n_pressure(self) -> int:
@@ -287,7 +344,19 @@ class BlockSystem:
 
 
 def _element_coercivity_check(aloc: np.ndarray):
+    """Raise NotSPD unless every element block has lambda_min >= -1e-9 scale,
+    scale being the block's largest entry. A Cholesky factorization of every
+    block shifted by 1e-9 scale certifies the bound in one batched pass (up
+    to rounding far below it); only when it fails do the eigenvalues decide."""
     scale = np.maximum(np.abs(aloc).max(axis=(1, 2)), 1e-300)
+    shifted = aloc.copy()
+    diag = np.arange(aloc.shape[1])
+    shifted[:, diag, diag] += (1e-9 * scale)[:, None]
+    try:
+        np.linalg.cholesky(shifted)
+        return
+    except np.linalg.LinAlgError:
+        pass
     evs = np.linalg.eigvalsh(aloc)
     worst = np.min(evs[:, 0] / scale)
     if worst < -1e-9:
@@ -309,7 +378,6 @@ def assemble_saddle(
     if stacks is None:
         stacks = assemble_local_stacks(mesh, spaces)
     dm = spaces.dofmap
-    split = spaces.split
     aloc = stacks.combine(params, spaces.k)
     _element_coercivity_check(aloc)
 
@@ -332,29 +400,12 @@ def assemble_saddle(
             ) * det[:, None]
         floc *= dm.signs
 
-    n_vel = split.n_vel
-    a_full = scatter_stack(aloc, dm.vel_loc, n_vel)
-
-    f_full = np.zeros(n_vel)
-    np.add.at(f_full, dm.vel_loc.ravel(), floc.ravel())
-
     b_full = assemble_pressure_ops(mesh, spaces)
-    cdiag = pressure_c_diagonal(mesh, spaces, params)
-
-    free = essential.free_ids
-    g = essential.full_vector(n_vel)
-    a_red = a_full[free][:, free]
-    f_u = f_full[free] - a_full[free] @ g
-    b_red = b_full[:, free]
-    f_p = -(b_full @ g)
-
+    g = essential.full_vector(spaces.split.n_vel)
     return BlockSystem(
-        A=SparseSym(a_red),
-        B=b_red,
-        C=SparseSym(sp.diags(cdiag).tocsr()),
-        F_u=f_u,
-        F_p=f_p,
-        a_full=a_full,
+        B=b_full[:, essential.free_ids],
+        C=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, params)).tocsr()),
+        F_p=-(b_full @ g),
         b_full=b_full,
         aloc=aloc,
         floc=floc,

@@ -64,7 +64,7 @@ class ExperimentGrid:
                 if ih > cap and not self.allow_large:
                     raise CapExceeded(
                         f"1/h={ih} exceeds the desk-scale cap {cap} for k={k}; "
-                        "pass allow_large to run it anyway"
+                        "pass allow_large (--allow-large) to run it anyway"
                     )
         even = self.problem == "step"  # the re-entrant corner must be a vertex
         for ih in self.inv_hs:
@@ -348,6 +348,18 @@ def _emit_markdown(table: list) -> str:
             vals = [cell.get((ih, c), "") for c in combos]
             out.append(f"| {ih} | " + " | ".join(vals) + " |")
         out.append("")
+        failed = [r for r in rows if r.error]
+        if failed:
+            out.append("Failed rows:")
+            out.append("")
+            for r in failed:
+                params = ", ".join(
+                    _plabel(a, v)
+                    for a, v in (("mu", r.mu), ("tau", r.tau), ("1/lambda", r.inv_lambda))
+                )
+                error = " ".join(r.error.splitlines())
+                out.append(f"- 1/h={r.inv_h}, {params}: {error}")
+            out.append("")
     return "\n".join(out)
 
 

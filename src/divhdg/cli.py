@@ -96,28 +96,32 @@ def _inv_lambdas(args) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.verify is not None:
         return run_verification(args.verify)
 
     inv_hs = args.inv_h or ([8, 16, 32, 64] if args.k <= 2 else [8, 16, 32])
-    grid = ExperimentGrid(
-        problem=args.problem,
-        ks=[args.k],
-        inv_hs=inv_hs,
-        mus=[args.mu],
-        taus=list(args.tau or [0.0]),
-        inv_lambdas=_inv_lambdas(args),
-        alpha=args.alpha,
-        tol=args.tol,
-        maxit=args.maxit,
-        seed=args.seed,
-        fmt=args.format,
-        schur_mode=args.schur_mode,
-        smoother=args.smoother,
-        allow_large=args.allow_large,
-    )
+    try:
+        grid = ExperimentGrid(
+            problem=args.problem,
+            ks=[args.k],
+            inv_hs=inv_hs,
+            mus=[args.mu],
+            taus=list(args.tau or [0.0]),
+            inv_lambdas=_inv_lambdas(args),
+            alpha=args.alpha,
+            tol=args.tol,
+            maxit=args.maxit,
+            seed=args.seed,
+            fmt=args.format,
+            schur_mode=args.schur_mode,
+            smoother=args.smoother,
+            allow_large=args.allow_large,
+        )
+    except ValueError as exc:  # invalid values, CapExceeded included
+        parser.error(str(exc))
     text = emit(run_grid(grid), args.format)
     if args.out:
         with open(args.out, "w") as f:

@@ -69,8 +69,8 @@ def eliminate_local(block: BlockSystem) -> CondensedSystem:
     n_G = g_slot_idx.size
 
     aloc = block.aloc
-    a_ii = aloc[:, dm.interior_slots, dm.interior_slots.start : dm.interior_slots.stop]
-    a_ig = aloc[:, dm.interior_slots, :][:, :, g_slot_idx]
+    a_ii = aloc[:, dm.interior_slots, dm.interior_slots]
+    a_ig = aloc[:, dm.interior_slots][:, :, g_slot_idx]
 
     k_ll = np.zeros((nt, n_L, n_L))
     k_ll[:, :n_int, :n_int] = a_ii
@@ -94,9 +94,10 @@ def eliminate_local(block: BlockSystem) -> CondensedSystem:
         back_x = np.zeros((nt, 0, n_G))
         back_y = np.zeros((nt, 0))
 
-    a_gg = aloc[:, g_slot_idx, :][:, :, g_slot_idx]
-    a_cond = a_gg - np.einsum("tlg,tlh->tgh", k_lg, back_x)
-    f_g_loc = block.floc[:, g_slot_idx] - np.einsum("tlg,tl->tg", k_lg, back_y)
+    a_gg = aloc[:, g_slot_idx[:, None], g_slot_idx]
+    k_gl = np.swapaxes(k_lg, 1, 2)
+    a_cond = a_gg - k_gl @ back_x
+    f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ back_y[:, :, None])[:, :, 0]
 
     g_slots = dm.vel_loc[:, g_slot_idx]
     n_cond = split.n_cond

@@ -97,20 +97,21 @@ def build_mesh(vertices: np.ndarray, triangles: np.ndarray, tag_fn=None) -> Mesh
 
     locals_pq = triangles[:, [[1, 2], [2, 0], [0, 1]]]  # (nt, 3, 2) p -> q
     flat = np.sort(locals_pq.reshape(-1, 2), axis=1)
-    edges, inverse = np.unique(flat, axis=0, return_inverse=True)
+    nv = vertices.shape[0]
+    keys, inverse = np.unique(flat[:, 0] * nv + flat[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
     tri_edges = inverse.reshape(nt, 3)
     tri_edge_flip = locals_pq[:, :, 0] != edges[tri_edges, 0]
 
     ne = edges.shape[0]
     edge_elems = np.full((ne, 2), -1, np.int64)
+    # a stable sort by edge keeps each edge's elements in ascending order
     order = np.argsort(tri_edges.ravel(), kind="stable")
     elem_of = np.repeat(np.arange(nt), 3)[order]
-    eids = tri_edges.ravel()[order]
-    first = np.searchsorted(eids, np.arange(ne), side="left")
-    last = np.searchsorted(eids, np.arange(ne), side="right")
-    for e in range(ne):
-        adj = np.sort(elem_of[first[e] : last[e]])
-        edge_elems[e, : adj.size] = adj
+    first = np.searchsorted(tri_edges.ravel()[order], np.arange(ne))
+    edge_elems[:, 0] = elem_of[first]
+    shared = np.flatnonzero(np.diff(np.append(first, 3 * nt)) > 1)
+    edge_elems[shared, 1] = elem_of[first[shared] + 1]
 
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     lengths = np.linalg.norm(vec, axis=1)
@@ -152,33 +153,33 @@ def build_mesh(vertices: np.ndarray, triangles: np.ndarray, tag_fn=None) -> Mesh
 
 
 def _grid_mesh(nx: int, ny: int, keep_cell, origin=(0.0, 0.0), spacing=1.0):
-    """Structured right-triangle mesh over kept cells of an nx x ny grid."""
+    """Structured right-triangle mesh over kept cells of an nx x ny grid;
+    keep_cell(ix, iy) takes integer arrays and returns a boolean mask."""
+    iy, ix = np.nonzero(keep_cell(*np.meshgrid(np.arange(nx), np.arange(ny))))
     used = np.zeros((ny + 1, nx + 1), bool)
-    cells = [
-        (ix, iy) for iy in range(ny) for ix in range(nx) if keep_cell(ix, iy)
-    ]
-    for ix, iy in cells:
-        used[iy : iy + 2, ix : ix + 2] = True
+    for dy in (0, 1):
+        for dx in (0, 1):
+            used[iy + dy, ix + dx] = True
     vid = np.full((ny + 1, nx + 1), -1, np.int64)
     ys, xs = np.nonzero(used)
     vid[ys, xs] = np.arange(ys.size)
     vertices = np.column_stack(
         [origin[0] + xs * spacing, origin[1] + ys * spacing]
     ).astype(float)
-    tris = []
-    for ix, iy in cells:
-        ll, lr = vid[iy, ix], vid[iy, ix + 1]
-        ul, ur = vid[iy + 1, ix], vid[iy + 1, ix + 1]
-        tris.append((ll, lr, ur))  # diagonal lower-left -> upper-right
-        tris.append((ll, ur, ul))
-    return vertices, np.array(tris, np.int64)
+    ll, lr = vid[iy, ix], vid[iy, ix + 1]
+    ul, ur = vid[iy + 1, ix], vid[iy + 1, ix + 1]
+    # per cell: diagonal lower-left -> upper-right, lower triangle first
+    tris = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    return vertices, tris
 
 
 def unit_square(n: int) -> Mesh:
     """Uniform n x n right-triangle mesh of [0,1]^2; top side tagged lid."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    vertices, tris = _grid_mesh(n, n, lambda ix, iy: True, spacing=1.0 / n)
+    vertices, tris = _grid_mesh(
+        n, n, lambda ix, iy: np.ones(ix.shape, bool), spacing=1.0 / n
+    )
 
     def tag_fn(mids):
         return np.where(mids[:, 1] > 1.0 - 0.25 / n, TAG_LID, TAG_WALL)
@@ -198,7 +199,7 @@ def step_domain(n: int) -> Mesh:
     half = n // 2
 
     def keep(ix, iy):
-        return iy >= half or ix >= half
+        return (iy >= half) | (ix >= half)
 
     vertices, tris = _grid_mesh(4 * n, n, keep, spacing=1.0 / n)
     eps = 0.25 / n

@@ -79,18 +79,11 @@ def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
     """Unit-weight graph Laplacian over element adjacency (interior facets)
     plus a unit diagonal boost per outflow facet."""
     nt = mesh.num_triangles
-    rows, cols, vals = [], [], []
-    for e in mesh.interior_edges():
-        a, b = mesh.edge_elems[e]
-        rows += [a, b, a, b]
-        cols += [a, b, b, a]
-        vals += [1.0, 1.0, -1.0, -1.0]
-    for e in mesh.boundary_edges():
-        if mesh.edge_tags[e] == TAG_OUTLET:
-            a = mesh.edge_elems[e, 0]
-            rows.append(a)
-            cols.append(a)
-            vals.append(1.0)
+    a, b = mesh.edge_elems[mesh.interior_edges()].T
+    out = mesh.edge_elems[mesh.edge_tags == TAG_OUTLET, 0]  # tags sit on boundary edges only
+    rows = np.concatenate([a, b, a, b, out])
+    cols = np.concatenate([a, b, b, a, out])
+    vals = np.repeat([1.0, -1.0, 1.0], [2 * a.size, 2 * a.size, out.size])
     n = sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr()
     n.sum_duplicates()
     n.sort_indices()

@@ -387,7 +387,6 @@ def map_piola(jac: np.ndarray, det, vals: np.ndarray) -> np.ndarray:
     ``jac`` (..., 2, 2) and ``det`` (...) may hold a batch of elements sharing
     the reference ``vals`` (..., 2); the result is jac.shape[:-2] + vals.shape."""
     jac, det, vals = np.asarray(jac), np.asarray(det), np.asarray(vals)
-    v = vals.reshape(-1, 1, 2)
-    out = jac[..., None, :, 0] * v[..., 0] + jac[..., None, :, 1] * v[..., 1]
+    out = vals.reshape(-1, 2) @ np.swapaxes(jac, -1, -2)
     out = out.reshape(jac.shape[:-2] + vals.shape)
     return out / det.reshape(det.shape + (1,) * vals.ndim)

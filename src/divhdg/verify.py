@@ -26,6 +26,7 @@ from .assembly import (
     assemble_local_stacks,
     assemble_saddle,
     facet_groups,
+    gram,
     scatter_stack,
     sym_gradients,
 )
@@ -83,18 +84,14 @@ def norm_stacks(mesh: Mesh, spaces: Spaces):
     dstack, jstack = np.zeros(shape), np.zeros(shape)
 
     dsym = sym_gradients(mesh.jacobians, mesh.det_j, ref.vol_grads)
-    dstack[:, :n_u, :n_u] = np.einsum(
-        "eiqad,ejqad,q->eij", dsym, dsym, ref.vol_rule.weights
-    ) * mesh.det_j[:, None, None]
+    dstack[:, :n_u, :n_u] = gram(dsym, ref.vol_rule.weights) * mesh.det_j[:, None, None]
 
     we = ref.facet.rule.weights
-    lh = ref.facet.lhat_vals
+    lhw = (ref.facet.lhat_vals * we).T
     for f in facet_groups(mesh, ref):
         tt = f.tangential_traces()
         # 1/h_F weight cancels the |edge| integration factor exactly
-        e_uu = np.einsum("giq,gjq,q->gij", tt, tt, we)
-        e_uh = -np.einsum("giq,mq,q->gim", tt, lh, we)
-        f.add(jstack, e_uu, e_uh, np.eye(spaces.k))
+        f.add(jstack, gram(tt, we), -(tt @ lhw), np.eye(spaces.k))
 
     signs = spaces.dofmap.signs
     souter = signs[:, :, None] * signs[:, None, :]

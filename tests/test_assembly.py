@@ -4,13 +4,16 @@ import scipy.sparse as sp
 
 from divhdg.assembly import (
     ProblemParams,
+    _element_coercivity_check,
     assemble_aux,
     assemble_local_stacks,
     assemble_saddle,
     facet_projection,
+    gram,
     scatter_stack,
     sym_gradients,
 )
+from divhdg.condense import eliminate_local
 from divhdg.linalg import NotSPD, dense_eig_sym
 from divhdg.mesh import step_domain, unit_square
 from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
@@ -283,3 +286,173 @@ class TestElementKernel:
         assert facet2 > 0.1 * vol2  # the facet term carries real weight here
         got = _energy_error(mesh, spaces, vel, d_velocity, pen)
         assert abs(got**2 - (vol2 + facet2)) <= 1e-13 * (vol2 + facet2)
+
+
+def _einsum_stacks(mesh, spaces):
+    """The former einsum evaluation of the element stacks, kept verbatim as
+    reference: one pass per (local edge, orientation) with fancy writes."""
+    ref, dm, k = spaces.ref, spaces.dofmap, spaces.k
+    n_u = ref.n_u
+    shape = (mesh.num_triangles, dm.n_loc, dm.n_loc)
+    mass, visc, pen = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    j, det = mesh.jacobians, mesh.det_j
+    w = ref.vol_rule.weights
+    pv = map_piola(j, det, ref.vol_vals)
+    mass[:, :n_u, :n_u] = np.einsum("eiqd,ejqd,q->eij", pv, pv, w) * det[:, None, None]
+    dsym = sym_gradients(j, det, ref.vol_grads)
+    visc[:, :n_u, :n_u] = np.einsum("eiqad,ejqad,q->eij", dsym, dsym, w) * det[
+        :, None, None
+    ]
+    we, lh = ref.facet.rule.weights, ref.facet.lhat_vals
+    u = slice(0, n_u)
+    for l in range(3):
+        hat = slice(n_u + l * k, n_u + (l + 1) * k)
+        for flip in (0, 1):
+            g = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flip))
+            if g.size == 0:
+                continue
+            e = mesh.tri_edges[g, l]
+            t = mesh.tangents[e]
+            nout = np.column_stack([t[:, 1], -t[:, 0]])
+            nrm = -nout if flip else nout
+            pvf = map_piola(j[g], det[g], ref.edge_vals[(l, flip)])
+            tt = np.einsum("giqd,gd->giq", pvf, t)
+            ds = sym_gradients(j[g], det[g], ref.edge_grads[(l, flip)])
+            dn = np.einsum("giqad,gd,ga->giq", ds, nrm, t)
+            le = mesh.edge_lengths[e][:, None, None]
+            e_uu = np.einsum("giq,gjq,q->gij", dn, tt, we) * le
+            e_uh = -np.einsum("giq,mq,q->gim", dn, lh, we) * le
+            bmom = np.einsum("giq,jq,q->gij", tt, lh, we)
+            for stack, uu, uh, hh in (
+                (visc, -(e_uu + np.swapaxes(e_uu, 1, 2)), -e_uh, None),
+                (pen, np.einsum("gij,gmj->gim", bmom, bmom), -bmom, np.eye(k)),
+            ):
+                stack[g, u, u] += uu
+                stack[g, u, hat] += uh
+                stack[g, hat, u] += np.swapaxes(uh, 1, 2)
+                if hh is not None:
+                    stack[g, hat, hat] += hh
+    souter = dm.signs[:, :, None] * dm.signs[:, None, :]
+    return mass * souter, visc * souter, pen * souter
+
+
+def _eigvalsh_rule(aloc):
+    """The former coercivity rule, kept verbatim as reference."""
+    scale = np.maximum(np.abs(aloc).max(axis=(1, 2)), 1e-300)
+    evs = np.linalg.eigvalsh(aloc)
+    worst = np.min(evs[:, 0] / scale)
+    if worst < -1e-9:
+        raise NotSPD(
+            "element velocity block has a negative eigenvalue "
+            f"(relative {worst:.3e}); increase the penalty parameter alpha"
+        )
+
+
+def _blocks_with_min_eigenvalue(rng, ratios, n=18):
+    """Symmetric blocks whose lowest eigenvalue is ratios[e] times the block's
+    largest entry (up to rounding); ratio 0 gives a PSD rank-deficient block."""
+    out = []
+    for r in ratios:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(0.5, 2.0, n)
+        lam[0] = 0.0
+        lam[1] = 0.0  # rank deficient by two
+        a0 = (q * lam) @ q.T
+        a = a0 + (r * np.abs(a0).max()) * np.outer(q[:, 0], q[:, 0])
+        out.append(0.5 * (a + a.T))
+    return np.array(out)
+
+
+class TestLazyVelocityBlocks:
+    def _build(self, problem, n, k):
+        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        params = ProblemParams(tau=1.0, inv_lambda=1.0)
+
+        def force(x):
+            return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] * x[:, 1]])
+
+        return assemble_saddle(mesh, spaces, params, ess, body_force=force), ess
+
+    @pytest.mark.parametrize("problem,n,k", [("cavity", 3, 2), ("step", 2, 3)])
+    def test_equal_to_former_eager_construction(self, problem, n, k):
+        block, ess = self._build(problem, n, k)
+        dm, n_vel = block.spaces.dofmap, block.spaces.split.n_vel
+        # the former eager construction, kept verbatim as reference
+        a_full = scatter_stack(block.aloc, dm.vel_loc, n_vel)
+        f_full = np.zeros(n_vel)
+        np.add.at(f_full, dm.vel_loc.ravel(), block.floc.ravel())
+        free = ess.free_ids
+        g = ess.full_vector(n_vel)
+        a_red = a_full[free][:, free]
+        f_u = f_full[free] - a_full[free] @ g
+
+        assert (block.a_full != a_full).nnz == 0
+        assert (block.A.csr != a_red).nnz == 0
+        assert np.array_equal(block.F_u, f_u)
+        assert np.abs(block.F_u).max() > 0
+        assert block.n_free == free.size == block.A.n
+
+    def test_condensed_solve_path_never_builds_them(self):
+        block, _ = self._build("cavity", 3, 2)
+        cond = eliminate_local(block)
+        assert cond.n_free > 0 and block.n_free > 0
+        for name in ("a_full", "A", "F_u"):
+            assert name not in vars(block), name
+
+
+class TestCoercivityCheck:
+    def test_agrees_with_eigenvalue_rule(self):
+        rng = np.random.default_rng(11)
+        ratios = [0.0, 1e-3, -1e-11, -5e-10, -2e-9, -1e-8, -1e-6, -1e-3]
+        for r in ratios:
+            aloc = _blocks_with_min_eigenvalue(rng, [0.0, 1e-2, r])
+            want = got = None
+            try:
+                _eigvalsh_rule(aloc)
+            except NotSPD as exc:
+                want = str(exc)
+            try:
+                _element_coercivity_check(aloc)
+            except NotSPD as exc:
+                got = str(exc)
+            assert got == want, r
+            assert (want is None) == (r > -1e-9), r
+
+    def test_psd_singular_blocks_pass(self):
+        rng = np.random.default_rng(12)
+        _element_coercivity_check(_blocks_with_min_eigenvalue(rng, [0.0] * 20))
+        _element_coercivity_check(np.zeros((3, 6, 6)))
+
+    def test_threshold_both_sides(self):
+        rng = np.random.default_rng(13)
+        ok = _blocks_with_min_eigenvalue(rng, [0.0] * 5 + [-1e-11])
+        _element_coercivity_check(ok)
+        bad = _blocks_with_min_eigenvalue(rng, [0.0] * 5 + [-1e-6])
+        with pytest.raises(NotSPD, match=r"relative -1\.000e-06"):
+            _element_coercivity_check(bad)
+
+
+class TestMatmulStacks:
+    @pytest.mark.parametrize(
+        "problem,n,k",
+        [("cavity", 3, 1), ("cavity", 3, 2), ("step", 2, 3), ("cavity", 2, 4)],
+    )
+    def test_match_einsum_reference_and_exactly_symmetric(self, problem, n, k):
+        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        spaces = build_spaces(mesh, k)
+        got = assemble_local_stacks(mesh, spaces)
+        for name, want in zip(("mass", "visc", "pen"), _einsum_stacks(mesh, spaces)):
+            stack = getattr(got, name)
+            assert np.abs(stack - want).max() <= 1e-14 * np.abs(want).max(), name
+            assert np.array_equal(stack, np.swapaxes(stack, 1, 2)), name
+
+    def test_gram_is_weighted_and_exactly_symmetric(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((5, 7, 6, 2, 2))
+        w = rng.uniform(0.1, 1.0, 6)
+        g = gram(x, w)
+        want = np.einsum("eiqab,ejqab,q->eij", x, x, w)
+        assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(g, np.swapaxes(g, 1, 2))

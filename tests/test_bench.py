@@ -313,3 +313,80 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert "[FAIL]" not in out
+
+
+class TestCliUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["--k", "0"], "polynomial degree"),
+            (["--problem", "step", "--inv-h", "3"], "even"),
+            (["--mu", "-1"], "mu must be positive"),
+            (["--lambda", "-1"], "--lambda must be positive"),
+            (["--inv-h", "128"], "desk-scale cap"),
+        ],
+    )
+    def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(lines) == 1 and needle in lines[0]
+        assert "Traceback" not in err
+
+
+class TestMarkdownFailures:
+    def test_failed_rows_listed_under_table(self):
+        rows = run_grid(_tiny_grid(alpha=0.01, inv_hs=[2, 4], taus=[0.0, 1.0]))
+        assert all(r.error for r in rows)
+        text = emit(rows, "md")
+        assert "| 2 | x | x |" in text and "| 4 | x | x |" in text
+        listed = [ln for ln in text.splitlines() if ln.startswith("- 1/h=")]
+        assert len(listed) == len(rows)
+        for r, ln in zip(rows, listed):
+            assert ln.startswith(f"- 1/h={r.inv_h}, mu=1, tau={r.tau:g}, 1/lambda=0: ")
+            assert ln.endswith(r.error)
+        assert text.index("| 4 | x | x |") < text.index("Failed rows:")
+
+    def test_multiline_error_stays_on_one_line(self):
+        row = _row(inv_h=2, error="ValueError: first\nsecond")
+        text = emit([row], "md")
+        assert "- 1/h=2, mu=1, tau=0, 1/lambda=0: ValueError: first second" in text
+
+    def test_table_without_failures_unchanged(self):
+        rows = [
+            _row(inv_h=2, tau=0.0, iters=12),
+            _row(inv_h=2, tau=1.0, iters=13, converged=False),
+            _row(inv_h=4, tau=0.0, iters=14),
+        ]
+        want = (
+            "## cavity, k=2\n"
+            "\n"
+            "| 1/h | tau=0 | tau=1 |\n"
+            "| --- | --- | --- |\n"
+            "| 2 | 12 | 13* |\n"
+            "| 4 | 14 |  |\n"
+        )
+        assert emit(rows, "md") == want
+
+
+def _row(**kw):
+    base = dict(
+        problem="cavity",
+        dim=2,
+        k=2,
+        inv_h=2,
+        mu=1.0,
+        tau=0.0,
+        inv_lambda=0.0,
+        alpha=8.0,
+        seed=0,
+        iters=0,
+        converged=True,
+        final_relres=1e-9,
+        setup_ms=1.0,
+        solve_ms=1.0,
+    )
+    base.update(kw)
+    return BenchRow(**base)

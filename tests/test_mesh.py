@@ -176,3 +176,54 @@ class TestIO:
             verts, tris, tag_fn=lambda mids: np.full(len(mids), TAG_WALL)
         )
         assert np.all(m.edge_tags == TAG_WALL)
+
+
+class TestConnectivityMatchesFormerLoops:
+    @pytest.mark.parametrize(
+        "mesh", [unit_square(1), unit_square(5), step_domain(2), step_domain(6)]
+    )
+    def test_equal_to_former_sorting_loop(self, mesh):
+        # the former per-edge loop, kept verbatim as reference
+        nt, ne = mesh.num_triangles, mesh.num_edges
+        want = np.full((ne, 2), -1, np.int64)
+        order = np.argsort(mesh.tri_edges.ravel(), kind="stable")
+        elem_of = np.repeat(np.arange(nt), 3)[order]
+        eids = mesh.tri_edges.ravel()[order]
+        first = np.searchsorted(eids, np.arange(ne), side="left")
+        last = np.searchsorted(eids, np.arange(ne), side="right")
+        for e in range(ne):
+            adj = np.sort(elem_of[first[e] : last[e]])
+            want[e, : adj.size] = adj
+        assert mesh.edge_elems.dtype == want.dtype
+        assert np.array_equal(mesh.edge_elems, want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_grid_meshes_equal_former_cell_loop(self, n):
+        # the former per-cell loop of the structured meshes, kept as reference
+        half = n  # step_domain(2n): cells with ix or iy >= n are kept
+        for mesh, nx, ny, keep in (
+            (unit_square(n), n, n, lambda ix, iy: True),
+            (step_domain(2 * n), 8 * n, 2 * n, lambda ix, iy: iy >= half or ix >= half),
+        ):
+            used = np.zeros((ny + 1, nx + 1), bool)
+            cells = [(ix, iy) for iy in range(ny) for ix in range(nx) if keep(ix, iy)]
+            for ix, iy in cells:
+                used[iy : iy + 2, ix : ix + 2] = True
+            vid = np.full((ny + 1, nx + 1), -1, np.int64)
+            ys, xs = np.nonzero(used)
+            vid[ys, xs] = np.arange(ys.size)
+            tris = []
+            for ix, iy in cells:
+                ll, lr = vid[iy, ix], vid[iy, ix + 1]
+                ul, ur = vid[iy + 1, ix], vid[iy + 1, ix + 1]
+                tris.append((ll, lr, ur))
+                tris.append((ll, ur, ul))
+            assert np.array_equal(mesh.triangles, np.array(tris, np.int64))
+            spacing = 1.0 / (n if nx == ny else 2 * n)
+            assert np.array_equal(mesh.vertices, np.column_stack([xs, ys]) * spacing)
+
+    def test_more_than_two_elements_per_edge_rejected(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [2.0, 1.0]])
+        tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        with pytest.raises(ValueError, match="non-conforming"):
+            build_mesh(verts, tris)

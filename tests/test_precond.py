@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from divhdg.assembly import ProblemParams
 from divhdg.krylov import minres, operator_condensed
@@ -330,3 +331,33 @@ class TestAspOperator:
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
         with pytest.raises(ValueError):
             build_asp(cond, smoother="ilu")
+
+
+class TestPressureLaplacianAssembly:
+    @pytest.mark.parametrize(
+        "mesh", [unit_square(1), unit_square(5), step_domain(2), step_domain(6)]
+    )
+    def test_equal_to_former_edge_loop(self, mesh):
+        # the former per-edge loop, kept verbatim as reference
+        from divhdg.mesh import TAG_OUTLET
+
+        nt = mesh.num_triangles
+        rows, cols, vals = [], [], []
+        for e in mesh.interior_edges():
+            a, b = mesh.edge_elems[e]
+            rows += [a, b, a, b]
+            cols += [a, b, b, a]
+            vals += [1.0, 1.0, -1.0, -1.0]
+        for e in mesh.boundary_edges():
+            if mesh.edge_tags[e] == TAG_OUTLET:
+                a = mesh.edge_elems[e, 0]
+                rows.append(a)
+                cols.append(a)
+                vals.append(1.0)
+        want = sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr()
+        want.sum_duplicates()
+        want.sort_indices()
+        got = assemble_pressure_laplacian(mesh).csr
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
