@@ -28,11 +28,12 @@ from .spaces import build_spaces, interpolate_essential
 PROBLEMS = ("cavity", "step", "elast-steady", "elast-unsteady")
 
 CSV_HEADER = (
-    "problem,dim,k,inv_h,mu,tau,inv_lambda,alpha,seed,"
+    "problem,k,inv_h,mu,tau,inv_lambda,alpha,seed,"
     "iters,converged,final_relres,setup_ms,solve_ms,error"
 )
 
-# mesh sizes past these need an explicit opt-in: they leave desk-scale runtimes
+# per supported degree, the mesh size past which a run needs an explicit
+# opt-in: beyond it runtimes leave desk scale
 MAX_INV_H = {1: 64, 2: 64, 3: 32, 4: 32}
 
 
@@ -48,7 +49,6 @@ class ExperimentGrid:
     tol: float = 1e-8
     maxit: int = 1000
     seed: int = 0
-    fmt: str = "csv"
     schur_mode: str = "exact"
     smoother: str = "patch-sgs"
     allow_large: bool = False
@@ -56,10 +56,14 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.maxit < 0:
+            raise ValueError(f"maxit must be >= 0, got {self.maxit}")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         for k in self.ks:
-            if k < 1:
-                raise ValueError("polynomial degree must be at least 1")
-            cap = MAX_INV_H.get(k, 32)
+            if k not in MAX_INV_H:
+                raise ValueError(f"polynomial degree must be in 1..4, got {k}")
+            cap = MAX_INV_H[k]
             for ih in self.inv_hs:
                 if ih > cap and not self.allow_large:
                     raise CapExceeded(
@@ -90,7 +94,6 @@ class ExperimentGrid:
 @dataclass
 class BenchRow:
     problem: str
-    dim: int
     k: int
     inv_h: int
     mu: float
@@ -112,7 +115,6 @@ class BenchRow:
         csv.writer(buf, lineterminator="").writerow(
             [
                 self.problem,
-                str(self.dim),
                 str(self.k),
                 str(self.inv_h),
                 _fnum(self.mu),
@@ -145,61 +147,31 @@ def parse_csv(text: str) -> list:
         rows.append(
             BenchRow(
                 problem=f[0],
-                dim=int(f[1]),
-                k=int(f[2]),
-                inv_h=int(f[3]),
-                mu=float(f[4]),
-                tau=float(f[5]),
-                inv_lambda=float(f[6]),
-                alpha=float(f[7]),
-                seed=int(f[8]),
-                iters=int(f[9]),
-                converged=bool(int(f[10])),
-                final_relres=float(f[11]),
-                setup_ms=float(f[12]),
-                solve_ms=float(f[13]),
-                error=f[14],
+                k=int(f[1]),
+                inv_h=int(f[2]),
+                mu=float(f[3]),
+                tau=float(f[4]),
+                inv_lambda=float(f[5]),
+                alpha=float(f[6]),
+                seed=int(f[7]),
+                iters=int(f[8]),
+                converged=bool(int(f[9])),
+                final_relres=float(f[10]),
+                setup_ms=float(f[11]),
+                solve_ms=float(f[12]),
+                error=f[13],
             )
         )
     return rows
 
 
-def _domain_mesh(problem: str, inv_h: int):
-    if problem == "step":
-        return step_domain(inv_h)
-    return unit_square(inv_h)
-
-
-class _StructureCache:
-    """Parameter-independent structures shared across a sweep: mesh, spaces,
-    boundary data, and the raw local matrix stacks, keyed by (1/h, k)."""
-
-    def __init__(self, problem: str):
-        self.problem = problem
-        self.meshes = {}
-        self.per_k = {}
-
-    def mesh(self, inv_h: int):
-        if inv_h not in self.meshes:
-            self.meshes[inv_h] = _domain_mesh(self.problem, inv_h)
-        return self.meshes[inv_h]
-
-    def structures(self, inv_h: int, k: int):
-        key = (inv_h, k)
-        if key not in self.per_k:
-            mesh = self.mesh(inv_h)
-            spaces = build_spaces(mesh, k)
-            ess = interpolate_essential(mesh, spaces, self.problem)
-            stacks = assemble_local_stacks(mesh, spaces)
-            self.per_k[key] = (mesh, spaces, ess, stacks)
-        return self.per_k[key]
-
-
-def solve_one(grid: ExperimentGrid, cache: _StructureCache, tup) -> BenchRow:
+def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
+    """One row: ``structure`` is the (mesh, spaces, essential data, local
+    stacks) of the row's (1/h, k), shared across the sweep."""
     k, inv_h, mu, tau, invl = tup
+    mesh, spaces, ess, stacks = structure
     base = dict(
         problem=grid.problem,
-        dim=2,
         k=k,
         inv_h=inv_h,
         mu=mu,
@@ -210,7 +182,6 @@ def solve_one(grid: ExperimentGrid, cache: _StructureCache, tup) -> BenchRow:
     )
     t0 = time.perf_counter()
     try:
-        mesh, spaces, ess, stacks = cache.structures(inv_h, k)
         params = ProblemParams(
             mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha
         )
@@ -273,15 +244,26 @@ def run_grid(grid: ExperimentGrid) -> list:
     tuples = list(grid.tuples())
     if not tuples:
         return []
-    cache = _StructureCache(grid.problem)
-    # shared structures are built serially so workers only race on solves
+    # the parameter-independent structures of each (1/h, k) are built
+    # serially, so workers only race on solves
+    domain = step_domain if grid.problem == "step" else unit_square
+    structures = {}
     for k, inv_h, _, _, _ in tuples:
-        cache.structures(inv_h, k)
+        if (inv_h, k) not in structures:
+            mesh = domain(inv_h)
+            spaces = build_spaces(mesh, k)
+            ess = interpolate_essential(mesh, spaces, grid.problem)
+            stacks = assemble_local_stacks(mesh, spaces)
+            structures[inv_h, k] = (mesh, spaces, ess, stacks)
+
+    def row(t):
+        return solve_one(grid, structures[t[1], t[0]], t)
+
     workers = _worker_count(len(tuples))
     if workers == 1:
-        return [solve_one(grid, cache, t) for t in tuples]
+        return [row(t) for t in tuples]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: solve_one(grid, cache, t), tuples))
+        return list(pool.map(row, tuples))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,6 @@ def main(argv=None) -> int:
             tol=args.tol,
             maxit=args.maxit,
             seed=args.seed,
-            fmt=args.format,
             schur_mode=args.schur_mode,
             smoother=args.smoother,
             allow_large=args.allow_large,

@@ -13,8 +13,7 @@ constant-pressure coupling B_g and mass C_g. The elimination stays well posed
 in the incompressibility limit 1/lambda = 0 because B_I has full row rank.
 
 For finite lambda the same elimination equals adding lambda-weighted
-divergence penalization to the interior block before inverting; both routes
-are exposed to the verification suite.
+divergence penalization to the interior block before inverting.
 """
 
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ class CondensedSystem:
     F_g: np.ndarray
     F_pbar: np.ndarray
     free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
-    a_g_full: sp.csr_matrix = field(repr=False)
-    b_g_full: sp.csr_matrix = field(repr=False)
     back_x: np.ndarray = field(repr=False)  # (nt, n_L, n_G) K_LL^-1 K_LG
     back_y: np.ndarray = field(repr=False)  # (nt, n_L) K_LL^-1 F_L
     g_slots: np.ndarray = field(repr=False)  # (nt, n_G) global ids of trace slots
@@ -101,27 +98,24 @@ def eliminate_local(block: BlockSystem) -> CondensedSystem:
 
     g_slots = dm.vel_loc[:, g_slot_idx]
     n_cond = split.n_cond
-    a_g_full = scatter_stack(a_cond, g_slots, n_cond)
-    f_g_full = np.zeros(n_cond)
-    np.add.at(f_g_full, g_slots.ravel(), f_g_loc.ravel())
-
-    b_g_full = block.b_full[:nt, :n_cond].tocsr()
+    # over every condensed unknown, free and essential
+    a_all = scatter_stack(a_cond, g_slots, n_cond)
+    f_all = np.zeros(n_cond)
+    np.add.at(f_all, g_slots.ravel(), f_g_loc.ravel())
 
     ess = block.essential
     free_cond = np.flatnonzero(ess.free_mask[:n_cond])
     g = ess.full_vector(split.n_vel)[:n_cond]
-    f_g = f_g_full[free_cond] - a_g_full[free_cond] @ g
+    f_g = f_all[free_cond] - a_all[free_cond] @ g
     f_pbar = block.F_p[:nt]
 
     return CondensedSystem(
-        A_g=SparseSym(a_g_full[free_cond][:, free_cond]),
-        B_g=b_g_full[:, free_cond],
+        A_g=SparseSym(a_all[free_cond][:, free_cond]),
+        B_g=block.b_full[:nt, :n_cond].tocsr()[:, free_cond],
         C_g=SparseSym(sp.diags(-inv_l * mesh.areas).tocsr()),
         F_g=f_g,
         F_pbar=f_pbar,
         free_cond=free_cond,
-        a_g_full=a_g_full,
-        b_g_full=b_g_full,
         back_x=back_x,
         back_y=back_y,
         g_slots=g_slots,

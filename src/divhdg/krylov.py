@@ -26,17 +26,13 @@ class SolveReport:
     """Outcome of one preconditioned MINRES run.
 
     ``history`` holds the preconditioned residual norm relative to its initial
-    value, entry 0 being exactly 1.  ``params`` is an optional problem tuple
-    ``(problem, k, inv_h, mu, tau, inv_lambda, alpha, seed)`` attached by the
-    benchmark driver.
+    value, entry 0 being exactly 1.
     """
 
     iterations: int
     history: np.ndarray
     converged: bool
-    setup_ms: float = 0.0
     solve_ms: float = 0.0
-    params: Optional[tuple] = None
 
     @property
     def final_relres(self) -> float:

@@ -2,9 +2,9 @@
 
 Provides the small, fixed vocabulary the rest of the library is written
 against: CSR-backed symmetric matrices, a banded Cholesky factorization of SPD
-matrices under a reverse Cuthill-McKee reordering, nullspace-deflated solves
-for consistent singular SPD systems, and dense verification helpers (symmetric
-eigenvalues, generalized condition numbers of preconditioned operators).
+matrices under a reverse Cuthill-McKee reordering, and dense verification
+helpers (symmetric eigenvalues, generalized condition numbers of
+preconditioned operators).
 """
 
 from dataclasses import dataclass, field
@@ -110,59 +110,6 @@ def factor_spd(a: SparseSym, pivot_tol: float = 1e-12) -> SpdFactor:
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n)
     return SpdFactor(perm=perm, n=n, _chol_band=cb, _inv_perm=inv_perm)
-
-
-def _orthonormal_nullspace(nullspace: np.ndarray, n: int) -> np.ndarray:
-    v = np.asarray(nullspace, float)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.shape[0] != n:
-        raise ValueError(f"nullspace length {v.shape[0]} != n {n}")
-    q, r = np.linalg.qr(v)
-    if np.min(np.abs(np.diag(r))) < 1e-12 * max(np.max(np.abs(r)), 1.0):
-        raise ValueError("nullspace basis is rank deficient")
-    return q
-
-
-@dataclass
-class DeflatedFactor:
-    """Solver for a consistent singular SPD system A x = b with known nullspace.
-
-    Grounds one row/column per nullspace vector (chosen by pivoted QR on the
-    nullspace for stability), factors the reduced SPD matrix, and projects the
-    right-hand side and solution onto the orthogonal complement of the
-    nullspace. For b in range(A) the result is the exact minimum-norm solution:
-    the grounded solve leaves a residual supported on the dropped indices, and
-    that residual is orthogonal to the nullspace, hence zero.
-    """
-
-    a: SparseSym
-    nullspace: np.ndarray
-    q: np.ndarray = field(init=False)
-    dropped: np.ndarray = field(init=False)
-    keep: np.ndarray = field(init=False)
-    inner: SpdFactor = field(init=False)
-
-    def __post_init__(self):
-        n = self.a.n
-        self.q = _orthonormal_nullspace(self.nullspace, n)
-        m = self.q.shape[1]
-        _, _, piv = scipy.linalg.qr(self.q.T, pivoting=True)
-        self.dropped = np.sort(piv[:m])
-        keep = np.ones(n, bool)
-        keep[self.dropped] = False
-        self.keep = np.flatnonzero(keep)
-        reduced = self.a.csr[self.keep][:, self.keep]
-        self.inner = factor_spd(SparseSym(reduced))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x - self.q @ (self.q.T @ x)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = self.project(np.asarray(b, float))
-        x = np.zeros(self.a.n)
-        x[self.keep] = self.inner.solve(b[self.keep])
-        return self.project(x)
 
 
 def _check_cap(n: int):

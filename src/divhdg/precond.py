@@ -7,10 +7,11 @@ coarse correction through the continuous piecewise-linear vector space,
 The smoother R visits the patches in multicolour order: the patches are
 coloured so that no two of one colour share or couple unknowns, and a sweep
 is one forward pass over the colours and one backward pass, each colour
-solved for all its patches at once.  Pi injects a piecewise-linear field by
-projecting its normal trace onto the facet-normal unknowns and its tangential
-trace onto the Legendre tangential modes, edge by edge (closed two-mode
-profiles; higher modes get nothing). A0 is the linear-element discretization of
+solved for all its patches at once.  Pointwise Jacobi is the one alternative
+smoother.  Pi injects a piecewise-linear field by projecting its normal trace
+onto the facet-normal unknowns and its tangential trace onto the Legendre
+tangential modes, edge by edge (closed two-mode profiles; higher modes get
+nothing). A0 is the linear-element discretization of
 2 mu (grad ., grad .) + tau (., .) on free vertices, solved exactly.
 
 Pressure block: the elementwise-constant Schur approximation
@@ -26,8 +27,12 @@ applied in closed form (one diagonal scaling plus one SPD solve):
     d = 2 mu (1/lambda) + 1.
 
 With no outflow and 1/lambda = 0 the operators are consistently singular on
-constants; the application then deflates the constant vector (projection on
-input and output, minimum-norm inner solves).
+constants (c3 = 0, and N is the Laplacian of the connected element-adjacency
+graph). The application then deflates the constant vector: it projects its
+input and its output onto mean-zero vectors, and the inner solve grounds N at
+element 0 (N without its first row and column is SPD; the solution gets
+x[0] = 0). The output projection turns that grounded solution into the
+minimum-norm one.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +42,7 @@ import scipy.sparse as sp
 
 from .assembly import ProblemParams, assemble_aux
 from .condense import CondensedSystem
-from .linalg import DeflatedFactor, SparseSym, SpdFactor, factor_spd
+from .linalg import SparseSym, SpdFactor, factor_spd
 from .mesh import TAG_OUTLET, Mesh
 
 # no compiled smoother kernel exists; the name stays for benchmark scripts
@@ -52,26 +57,24 @@ HAVE_NUMBA = False
 @dataclass
 class SchurPrecond:
     m_diag: np.ndarray  # element areas
-    n_mat: SparseSym
-    mode: str
-    params: ProblemParams
     deflate: bool
     c1: float
     c2: float
-    c3: float
-    inner: object = field(repr=False, default=None)  # SpdFactor or DeflatedFactor
-
-    def project(self, r: np.ndarray) -> np.ndarray:
-        return r - r.mean()
+    inner: SpdFactor = field(repr=False, default=None)  # None when c2 == 0
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if self.deflate:
-            r = self.project(r)
+            r = r - r.mean()
         z = self.c1 * (r / self.m_diag)
         if self.inner is not None:
-            z = z + self.c2 * self.inner.solve(r)
+            if self.deflate:  # grounded at element 0
+                y = np.zeros_like(r)
+                y[1:] = self.inner.solve(r[1:])
+            else:
+                y = self.inner.solve(r)
+            z = z + self.c2 * y
         if self.deflate:
-            z = self.project(z)
+            z = z - z.mean()
         return z
 
 
@@ -109,23 +112,11 @@ def build_schur(mesh: Mesh, params: ProblemParams, mode: str = "exact") -> Schur
 
     inner = None
     if c2 != 0.0:
-        mat = n_mat.csr + sp.diags(c3 * areas)
-        mat = SparseSym(mat.tocsr())
-        if deflate and c3 == 0.0:
-            inner = DeflatedFactor(mat, np.ones(mesh.num_triangles))
-        else:
-            inner = factor_spd(mat)
-    return SchurPrecond(
-        m_diag=areas,
-        n_mat=n_mat,
-        mode=mode,
-        params=params,
-        deflate=deflate,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        inner=inner,
-    )
+        mat = (n_mat.csr + sp.diags(c3 * areas)).tocsr()
+        if deflate:  # c3 == 0: N is singular on constants only
+            mat = mat[1:, 1:]
+        inner = factor_spd(SparseSym(mat))
+    return SchurPrecond(m_diag=areas, deflate=deflate, c1=c1, c2=c2, inner=inner)
 
 
 def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
@@ -187,11 +178,8 @@ class AspPrecond:
     patch_colour: np.ndarray = field(repr=False, default=None)
     colours: list = field(repr=False, default=None)  # of _ColourBlock
     jacobi_diag: np.ndarray = field(repr=False, default=None)
-    exact_factor: SpdFactor = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
-        if self.smoother == "exact":
-            return self.exact_factor.solve(r)
         if self.smoother == "jacobi":
             return r / self.jacobi_diag
         # forward over the colours, then back; the last colour is not
@@ -261,9 +249,7 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     """Additive preconditioner for the condensed velocity block: a smoother on
     the fine space plus a transferred exact solve in the continuous piecewise-
     linear auxiliary space.  ``smoother`` selects vertex-patch symmetric block
-    Gauss-Seidel (default), pointwise Jacobi, or ``"exact"`` -- a debug mode
-    that replaces the whole operator with a direct factorization of the block
-    and drops the auxiliary correction entirely.
+    Gauss-Seidel (default) or pointwise Jacobi.
 
     The vertex patches (all free unknowns on the free edges meeting a vertex)
     are coloured greedily in natural vertex order so that patches of one
@@ -272,16 +258,8 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     precomputed per colour and patch size; this is sequential block SGS with
     the patches taken in colour order.
     """
-    if smoother not in ("patch-sgs", "jacobi", "exact"):
+    if smoother not in ("patch-sgs", "jacobi"):
         raise ValueError(f"unknown smoother '{smoother}'")
-    if smoother == "exact":
-        return AspPrecond(
-            smoother="exact",
-            transfer=sp.csr_matrix((cond.free_cond.size, 0)),
-            aux_factor=None,
-            a_g=cond.A_g,
-            exact_factor=factor_spd(cond.A_g),
-        )
     spaces = cond.spaces
     mesh = spaces.mesh
     k = spaces.k

@@ -42,7 +42,7 @@ class TestCsv:
     def test_header_text(self):
         assert (
             CSV_HEADER
-            == "problem,dim,k,inv_h,mu,tau,inv_lambda,alpha,seed,iters,"
+            == "problem,k,inv_h,mu,tau,inv_lambda,alpha,seed,iters,"
             "converged,final_relres,setup_ms,solve_ms,error"
         )
 
@@ -52,7 +52,6 @@ class TestCsv:
     def test_row_roundtrip_lossless(self):
         row = BenchRow(
             problem="cavity",
-            dim=2,
             k=3,
             inv_h=16,
             mu=1.0 / 3.0,
@@ -71,7 +70,6 @@ class TestCsv:
         b = back[0]
         for name in (
             "problem",
-            "dim",
             "k",
             "inv_h",
             "mu",
@@ -89,10 +87,10 @@ class TestCsv:
 
     def test_failed_row_roundtrip_keeps_error(self):
         ok = BenchRow(
-            "cavity", 2, 2, 4, 1.0, 0.0, 0.0, 8.0, 0, 54, True, 1e-9, 1.0, 2.0
+            "cavity", 2, 4, 1.0, 0.0, 0.0, 8.0, 0, 54, True, 1e-9, 1.0, 2.0
         )
         failed = BenchRow(
-            "step", 2, 3, 8, 1.0, 0.0, 0.0, 0.01, 0, 0, False, np.inf, 3.0, 0.0,
+            "step", 3, 8, 1.0, 0.0, 0.0, 0.01, 0, 0, False, np.inf, 3.0, 0.0,
             error='NotSPD: pivot 3, value -1e-3\nat "row 7"',
         )
         text = emit([ok, failed], "csv")
@@ -140,6 +138,13 @@ class TestGridValidation:
             _tiny_grid(inv_hs=[1, inv_h])
         _tiny_grid(inv_hs=[1, 3])
 
+    def test_degree_maxit_tol_edges(self):
+        # TestCliUsageErrors covers the rejected values; these are the edges
+        # that must still pass, and a NaN tolerance
+        _tiny_grid(ks=[1, 4], maxit=0, tol=1e-300)
+        with pytest.raises(ValueError, match="got nan$"):
+            _tiny_grid(tol=float("nan"))
+
     def test_tuple_order_k_major(self):
         g = _tiny_grid(ks=[1, 2], inv_hs=[2, 4], taus=[0.0, 1.0])
         tups = list(g.tuples())
@@ -174,7 +179,7 @@ class TestRunGrid:
         assert not rows[0].converged
         assert rows[0].error != ""
 
-    @pytest.mark.parametrize("smoother", ["patch-sgs", "jacobi", "exact"])
+    @pytest.mark.parametrize("smoother", ["patch-sgs", "jacobi"])
     def test_single_element_mesh_has_empty_aux_space(self, smoother):
         # unit_square(1) has no interior vertex: the coarse correction is zero
         g = _tiny_grid(
@@ -324,6 +329,9 @@ class TestCliUsageErrors:
             (["--mu", "-1"], "mu must be positive"),
             (["--lambda", "-1"], "--lambda must be positive"),
             (["--inv-h", "128"], "desk-scale cap"),
+            (["--k", "5", "--inv-h", "2"], "polynomial degree must be in 1..4, got 5"),
+            (["--maxit", "-1"], "maxit must be >= 0, got -1"),
+            (["--tol", "-1"], "tol must be positive, got -1"),
         ],
     )
     def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):
@@ -374,7 +382,6 @@ class TestMarkdownFailures:
 def _row(**kw):
     base = dict(
         problem="cavity",
-        dim=2,
         k=2,
         inv_h=2,
         mu=1.0,

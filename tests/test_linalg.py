@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from divhdg.linalg import (
     CapExceeded,
-    DeflatedFactor,
     NotSPD,
     SparseSym,
     dense_eig_sym,
@@ -85,38 +84,6 @@ class TestFactorSpd:
         b = np.random.default_rng(seed + 7).standard_normal(n)
         x = f.solve(b)
         assert np.linalg.norm(d @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-class TestSolveDeflated:
-    def test_two_node_hand_solve(self):
-        n = SparseSym(sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
-        x = DeflatedFactor(n, np.ones(2)).solve(np.array([1.0, -1.0]))
-        assert np.allclose(x, [0.5, -0.5], atol=1e-12)
-
-    def test_pure_nullspace_input(self):
-        n = SparseSym(sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
-        x = DeflatedFactor(n, np.ones(2)).solve(np.ones(2))
-        assert np.allclose(x, 0.0, atol=1e-12)
-
-    def test_random_graph_laplacian(self):
-        rng = np.random.default_rng(9)
-        n = 20
-        d = np.zeros((n, n))
-        # a connected random graph: a spanning path plus extra edges
-        edges = [(i, i + 1) for i in range(n - 1)]
-        edges += [tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(15)]
-        for i, j in set(edges):
-            if i == j:
-                continue
-            d[i, i] += 1.0
-            d[j, j] += 1.0
-            d[i, j] -= 1.0
-            d[j, i] -= 1.0
-        b = rng.standard_normal(n)
-        x = DeflatedFactor(SparseSym(sp.csr_matrix(d)), np.ones(n)).solve(b)
-        pb = b - b.mean()
-        assert np.linalg.norm(d @ x - pb) <= 1e-10 * np.linalg.norm(b)
-        assert abs(x.mean()) <= 1e-12  # minimum-norm representative
 
 
 class TestDenseEig:

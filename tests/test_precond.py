@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from divhdg.assembly import ProblemParams
 from divhdg.krylov import minres, operator_condensed
-from divhdg.linalg import dense_eig_sym
+from divhdg.linalg import dense_eig_sym, factor_spd
 from divhdg.mesh import build_mesh, step_domain, unit_square
 from divhdg.precond import (
     assemble_pressure_laplacian,
@@ -90,6 +90,27 @@ class TestSchurClosedForms:
         r -= r.mean()
         z = s.apply(r)
         assert abs(z.mean()) <= 1e-12 * np.abs(z).max()
+
+
+class TestSchurDeflation:
+    @pytest.mark.parametrize("inv_h", [2, 4])
+    @pytest.mark.parametrize("tau", [1.0, 1e4])
+    def test_minimum_norm_closed_form(self, inv_h, tau):
+        # enclosed cavity at 1/lambda = 0: on mean-zero r the application is
+        # P (c1 M^{-1} r + c2 N^+ r), P the mean projector; here d = 1, so
+        # c1 = 2 mu and c2 = tau
+        m = unit_square(inv_h)
+        s = build_schur(m, ProblemParams(mu=1.0, tau=tau, inv_lambda=0.0))
+        assert s.deflate
+        n_pinv = np.linalg.pinv(assemble_pressure_laplacian(m).toarray())
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            r = rng.standard_normal(len(m.areas))
+            r -= r.mean()
+            want = 2.0 * r / m.areas + tau * (n_pinv @ r)
+            want -= want.mean()
+            got = s.apply(r)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestApproxComparisonMode:
@@ -310,12 +331,13 @@ class TestAspOperator:
             assert r @ asp.apply(r) > 0
 
     def test_exact_debug_mode_one_iteration(self):
+        # MINRES on the velocity block with its exact inverse as preconditioner
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        asp = build_asp(cond, smoother="exact")
+        exact = factor_spd(cond.A_g).solve
         rng = np.random.default_rng(9)
         b = rng.standard_normal(cond.n_free)
         x, rep = minres(
-            lambda v: cond.A_g.csr @ v, asp.apply, b, tol=1e-10, maxit=50
+            lambda v: cond.A_g.csr @ v, exact, b, tol=1e-10, maxit=50
         )
         assert rep.iterations == 1
 
@@ -329,8 +351,9 @@ class TestAspOperator:
 
     def test_unknown_smoother_rejected(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        with pytest.raises(ValueError):
-            build_asp(cond, smoother="ilu")
+        for smoother in ("ilu", "exact"):
+            with pytest.raises(ValueError, match="unknown smoother"):
+                build_asp(cond, smoother=smoother)
 
 
 class TestPressureLaplacianAssembly:
