@@ -42,8 +42,6 @@ from .linalg import (
 )
 from .mesh import (
     Mesh,
-    load_mesh,
-    save_mesh,
     step_domain,
     uniform_refine,
     unit_square,
@@ -104,7 +102,6 @@ __all__ = [
     "factor_spd",
     "gen_condition",
     "interpolate_essential",
-    "load_mesh",
     "map_piola",
     "materialize_schur_dense",
     "minres",
@@ -113,7 +110,6 @@ __all__ = [
     "pressure_mean_projector",
     "run_grid",
     "run_verification",
-    "save_mesh",
     "step_domain",
     "uniform_refine",
     "unit_square",

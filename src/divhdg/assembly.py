@@ -16,20 +16,32 @@ carriers (-identity). The assembled element blocks split into
 
     A_loc = tau * MASS + 2 mu * (VISC + alpha k^2 * PEN)
 
-with parameter-independent stacks, so parameter sweeps reuse one integration
+with parameter-independent stacks, so parameter sweeps reuse one assembly
 pass. Essential trace data is eliminated by slicing; the eliminated columns
 move to the right-hand side. The solver path keeps the system as element
 stacks, which static condensation reads directly; the unreduced velocity
 matrix and the reduced velocity block are scattered only on first access,
 for verification.
 
-The element kernel is shared with static condensation, the auxiliary space
-and the verification suite: ``refbasis.map_piola`` maps basis values,
-``sym_gradients`` forms the symmetric gradients (the only place J^-1 is built,
-through ``inverse_jacobians``), ``gram`` forms the weighted products of
-basis functions as batched matmuls, ``facet_groups`` runs the per-local-edge
-facet loop (both orientations at once), and ``scatter_stack`` sums element
-matrices into a global CSR matrix.
+The element kernel is the tensor representation of Kirby and Logg (A compiler
+for variational forms, ACM TOMS 32, 2006). Every element is an affine
+triangle, so each stack is linear in a few geometry numbers per element times
+reference tensors that depend only on the degree. ``build_reference_bdm``
+computes those once per degree: the mass and flattened-gradient moments on the
+volume rule and, per (local edge, orientation), the stress-trace, stress-mode,
+trace-mode and trace-trace moments on the edge rule. The geometry coefficients
+are J^T J / det J for the mass, det J O^T O for the viscous volume term
+(``viscous_volume_coefficients``), and per local edge c1 = O^T vec(t n^T) |F|
+and c2 = J^T t / det J (``edge_coefficients``), zero on the elements of the
+other orientation. O is the 4x4 symmetric-gradient map of the Piola
+transform; ``sym_grad_maps`` is the only place it is built (J^-1 comes from
+``inverse_jacobians``). ``TensorStack`` multiplies the coefficients (nt, C)
+by the reference tensors (C, n_loc, n_loc) as one GEMM per stack, and the
+verification norm stacks are built from the same pieces. Quadrature on
+physical elements remains only where the integrand is not a basis
+polynomial: ``refbasis.map_piola`` for the body force and ``sym_gradients``
+for error norms. ``scatter_stack`` sums element matrices into a global CSR
+matrix.
 """
 
 from dataclasses import dataclass, field
@@ -92,114 +104,101 @@ def inverse_jacobians(j: np.ndarray, det: np.ndarray) -> np.ndarray:
     return jinv
 
 
-def sym_gradients(j: np.ndarray, det: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Symmetric gradients (E, n, Q, 2, 2) of the Piola-mapped basis on a batch
-    of elements, from reference gradients ``grads`` (n, Q, 2, 2).
+def sym_grad_maps(j: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The symmetric-gradient map O (E, 4, 4) of the Piola transform on a batch
+    of elements: the symmetric gradient of J phi / det J, flattened row-major,
+    is O times the flattened reference gradient of phi.
 
-    The physical gradient is J grad(phi) J^-1 / det J. The product is taken
-    pairwise: J and J^-1 / det J form one symmetrized 4x4 map per element,
-    which then acts on the flattened reference gradients."""
+    The physical gradient is J grad(phi) J^-1 / det J. J and J^-1 / det J form
+    one 4x4 map per element, symmetrized over its output index pair. This is
+    the only place the map is built."""
     jinv = inverse_jacobians(j, det) / det[:, None, None]
     op = np.einsum("eab,ecd->eadbc", j, jinv)
     op = 0.5 * (op + op.transpose(0, 2, 1, 3, 4))
-    out = grads.reshape(-1, 4) @ op.reshape(-1, 4, 4).transpose(0, 2, 1)
+    return op.reshape(-1, 4, 4)
+
+
+def sym_gradients(j: np.ndarray, det: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Symmetric gradients (E, n, Q, 2, 2) of the Piola-mapped basis on a batch
+    of elements, from reference gradients ``grads`` (n, Q, 2, 2)."""
+    out = grads.reshape(-1, 4) @ sym_grad_maps(j, det).transpose(0, 2, 1)
     return out.reshape(j.shape[:1] + grads.shape)
 
 
-def gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted Gram matrices (E, n, n) of a batch ``x`` (E, n, Q, ...):
-    sum over q and the trailing axes of w_q x[e, i, q, ...] x[e, j, q, ...].
-    One batched matmul of (x sqrt(w)) with its transpose, so the weights must
-    be positive; the result is symmetrized, hence exactly symmetric."""
-    sw = np.sqrt(w).reshape((-1,) + (1,) * (x.ndim - 3))
-    y = (x * sw).reshape(x.shape[0], x.shape[1], -1)
-    g = y @ np.swapaxes(y, 1, 2)
-    return 0.5 * (g + np.swapaxes(g, 1, 2))
+class TensorStack:
+    """Element matrices (nt, n_loc, n_loc) of one bilinear form as a single
+    GEMM: per-element geometry coefficients G (nt, C) times reference tensors
+    R (C, n_loc, n_loc) that depend only on the degree. ``add`` appends
+    coefficient columns with their reference blocks; ``build`` multiplies
+    and applies the orientation signs of ``spaces.dofmap``."""
 
+    def __init__(self, spaces: Spaces):
+        self.n_u, self.signs = spaces.ref.n_u, spaces.dofmap.signs
+        self.n_loc = self.signs.shape[1]
+        self.coef, self.tensors = [], []
 
-@dataclass(frozen=True)
-class FacetGroup:
-    """Every element's local edge ``l``, with the reference tables of both
-    orientations and the geometry the facet terms need. The two orientations
-    partition the elements; per-element results come back in element order,
-    so the facet blocks are added to the stacks with basic slices."""
-
-    hat: slice  # local slots of the edge's tangential trace unknowns
-    orient: tuple  # element ids traversing the edge along / against its tangent
-    vals: tuple  # per orientation: (n_u, Qe, 2) reference values on the edge rule
-    grads: tuple  # per orientation: (n_u, Qe, 2, 2) reference gradients
-    jac: np.ndarray  # (nt, 2, 2)
-    det: np.ndarray  # (nt,)
-    tangent: np.ndarray  # (nt, 2) global edge tangent
-    normal: np.ndarray  # (nt, 2) outward unit normal
-    length: np.ndarray  # (nt,)
-
-    def _by_orientation(self, fn, tables) -> np.ndarray:
-        """fn(elems, table) on the elements of each orientation with that
-        orientation's reference table, merged in element order."""
-        out = None
-        for elems, table in zip(self.orient, tables):
-            if elems.size == 0:
-                continue
-            part = fn(elems, table)
-            if out is None:
-                out = np.empty(self.det.shape + part.shape[1:])
-            out[elems] = part
-        return out
-
-    def tangential_traces(self) -> np.ndarray:
-        """Tangential traces (nt, n_u, Qe) of the Piola-mapped basis."""
-
-        def traces(elems, vals):
-            pv = map_piola(self.jac[elems], self.det[elems], vals)
-            return (pv.reshape(elems.size, -1, 2) @ self.tangent[elems, :, None]).reshape(
-                pv.shape[:-1]
-            )
-
-        return self._by_orientation(traces, self.vals)
-
-    def normal_tangential_stress(self) -> np.ndarray:
-        """t . D(phi) n (nt, n_u, Qe) of the Piola-mapped basis."""
-
-        def dn(elems, grads):
-            dsym = sym_gradients(self.jac[elems], self.det[elems], grads)
-            tn = self.tangent[elems, :, None] * self.normal[elems, None, :]
-            out = dsym.reshape(elems.size, -1, 4) @ tn.reshape(-1, 4, 1)
-            return out.reshape(dsym.shape[:-2])
-
-        return self._by_orientation(dn, self.grads)
-
-    def add(self, stack, uu, uh, hh=None) -> None:
-        """Add a symmetric facet block to the element stack: ``uu`` on the
-        velocity slots, ``uh`` and its transpose between velocity and trace
-        slots, ``hh`` on the trace slots."""
-        u = slice(0, self.vals[0].shape[0])  # velocity slots come first
-        stack[:, u, u] += uu
-        stack[:, u, self.hat] += uh
-        stack[:, self.hat, u] += np.swapaxes(uh, 1, 2)
+    def add(self, coef, uu=None, uh=None, hh=None, hat=None) -> None:
+        """Coefficients ``coef`` (nt, ...) times reference blocks (..., rows,
+        cols): ``uu`` on the velocity slots, ``uh`` and its transpose between
+        the velocity slots and the trace slots ``hat``, ``hh`` on ``hat``."""
+        c = coef.reshape(coef.shape[0], -1)
+        r = np.zeros((c.shape[1], self.n_loc, self.n_loc))
+        u = slice(0, self.n_u)  # velocity slots come first
+        if uu is not None:
+            r[:, u, u] = uu.reshape(-1, self.n_u, self.n_u)
+        if uh is not None:
+            uh = uh.reshape(c.shape[1], self.n_u, -1)
+            r[:, u, hat] = uh
+            r[:, hat, u] = np.swapaxes(uh, 1, 2)
         if hh is not None:
-            stack[:, self.hat, self.hat] += hh
+            r[:, hat, hat] = hh
+        self.coef.append(c)
+        self.tensors.append(r)
+
+    def build(self) -> np.ndarray:
+        """The signed stack. The GEMM forms the upper triangle only, which
+        then fills both triangles, so the stack is exactly symmetric."""
+        n = self.n_loc
+        iu, ju = np.triu_indices(n)
+        packed = np.empty((n, n), np.int64)
+        packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
+        g = np.concatenate(self.coef, axis=1)
+        upper = g @ np.concatenate(self.tensors)[:, iu, ju]
+        s = np.take(upper, packed.ravel(), axis=1).reshape(-1, n, n)
+        s *= self.signs[:, :, None]
+        s *= self.signs[:, None, :]
+        return s
 
 
-def facet_groups(mesh: Mesh, ref: ReferenceBasis):
-    """Yield one FacetGroup per local edge."""
+def viscous_volume_coefficients(o: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """det J * O^T O (E, 4, 4): (D phi_i, D phi_j)_K is its contraction with
+    ``ReferenceBasis.grad_moments``."""
+    return (np.swapaxes(o, 1, 2) @ o) * det[:, None, None]
+
+
+def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
+    """Yield (key, hat, c1, c2) per local edge l and orientation flip, with
+    key = (l, flip) into ``ref.edge_moments`` and ``hat`` the local slots of
+    the edge's trace unknowns. With t the global edge tangent and n the
+    outward normal, c1 = O^T vec(t n^T) |F| (nt, 4) and c2 = J^T t / det J
+    (nt, 2), so |F| t.D(phi)n = c1 . grad(phi_ref) and t.phi = c2 . phi_ref
+    on the edge. Both are zero on the elements traversing the edge in the
+    other orientation, which is how a stack picks the matching moments."""
     k = ref.k
+    j, det = mesh.jacobians, mesh.det_j
     for l in range(3):
         e = mesh.tri_edges[:, l]
         flip = mesh.tri_edge_flip[:, l]
         t = mesh.tangents[e]
         nout = np.column_stack([t[:, 1], -t[:, 0]])
-        yield FacetGroup(
-            hat=slice(ref.n_u + l * k, ref.n_u + (l + 1) * k),
-            orient=(np.flatnonzero(~flip), np.flatnonzero(flip)),
-            vals=(ref.edge_vals[(l, 0)], ref.edge_vals[(l, 1)]),
-            grads=(ref.edge_grads[(l, 0)], ref.edge_grads[(l, 1)]),
-            jac=mesh.jacobians,
-            det=mesh.det_j,
-            tangent=t,
-            normal=np.where(flip[:, None], -nout, nout),
-            length=mesh.edge_lengths[e],
-        )
+        nrm = np.where(flip[:, None], -nout, nout)
+        tn = (t[:, :, None] * nrm[:, None, :]).reshape(-1, 1, 4)
+        c1 = (tn @ o)[:, 0] * mesh.edge_lengths[e][:, None]
+        c2 = (t[:, None, :] @ j)[:, 0] / det[:, None]
+        hat = slice(ref.n_u + l * k, ref.n_u + (l + 1) * k)
+        for f in (0, 1):
+            mask = (flip == bool(f))[:, None]
+            yield (l, f), hat, c1 * mask, c2 * mask
 
 
 def scatter_stack(stack: np.ndarray, slots: np.ndarray, n: int) -> sp.csr_matrix:
@@ -214,38 +213,24 @@ def scatter_stack(stack: np.ndarray, slots: np.ndarray, n: int) -> sp.csr_matrix
 
 
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
-    ref = spaces.ref
-    dm = spaces.dofmap
-    k = spaces.k
-    nt = mesh.num_triangles
-    n_u = ref.n_u
-    shape = (nt, dm.n_loc, dm.n_loc)
-    mass, visc, pen = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-
-    w = ref.vol_rule.weights
-    for start in range(0, nt, _CHUNK):
-        sel = slice(start, min(start + _CHUNK, nt))
-        j, det = mesh.jacobians[sel], mesh.det_j[sel]
-        mass[sel, :n_u, :n_u] = gram(map_piola(j, det, ref.vol_vals), w) * det[:, None, None]
-        visc[sel, :n_u, :n_u] = gram(sym_gradients(j, det, ref.vol_grads), w) * det[
-            :, None, None
-        ]
-
-    we = ref.facet.rule.weights
-    lh = ref.facet.lhat_vals  # (k, Qe)
-    lhw = (lh * we).T
-    for f in facet_groups(mesh, ref):
-        tt = f.tangential_traces()
-        dnw = f.normal_tangential_stress() * (we * f.length[:, None])[:, None, :]
-        e_uu = dnw @ np.swapaxes(tt, 1, 2)
-        f.add(visc, -(e_uu + np.swapaxes(e_uu, 1, 2)), dnw @ lh.T)
-        bmom = tt @ lhw  # facet moments of the traces
-        f.add(pen, gram(bmom, np.ones(k)), -bmom, np.eye(k))
-
-    souter = dm.signs[:, :, None] * dm.signs[:, None, :]
-    for stack in (mass, visc, pen):
-        stack *= souter
-    return LocalStacks(mass=mass, visc=visc, pen=pen)
+    ref, dm, k = spaces.ref, spaces.dofmap, spaces.k
+    j, det = mesh.jacobians, mesh.det_j
+    o = sym_grad_maps(j, det)
+    mass, visc, pen = (TensorStack(spaces) for _ in range(3))
+    mass.add((np.swapaxes(j, 1, 2) @ j) / det[:, None, None], uu=ref.mass_moments)
+    visc.add(viscous_volume_coefficients(o, det), uu=ref.grad_moments)
+    for key, hat, c1, c2 in edge_coefficients(mesh, ref, o):
+        em = ref.edge_moments[key]
+        st = em.stress_trace
+        # -<D(u) n, tang(v)> - <D(v) n, tang(u)> and <D(u) n, vhat>
+        visc.add(c1[:, :, None] * c2[:, None, :], uu=-(st + np.swapaxes(st, 2, 3)))
+        visc.add(c1, uh=em.stress_mode, hat=hat)
+        # facet moments m = tang(u) projected onto the modes: <m - uhat, m - vhat>
+        tm = em.trace_mode
+        pen.add(c2[:, :, None] * c2[:, None, :], uu=np.einsum("aim,bjm->abij", tm, tm))
+        pen.add(c2, uh=-tm, hat=hat)
+    pen.add(np.ones((mesh.num_triangles, 1)), hh=np.eye(3 * k), hat=dm.hat_slots)
+    return LocalStacks(mass=mass.build(), visc=visc.build(), pen=pen.build())
 
 
 def facet_projection(facet) -> np.ndarray:

@@ -91,7 +91,10 @@ def factor_spd(a: SparseSym, pivot_tol: float = 1e-12) -> SpdFactor:
     """Factor an SPD SparseSym; raises NotSPD on failure or tiny/negative pivots."""
     m = a.csr
     n = m.shape[0]
-    perm = np.asarray(reverse_cuthill_mckee(m, symmetric_mode=True), dtype=np.int64)
+    if n == 0:  # RCM rejects an empty graph; the empty factor solves 0 -> 0
+        perm = np.zeros(0, np.int64)
+    else:
+        perm = np.asarray(reverse_cuthill_mckee(m, symmetric_mode=True), dtype=np.int64)
     mp = m[perm][:, perm].tocoo()
     bw = int(np.max(np.abs(mp.row - mp.col))) if mp.nnz else 0
     ab = np.zeros((bw + 1, n))

@@ -20,14 +20,6 @@ TAG_WALL = 2
 TAG_INLET = 3
 TAG_OUTLET = 4
 
-TAG_NAMES = {
-    TAG_LID: "lid",
-    TAG_WALL: "wall",
-    TAG_INLET: "inlet",
-    TAG_OUTLET: "outlet",
-}
-NAME_TAGS = {v: k for k, v in TAG_NAMES.items()}
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -256,50 +248,3 @@ def uniform_refine(mesh: Mesh) -> Mesh:
     )
     refined.validate()
     return refined
-
-
-def save_mesh(mesh: Mesh, path: str):
-    """Plain-text dump: header 'nv nb nt', vertex lines, triangle lines, then
-    one 'a b tagname' line per tagged boundary edge."""
-    bnd = mesh.boundary_edges()
-    lines = [f"{mesh.num_vertices} {bnd.size} {mesh.num_triangles}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    for e in bnd:
-        a, b = mesh.edges[e]
-        lines.append(f"{a} {b} {TAG_NAMES[int(mesh.edge_tags[e])]}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_mesh(path: str) -> Mesh:
-    with open(path) as f:
-        tokens = f.read().split("\n")
-    rows = [ln.split() for ln in tokens if ln.strip()]
-    nv, nb, nt = (int(x) for x in rows[0])
-    vertices = np.array([[float(c) for c in r] for r in rows[1 : 1 + nv]])
-    tris = np.array(
-        [[int(c) for c in r] for r in rows[1 + nv : 1 + nv + nt]], np.int64
-    )
-    mesh = build_mesh(vertices, tris)
-    tags = mesh.edge_tags.copy()
-    lookup = {(int(a), int(b)): e for e, (a, b) in enumerate(mesh.edges)}
-    boundary = set(int(e) for e in mesh.boundary_edges())
-    for r in rows[1 + nv + nt : 1 + nv + nt + nb]:
-        a, b = sorted((int(r[0]), int(r[1])))
-        e = lookup.get((a, b))
-        if e is None or e not in boundary:
-            raise ValueError(f"tagged edge ({a},{b}) is not a boundary edge")
-        tags[e] = NAME_TAGS[r[2]]
-    if np.any(tags[mesh.boundary_edges()] == TAG_INTERIOR):
-        raise ValueError("boundary edge left untagged in file")
-    mesh = Mesh(
-        **{
-            **{f: getattr(mesh, f) for f in mesh.__dataclass_fields__},
-            "edge_tags": tags,
-        }
-    )
-    mesh.validate()
-    return mesh

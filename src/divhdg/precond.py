@@ -171,6 +171,7 @@ class _ColourBlock:
 class AspPrecond:
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
+    restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux_factor: SpdFactor  # None when the auxiliary space is empty
     a_g: SparseSym
     patch_offsets: np.ndarray = field(repr=False, default=None)
@@ -194,7 +195,7 @@ class AspPrecond:
     def coarse(self, r: np.ndarray) -> np.ndarray:
         if self.aux_factor is None:
             return np.zeros_like(r)
-        return self.transfer @ self.aux_factor.solve(self.transfer.T @ r)
+        return self.transfer @ self.aux_factor.solve(self.restrict @ r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self.smooth(r) + self.coarse(r)
@@ -318,6 +319,7 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     pre = AspPrecond(
         smoother=smoother,
         transfer=transfer,
+        restrict=transfer.T.tocsr(),
         aux_factor=aux_factor,
         a_g=cond.A_g,
     )

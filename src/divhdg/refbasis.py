@@ -134,6 +134,19 @@ def build_facet_basis(k: int) -> FacetBasis:
 
 
 @dataclass(frozen=True)
+class EdgeMoments:
+    """Reference moments on one local edge in one orientation, weighted by the
+    edge rule in the global parameter s (|e| scaling excluded): a, b index the
+    components of the reference values, beta the flattened reference
+    gradient, i, j the velocity basis and m the tangential facet modes."""
+
+    stress_trace: np.ndarray  # (4, 2, n_u, n_u): sum_q w g_{i,beta} v_{j,a}
+    stress_mode: np.ndarray  # (4, n_u, k): sum_q w g_{i,beta} l_m
+    trace_mode: np.ndarray  # (2, n_u, k): sum_q w v_{i,a} l_m
+    trace_trace: np.ndarray  # (2, 2, n_u, n_u): sum_q w v_{i,a} v_{j,b}
+
+
+@dataclass(frozen=True)
 class ReferenceBasis:
     k: int
     coeffs: np.ndarray  # (n_u, 2, k+1, k+1) monomial tables
@@ -150,6 +163,11 @@ class ReferenceBasis:
     facet: FacetBasis
     edge_vals: dict  # (l, flip) -> (n_u, Qe, 2)
     edge_grads: dict  # (l, flip) -> (n_u, Qe, 2, 2)
+    # reference tensors of the element forms (volume rule, indices as in
+    # EdgeMoments): every affine element's stacks are linear in them
+    mass_moments: np.ndarray  # (2, 2, n_u, n_u): sum_q w v_{i,a} v_{j,b}
+    grad_moments: np.ndarray  # (4, 4, n_u, n_u): sum_q w g_{i,beta} g_{j,gamma}
+    edge_moments: dict  # (l, flip) -> EdgeMoments
     _extra_volume: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -354,6 +372,19 @@ def build_reference_bdm(k: int) -> ReferenceBasis:
             edge_vals[(l, flip)] = vals
             edge_grads[(l, flip)] = grads
 
+    w = vol_rule.weights
+    g = vol_grads.reshape(n_u, -1, 4)
+    we, lh = facet.rule.weights, facet.lhat_vals[:, :, None]
+    edge_moments = {}
+    for key, vals in edge_vals.items():
+        eg = edge_grads[key].reshape(n_u, -1, 4)
+        edge_moments[key] = EdgeMoments(
+            stress_trace=_moments(eg, vals, we),
+            stress_mode=_moments(eg, lh, we)[:, 0],
+            trace_mode=_moments(vals, lh, we)[:, 0],
+            trace_trace=_moments(vals, vals, we),
+        )
+
     return ReferenceBasis(
         k=k,
         coeffs=coeffs,
@@ -370,7 +401,17 @@ def build_reference_bdm(k: int) -> ReferenceBasis:
         facet=facet,
         edge_vals=edge_vals,
         edge_grads=edge_grads,
+        mass_moments=_moments(vol_vals, vol_vals, w),
+        grad_moments=_moments(g, g, w),
+        edge_moments=edge_moments,
     )
+
+
+def _moments(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_q w_q x[i, q, a] y[j, q, b] as an (a, b, i, j) array, one batched
+    matmul."""
+    xw = (x * w[:, None]).transpose(2, 0, 1)[:, None]  # (a, 1, i, q)
+    return xw @ y.transpose(2, 1, 0)[None]  # (1, b, q, j)
 
 
 def _pad_vec(v: np.ndarray, k: int) -> np.ndarray:

@@ -23,12 +23,14 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     ProblemParams,
+    TensorStack,
     assemble_local_stacks,
     assemble_saddle,
-    facet_groups,
-    gram,
+    edge_coefficients,
     scatter_stack,
+    sym_grad_maps,
     sym_gradients,
+    viscous_volume_coefficients,
 )
 from .condense import (
     back_substitute,
@@ -79,24 +81,26 @@ def _zero_essential(ess: EssentialData) -> EssentialData:
 
 
 def norm_stacks(mesh: Mesh, spaces: Spaces):
-    ref = spaces.ref
-    n_u = ref.n_u
-    shape = (mesh.num_triangles, spaces.dofmap.n_loc, spaces.dofmap.n_loc)
-    dstack, jstack = np.zeros(shape), np.zeros(shape)
+    """(dstack, jstack): the volume viscous term (D u, D v)_K, and the
+    unprojected tangential difference <tang(u) - uhat, tang(v) - vhat>_dK with
+    the 1/h_F weight, which cancels the edge-length integration factor.
 
-    dsym = sym_gradients(mesh.jacobians, mesh.det_j, ref.vol_grads)
-    dstack[:, :n_u, :n_u] = gram(dsym, ref.vol_rule.weights) * mesh.det_j[:, None, None]
-
-    we = ref.facet.rule.weights
-    lhw = (ref.facet.lhat_vals * we).T
-    for f in facet_groups(mesh, ref):
-        tt = f.tangential_traces()
-        # 1/h_F weight cancels the |edge| integration factor exactly
-        f.add(jstack, gram(tt, we), -(tt @ lhw), np.eye(spaces.k))
-
-    signs = spaces.dofmap.signs
-    souter = signs[:, :, None] * signs[:, None, :]
-    return dstack * souter, jstack * souter
+    Built like ``assemble_local_stacks``: the geometry coefficients of
+    ``viscous_volume_coefficients`` and ``edge_coefficients`` times the
+    reference tensors, as one GEMM per stack. dstack is the volume part of
+    the viscous stack; jstack differs from the penalty stack only in its
+    velocity block, the trace-trace moments instead of the products of the
+    projected trace-mode moments."""
+    ref, dm = spaces.ref, spaces.dofmap
+    o = sym_grad_maps(mesh.jacobians, mesh.det_j)
+    dstack, jstack = TensorStack(spaces), TensorStack(spaces)
+    dstack.add(viscous_volume_coefficients(o, mesh.det_j), uu=ref.grad_moments)
+    for key, hat, _, c2 in edge_coefficients(mesh, ref, o):
+        em = ref.edge_moments[key]
+        jstack.add(c2[:, :, None] * c2[:, None, :], uu=em.trace_trace)
+        jstack.add(c2, uh=-em.trace_mode, hat=hat)
+    jstack.add(np.ones((mesh.num_triangles, 1)), hh=np.eye(3 * spaces.k), hat=dm.hat_slots)
+    return dstack.build(), jstack.build()
 
 
 # ---------------------------------------------------------------------------

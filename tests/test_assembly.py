@@ -9,16 +9,15 @@ from divhdg.assembly import (
     assemble_local_stacks,
     assemble_saddle,
     facet_projection,
-    gram,
     scatter_stack,
     sym_gradients,
 )
 from divhdg.condense import eliminate_local
 from divhdg.linalg import NotSPD, dense_eig_sym
-from divhdg.mesh import step_domain, unit_square
+from divhdg.mesh import build_mesh, step_domain, unit_square
 from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
 from divhdg.spaces import build_spaces, interpolate_essential
-from divhdg.verify import _bubble_curl, _energy_error
+from divhdg.verify import _bubble_curl, _energy_error, norm_stacks
 
 from conftest import pipeline
 
@@ -336,6 +335,37 @@ def _einsum_stacks(mesh, spaces):
     return mass * souter, visc * souter, pen * souter
 
 
+def _einsum_norm_stacks(mesh, spaces):
+    """The verification norm stacks by quadrature on the physical elements:
+    the symmetric-gradient volume term and the unprojected tangential
+    difference, one pass per (local edge, orientation)."""
+    ref, dm, k = spaces.ref, spaces.dofmap, spaces.k
+    n_u = ref.n_u
+    shape = (mesh.num_triangles, dm.n_loc, dm.n_loc)
+    dstack, jstack = np.zeros(shape), np.zeros(shape)
+    j, det = mesh.jacobians, mesh.det_j
+    dsym = sym_gradients(j, det, ref.vol_grads)
+    dstack[:, :n_u, :n_u] = np.einsum(
+        "eiqad,ejqad,q->eij", dsym, dsym, ref.vol_rule.weights
+    ) * det[:, None, None]
+    we, lh = ref.facet.rule.weights, ref.facet.lhat_vals
+    u = slice(0, n_u)
+    for l in range(3):
+        hat = slice(n_u + l * k, n_u + (l + 1) * k)
+        for flip in (0, 1):
+            g = np.flatnonzero(mesh.tri_edge_flip[:, l] == bool(flip))
+            t = mesh.tangents[mesh.tri_edges[g, l]]
+            pvf = map_piola(j[g], det[g], ref.edge_vals[(l, flip)])
+            tt = np.einsum("giqd,gd->giq", pvf, t)
+            uh = -np.einsum("giq,mq,q->gim", tt, lh, we)
+            jstack[g, u, u] += np.einsum("giq,gjq,q->gij", tt, tt, we)
+            jstack[g, u, hat] += uh
+            jstack[g, hat, u] += np.swapaxes(uh, 1, 2)
+            jstack[g, hat, hat] += np.eye(k)
+    souter = dm.signs[:, :, None] * dm.signs[:, None, :]
+    return dstack * souter, jstack * souter
+
+
 def _eigvalsh_rule(aloc):
     """The former coercivity rule, kept verbatim as reference."""
     scale = np.maximum(np.abs(aloc).max(axis=(1, 2)), 1e-300)
@@ -434,13 +464,34 @@ class TestCoercivityCheck:
             _element_coercivity_check(bad)
 
 
+def _jittered_square(n):
+    """unit_square(n) with each vertex moved by a fixed pseudo-random offset of
+    at most h/5 per coordinate, boundary vertices only along the boundary, so
+    that no two elements are congruent. Every triangle stays
+    counter-clockwise."""
+    base = unit_square(n)
+    v = base.vertices.copy()
+    step = np.random.default_rng(n).uniform(-0.2 / n, 0.2 / n, v.shape)
+    step[(v == 0.0) | (v == 1.0)] = 0.0
+    mesh = build_mesh(v + step, base.triangles)
+    assert np.unique(np.round(mesh.det_j, 12)).size == mesh.num_triangles
+    return mesh
+
+
+def _mesh(problem, n):
+    return {"cavity": unit_square, "step": step_domain, "jittered": _jittered_square}[
+        problem
+    ](n)
+
+
 class TestMatmulStacks:
     @pytest.mark.parametrize(
         "problem,n,k",
-        [("cavity", 3, 1), ("cavity", 3, 2), ("step", 2, 3), ("cavity", 2, 4)],
+        [("cavity", 3, 1), ("cavity", 3, 2), ("step", 2, 3), ("cavity", 2, 4)]
+        + [("jittered", 4, k) for k in (1, 2, 3, 4)],
     )
     def test_match_einsum_reference_and_exactly_symmetric(self, problem, n, k):
-        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        mesh = _mesh(problem, n)
         spaces = build_spaces(mesh, k)
         got = assemble_local_stacks(mesh, spaces)
         for name, want in zip(("mass", "visc", "pen"), _einsum_stacks(mesh, spaces)):
@@ -448,11 +499,13 @@ class TestMatmulStacks:
             assert np.abs(stack - want).max() <= 1e-14 * np.abs(want).max(), name
             assert np.array_equal(stack, np.swapaxes(stack, 1, 2)), name
 
-    def test_gram_is_weighted_and_exactly_symmetric(self):
-        rng = np.random.default_rng(14)
-        x = rng.standard_normal((5, 7, 6, 2, 2))
-        w = rng.uniform(0.1, 1.0, 6)
-        g = gram(x, w)
-        want = np.einsum("eiqab,ejqab,q->eij", x, x, w)
-        assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(g, np.swapaxes(g, 1, 2))
+    @pytest.mark.parametrize(
+        "problem,n,k", [("cavity", 3, 2), ("step", 2, 3), ("jittered", 4, 1), ("jittered", 4, 4)]
+    )
+    def test_norm_stacks_match_quadrature(self, problem, n, k):
+        mesh = _mesh(problem, n)
+        spaces = build_spaces(mesh, k)
+        got = norm_stacks(mesh, spaces)
+        for name, stack, want in zip(("d", "j"), got, _einsum_norm_stacks(mesh, spaces)):
+            assert np.abs(stack - want).max() <= 1e-14 * np.abs(want).max(), name
+            assert np.array_equal(stack, np.swapaxes(stack, 1, 2)), name

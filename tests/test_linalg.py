@@ -76,6 +76,14 @@ class TestFactorSpd:
         with pytest.raises(NotSPD):
             factor_spd(SparseSym(sp.csr_matrix(d)))
 
+    def test_empty_matrix_solves_empty_vector(self):
+        f = factor_spd(SparseSym(sp.csr_matrix((0, 0))))
+        assert f.n == 0
+        x = f.solve(np.zeros(0))
+        assert x.shape == (0,)
+        with pytest.raises(ValueError, match="length mismatch"):
+            f.solve(np.ones(1))
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10**6))
     def test_roundtrip_random_spd(self, n, seed):

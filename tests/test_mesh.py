@@ -10,8 +10,6 @@ from divhdg.mesh import (
     TAG_OUTLET,
     TAG_WALL,
     build_mesh,
-    load_mesh,
-    save_mesh,
     step_domain,
     uniform_refine,
     unit_square,
@@ -147,28 +145,6 @@ class TestGeometry:
 
 
 class TestIO:
-    def test_roundtrip(self, tmp_path):
-        m = step_domain(2)
-        path = str(tmp_path / "mesh.txt")
-        save_mesh(m, path)
-        r = load_mesh(path)
-        assert np.array_equal(m.triangles, r.triangles)
-        assert np.array_equal(m.edge_tags, r.edge_tags)
-        assert np.array_equal(m.vertices, r.vertices)  # 17 digits: exact
-
-    def test_header_line(self, tmp_path):
-        m = unit_square(1)
-        path = str(tmp_path / "mesh.txt")
-        save_mesh(m, path)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        nv, ne, nt = (int(x) for x in lines[0].split())
-        # header counts vertices, tagged boundary edges, triangles
-        assert (nv, ne, nt) == (4, 4, 2)
-        # boundary-edge lines carry "v0 v1 tag"
-        assert all(len(ln.split()) == 3 for ln in lines[1 + nv + nt :])
-        assert len(lines[1 + nv + nt :]) == ne
-
     def test_build_mesh_custom_tag(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2]])

@@ -59,6 +59,14 @@ class TestSchurClosedForms:
         r = np.array([0.7])
         assert np.allclose(s.apply(r), lam * r / m.areas, atol=1e-14)
 
+    def test_single_element_enclosed_incompressible(self):
+        # one enclosed element at 1/lambda = 0: deflation grounds the only
+        # pressure, so the inner factor is 0x0 and the output is the zero
+        # mean-free vector
+        s = build_schur(_one_triangle(), ProblemParams(tau=1.0, inv_lambda=0.0))
+        assert s.deflate and s.inner.n == 0
+        assert np.array_equal(s.apply(np.ones(1)), [0.0])
+
     def test_woodbury_roundtrip_single_point(self):
         m = unit_square(2)
         params = ProblemParams(mu=1.0, tau=1.0, inv_lambda=1.0)
@@ -204,6 +212,14 @@ class TestTransfer:
         *_, asp = built
         t = asp.transfer.toarray()
         assert np.linalg.matrix_rank(t, tol=1e-10) == t.shape[1]
+
+    def test_restriction_is_stored_transpose(self, built):
+        *_, cond, asp = built
+        assert isinstance(asp.restrict, sp.csr_matrix)
+        assert (asp.restrict != asp.transfer.T).nnz == 0
+        r = np.random.default_rng(6).standard_normal(cond.n_free)
+        z = asp.transfer @ asp.aux_factor.solve(asp.transfer.T @ r)
+        assert np.array_equal(asp.coarse(r), z)
 
 
 class TestSmoother:
