@@ -15,7 +15,6 @@ from .assembly import (
     assemble_local_stacks,
     assemble_pressure_ops,
     assemble_saddle,
-    facet_projection,
 )
 from .bench import BenchRow, ExperimentGrid, emit, parse_csv, run_grid
 from .condense import (
@@ -98,7 +97,6 @@ __all__ = [
     "dense_eig_sym",
     "eliminate_local",
     "emit",
-    "facet_projection",
     "factor_spd",
     "gen_condition",
     "interpolate_essential",

@@ -44,6 +44,7 @@ for error norms. ``scatter_stack`` sums element matrices into a global CSR
 matrix.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -66,6 +67,10 @@ class ProblemParams:
     alpha: float = 8.0
 
     def __post_init__(self):
+        for name in ("mu", "tau", "inv_lambda", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
         if self.tau < 0.0 or self.inv_lambda < 0.0 or self.alpha <= 0.0:
@@ -203,13 +208,11 @@ def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
 
 def scatter_stack(stack: np.ndarray, slots: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum the element matrices ``stack[e]`` into an (n, n) matrix at the rows
-    and columns ``slots[e]``; summed and sorted CSR."""
+    and columns ``slots[e]``; summed and sorted CSR (``tocsr`` returns the
+    canonical format)."""
     r = np.broadcast_to(slots[:, :, None], stack.shape)
     c = np.broadcast_to(slots[:, None, :], stack.shape)
-    m = sp.coo_matrix((stack.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
+    return sp.coo_matrix((stack.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
 
 
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
@@ -233,14 +236,6 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
     return LocalStacks(mass=mass.build(), visc=visc.build(), pen=pen.build())
 
 
-def facet_projection(facet) -> np.ndarray:
-    """Matrix applying the facet-space L2 projection to point values at the
-    facet quadrature rule: projected values = P @ values. Idempotent, and
-    reproduces any trace already spanned by the facet modes exactly."""
-    lh = facet.lhat_vals
-    return lh.T @ (lh * facet.rule.weights)
-
-
 def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
     """The divergence-coupling matrix over all pressure x all velocity
     unknowns. Exactly integer-structured; parameter independent."""
@@ -260,13 +255,10 @@ def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
         rows.append(nt + np.arange(nt) * n_d + r)
         cols.append(dm.vel_loc[:, ref.n_facet + ref.n_int_c + r])
         vals.append(-np.ones(nt))
-    b = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(split.n_pressure, split.n_vel),
     ).tocsr()
-    b.sum_duplicates()
-    b.sort_indices()
-    return b
 
 
 def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np.ndarray:
@@ -422,11 +414,11 @@ def assemble_aux(
     massl = mloc[None, :, :] * det[:, None, None]
     loc = 2.0 * params.mu * stiff + params.tau * massl
 
+    # an edge is essential when its first normal unknown is; outlet vertices
+    # stay free unless shared with an essential edge
+    free_edge = essential.free_mask[: spaces.split.n_bnd : spaces.k + 1]
     ess_verts = np.zeros(nv, bool)
-    for e in mesh.boundary_edges():
-        if essential.free_mask[e * (spaces.k + 1)]:
-            continue  # outlet edge: vertices stay free unless shared with walls
-        ess_verts[mesh.edges[e]] = True
+    ess_verts[mesh.edges[~free_edge]] = True
     free_v = np.flatnonzero(~ess_verts)
 
     scal = scatter_stack(loc, mesh.triangles, nv)[free_v][:, free_v]

@@ -89,7 +89,7 @@ def _inv_lambdas(args) -> list:
             vals.append(0.0)
         else:
             x = float(lam)
-            if x <= 0.0:
+            if not x > 0.0:  # NaN fails too
                 raise ValueError("--lambda must be positive or 'inf'")
             vals.append(1.0 / x)
     return vals or [0.0]

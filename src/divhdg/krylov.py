@@ -47,15 +47,14 @@ def minres(
     tol: float = 1e-8,
     maxit: int = 1000,
     seed: int = 0,
-    x0: Optional[np.ndarray] = None,
     project: Optional[Apply] = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``K x = b`` with symmetric ``K`` and SPD preconditioner.
 
-    The initial guess is drawn uniformly from (-1, 1) with the given seed
-    unless ``x0`` is supplied, so a run is reproducible bit for bit.  The
-    iteration stops once the preconditioned residual norm has dropped below
-    ``tol`` times its initial value.  ``project``, when given, restricts the
+    The initial guess is drawn uniformly from (-1, 1) with the given seed,
+    so a run is reproducible bit for bit.  The iteration stops once the
+    preconditioned residual norm has dropped below ``tol`` times its initial
+    value.  ``project``, when given, restricts the
     iteration to a subspace (it must commute with ``K`` up to the discarded
     component); it is applied to the initial guess, the initial residual, and
     every new Lanczos vector so a singular-but-consistent system stays on the
@@ -66,10 +65,7 @@ def minres(
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if x0 is None:
-        x = XorShift(seed).uniform(n)
-    else:
-        x = np.array(x0, dtype=float)
+    x = XorShift(seed).uniform(n)
     if project is not None:
         x = project(x)
 

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 VERIFY_CAP = 6000  # largest n the dense verification helpers accept
+PIVOT_TOL = 1e-12  # factor_spd rejects pivots below this times the largest diagonal
 
 
 class NotSPD(Exception):
@@ -87,7 +88,7 @@ class SpdFactor:
         return y[self._inv_perm]
 
 
-def factor_spd(a: SparseSym, pivot_tol: float = 1e-12) -> SpdFactor:
+def factor_spd(a: SparseSym) -> SpdFactor:
     """Factor an SPD SparseSym; raises NotSPD on failure or tiny/negative pivots."""
     m = a.csr
     n = m.shape[0]
@@ -106,9 +107,9 @@ def factor_spd(a: SparseSym, pivot_tol: float = 1e-12) -> SpdFactor:
         raise NotSPD(f"banded Cholesky failed: {exc}") from None
     d = cb[0] ** 2
     max_diag = float(np.max(np.abs(m.diagonal()))) if n else 0.0
-    if n and float(d.min()) <= pivot_tol * max_diag:
+    if n and float(d.min()) <= PIVOT_TOL * max_diag:
         raise NotSPD(
-            f"pivot {d.min():.3e} below tolerance {pivot_tol:.0e} * {max_diag:.3e}"
+            f"pivot {d.min():.3e} below tolerance {PIVOT_TOL:.0e} * {max_diag:.3e}"
         )
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n)

@@ -49,12 +49,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
-    def h_max(self) -> float:
-        d = self.vertices[self.triangles]
-        sides = np.linalg.norm(d - np.roll(d, -1, axis=1), axis=2)
-        return float(sides.max())
-
     def boundary_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_elems[:, 1] < 0)
 

@@ -37,23 +37,20 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def diff_x(c: np.ndarray) -> np.ndarray:
-    d = c.shape[0] - 1
+    """x-derivative; c may be a stack (..., D, D) differentiated at once."""
+    d = c.shape[-1] - 1
     if d == 0:
-        return zero(0)
-    out = zero(d - 1)
-    scaled = c[1:, :] * np.arange(1, d + 1)[:, None]
-    out += scaled[:, :d]  # column d of a degree<=d poly's x-derivative is zero
-    return out
+        return np.zeros(c.shape)
+    # column d of a degree<=d poly's x-derivative is zero
+    return c[..., 1:, :d] * np.arange(1, d + 1)[:, None]
 
 
 def diff_y(c: np.ndarray) -> np.ndarray:
-    d = c.shape[0] - 1
+    """y-derivative; c may be a stack (..., D, D) differentiated at once."""
+    d = c.shape[-1] - 1
     if d == 0:
-        return zero(0)
-    out = zero(d - 1)
-    scaled = c[:, 1:] * np.arange(1, d + 1)[None, :]
-    out += scaled[:d, :]
-    return out
+        return np.zeros(c.shape)
+    return c[..., :d, 1:] * np.arange(1, d + 1)
 
 
 def eval_at(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

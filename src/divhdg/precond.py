@@ -8,10 +8,14 @@ The smoother R visits the patches in multicolour order: the patches are
 coloured so that no two of one colour share or couple unknowns, and a sweep
 is one forward pass over the colours and one backward pass, each colour
 solved for all its patches at once.  Pointwise Jacobi is the one alternative
-smoother.  Pi injects a piecewise-linear field by projecting its normal trace
-onto the facet-normal unknowns and its tangential trace onto the Legendre
-tangential modes, edge by edge (closed two-mode profiles; higher modes get
-nothing). A0 is the linear-element discretization of
+smoother.  Pi injects a piecewise-linear field through the edge-trace
+projections of ``refbasis.FacetBasis``, the same ones that define the
+essential boundary data: the normal trace goes to the facet-normal unknowns
+(Legendre moments, then the theta solve), the tangential trace to the
+Legendre tangential modes.  A linear trace is a sum of the two endpoint hat
+profiles, so the projections act on those two profiles once and each edge
+scales them by its length, normal and tangent (modes above degree 1 get
+nothing).  A0 is the linear-element discretization of
 2 mu (grad ., grad .) + tau (., .) on free vertices, solved exactly.
 
 Pressure block: the elementwise-constant Schur approximation
@@ -87,10 +91,7 @@ def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
     rows = np.concatenate([a, b, a, b, out])
     cols = np.concatenate([a, b, b, a, out])
     vals = np.repeat([1.0, -1.0, 1.0], [2 * a.size, 2 * a.size, out.size])
-    n = sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr()
-    n.sum_duplicates()
-    n.sort_indices()
-    return SparseSym(n)
+    return SparseSym(sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr())
 
 
 def build_schur(mesh: Mesh, params: ProblemParams, mode: str = "exact") -> SchurPrecond:
@@ -274,20 +275,18 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     vpos = np.full(mesh.num_vertices, -1, np.int64)
     vpos[free_v] = np.arange(free_v.size)
 
-    # reference moments of the two linear endpoint profiles against the modes
+    # the edge-trace projections of the two endpoint hat profiles, scaled
+    # per edge below
     s = fb.rule.points[:, 0]
-    w = fb.rule.weights
-    prof = np.stack([1.0 - s, s])  # (2, Qe): endpoint a, endpoint b
-    mom_full = np.einsum("pq,jq,q->pj", prof, fb.modes_vals, w)  # (2, k+1)
-    mom_hat = np.einsum("pq,jq,q->pj", prof, fb.lhat_vals, w)  # (2, k)
-    # normal coefficient profiles: solve the trace moment system once
-    cprof = np.linalg.solve(fb.theta.T, mom_full.T).T  # (2, k+1)
+    hats = np.stack([1.0 - s, s])  # (2, Qe): endpoint a, endpoint b
+    hat_n = hats @ fb.normal_projection.T  # (2, k+1)
+    hat_t = hats @ fb.tangential_projection.T  # (2, k)
 
     cond_pos = np.full(split.n_cond, -1, np.int64)
     cond_pos[cond.free_cond] = np.arange(cond.free_cond.size)
 
     # free edges and their 2k+1 condensed unknowns: normal modes, then tangential
-    fe = np.flatnonzero(ess.free_mask[np.arange(mesh.num_edges) * (k + 1)])
+    fe = np.flatnonzero(ess.free_mask[: split.n_bnd : k + 1])
     normal = fe[:, None] * (k + 1) + np.arange(k + 1)
     tangential = split.n_bnd + fe[:, None] * k + np.arange(k)
     edofs = cond_pos[np.concatenate([normal, tangential], axis=1)]  # (E, 2k+1)
@@ -298,8 +297,8 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     le = mesh.edge_lengths[fe]
     vals = np.concatenate(
         [
-            le[:, None, None, None] * nrm[:, None, :, None] * cprof[None, :, None, :],
-            t[:, None, :, None] * mom_hat[None, :, None, :],
+            le[:, None, None, None] * nrm[:, None, :, None] * hat_n[None, :, None, :],
+            t[:, None, :, None] * hat_t[None, :, None, :],
         ],
         axis=3,
     )
@@ -313,8 +312,6 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
         (vals[keep], (rows[keep], cols[keep])),
         shape=(cond.free_cond.size, 2 * free_v.size),
     ).tocsr()
-    transfer.sum_duplicates()
-    transfer.sort_indices()
 
     pre = AspPrecond(
         smoother=smoother,

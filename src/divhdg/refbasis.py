@@ -25,12 +25,22 @@ Facet trace space: on each edge the k tangential-trace unknowns use the
 orthonormal shifted Legendre modes l_j(s) = sqrt(2j+1) P_j(2s-1) in the global
 (low vertex -> high vertex) edge parameterization.
 
+Each reference-element operation has one implementation here. ``_evaluate``
+returns values, gradients, divergences and pressure-mode values of the whole
+coefficient stack at any reference points; it serves the volume rule, the six
+(local edge, orientation) edge rules and ``ReferenceBasis.volume_tables``.
+``FacetBasis`` holds the edge-trace projection as two matrices acting on point
+values at the edge rule: ``normal_projection`` (the Legendre moments followed
+by the ``theta`` solve) and ``tangential_projection`` (the Legendre
+coefficients). Essential boundary data and the auxiliary-space transfer both
+go through them.
+
 Orientation: bases are stored in the element-local edge orientation; a
 per-element sign table converts to the globally oriented basis (lowest-order
 flux flips sign under reversal, bubble i picks up (-1)^(i-1)).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,22 +93,25 @@ def orthonormal_pressure_modes(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FacetBasis:
-    """1D machinery shared by every edge: orthonormal Legendre trace modes and
-    the normal-trace moment matrix of the facet velocity unknowns."""
+    """1D machinery shared by every edge: orthonormal Legendre trace modes,
+    the normal-trace moment matrix of the facet velocity unknowns and the two
+    edge-trace projections built from them.
+
+    With v the trace data at the rule points of an edge of length |e| in the
+    global parameter s, the facet-normal coefficients are
+    |e| * normal_projection @ (v . n): they match the k+1 Legendre moments of
+    the normal trace (exact when it has degree <= k). The tangential
+    coefficients are tangential_projection @ (v . t), the L2 projection onto
+    the modes of degree <= k-1."""
 
     k: int
     rule: Rule  # edge quadrature in the global parameter s on [0,1]
-    lhat: np.ndarray  # (k, k) coefficients of l_j, j = 0..k-1 (tangential modes)
-    lhat_vals: np.ndarray  # (k, Qe) values at rule points
-    modes_full: np.ndarray  # (k+1, k+1) l_j for j = 0..k
-    modes_vals: np.ndarray  # (k+1, Qe)
+    modes_vals: np.ndarray  # (k+1, Qe) l_j, j = 0..k, at rule points
+    lhat_vals: np.ndarray  # (k, Qe) tangential modes j = 0..k-1
     theta: np.ndarray  # (k+1, k+1): int theta_i l_j ds, theta_i = edge-normal traces
     theta_vals: np.ndarray  # (k+1, Qe) normal-trace profiles (1/|e| scaling excluded)
-
-    def normal_coeffs_from_moments(self, m: np.ndarray) -> np.ndarray:
-        """Solve for facet-normal coefficients c with sum_i c_i theta_i matching
-        the k+1 Legendre moments m (normal traces span degree-k polynomials)."""
-        return np.linalg.solve(self.theta.T, m)
+    normal_projection: np.ndarray  # (k+1, Qe): theta^-T (w l_j)
+    tangential_projection: np.ndarray  # (k, Qe): w l_j
 
 
 def build_facet_basis(k: int) -> FacetBasis:
@@ -109,7 +122,7 @@ def build_facet_basis(k: int) -> FacetBasis:
     for j in range(k + 1):
         c = np.sqrt(2 * j + 1) * poly.shifted_legendre(j)
         modes[j, : c.size] = c
-    modes_vals = np.array([poly.eval_1d(modes[j], s) for j in range(k + 1)])
+    modes_vals = poly.eval_1d(modes.T, s)
 
     # normal-trace profiles: theta_0 = 1 (lowest-order flux), theta_i = g_i'
     # with g_i = s(1-s) P_{i-1}(2s-1)
@@ -124,12 +137,12 @@ def build_facet_basis(k: int) -> FacetBasis:
     return FacetBasis(
         k=k,
         rule=rule,
-        lhat=modes[:k, :k].copy(),
-        lhat_vals=modes_vals[:k],
-        modes_full=modes,
         modes_vals=modes_vals,
+        lhat_vals=modes_vals[:k],
         theta=theta,
         theta_vals=theta_vals,
+        normal_projection=np.linalg.solve(theta.T, modes_vals * w),
+        tangential_projection=modes_vals[:k] * w,
     )
 
 
@@ -168,7 +181,6 @@ class ReferenceBasis:
     mass_moments: np.ndarray  # (2, 2, n_u, n_u): sum_q w v_{i,a} v_{j,b}
     grad_moments: np.ndarray  # (4, 4, n_u, n_u): sum_q w g_{i,beta} g_{j,gamma}
     edge_moments: dict  # (l, flip) -> EdgeMoments
-    _extra_volume: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_u(self) -> int:
@@ -210,29 +222,30 @@ class ReferenceBasis:
                 self.vol_divs,
                 self.vol_qvals,
             )
-        if degree not in self._extra_volume:
-            rule = triangle_rule(degree)
-            self._extra_volume[degree] = (rule,) + _volume_tables(
-                self.coeffs, self.div_coeffs, self.qmodes, rule
-            )
-        return self._extra_volume[degree]
+        rule = triangle_rule(degree)
+        tables = _evaluate(self.coeffs, self.div_coeffs, self.qmodes, rule.points)
+        return (rule,) + tables
 
 
-def _volume_tables(coeffs, div_coeffs, qmodes, rule: Rule):
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    vals = np.transpose(poly.eval_at(coeffs, x, y), (0, 2, 1))  # (n_u, Q, 2)
-    n_u = coeffs.shape[0]
-    dmax = coeffs.shape[-1] - 1
-    grads = np.zeros((n_u, rule.points.shape[0], 2, 2))
-    for i in range(n_u):
-        for a in range(2):
-            gx = poly.pad(poly.diff_x(coeffs[i, a]), max(dmax - 1, 0))
-            gy = poly.pad(poly.diff_y(coeffs[i, a]), max(dmax - 1, 0))
-            grads[i, :, a, 0] = poly.eval_at(gx, x, y)
-            grads[i, :, a, 1] = poly.eval_at(gy, x, y)
-    divs = poly.eval_at(div_coeffs, x, y)
-    qvals = poly.eval_at(qmodes, x, y)
-    return vals, grads, divs, qvals
+def _evaluate(coeffs, div_coeffs, qmodes, points: np.ndarray):
+    """Values (n_u, Q, 2), gradients (n_u, Q, 2, 2) (component, direction),
+    divergences (n_u, Q) and pressure-mode values (R, Q) of the basis at
+    reference points (Q, 2); the derivatives of the whole stack are taken at
+    once."""
+    x, y = points[:, 0], points[:, 1]
+    vals = poly.eval_at(coeffs, x, y).transpose(0, 2, 1)
+    dcoeffs = np.stack([poly.diff_x(coeffs), poly.diff_y(coeffs)], axis=2)
+    grads = poly.eval_at(dcoeffs, x, y).transpose(0, 3, 1, 2)
+    return vals, grads, poly.eval_at(div_coeffs, x, y), poly.eval_at(qmodes, x, y)
+
+
+def _edge_points(s: np.ndarray) -> np.ndarray:
+    """Reference points (3, 2, Qe, 2) of the edge rule on local edge l in
+    orientation flip: the global parameter s runs from the edge's first
+    vertex to its second, or back when flipped."""
+    u = np.stack([s, 1.0 - s])[None, :, :, None]
+    p, q = REF_VERTS[EDGE_VERTS[:, 0]], REF_VERTS[EDGE_VERTS[:, 1]]
+    return p[:, None, None, :] * (1.0 - u) + q[:, None, None, :] * u
 
 
 def _nullspace_interior(k: int, facet: FacetBasis) -> np.ndarray:
@@ -248,14 +261,9 @@ def _nullspace_interior(k: int, facet: FacetBasis) -> np.ndarray:
             cols.append(c)
     stack = np.array(cols)  # (2t, 2, k+1, k+1)
 
-    s = facet.rule.points[:, 0]
     w = facet.rule.weights
     rows = []
-    for l in range(3):
-        p, q = EDGE_VERTS[l]
-        pts = REF_VERTS[p][None, :] * (1.0 - s[:, None]) + REF_VERTS[q][None, :] * s[
-            :, None
-        ]
+    for l, pts in enumerate(_edge_points(facet.rule.points[:, 0])[:, 0]):
         vals = poly.eval_at(stack, pts[:, 0], pts[:, 1])  # (2t, 2, Qe)
         ntr = np.einsum("cdq,d->cq", vals, REF_NORMALS[l])
         rows.append(np.einsum("cq,jq,q->jc", ntr, facet.modes_vals, w))
@@ -331,46 +339,24 @@ def build_reference_bdm(k: int) -> ReferenceBasis:
                 div_rows[1:], np.eye(n_int_d) - div_rows[1:] @ sol, rcond=None
             )
             sol = sol + corr
-        psi = np.einsum("nj,ndab->jdab", sol, zcols)
-        for j in range(n_int_d):
-            funcs.append(psi[j])
+        funcs.extend(np.einsum("nj,ndab->jdab", sol, zcols))
 
     coeffs = np.array(funcs)
     n_u = coeffs.shape[0]
     assert n_u == (k + 1) * (k + 2), n_u
-
-    div_coeffs = np.zeros((n_u, k, k))
-    for i in range(n_u):
-        d = poly.divergence(coeffs[i])
-        div_coeffs[i] = poly.pad(d, k - 1)
+    div_coeffs = poly.diff_x(coeffs[:, 0]) + poly.diff_y(coeffs[:, 1])
 
     vol_rule = triangle_rule(2 * k + 2)
-    vol_vals, vol_grads, vol_divs, vol_qvals = _volume_tables(
-        coeffs, div_coeffs, qmodes, vol_rule
+    vol_vals, vol_grads, vol_divs, vol_qvals = _evaluate(
+        coeffs, div_coeffs, qmodes, vol_rule.points
     )
 
-    s = facet.rule.points[:, 0]
-    edge_vals, edge_grads = {}, {}
-    for l in range(3):
-        p, q = EDGE_VERTS[l]
-        for flip in (0, 1):
-            u = 1.0 - s if flip else s
-            pts = REF_VERTS[p][None, :] * (1.0 - u[:, None]) + REF_VERTS[q][
-                None, :
-            ] * u[:, None]
-            x, y = pts[:, 0], pts[:, 1]
-            vals = np.transpose(poly.eval_at(coeffs, x, y), (0, 2, 1))
-            grads = np.zeros((n_u, s.size, 2, 2))
-            for i in range(n_u):
-                for a in range(2):
-                    grads[i, :, a, 0] = poly.eval_at(
-                        poly.pad(poly.diff_x(coeffs[i, a]), k), x, y
-                    )
-                    grads[i, :, a, 1] = poly.eval_at(
-                        poly.pad(poly.diff_y(coeffs[i, a]), k), x, y
-                    )
-            edge_vals[(l, flip)] = vals
-            edge_grads[(l, flip)] = grads
+    # the six (local edge, orientation) rules in one evaluation
+    pts = _edge_points(facet.rule.points[:, 0])
+    vals, grads, _, _ = _evaluate(coeffs, div_coeffs, qmodes, pts.reshape(-1, 2))
+    keys = [(l, flip) for l in range(3) for flip in (0, 1)]
+    edge_vals = dict(zip(keys, np.split(vals, len(keys), axis=1)))
+    edge_grads = dict(zip(keys, np.split(grads, len(keys), axis=1)))
 
     w = vol_rule.weights
     g = vol_grads.reshape(n_u, -1, 4)

@@ -72,11 +72,6 @@ class DofMap:
     n_loc: int
     n_loc_facet: int  # 3(k+1)
     n_loc_int: int  # k^2-1
-    n_loc_hat: int  # 3k
-
-    @property
-    def facet_slots(self) -> slice:
-        return slice(0, self.n_loc_facet)
 
     @property
     def interior_slots(self) -> slice:
@@ -124,7 +119,6 @@ def build_spaces(mesh: Mesh, k: int) -> Spaces:
         n_loc=n_loc,
         n_loc_facet=ref.n_facet,
         n_loc_int=n_int,
-        n_loc_hat=3 * k,
     )
     return Spaces(mesh=mesh, k=k, ref=ref, split=split, dofmap=dofmap)
 
@@ -172,46 +166,41 @@ def _boundary_velocity(problem: str):
 def interpolate_essential(mesh: Mesh, spaces: Spaces, problem: str) -> EssentialData:
     """Project boundary velocity data onto the trace unknowns of tagged edges.
 
-    Normal part: the k+1 facet-normal coefficients solve the moment system
-    matching <v . n, l_j> on the edge for the full degree-k Legendre stack
-    (exact whenever the data's normal trace has degree <= k). Tangential part:
-    Legendre coefficients of v . t. Outlet edges stay free.
+    The data of each tag is sampled once at the edge rule of all its edges;
+    the two edge-trace projections of ``FacetBasis`` then act on every edge
+    at once. Normal part: the k+1 facet-normal coefficients match <v . n, l_j>
+    on the edge for the full degree-k Legendre stack (exact whenever the
+    data's normal trace has degree <= k). Tangential part: Legendre
+    coefficients of v . t. Outlet edges stay free.
     """
     k = spaces.k
-    ref = spaces.ref
-    fb = ref.facet
+    fb = spaces.ref.facet
     data = _boundary_velocity(problem)
-    s = fb.rule.points[:, 0]
-    w = fb.rule.weights
+    s = fb.rule.points[:, 0][None, :, None]
 
-    ids, vals = [], []
-    for e in mesh.boundary_edges():
-        tag = int(mesh.edge_tags[e])
-        if tag == TAG_OUTLET:
-            continue
-        g = data[tag]
-        a, b = mesh.edges[e]
-        pts = mesh.vertices[a][None, :] * (1.0 - s[:, None]) + mesh.vertices[b][
-            None, :
-        ] * s[:, None]
-        gv = g(pts)
-        t = mesh.tangents[e]
-        n = np.array([t[1], -t[0]])  # vertex-ordered normal (rot -90 of tangent)
-        le = mesh.edge_lengths[e]
-        m = le * np.einsum("q,jq,q->j", gv @ n, fb.modes_vals, w)
-        c = fb.normal_coeffs_from_moments(m)
-        d = np.einsum("q,jq,q->j", gv @ t, fb.lhat_vals, w)
-        for mm in range(k + 1):
-            ids.append(e * (k + 1) + mm)
-            vals.append(c[mm])
-        for j in range(k):
-            ids.append(spaces.split.n_bnd + e * k + j)
-            vals.append(d[j])
+    bnd = mesh.boundary_edges()
+    edges = bnd[mesh.edge_tags[bnd] != TAG_OUTLET]
+    a, b = mesh.vertices[mesh.edges[edges].T]
+    pts = a[:, None, :] * (1.0 - s) + b[:, None, :] * s  # (E, Qe, 2)
+    gv = np.empty_like(pts)
+    tags = mesh.edge_tags[edges]
+    for tag in np.unique(tags):
+        sel = tags == tag
+        gv[sel] = data[int(tag)](pts[sel].reshape(-1, 2)).reshape(-1, s.size, 2)
+    t = mesh.tangents[edges]
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1)  # vertex-ordered (rot -90 of tangent)
+    le = mesh.edge_lengths[edges][:, None]
+    normal = le * (np.einsum("eqc,ec->eq", gv, n) @ fb.normal_projection.T)
+    tangential = np.einsum("eqc,ec->eq", gv, t) @ fb.tangential_projection.T
 
-    ids = np.array(ids, np.int64)
-    order = np.argsort(ids)
-    ids = ids[order]
-    vals = np.array(vals)[order]
+    # normal ids all precede the tangential ones, and both rise with the edge
+    ids = np.concatenate(
+        [
+            (edges[:, None] * (k + 1) + np.arange(k + 1)).ravel(),
+            (spaces.split.n_bnd + edges[:, None] * k + np.arange(k)).ravel(),
+        ]
+    )
+    values = np.concatenate([normal.ravel(), tangential.ravel()])
     free = np.ones(spaces.split.n_vel, bool)
     free[ids] = False
-    return EssentialData(ids=ids, values=vals, free_mask=free)
+    return EssentialData(ids=ids, values=values, free_mask=free)

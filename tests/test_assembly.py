@@ -8,7 +8,6 @@ from divhdg.assembly import (
     assemble_aux,
     assemble_local_stacks,
     assemble_saddle,
-    facet_projection,
     scatter_stack,
     sym_gradients,
 )
@@ -32,6 +31,12 @@ class TestParams:
             ProblemParams(inv_lambda=-0.5)
         with pytest.raises(ValueError):
             ProblemParams(alpha=0.0)
+
+    @pytest.mark.parametrize("name", ["mu", "tau", "inv_lambda", "alpha"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ProblemParams(**{name: value})
 
 
 class TestSaddleStructure:
@@ -85,6 +90,12 @@ class TestSaddleStructure:
         ess = interpolate_essential(mesh, spaces, "cavity")
         with pytest.raises(NotSPD):
             assemble_saddle(mesh, spaces, ProblemParams(alpha=0.01), ess)
+
+
+def facet_projection(facet) -> np.ndarray:
+    """The facet-space L2 projection on point values at the facet rule:
+    tangential coefficients, then their values at the rule."""
+    return facet.lhat_vals.T @ facet.tangential_projection
 
 
 class TestFacetProjection:

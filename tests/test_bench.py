@@ -332,6 +332,13 @@ class TestCliUsageErrors:
             (["--k", "5", "--inv-h", "2"], "polynomial degree must be in 1..4, got 5"),
             (["--maxit", "-1"], "maxit must be >= 0, got -1"),
             (["--tol", "-1"], "tol must be positive, got -1"),
+            (["--mu", "nan"], "mu must be finite, got nan"),
+            (["--mu", "inf"], "mu must be finite, got inf"),
+            (["--tau", "nan"], "tau must be finite, got nan"),
+            (["--tau", "inf"], "tau must be finite, got inf"),
+            (["--alpha", "nan"], "alpha must be finite, got nan"),
+            (["--inv-lambda", "nan"], "inv_lambda must be finite, got nan"),
+            (["--lambda", "nan"], "--lambda must be positive"),
         ],
     )
     def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):

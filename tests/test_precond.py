@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from divhdg.assembly import ProblemParams
+from divhdg.assembly import ProblemParams, assemble_aux
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import dense_eig_sym, factor_spd
 from divhdg.mesh import build_mesh, step_domain, unit_square
@@ -220,6 +220,82 @@ class TestTransfer:
         r = np.random.default_rng(6).standard_normal(cond.n_free)
         z = asp.transfer @ asp.aux_factor.solve(asp.transfer.T @ r)
         assert np.array_equal(asp.coarse(r), z)
+
+
+def _former_transfer(mesh, spaces, cond):
+    # the former closed-form transfer and boundary-edge loop of the
+    # auxiliary space, kept verbatim as reference
+    k = spaces.k
+    split = spaces.split
+    ess = cond.block.essential
+    fb = spaces.ref.facet
+
+    ess_verts = np.zeros(mesh.num_vertices, bool)
+    for e in mesh.boundary_edges():
+        if ess.free_mask[e * (spaces.k + 1)]:
+            continue  # outlet edge: vertices stay free unless shared with walls
+        ess_verts[mesh.edges[e]] = True
+    free_v = np.flatnonzero(~ess_verts)
+    vpos = np.full(mesh.num_vertices, -1, np.int64)
+    vpos[free_v] = np.arange(free_v.size)
+
+    # reference moments of the two linear endpoint profiles against the modes
+    s = fb.rule.points[:, 0]
+    w = fb.rule.weights
+    prof = np.stack([1.0 - s, s])  # (2, Qe): endpoint a, endpoint b
+    mom_full = np.einsum("pq,jq,q->pj", prof, fb.modes_vals, w)  # (2, k+1)
+    mom_hat = np.einsum("pq,jq,q->pj", prof, fb.lhat_vals, w)  # (2, k)
+    # normal coefficient profiles: solve the trace moment system once
+    cprof = np.linalg.solve(fb.theta.T, mom_full.T).T  # (2, k+1)
+
+    cond_pos = np.full(split.n_cond, -1, np.int64)
+    cond_pos[cond.free_cond] = np.arange(cond.free_cond.size)
+
+    # free edges and their 2k+1 condensed unknowns: normal modes, then tangential
+    fe = np.flatnonzero(ess.free_mask[np.arange(mesh.num_edges) * (k + 1)])
+    normal = fe[:, None] * (k + 1) + np.arange(k + 1)
+    tangential = split.n_bnd + fe[:, None] * k + np.arange(k)
+    edofs = cond_pos[np.concatenate([normal, tangential], axis=1)]  # (E, 2k+1)
+
+    # transfer entries over (free edge, endpoint, component, mode)
+    t = mesh.tangents[fe]
+    nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    le = mesh.edge_lengths[fe]
+    vals = np.concatenate(
+        [
+            le[:, None, None, None] * nrm[:, None, :, None] * cprof[None, :, None, :],
+            t[:, None, :, None] * mom_hat[None, :, None, :],
+        ],
+        axis=3,
+    )
+    vp = vpos[mesh.edges[fe]]  # (E, 2)
+    keep = np.broadcast_to((vp >= 0)[:, :, None, None], vals.shape)
+    rows = np.broadcast_to(edofs[:, None, None, :], vals.shape)
+    cols = np.broadcast_to(
+        2 * vp[:, :, None, None] + np.arange(2)[:, None], vals.shape
+    )
+    transfer = sp.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(cond.free_cond.size, 2 * free_v.size),
+    ).tocsr()
+    transfer.sum_duplicates()
+    transfer.sort_indices()
+    return free_v, transfer
+
+
+class TestTransferEqualsFormerClosedForm:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("problem,n", [("cavity", 4), ("step", 4)])
+    def test_same_pattern_and_entries(self, problem, n, k):
+        mesh, spaces, ess, _, cond = pipeline(problem, n, k, tau=1.0)
+        free_v, want = _former_transfer(mesh, spaces, cond)
+        _, got_free_v = assemble_aux(mesh, spaces, cond.block.params, ess)
+        assert np.array_equal(got_free_v, free_v)
+        got = build_asp(cond, smoother="jacobi").transfer
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
 
 class TestSmoother:

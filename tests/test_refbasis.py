@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from divhdg import poly
 from divhdg.refbasis import (
+    EDGE_VERTS,
     REF_NORMALS,
+    REF_VERTS,
     build_facet_basis,
     build_reference_bdm,
     map_piola,
@@ -139,13 +142,39 @@ class TestFacetBasis:
 
     @pytest.mark.parametrize("k", KS)
     def test_moment_solve_roundtrip(self, k):
+        # the normal projection inverts the normal traces of the facet basis
         f = build_facet_basis(k)
         rng = np.random.default_rng(k)
         c = rng.standard_normal(k + 1)
-        vals = c @ f.theta_vals
-        mom = np.einsum("q,jq,q->j", vals, f.modes_vals, f.rule.weights)
-        back = f.normal_coeffs_from_moments(mom)
+        back = f.normal_projection @ (c @ f.theta_vals)
         assert np.allclose(back, c, atol=1e-11)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_normal_projection_reproduces_degree_k(self, k):
+        # every normal trace of degree <= k is rebuilt exactly from its
+        # facet-normal coefficients; its Legendre moments are kept
+        f = build_facet_basis(k)
+        s, w = f.rule.points[:, 0], f.rule.weights
+        rng = np.random.default_rng(20 + k)
+        for deg in range(k + 1):
+            vals = poly.eval_1d(rng.standard_normal(deg + 1), s)
+            c = f.normal_projection @ vals
+            assert np.abs(c @ f.theta_vals - vals).max() <= 1e-12
+            mom = f.theta.T @ c
+            want = np.einsum("q,jq,q->j", vals, f.modes_vals, w)
+            assert np.abs(mom - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", KS)
+    def test_tangential_projection_reproduces_degree_k_minus_1(self, k):
+        f = build_facet_basis(k)
+        s = f.rule.points[:, 0]
+        rng = np.random.default_rng(30 + k)
+        for deg in range(k):
+            vals = poly.eval_1d(rng.standard_normal(deg + 1), s)
+            d = f.tangential_projection @ vals
+            assert np.abs(d @ f.lhat_vals - vals).max() <= 1e-12
+        # the degree-k mode is orthogonal to the tangential space
+        assert np.abs(f.tangential_projection @ f.modes_vals[k]).max() <= 1e-13
 
 
 class TestPressureModes:
@@ -153,8 +182,6 @@ class TestPressureModes:
     def test_orthonormal_first_constant(self, k):
         rule = triangle_rule(2 * k + 2)
         q = orthonormal_pressure_modes(k)
-        from divhdg import poly
-
         vals = poly.eval_at(q, rule.points[:, 0], rule.points[:, 1])
         gram = np.einsum("iq,jq,q->ij", vals, vals, rule.weights)
         n = k * (k + 1) // 2
@@ -211,3 +238,82 @@ class TestPiolaMap:
         got = np.einsum("iqa,a->iq", mapped, n_dir) * det
         want = np.einsum("iqa,a->iq", ref.vol_vals, n_ref)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def _former_volume_tables(coeffs, div_coeffs, qmodes, rule):
+    # the former per-function evaluation, kept verbatim as reference
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    vals = np.transpose(poly.eval_at(coeffs, x, y), (0, 2, 1))  # (n_u, Q, 2)
+    n_u = coeffs.shape[0]
+    dmax = coeffs.shape[-1] - 1
+    grads = np.zeros((n_u, rule.points.shape[0], 2, 2))
+    for i in range(n_u):
+        for a in range(2):
+            gx = poly.pad(poly.diff_x(coeffs[i, a]), max(dmax - 1, 0))
+            gy = poly.pad(poly.diff_y(coeffs[i, a]), max(dmax - 1, 0))
+            grads[i, :, a, 0] = poly.eval_at(gx, x, y)
+            grads[i, :, a, 1] = poly.eval_at(gy, x, y)
+    divs = poly.eval_at(div_coeffs, x, y)
+    qvals = poly.eval_at(qmodes, x, y)
+    return vals, grads, divs, qvals
+
+
+def _former_edge_tables(k, coeffs, s):
+    # the former per-(edge, flip), per-function loop, kept verbatim as reference
+    n_u = coeffs.shape[0]
+    edge_vals, edge_grads = {}, {}
+    for l in range(3):
+        p, q = EDGE_VERTS[l]
+        for flip in (0, 1):
+            u = 1.0 - s if flip else s
+            pts = REF_VERTS[p][None, :] * (1.0 - u[:, None]) + REF_VERTS[q][
+                None, :
+            ] * u[:, None]
+            x, y = pts[:, 0], pts[:, 1]
+            vals = np.transpose(poly.eval_at(coeffs, x, y), (0, 2, 1))
+            grads = np.zeros((n_u, s.size, 2, 2))
+            for i in range(n_u):
+                for a in range(2):
+                    grads[i, :, a, 0] = poly.eval_at(
+                        poly.pad(poly.diff_x(coeffs[i, a]), k), x, y
+                    )
+                    grads[i, :, a, 1] = poly.eval_at(
+                        poly.pad(poly.diff_y(coeffs[i, a]), k), x, y
+                    )
+            edge_vals[(l, flip)] = vals
+            edge_grads[(l, flip)] = grads
+    return edge_vals, edge_grads
+
+
+class TestEvaluator:
+    """The one basis evaluator reproduces the former per-function loops bit
+    for bit on every table it serves."""
+
+    def test_divergence_coefficients(self, ref):
+        want = np.array(
+            [poly.pad(poly.divergence(c), ref.k - 1) for c in ref.coeffs]
+        )
+        assert np.array_equal(ref.div_coeffs, want)
+
+    def test_volume_tables(self, ref):
+        want = _former_volume_tables(
+            ref.coeffs, ref.div_coeffs, ref.qmodes, ref.vol_rule
+        )
+        got = (ref.vol_vals, ref.vol_grads, ref.vol_divs, ref.vol_qvals)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_high_degree_volume_tables(self, ref):
+        rule, *got = ref.volume_tables(14)
+        assert rule.degree >= 14
+        want = _former_volume_tables(ref.coeffs, ref.div_coeffs, ref.qmodes, rule)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_edge_tables(self, ref):
+        s = ref.facet.rule.points[:, 0]
+        vals, grads = _former_edge_tables(ref.k, ref.coeffs, s)
+        assert ref.edge_vals.keys() == vals.keys()
+        for key in vals:
+            assert np.array_equal(ref.edge_vals[key], vals[key])
+            assert np.array_equal(ref.edge_grads[key], grads[key])

@@ -199,3 +199,61 @@ class TestEssentialStep:
             for e in np.flatnonzero(m.edge_tags == TAG_INLET)
         )
         assert inflow > 1e-3
+
+
+def _former_interpolate_essential(mesh, spaces, problem):
+    # the former per-edge loop, kept verbatim as reference (the moment solve
+    # inlined from the removed FacetBasis.normal_coeffs_from_moments)
+    from divhdg.spaces import _boundary_velocity
+
+    k = spaces.k
+    ref = spaces.ref
+    fb = ref.facet
+    data = _boundary_velocity(problem)
+    s = fb.rule.points[:, 0]
+    w = fb.rule.weights
+
+    ids, vals = [], []
+    for e in mesh.boundary_edges():
+        tag = int(mesh.edge_tags[e])
+        if tag == TAG_OUTLET:
+            continue
+        g = data[tag]
+        a, b = mesh.edges[e]
+        pts = mesh.vertices[a][None, :] * (1.0 - s[:, None]) + mesh.vertices[b][
+            None, :
+        ] * s[:, None]
+        gv = g(pts)
+        t = mesh.tangents[e]
+        n = np.array([t[1], -t[0]])  # vertex-ordered normal (rot -90 of tangent)
+        le = mesh.edge_lengths[e]
+        m = le * np.einsum("q,jq,q->j", gv @ n, fb.modes_vals, w)
+        c = np.linalg.solve(fb.theta.T, m)
+        d = np.einsum("q,jq,q->j", gv @ t, fb.lhat_vals, w)
+        for mm in range(k + 1):
+            ids.append(e * (k + 1) + mm)
+            vals.append(c[mm])
+        for j in range(k):
+            ids.append(spaces.split.n_bnd + e * k + j)
+            vals.append(d[j])
+
+    ids = np.array(ids, np.int64)
+    order = np.argsort(ids)
+    ids = ids[order]
+    vals = np.array(vals)[order]
+    free = np.ones(spaces.split.n_vel, bool)
+    free[ids] = False
+    return ids, vals, free
+
+
+class TestEssentialEqualsFormerEdgeLoop:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("problem", ["cavity", "step"])
+    def test_same_ids_mask_and_values(self, problem, k):
+        mesh = step_domain(4) if problem == "step" else unit_square(4)
+        sp = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, sp, problem)
+        ids, vals, free = _former_interpolate_essential(mesh, sp, problem)
+        assert np.array_equal(ess.ids, ids)
+        assert np.array_equal(ess.free_mask, free)
+        assert np.abs(ess.values - vals).max() <= 1e-15 * np.abs(vals).max()
