@@ -35,7 +35,6 @@ from .linalg import (
     NotSPD,
     SparseSym,
     SpdFactor,
-    dense_eig_sym,
     factor_spd,
     gen_condition,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "build_reference_bdm",
     "build_schur",
     "build_spaces",
-    "dense_eig_sym",
     "eliminate_local",
     "emit",
     "factor_spd",

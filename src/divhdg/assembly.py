@@ -17,10 +17,11 @@ carriers (-identity). The assembled element blocks split into
     A_loc = tau * MASS + 2 mu * (VISC + alpha k^2 * PEN)
 
 with parameter-independent stacks, so parameter sweeps reuse one assembly
-pass. Essential trace data is eliminated by slicing; the eliminated columns
-move to the right-hand side. The solver path keeps the system as element
-stacks, which static condensation reads directly; the unreduced velocity
-matrix and the reduced velocity block are scattered only on first access,
+pass. Essential trace data is eliminated by position: ``scatter_stack``
+drops the rows and columns at -1 in ``EssentialData.pos``, and
+``lift_essential`` moves the eliminated columns to the right-hand side. The
+solver path keeps the system as element stacks, which static condensation
+reads directly; the reduced velocity block is scattered only on first access,
 for verification.
 
 The element kernel is the tensor representation of Kirby and Logg (A compiler
@@ -40,8 +41,8 @@ by the reference tensors (C, n_loc, n_loc) as one GEMM per stack, and the
 verification norm stacks are built from the same pieces. Quadrature on
 physical elements remains only where the integrand is not a basis
 polynomial: ``refbasis.map_piola`` for the body force and ``sym_gradients``
-for error norms. ``scatter_stack`` sums element matrices into a global CSR
-matrix.
+for error norms. ``scatter_stack`` is the one element-to-global assembly,
+also of the auxiliary-space transfer and the pressure graph Laplacian.
 """
 
 import math
@@ -206,13 +207,35 @@ def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
             yield (l, f), hat, c1 * mask, c2 * mask
 
 
-def scatter_stack(stack: np.ndarray, slots: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum the element matrices ``stack[e]`` into an (n, n) matrix at the rows
-    and columns ``slots[e]``; summed and sorted CSR (``tocsr`` returns the
-    canonical format)."""
-    r = np.broadcast_to(slots[:, :, None], stack.shape)
-    c = np.broadcast_to(slots[:, None, :], stack.shape)
-    return sp.coo_matrix((stack.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
+def scatter_stack(
+    stack: np.ndarray, rows: np.ndarray, n: int, cols: np.ndarray = None, m: int = None
+) -> sp.csr_matrix:
+    """Sum the element matrices ``stack[e]`` (E, r, c) into an (n, m) matrix
+    at the rows ``rows[e]`` and the columns ``cols[e]`` (default: the rows,
+    and m = n). A slot of -1 drops its row or column; that is how eliminated
+    unknowns leave a matrix. The kept entries stay in element-major order, and
+    ``tocsr`` sums the duplicates into the canonical format."""
+    if cols is None:
+        cols = rows
+    r = np.broadcast_to(rows[:, :, None], stack.shape)
+    c = np.broadcast_to(cols[:, None, :], stack.shape)
+    keep = (r >= 0) & (c >= 0)
+    shape = (n, n if m is None else m)
+    return sp.coo_matrix((stack[keep], (r[keep], c[keep])), shape=shape).tocsr()
+
+
+def lift_essential(stack, fstack, slots, ess: EssentialData, n: int) -> np.ndarray:
+    """f_free - A[free, essential] g: the right side over the n free unknowns
+    among the global velocity ids ``slots`` of element matrices ``stack`` and
+    element right sides ``fstack``. The lift is a rectangular scatter of only
+    the elements that touch an essential unknown."""
+    pos = ess.pos[slots]
+    kept = pos >= 0
+    f = np.bincount(pos[kept], weights=fstack[kept], minlength=n)
+    touch = ~kept.all(axis=1)
+    ess_cols = np.where(kept[touch], -1, slots[touch])
+    lift = scatter_stack(stack[touch], pos[touch], n, ess_cols, ess.free_mask.size)
+    return f - lift @ ess.full_vector()
 
 
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
@@ -275,8 +298,8 @@ class BlockSystem:
     B, C, F_p are the reduced pressure blocks and right side; b_full is the
     unreduced divergence block and aloc, floc are the signed element stacks,
     which is all static condensation reads. The reduced velocity block A (over
-    free velocity unknowns), its right side F_u and the unreduced velocity
-    matrix a_full are built from the element stacks on first access, for
+    free velocity unknowns, at their ``essential.pos`` positions) and its right
+    side F_u are scattered from the element stacks on first access, for
     verification: the condensed solve never forms them.
     """
 
@@ -291,21 +314,14 @@ class BlockSystem:
     essential: EssentialData = field(repr=False)
 
     @cached_property
-    def a_full(self) -> sp.csr_matrix:
-        return scatter_stack(self.aloc, self.spaces.dofmap.vel_loc, self.spaces.split.n_vel)
-
-    @cached_property
     def A(self) -> SparseSym:
-        free = self.essential.free_ids
-        return SparseSym(self.a_full[free][:, free])
+        slots = self.essential.pos[self.spaces.dofmap.vel_loc]
+        return SparseSym(scatter_stack(self.aloc, slots, self.n_free))
 
     @cached_property
     def F_u(self) -> np.ndarray:
-        n_vel = self.spaces.split.n_vel
-        f_full = np.zeros(n_vel)
-        np.add.at(f_full, self.spaces.dofmap.vel_loc.ravel(), self.floc.ravel())
-        free = self.essential.free_ids
-        return f_full[free] - self.a_full[free] @ self.essential.full_vector(n_vel)
+        vel_loc = self.spaces.dofmap.vel_loc
+        return lift_essential(self.aloc, self.floc, vel_loc, self.essential, self.n_free)
 
     @property
     def mesh(self) -> Mesh:
@@ -378,11 +394,10 @@ def assemble_saddle(
         floc *= dm.signs
 
     b_full = assemble_pressure_ops(mesh, spaces)
-    g = essential.full_vector(spaces.split.n_vel)
     return BlockSystem(
         B=b_full[:, essential.free_ids],
         C=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, params)).tocsr()),
-        F_p=-(b_full @ g),
+        F_p=-(b_full @ essential.full_vector()),
         b_full=b_full,
         aloc=aloc,
         floc=floc,
@@ -397,9 +412,10 @@ def assemble_aux(
 ):
     """Continuous piecewise-linear vector auxiliary operator on free vertices.
 
-    Returns (matrix, free_vertices): kron of the scalar stiffness/mass
-    combination 2 mu * stiffness + tau * consistent mass with the 2x2
-    identity, restricted to vertices not on the essentially imposed boundary.
+    Returns (matrix, vpos): kron of the scalar stiffness/mass combination
+    2 mu * stiffness + tau * consistent mass with the 2x2 identity, over the
+    vertices not on the essentially imposed boundary; vpos gives each vertex
+    its position among those, -1 for a vertex of an essential edge.
     """
     nv = mesh.num_vertices
     det = mesh.det_j
@@ -417,9 +433,10 @@ def assemble_aux(
     # an edge is essential when its first normal unknown is; outlet vertices
     # stay free unless shared with an essential edge
     free_edge = essential.free_mask[: spaces.split.n_bnd : spaces.k + 1]
-    ess_verts = np.zeros(nv, bool)
-    ess_verts[mesh.edges[~free_edge]] = True
-    free_v = np.flatnonzero(~ess_verts)
+    vpos = np.zeros(nv, np.int32)
+    vpos[mesh.edges[~free_edge]] = -1
+    free = vpos == 0
+    vpos[free] = np.arange(np.count_nonzero(free), dtype=np.int32)
 
-    scal = scatter_stack(loc, mesh.triangles, nv)[free_v][:, free_v]
-    return SparseSym(sp.kron(scal, sp.eye(2), format="csr")), free_v
+    scal = scatter_stack(loc, vpos[mesh.triangles], np.count_nonzero(free))
+    return SparseSym(sp.kron(scal, sp.eye(2), format="csr")), vpos

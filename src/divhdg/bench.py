@@ -60,6 +60,8 @@ class ExperimentGrid:
             raise ValueError(f"maxit must be >= 0, got {self.maxit}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not self.tol < 1.0:  # MINRES meets tol >= 1 at its first iteration
+            raise ValueError(f"tol must be finite and below 1, got {self.tol}")
         for k in self.ks:
             if k not in MAX_INV_H:
                 raise ValueError(f"polynomial degree must be in 1..4, got {k}")

@@ -9,6 +9,7 @@ Examples::
 """
 
 import argparse
+import contextlib
 import sys
 
 from .bench import ExperimentGrid, emit, run_grid
@@ -121,12 +122,12 @@ def main(argv=None) -> int:
         )
     except ValueError as exc:  # invalid values, CapExceeded included
         parser.error(str(exc))
-    text = emit(run_grid(grid), args.format)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    try:  # before the sweep, so an unwritable path costs no run
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot open --out: {exc}")
+    with out as f:
+        f.write(emit(run_grid(grid), args.format))
     return 0
 
 

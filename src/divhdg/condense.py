@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem, scatter_stack
+from .assembly import BlockSystem, lift_essential, scatter_stack
 from .linalg import SparseSym
 from .spaces import Spaces
 
@@ -96,25 +96,18 @@ def eliminate_local(block: BlockSystem) -> CondensedSystem:
     a_cond = a_gg - k_gl @ back_x
     f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ back_y[:, :, None])[:, :, 0]
 
+    # the free condensed unknowns hold the first n_g free positions
     g_slots = dm.vel_loc[:, g_slot_idx]
-    n_cond = split.n_cond
-    # over every condensed unknown, free and essential
-    a_all = scatter_stack(a_cond, g_slots, n_cond)
-    f_all = np.zeros(n_cond)
-    np.add.at(f_all, g_slots.ravel(), f_g_loc.ravel())
-
     ess = block.essential
-    free_cond = np.flatnonzero(ess.free_mask[:n_cond])
-    g = ess.full_vector(split.n_vel)[:n_cond]
-    f_g = f_all[free_cond] - a_all[free_cond] @ g
-    f_pbar = block.F_p[:nt]
+    free_cond = np.flatnonzero(ess.free_mask[: split.n_cond])
+    n_g = free_cond.size
 
     return CondensedSystem(
-        A_g=SparseSym(a_all[free_cond][:, free_cond]),
-        B_g=block.b_full[:nt, :n_cond].tocsr()[:, free_cond],
+        A_g=SparseSym(scatter_stack(a_cond, ess.pos[g_slots], n_g)),
+        B_g=block.B[:nt, :n_g],
         C_g=SparseSym(sp.diags(-inv_l * mesh.areas).tocsr()),
-        F_g=f_g,
-        F_pbar=f_pbar,
+        F_g=lift_essential(a_cond, f_g_loc, g_slots, ess, n_g),
+        F_pbar=block.F_p[:nt],
         free_cond=free_cond,
         back_x=back_x,
         back_y=back_y,
@@ -137,7 +130,7 @@ def back_substitute(
     nt = mesh.num_triangles
     n_int = dm.n_loc_int
 
-    g_full = cond.block.essential.full_vector(split.n_vel)[: split.n_cond]
+    g_full = cond.block.essential.full_vector()[: split.n_cond]
     g_full[cond.free_cond] = trace_sol
     g_loc = g_full[cond.g_slots]
     u_l = cond.back_y - np.einsum("tlg,tg->tl", cond.back_x, g_loc)

@@ -138,8 +138,7 @@ def minres(
             converged = True
             break
         if gamma_new == 0.0:
-            # exhausted with a nonzero projected residual; accept the minimum
-            converged = abs(eta) <= tol * gamma0
+            # exhausted above the tolerance: the minimum is reached, unconverged
             break
 
         v_old, v = v, v_new

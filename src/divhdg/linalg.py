@@ -2,9 +2,9 @@
 
 Provides the small, fixed vocabulary the rest of the library is written
 against: CSR-backed symmetric matrices, a banded Cholesky factorization of SPD
-matrices under a reverse Cuthill-McKee reordering, and dense verification
-helpers (symmetric eigenvalues, generalized condition numbers of
-preconditioned operators).
+matrices under a reverse Cuthill-McKee reordering, and the dense
+verification helper: the generalized condition number of a preconditioned
+operator.
 """
 
 from dataclasses import dataclass, field
@@ -60,12 +60,6 @@ class SparseSym:
         return self.csr.diagonal()
 
 
-def _as_dense(a) -> np.ndarray:
-    if isinstance(a, SparseSym):
-        return a.toarray()
-    return np.asarray(a, float)
-
-
 @dataclass
 class SpdFactor:
     """Banded Cholesky factorization of an SPD matrix under an RCM reordering:
@@ -116,29 +110,18 @@ def factor_spd(a: SparseSym) -> SpdFactor:
     return SpdFactor(perm=perm, n=n, _chol_band=cb, _inv_perm=inv_perm)
 
 
-def _check_cap(n: int):
-    if n > VERIFY_CAP:
-        raise CapExceeded(f"dense verification limited to n <= {VERIFY_CAP}, got {n}")
-
-
-def dense_eig_sym(a) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending."""
-    ad = _as_dense(a)
-    _check_cap(ad.shape[0])
-    ad = 0.5 * (ad + ad.T)
-    return scipy.linalg.eigvalsh(ad)
-
-
-def gen_condition(a, apply_pinv) -> float:
-    """Spectral condition number of P^{-1} A for SPD A and SPD preconditioner P.
+def gen_condition(a: np.ndarray, apply_pinv) -> float:
+    """Spectral condition number of P^{-1} A for dense SPD A and SPD
+    preconditioner P.
 
     Materializes W = P^{-1} column by column, symmetrizes, Cholesky-factors
     W = L L^T, and returns the eigenvalue ratio of L^T A L (similar to W A).
-    Raises NotSPD if W or the preconditioned spectrum is not positive.
+    Raises NotSPD if W or the preconditioned spectrum is not positive, and
+    CapExceeded above ``VERIFY_CAP`` before any work.
     """
-    ad = _as_dense(a)
-    n = ad.shape[0]
-    _check_cap(n)
+    n = a.shape[0]
+    if n > VERIFY_CAP:
+        raise CapExceeded(f"dense verification limited to n <= {VERIFY_CAP}, got {n}")
     w = np.empty((n, n))
     e = np.zeros(n)
     for i in range(n):
@@ -150,7 +133,7 @@ def gen_condition(a, apply_pinv) -> float:
         low = scipy.linalg.cholesky(w, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotSPD(f"preconditioner application is not SPD: {exc}") from None
-    ev = scipy.linalg.eigvalsh(low.T @ (0.5 * (ad + ad.T)) @ low)
+    ev = scipy.linalg.eigvalsh(low.T @ (0.5 * (a + a.T)) @ low)
     if ev[0] <= 0.0:
         raise NotSPD(f"preconditioned operator has nonpositive eigenvalue {ev[0]:.3e}")
     return float(ev[-1] / ev[0])

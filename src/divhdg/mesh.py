@@ -59,8 +59,7 @@ class Mesh:
         if np.any(self.det_j <= 0.0):
             raise ValueError("triangle with nonpositive orientation")
         nv, ne, nt = self.num_vertices, self.num_edges, self.num_triangles
-        counts = np.zeros(ne, np.int64)
-        np.add.at(counts, self.tri_edges.ravel(), 1)
+        counts = np.bincount(self.tri_edges.ravel(), minlength=ne)
         boundary = self.edge_elems[:, 1] < 0
         if not (np.all(counts[boundary] == 1) and np.all(counts[~boundary] == 2)):
             raise ValueError("non-conforming edge incidence")

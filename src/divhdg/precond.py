@@ -22,8 +22,10 @@ Pressure block: the elementwise-constant Schur approximation
 
     S~ = (1/lambda) M + M (tau M + 2 mu N)^{-1} N,
 
-with M = diag(element areas) and N the unit-weight element-adjacency graph
-Laplacian plus a unit diagonal boost per outflow facet. Its exact inverse is
+with M = diag(element areas) and N the element-adjacency graph Laplacian:
+a sum of 2x2 facet blocks [[1, -1], [-1, 1]] over the two elements of each
+interior facet, and over each outflow facet the same block with the missing
+neighbour dropped, which leaves a unit diagonal boost. Its exact inverse is
 applied in closed form (one diagonal scaling plus one SPD solve):
 
     S~^{-1} r = c1 M^{-1} r + c2 (c3 M + N)^{-1} r,
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import ProblemParams, assemble_aux
+from .assembly import ProblemParams, assemble_aux, scatter_stack
 from .condense import CondensedSystem
 from .linalg import SparseSym, SpdFactor, factor_spd
 from .mesh import TAG_OUTLET, Mesh
@@ -84,14 +86,12 @@ class SchurPrecond:
 
 def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
     """Unit-weight graph Laplacian over element adjacency (interior facets)
-    plus a unit diagonal boost per outflow facet."""
-    nt = mesh.num_triangles
-    a, b = mesh.edge_elems[mesh.interior_edges()].T
-    out = mesh.edge_elems[mesh.edge_tags == TAG_OUTLET, 0]  # tags sit on boundary edges only
-    rows = np.concatenate([a, b, a, b, out])
-    cols = np.concatenate([a, b, b, a, out])
-    vals = np.repeat([1.0, -1.0, 1.0], [2 * a.size, 2 * a.size, out.size])
-    return SparseSym(sp.coo_matrix((vals, (rows, cols)), shape=(nt, nt)).tocsr())
+    plus a unit diagonal boost per outflow facet: one 2x2 block per facet at
+    its two elements, the outflow facet's missing neighbour (-1 in
+    ``edge_elems``) dropped by the scatter."""
+    facets = (mesh.edge_elems[:, 1] >= 0) | (mesh.edge_tags == TAG_OUTLET)
+    blocks = np.broadcast_to([[1.0, -1.0], [-1.0, 1.0]], (np.count_nonzero(facets), 2, 2))
+    return SparseSym(scatter_stack(blocks, mesh.edge_elems[facets], mesh.num_triangles))
 
 
 def build_schur(mesh: Mesh, params: ProblemParams, mode: str = "exact") -> SchurPrecond:
@@ -174,7 +174,6 @@ class AspPrecond:
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux_factor: SpdFactor  # None when the auxiliary space is empty
-    a_g: SparseSym
     patch_offsets: np.ndarray = field(repr=False, default=None)
     patch_dofs: np.ndarray = field(repr=False, default=None)
     patch_colour: np.ndarray = field(repr=False, default=None)
@@ -270,10 +269,8 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     params = cond.block.params
     fb = spaces.ref.facet
 
-    a0, free_v = assemble_aux(mesh, spaces, params, ess)
-    aux_factor = factor_spd(a0) if free_v.size else None  # no interior vertex
-    vpos = np.full(mesh.num_vertices, -1, np.int64)
-    vpos[free_v] = np.arange(free_v.size)
+    a0, vpos = assemble_aux(mesh, spaces, params, ess)
+    aux_factor = factor_spd(a0) if a0.n else None  # no interior vertex
 
     # the edge-trace projections of the two endpoint hat profiles, scaled
     # per edge below
@@ -282,16 +279,16 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     hat_n = hats @ fb.normal_projection.T  # (2, k+1)
     hat_t = hats @ fb.tangential_projection.T  # (2, k)
 
-    cond_pos = np.full(split.n_cond, -1, np.int64)
-    cond_pos[cond.free_cond] = np.arange(cond.free_cond.size)
-
-    # free edges and their 2k+1 condensed unknowns: normal modes, then tangential
+    # free edges and the free positions of their 2k+1 condensed unknowns:
+    # normal modes, then tangential
     fe = np.flatnonzero(ess.free_mask[: split.n_bnd : k + 1])
     normal = fe[:, None] * (k + 1) + np.arange(k + 1)
     tangential = split.n_bnd + fe[:, None] * k + np.arange(k)
-    edofs = cond_pos[np.concatenate([normal, tangential], axis=1)]  # (E, 2k+1)
+    # (E, 2k+1), as intp: the smoother indexes vectors with these every apply
+    edofs = ess.pos[np.concatenate([normal, tangential], axis=1)].astype(np.intp)
 
-    # transfer entries over (free edge, endpoint, component, mode)
+    # one (2k+1, 4) block per free edge: its unknowns by the (endpoint,
+    # component) columns of the aux space, -1 at an essential endpoint
     t = mesh.tangents[fe]
     nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
     le = mesh.edge_lengths[fe]
@@ -301,24 +298,22 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
             t[:, None, :, None] * hat_t[None, :, None, :],
         ],
         axis=3,
-    )
+    )  # (E, endpoint, component, mode)
     vp = vpos[mesh.edges[fe]]  # (E, 2)
-    keep = np.broadcast_to((vp >= 0)[:, :, None, None], vals.shape)
-    rows = np.broadcast_to(edofs[:, None, None, :], vals.shape)
-    cols = np.broadcast_to(
-        2 * vp[:, :, None, None] + np.arange(2)[:, None], vals.shape
+    cols = np.where(vp[:, :, None] >= 0, 2 * vp[:, :, None] + np.arange(2), -1)
+    transfer = scatter_stack(
+        vals.reshape(fe.size, 4, -1).transpose(0, 2, 1),
+        edofs,
+        cond.free_cond.size,
+        cols.reshape(fe.size, 4),
+        a0.n,
     )
-    transfer = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(cond.free_cond.size, 2 * free_v.size),
-    ).tocsr()
 
     pre = AspPrecond(
         smoother=smoother,
         transfer=transfer,
         restrict=transfer.T.tocsr(),
         aux_factor=aux_factor,
-        a_g=cond.A_g,
     )
     if smoother == "jacobi":
         pre.jacobi_diag = cond.A_g.diagonal().copy()

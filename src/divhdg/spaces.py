@@ -19,6 +19,7 @@ globally oriented basis.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,8 +137,17 @@ class EssentialData:
     def free_ids(self) -> np.ndarray:
         return np.flatnonzero(self.free_mask)
 
-    def full_vector(self, n_vel: int) -> np.ndarray:
-        g = np.zeros(n_vel)
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """Position of each velocity unknown among the free ones, -1 (dropped
+        by ``scatter_stack``) for an essential one. Condensed ids come first,
+        so the free condensed unknowns take the first positions."""
+        pos = np.full(self.free_mask.size, -1, np.int32)
+        pos[self.free_mask] = np.arange(np.count_nonzero(self.free_mask), dtype=np.int32)
+        return pos
+
+    def full_vector(self) -> np.ndarray:
+        g = np.zeros(self.free_mask.size)
         g[self.ids] = self.values
         return g
 

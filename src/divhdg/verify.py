@@ -398,8 +398,7 @@ def check_anorm_equivalence(level: str) -> CheckResult:
         dstack, jstack = norm_stacks(mesh, spaces)
         stacks = assemble_local_stacks(mesh, spaces)
         norm_loc = params.tau * stacks.mass + 2.0 * params.mu * (dstack + jstack)
-        norm_mat = scatter_stack(norm_loc, spaces.dofmap.vel_loc, spaces.split.n_vel)
-        norm_mat = norm_mat[ess.free_ids][:, ess.free_ids]
+        norm_mat = scatter_stack(norm_loc, ess.pos[spaces.dofmap.vel_loc], block.n_free)
         a_mat = block.A.csr
         ev = sla.eigh(a_mat.toarray(), norm_mat.toarray(), eigvals_only=True)
         c1, c2 = float(ev[0]), float(ev[-1])
@@ -427,13 +426,12 @@ def check_infsup(level: str) -> CheckResult:
         mesh, spaces, ess, block = _setup(n, 2, params)
         nt = mesh.num_triangles
         z = _meanzero_basis(nt)
-        free = ess.free_ids
-        vel_loc, n_vel = spaces.dofmap.vel_loc, spaces.split.n_vel
+        slots, n_free = ess.pos[spaces.dofmap.vel_loc], block.n_free
         dstack, jstack = norm_stacks(mesh, spaces)
 
         # viscous-norm inf-sup with the incompressibility-limit constraint:
         # the pivot solves the constrained minimization over the free velocity
-        x1_mat = scatter_stack(2.0 * (dstack + jstack), vel_loc, n_vel)[free][:, free]
+        x1_mat = scatter_stack(2.0 * (dstack + jstack), slots, n_free)
         b = block.B.toarray()
         bbar, bo = b[:nt], b[nt:]
         npo = bo.shape[0]
@@ -449,7 +447,7 @@ def check_infsup(level: str) -> CheckResult:
         # trace unknowns carry no volume mass, so the sup runs over the
         # mass-carrying (normal-trace and interior) velocity components
         stacks = assemble_local_stacks(mesh, spaces)
-        mass_mat = scatter_stack(stacks.mass, vel_loc, n_vel)[free][:, free]
+        mass_mat = scatter_stack(stacks.mass, slots, n_free)
         vol = np.flatnonzero(mass_mat.diagonal() > 1e-14)
         mv = mass_mat[vol][:, vol].toarray()
         bv = bbar[:, vol]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from divhdg.assembly import (
@@ -8,11 +9,12 @@ from divhdg.assembly import (
     assemble_aux,
     assemble_local_stacks,
     assemble_saddle,
+    inverse_jacobians,
     scatter_stack,
     sym_gradients,
 )
 from divhdg.condense import eliminate_local
-from divhdg.linalg import NotSPD, dense_eig_sym
+from divhdg.linalg import NotSPD
 from divhdg.mesh import build_mesh, step_domain, unit_square
 from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
 from divhdg.spaces import build_spaces, interpolate_essential
@@ -81,7 +83,7 @@ class TestSaddleStructure:
 
     def test_coercivity_at_reference_penalty(self):
         _, _, _, _, cond = pipeline("cavity", 2, 2, alpha=4.0)
-        evs = dense_eig_sym(cond.A_g)
+        evs = sla.eigvalsh(cond.A_g.toarray())
         assert evs[0] > 0
 
     def test_low_penalty_detected(self):
@@ -137,8 +139,8 @@ class TestAuxOperator:
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
         mu = 1.5
-        a0, free = assemble_aux(mesh, spaces, ProblemParams(mu=mu, tau=0.0), ess)
-        assert len(free) == 1  # single interior vertex
+        a0, vpos = assemble_aux(mesh, spaces, ProblemParams(mu=mu, tau=0.0), ess)
+        assert np.count_nonzero(vpos >= 0) == 1  # single interior vertex
         d = a0.diagonal()
         assert np.allclose(d, 2.0 * mu * 4.0, atol=1e-13)
 
@@ -158,7 +160,7 @@ class TestAuxOperator:
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
         a0, _ = assemble_aux(mesh, spaces, ProblemParams(), ess)
-        assert dense_eig_sym(a0)[0] > 0
+        assert sla.eigvalsh(a0.toarray())[0] > 0
 
 
 class TestRhs:
@@ -237,6 +239,38 @@ class TestElementKernel:
         assert isinstance(got, sp.csr_matrix)
         assert got.has_canonical_format
         assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_scatter_drops_minus_one_slots_rectangular(self):
+        rng = np.random.default_rng(4)
+        n, m, ne, r, c = 6, 5, 10, 4, 3
+        stack = rng.standard_normal((ne, r, c))
+        rows = rng.integers(-1, n, size=(ne, r))
+        cols = rng.integers(-1, m, size=(ne, c))
+        rows[0] = [1, 1, -1, 4]  # a repeat and a dropped row in one element
+        cols[0] = [2, -1, 2]
+        rows[1] = -1  # an element dropped entirely
+        cols[2] = -1
+        want = np.zeros((n, m))
+        for e in range(ne):
+            for a in range(r):
+                for b in range(c):
+                    if rows[e, a] >= 0 and cols[e, b] >= 0:
+                        want[rows[e, a], cols[e, b]] += stack[e, a, b]
+        got = scatter_stack(stack, rows, n, cols, m)
+        assert isinstance(got, sp.csr_matrix)
+        assert got.shape == (n, m) and got.has_canonical_format
+        assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+        # square, rows as columns: the dropped slots leave no stored entry
+        sq = scatter_stack(stack[:, :3, :3], rows[:, :3], n)
+        want_sq = np.zeros((n, n))
+        for e in range(ne):
+            for a in range(3):
+                for b in range(3):
+                    if rows[e, a] >= 0 and rows[e, b] >= 0:
+                        want_sq[rows[e, a], rows[e, b]] += stack[e, a, b]
+        assert np.abs(sq.toarray() - want_sq).max() <= 1e-14 * np.abs(want_sq).max()
+        kept = np.unique(rows[:, :3][rows[:, :3] >= 0])
+        assert set(sq.tocoo().row.tolist()) == set(kept.tolist())
 
     @pytest.mark.parametrize("problem,n,k", [("cavity", 2, 2), ("step", 2, 3)])
     def test_energy_facet_term_matches_moment_formula(self, problem, n, k):
@@ -425,11 +459,10 @@ class TestLazyVelocityBlocks:
         f_full = np.zeros(n_vel)
         np.add.at(f_full, dm.vel_loc.ravel(), block.floc.ravel())
         free = ess.free_ids
-        g = ess.full_vector(n_vel)
+        g = ess.full_vector()
         a_red = a_full[free][:, free]
         f_u = f_full[free] - a_full[free] @ g
 
-        assert (block.a_full != a_full).nnz == 0
         assert (block.A.csr != a_red).nnz == 0
         assert np.array_equal(block.F_u, f_u)
         assert np.abs(block.F_u).max() > 0
@@ -439,8 +472,92 @@ class TestLazyVelocityBlocks:
         block, _ = self._build("cavity", 3, 2)
         cond = eliminate_local(block)
         assert cond.n_free > 0 and block.n_free > 0
-        for name in ("a_full", "A", "F_u"):
+        for name in ("A", "F_u"):
             assert name not in vars(block), name
+
+
+def _former_scatter(stack, slots, n):
+    r = np.broadcast_to(slots[:, :, None], stack.shape)
+    c = np.broadcast_to(slots[:, None, :], stack.shape)
+    return sp.coo_matrix((stack.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
+
+
+def _former_condensed(block, cond):
+    """The former scatter-then-slice elimination, kept verbatim as reference:
+    A_g, F_g and B_g from the condensed element blocks, which are rebuilt
+    from the back-substitution data with the operations of
+    ``eliminate_local``."""
+    dm, split = block.spaces.dofmap, block.spaces.split
+    nt, n_int = block.mesh.num_triangles, dm.n_loc_int
+    g_slot_idx = np.r_[0 : dm.n_loc_facet, dm.n_loc_facet + n_int : dm.n_loc]
+    k_lg = np.zeros((nt, cond.back_x.shape[1], g_slot_idx.size))
+    k_lg[:, :n_int, :] = block.aloc[:, dm.interior_slots][:, :, g_slot_idx]
+    k_gl = np.swapaxes(k_lg, 1, 2)
+    a_cond = block.aloc[:, g_slot_idx[:, None], g_slot_idx] - k_gl @ cond.back_x
+    f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ cond.back_y[:, :, None])[:, :, 0]
+
+    g_slots = dm.vel_loc[:, g_slot_idx]
+    n_cond = split.n_cond
+    a_all = _former_scatter(a_cond, g_slots, n_cond)
+    f_all = np.zeros(n_cond)
+    np.add.at(f_all, g_slots.ravel(), f_g_loc.ravel())
+    ess = block.essential
+    free_cond = np.flatnonzero(ess.free_mask[:n_cond])
+    g = ess.full_vector()[:n_cond]
+    f_g = f_all[free_cond] - a_all[free_cond] @ g
+    b_g = block.b_full[:nt, :n_cond].tocsr()[:, free_cond]
+    return a_all[free_cond][:, free_cond], f_g, b_g
+
+
+def _former_aux(mesh, spaces, params, ess):
+    # the former scatter-then-slice auxiliary operator, kept verbatim
+    nv = mesh.num_vertices
+    det = mesh.det_j
+    jinv = inverse_jacobians(mesh.jacobians, det)
+    grads = np.concatenate([-(jinv[:, :1] + jinv[:, 1:]), jinv], axis=1)
+    stiff = np.einsum("tid,tjd->tij", grads, grads) * (0.5 * det)[:, None, None]
+    mloc = (np.ones((3, 3)) + np.eye(3)) / 24.0
+    massl = mloc[None, :, :] * det[:, None, None]
+    loc = 2.0 * params.mu * stiff + params.tau * massl
+    free_edge = ess.free_mask[: spaces.split.n_bnd : spaces.k + 1]
+    ess_verts = np.zeros(nv, bool)
+    ess_verts[mesh.edges[~free_edge]] = True
+    free_v = np.flatnonzero(~ess_verts)
+    scal = _former_scatter(loc, mesh.triangles, nv)[free_v][:, free_v]
+    return sp.kron(scal, sp.eye(2), format="csr"), free_v
+
+
+def _same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+class TestEliminationByPosition:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("problem,n", [("cavity", 4), ("step", 4)])
+    def test_equal_to_former_scatter_then_slice(self, problem, n, k):
+        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        params = ProblemParams(tau=1.0, inv_lambda=1.0)
+
+        def force(x):
+            return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] * x[:, 1]])
+
+        block = assemble_saddle(mesh, spaces, params, ess, body_force=force)
+        cond = eliminate_local(block)
+        a_g, f_g, b_g = _former_condensed(block, cond)
+        _same_csr(cond.A_g.csr, a_g)
+        assert np.array_equal(cond.F_g, f_g)
+        assert np.abs(f_g).max() > 0
+        _same_csr(cond.B_g, b_g)
+
+        aux, vpos = assemble_aux(mesh, spaces, params, ess)
+        want, free_v = _former_aux(mesh, spaces, params, ess)
+        _same_csr(aux.csr, want)
+        assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
+        assert np.array_equal(vpos[free_v], np.arange(free_v.size))
 
 
 class TestCoercivityCheck:

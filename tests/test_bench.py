@@ -144,6 +144,12 @@ class TestGridValidation:
         _tiny_grid(ks=[1, 4], maxit=0, tol=1e-300)
         with pytest.raises(ValueError, match="got nan$"):
             _tiny_grid(tol=float("nan"))
+        _tiny_grid(tol=0.999)
+
+    @pytest.mark.parametrize("tol", [float("inf"), 1.0, 2.0])
+    def test_tol_must_be_below_one(self, tol):
+        with pytest.raises(ValueError, match=f"got {tol}$"):
+            _tiny_grid(tol=tol)
 
     def test_tuple_order_k_major(self):
         g = _tiny_grid(ks=[1, 2], inv_hs=[2, 4], taus=[0.0, 1.0])
@@ -339,6 +345,9 @@ class TestCliUsageErrors:
             (["--alpha", "nan"], "alpha must be finite, got nan"),
             (["--inv-lambda", "nan"], "inv_lambda must be finite, got nan"),
             (["--lambda", "nan"], "--lambda must be positive"),
+            (["--tol", "inf"], "tol must be finite and below 1, got inf"),
+            (["--tol", "1"], "tol must be finite and below 1, got 1.0"),
+            (["--k", "1", "--inv-h", "2", "--out", "/nonexistent/x.csv"], "cannot open --out"),
         ],
     )
     def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):

@@ -7,8 +7,6 @@ from divhdg.condense import (
     build_condensed_monolithic,
     build_monolithic,
 )
-from divhdg.linalg import dense_eig_sym
-
 from conftest import pipeline
 
 
@@ -31,7 +29,7 @@ class TestLayout:
 
     def test_condensed_block_spd(self, cavity22):
         *_, cond = cavity22
-        assert dense_eig_sym(cond.A_g)[0] > 0
+        assert sla.eigvalsh(cond.A_g.toarray())[0] > 0
 
     def test_compressibility_block_is_scaled_mass(self, cavity22):
         mesh, _, _, _, cond = cavity22
@@ -80,7 +78,7 @@ class TestMonolithicAgreement:
         km, fm = build_monolithic(block)
         zm = spla.spsolve(km.tocsc(), fm)
         nfree = block.n_free
-        vel_m = ess.full_vector(spaces.split.n_vel)
+        vel_m = ess.full_vector()
         vel_m[ess.free_ids] = zm[:nfree]
         p_m = zm[nfree:]
 
@@ -125,7 +123,7 @@ class TestIncompressibleLimit:
         # minimum-norm member
         z = np.linalg.lstsq(km.toarray(), fm, rcond=None)[0]
         nfree = block.n_free
-        vel = ess.full_vector(spaces.split.n_vel)
+        vel = ess.full_vector()
         vel[ess.free_ids] = z[:nfree]
         # weak divergence against every pressure mode, including the local ones
         wdiv = block.b_full @ vel
@@ -135,7 +133,7 @@ class TestIncompressibleLimit:
         mesh, spaces, ess, block, cond = cavity22_stokes
         km, fm = build_monolithic(block)
         z = np.linalg.lstsq(km.toarray(), fm, rcond=None)[0]
-        vel = ess.full_vector(spaces.split.n_vel)
+        vel = ess.full_vector()
         vel[ess.free_ids] = z[: block.n_free]
         ref, dm = spaces.ref, spaces.dofmap
         for t in range(len(mesh.triangles)):
