@@ -29,6 +29,7 @@ from .krylov import (
     minres,
     operator_condensed,
     pressure_mean_projector,
+    solve_condensed,
 )
 from .linalg import (
     CapExceeded,
@@ -106,6 +107,7 @@ __all__ = [
     "pressure_mean_projector",
     "run_grid",
     "run_verification",
+    "solve_condensed",
     "step_domain",
     "uniform_refine",
     "unit_square",

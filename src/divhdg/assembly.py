@@ -295,18 +295,17 @@ def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np
 class BlockSystem:
     """Assembled saddle-point system with essential data eliminated.
 
-    B, C, F_p are the reduced pressure blocks and right side; b_full is the
-    unreduced divergence block and aloc, floc are the signed element stacks,
-    which is all static condensation reads. The reduced velocity block A (over
-    free velocity unknowns, at their ``essential.pos`` positions) and its right
-    side F_u are scattered from the element stacks on first access, for
-    verification: the condensed solve never forms them.
+    B, C, F_p are the reduced pressure blocks and right side and aloc, floc
+    are the signed element stacks, which is all static condensation reads.
+    The reduced velocity block A (over free velocity unknowns, at their
+    ``essential.pos`` positions) and its right side F_u are scattered from the
+    element stacks on first access, for verification: the condensed solve
+    never forms them.
     """
 
     B: sp.csr_matrix
     C: SparseSym
     F_p: np.ndarray
-    b_full: sp.csr_matrix = field(repr=False)
     aloc: np.ndarray = field(repr=False)
     floc: np.ndarray = field(repr=False)
     spaces: Spaces = field(repr=False)
@@ -398,7 +397,6 @@ def assemble_saddle(
         B=b_full[:, essential.free_ids],
         C=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, params)).tocsr()),
         F_p=-(b_full @ essential.full_vector()),
-        b_full=b_full,
         aloc=aloc,
         floc=floc,
         spaces=spaces,

@@ -2,35 +2,26 @@
 saddle point problem per parameter tuple, and renders the iteration-count
 tables as CSV or markdown.
 
-Rows always come back in grid order (degree, then mesh, then viscosity,
-reaction, and compressibility parameters) no matter how many workers ran
-them, and a failure inside one row is captured in that row rather than
-aborting the sweep.
+Rows run one after another in grid order (degree, then mesh, then
+viscosity, reaction, and compressibility parameters), and a failure inside
+one row is captured in that row rather than aborting the sweep.
 """
 
 import csv
 import io
-import os
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from .assembly import ProblemParams, assemble_local_stacks, assemble_saddle
 from .condense import eliminate_local
-from .krylov import minres, operator_condensed, pressure_mean_projector
+from .krylov import solve_condensed
 from .linalg import CapExceeded
 from .mesh import step_domain, unit_square
 from .precond import build_asp, build_schur
 from .spaces import build_spaces, interpolate_essential
 
 PROBLEMS = ("cavity", "step", "elast-steady", "elast-unsteady")
-
-CSV_HEADER = (
-    "problem,k,inv_h,mu,tau,inv_lambda,alpha,seed,"
-    "iters,converged,final_relres,setup_ms,solve_ms,error"
-)
 
 # per supported degree, the mesh size past which a run needs an explicit
 # opt-in: beyond it runtimes leave desk scale
@@ -115,28 +106,21 @@ class BenchRow:
         quote or line break, so the record may span several lines."""
         buf = io.StringIO()
         csv.writer(buf, lineterminator="").writerow(
-            [
-                self.problem,
-                str(self.k),
-                str(self.inv_h),
-                _fnum(self.mu),
-                _fnum(self.tau),
-                _fnum(self.inv_lambda),
-                _fnum(self.alpha),
-                str(self.seed),
-                str(self.iters),
-                str(int(self.converged)),
-                _fnum(self.final_relres),
-                _fnum(self.setup_ms),
-                _fnum(self.solve_ms),
-                self.error,
-            ]
+            _CODECS[f.type][0](getattr(self, f.name)) for f in fields(self)
         )
         return buf.getvalue()
 
 
-def _fnum(x: float) -> str:
-    return format(float(x), ".17g")
+# per field type, the (format, parse) pair of its CSV text; floats keep all
+# 17 significant digits so a record roundtrips losslessly
+_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (lambda x: format(float(x), ".17g"), float),
+    bool: (lambda b: str(int(b)), lambda s: bool(int(s))),
+}
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 def parse_csv(text: str) -> list:
@@ -144,27 +128,22 @@ def parse_csv(text: str) -> list:
     records = [f for f in csv.reader(io.StringIO(text)) if f]
     if not records or ",".join(records[0]) != CSV_HEADER:
         raise ValueError("missing or altered CSV header")
+    schema = fields(BenchRow)
     rows = []
-    for f in records[1:]:
-        rows.append(
-            BenchRow(
-                problem=f[0],
-                k=int(f[1]),
-                inv_h=int(f[2]),
-                mu=float(f[3]),
-                tau=float(f[4]),
-                inv_lambda=float(f[5]),
-                alpha=float(f[6]),
-                seed=int(f[7]),
-                iters=int(f[8]),
-                converged=bool(int(f[9])),
-                final_relres=float(f[10]),
-                setup_ms=float(f[11]),
-                solve_ms=float(f[12]),
-                error=f[13],
-            )
-        )
+    for rec in records[1:]:
+        if len(rec) != len(schema):
+            raise ValueError(f"CSV record with {len(rec)} fields, expected {len(schema)}")
+        rows.append(BenchRow(*(_CODECS[f.type][1](v) for f, v in zip(schema, rec))))
     return rows
+
+
+def build_structure(problem: str, inv_h: int, k: int):
+    """The parameter-independent (mesh, spaces, essential data, local stacks)
+    of one (1/h, k), shared by every row on that mesh."""
+    mesh = (step_domain if problem == "step" else unit_square)(inv_h)
+    spaces = build_spaces(mesh, k)
+    ess = interpolate_essential(mesh, spaces, problem)
+    return mesh, spaces, ess, assemble_local_stacks(mesh, spaces)
 
 
 def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
@@ -191,25 +170,9 @@ def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
         cond = eliminate_local(block)
         asp = build_asp(cond, smoother=grid.smoother)
         schur = build_schur(mesh, params, grid.schur_mode)
-        n_u = cond.n_free
-
-        def pinv(r):
-            return np.concatenate([asp.apply(r[:n_u]), schur.apply(r[n_u:])])
-
-        proj = (
-            pressure_mean_projector(n_u, cond.n_pbar) if schur.deflate else None
-        )
-        rhs = np.concatenate([cond.F_g, cond.F_pbar])
-        apply_k = operator_condensed(cond)
         setup_ms = (time.perf_counter() - t0) * 1e3
-        _, rep = minres(
-            apply_k,
-            pinv,
-            rhs,
-            tol=grid.tol,
-            maxit=grid.maxit,
-            seed=grid.seed,
-            project=proj,
+        _, rep = solve_condensed(
+            cond, asp, schur, tol=grid.tol, maxit=grid.maxit, seed=grid.seed
         )
         return BenchRow(
             **base,
@@ -231,41 +194,13 @@ def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
         )
 
 
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("HDG_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"HDG_THREADS must be an integer, got {env!r}") from None
-        return max(1, min(n, max(n_jobs, 1)))
-    return max(1, min(os.cpu_count() or 1, max(n_jobs, 1)))
-
-
 def run_grid(grid: ExperimentGrid) -> list:
-    tuples = list(grid.tuples())
-    if not tuples:
-        return []
-    # the parameter-independent structures of each (1/h, k) are built
-    # serially, so workers only race on solves
-    domain = step_domain if grid.problem == "step" else unit_square
-    structures = {}
-    for k, inv_h, _, _, _ in tuples:
-        if (inv_h, k) not in structures:
-            mesh = domain(inv_h)
-            spaces = build_spaces(mesh, k)
-            ess = interpolate_essential(mesh, spaces, grid.problem)
-            stacks = assemble_local_stacks(mesh, spaces)
-            structures[inv_h, k] = (mesh, spaces, ess, stacks)
-
-    def row(t):
-        return solve_one(grid, structures[t[1], t[0]], t)
-
-    workers = _worker_count(len(tuples))
-    if workers == 1:
-        return [row(t) for t in tuples]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, tuples))
+    # grid order keeps each (degree, mesh) contiguous: one structure at a time
+    rows = []
+    for (k, inv_h), tups in itertools.groupby(grid.tuples(), key=lambda t: t[:2]):
+        structure = build_structure(grid.problem, inv_h, k)
+        rows += [solve_one(grid, structure, t) for t in tups]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +226,10 @@ def _emit_markdown(table: list) -> str:
     if not table:
         return "(empty table)\n"
     out = []
-    blocks = []
-    for r in table:
-        key = (r.problem, r.k)
-        if key not in blocks:
-            blocks.append(key)
-    for problem, k in blocks:
+    for problem, k in dict.fromkeys((r.problem, r.k) for r in table):
         rows = [r for r in table if (r.problem, r.k) == (problem, k)]
-        mus = _ordered(rows, "mu")
-        taus = _ordered(rows, "tau")
-        invls = _ordered(rows, "inv_lambda")
-        combos = []
-        for r in rows:
-            c = (r.mu, r.tau, r.inv_lambda)
-            if c not in combos:
-                combos.append(c)
+        combos = list(dict.fromkeys((r.mu, r.tau, r.inv_lambda) for r in rows))
+        mus, taus, invls = (dict.fromkeys(axis) for axis in zip(*combos))
 
         def label(c):
             parts = []
@@ -317,10 +241,7 @@ def _emit_markdown(table: list) -> str:
                 parts.append(_plabel("1/lambda", c[2]))
             return " ".join(parts) or "iters"
 
-        inv_hs = []
-        for r in rows:
-            if r.inv_h not in inv_hs:
-                inv_hs.append(r.inv_h)
+        inv_hs = dict.fromkeys(r.inv_h for r in rows)
         cell = {
             (r.inv_h, (r.mu, r.tau, r.inv_lambda)): _cell(r) for r in rows
         }
@@ -345,15 +266,6 @@ def _emit_markdown(table: list) -> str:
                 out.append(f"- 1/h={r.inv_h}, {params}: {error}")
             out.append("")
     return "\n".join(out)
-
-
-def _ordered(rows, attr):
-    seen = []
-    for r in rows:
-        v = getattr(r, attr)
-        if v not in seen:
-            seen.append(v)
-    return seen
 
 
 def _cell(r: BenchRow) -> str:

@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import sys
 
-from .bench import ExperimentGrid, emit, run_grid
+from .bench import MAX_INV_H, ExperimentGrid, emit, run_grid
 from .verify import run_verification
 
 
@@ -103,7 +103,8 @@ def main(argv=None) -> int:
     if args.verify is not None:
         return run_verification(args.verify)
 
-    inv_hs = args.inv_h or ([8, 16, 32, 64] if args.k <= 2 else [8, 16, 32])
+    cap = MAX_INV_H.get(args.k, 0)  # an unsupported degree is rejected below
+    inv_hs = args.inv_h or [n for n in (8, 16, 32, 64) if n <= cap]
     try:
         grid = ExperimentGrid(
             problem=args.problem,

@@ -187,3 +187,21 @@ def pressure_mean_projector(n_u: int, n_p: int) -> Apply:
         return out
 
     return project
+
+
+def solve_condensed(
+    cond, asp, schur, *, tol: float, maxit: int, seed: int
+) -> tuple[np.ndarray, SolveReport]:
+    """MINRES on the condensed system under the block-diagonal preconditioner
+    ``diag(asp, schur)``.  When ``schur.deflate`` (enclosed domain at
+    1/lambda = 0) the iteration runs on the mean-zero pressure quotient."""
+    n_u = cond.n_free
+
+    def pinv(r: np.ndarray) -> np.ndarray:
+        return np.concatenate([asp.apply(r[:n_u]), schur.apply(r[n_u:])])
+
+    proj = pressure_mean_projector(n_u, cond.n_pbar) if schur.deflate else None
+    rhs = np.concatenate([cond.F_g, cond.F_pbar])
+    return minres(
+        operator_condensed(cond), pinv, rhs, tol=tol, maxit=maxit, seed=seed, project=proj
+    )

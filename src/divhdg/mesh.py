@@ -52,9 +52,6 @@ class Mesh:
     def boundary_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_elems[:, 1] < 0)
 
-    def interior_edges(self) -> np.ndarray:
-        return np.flatnonzero(self.edge_elems[:, 1] >= 0)
-
     def validate(self, require_tags: bool = True):
         if np.any(self.det_j <= 0.0):
             raise ValueError("triangle with nonpositive orientation")

@@ -53,7 +53,6 @@ EDGE_VERTS = np.array([[1, 2], [2, 0], [0, 1]])
 REF_NORMALS = np.array(
     [[1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)], [-1.0, 0.0], [0.0, -1.0]]
 )
-REF_EDGE_LEN = np.array([np.sqrt(2.0), 1.0, 1.0])
 
 
 def _graded_monomials(max_deg: int) -> list[tuple[int, int]]:

@@ -8,6 +8,7 @@ from divhdg.assembly import (
     _element_coercivity_check,
     assemble_aux,
     assemble_local_stacks,
+    assemble_pressure_ops,
     assemble_saddle,
     inverse_jacobians,
     scatter_stack,
@@ -54,7 +55,7 @@ class TestSaddleStructure:
         mesh, spaces, _, block, _ = cavity22
         split = spaces.split
         nt = len(mesh.triangles)
-        bf = block.b_full.tocsc()
+        bf = assemble_pressure_ops(block.mesh, block.spaces).tocsc()
         pbar_rows = bf[:nt]
         pint_rows = bf[nt:]
         # no coupling of element-mean pressure to tangential or interior dofs
@@ -64,7 +65,7 @@ class TestSaddleStructure:
 
     def test_divergence_block_bitlevel(self, cavity22):
         mesh, spaces, _, block, _ = cavity22
-        bf = np.asarray(block.b_full.todense())
+        bf = np.asarray(assemble_pressure_ops(block.mesh, block.spaces).todense())
         nt = len(mesh.triangles)
         split = spaces.split
         assert np.abs(bf[:nt, split.n_bnd :]).max() <= 1e-14
@@ -505,7 +506,8 @@ def _former_condensed(block, cond):
     free_cond = np.flatnonzero(ess.free_mask[:n_cond])
     g = ess.full_vector()[:n_cond]
     f_g = f_all[free_cond] - a_all[free_cond] @ g
-    b_g = block.b_full[:nt, :n_cond].tocsr()[:, free_cond]
+    b_full = assemble_pressure_ops(block.mesh, block.spaces)
+    b_g = b_full[:nt, :n_cond].tocsr()[:, free_cond]
     return a_all[free_cond][:, free_cond], f_g, b_g
 
 

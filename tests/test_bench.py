@@ -1,21 +1,31 @@
 import csv
 import io
-import os
 
 import numpy as np
 import pytest
 
+from divhdg.assembly import ProblemParams, assemble_local_stacks, assemble_saddle
 from divhdg.bench import (
     CSV_HEADER,
     BenchRow,
     ExperimentGrid,
-    _worker_count,
+    build_structure,
     emit,
     parse_csv,
     run_grid,
 )
 from divhdg.cli import build_parser, main
+from divhdg.condense import eliminate_local
+from divhdg.krylov import (
+    minres,
+    operator_condensed,
+    pressure_mean_projector,
+    solve_condensed,
+)
 from divhdg.linalg import CapExceeded
+from divhdg.mesh import step_domain, unit_square
+from divhdg.precond import build_asp, build_schur
+from divhdg.spaces import build_spaces, interpolate_essential
 
 
 def _tiny_grid(**kw):
@@ -102,6 +112,13 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(Exception):
             parse_csv("nope,nope\n1,2\n")
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_record_of_wrong_width_rejected(self, extra):
+        fields = _row().csv_line().split(",")
+        fields = fields[:extra] if extra < 0 else fields + ["x"]
+        with pytest.raises(ValueError, match="expected 14"):
+            parse_csv(CSV_HEADER + "\n" + ",".join(fields) + "\n")
 
 
 class TestGridValidation:
@@ -206,39 +223,94 @@ class TestRunGrid:
         b = emit(run_grid(g), "csv")
         assert _strip_timing(a) == _strip_timing(b)
 
-    def test_worker_count_invariant(self):
-        g = _tiny_grid(inv_hs=[2, 4], taus=[0.0, 1.0])
-        old = os.environ.get("HDG_THREADS")
-        try:
-            os.environ["HDG_THREADS"] = "1"
-            serial = emit(run_grid(g), "csv")
-            os.environ["HDG_THREADS"] = "4"
-            pooled = emit(run_grid(g), "csv")
-        finally:
-            if old is None:
-                os.environ.pop("HDG_THREADS", None)
-            else:
-                os.environ["HDG_THREADS"] = old
-        assert _strip_timing(serial) == _strip_timing(pooled)
-
     def test_elasticity_runs_on_cavity_domain(self):
         g = _tiny_grid(problem="elast-steady", taus=[0.0], inv_lambdas=[1.0])
         rows = run_grid(g)
         assert rows[0].converged
 
 
-class TestWorkerCount:
-    def test_env_value_capped_by_jobs(self, monkeypatch):
-        monkeypatch.setenv("HDG_THREADS", "2")
-        assert _worker_count(4) == 2
-        assert _worker_count(1) == 1
-        monkeypatch.setenv("HDG_THREADS", "0")
-        assert _worker_count(3) == 1
+def _former_structure(problem, inv_h, k):
+    # the former per-(1/h, k) structure of run_grid, kept verbatim as reference
+    domain = step_domain if problem == "step" else unit_square
+    mesh = domain(inv_h)
+    spaces = build_spaces(mesh, k)
+    ess = interpolate_essential(mesh, spaces, problem)
+    stacks = assemble_local_stacks(mesh, spaces)
+    return (mesh, spaces, ess, stacks)
 
-    def test_malformed_env_names_variable(self, monkeypatch):
-        monkeypatch.setenv("HDG_THREADS", "two")
-        with pytest.raises(ValueError, match="HDG_THREADS.*'two'"):
-            _worker_count(3)
+
+def _former_solve(grid, structure, tup):
+    """The former hand composition of the block-diagonal solve in
+    ``solve_one``, kept verbatim as reference: (x, report, deflate)."""
+    k, inv_h, mu, tau, invl = tup
+    mesh, spaces, ess, stacks = structure
+    params = ProblemParams(
+        mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha
+    )
+    block = assemble_saddle(mesh, spaces, params, ess, stacks=stacks)
+    cond = eliminate_local(block)
+    asp = build_asp(cond, smoother=grid.smoother)
+    schur = build_schur(mesh, params, grid.schur_mode)
+    n_u = cond.n_free
+
+    def pinv(r):
+        return np.concatenate([asp.apply(r[:n_u]), schur.apply(r[n_u:])])
+
+    proj = (
+        pressure_mean_projector(n_u, cond.n_pbar) if schur.deflate else None
+    )
+    rhs = np.concatenate([cond.F_g, cond.F_pbar])
+    apply_k = operator_condensed(cond)
+    x, rep = minres(
+        apply_k,
+        pinv,
+        rhs,
+        tol=grid.tol,
+        maxit=grid.maxit,
+        seed=grid.seed,
+        project=proj,
+    )
+    return x, rep, schur.deflate
+
+
+# cavity at 1/lambda = 0 deflates the constant pressure; the step outlet does not
+SOLVE_GRIDS = [
+    (dict(problem="cavity", ks=[2], inv_hs=[4], taus=[0.0, 1.0]), True),
+    (dict(problem="step", ks=[3], inv_hs=[2], taus=[0.0, 1.0]), False),
+]
+
+
+class TestSolveCondensed:
+    @pytest.mark.parametrize("kw,deflate", SOLVE_GRIDS, ids=["cavity", "step"])
+    def test_run_grid_rows_equal_former_composition(self, kw, deflate):
+        grid = _tiny_grid(**kw)
+        rows = run_grid(grid)
+        assert len(rows) == 2
+        for row, tup in zip(rows, grid.tuples()):
+            structure = _former_structure(grid.problem, tup[1], tup[0])
+            _, rep, deflates = _former_solve(grid, structure, tup)
+            assert deflates is deflate
+            assert row.error == "" and row.converged
+            assert row.iters == rep.iterations
+            assert row.final_relres == rep.final_relres
+
+    @pytest.mark.parametrize("kw", [kw for kw, _ in SOLVE_GRIDS], ids=["cavity", "step"])
+    def test_iterate_bit_identical(self, kw):
+        grid = _tiny_grid(**kw)
+        tup = next(grid.tuples())
+        k, inv_h, mu, tau, invl = tup
+        structure = build_structure(grid.problem, inv_h, k)
+        x_ref, rep_ref, _ = _former_solve(grid, structure, tup)
+        mesh, spaces, ess, stacks = structure
+        params = ProblemParams(mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha)
+        cond = eliminate_local(assemble_saddle(mesh, spaces, params, ess, stacks=stacks))
+        asp = build_asp(cond, smoother=grid.smoother)
+        schur = build_schur(mesh, params, grid.schur_mode)
+        x, rep = solve_condensed(
+            cond, asp, schur, tol=grid.tol, maxit=grid.maxit, seed=grid.seed
+        )
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(rep.history, rep_ref.history)
 
 
 class TestMarkdown:
@@ -318,6 +390,17 @@ class TestCli:
         rows = parse_csv(text)
         assert len(rows) == 1
         assert rows[0].converged
+
+    @pytest.mark.parametrize(
+        "k,want",
+        [(1, [8, 16, 32, 64]), (2, [8, 16, 32, 64]), (3, [8, 16, 32]), (4, [8, 16, 32])],
+    )
+    def test_default_meshes_stop_at_degree_cap(self, k, want, monkeypatch, capsys):
+        grids = []
+        monkeypatch.setattr("divhdg.cli.run_grid", lambda g: grids.append(g) or [])
+        assert main(["--k", str(k)]) == 0
+        assert grids[0].inv_hs == want
+        assert capsys.readouterr().out.strip() == CSV_HEADER
 
     def test_verify_small_exits_clean(self, capsys):
         assert main(["--verify", "small"]) == 0
