@@ -60,6 +60,13 @@ def minres(
     every new Lanczos vector so a singular-but-consistent system stays on the
     solvable quotient.
 
+    The loop works in buffers it owns and rotates, in the operation order of
+    the textbook recurrence, so the iterates do not depend on them.  It never
+    writes into ``b`` or into an array that ``apply_k``, ``apply_pinv`` or
+    ``project`` returned, so each of them may return its input or one buffer
+    it reuses.  Inside the loop ``apply_k`` is always handed the same owned
+    buffer, which the next iteration overwrites.
+
     Raises :class:`NotSPD` if the preconditioner produces a negative inner
     product, which is the MINRES-side symptom of an indefinite preconditioner.
     """
@@ -74,7 +81,6 @@ def minres(
     if project is not None:
         r = project(r)
 
-    v_old = np.zeros(n)
     v = r
     z = apply_pinv(v)
     inner = float(z @ v)
@@ -91,21 +97,34 @@ def minres(
         )
         return x, report
 
+    # owned buffers, rotated below; x is copied once since ``project`` may
+    # have returned an array it keeps
+    x = np.array(x)
+    zs = np.empty(n)  # the scaled z, the one vector apply_k sees
+    tmp = np.empty(n)
+    vbufs = [np.zeros(n), np.empty(n), np.empty(n)]
+    v_old = vbufs[0]
+    w_old, w = np.zeros(n), np.zeros(n)
+    tol_abs = tol * gamma0
+
     gamma_old = 1.0
     eta = gamma
     s_old = s = 0.0
     c_old = c = 1.0
-    w = np.zeros(n)
-    w_old = np.zeros(n)
     history = [1.0]
     converged = False
     iterations = 0
 
     for _ in range(maxit):
-        z = z / gamma
-        az = apply_k(z)
-        delta = float(az @ z)
-        v_new = az - (delta / gamma) * v - (gamma / gamma_old) * v_old
+        np.divide(z, gamma, out=zs)
+        az = apply_k(zs)
+        delta = float(az @ zs)
+        # v and v_old hold at most two of the three buffers; az is zs or fresh
+        v_new = next(buf for buf in vbufs if buf is not v and buf is not v_old)
+        np.multiply(v, delta / gamma, out=tmp)
+        np.subtract(az, tmp, out=v_new)
+        np.multiply(v_old, gamma / gamma_old, out=tmp)
+        np.subtract(v_new, tmp, out=v_new)
         if project is not None:
             v_new = project(v_new)
         z_new = apply_pinv(v_new)
@@ -128,13 +147,20 @@ def minres(
         c_old, s_old = c, s
         c = alpha0 / alpha1
         s = gamma_new / alpha1
-        w_new = (z - alpha3 * w_old - alpha2 * w) / alpha1
-        x = x + (c * eta) * w_new
+        # w_new = (zs - alpha3 w_old - alpha2 w) / alpha1, in w_old's buffer
+        w_new = w_old
+        np.multiply(w_old, alpha3, out=w_new)
+        np.subtract(zs, w_new, out=w_new)
+        np.multiply(w, alpha2, out=tmp)
+        np.subtract(w_new, tmp, out=w_new)
+        np.divide(w_new, alpha1, out=w_new)
+        np.multiply(w_new, c * eta, out=tmp)
+        np.add(x, tmp, out=x)
         eta = -s * eta
 
         iterations += 1
         history.append(abs(eta) / gamma0)
-        if abs(eta) <= tol * gamma0:
+        if abs(eta) <= tol_abs:
             converged = True
             break
         if gamma_new == 0.0:
@@ -158,18 +184,25 @@ def minres(
 def operator_condensed(cond) -> Apply:
     """Matrix-vector action of the condensed block system
     ``[[A_g, B_g^T], [B_g, C_g]]`` on stacked (velocity, cell-mean pressure)
-    vectors."""
+    vectors.  ``B_g^T`` is formed once here, and the diagonal C_g acts as its
+    diagonal times the pressure block (skipped when it is zero, at
+    1/lambda = 0).  Each call returns a fresh array."""
     a_g = cond.A_g.csr
     b_g = cond.B_g
-    c_g = cond.C_g.csr
+    b_gt = b_g.T
+    c_diag = cond.C_g.diagonal()
+    has_c = bool(np.any(c_diag))
     n_u = a_g.shape[0]
 
     def apply(xv: np.ndarray) -> np.ndarray:
         xu = xv[:n_u]
         xp = xv[n_u:]
         out = np.empty_like(xv)
-        out[:n_u] = a_g @ xu + b_g.T @ xp
-        out[n_u:] = b_g @ xu + c_g @ xp
+        np.add(a_g @ xu, b_gt @ xp, out=out[:n_u])
+        if has_c:
+            np.add(b_g @ xu, c_diag * xp, out=out[n_u:])
+        else:
+            out[n_u:] = b_g @ xu
         return out
 
     return apply

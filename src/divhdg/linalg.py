@@ -17,6 +17,11 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 VERIFY_CAP = 6000  # largest n the dense verification helpers accept
 PIVOT_TOL = 1e-12  # factor_spd rejects pivots below this times the largest diagonal
 
+# the banded triangular solves of SpdFactor.solve, called directly: the
+# solve runs every preconditioner apply, and the cho_solve_banded wrapper
+# re-validates and re-dispatches on each call
+(_PBTRS,) = scipy.linalg.get_lapack_funcs(("pbtrs",), (np.zeros((1, 1)),))
+
 
 class NotSPD(Exception):
     """Raised when a matrix required to be SPD (on the relevant subspace) is not."""
@@ -76,9 +81,10 @@ class SpdFactor:
         b = np.asarray(b, float)
         if b.shape[0] != self.n:
             raise ValueError(f"length mismatch: n={self.n}, rhs {b.shape[0]}")
-        y = scipy.linalg.cho_solve_banded(
-            (self._chol_band, True), b[self.perm], check_finite=False
-        )
+        # b[perm] is a fresh copy, so LAPACK may overwrite it in place
+        y, info = _PBTRS(self._chol_band, b[self.perm], lower=1, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"pbtrs rejected argument {-info}")
         return y[self._inv_perm]
 
 

@@ -7,15 +7,24 @@ coarse correction through the continuous piecewise-linear vector space,
 The smoother R visits the patches in multicolour order: the patches are
 coloured so that no two of one colour share or couple unknowns, and a sweep
 is one forward pass over the colours and one backward pass, each colour
-solved for all its patches at once.  Pointwise Jacobi is the one alternative
-smoother.  Pi injects a piecewise-linear field through the edge-trace
-projections of ``refbasis.FacetBasis``, the same ones that define the
-essential boundary data: the normal trace goes to the facet-normal unknowns
-(Legendre moments, then the theta solve), the tangential trace to the
-Legendre tangential modes.  A linear trace is a sum of the two endpoint hat
-profiles, so the projections act on those two profiles once and each edge
-scales them by its length, normal and tangent (modes above degree 1 get
-nothing).  A0 is the linear-element discretization of
+solved for all its patches at once.  In the forward pass the iterate is still
+exactly zero outside the unknowns of the colours already visited, so each
+colour forms its residual from ``a_fwd``, its row slice of A_g restricted to
+those columns: empty for the first colour and the whole slice for the last
+(every unknown lies in two patches of different colours).  The dropped terms
+are products with +0.0, so the sums are unchanged.  The backward pass uses
+the whole slices.  Pointwise Jacobi is the one alternative smoother.
+
+Pi injects a piecewise-linear field through the edge-trace projections of
+``refbasis.FacetBasis``, the same ones that define the essential boundary
+data: the normal trace goes to the facet-normal unknowns (Legendre moments,
+then the theta solve), the tangential trace to the Legendre tangential modes.
+A linear trace is a sum of the two endpoint hat profiles, so the projections
+act on those two profiles once and each edge scales them by its length,
+normal and tangent.  Pi stores no exact zero: the entries that vanish through
+a zero normal or tangent component (axis-parallel edges) are dropped after
+the scatter.  The modes above degree 1 get only roundoff (about 1e-17), which
+is kept as computed.  A0 is the linear-element discretization of
 2 mu (grad ., grad .) + tau (., .) on free vertices, solved exactly.
 
 Pressure block: the elementwise-constant Schur approximation
@@ -151,17 +160,23 @@ class _ColourBlock:
     """One colour of the patch smoother.  ``rows`` holds the unknowns of its
     patches, grouped by patch size: group ``(lo, hi, inv)`` covers
     ``rows[lo:hi]`` as a (P, m) block with patch inverses ``inv`` of shape
-    (P, m, m).  ``a_rows`` is the matching row slice of A_g."""
+    (P, m, m).  ``a_rows`` is the matching row slice of A_g and ``a_fwd`` the
+    same rows restricted to the columns of the colours before this one, the
+    only columns where the forward pass's iterate can be nonzero."""
 
     rows: np.ndarray
     a_rows: sp.csr_matrix
+    a_fwd: sp.csr_matrix
     groups: list
 
-    def correct(self, r: np.ndarray, z: np.ndarray) -> None:
-        """Exact block solves on every patch of the colour at once.  Patches
-        of one colour share no unknown and no A_g coupling, so this equals
-        visiting them one by one."""
-        res = r[self.rows] - self.a_rows @ z
+    def correct(self, r: np.ndarray, z: np.ndarray, a: sp.csr_matrix) -> None:
+        """Exact block solves on every patch of the colour at once, with the
+        residual rows ``r[rows] - a @ z``.  Patches of one colour share no
+        unknown and no A_g coupling, so this equals visiting them one by
+        one."""
+        res = r[self.rows]
+        if a.nnz:
+            res -= a @ z
         for lo, hi, inv in self.groups:
             p, m, _ = inv.shape
             res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
@@ -181,15 +196,17 @@ class AspPrecond:
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
+        """R r: pointwise Jacobi, or one multicolour SGS sweep whose forward
+        pass reads ``a_fwd`` and whose backward pass reads ``a_rows``."""
         if self.smoother == "jacobi":
             return r / self.jacobi_diag
         # forward over the colours, then back; the last colour is not
         # repeated, since its residual is already zero after the forward pass
         z = np.zeros_like(r)
         for blk in self.colours:
-            blk.correct(r, z)
+            blk.correct(r, z, blk.a_fwd)
         for blk in reversed(self.colours[:-1]):
-            blk.correct(r, z)
+            blk.correct(r, z, blk.a_rows)
         return z
 
     def coarse(self, r: np.ndarray) -> np.ndarray:
@@ -198,7 +215,9 @@ class AspPrecond:
         return self.transfer @ self.aux_factor.solve(self.restrict @ r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.smooth(r) + self.coarse(r)
+        z = self.smooth(r)
+        z += self.coarse(r)
+        return z
 
 
 def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
@@ -226,6 +245,7 @@ def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
 def _colour_blocks(offsets, dofs, colour, a: sp.csr_matrix) -> list:
     sizes = np.diff(offsets)
     blocks = []
+    done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
     for c in range(colour.max(initial=-1) + 1):
         members = np.flatnonzero(colour == c)
         rows, groups, lo = [], [], 0
@@ -242,7 +262,19 @@ def _colour_blocks(offsets, dofs, colour, a: sp.csr_matrix) -> list:
             groups.append((lo, lo + ids.size, inv))
             lo += ids.size
         rows = np.concatenate(rows)
-        blocks.append(_ColourBlock(rows=rows, a_rows=a[rows], groups=groups))
+        a_rows = a[rows]
+        if not done.any():  # the first colour: z is still zero
+            a_fwd = sp.csr_matrix(a_rows.shape)
+        elif done.all():  # the last colour: every column is corrected
+            a_fwd = a_rows
+        else:
+            sel = np.flatnonzero(done.take(a_rows.indices))
+            ptr = np.searchsorted(sel, a_rows.indptr).astype(a_rows.indptr.dtype)
+            a_fwd = sp.csr_matrix(
+                (a_rows.data.take(sel), a_rows.indices.take(sel), ptr), shape=a_rows.shape
+            )
+        done[rows] = True
+        blocks.append(_ColourBlock(rows=rows, a_rows=a_rows, a_fwd=a_fwd, groups=groups))
     return blocks
 
 
@@ -302,12 +334,13 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
     vp = vpos[mesh.edges[fe]]  # (E, 2)
     cols = np.where(vp[:, :, None] >= 0, 2 * vp[:, :, None] + np.arange(2), -1)
     transfer = scatter_stack(
-        vals.reshape(fe.size, 4, -1).transpose(0, 2, 1),
+        vals.reshape(fe.size, 4, 2 * k + 1).transpose(0, 2, 1),
         edofs,
         cond.free_cond.size,
         cols.reshape(fe.size, 4),
         a0.n,
     )
+    transfer.eliminate_zeros()
 
     pre = AspPrecond(
         smoother=smoother,

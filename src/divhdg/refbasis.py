@@ -40,7 +40,11 @@ per-element sign table converts to the globally oriented basis (lowest-order
 flux flips sign under reversal, bubble i picks up (-1)^(i-1)).
 """
 
+import dataclasses
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -173,13 +177,13 @@ class ReferenceBasis:
     vol_divs: np.ndarray  # (n_u, Q)
     vol_qvals: np.ndarray  # (R, Q)
     facet: FacetBasis
-    edge_vals: dict  # (l, flip) -> (n_u, Qe, 2)
-    edge_grads: dict  # (l, flip) -> (n_u, Qe, 2, 2)
+    edge_vals: Mapping  # (l, flip) -> (n_u, Qe, 2)
+    edge_grads: Mapping  # (l, flip) -> (n_u, Qe, 2, 2)
     # reference tensors of the element forms (volume rule, indices as in
     # EdgeMoments): every affine element's stacks are linear in them
     mass_moments: np.ndarray  # (2, 2, n_u, n_u): sum_q w v_{i,a} v_{j,b}
     grad_moments: np.ndarray  # (4, 4, n_u, n_u): sum_q w g_{i,beta} g_{j,gamma}
-    edge_moments: dict  # (l, flip) -> EdgeMoments
+    edge_moments: Mapping  # (l, flip) -> EdgeMoments
 
     @property
     def n_u(self) -> int:
@@ -278,8 +282,26 @@ def _nullspace_interior(k: int, facet: FacetBasis) -> np.ndarray:
     return np.einsum("nc,cdij->ndij", null, stack)
 
 
+def _freeze(obj):
+    """Make every array reachable through dataclass fields and dict values
+    read-only, and every such dict a read-only mapping, so one cached
+    instance can be shared by every caller."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _freeze(v)
+        obj = MappingProxyType(obj)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            object.__setattr__(obj, f.name, _freeze(getattr(obj, f.name)))
+    return obj
+
+
+@functools.cache
 def build_reference_bdm(k: int) -> ReferenceBasis:
-    """Construct the hierarchical reference basis and all evaluation tables."""
+    """Construct the hierarchical reference basis and all evaluation tables,
+    once per degree: the result is cached and its tables are read-only."""
     if not 1 <= k <= 4:
         raise ValueError("polynomial degree k must be in 1..4")
     facet = build_facet_basis(k)
@@ -370,7 +392,7 @@ def build_reference_bdm(k: int) -> ReferenceBasis:
             trace_trace=_moments(vals, vals, we),
         )
 
-    return ReferenceBasis(
+    ref = ReferenceBasis(
         k=k,
         coeffs=coeffs,
         div_coeffs=div_coeffs,
@@ -390,6 +412,7 @@ def build_reference_bdm(k: int) -> ReferenceBasis:
         grad_moments=_moments(g, g, w),
         edge_moments=edge_moments,
     )
+    return _freeze(ref)
 
 
 def _moments(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -84,6 +84,20 @@ class TestFactorSpd:
         with pytest.raises(ValueError, match="length mismatch"):
             f.solve(np.ones(1))
 
+    def test_wrong_length_rhs_rejected(self):
+        f = factor_spd(SparseSym(sp.diags([4.0, 9.0]).tocsr()))
+        with pytest.raises(ValueError, match="length mismatch"):
+            f.solve(np.ones(3))
+
+    def test_solve_leaves_rhs_untouched(self):
+        # the LAPACK solve overwrites its input, which must be a copy of b
+        d = 2.0 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)
+        f = factor_spd(SparseSym(sp.csr_matrix(d)))
+        b = np.arange(1.0, 7.0)
+        x = f.solve(b)
+        assert np.array_equal(b, np.arange(1.0, 7.0))
+        assert np.allclose(x, np.linalg.solve(d, b), rtol=0.0, atol=1e-12)
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10**6))
     def test_roundtrip_random_spd(self, n, seed):

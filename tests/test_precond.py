@@ -293,10 +293,17 @@ class TestTransferEqualsFormerClosedForm:
         _, vpos = assemble_aux(mesh, spaces, cond.block.params, ess)
         assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
         got = build_asp(cond, smoother="jacobi").transfer
+        # the transfer stores no exact zero (axis-parallel edges give some);
+        # the former one kept them, so compare against it without them
         assert got.has_canonical_format
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+        assert np.count_nonzero(got.data) == got.nnz
+        want.eliminate_zeros()
+        # every former entry is stored; the only extra ones are the modes
+        # above degree 1, which the former closed form left at exact zero and
+        # the projection at roundoff
+        extra = (got != 0).astype(np.int8) - (want != 0).astype(np.int8)
+        assert extra.min() >= 0
+        assert abs(got - want).max() <= 1e-15 * np.abs(want.data).max()
 
 
 class TestSmoother:

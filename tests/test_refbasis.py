@@ -39,6 +39,23 @@ class TestDimensions:
                 build_reference_bdm(bad)
 
 
+class TestCachedReference:
+    def test_one_instance_per_degree(self, ref):
+        assert build_reference_bdm(ref.k) is ref
+
+    def test_tables_read_only(self, ref):
+        # the cached instance is shared by every caller, so no caller may
+        # change it
+        for arr in (ref.coeffs, ref.vol_vals, ref.grad_moments, ref.facet.theta,
+                    ref.facet.rule.weights, ref.vol_rule.points, ref.edge_vals[(0, 1)],
+                    ref.edge_moments[(2, 0)].trace_trace):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            ref.mass_moments[0, 0, 0, 0] = 1.0
+        with pytest.raises(TypeError):
+            ref.edge_moments[(0, 0)] = None
+
+
 class TestDivergenceStructure:
     def test_edge_groups(self, ref):
         k = ref.k
