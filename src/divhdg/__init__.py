@@ -11,7 +11,6 @@ checks behind the main spectral-equivalence claims.
 from .assembly import (
     BlockSystem,
     ProblemParams,
-    assemble_aux,
     assemble_local_stacks,
     assemble_pressure_ops,
     assemble_saddle,
@@ -83,7 +82,6 @@ __all__ = [
     "Spaces",
     "SparseSym",
     "SpdFactor",
-    "assemble_aux",
     "assemble_local_stacks",
     "assemble_pressure_ops",
     "assemble_saddle",

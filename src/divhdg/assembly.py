@@ -16,13 +16,21 @@ carriers (-identity). The assembled element blocks split into
 
     A_loc = tau * MASS + 2 mu * (VISC + alpha k^2 * PEN)
 
-with parameter-independent stacks, so parameter sweeps reuse one assembly
-pass. Essential trace data is eliminated by position: ``scatter_stack``
-drops the rows and columns at -1 in ``EssentialData.pos``, and
-``lift_essential`` moves the eliminated columns to the right-hand side. The
-solver path keeps the system as element stacks, which static condensation
-reads directly; the reduced velocity block is scattered only on first access,
-for verification.
+with parameter-independent MASS, VISC and PEN. Set-up data is split by
+lifetime. What depends only on the mesh, the degree and the essential data is
+built once and lives for a whole parameter sweep: ``LocalStacks`` keeps the
+three forms as per-element geometry coefficients (129 columns per element),
+``ScatterPattern`` the CSR pattern of an assembled matrix with the position
+of every element entry in it, and ``AuxSpace`` the parameter-independent part
+of the auxiliary operator. What depends on (mu, tau, 1/lambda) is built per
+row and lives only while the row runs: ``LocalStacks.combine`` forms the
+row's element matrices, and ``ScatterPattern.fill`` sums a row's stack into
+its matrix with one ``np.bincount``. Essential trace data is eliminated by
+position: ``scatter_stack`` drops the rows and columns at -1 in
+``EssentialData.pos``, and ``EssentialLift`` moves the eliminated columns to
+the right-hand side. The solver path keeps the system as element stacks,
+which static condensation reads directly; the reduced velocity block and the
+pressure coupling are assembled only on first access, for verification.
 
 The element kernel is the tensor representation of Kirby and Logg (A compiler
 for variational forms, ACM TOMS 32, 2006). Every element is an affine
@@ -80,19 +88,42 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class LocalStacks:
-    """Parameter-independent element matrices (signed, local slot order)."""
+    """The three parameter-independent forms of the velocity block, kept for
+    the whole sweep as the per-element geometry coefficients that
+    ``TensorStack`` multiplies: ``mass``, ``visc`` and ``pen`` are (nt, C)
+    with C = 4, 88 and 37. ``tensors`` holds per form the upper triangles
+    (C, n_loc (n_loc + 1) / 2) of its reference tensors, which depend only on
+    the degree, and ``signs`` the orientation signs of ``spaces.dofmap``.
+    The element matrices themselves exist only per row, in ``combine``."""
 
-    mass: np.ndarray  # (nt, n_loc, n_loc)
+    mass: np.ndarray  # (nt, 4)
     visc: np.ndarray  # gradient + consistency terms
     pen: np.ndarray  # jump penalty with 1/h_F included, alpha k^2 excluded
+    tensors: dict = field(repr=False)
+    signs: np.ndarray = field(repr=False)
+
+    def upper(self, form: str) -> np.ndarray:
+        """The upper triangles (nt, n_loc (n_loc + 1) / 2) of one form's
+        unsigned element matrices: one GEMM."""
+        return getattr(self, form) @ self.tensors[form]
+
+    def stack(self, form: str) -> np.ndarray:
+        """The signed element matrices (nt, n_loc, n_loc) of one form."""
+        return signed_stack(self.upper(form), self.signs)
 
     def combine(self, p: ProblemParams, k: int) -> np.ndarray:
-        """tau * mass + 2 mu * (visc + alpha k^2 * pen), in one buffer."""
-        a = (p.alpha * k * k) * self.pen
-        a += self.visc
+        """tau * mass + 2 mu * (visc + alpha k^2 * pen): one GEMM per form,
+        combined on the upper triangles, then signed and mirrored. A sign
+        flip is exact, so this equals combining the signed stacks bit for
+        bit."""
+        a = self.upper("pen")
+        a *= p.alpha * k * k
+        a += self.upper("visc")
         a *= 2.0 * p.mu
-        a += p.tau * self.mass
-        return a
+        m = self.upper("mass")
+        m *= p.tau
+        a += m
+        return signed_stack(a, self.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +166,9 @@ class TensorStack:
     """Element matrices (nt, n_loc, n_loc) of one bilinear form as a single
     GEMM: per-element geometry coefficients G (nt, C) times reference tensors
     R (C, n_loc, n_loc) that depend only on the degree. ``add`` appends
-    coefficient columns with their reference blocks; ``build`` multiplies
-    and applies the orientation signs of ``spaces.dofmap``."""
+    coefficient columns with their reference blocks; ``coefficients`` and
+    ``reference`` return G and the upper triangles of R, and ``build``
+    multiplies them and applies the orientation signs of ``spaces.dofmap``."""
 
     def __init__(self, spaces: Spaces):
         self.n_u, self.signs = spaces.ref.n_u, spaces.dofmap.signs
@@ -161,19 +193,33 @@ class TensorStack:
         self.coef.append(c)
         self.tensors.append(r)
 
+    def coefficients(self) -> np.ndarray:
+        """The geometry coefficients (nt, C)."""
+        return np.concatenate(self.coef, axis=1)
+
+    def reference(self) -> np.ndarray:
+        """The upper triangles (C, n_loc (n_loc + 1) / 2) of the reference
+        tensors."""
+        iu, ju = np.triu_indices(self.n_loc)
+        return np.concatenate(self.tensors)[:, iu, ju]
+
     def build(self) -> np.ndarray:
-        """The signed stack. The GEMM forms the upper triangle only, which
-        then fills both triangles, so the stack is exactly symmetric."""
-        n = self.n_loc
-        iu, ju = np.triu_indices(n)
-        packed = np.empty((n, n), np.int64)
-        packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
-        g = np.concatenate(self.coef, axis=1)
-        upper = g @ np.concatenate(self.tensors)[:, iu, ju]
-        s = np.take(upper, packed.ravel(), axis=1).reshape(-1, n, n)
-        s *= self.signs[:, :, None]
-        s *= self.signs[:, None, :]
-        return s
+        """The signed stack (nt, n_loc, n_loc)."""
+        return signed_stack(self.coefficients() @ self.reference(), self.signs)
+
+
+def signed_stack(upper: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Element matrices (nt, n, n) from their upper triangles (nt, n (n + 1)
+    / 2), which fill both triangles, so every matrix is exactly symmetric,
+    times the orientation signs (nt, n) on both sides."""
+    n = signs.shape[1]
+    iu, ju = np.triu_indices(n)
+    packed = np.empty((n, n), np.int64)
+    packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
+    s = np.take(upper, packed.ravel(), axis=1).reshape(-1, n, n)
+    s *= signs[:, :, None]
+    s *= signs[:, None, :]
+    return s
 
 
 def viscous_volume_coefficients(o: np.ndarray, det: np.ndarray) -> np.ndarray:
@@ -207,35 +253,106 @@ def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
             yield (l, f), hat, c1 * mask, c2 * mask
 
 
+@dataclass(frozen=True)
+class ScatterPattern:
+    """Where ``scatter_stack`` puts each entry of an element stack with given
+    row and column slots. ``positions`` is the CSR pattern of the sum with
+    data 1..nnz: fancy-indexing it gives 1 + the position in the data of any
+    entry, and 0 for an entry outside the pattern. ``slot`` holds, per stack
+    entry in element-major order, its position in the data, and nnz for an
+    entry that a -1 slot drops. The pattern depends only on the slots, so it
+    is built once and every sum over the same slots is one ``np.bincount``."""
+
+    positions: sp.csr_matrix
+    slot: np.ndarray
+
+    def fill(self, stack: np.ndarray) -> sp.csr_matrix:
+        """The summed matrix of ``stack``, duplicates added in element-major
+        order. It shares the pattern's index arrays and owns exactly nnz
+        values."""
+        p = self.positions
+        data = np.bincount(self.slot, weights=stack.ravel(), minlength=p.nnz + 1)
+        data.resize(p.nnz, refcheck=False)  # the last bin holds the dropped entries
+        return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape)
+
+
+def scatter_pattern(
+    rows: np.ndarray, n: int, cols: np.ndarray = None, m: int = None
+) -> ScatterPattern:
+    """The pattern of an (n, m) sum of element matrices at the rows
+    ``rows[e]`` and the columns ``cols[e]`` (default: the rows, and m = n).
+    A slot of -1 drops its row or column; that is how eliminated unknowns
+    leave a matrix."""
+    if cols is None:
+        cols = rows
+    shape = (rows.shape[0], rows.shape[1], cols.shape[1])
+    keep = (rows >= 0)[:, :, None] & (cols >= 0)[:, None, :]
+    r = np.broadcast_to(rows[:, :, None], shape)[keep]
+    c = np.broadcast_to(cols[:, None, :], shape)[keep]
+    size = (n, n if m is None else m)
+    positions = position_map(
+        sp.coo_matrix((np.ones(r.size, bool), (r, c)), shape=size).tocsr()
+    )
+    slot = np.full(shape, positions.nnz, positions.indices.dtype)
+    if r.size:
+        slot[keep] = np.asarray(positions[r, c]).ravel() - 1
+    return ScatterPattern(positions=positions, slot=slot.ravel())
+
+
+def position_map(m: sp.csr_matrix) -> sp.csr_matrix:
+    """The pattern of the canonical CSR matrix ``m`` with data 1..nnz, in
+    compact index arrays: fancy-indexing it gives 1 + the position in
+    ``m.data`` of any entry, and 0 for an entry outside the pattern."""
+    nnz = m.nnz
+    return sp.csr_matrix(
+        (np.arange(1, nnz + 1, dtype=m.indices.dtype), m.indices[:nnz].copy(), m.indptr),
+        shape=m.shape,
+    )
+
+
 def scatter_stack(
     stack: np.ndarray, rows: np.ndarray, n: int, cols: np.ndarray = None, m: int = None
 ) -> sp.csr_matrix:
     """Sum the element matrices ``stack[e]`` (E, r, c) into an (n, m) matrix
-    at the rows ``rows[e]`` and the columns ``cols[e]`` (default: the rows,
-    and m = n). A slot of -1 drops its row or column; that is how eliminated
-    unknowns leave a matrix. The kept entries stay in element-major order, and
-    ``tocsr`` sums the duplicates into the canonical format."""
-    if cols is None:
-        cols = rows
-    r = np.broadcast_to(rows[:, :, None], stack.shape)
-    c = np.broadcast_to(cols[:, None, :], stack.shape)
-    keep = (r >= 0) & (c >= 0)
-    shape = (n, n if m is None else m)
-    return sp.coo_matrix((stack[keep], (r[keep], c[keep])), shape=shape).tocsr()
+    at the rows ``rows[e]`` and the columns ``cols[e]``, as
+    ``scatter_pattern`` places them. A matrix summed again for every
+    parameter row keeps its ``ScatterPattern`` instead."""
+    return scatter_pattern(rows, n, cols, m).fill(stack)
 
 
-def lift_essential(stack, fstack, slots, ess: EssentialData, n: int) -> np.ndarray:
-    """f_free - A[free, essential] g: the right side over the n free unknowns
-    among the global velocity ids ``slots`` of element matrices ``stack`` and
-    element right sides ``fstack``. The lift is a rectangular scatter of only
-    the elements that touch an essential unknown."""
+@dataclass(frozen=True)
+class EssentialLift:
+    """f_free - A[free, essential] g, the right side over the n free unknowns
+    among the global velocity ids of an element stack's slots. The lift is a
+    rectangular scatter of only the elements that touch an essential
+    unknown; their mask and pattern depend only on the slots and the
+    essential data."""
+
+    pos: np.ndarray  # (E, s) free position of each slot, -1 if essential
+    touch: np.ndarray  # elements with an essential slot
+    pattern: ScatterPattern  # their free rows by their essential columns
+    g: np.ndarray  # the essential data over all velocity unknowns
+
+    def __call__(self, stack: np.ndarray, fstack: np.ndarray) -> np.ndarray:
+        """The right side of element matrices ``stack`` and element right
+        sides ``fstack``."""
+        kept = self.pos >= 0
+        n = self.pattern.positions.shape[0]
+        f = np.bincount(self.pos[kept], weights=fstack[kept], minlength=n)
+        return f - self.pattern.fill(stack[self.touch]) @ self.g
+
+
+def essential_lift(slots: np.ndarray, ess: EssentialData, n: int) -> EssentialLift:
     pos = ess.pos[slots]
     kept = pos >= 0
-    f = np.bincount(pos[kept], weights=fstack[kept], minlength=n)
     touch = ~kept.all(axis=1)
     ess_cols = np.where(kept[touch], -1, slots[touch])
-    lift = scatter_stack(stack[touch], pos[touch], n, ess_cols, ess.free_mask.size)
-    return f - lift @ ess.full_vector()
+    return EssentialLift(
+        pos=pos,
+        touch=touch,
+        pattern=scatter_pattern(pos[touch], n, ess_cols, ess.free_mask.size),
+        g=ess.full_vector(),
+    )
 
 
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
@@ -256,7 +373,12 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
         pen.add(c2[:, :, None] * c2[:, None, :], uu=np.einsum("aim,bjm->abij", tm, tm))
         pen.add(c2, uh=-tm, hat=hat)
     pen.add(np.ones((mesh.num_triangles, 1)), hh=np.eye(3 * k), hat=dm.hat_slots)
-    return LocalStacks(mass=mass.build(), visc=visc.build(), pen=pen.build())
+    forms = dict(mass=mass, visc=visc, pen=pen)
+    return LocalStacks(
+        **{name: f.coefficients() for name, f in forms.items()},
+        tensors={name: f.reference() for name, f in forms.items()},
+        signs=dm.signs,
+    )
 
 
 def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
@@ -295,17 +417,15 @@ def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np
 class BlockSystem:
     """Assembled saddle-point system with essential data eliminated.
 
-    B, C, F_p are the reduced pressure blocks and right side and aloc, floc
-    are the signed element stacks, which is all static condensation reads.
-    The reduced velocity block A (over free velocity unknowns, at their
-    ``essential.pos`` positions) and its right side F_u are scattered from the
-    element stacks on first access, for verification: the condensed solve
-    never forms them.
+    C is the reduced compressibility block, and aloc, floc are the signed
+    element stacks of one parameter row, which is all static condensation
+    reads. The reduced velocity block A (over free velocity unknowns, at their
+    ``essential.pos`` positions), its right side F_u, the reduced pressure
+    coupling B and its right side F_p are assembled on first access, for
+    verification: the condensed solve never forms them.
     """
 
-    B: sp.csr_matrix
     C: SparseSym
-    F_p: np.ndarray
     aloc: np.ndarray = field(repr=False)
     floc: np.ndarray = field(repr=False)
     spaces: Spaces = field(repr=False)
@@ -320,7 +440,19 @@ class BlockSystem:
     @cached_property
     def F_u(self) -> np.ndarray:
         vel_loc = self.spaces.dofmap.vel_loc
-        return lift_essential(self.aloc, self.floc, vel_loc, self.essential, self.n_free)
+        return essential_lift(vel_loc, self.essential, self.n_free)(self.aloc, self.floc)
+
+    @cached_property
+    def _b_full(self) -> sp.csr_matrix:
+        return assemble_pressure_ops(self.mesh, self.spaces)
+
+    @cached_property
+    def B(self) -> sp.csr_matrix:
+        return self._b_full[:, self.essential.free_ids]
+
+    @cached_property
+    def F_p(self) -> np.ndarray:
+        return -(self._b_full @ self.essential.full_vector())
 
     @property
     def mesh(self) -> Mesh:
@@ -392,11 +524,8 @@ def assemble_saddle(
             ) * det[:, None]
         floc *= dm.signs
 
-    b_full = assemble_pressure_ops(mesh, spaces)
     return BlockSystem(
-        B=b_full[:, essential.free_ids],
         C=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, params)).tocsr()),
-        F_p=-(b_full @ essential.full_vector()),
         aloc=aloc,
         floc=floc,
         spaces=spaces,
@@ -405,36 +534,53 @@ def assemble_saddle(
     )
 
 
-def assemble_aux(
-    mesh: Mesh, spaces: Spaces, params: ProblemParams, essential: EssentialData
-):
-    """Continuous piecewise-linear vector auxiliary operator on free vertices.
+@dataclass(frozen=True)
+class AuxSpace:
+    """The continuous piecewise-linear vector auxiliary space on the vertices
+    not on the essentially imposed boundary, and the parameter-independent
+    part of its operator, kept for the whole sweep: ``vpos`` gives each vertex
+    its position among the free ones (-1 for a vertex of an essential edge),
+    ``stiff`` and ``mass`` are the P1 element stiffness and consistent mass
+    (nt, 3, 3), and ``pattern`` scatters them into the vector operator, one
+    copy per component. ``operator`` builds one row's matrix."""
 
-    Returns (matrix, vpos): kron of the scalar stiffness/mass combination
-    2 mu * stiffness + tau * consistent mass with the 2x2 identity, over the
-    vertices not on the essentially imposed boundary; vpos gives each vertex
-    its position among those, -1 for a vertex of an essential edge.
-    """
-    nv = mesh.num_vertices
+    vpos: np.ndarray
+    stiff: np.ndarray
+    mass: np.ndarray
+    pattern: ScatterPattern
+
+    def operator(self, params: ProblemParams) -> SparseSym:
+        """The kron of the scalar combination 2 mu * stiffness + tau * mass
+        with the 2x2 identity, over the free vertices."""
+        loc = 2.0 * params.mu * self.stiff + params.tau * self.mass
+        return SparseSym(self.pattern.fill(np.repeat(loc, 2, axis=0)))
+
+
+def aux_space(mesh: Mesh, spaces: Spaces, essential: EssentialData) -> AuxSpace:
     det = mesh.det_j
 
     # P1 gradients, constant per element: grad lam_1, grad lam_2 are the rows
     # of J^-1
     jinv = inverse_jacobians(mesh.jacobians, det)
     grads = np.concatenate([-(jinv[:, :1] + jinv[:, 1:]), jinv], axis=1)
-
     stiff = np.einsum("tid,tjd->tij", grads, grads) * (0.5 * det)[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3)) / 24.0
-    massl = mloc[None, :, :] * det[:, None, None]
-    loc = 2.0 * params.mu * stiff + params.tau * massl
 
     # an edge is essential when its first normal unknown is; outlet vertices
     # stay free unless shared with an essential edge
     free_edge = essential.free_mask[: spaces.split.n_bnd : spaces.k + 1]
-    vpos = np.zeros(nv, np.int32)
+    vpos = np.zeros(mesh.num_vertices, np.int32)
     vpos[mesh.edges[~free_edge]] = -1
     free = vpos == 0
-    vpos[free] = np.arange(np.count_nonzero(free), dtype=np.int32)
+    n_free = np.count_nonzero(free)
+    vpos[free] = np.arange(n_free, dtype=np.int32)
 
-    scal = scatter_stack(loc, vpos[mesh.triangles], np.count_nonzero(free))
-    return SparseSym(sp.kron(scal, sp.eye(2), format="csr")), vpos
+    # element e's component c is copy 2e + c, at the slots 2 vpos + c
+    tv = vpos[mesh.triangles][:, None, :]
+    slots = np.where(tv >= 0, 2 * tv + np.arange(2)[:, None], -1).reshape(-1, 3)
+    return AuxSpace(
+        vpos=vpos,
+        stiff=stiff,
+        mass=mloc[None, :, :] * det[:, None, None],
+        pattern=scatter_pattern(slots, 2 * n_free),
+    )

@@ -4,7 +4,9 @@ tables as CSV or markdown.
 
 Rows run one after another in grid order (degree, then mesh, then
 viscosity, reaction, and compressibility parameters), and a failure inside
-one row is captured in that row rather than aborting the sweep.
+one row is captured in that row rather than aborting the sweep. Rows on the
+same (1/h, k) share one ``Structure``, built once; a structure that fails to
+build fails each of its rows, and the sweep goes on with the next one.
 """
 
 import csv
@@ -13,15 +15,22 @@ import itertools
 import time
 from dataclasses import dataclass, field, fields
 
-from .assembly import ProblemParams, assemble_local_stacks, assemble_saddle
-from .condense import eliminate_local
+from .assembly import LocalStacks, ProblemParams, assemble_local_stacks, assemble_saddle
+from .condense import CondensedStructure, condensed_structure, eliminate_local
 from .krylov import solve_condensed
 from .linalg import CapExceeded
-from .mesh import step_domain, unit_square
-from .precond import build_asp, build_schur
-from .spaces import build_spaces, interpolate_essential
+from .mesh import Mesh, step_domain, unit_square
+from .precond import (
+    AspStructure,
+    SchurStructure,
+    asp_structure,
+    build_asp,
+    build_schur,
+    schur_structure,
+)
+from .spaces import EssentialData, Spaces, build_spaces, interpolate_essential
 
-PROBLEMS = ("cavity", "step", "elast-steady", "elast-unsteady")
+PROBLEMS = ("cavity", "step")
 
 # per supported degree, the mesh size past which a run needs an explicit
 # opt-in: beyond it runtimes leave desk scale
@@ -137,21 +146,46 @@ def parse_csv(text: str) -> list:
     return rows
 
 
-def build_structure(problem: str, inv_h: int, k: int):
-    """The parameter-independent (mesh, spaces, essential data, local stacks)
-    of one (1/h, k), shared by every row on that mesh."""
+@dataclass(frozen=True)
+class Structure:
+    """The parameter-independent data of one (1/h, k): built once and shared
+    by every row on that mesh, it lives for the whole sweep over (mu, tau,
+    1/lambda). It holds the mesh, spaces and essential data, the element
+    forms as geometry coefficients, the pattern of A_g with B_g, and the
+    preconditioners' patterns: the transfer Pi, the auxiliary space, the
+    patches and colours (patch smoother only), N, and the RCM orders of the
+    banded factors."""
+
+    mesh: Mesh
+    spaces: Spaces
+    essential: EssentialData
+    stacks: LocalStacks
+    condensed: CondensedStructure
+    asp: AspStructure
+    schur: SchurStructure
+
+
+def build_structure(problem: str, inv_h: int, k: int, smoother: str = "patch-sgs") -> Structure:
+    """The ``Structure`` of one (1/h, k), built once per sweep. Only a
+    patch-smoother structure holds patches: a Jacobi sweep builds none."""
     mesh = (step_domain if problem == "step" else unit_square)(inv_h)
     spaces = build_spaces(mesh, k)
     ess = interpolate_essential(mesh, spaces, problem)
-    return mesh, spaces, ess, assemble_local_stacks(mesh, spaces)
+    condensed = condensed_structure(spaces, ess)
+    return Structure(
+        mesh=mesh,
+        spaces=spaces,
+        essential=ess,
+        stacks=assemble_local_stacks(mesh, spaces),
+        condensed=condensed,
+        asp=asp_structure(spaces, ess, condensed.a_g.positions, smoother),
+        schur=schur_structure(mesh),
+    )
 
 
-def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
-    """One row: ``structure`` is the (mesh, spaces, essential data, local
-    stacks) of the row's (1/h, k), shared across the sweep."""
+def _row_fields(grid: ExperimentGrid, tup) -> dict:
     k, inv_h, mu, tau, invl = tup
-    mesh, spaces, ess, stacks = structure
-    base = dict(
+    return dict(
         problem=grid.problem,
         k=k,
         inv_h=inv_h,
@@ -161,21 +195,41 @@ def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
         alpha=grid.alpha,
         seed=grid.seed,
     )
+
+
+def _failed_row(grid: ExperimentGrid, tup, exc: Exception, setup_ms: float) -> BenchRow:
+    return BenchRow(
+        **_row_fields(grid, tup),
+        iters=0,
+        converged=False,
+        final_relres=float("inf"),
+        setup_ms=setup_ms,
+        solve_ms=0.0,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def solve_one(grid: ExperimentGrid, structure: Structure, tup) -> BenchRow:
+    """One row on the shared ``structure`` of its (1/h, k). Everything the
+    row builds (element matrices, A_g's values, the patch inverses and the
+    banded factors) lives only until the row returns."""
+    _, _, mu, tau, invl = tup
+    s = structure
     t0 = time.perf_counter()
     try:
         params = ProblemParams(
             mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha
         )
-        block = assemble_saddle(mesh, spaces, params, ess, stacks=stacks)
-        cond = eliminate_local(block)
-        asp = build_asp(cond, smoother=grid.smoother)
-        schur = build_schur(mesh, params, grid.schur_mode)
+        block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
+        cond = eliminate_local(block, s.condensed)
+        asp = build_asp(cond, smoother=grid.smoother, structure=s.asp)
+        schur = build_schur(s.mesh, params, grid.schur_mode, structure=s.schur)
         setup_ms = (time.perf_counter() - t0) * 1e3
         _, rep = solve_condensed(
             cond, asp, schur, tol=grid.tol, maxit=grid.maxit, seed=grid.seed
         )
         return BenchRow(
-            **base,
+            **_row_fields(grid, tup),
             iters=rep.iterations,
             converged=rep.converged,
             final_relres=rep.final_relres,
@@ -183,22 +237,20 @@ def solve_one(grid: ExperimentGrid, structure, tup) -> BenchRow:
             solve_ms=rep.solve_ms,
         )
     except Exception as exc:  # captured in the row, the sweep continues
-        return BenchRow(
-            **base,
-            iters=0,
-            converged=False,
-            final_relres=float("inf"),
-            setup_ms=(time.perf_counter() - t0) * 1e3,
-            solve_ms=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(grid, tup, exc, (time.perf_counter() - t0) * 1e3)
 
 
 def run_grid(grid: ExperimentGrid) -> list:
     # grid order keeps each (degree, mesh) contiguous: one structure at a time
     rows = []
     for (k, inv_h), tups in itertools.groupby(grid.tuples(), key=lambda t: t[:2]):
-        structure = build_structure(grid.problem, inv_h, k)
+        t0 = time.perf_counter()
+        try:
+            structure = build_structure(grid.problem, inv_h, k, grid.smoother)
+        except Exception as exc:  # every row of this structure fails
+            setup_ms = (time.perf_counter() - t0) * 1e3
+            rows += [_failed_row(grid, t, exc, setup_ms) for t in tups]
+            continue
         rows += [solve_one(grid, structure, t) for t in tups]
     return rows
 

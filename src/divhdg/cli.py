@@ -4,7 +4,7 @@ Examples::
 
     divhdg-bench --problem cavity --k 2 --inv-h 8 --inv-h 16 \\
         --tau 0 --tau 1 --tau 100 --format md
-    divhdg-bench --problem elast-steady --inv-lambda 1e-4 --lambda inf
+    divhdg-bench --problem cavity --inv-lambda 1e-4 --lambda inf
     divhdg-bench --verify small
 """
 
@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import sys
 
-from .bench import MAX_INV_H, ExperimentGrid, emit, run_grid
+from .bench import MAX_INV_H, PROBLEMS, ExperimentGrid, emit, run_grid
 from .verify import run_verification
 
 
@@ -22,11 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Iteration-count sweeps and dense verification for the "
         "divergence-conforming HDG saddle point solver.",
     )
-    p.add_argument(
-        "--problem",
-        choices=["cavity", "step", "elast-steady", "elast-unsteady"],
-        default="cavity",
-    )
+    p.add_argument("--problem", choices=PROBLEMS, default="cavity")
     p.add_argument("--k", type=int, default=2, help="polynomial degree")
     p.add_argument(
         "--inv-h",

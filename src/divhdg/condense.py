@@ -14,6 +14,12 @@ in the incompressibility limit 1/lambda = 0 because B_I has full row rank.
 
 For finite lambda the same elimination equals adding lambda-weighted
 divergence penalization to the interior block before inverting.
+
+``CondensedStructure`` holds what depends only on the mesh, the degree and the
+essential data, built once per sweep: the trace slots, the pattern of A_g
+with the position of every element entry in it, and B_g with its right side.
+``eliminate_local`` then does one row's work: the batched local solves, and
+A_g's values and F_g.
 """
 
 from dataclasses import dataclass, field
@@ -21,9 +27,50 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import BlockSystem, lift_essential, scatter_stack
+from .assembly import (
+    BlockSystem,
+    EssentialLift,
+    ScatterPattern,
+    assemble_pressure_ops,
+    essential_lift,
+    scatter_pattern,
+)
 from .linalg import SparseSym
-from .spaces import Spaces
+from .spaces import EssentialData, Spaces
+
+
+@dataclass(frozen=True)
+class CondensedStructure:
+    """The parameter-independent part of the condensed system on one (mesh,
+    k, essential data), shared by every row of a sweep."""
+
+    g_slot_idx: np.ndarray  # local slots of the trace unknowns
+    g_slots: np.ndarray  # (nt, n_G) their global ids
+    free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
+    a_g: ScatterPattern  # A_g's pattern and the slot of each element entry
+    lift: EssentialLift  # F_g from the condensed element matrices
+    B_g: sp.csr_matrix  # constant-pressure coupling, free columns
+    F_pbar: np.ndarray
+
+
+def condensed_structure(spaces: Spaces, essential: EssentialData) -> CondensedStructure:
+    dm = spaces.dofmap
+    nt = spaces.mesh.num_triangles
+    g_slot_idx = np.r_[0 : dm.n_loc_facet, dm.n_loc_facet + dm.n_loc_int : dm.n_loc]
+    g_slots = dm.vel_loc[:, g_slot_idx]
+    # the free condensed unknowns hold the first n_g free positions
+    free_cond = np.flatnonzero(essential.free_mask[: spaces.split.n_cond])
+    n_g = free_cond.size
+    b_full = assemble_pressure_ops(spaces.mesh, spaces)
+    return CondensedStructure(
+        g_slot_idx=g_slot_idx,
+        g_slots=g_slots,
+        free_cond=free_cond,
+        a_g=scatter_pattern(essential.pos[g_slots], n_g),
+        lift=essential_lift(g_slots, essential, n_g),
+        B_g=b_full[:, essential.free_ids][:nt, :n_g],
+        F_pbar=-(b_full @ essential.full_vector())[:nt],
+    )
 
 
 @dataclass
@@ -51,18 +98,23 @@ class CondensedSystem:
         return self.C_g.n
 
 
-def eliminate_local(block: BlockSystem) -> CondensedSystem:
+def eliminate_local(
+    block: BlockSystem, structure: CondensedStructure = None
+) -> CondensedSystem:
+    """Condense one row's saddle system; without ``structure``, its
+    parameter-independent part is built here."""
     spaces = block.spaces
+    if structure is None:
+        structure = condensed_structure(spaces, block.essential)
     ref = spaces.ref
     dm = spaces.dofmap
     mesh = block.mesh
-    split = spaces.split
     nt = mesh.num_triangles
     n_int = dm.n_loc_int
     n_d = ref.n_int_d
     n_c = ref.n_int_c
     n_L = n_int + n_d
-    g_slot_idx = np.r_[0 : dm.n_loc_facet, dm.n_loc_facet + n_int : dm.n_loc]
+    g_slot_idx = structure.g_slot_idx
     n_G = g_slot_idx.size
 
     aloc = block.aloc
@@ -96,22 +148,16 @@ def eliminate_local(block: BlockSystem) -> CondensedSystem:
     a_cond = a_gg - k_gl @ back_x
     f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ back_y[:, :, None])[:, :, 0]
 
-    # the free condensed unknowns hold the first n_g free positions
-    g_slots = dm.vel_loc[:, g_slot_idx]
-    ess = block.essential
-    free_cond = np.flatnonzero(ess.free_mask[: split.n_cond])
-    n_g = free_cond.size
-
     return CondensedSystem(
-        A_g=SparseSym(scatter_stack(a_cond, ess.pos[g_slots], n_g)),
-        B_g=block.B[:nt, :n_g],
+        A_g=SparseSym(structure.a_g.fill(a_cond)),
+        B_g=structure.B_g,
         C_g=SparseSym(sp.diags(-inv_l * mesh.areas).tocsr()),
-        F_g=lift_essential(a_cond, f_g_loc, g_slots, ess, n_g),
-        F_pbar=block.F_p[:nt],
-        free_cond=free_cond,
+        F_g=structure.lift(a_cond, f_g_loc),
+        F_pbar=structure.F_pbar,
+        free_cond=structure.free_cond,
         back_x=back_x,
         back_y=back_y,
-        g_slots=g_slots,
+        g_slots=structure.g_slots,
         spaces=spaces,
         block=block,
     )

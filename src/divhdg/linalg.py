@@ -88,14 +88,22 @@ class SpdFactor:
         return y[self._inv_perm]
 
 
-def factor_spd(a: SparseSym) -> SpdFactor:
-    """Factor an SPD SparseSym; raises NotSPD on failure or tiny/negative pivots."""
+def rcm_order(m: sp.csr_matrix) -> np.ndarray:
+    """The reverse Cuthill-McKee order of a symmetric CSR pattern; it reads
+    only the pattern, so every matrix with that pattern shares it."""
+    if m.shape[0] == 0:  # RCM rejects an empty graph
+        return np.zeros(0, np.int64)
+    return np.asarray(reverse_cuthill_mckee(m, symmetric_mode=True), dtype=np.int64)
+
+
+def factor_spd(a: SparseSym, perm: np.ndarray = None) -> SpdFactor:
+    """Factor an SPD SparseSym under the order ``perm`` (default: its
+    ``rcm_order``); raises NotSPD on failure or tiny/negative pivots. The
+    empty factor solves 0 -> 0."""
     m = a.csr
     n = m.shape[0]
-    if n == 0:  # RCM rejects an empty graph; the empty factor solves 0 -> 0
-        perm = np.zeros(0, np.int64)
-    else:
-        perm = np.asarray(reverse_cuthill_mckee(m, symmetric_mode=True), dtype=np.int64)
+    if perm is None:
+        perm = rcm_order(m)
     mp = m[perm][:, perm].tocoo()
     bw = int(np.max(np.abs(mp.row - mp.col))) if mp.nnz else 0
     ab = np.zeros((bw + 1, n))

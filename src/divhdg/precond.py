@@ -48,6 +48,15 @@ input and its output onto mean-zero vectors, and the inner solve grounds N at
 element 0 (N without its first row and column is SPD; the solution gets
 x[0] = 0). The output projection turns that grounded solution into the
 minimum-norm one.
+
+Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
+what depends only on the mesh, the degree and the essential data, once per
+sweep: Pi and its transpose, the auxiliary space's pattern, the patches, their
+colouring and each colour's positions into A_g's data, N, and the RCM orders
+of both banded factors. ``build_asp`` and ``build_schur`` then do one row's
+work: the auxiliary operator and its factor, the patch blocks and row slices
+gathered from A_g's data with the blocks inverted, and the Schur inner
+factor. Called without a structure, they build it first.
 """
 
 from dataclasses import dataclass, field
@@ -55,10 +64,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import ProblemParams, assemble_aux, scatter_stack
+from .assembly import AuxSpace, ProblemParams, aux_space, position_map, scatter_stack
 from .condense import CondensedSystem
-from .linalg import SparseSym, SpdFactor, factor_spd
+from .linalg import SparseSym, SpdFactor, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
+from .spaces import EssentialData, Spaces
 
 # no compiled smoother kernel exists; the name stays for benchmark scripts
 # that record it in their environment line
@@ -103,13 +113,42 @@ def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
     return SparseSym(scatter_stack(blocks, mesh.edge_elems[facets], mesh.num_triangles))
 
 
-def build_schur(mesh: Mesh, params: ProblemParams, mode: str = "exact") -> SchurPrecond:
+@dataclass(frozen=True)
+class SchurStructure:
+    """The parameter-independent part of the Schur block on one mesh, shared
+    by every row of a sweep: N, the element areas, whether the mesh has an
+    outflow facet, and the RCM order of the inner banded factor per
+    ``deflate``. N holds every diagonal entry, so c3 M + N has N's pattern,
+    grounded at element 0 when deflating."""
+
+    n_mat: SparseSym
+    areas: np.ndarray
+    has_outlet: bool
+    perms: dict
+
+
+def schur_structure(mesh: Mesh) -> SchurStructure:
+    n_mat = assemble_pressure_laplacian(mesh)
+    has_outlet = bool(np.any(mesh.edge_tags == TAG_OUTLET))
+    perms = {False: rcm_order(n_mat.csr)}
+    if not has_outlet:  # without an outflow facet, 1/lambda = 0 deflates
+        perms[True] = rcm_order(n_mat.csr[1:, 1:])
+    return SchurStructure(
+        n_mat=n_mat, areas=mesh.areas.copy(), has_outlet=has_outlet, perms=perms
+    )
+
+
+def build_schur(
+    mesh: Mesh, params: ProblemParams, mode: str = "exact", structure: SchurStructure = None
+) -> SchurPrecond:
+    """One row's Schur preconditioner; without ``structure``, its
+    parameter-independent part is built here."""
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown Schur mode '{mode}'")
-    n_mat = assemble_pressure_laplacian(mesh)
-    areas = mesh.areas.copy()
-    has_outlet = bool(np.any(mesh.edge_tags == TAG_OUTLET))
-    deflate = (not has_outlet) and params.inv_lambda == 0.0
+    if structure is None:
+        structure = schur_structure(mesh)
+    areas = structure.areas
+    deflate = (not structure.has_outlet) and params.inv_lambda == 0.0
 
     d = 2.0 * params.mu * params.inv_lambda + 1.0
     c1 = 2.0 * params.mu / d
@@ -122,10 +161,10 @@ def build_schur(mesh: Mesh, params: ProblemParams, mode: str = "exact") -> Schur
 
     inner = None
     if c2 != 0.0:
-        mat = (n_mat.csr + sp.diags(c3 * areas)).tocsr()
+        mat = (structure.n_mat.csr + sp.diags(c3 * areas)).tocsr()
         if deflate:  # c3 == 0: N is singular on constants only
             mat = mat[1:, 1:]
-        inner = factor_spd(SparseSym(mat))
+        inner = factor_spd(SparseSym(mat), structure.perms[deflate])
     return SchurPrecond(m_diag=areas, deflate=deflate, c1=c1, c2=c2, inner=inner)
 
 
@@ -242,10 +281,25 @@ def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
     return np.array(colour, np.int64)
 
 
-def _colour_blocks(offsets, dofs, colour, a: sp.csr_matrix) -> list:
+@dataclass(frozen=True)
+class _ColourPattern:
+    """One colour of the patch smoother as positions into A_g's data, 1-based
+    with 0 for an entry outside A_g's pattern: ``rows`` as in
+    ``_ColourBlock``, ``groups`` as (lo, hi, block positions (P, m, m)), and
+    ``a_rows``, ``a_fwd`` as CSR patterns whose data are positions."""
+
+    rows: np.ndarray
+    groups: list
+    a_rows: sp.csr_matrix
+    a_fwd: sp.csr_matrix
+
+
+def _colour_patterns(offsets, dofs, colour, pos: sp.csr_matrix) -> list:
+    """The colours' unknowns, patch blocks and row slices, read from the
+    position map ``pos`` of A_g (its pattern with data 1..nnz)."""
     sizes = np.diff(offsets)
-    blocks = []
-    done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
+    patterns = []
+    done = np.zeros(pos.shape[0], bool)  # unknowns of the colours so far
     for c in range(colour.max(initial=-1) + 1):
         members = np.flatnonzero(colour == c)
         rows, groups, lo = [], [], 0
@@ -253,18 +307,17 @@ def _colour_blocks(offsets, dofs, colour, a: sp.csr_matrix) -> list:
             ps = members[sizes[members] == m]
             ids = dofs[offsets[ps, None] + np.arange(m)]  # (P, m)
             shape = (ps.size, m, m)
-            sub = a[
+            sub = pos[
                 np.broadcast_to(ids[:, :, None], shape).ravel(),
                 np.broadcast_to(ids[:, None, :], shape).ravel(),
             ]
-            inv = np.linalg.inv(np.asarray(sub).reshape(shape))
             rows.append(ids.ravel())
-            groups.append((lo, lo + ids.size, inv))
+            groups.append((lo, lo + ids.size, np.asarray(sub).reshape(shape)))
             lo += ids.size
         rows = np.concatenate(rows)
-        a_rows = a[rows]
+        a_rows = pos[rows]
         if not done.any():  # the first colour: z is still zero
-            a_fwd = sp.csr_matrix(a_rows.shape)
+            a_fwd = sp.csr_matrix(a_rows.shape, dtype=pos.dtype)
         elif done.all():  # the last colour: every column is corrected
             a_fwd = a_rows
         else:
@@ -274,35 +327,60 @@ def _colour_blocks(offsets, dofs, colour, a: sp.csr_matrix) -> list:
                 (a_rows.data.take(sel), a_rows.indices.take(sel), ptr), shape=a_rows.shape
             )
         done[rows] = True
-        blocks.append(_ColourBlock(rows=rows, a_rows=a_rows, a_fwd=a_fwd, groups=groups))
+        patterns.append(_ColourPattern(rows=rows, groups=groups, a_rows=a_rows, a_fwd=a_fwd))
+    return patterns
+
+
+def _colour_blocks(patterns: list, data: np.ndarray) -> list:
+    """One row's colours: the patterns filled from A_g's ``data``, and the
+    patch blocks inverted."""
+    padded = np.concatenate([[0.0], data])  # position 0: outside A_g's pattern
+
+    def values(p: sp.csr_matrix) -> sp.csr_matrix:
+        return sp.csr_matrix((padded.take(p.data), p.indices, p.indptr), shape=p.shape)
+
+    blocks = []
+    for c in patterns:
+        a_rows = values(c.a_rows)
+        groups = [(lo, hi, np.linalg.inv(padded.take(p))) for lo, hi, p in c.groups]
+        a_fwd = a_rows if c.a_fwd is c.a_rows else values(c.a_fwd)
+        blocks.append(_ColourBlock(rows=c.rows, a_rows=a_rows, a_fwd=a_fwd, groups=groups))
     return blocks
 
 
-def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
-    """Additive preconditioner for the condensed velocity block: a smoother on
-    the fine space plus a transferred exact solve in the continuous piecewise-
-    linear auxiliary space.  ``smoother`` selects vertex-patch symmetric block
-    Gauss-Seidel (default) or pointwise Jacobi.
+@dataclass(frozen=True)
+class AspStructure:
+    """The parameter-independent part of the ASP preconditioner on one (mesh,
+    k, essential data), shared by every row of a sweep: the transfer Pi and
+    its transpose, the auxiliary space with the RCM order of its banded
+    factor, and for the patch smoother the patches, their colouring and each
+    colour's ``_ColourPattern``. A Jacobi structure holds no patches."""
 
-    The vertex patches (all free unknowns on the free edges meeting a vertex)
-    are coloured greedily in natural vertex order so that patches of one
-    colour are uncoupled.  The Gauss-Seidel sweep visits the colours forward
-    and then backward, solving all patches of a colour at once with inverses
-    precomputed per colour and patch size; this is sequential block SGS with
-    the patches taken in colour order.
-    """
+    smoother: str
+    transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
+    restrict: sp.csr_matrix  # transfer.T, stored as CSR once
+    aux: AuxSpace
+    aux_perm: np.ndarray
+    patch_offsets: np.ndarray = field(repr=False, default=None)
+    patch_dofs: np.ndarray = field(repr=False, default=None)
+    patch_colour: np.ndarray = field(repr=False, default=None)
+    colours: list = field(repr=False, default=None)  # of _ColourPattern
+
+
+def asp_structure(
+    spaces: Spaces, ess: EssentialData, pos: sp.csr_matrix, smoother: str = "patch-sgs"
+) -> AspStructure:
+    """The parameter-independent part of ``build_asp``; ``pos`` is the
+    ``position_map`` of the condensed velocity block A_g."""
     if smoother not in ("patch-sgs", "jacobi"):
         raise ValueError(f"unknown smoother '{smoother}'")
-    spaces = cond.spaces
     mesh = spaces.mesh
     k = spaces.k
     split = spaces.split
-    ess = cond.block.essential
-    params = cond.block.params
     fb = spaces.ref.facet
 
-    a0, vpos = assemble_aux(mesh, spaces, params, ess)
-    aux_factor = factor_spd(a0) if a0.n else None  # no interior vertex
+    aux = aux_space(mesh, spaces, ess)
+    n_aux = aux.pattern.positions.shape[0]
 
     # the edge-trace projections of the two endpoint hat profiles, scaled
     # per edge below
@@ -331,38 +409,83 @@ def build_asp(cond: CondensedSystem, smoother: str = "patch-sgs") -> AspPrecond:
         ],
         axis=3,
     )  # (E, endpoint, component, mode)
-    vp = vpos[mesh.edges[fe]]  # (E, 2)
+    vp = aux.vpos[mesh.edges[fe]]  # (E, 2)
     cols = np.where(vp[:, :, None] >= 0, 2 * vp[:, :, None] + np.arange(2), -1)
     transfer = scatter_stack(
         vals.reshape(fe.size, 4, 2 * k + 1).transpose(0, 2, 1),
         edofs,
-        cond.free_cond.size,
+        pos.shape[0],
         cols.reshape(fe.size, 4),
-        a0.n,
+        n_aux,
     )
     transfer.eliminate_zeros()
+    transfer = transfer.copy()  # compact: eliminate_zeros keeps views of the larger buffers
 
-    pre = AspPrecond(
+    patches = {}
+    if smoother == "patch-sgs":
+        # vertex patches in natural vertex order, each listing the unknowns of
+        # its free edges in ascending edge order
+        ends = mesh.edges[fe].ravel()  # endpoint a, b of each free edge in turn
+        order = np.argsort(ends, kind="stable")
+        counts = np.unique(ends, return_counts=True)[1]
+        dofs = edofs[order // 2].ravel()
+        offsets = np.concatenate([[0], np.cumsum(counts * edofs.shape[1])])
+        colour = _colour_patches(offsets, dofs, pos)
+        patches = dict(
+            patch_offsets=offsets,
+            patch_dofs=dofs,
+            patch_colour=colour,
+            colours=_colour_patterns(offsets, dofs, colour, pos),
+        )
+    return AspStructure(
         smoother=smoother,
         transfer=transfer,
         restrict=transfer.T.tocsr(),
-        aux_factor=aux_factor,
+        aux=aux,
+        aux_perm=rcm_order(aux.pattern.positions),
+        **patches,
+    )
+
+
+def build_asp(
+    cond: CondensedSystem, smoother: str = "patch-sgs", structure: AspStructure = None
+) -> AspPrecond:
+    """Additive preconditioner for the condensed velocity block: a smoother on
+    the fine space plus a transferred exact solve in the continuous piecewise-
+    linear auxiliary space.  ``smoother`` selects vertex-patch symmetric block
+    Gauss-Seidel (default) or pointwise Jacobi.
+
+    The vertex patches (all free unknowns on the free edges meeting a vertex)
+    are coloured greedily in natural vertex order so that patches of one
+    colour are uncoupled.  The Gauss-Seidel sweep visits the colours forward
+    and then backward, solving all patches of a colour at once with inverses
+    precomputed per colour and patch size; this is sequential block SGS with
+    the patches taken in colour order.
+
+    ``structure`` (``asp_structure``) holds the part that lives for the whole
+    sweep; without it, that part is built here.  A row then only assembles
+    and factors the auxiliary operator and, for the patch smoother, gathers
+    its patch blocks and row slices from A_g's data and inverts the blocks.
+    """
+    if structure is None:
+        pos = position_map(cond.A_g.csr)
+        structure = asp_structure(cond.spaces, cond.block.essential, pos, smoother)
+    if structure.smoother != smoother:
+        raise ValueError(f"structure built for smoother '{structure.smoother}', not '{smoother}'")
+    a0 = structure.aux.operator(cond.block.params)
+    pre = AspPrecond(
+        smoother=smoother,
+        transfer=structure.transfer,
+        restrict=structure.restrict,
+        aux_factor=factor_spd(a0, structure.aux_perm) if a0.n else None,  # no interior vertex
+        patch_offsets=structure.patch_offsets,
+        patch_dofs=structure.patch_dofs,
+        patch_colour=structure.patch_colour,
     )
     if smoother == "jacobi":
         pre.jacobi_diag = cond.A_g.diagonal().copy()
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")
         return pre
-
-    # vertex patches in natural vertex order, each listing the unknowns of its
-    # free edges in ascending edge order
-    ends = mesh.edges[fe].ravel()  # endpoint a, b of each free edge in turn
-    order = np.argsort(ends, kind="stable")
-    counts = np.unique(ends, return_counts=True)[1]
-    pre.patch_dofs = edofs[order // 2].ravel()
-    pre.patch_offsets = np.concatenate([[0], np.cumsum(counts * edofs.shape[1])])
-    pre.patch_colour = _colour_patches(pre.patch_offsets, pre.patch_dofs, cond.A_g.csr)
-    pre.colours = _colour_blocks(
-        pre.patch_offsets, pre.patch_dofs, pre.patch_colour, cond.A_g.csr
-    )
+    pre.colours = _colour_blocks(structure.colours, cond.A_g.csr.data)
     return pre

@@ -166,7 +166,7 @@ def _boundary_velocity(problem: str):
         y = x[:, 1]
         return np.column_stack([16.0 * (1.0 - y) * (y - 0.5), np.zeros(len(x))])
 
-    if problem in ("cavity", "elast-steady", "elast-unsteady"):
+    if problem == "cavity":
         return {TAG_LID: lid, TAG_WALL: zero}
     if problem == "step":
         return {TAG_INLET: inlet, TAG_WALL: zero}

@@ -61,9 +61,9 @@ class CheckResult:
 
 def _setup(n: int, k: int, params: ProblemParams):
     """The cavity structure on unit_square(n) and its saddle system."""
-    mesh, spaces, ess, stacks = build_structure("cavity", n, k)
-    block = assemble_saddle(mesh, spaces, params, ess, stacks=stacks)
-    return mesh, spaces, ess, stacks, block
+    s = build_structure("cavity", n, k)
+    block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
+    return s.mesh, s.spaces, s.essential, s.stacks, block
 
 
 def _zero_essential(ess: EssentialData) -> EssentialData:
@@ -287,14 +287,14 @@ def schur_kappa_grid(ns=SCHUR_GRID_NS, k: int = 2):
     mean-zero subspace, for every (tau, 1/lambda) grid point and mesh."""
     out = {}
     for n in ns:
-        mesh, spaces, ess, stacks = build_structure("cavity", n, k)
-        z = _meanzero_basis(mesh.num_triangles)
+        s = build_structure("cavity", n, k)
+        z = _meanzero_basis(s.mesh.num_triangles)
         for tau in SCHUR_GRID_TAUS:
             for invl in SCHUR_GRID_INVLS:
                 params = ProblemParams(mu=1.0, tau=tau, inv_lambda=invl)
-                block = assemble_saddle(mesh, spaces, params, ess, stacks=stacks)
-                cond = eliminate_local(block)
-                schur = build_schur(mesh, params, "exact")
+                block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
+                cond = eliminate_local(block, s.condensed)
+                schur = build_schur(s.mesh, params, "exact", structure=s.schur)
                 lo, hi = restricted_condition(
                     dense_schur_condensed(cond), schur.apply, z
                 )
@@ -391,7 +391,7 @@ def check_anorm_equivalence(level: str) -> CheckResult:
     for n in (2, 4):
         mesh, spaces, ess, stacks, block = _setup(n, 2, params)
         dstack, jstack = norm_stacks(mesh, spaces)
-        norm_loc = params.tau * stacks.mass + 2.0 * params.mu * (dstack + jstack)
+        norm_loc = params.tau * stacks.stack("mass") + 2.0 * params.mu * (dstack + jstack)
         norm_mat = scatter_stack(norm_loc, ess.pos[spaces.dofmap.vel_loc], block.n_free)
         a_mat = block.A.csr
         ev = sla.eigh(a_mat.toarray(), norm_mat.toarray(), eigvals_only=True)
@@ -440,7 +440,7 @@ def check_infsup(level: str) -> CheckResult:
         # reaction-norm inf-sup against the facet-jump operator: the hybrid
         # trace unknowns carry no volume mass, so the sup runs over the
         # mass-carrying (normal-trace and interior) velocity components
-        mass_mat = scatter_stack(stacks.mass, slots, n_free)
+        mass_mat = scatter_stack(stacks.stack("mass"), slots, n_free)
         vol = np.flatnonzero(mass_mat.diagonal() > 1e-14)
         mv = mass_mat[vol][:, vol].toarray()
         bv = bbar[:, vol]
@@ -550,8 +550,9 @@ def check_galerkin(level: str) -> CheckResult:
         errs = []
         for n in ns:
             params = ProblemParams(mu=1.0, tau=1.0, inv_lambda=0.0)
-            mesh, spaces, ess, stacks = build_structure("cavity", n, k)
-            ess = _zero_essential(ess)
+            s = build_structure("cavity", n, k)
+            mesh, spaces, stacks = s.mesh, s.spaces, s.stacks
+            ess = _zero_essential(s.essential)
             block = assemble_saddle(
                 mesh,
                 spaces,
@@ -569,7 +570,7 @@ def check_galerkin(level: str) -> CheckResult:
             pbar = xc[nf:]
             pbar -= (mesh.areas * pbar).sum() / mesh.areas.sum()
             vel, _ = back_substitute(cond, xc[:nf], pbar)
-            errs.append(_energy_error(mesh, spaces, vel, d_velocity, stacks.pen))
+            errs.append(_energy_error(mesh, spaces, vel, d_velocity, stacks.stack("pen")))
         rates = [
             np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)
         ]

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,14 +7,18 @@ import scipy.sparse as sp
 
 from divhdg.assembly import (
     ProblemParams,
+    TensorStack,
     _element_coercivity_check,
-    assemble_aux,
+    aux_space,
     assemble_local_stacks,
     assemble_pressure_ops,
     assemble_saddle,
+    edge_coefficients,
     inverse_jacobians,
     scatter_stack,
+    sym_grad_maps,
     sym_gradients,
+    viscous_volume_coefficients,
 )
 from divhdg.condense import eliminate_local
 from divhdg.linalg import NotSPD
@@ -140,7 +146,8 @@ class TestAuxOperator:
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
         mu = 1.5
-        a0, vpos = assemble_aux(mesh, spaces, ProblemParams(mu=mu, tau=0.0), ess)
+        aux = aux_space(mesh, spaces, ess)
+        a0, vpos = aux.operator(ProblemParams(mu=mu, tau=0.0)), aux.vpos
         assert np.count_nonzero(vpos >= 0) == 1  # single interior vertex
         d = a0.diagonal()
         assert np.allclose(d, 2.0 * mu * 4.0, atol=1e-13)
@@ -149,8 +156,9 @@ class TestAuxOperator:
         mesh = unit_square(2)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
-        a1, _ = assemble_aux(mesh, spaces, ProblemParams(mu=1.0, tau=1.0), ess)
-        a0, _ = assemble_aux(mesh, spaces, ProblemParams(mu=1.0, tau=0.0), ess)
+        aux = aux_space(mesh, spaces, ess)
+        a1 = aux.operator(ProblemParams(mu=1.0, tau=1.0))
+        a0 = aux.operator(ProblemParams(mu=1.0, tau=0.0))
         mass = a1.csr - a0.csr
         # consistent-mass diagonal at a vertex shared by six triangles:
         # 6 * det / 12 with det = 1/4
@@ -160,7 +168,7 @@ class TestAuxOperator:
         mesh = unit_square(4)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
-        a0, _ = assemble_aux(mesh, spaces, ProblemParams(), ess)
+        a0 = aux_space(mesh, spaces, ess).operator(ProblemParams())
         assert sla.eigvalsh(a0.toarray())[0] > 0
 
 
@@ -280,7 +288,7 @@ class TestElementKernel:
         ref, dm = spaces.ref, spaces.dofmap
         vel = np.random.default_rng(k).standard_normal(spaces.split.n_vel)
         _, d_velocity, _ = _bubble_curl()
-        pen = assemble_local_stacks(mesh, spaces).pen
+        pen = assemble_local_stacks(mesh, spaces).stack("pen")
 
         # the former evaluation, kept verbatim as reference: volume mismatch
         # plus the facet moments of the tangential trace minus the trace unknowns
@@ -473,7 +481,7 @@ class TestLazyVelocityBlocks:
         block, _ = self._build("cavity", 3, 2)
         cond = eliminate_local(block)
         assert cond.n_free > 0 and block.n_free > 0
-        for name in ("A", "F_u"):
+        for name in ("A", "F_u", "B", "F_p"):
             assert name not in vars(block), name
 
 
@@ -555,7 +563,8 @@ class TestEliminationByPosition:
         assert np.abs(f_g).max() > 0
         _same_csr(cond.B_g, b_g)
 
-        aux, vpos = assemble_aux(mesh, spaces, params, ess)
+        space = aux_space(mesh, spaces, ess)
+        aux, vpos = space.operator(params), space.vpos
         want, free_v = _former_aux(mesh, spaces, params, ess)
         _same_csr(aux.csr, want)
         assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
@@ -608,6 +617,60 @@ def _jittered_square(n):
     return mesh
 
 
+@dataclass(frozen=True)
+class _FormerLocalStacks:
+    """The former parameter-independent signed stacks and their combination,
+    kept verbatim as reference."""
+
+    mass: np.ndarray  # (nt, n_loc, n_loc)
+    visc: np.ndarray  # gradient + consistency terms
+    pen: np.ndarray  # jump penalty with 1/h_F included, alpha k^2 excluded
+
+    def combine(self, p: ProblemParams, k: int) -> np.ndarray:
+        """tau * mass + 2 mu * (visc + alpha k^2 * pen), in one buffer."""
+        a = (p.alpha * k * k) * self.pen
+        a += self.visc
+        a *= 2.0 * p.mu
+        a += p.tau * self.mass
+        return a
+
+
+def _former_build(ts: TensorStack) -> np.ndarray:
+    # the former ``TensorStack.build``, kept verbatim as reference
+    n = ts.n_loc
+    iu, ju = np.triu_indices(n)
+    packed = np.empty((n, n), np.int64)
+    packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
+    g = np.concatenate(ts.coef, axis=1)
+    upper = g @ np.concatenate(ts.tensors)[:, iu, ju]
+    s = np.take(upper, packed.ravel(), axis=1).reshape(-1, n, n)
+    s *= ts.signs[:, :, None]
+    s *= ts.signs[:, None, :]
+    return s
+
+
+def _former_local_stacks(mesh, spaces) -> _FormerLocalStacks:
+    # the former ``assemble_local_stacks``, kept verbatim as reference
+    ref, dm, k = spaces.ref, spaces.dofmap, spaces.k
+    j, det = mesh.jacobians, mesh.det_j
+    o = sym_grad_maps(j, det)
+    mass, visc, pen = (TensorStack(spaces) for _ in range(3))
+    mass.add((np.swapaxes(j, 1, 2) @ j) / det[:, None, None], uu=ref.mass_moments)
+    visc.add(viscous_volume_coefficients(o, det), uu=ref.grad_moments)
+    for key, hat, c1, c2 in edge_coefficients(mesh, ref, o):
+        em = ref.edge_moments[key]
+        st = em.stress_trace
+        visc.add(c1[:, :, None] * c2[:, None, :], uu=-(st + np.swapaxes(st, 2, 3)))
+        visc.add(c1, uh=em.stress_mode, hat=hat)
+        tm = em.trace_mode
+        pen.add(c2[:, :, None] * c2[:, None, :], uu=np.einsum("aim,bjm->abij", tm, tm))
+        pen.add(c2, uh=-tm, hat=hat)
+    pen.add(np.ones((mesh.num_triangles, 1)), hh=np.eye(3 * k), hat=dm.hat_slots)
+    return _FormerLocalStacks(
+        mass=_former_build(mass), visc=_former_build(visc), pen=_former_build(pen)
+    )
+
+
 def _mesh(problem, n):
     return {"cavity": unit_square, "step": step_domain, "jittered": _jittered_square}[
         problem
@@ -625,9 +688,26 @@ class TestMatmulStacks:
         spaces = build_spaces(mesh, k)
         got = assemble_local_stacks(mesh, spaces)
         for name, want in zip(("mass", "visc", "pen"), _einsum_stacks(mesh, spaces)):
-            stack = getattr(got, name)
+            stack = got.stack(name)
             assert np.abs(stack - want).max() <= 1e-14 * np.abs(want).max(), name
             assert np.array_equal(stack, np.swapaxes(stack, 1, 2)), name
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("problem,n", [("cavity", 3), ("step", 2), ("jittered", 4)])
+    def test_coefficient_form_combines_to_former_signed_stacks(self, problem, n, k):
+        mesh = _mesh(problem, n)
+        spaces = build_spaces(mesh, k)
+        got = assemble_local_stacks(mesh, spaces)
+        want = _former_local_stacks(mesh, spaces)
+        assert got.mass.shape[1] + got.visc.shape[1] + got.pen.shape[1] == 129
+        for name in ("mass", "visc", "pen"):
+            assert np.array_equal(got.stack(name), getattr(want, name)), name
+        for p in (
+            ProblemParams(),
+            ProblemParams(mu=0.37, tau=3.3, inv_lambda=1e-4),
+            ProblemParams(mu=2.0, tau=1e4, inv_lambda=1.0, alpha=5.0),
+        ):
+            assert np.array_equal(got.combine(p, k), want.combine(p, k)), p
 
     @pytest.mark.parametrize(
         "problem,n,k", [("cavity", 3, 2), ("step", 2, 3), ("jittered", 4, 1), ("jittered", 4, 4)]

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from divhdg import bench, precond
 from divhdg.assembly import ProblemParams, assemble_local_stacks, assemble_saddle
 from divhdg.bench import (
     CSV_HEADER,
@@ -223,10 +224,40 @@ class TestRunGrid:
         b = emit(run_grid(g), "csv")
         assert _strip_timing(a) == _strip_timing(b)
 
-    def test_elasticity_runs_on_cavity_domain(self):
-        g = _tiny_grid(problem="elast-steady", taus=[0.0], inv_lambdas=[1.0])
+    def test_failed_structure_fails_its_rows_and_the_sweep_goes_on(self, monkeypatch):
+        real = bench.schur_structure
+
+        def schur_structure(mesh):
+            if mesh.num_triangles == unit_square(2).num_triangles:
+                raise RuntimeError("no structure on this mesh")
+            return real(mesh)
+
+        monkeypatch.setattr(bench, "schur_structure", schur_structure)
+        g = _tiny_grid(ks=[1, 2], inv_hs=[2, 4], taus=[0.0, 1.0])
         rows = run_grid(g)
-        assert rows[0].converged
+        assert [(r.k, r.inv_h) for r in rows] == [(1, 2)] * 2 + [(1, 4)] * 2 + [
+            (2, 2)
+        ] * 2 + [(2, 4)] * 2
+        for r in rows:
+            if r.inv_h == 2:
+                assert r.error == "RuntimeError: no structure on this mesh"
+                assert not r.converged and r.iters == 0
+            else:
+                assert r.error == "" and r.converged
+        assert "Failed rows:" in emit(rows, "md")
+
+    def test_jacobi_sweep_builds_no_patches(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("patch structure built for a Jacobi sweep")
+
+        monkeypatch.setattr(precond, "_colour_patches", refuse)
+        monkeypatch.setattr(precond, "_colour_patterns", refuse)
+        g = _tiny_grid(inv_hs=[2, 4], taus=[0.0, 1.0], smoother="jacobi")
+        rows = run_grid(g)
+        assert [r.error for r in rows] == [""] * 4
+        assert all(r.converged for r in rows)
+        asp = build_structure("cavity", 4, 2, "jacobi").asp
+        assert asp.colours is None and asp.patch_offsets is None
 
 
 def _former_structure(problem, inv_h, k):
@@ -299,18 +330,60 @@ class TestSolveCondensed:
         grid = _tiny_grid(**kw)
         tup = next(grid.tuples())
         k, inv_h, mu, tau, invl = tup
-        structure = build_structure(grid.problem, inv_h, k)
-        x_ref, rep_ref, _ = _former_solve(grid, structure, tup)
-        mesh, spaces, ess, stacks = structure
+        s = build_structure(grid.problem, inv_h, k)
+        x_ref, rep_ref, _ = _former_solve(grid, (s.mesh, s.spaces, s.essential, s.stacks), tup)
         params = ProblemParams(mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha)
-        cond = eliminate_local(assemble_saddle(mesh, spaces, params, ess, stacks=stacks))
-        asp = build_asp(cond, smoother=grid.smoother)
-        schur = build_schur(mesh, params, grid.schur_mode)
+        block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
+        cond = eliminate_local(block, s.condensed)
+        asp = build_asp(cond, smoother=grid.smoother, structure=s.asp)
+        schur = build_schur(s.mesh, params, grid.schur_mode, structure=s.schur)
         x, rep = solve_condensed(
             cond, asp, schur, tol=grid.tol, maxit=grid.maxit, seed=grid.seed
         )
         assert np.array_equal(x, x_ref)
         assert np.array_equal(rep.history, rep_ref.history)
+
+
+# (problem, k, 1/h, smoother, (tau, 1/lambda) rows, deflates): the enclosed
+# cavity deflates at 1/lambda = 0, the step outlet never does
+SHARED_CASES = [
+    ("cavity", 2, 4, "patch-sgs", [(0.0, 0.0), (1.0, 0.0), (100.0, 0.0)], True),
+    ("step", 3, 2, "patch-sgs", [(0.0, 0.0), (1.0, 1.0), (1e4, 1e-4)], False),
+    ("cavity", 2, 4, "jacobi", [(1.0, 1.0), (0.0, 1e-4), (1e4, 1.0)], False),
+]
+
+
+class TestSharedStructure:
+    @pytest.mark.parametrize(
+        "problem,k,inv_h,smoother,points,deflates",
+        SHARED_CASES,
+        ids=["deflated", "outlet", "jacobi"],
+    )
+    def test_rows_on_one_structure_equal_rows_built_alone(
+        self, problem, k, inv_h, smoother, points, deflates
+    ):
+        s = build_structure(problem, inv_h, k, smoother)
+        for tau, invl in points:
+            params = ProblemParams(tau=tau, inv_lambda=invl)
+            block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
+            cond = eliminate_local(block, s.condensed)
+            asp = build_asp(cond, smoother=smoother, structure=s.asp)
+            schur = build_schur(s.mesh, params, "exact", structure=s.schur)
+            x, rep = solve_condensed(cond, asp, schur, tol=1e-8, maxit=1000, seed=4)
+
+            # everything built again for this row alone
+            mesh = (step_domain if problem == "step" else unit_square)(inv_h)
+            spaces = build_spaces(mesh, k)
+            ess = interpolate_essential(mesh, spaces, problem)
+            cond0 = eliminate_local(assemble_saddle(mesh, spaces, params, ess))
+            schur0 = build_schur(mesh, params)
+            x0, rep0 = solve_condensed(
+                cond0, build_asp(cond0, smoother=smoother), schur0, tol=1e-8, maxit=1000, seed=4
+            )
+            assert schur.deflate is schur0.deflate is (deflates and invl == 0.0)
+            assert rep.converged and rep.iterations > 5
+            assert np.array_equal(x, x0)
+            assert np.array_equal(rep.history, rep0.history)
 
 
 class TestMarkdown:
@@ -353,10 +426,11 @@ class TestCli:
 
     def test_problem_choices(self):
         parser = build_parser()
-        args = parser.parse_args(["--problem", "elast-unsteady"])
-        assert args.problem == "elast-unsteady"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--problem", "pipe"])
+        args = parser.parse_args(["--problem", "step"])
+        assert args.problem == "step"
+        for bad in ("pipe", "elast-steady", "elast-unsteady"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["--problem", bad])
 
     def test_lambda_alias(self):
         parser = build_parser()

@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from divhdg.assembly import ProblemParams, assemble_aux
+from divhdg.assembly import ProblemParams, aux_space, position_map
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import factor_spd
 from divhdg.mesh import build_mesh, step_domain, unit_square
 from divhdg.precond import (
+    asp_structure,
     assemble_pressure_laplacian,
     build_asp,
     build_schur,
@@ -290,7 +291,7 @@ class TestTransferEqualsFormerClosedForm:
     def test_same_pattern_and_entries(self, problem, n, k):
         mesh, spaces, ess, _, cond = pipeline(problem, n, k, tau=1.0)
         free_v, want = _former_transfer(mesh, spaces, cond)
-        _, vpos = assemble_aux(mesh, spaces, cond.block.params, ess)
+        vpos = aux_space(mesh, spaces, ess).vpos
         assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
         got = build_asp(cond, smoother="jacobi").transfer
         # the transfer stores no exact zero (axis-parallel edges give some);
@@ -484,3 +485,65 @@ class TestPressureLaplacianAssembly:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
+
+
+def _fancy_block(a, ids, m):
+    shape = (ids.size // m, m, m)
+    ids = ids.reshape(shape[:2])
+    sub = a[
+        np.broadcast_to(ids[:, :, None], shape).ravel(),
+        np.broadcast_to(ids[:, None, :], shape).ravel(),
+    ]
+    return np.asarray(sub).reshape(shape)
+
+
+class TestPatchPositions:
+    @pytest.mark.parametrize("problem,n,k", [("cavity", 4, 2), ("step", 2, 3), ("step", 4, 1)])
+    def test_gathered_blocks_equal_fancy_index_of_a_g(self, problem, n, k):
+        *_, cond = pipeline(problem, n, k, tau=1.0)
+        a = cond.A_g.csr
+        structure = asp_structure(cond.spaces, cond.block.essential, position_map(a))
+        padded = np.concatenate([[0.0], a.data])
+        outside = 0
+        done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
+        for pattern, blk in zip(structure.colours, build_asp(cond).colours):
+            assert np.array_equal(pattern.rows, blk.rows)
+            for (lo, hi, pos), (_, _, inv) in zip(pattern.groups, blk.groups):
+                want = _fancy_block(a, pattern.rows[lo:hi], pos.shape[1])
+                assert np.array_equal(padded[pos], want)
+                assert np.array_equal(inv, np.linalg.inv(want))
+                # two edges of one patch that share no triangle do not couple
+                assert np.all(want[pos == 0] == 0.0)
+                outside += np.count_nonzero(pos == 0)
+            want_rows = a[pattern.rows]
+            assert np.array_equal(blk.a_rows.indptr, want_rows.indptr)
+            assert np.array_equal(blk.a_rows.indices, want_rows.indices)
+            assert np.array_equal(blk.a_rows.data, want_rows.data)
+            # the forward pass reads the columns of the earlier colours only
+            assert blk.a_fwd.nnz == np.count_nonzero(done[want_rows.indices])
+            assert np.array_equal(blk.a_fwd.toarray(), want_rows.toarray() * done)
+            done[pattern.rows] = True
+        assert outside > 0
+
+    def test_structure_rejects_another_smoother(self):
+        *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
+        pos = position_map(cond.A_g.csr)
+        structure = asp_structure(cond.spaces, cond.block.essential, pos, "jacobi")
+        assert structure.colours is None and structure.patch_offsets is None
+        with pytest.raises(ValueError, match="structure built for smoother 'jacobi'"):
+            build_asp(cond, smoother="patch-sgs", structure=structure)
+
+
+def _owns_exactly_nnz(m):
+    assert m.data.size == m.indices.size == m.nnz
+    for arr in (m.data, m.indices, m.indptr):
+        assert arr.base is None or arr.base.size == arr.size
+
+
+class TestCompactMatrices:
+    @pytest.mark.parametrize("problem,n,k", [("cavity", 4, 2), ("step", 4, 3)])
+    def test_a_g_transfer_and_n_own_exactly_nnz(self, problem, n, k):
+        mesh, *_, cond = pipeline(problem, n, k, tau=1.0)
+        asp = build_asp(cond)
+        for m in (cond.A_g.csr, asp.transfer, asp.restrict, assemble_pressure_laplacian(mesh).csr):
+            _owns_exactly_nnz(m)
