@@ -6,14 +6,18 @@ Rows run one after another in grid order (degree, then mesh, then
 viscosity, reaction, and compressibility parameters), and a failure inside
 one row is captured in that row rather than aborting the sweep. Rows on the
 same (1/h, k) share one ``Structure``, built once; a structure that fails to
-build fails each of its rows, and the sweep goes on with the next one.
+build fails each of its rows, and the sweep goes on with the next one. A row
+is composed in one place, ``Structure.row``, which ``solve_one`` and every
+dense check of ``verify`` call.
 """
 
 import csv
 import io
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .assembly import LocalStacks, ProblemParams, assemble_local_stacks, assemble_saddle
 from .condense import CondensedStructure, condensed_structure, eliminate_local
@@ -37,6 +41,10 @@ PROBLEMS = ("cavity", "step")
 MAX_INV_H = {1: 64, 2: 64, 3: 32, 4: 32}
 
 
+def _is_int(x) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentGrid:
     problem: str = "cavity"
@@ -49,13 +57,17 @@ class ExperimentGrid:
     tol: float = 1e-8
     maxit: int = 1000
     seed: int = 0
-    schur_mode: str = "exact"
+    # not a field: the one Schur formula, read only by perfbench/traced.py;
+    # the benchmark change of ROADMAP item 2 deletes it
+    schur_mode: ClassVar[str] = "exact"
     smoother: str = "patch-sgs"
     allow_large: bool = False
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
+        if not _is_int(self.maxit):
+            raise ValueError(f"maxit must be an integer, got {self.maxit}")
         if self.maxit < 0:
             raise ValueError(f"maxit must be >= 0, got {self.maxit}")
         if not self.tol > 0.0:
@@ -63,7 +75,7 @@ class ExperimentGrid:
         if not self.tol < 1.0:  # MINRES meets tol >= 1 at its first iteration
             raise ValueError(f"tol must be finite and below 1, got {self.tol}")
         for k in self.ks:
-            if k not in MAX_INV_H:
+            if not _is_int(k) or k not in MAX_INV_H:
                 raise ValueError(f"polynomial degree must be in 1..4, got {k}")
             cap = MAX_INV_H[k]
             for ih in self.inv_hs:
@@ -74,7 +86,7 @@ class ExperimentGrid:
                     )
         even = self.problem == "step"  # the re-entrant corner must be a vertex
         for ih in self.inv_hs:
-            if ih < 1 or (even and ih % 2):
+            if not _is_int(ih) or ih < 1 or (even and ih % 2):
                 kind = "a positive even" if even else "a positive"
                 raise ValueError(f"1/h must be {kind} integer, got {ih}")
         for mu in self.mus:
@@ -154,7 +166,7 @@ class Structure:
     forms as geometry coefficients, the pattern of A_g with B_g, and the
     preconditioners' patterns: the transfer Pi, the auxiliary space, the
     patches and colours (patch smoother only), N, and the RCM orders of the
-    banded factors."""
+    banded factors. ``row`` builds one row's systems on it."""
 
     mesh: Mesh
     spaces: Spaces
@@ -163,6 +175,14 @@ class Structure:
     condensed: CondensedStructure
     asp: AspStructure
     schur: SchurStructure
+
+    def row(self, params: ProblemParams):
+        """One row's ``(cond, asp, schur)`` on this structure; the saddle
+        system is ``cond.block``."""
+        block = assemble_saddle(self.mesh, self.spaces, params, self.essential, stacks=self.stacks)
+        cond = eliminate_local(block, self.condensed)
+        asp = build_asp(cond, structure=self.asp)
+        return cond, asp, build_schur(self.mesh, params, structure=self.schur)
 
 
 def build_structure(problem: str, inv_h: int, k: int, smoother: str = "patch-sgs") -> Structure:
@@ -214,16 +234,12 @@ def solve_one(grid: ExperimentGrid, structure: Structure, tup) -> BenchRow:
     row builds (element matrices, A_g's values, the patch inverses and the
     banded factors) lives only until the row returns."""
     _, _, mu, tau, invl = tup
-    s = structure
     t0 = time.perf_counter()
     try:
         params = ProblemParams(
             mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha
         )
-        block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
-        cond = eliminate_local(block, s.condensed)
-        asp = build_asp(cond, smoother=grid.smoother, structure=s.asp)
-        schur = build_schur(s.mesh, params, grid.schur_mode, structure=s.schur)
+        cond, asp, schur = structure.row(params)
         setup_ms = (time.perf_counter() - t0) * 1e3
         _, rep = solve_condensed(
             cond, asp, schur, tol=grid.tol, maxit=grid.maxit, seed=grid.seed

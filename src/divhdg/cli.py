@@ -1,5 +1,7 @@
 """Command-line entry point: benchmark sweeps and the verification suite.
 
+The pressure block is always the exact Woodbury inverse (``build_schur``).
+
 Examples::
 
     divhdg-bench --problem cavity --k 2 --inv-h 8 --inv-h 16 \\
@@ -67,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the dense verification suite instead of a sweep",
     )
-    p.add_argument("--schur-mode", choices=["exact", "approx"], default="exact")
     p.add_argument(
         "--smoother", choices=["patch-sgs", "jacobi"], default="patch-sgs"
     )
@@ -113,7 +114,6 @@ def main(argv=None) -> int:
             tol=args.tol,
             maxit=args.maxit,
             seed=args.seed,
-            schur_mode=args.schur_mode,
             smoother=args.smoother,
             allow_large=args.allow_large,
         )

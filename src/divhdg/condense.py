@@ -101,8 +101,8 @@ class CondensedSystem:
 def eliminate_local(
     block: BlockSystem, structure: CondensedStructure = None
 ) -> CondensedSystem:
-    """Condense one row's saddle system; without ``structure``, its
-    parameter-independent part is built here."""
+    """Condense one row's saddle system; without ``structure`` (the traced
+    benchmark, tests), its parameter-independent part is built here."""
     spaces = block.spaces
     if structure is None:
         structure = condensed_structure(spaces, block.essential)

@@ -35,7 +35,8 @@ with M = diag(element areas) and N the element-adjacency graph Laplacian:
 a sum of 2x2 facet blocks [[1, -1], [-1, 1]] over the two elements of each
 interior facet, and over each outflow facet the same block with the missing
 neighbour dropped, which leaves a unit diagonal boost. Its exact inverse is
-applied in closed form (one diagonal scaling plus one SPD solve):
+applied in closed form by the Woodbury identity (one diagonal scaling plus
+one SPD solve):
 
     S~^{-1} r = c1 M^{-1} r + c2 (c3 M + N)^{-1} r,
     c1 = 2 mu / d,  c2 = tau / d^2,  c3 = tau (1/lambda) / d,
@@ -56,7 +57,8 @@ colouring and each colour's positions into A_g's data, N, and the RCM orders
 of both banded factors. ``build_asp`` and ``build_schur`` then do one row's
 work: the auxiliary operator and its factor, the patch blocks and row slices
 gathered from A_g's data with the blocks inverted, and the Schur inner
-factor. Called without a structure, they build it first.
+factor; the library calls them from ``bench.Structure.row``. Called without
+a structure (the traced benchmark, tests), they build it first.
 """
 
 from dataclasses import dataclass, field
@@ -141,9 +143,11 @@ def schur_structure(mesh: Mesh) -> SchurStructure:
 def build_schur(
     mesh: Mesh, params: ProblemParams, mode: str = "exact", structure: SchurStructure = None
 ) -> SchurPrecond:
-    """One row's Schur preconditioner; without ``structure``, its
-    parameter-independent part is built here."""
-    if mode not in ("exact", "approx"):
+    """One row's exact S~^{-1} (c1, c2, c3 above); without ``structure`` (the
+    traced benchmark, tests), its parameter-independent part is built here.
+    ``mode`` is only "exact": ``perfbench/traced.py`` passes it, until the
+    benchmark change of ROADMAP item 2 deletes it."""
+    if mode != "exact":
         raise ValueError(f"unknown Schur mode '{mode}'")
     if structure is None:
         structure = schur_structure(mesh)
@@ -152,12 +156,8 @@ def build_schur(
 
     d = 2.0 * params.mu * params.inv_lambda + 1.0
     c1 = 2.0 * params.mu / d
-    if mode == "exact":
-        c2 = params.tau / (d * d)
-        c3 = params.tau * params.inv_lambda / d
-    else:
-        c2 = params.tau
-        c3 = params.tau * params.inv_lambda
+    c2 = params.tau / (d * d)
+    c3 = params.tau * params.inv_lambda / d
 
     inner = None
     if c2 != 0.0:
@@ -228,9 +228,6 @@ class AspPrecond:
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux_factor: SpdFactor  # None when the auxiliary space is empty
-    patch_offsets: np.ndarray = field(repr=False, default=None)
-    patch_dofs: np.ndarray = field(repr=False, default=None)
-    patch_colour: np.ndarray = field(repr=False, default=None)
     colours: list = field(repr=False, default=None)  # of _ColourBlock
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
@@ -371,7 +368,9 @@ def asp_structure(
     spaces: Spaces, ess: EssentialData, pos: sp.csr_matrix, smoother: str = "patch-sgs"
 ) -> AspStructure:
     """The parameter-independent part of ``build_asp``; ``pos`` is the
-    ``position_map`` of the condensed velocity block A_g."""
+    ``position_map`` of the condensed velocity block A_g. The vertex patches
+    (the free unknowns on the free edges at a vertex) are coloured greedily
+    in natural vertex order."""
     if smoother not in ("patch-sgs", "jacobi"):
         raise ValueError(f"unknown smoother '{smoother}'")
     mesh = spaces.mesh
@@ -453,36 +452,26 @@ def build_asp(
     """Additive preconditioner for the condensed velocity block: a smoother on
     the fine space plus a transferred exact solve in the continuous piecewise-
     linear auxiliary space.  ``smoother`` selects vertex-patch symmetric block
-    Gauss-Seidel (default) or pointwise Jacobi.
-
-    The vertex patches (all free unknowns on the free edges meeting a vertex)
-    are coloured greedily in natural vertex order so that patches of one
-    colour are uncoupled.  The Gauss-Seidel sweep visits the colours forward
-    and then backward, solving all patches of a colour at once with inverses
-    precomputed per colour and patch size; this is sequential block SGS with
-    the patches taken in colour order.
+    Gauss-Seidel (default) or pointwise Jacobi; with a ``structure``, the
+    smoother is the one it was built for.
 
     ``structure`` (``asp_structure``) holds the part that lives for the whole
-    sweep; without it, that part is built here.  A row then only assembles
-    and factors the auxiliary operator and, for the patch smoother, gathers
-    its patch blocks and row slices from A_g's data and inverts the blocks.
+    sweep; without it (the traced benchmark and the tests), that part is
+    built here for ``smoother``.  A row then only assembles and factors the
+    auxiliary operator and, for the patch smoother, gathers its patch blocks
+    and row slices from A_g's data and inverts the blocks.
     """
     if structure is None:
         pos = position_map(cond.A_g.csr)
         structure = asp_structure(cond.spaces, cond.block.essential, pos, smoother)
-    if structure.smoother != smoother:
-        raise ValueError(f"structure built for smoother '{structure.smoother}', not '{smoother}'")
     a0 = structure.aux.operator(cond.block.params)
     pre = AspPrecond(
-        smoother=smoother,
+        smoother=structure.smoother,
         transfer=structure.transfer,
         restrict=structure.restrict,
         aux_factor=factor_spd(a0, structure.aux_perm) if a0.n else None,  # no interior vertex
-        patch_offsets=structure.patch_offsets,
-        patch_dofs=structure.patch_dofs,
-        patch_colour=structure.patch_colour,
     )
-    if smoother == "jacobi":
+    if pre.smoother == "jacobi":
         pre.jacobi_diag = cond.A_g.diagonal().copy()
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")

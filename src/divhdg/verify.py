@@ -14,7 +14,7 @@ both polynomial degrees, and the complete parameter grids.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,15 +35,16 @@ from .condense import (
     back_substitute,
     build_condensed_monolithic,
     build_monolithic,
+    condensed_structure,
     eliminate_local,
 )
 from .bench import build_structure
 from .krylov import minres, solve_condensed
 from .linalg import factor_spd, gen_condition
 from .mesh import Mesh, unit_square
-from .precond import build_asp, build_schur, materialize_schur_dense
+from .precond import build_schur, materialize_schur_dense, schur_structure
 from .prng import XorShift
-from .spaces import EssentialData, Spaces
+from .spaces import Spaces
 
 
 @dataclass
@@ -60,16 +61,10 @@ class CheckResult:
 
 
 def _setup(n: int, k: int, params: ProblemParams):
-    """The cavity structure on unit_square(n) and its saddle system."""
+    """``(s, cond, asp, schur)``: the cavity structure on unit_square(n) and
+    its row."""
     s = build_structure("cavity", n, k)
-    block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
-    return s.mesh, s.spaces, s.essential, s.stacks, block
-
-
-def _zero_essential(ess: EssentialData) -> EssentialData:
-    return EssentialData(
-        ids=ess.ids, values=np.zeros_like(ess.values), free_mask=ess.free_mask
-    )
+    return (s, *s.row(params))
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +167,10 @@ def check_condensation(level: str) -> CheckResult:
     for k in ks:
         for tau, invl in grid:
             params = ProblemParams(mu=1.0, tau=tau, inv_lambda=invl)
-            *_, block = _setup(2, k, params)
+            _, cond, _, _ = _setup(2, k, params)
+            block = cond.block
             kmat, rhs = build_monolithic(block)
             nf = block.n_free
-            cond = eliminate_local(block)
             kc, rc = build_condensed_monolithic(cond)
             if invl == 0.0:
                 # enclosed domain: remove the constant-pressure mode the same
@@ -203,9 +198,9 @@ def check_schur_invariance(level: str) -> CheckResult:
     res = CheckResult("Schur complement invariance", True)
     for k in (2, 3) if level == "full" else (2,):
         params = ProblemParams(mu=1.0, tau=1.0, inv_lambda=1.0)
-        *_, block = _setup(2, k, params)
-        s_full = dense_schur_full(block)
-        s_cond = dense_schur_condensed(eliminate_local(block))
+        _, cond, _, _ = _setup(2, k, params)
+        s_full = dense_schur_full(cond.block)
+        s_cond = dense_schur_condensed(cond)
         rel = np.linalg.norm(s_full - s_cond) / np.linalg.norm(s_full)
         res.add(f"k={k}: ||S' - S_g||_F / ||S'||_F = {rel:.3e} (bound 1e-10)")
         res.gate(rel <= 1e-10)
@@ -217,12 +212,13 @@ def check_woodbury(level: str) -> CheckResult:
     n = 4 if level == "full" else 2
     nvec = 100 if level == "full" else 20
     mesh = unit_square(n)
+    structure = schur_structure(mesh)
     rng = XorShift(7)
     worst = 0.0
     for tau in (0.0, 1.0, 1e4):
         for invl in (0.0, 1e-4, 1.0):
             params = ProblemParams(mu=1.0, tau=tau, inv_lambda=invl)
-            schur = build_schur(mesh, params, "exact")
+            schur = build_schur(mesh, params, structure=structure)
             s_dense = materialize_schur_dense(mesh, params)
             for _ in range(nvec):
                 r = rng.uniform(mesh.num_triangles, -1.0, 1.0)
@@ -241,10 +237,7 @@ def check_woodbury(level: str) -> CheckResult:
 def check_spd_and_deflation(level: str) -> CheckResult:
     res = CheckResult("preconditioner symmetry, positivity, deflation", True)
     params = ProblemParams(mu=1.0, tau=1.0, inv_lambda=0.0)
-    mesh, *_, block = _setup(2, 2, params)
-    cond = eliminate_local(block)
-    asp = build_asp(cond)
-    schur = build_schur(mesh, params, "exact")
+    _, cond, asp, schur = _setup(2, 2, params)
     rng = XorShift(11)
 
     sym_a = sym_s = 0.0
@@ -256,8 +249,8 @@ def check_spd_and_deflation(level: str) -> CheckResult:
         z1, z2 = asp.apply(r1.copy()), asp.apply(r2.copy())
         sym_a = max(sym_a, abs(z1 @ r2 - z2 @ r1) / (np.linalg.norm(r1) * np.linalg.norm(r2)))
         pos_a = min(pos_a, (z1 @ r1) / (r1 @ r1))
-        p1 = rng.uniform(mesh.num_triangles, -1.0, 1.0)
-        p2 = rng.uniform(mesh.num_triangles, -1.0, 1.0)
+        p1 = rng.uniform(cond.n_pbar, -1.0, 1.0)
+        p2 = rng.uniform(cond.n_pbar, -1.0, 1.0)
         p1 -= p1.mean()
         p2 -= p2.mean()
         y1, y2 = schur.apply(p1.copy()), schur.apply(p2.copy())
@@ -291,10 +284,7 @@ def schur_kappa_grid(ns=SCHUR_GRID_NS, k: int = 2):
         z = _meanzero_basis(s.mesh.num_triangles)
         for tau in SCHUR_GRID_TAUS:
             for invl in SCHUR_GRID_INVLS:
-                params = ProblemParams(mu=1.0, tau=tau, inv_lambda=invl)
-                block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
-                cond = eliminate_local(block, s.condensed)
-                schur = build_schur(s.mesh, params, "exact", structure=s.schur)
+                cond, _, schur = s.row(ProblemParams(mu=1.0, tau=tau, inv_lambda=invl))
                 lo, hi = restricted_condition(
                     dense_schur_condensed(cond), schur.apply, z
                 )
@@ -355,9 +345,7 @@ def check_asp_equivalence(level: str) -> CheckResult:
         ks = []
         for n in (4, 8):
             params = ProblemParams(mu=1.0, tau=tau, inv_lambda=invl)
-            *_, block = _setup(n, 2, params)
-            cond = eliminate_local(block)
-            asp = build_asp(cond)
+            _, cond, asp, _ = _setup(n, 2, params)
             ks.append(gen_condition(cond.A_g.csr.toarray(), asp.apply))
         growth = ks[1] / ks[0] - 1.0
         res.add(
@@ -371,8 +359,7 @@ def check_asp_equivalence(level: str) -> CheckResult:
 def check_exact_velocity_inverse(level: str) -> CheckResult:
     res = CheckResult("exact velocity-block inverse", True)
     params = ProblemParams(mu=1.0, tau=0.0, inv_lambda=0.0)
-    *_, block = _setup(2, 2, params)
-    cond = eliminate_local(block)
+    _, cond, _, _ = _setup(2, 2, params)
     rng = XorShift(3)
     b = rng.uniform(cond.n_free, -1.0, 1.0)
     exact = factor_spd(cond.A_g).solve
@@ -389,16 +376,17 @@ def check_anorm_equivalence(level: str) -> CheckResult:
     spreads = []
     rng = XorShift(5)
     for n in (2, 4):
-        mesh, spaces, ess, stacks, block = _setup(n, 2, params)
-        dstack, jstack = norm_stacks(mesh, spaces)
-        norm_loc = params.tau * stacks.stack("mass") + 2.0 * params.mu * (dstack + jstack)
-        norm_mat = scatter_stack(norm_loc, ess.pos[spaces.dofmap.vel_loc], block.n_free)
-        a_mat = block.A.csr
+        s, cond, _, _ = _setup(n, 2, params)
+        n_free = cond.block.n_free
+        dstack, jstack = norm_stacks(s.mesh, s.spaces)
+        norm_loc = params.tau * s.stacks.stack("mass") + 2.0 * params.mu * (dstack + jstack)
+        norm_mat = scatter_stack(norm_loc, s.essential.pos[s.spaces.dofmap.vel_loc], n_free)
+        a_mat = cond.block.A.csr
         ev = sla.eigh(a_mat.toarray(), norm_mat.toarray(), eigvals_only=True)
         c1, c2 = float(ev[0]), float(ev[-1])
         inside = True
         for _ in range(120):
-            x = rng.uniform(block.n_free, -1.0, 1.0)
+            x = rng.uniform(n_free, -1.0, 1.0)
             ratio = (x @ (a_mat @ x)) / (x @ (norm_mat @ x))
             inside = inside and (c1 - 1e-10 <= ratio <= c2 + 1e-10)
         spreads.append(c2 / c1)
@@ -417,7 +405,8 @@ def check_infsup(level: str) -> CheckResult:
     beta1, beta2 = [], []
     for n in (4, 8):
         params = ProblemParams(mu=1.0, tau=0.0, inv_lambda=0.0)
-        mesh, spaces, ess, stacks, block = _setup(n, 2, params)
+        s, cond, _, _ = _setup(n, 2, params)
+        mesh, spaces, ess, stacks, block = s.mesh, s.spaces, s.essential, s.stacks, cond.block
         nt = mesh.num_triangles
         z = _meanzero_basis(nt)
         slots, n_free = ess.pos[spaces.dofmap.vel_loc], block.n_free
@@ -552,7 +541,9 @@ def check_galerkin(level: str) -> CheckResult:
             params = ProblemParams(mu=1.0, tau=1.0, inv_lambda=0.0)
             s = build_structure("cavity", n, k)
             mesh, spaces, stacks = s.mesh, s.spaces, s.stacks
-            ess = _zero_essential(s.essential)
+            # zero essential values: the structure's condensed part holds the
+            # lift and F_pbar of the nonzero ones, so condense on its own
+            ess = replace(s.essential, values=np.zeros_like(s.essential.values))
             block = assemble_saddle(
                 mesh,
                 spaces,
@@ -562,7 +553,7 @@ def check_galerkin(level: str) -> CheckResult:
                 volume_quad_degree=14,
                 stacks=stacks,
             )
-            cond = eliminate_local(block)
+            cond = eliminate_local(block, condensed_structure(spaces, ess))
             kc, rc = build_condensed_monolithic(cond)
             nf = cond.n_free
             kc, rc = _pin(kc, rc, nf)
@@ -586,10 +577,7 @@ def check_galerkin(level: str) -> CheckResult:
 def check_minres_determinism(level: str) -> CheckResult:
     res = CheckResult("iterative solver determinism and monotonicity", True)
     params = ProblemParams(mu=1.0, tau=1.0, inv_lambda=0.0)
-    mesh, *_, block = _setup(4, 2, params)
-    cond = eliminate_local(block)
-    asp = build_asp(cond)
-    schur = build_schur(mesh, params, "exact")
+    _, cond, asp, schur = _setup(4, 2, params)
     x1, rep1 = solve_condensed(cond, asp, schur, tol=1e-8, maxit=500, seed=0)
     x2, rep2 = solve_condensed(cond, asp, schur, tol=1e-8, maxit=500, seed=0)
     identical = np.array_equal(x1, x2) and np.array_equal(rep1.history, rep2.history)

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,29 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="got nan$"):
             _tiny_grid(tol=float("nan"))
         _tiny_grid(tol=0.999)
+
+    @pytest.mark.parametrize(
+        "kw,needle",
+        [
+            (dict(ks=[2.0]), "polynomial degree must be in 1..4, got 2.0"),
+            (dict(ks=[True]), "polynomial degree must be in 1..4, got True"),
+            (dict(inv_hs=[2.5]), "1/h must be a positive integer, got 2.5"),
+            (dict(inv_hs=[4.0]), "1/h must be a positive integer, got 4.0"),
+            (dict(inv_hs=[True]), "1/h must be a positive integer, got True"),
+            (dict(problem="step", inv_hs=[2.0]), "1/h must be a positive even integer, got 2.0"),
+            (dict(maxit=10.5), "maxit must be an integer, got 10.5"),
+            (dict(maxit=False), "maxit must be an integer, got False"),
+        ],
+    )
+    def test_non_integer_degree_mesh_size_maxit_rejected(self, kw, needle):
+        # each used to pass and then fail every row with a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
+            _tiny_grid(**kw)
+
+    def test_numpy_integers_accepted(self):
+        g = _tiny_grid(ks=[np.int64(2)], inv_hs=[np.int32(2)], maxit=np.int64(1000))
+        rows = run_grid(g)
+        assert [r.error for r in rows] == [""] and rows[0].converged
 
     @pytest.mark.parametrize("tol", [float("inf"), 1.0, 2.0])
     def test_tol_must_be_below_one(self, tol):
@@ -333,10 +357,7 @@ class TestSolveCondensed:
         s = build_structure(grid.problem, inv_h, k)
         x_ref, rep_ref, _ = _former_solve(grid, (s.mesh, s.spaces, s.essential, s.stacks), tup)
         params = ProblemParams(mu=mu, tau=tau, inv_lambda=invl, alpha=grid.alpha)
-        block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
-        cond = eliminate_local(block, s.condensed)
-        asp = build_asp(cond, smoother=grid.smoother, structure=s.asp)
-        schur = build_schur(s.mesh, params, grid.schur_mode, structure=s.schur)
+        cond, asp, schur = s.row(params)
         x, rep = solve_condensed(
             cond, asp, schur, tol=grid.tol, maxit=grid.maxit, seed=grid.seed
         )
@@ -367,9 +388,11 @@ class TestSharedStructure:
             params = ProblemParams(tau=tau, inv_lambda=invl)
             block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
             cond = eliminate_local(block, s.condensed)
-            asp = build_asp(cond, smoother=smoother, structure=s.asp)
-            schur = build_schur(s.mesh, params, "exact", structure=s.schur)
+            asp = build_asp(cond, structure=s.asp)
+            schur = build_schur(s.mesh, params, structure=s.schur)
             x, rep = solve_condensed(cond, asp, schur, tol=1e-8, maxit=1000, seed=4)
+            # the same row through Structure.row
+            x1, rep1 = solve_condensed(*s.row(params), tol=1e-8, maxit=1000, seed=4)
 
             # everything built again for this row alone
             mesh = (step_domain if problem == "step" else unit_square)(inv_h)
@@ -382,8 +405,9 @@ class TestSharedStructure:
             )
             assert schur.deflate is schur0.deflate is (deflates and invl == 0.0)
             assert rep.converged and rep.iterations > 5
-            assert np.array_equal(x, x0)
+            assert np.array_equal(x, x0) and np.array_equal(x1, x0)
             assert np.array_equal(rep.history, rep0.history)
+            assert np.array_equal(rep1.history, rep0.history)
 
 
 class TestMarkdown:
@@ -418,11 +442,11 @@ class TestCli:
             "--format",
             "--out",
             "--verify",
-            "--schur-mode",
             "--smoother",
             "--allow-large",
         ):
             assert flag in text, flag
+        assert "--schur-mode" not in text  # one Schur formula
 
     def test_problem_choices(self):
         parser = build_parser()
@@ -505,6 +529,7 @@ class TestCliUsageErrors:
             (["--tol", "inf"], "tol must be finite and below 1, got inf"),
             (["--tol", "1"], "tol must be finite and below 1, got 1.0"),
             (["--k", "1", "--inv-h", "2", "--out", "/nonexistent/x.csv"], "cannot open --out"),
+            (["--schur-mode", "approx"], "unrecognized arguments: --schur-mode approx"),
         ],
     )
     def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):
