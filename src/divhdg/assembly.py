@@ -24,13 +24,14 @@ three forms as per-element geometry coefficients (129 columns per element),
 of every element entry in it, and ``AuxSpace`` the parameter-independent part
 of the auxiliary operator. What depends on (mu, tau, 1/lambda) is built per
 row and lives only while the row runs: ``LocalStacks.combine`` forms the
-row's element matrices, and ``ScatterPattern.fill`` sums a row's stack into
-its matrix with one ``np.bincount``. Essential trace data is eliminated by
-position: ``scatter_stack`` drops the rows and columns at -1 in
-``EssentialData.pos``, and ``EssentialLift`` moves the eliminated columns to
-the right-hand side. The solver path keeps the system as element stacks,
-which static condensation reads directly; the reduced velocity block and the
-pressure coupling are assembled only on first access, for verification.
+element matrices of a chunk of elements (``element_chunks``), and
+``ScatterPattern.add`` sums them into a matrix's data with ``np.add.at``.
+Essential trace data is eliminated by position: ``scatter_stack`` drops the
+rows and columns at -1 in ``EssentialData.pos``, and ``EssentialLift`` moves
+the eliminated columns to the right-hand side. The solver path never forms
+a whole-mesh element stack: static condensation streams the chunks. The
+whole-mesh stack, the reduced velocity block and the pressure coupling are
+built only on first access, for verification.
 
 The element kernel is the tensor representation of Kirby and Logg (A compiler
 for variational forms, ACM TOMS 32, 2006). Every element is an affine
@@ -65,7 +66,7 @@ from .mesh import Mesh
 from .refbasis import ReferenceBasis, map_piola
 from .spaces import EssentialData, Spaces
 
-_CHUNK = 2048
+_CHUNK = 2048  # elements per chunk of a row's element work, at most
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,21 @@ class ProblemParams:
             raise ValueError("tau, inv_lambda must be >= 0 and alpha > 0")
 
 
+def element_chunks(n: int):
+    """Consecutive slices covering range(n) in the fewest chunks of at most
+    ``_CHUNK`` elements, equal up to one: a row's element work runs chunk by
+    chunk, so no per-row temporary holds more than ``_CHUNK`` elements.
+
+    Per-element results do not depend on the chunk as long as no chunk is
+    tiny: OpenBLAS 0.3.31 on an AVX-512 Xeon computes a GEMM with a small
+    output (below about 1200 entries, so fewer than 27 elements at k = 1) in
+    a kernel that rounds differently. Equal chunks hold at least (``_CHUNK`` + 1) / 2 elements,
+    1024 at the default, so none is that small unless the whole mesh is."""
+    count = -(-n // _CHUNK)
+    for i in range(count):
+        yield slice(i * n // count, (i + 1) * n // count)
+
+
 @dataclass(frozen=True)
 class LocalStacks:
     """The three parameter-independent forms of the velocity block, kept for
@@ -94,7 +110,8 @@ class LocalStacks:
     with C = 4, 88 and 37. ``tensors`` holds per form the upper triangles
     (C, n_loc (n_loc + 1) / 2) of its reference tensors, which depend only on
     the degree, and ``signs`` the orientation signs of ``spaces.dofmap``.
-    The element matrices themselves exist only per row, in ``combine``."""
+    The element matrices themselves exist only per row and per chunk of
+    elements, in ``combine``."""
 
     mass: np.ndarray  # (nt, 4)
     visc: np.ndarray  # gradient + consistency terms
@@ -102,28 +119,43 @@ class LocalStacks:
     tensors: dict = field(repr=False)
     signs: np.ndarray = field(repr=False)
 
-    def upper(self, form: str) -> np.ndarray:
-        """The upper triangles (nt, n_loc (n_loc + 1) / 2) of one form's
-        unsigned element matrices: one GEMM."""
-        return getattr(self, form) @ self.tensors[form]
+    def upper(self, form: str, sel=slice(None)) -> np.ndarray:
+        """The upper triangles (E, n_loc (n_loc + 1) / 2) of one form's
+        unsigned element matrices on the elements ``sel``: one GEMM."""
+        return getattr(self, form)[sel] @ self.tensors[form]
 
     def stack(self, form: str) -> np.ndarray:
         """The signed element matrices (nt, n_loc, n_loc) of one form."""
         return signed_stack(self.upper(form), self.signs)
 
-    def combine(self, p: ProblemParams, k: int) -> np.ndarray:
-        """tau * mass + 2 mu * (visc + alpha k^2 * pen): one GEMM per form,
-        combined on the upper triangles, then signed and mirrored. A sign
-        flip is exact, so this equals combining the signed stacks bit for
-        bit."""
-        a = self.upper("pen")
+    def combine(self, p: ProblemParams, k: int, sel=slice(None)) -> np.ndarray:
+        """The element matrices tau * mass + 2 mu * (visc + alpha k^2 * pen)
+        (E, n_loc, n_loc) of the elements ``sel``, by default all of them.
+        This is the one producer of a row's element matrices: static
+        condensation calls it per chunk of ``element_chunks``, and
+        ``BlockSystem.aloc`` for the whole mesh.
+
+        One GEMM per form, combined on the upper triangles, then signed and
+        mirrored; a sign flip is exact, so this equals combining the signed
+        stacks bit for bit. Raises NotSPD from ``_element_coercivity_check``;
+        its text names the worst element over the whole mesh, whatever
+        ``sel`` is."""
+        a = self._combined(p, k, sel)
+        nt = self.mass.shape[0]
+        _element_coercivity_check(
+            a, lambda: (self._combined(p, k, c) for c in element_chunks(nt))
+        )
+        return a
+
+    def _combined(self, p: ProblemParams, k: int, sel) -> np.ndarray:
+        a = self.upper("pen", sel)
         a *= p.alpha * k * k
-        a += self.upper("visc")
+        a += self.upper("visc", sel)
         a *= 2.0 * p.mu
-        m = self.upper("mass")
+        m = self.upper("mass", sel)
         m *= p.tau
         a += m
-        return signed_stack(a, self.signs)
+        return signed_stack(a, self.signs[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +290,39 @@ class ScatterPattern:
     """Where ``scatter_stack`` puts each entry of an element stack with given
     row and column slots. ``positions`` is the CSR pattern of the sum with
     data 1..nnz: fancy-indexing it gives 1 + the position in the data of any
-    entry, and 0 for an entry outside the pattern. ``slot`` holds, per stack
-    entry in element-major order, its position in the data, and nnz for an
-    entry that a -1 slot drops. The pattern depends only on the slots, so it
-    is built once and every sum over the same slots is one ``np.bincount``."""
+    entry, and 0 for an entry outside the pattern. ``slot`` (E, r c) holds,
+    per element and entry in row-major order, its position in the data, and
+    nnz for an entry that a -1 slot drops. The pattern depends only on the
+    slots, so it is built once; a sum over the same slots starts from
+    ``zeros``, takes the element matrices with ``add``, in one call or per
+    chunk of elements, and becomes a matrix with ``matrix``."""
 
     positions: sp.csr_matrix
     slot: np.ndarray
 
-    def fill(self, stack: np.ndarray) -> sp.csr_matrix:
-        """The summed matrix of ``stack``, duplicates added in element-major
-        order. It shares the pattern's index arrays and owns exactly nnz
-        values."""
+    def zeros(self) -> np.ndarray:
+        """The data of an empty sum, one entry past nnz for the dropped
+        entries."""
+        return np.zeros(self.positions.nnz + 1)
+
+    def add(self, data: np.ndarray, stack: np.ndarray, sel=slice(None)) -> None:
+        """Add the element matrices ``stack`` of the elements ``sel`` to
+        ``data``, in element-major order. Summing chunk by chunk in element
+        order adds every entry's terms in the order of one call."""
+        np.add.at(data, self.slot[sel].ravel(), stack.ravel())
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The summed matrix of ``data``. It shares the pattern's index
+        arrays and owns exactly nnz values."""
         p = self.positions
-        data = np.bincount(self.slot, weights=stack.ravel(), minlength=p.nnz + 1)
-        data.resize(p.nnz, refcheck=False)  # the last bin holds the dropped entries
+        data.resize(p.nnz, refcheck=False)  # drop the dropped entries' bin
         return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape)
+
+    def fill(self, stack: np.ndarray) -> sp.csr_matrix:
+        """The summed matrix of the whole ``stack``."""
+        data = self.zeros()
+        self.add(data, stack)
+        return self.matrix(data)
 
 
 def scatter_pattern(
@@ -296,7 +345,7 @@ def scatter_pattern(
     slot = np.full(shape, positions.nnz, positions.indices.dtype)
     if r.size:
         slot[keep] = np.asarray(positions[r, c]).ravel() - 1
-    return ScatterPattern(positions=positions, slot=slot.ravel())
+    return ScatterPattern(positions=positions, slot=slot.reshape(shape[0], shape[1] * shape[2]))
 
 
 def position_map(m: sp.csr_matrix) -> sp.csr_matrix:
@@ -326,20 +375,20 @@ class EssentialLift:
     among the global velocity ids of an element stack's slots. The lift is a
     rectangular scatter of only the elements that touch an essential
     unknown; their mask and pattern depend only on the slots and the
-    essential data."""
+    essential data, and the call takes only those elements' matrices."""
 
     pos: np.ndarray  # (E, s) free position of each slot, -1 if essential
     touch: np.ndarray  # elements with an essential slot
     pattern: ScatterPattern  # their free rows by their essential columns
     g: np.ndarray  # the essential data over all velocity unknowns
 
-    def __call__(self, stack: np.ndarray, fstack: np.ndarray) -> np.ndarray:
-        """The right side of element matrices ``stack`` and element right
-        sides ``fstack``."""
+    def __call__(self, touched: np.ndarray, fstack: np.ndarray) -> np.ndarray:
+        """The right side of the element right sides ``fstack`` and the
+        element matrices ``touched`` of the elements in ``touch``."""
         kept = self.pos >= 0
         n = self.pattern.positions.shape[0]
         f = np.bincount(self.pos[kept], weights=fstack[kept], minlength=n)
-        return f - self.pattern.fill(stack[self.touch]) @ self.g
+        return f - self.pattern.fill(touched) @ self.g
 
 
 def essential_lift(slots: np.ndarray, ess: EssentialData, n: int) -> EssentialLift:
@@ -415,22 +464,30 @@ def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np
 
 @dataclass
 class BlockSystem:
-    """Assembled saddle-point system with essential data eliminated.
+    """Saddle-point system of one parameter row, essential data eliminated.
 
-    C is the reduced compressibility block, and aloc, floc are the signed
-    element stacks of one parameter row, which is all static condensation
-    reads. The reduced velocity block A (over free velocity unknowns, at their
+    C is the reduced compressibility block, floc the signed element right
+    sides, and ``stacks`` the sweep's element forms, from which static
+    condensation forms the element matrices chunk by chunk with
+    ``LocalStacks.combine``. The whole-mesh element stack ``aloc``, the
+    reduced velocity block A (over free velocity unknowns, at their
     ``essential.pos`` positions), its right side F_u, the reduced pressure
-    coupling B and its right side F_p are assembled on first access, for
+    coupling B and its right side F_p are built on first access, for
     verification: the condensed solve never forms them.
     """
 
     C: SparseSym
-    aloc: np.ndarray = field(repr=False)
     floc: np.ndarray = field(repr=False)
+    stacks: LocalStacks = field(repr=False)
     spaces: Spaces = field(repr=False)
     params: ProblemParams
     essential: EssentialData = field(repr=False)
+
+    @cached_property
+    def aloc(self) -> np.ndarray:
+        """The signed element matrices (nt, n_loc, n_loc) of the velocity
+        block."""
+        return self.stacks.combine(self.params, self.spaces.k)
 
     @cached_property
     def A(self) -> SparseSym:
@@ -439,8 +496,8 @@ class BlockSystem:
 
     @cached_property
     def F_u(self) -> np.ndarray:
-        vel_loc = self.spaces.dofmap.vel_loc
-        return essential_lift(vel_loc, self.essential, self.n_free)(self.aloc, self.floc)
+        lift = essential_lift(self.spaces.dofmap.vel_loc, self.essential, self.n_free)
+        return lift(self.aloc[lift.touch], self.floc)
 
     @cached_property
     def _b_full(self) -> sp.csr_matrix:
@@ -467,12 +524,15 @@ class BlockSystem:
         return self.C.n
 
 
-def _element_coercivity_check(aloc: np.ndarray):
+def _element_coercivity_check(aloc: np.ndarray, chunks=None):
     """Raise NotSPD unless every element block has lambda_min >= -1e-9 scale,
     scale being the block's largest entry. A Cholesky factorization of every
     block shifted by 1e-9 scale certifies the bound in one batched pass (up
-    to rounding far below it); only when it fails do the eigenvalues decide."""
-    scale = np.maximum(np.abs(aloc).max(axis=(1, 2)), 1e-300)
+    to rounding far below it); only when it fails do the eigenvalues decide.
+    When ``aloc`` is one chunk of a stack, ``chunks()`` yields every chunk of
+    that stack, and the eigenvalues are those of all of them: the check then
+    fails exactly when the check of the whole stack would, with its text."""
+    scale = _block_scale(aloc)
     shifted = aloc.copy()
     diag = np.arange(aloc.shape[1])
     shifted[:, diag, diag] += (1e-9 * scale)[:, None]
@@ -481,13 +541,19 @@ def _element_coercivity_check(aloc: np.ndarray):
         return
     except np.linalg.LinAlgError:
         pass
-    evs = np.linalg.eigvalsh(aloc)
-    worst = np.min(evs[:, 0] / scale)
+    worst = min(
+        np.min(np.linalg.eigvalsh(a)[:, 0] / _block_scale(a))
+        for a in (chunks() if chunks else (aloc,))
+    )
     if worst < -1e-9:
         raise NotSPD(
             "element velocity block has a negative eigenvalue "
             f"(relative {worst:.3e}); increase the penalty parameter alpha"
         )
+
+
+def _block_scale(aloc: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(aloc).max(axis=(1, 2)), 1e-300)
 
 
 def assemble_saddle(
@@ -502,17 +568,13 @@ def assemble_saddle(
     if stacks is None:
         stacks = assemble_local_stacks(mesh, spaces)
     dm = spaces.dofmap
-    aloc = stacks.combine(params, spaces.k)
-    _element_coercivity_check(aloc)
-
     floc = np.zeros((mesh.num_triangles, dm.n_loc))
     if body_force is not None:
         deg = volume_quad_degree or spaces.ref.vol_rule.degree
         rule, vals, _, _, _ = spaces.ref.volume_tables(deg)
         a0 = mesh.vertices[mesh.triangles[:, 0]]
         nt = mesh.num_triangles
-        for start in range(0, nt, _CHUNK):
-            sel = slice(start, min(start + _CHUNK, nt))
+        for sel in element_chunks(nt):
             pts = a0[sel, None, :] + np.einsum(
                 "edc,qc->eqd", mesh.jacobians[sel], rule.points
             )
@@ -526,8 +588,8 @@ def assemble_saddle(
 
     return BlockSystem(
         C=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, params)).tocsr()),
-        aloc=aloc,
         floc=floc,
+        stacks=stacks,
         spaces=spaces,
         params=params,
         essential=essential,

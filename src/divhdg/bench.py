@@ -70,6 +70,8 @@ class ExperimentGrid:
             raise ValueError(f"maxit must be an integer, got {self.maxit}")
         if self.maxit < 0:
             raise ValueError(f"maxit must be >= 0, got {self.maxit}")
+        if not _is_int(self.seed):  # a CSV record must parse back as an int
+            raise ValueError(f"seed must be an integer, got {self.seed}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.tol < 1.0:  # MINRES meets tol >= 1 at its first iteration

@@ -18,8 +18,15 @@ divergence penalization to the interior block before inverting.
 ``CondensedStructure`` holds what depends only on the mesh, the degree and the
 essential data, built once per sweep: the trace slots, the pattern of A_g
 with the position of every element entry in it, and B_g with its right side.
-``eliminate_local`` then does one row's work: the batched local solves, and
-A_g's values and F_g.
+``eliminate_local`` then does one row's work. Condensation is element-local,
+so it streams the elements in chunks (``assembly.element_chunks``): per chunk
+it forms the element matrices (``LocalStacks.combine``, which also checks
+their coercivity), solves the local systems, and adds the condensed blocks
+to A_g's data. Only the per-element outputs (back_x, back_y and the trace
+right sides) and the condensed blocks of the elements that touch an
+essential unknown, which the lift into F_g needs, span the whole mesh; no
+whole-mesh element stack is formed. Every result is bit-identical to one
+chunk.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +39,7 @@ from .assembly import (
     EssentialLift,
     ScatterPattern,
     assemble_pressure_ops,
+    element_chunks,
     essential_lift,
     scatter_pattern,
 )
@@ -102,7 +110,12 @@ def eliminate_local(
     block: BlockSystem, structure: CondensedStructure = None
 ) -> CondensedSystem:
     """Condense one row's saddle system; without ``structure`` (the traced
-    benchmark, tests), its parameter-independent part is built here."""
+    benchmark, tests), its parameter-independent part is built here.
+
+    The elements run in chunks of ``element_chunks``. Each chunk forms its
+    element matrices with ``LocalStacks.combine`` (which checks them), solves
+    its local systems, adds its condensed blocks to A_g's data and keeps
+    those of the elements that touch an essential unknown for the lift."""
     spaces = block.spaces
     if structure is None:
         structure = condensed_structure(spaces, block.essential)
@@ -114,49 +127,54 @@ def eliminate_local(
     n_d = ref.n_int_d
     n_c = ref.n_int_c
     n_L = n_int + n_d
-    g_slot_idx = structure.g_slot_idx
-    n_G = g_slot_idx.size
-
-    aloc = block.aloc
-    a_ii = aloc[:, dm.interior_slots, dm.interior_slots]
-    a_ig = aloc[:, dm.interior_slots][:, :, g_slot_idx]
-
-    k_ll = np.zeros((nt, n_L, n_L))
-    k_ll[:, :n_int, :n_int] = a_ii
-    for r in range(n_d):
-        k_ll[:, n_int + r, n_c + r] = -1.0
-        k_ll[:, n_c + r, n_int + r] = -1.0
+    ii = dm.interior_slots
+    g = structure.g_slot_idx
+    n_G = g.size
+    # flat positions in an element matrix of its (interior, trace) and
+    # (trace, trace) blocks: one contiguous gather each
+    lg = (np.arange(dm.n_loc)[ii, None] * dm.n_loc + g).ravel()
+    gg = (g[:, None] * dm.n_loc + g).ravel()
     inv_l = block.params.inv_lambda
-    for r in range(n_d):
-        k_ll[:, n_int + r, n_int + r] = -inv_l * mesh.det_j
+    lift = structure.lift
 
-    k_lg = np.zeros((nt, n_L, n_G))
-    k_lg[:, :n_int, :] = a_ig
-    f_l = np.zeros((nt, n_L))
-    f_l[:, :n_int] = block.floc[:, dm.interior_slots]
+    sol = np.empty((nt, n_L, n_G + 1))  # per element K_LL^-1 [K_LG | F_L]
+    f_g_loc = np.empty((nt, n_G))
+    a_data = structure.a_g.zeros()
+    touched = []  # per chunk, the condensed blocks the lift reads
+    for sel in element_chunks(nt):
+        aloc = block.stacks.combine(block.params, spaces.k, sel)
+        m = aloc.shape[0]
+        k_ll = np.zeros((m, n_L, n_L))
+        k_ll[:, :n_int, :n_int] = aloc[:, ii, ii]
+        for r in range(n_d):
+            k_ll[:, n_int + r, n_c + r] = -1.0
+            k_ll[:, n_c + r, n_int + r] = -1.0
+            k_ll[:, n_int + r, n_int + r] = -inv_l * mesh.det_j[sel]
+        rhs = np.zeros((m, n_L, n_G + 1))  # [K_LG | F_L]
+        flat = aloc.reshape(m, -1)
+        rhs[:, :n_int, :n_G] = flat[:, lg].reshape(m, n_int, n_G)
+        rhs[:, :n_int, n_G] = block.floc[sel, ii]
+        if n_L:
+            sol[sel] = np.linalg.solve(k_ll, rhs)
+        del k_ll  # each temporary goes before the next one is made
 
-    if n_L:
-        rhs = np.concatenate([k_lg, f_l[:, :, None]], axis=2)
-        sol = np.linalg.solve(k_ll, rhs)
-        back_x, back_y = sol[:, :, :n_G], sol[:, :, n_G]
-    else:
-        back_x = np.zeros((nt, 0, n_G))
-        back_y = np.zeros((nt, 0))
-
-    a_gg = aloc[:, g_slot_idx[:, None], g_slot_idx]
-    k_gl = np.swapaxes(k_lg, 1, 2)
-    a_cond = a_gg - k_gl @ back_x
-    f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ back_y[:, :, None])[:, :, 0]
+        k_gl = np.swapaxes(rhs[:, :, :n_G], 1, 2)
+        a_cond = flat[:, gg].reshape(m, n_G, n_G)
+        del aloc, flat
+        a_cond -= k_gl @ sol[sel, :, :n_G]
+        f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[sel, :, n_G, None])[:, :, 0]
+        structure.a_g.add(a_data, a_cond, sel)
+        touched.append(a_cond[lift.touch[sel]])
 
     return CondensedSystem(
-        A_g=SparseSym(structure.a_g.fill(a_cond)),
+        A_g=SparseSym(structure.a_g.matrix(a_data)),
         B_g=structure.B_g,
         C_g=SparseSym(sp.diags(-inv_l * mesh.areas).tocsr()),
-        F_g=structure.lift(a_cond, f_g_loc),
+        F_g=lift(np.concatenate(touched), f_g_loc),
         F_pbar=structure.F_pbar,
         free_cond=structure.free_cond,
-        back_x=back_x,
-        back_y=back_y,
+        back_x=sol[:, :, :n_G],
+        back_y=sol[:, :, n_G],
         g_slots=structure.g_slots,
         spaces=spaces,
         block=block,

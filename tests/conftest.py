@@ -1,6 +1,8 @@
 """Shared fixtures: cached solver pipelines so expensive assemblies are built
 once per session."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,23 @@ from divhdg import (
     step_domain,
     unit_square,
 )
+from divhdg.mesh import build_mesh
 
 _CACHE = {}
+
+
+def jittered_square(n):
+    """unit_square(n) with each vertex moved by a fixed pseudo-random offset of
+    at most h/5 per coordinate, boundary vertices only along the boundary, so
+    that no two elements are congruent. Every triangle stays
+    counter-clockwise, and every edge keeps its unit_square tag."""
+    base = unit_square(n)
+    v = base.vertices.copy()
+    step = np.random.default_rng(n).uniform(-0.2 / n, 0.2 / n, v.shape)
+    step[(v == 0.0) | (v == 1.0)] = 0.0
+    mesh = replace(build_mesh(v + step, base.triangles), edge_tags=base.edge_tags)
+    assert np.unique(np.round(mesh.det_j, 12)).size == mesh.num_triangles
+    return mesh
 
 
 def pipeline(problem, n, k, mu=1.0, tau=0.0, inv_lambda=0.0, alpha=8.0):

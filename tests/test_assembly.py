@@ -22,12 +22,12 @@ from divhdg.assembly import (
 )
 from divhdg.condense import eliminate_local
 from divhdg.linalg import NotSPD
-from divhdg.mesh import build_mesh, step_domain, unit_square
+from divhdg.mesh import step_domain, unit_square
 from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
 from divhdg.spaces import build_spaces, interpolate_essential
 from divhdg.verify import _bubble_curl, _energy_error, norm_stacks
 
-from conftest import pipeline
+from conftest import jittered_square, pipeline
 
 
 class TestParams:
@@ -97,8 +97,13 @@ class TestSaddleStructure:
         mesh = unit_square(2)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
+        # the check runs wherever the element matrices are formed: in
+        # condensation, chunk by chunk, and in the whole-mesh stack
+        block = assemble_saddle(mesh, spaces, ProblemParams(alpha=0.01), ess)
         with pytest.raises(NotSPD):
-            assemble_saddle(mesh, spaces, ProblemParams(alpha=0.01), ess)
+            eliminate_local(block)
+        with pytest.raises(NotSPD):
+            block.aloc
 
 
 def facet_projection(facet) -> np.ndarray:
@@ -481,7 +486,7 @@ class TestLazyVelocityBlocks:
         block, _ = self._build("cavity", 3, 2)
         cond = eliminate_local(block)
         assert cond.n_free > 0 and block.n_free > 0
-        for name in ("A", "F_u", "B", "F_p"):
+        for name in ("aloc", "A", "F_u", "B", "F_p"):
             assert name not in vars(block), name
 
 
@@ -603,20 +608,6 @@ class TestCoercivityCheck:
             _element_coercivity_check(bad)
 
 
-def _jittered_square(n):
-    """unit_square(n) with each vertex moved by a fixed pseudo-random offset of
-    at most h/5 per coordinate, boundary vertices only along the boundary, so
-    that no two elements are congruent. Every triangle stays
-    counter-clockwise."""
-    base = unit_square(n)
-    v = base.vertices.copy()
-    step = np.random.default_rng(n).uniform(-0.2 / n, 0.2 / n, v.shape)
-    step[(v == 0.0) | (v == 1.0)] = 0.0
-    mesh = build_mesh(v + step, base.triangles)
-    assert np.unique(np.round(mesh.det_j, 12)).size == mesh.num_triangles
-    return mesh
-
-
 @dataclass(frozen=True)
 class _FormerLocalStacks:
     """The former parameter-independent signed stacks and their combination,
@@ -672,7 +663,7 @@ def _former_local_stacks(mesh, spaces) -> _FormerLocalStacks:
 
 
 def _mesh(problem, n):
-    return {"cavity": unit_square, "step": step_domain, "jittered": _jittered_square}[
+    return {"cavity": unit_square, "step": step_domain, "jittered": jittered_square}[
         problem
     ](n)
 

@@ -176,6 +176,8 @@ class TestGridValidation:
             (dict(problem="step", inv_hs=[2.0]), "1/h must be a positive even integer, got 2.0"),
             (dict(maxit=10.5), "maxit must be an integer, got 10.5"),
             (dict(maxit=False), "maxit must be an integer, got False"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(seed=True), "seed must be an integer, got True"),
         ],
     )
     def test_non_integer_degree_mesh_size_maxit_rejected(self, kw, needle):
@@ -184,9 +186,12 @@ class TestGridValidation:
             _tiny_grid(**kw)
 
     def test_numpy_integers_accepted(self):
-        g = _tiny_grid(ks=[np.int64(2)], inv_hs=[np.int32(2)], maxit=np.int64(1000))
+        g = _tiny_grid(
+            ks=[np.int64(2)], inv_hs=[np.int32(2)], maxit=np.int64(1000), seed=np.int64(3)
+        )
         rows = run_grid(g)
         assert [r.error for r in rows] == [""] and rows[0].converged
+        assert parse_csv(emit(rows)) == rows
 
     @pytest.mark.parametrize("tol", [float("inf"), 1.0, 2.0])
     def test_tol_must_be_below_one(self, tol):
