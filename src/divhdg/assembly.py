@@ -27,11 +27,15 @@ row and lives only while the row runs: ``LocalStacks.combine`` forms the
 element matrices of a chunk of elements (``element_chunks``), and
 ``ScatterPattern.add`` sums them into a matrix's data with ``np.add.at``.
 Essential trace data is eliminated by position: ``scatter_stack`` drops the
-rows and columns at -1 in ``EssentialData.pos``, and ``EssentialLift`` moves
-the eliminated columns to the right-hand side. The solver path never forms
-a whole-mesh element stack: static condensation streams the chunks. The
-whole-mesh stack, the reduced velocity block and the pressure coupling are
-built only on first access, for verification.
+rows and columns at -1 in ``EssentialData.pos``, and ``free_rhs`` the entries
+of the element right sides there. The eliminated columns move to the
+right-hand side as a product with the essential data g, which is 0 at a free
+unknown: static condensation subtracts each element's condensed block times
+its g, and ``BlockSystem.F_u`` one scatter of the whole stack over the free
+rows and every column times g. The solver path never forms a whole-mesh
+element stack: static condensation streams the chunks. The whole-mesh stack,
+the reduced velocity block, the pressure coupling and the compressibility
+block are built only on first access, for verification.
 
 The element kernel is the tensor representation of Kirby and Logg (A compiler
 for variational forms, ACM TOMS 32, 2006). Every element is an affine
@@ -369,39 +373,12 @@ def scatter_stack(
     return scatter_pattern(rows, n, cols, m).fill(stack)
 
 
-@dataclass(frozen=True)
-class EssentialLift:
-    """f_free - A[free, essential] g, the right side over the n free unknowns
-    among the global velocity ids of an element stack's slots. The lift is a
-    rectangular scatter of only the elements that touch an essential
-    unknown; their mask and pattern depend only on the slots and the
-    essential data, and the call takes only those elements' matrices."""
-
-    pos: np.ndarray  # (E, s) free position of each slot, -1 if essential
-    touch: np.ndarray  # elements with an essential slot
-    pattern: ScatterPattern  # their free rows by their essential columns
-    g: np.ndarray  # the essential data over all velocity unknowns
-
-    def __call__(self, touched: np.ndarray, fstack: np.ndarray) -> np.ndarray:
-        """The right side of the element right sides ``fstack`` and the
-        element matrices ``touched`` of the elements in ``touch``."""
-        kept = self.pos >= 0
-        n = self.pattern.positions.shape[0]
-        f = np.bincount(self.pos[kept], weights=fstack[kept], minlength=n)
-        return f - self.pattern.fill(touched) @ self.g
-
-
-def essential_lift(slots: np.ndarray, ess: EssentialData, n: int) -> EssentialLift:
-    pos = ess.pos[slots]
+def free_rhs(pos: np.ndarray, stack: np.ndarray, n: int) -> np.ndarray:
+    """Sum the element vectors ``stack`` (E, s) into a vector over the n free
+    unknowns at their free positions ``pos`` (E, s); a slot at -1, an
+    essential unknown, is dropped."""
     kept = pos >= 0
-    touch = ~kept.all(axis=1)
-    ess_cols = np.where(kept[touch], -1, slots[touch])
-    return EssentialLift(
-        pos=pos,
-        touch=touch,
-        pattern=scatter_pattern(pos[touch], n, ess_cols, ess.free_mask.size),
-        g=ess.full_vector(),
-    )
+    return np.bincount(pos[kept], weights=stack[kept], minlength=n)
 
 
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
@@ -466,17 +443,16 @@ def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np
 class BlockSystem:
     """Saddle-point system of one parameter row, essential data eliminated.
 
-    C is the reduced compressibility block, floc the signed element right
-    sides, and ``stacks`` the sweep's element forms, from which static
-    condensation forms the element matrices chunk by chunk with
-    ``LocalStacks.combine``. The whole-mesh element stack ``aloc``, the
-    reduced velocity block A (over free velocity unknowns, at their
-    ``essential.pos`` positions), its right side F_u, the reduced pressure
-    coupling B and its right side F_p are built on first access, for
-    verification: the condensed solve never forms them.
+    floc holds the signed element right sides, and ``stacks`` the sweep's
+    element forms, from which static condensation forms the element matrices
+    chunk by chunk with ``LocalStacks.combine``. The whole-mesh element stack
+    ``aloc``, the reduced velocity block A (over free velocity unknowns, at
+    their ``essential.pos`` positions), its right side F_u, the reduced
+    pressure coupling B, its right side F_p and the compressibility block C
+    are built on first access, for verification: the condensed solve never
+    forms them.
     """
 
-    C: SparseSym
     floc: np.ndarray = field(repr=False)
     stacks: LocalStacks = field(repr=False)
     spaces: Spaces = field(repr=False)
@@ -496,8 +472,13 @@ class BlockSystem:
 
     @cached_property
     def F_u(self) -> np.ndarray:
-        lift = essential_lift(self.spaces.dofmap.vel_loc, self.essential, self.n_free)
-        return lift(self.aloc[lift.touch], self.floc)
+        """floc - A[free, essential] g, the lift by one rectangular scatter of
+        the whole stack over the free rows and every velocity column (the
+        essential data g is 0 at a free unknown)."""
+        ess, vel_loc, n = self.essential, self.spaces.dofmap.vel_loc, self.n_free
+        pos = ess.pos[vel_loc]
+        a_fg = scatter_stack(self.aloc, pos, n, vel_loc, ess.free_mask.size)
+        return free_rhs(pos, self.floc, n) - a_fg @ ess.full_vector()
 
     @cached_property
     def _b_full(self) -> sp.csr_matrix:
@@ -511,6 +492,12 @@ class BlockSystem:
     def F_p(self) -> np.ndarray:
         return -(self._b_full @ self.essential.full_vector())
 
+    @cached_property
+    def C(self) -> SparseSym:
+        return SparseSym(
+            sp.diags(pressure_c_diagonal(self.mesh, self.spaces, self.params)).tocsr()
+        )
+
     @property
     def mesh(self) -> Mesh:
         return self.spaces.mesh
@@ -521,7 +508,7 @@ class BlockSystem:
 
     @property
     def n_pressure(self) -> int:
-        return self.C.n
+        return self.spaces.split.n_pressure
 
 
 def _element_coercivity_check(aloc: np.ndarray, chunks=None):
@@ -587,7 +574,6 @@ def assemble_saddle(
         floc *= dm.signs
 
     return BlockSystem(
-        C=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, params)).tocsr()),
         floc=floc,
         stacks=stacks,
         spaces=spaces,

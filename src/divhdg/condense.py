@@ -22,11 +22,12 @@ with the position of every element entry in it, and B_g with its right side.
 so it streams the elements in chunks (``assembly.element_chunks``): per chunk
 it forms the element matrices (``LocalStacks.combine``, which also checks
 their coercivity), solves the local systems, and adds the condensed blocks
-to A_g's data. Only the per-element outputs (back_x, back_y and the trace
-right sides) and the condensed blocks of the elements that touch an
-essential unknown, which the lift into F_g needs, span the whole mesh; no
-whole-mesh element stack is formed. Every result is bit-identical to one
-chunk.
+to A_g's data. The essential data g leaves the trace unknowns element by
+element: F_g is the sum of the element right sides minus the sum of each
+condensed block times its element's g, which is 0 at a free unknown. Only
+the per-element outputs (back_x, back_y, the trace right sides and the
+lifts) span the whole mesh; no whole-mesh element stack is formed. Every
+result is bit-identical to one chunk.
 """
 
 from dataclasses import dataclass, field
@@ -36,11 +37,11 @@ import scipy.sparse as sp
 
 from .assembly import (
     BlockSystem,
-    EssentialLift,
     ScatterPattern,
     assemble_pressure_ops,
     element_chunks,
-    essential_lift,
+    free_rhs,
+    pressure_c_diagonal,
     scatter_pattern,
 )
 from .linalg import SparseSym
@@ -56,7 +57,6 @@ class CondensedStructure:
     g_slots: np.ndarray  # (nt, n_G) their global ids
     free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
     a_g: ScatterPattern  # A_g's pattern and the slot of each element entry
-    lift: EssentialLift  # F_g from the condensed element matrices
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
     F_pbar: np.ndarray
 
@@ -75,7 +75,6 @@ def condensed_structure(spaces: Spaces, essential: EssentialData) -> CondensedSt
         g_slots=g_slots,
         free_cond=free_cond,
         a_g=scatter_pattern(essential.pos[g_slots], n_g),
-        lift=essential_lift(g_slots, essential, n_g),
         B_g=b_full[:, essential.free_ids][:nt, :n_g],
         F_pbar=-(b_full @ essential.full_vector())[:nt],
     )
@@ -114,8 +113,10 @@ def eliminate_local(
 
     The elements run in chunks of ``element_chunks``. Each chunk forms its
     element matrices with ``LocalStacks.combine`` (which checks them), solves
-    its local systems, adds its condensed blocks to A_g's data and keeps
-    those of the elements that touch an essential unknown for the lift."""
+    its local systems, adds its condensed blocks to A_g's data and lifts the
+    essential data through them: each element's condensed block times its
+    trace data, which is 0 at a free unknown. F_g sums the element right
+    sides first and subtracts the summed lifts after."""
     spaces = block.spaces
     if structure is None:
         structure = condensed_structure(spaces, block.essential)
@@ -135,12 +136,13 @@ def eliminate_local(
     lg = (np.arange(dm.n_loc)[ii, None] * dm.n_loc + g).ravel()
     gg = (g[:, None] * dm.n_loc + g).ravel()
     inv_l = block.params.inv_lambda
-    lift = structure.lift
+    ess = block.essential
+    g_ess = ess.full_vector()  # 0 at a free unknown
 
     sol = np.empty((nt, n_L, n_G + 1))  # per element K_LL^-1 [K_LG | F_L]
     f_g_loc = np.empty((nt, n_G))
+    lift_loc = np.empty((nt, n_G))  # per element A_cond g
     a_data = structure.a_g.zeros()
-    touched = []  # per chunk, the condensed blocks the lift reads
     for sel in element_chunks(nt):
         aloc = block.stacks.combine(block.params, spaces.k, sel)
         m = aloc.shape[0]
@@ -163,14 +165,16 @@ def eliminate_local(
         del aloc, flat
         a_cond -= k_gl @ sol[sel, :, :n_G]
         f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[sel, :, n_G, None])[:, :, 0]
+        lift_loc[sel] = (a_cond @ g_ess[structure.g_slots[sel], None])[:, :, 0]
         structure.a_g.add(a_data, a_cond, sel)
-        touched.append(a_cond[lift.touch[sel]])
 
+    g_pos = ess.pos[structure.g_slots]
+    n_g = structure.free_cond.size
     return CondensedSystem(
         A_g=SparseSym(structure.a_g.matrix(a_data)),
         B_g=structure.B_g,
-        C_g=SparseSym(sp.diags(-inv_l * mesh.areas).tocsr()),
-        F_g=lift(np.concatenate(touched), f_g_loc),
+        C_g=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, block.params)[:nt]).tocsr()),
+        F_g=free_rhs(g_pos, f_g_loc, n_g) - free_rhs(g_pos, lift_loc, n_g),
         F_pbar=structure.F_pbar,
         free_cond=structure.free_cond,
         back_x=sol[:, :, :n_G],

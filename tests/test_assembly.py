@@ -486,7 +486,7 @@ class TestLazyVelocityBlocks:
         block, _ = self._build("cavity", 3, 2)
         cond = eliminate_local(block)
         assert cond.n_free > 0 and block.n_free > 0
-        for name in ("aloc", "A", "F_u", "B", "F_p"):
+        for name in ("aloc", "A", "F_u", "B", "F_p", "C"):
             assert name not in vars(block), name
 
 
