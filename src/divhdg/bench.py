@@ -29,6 +29,7 @@ from .precond import (
     SchurStructure,
     asp_structure,
     build_asp,
+    SMOOTHERS,
     build_schur,
     schur_structure,
 )
@@ -66,6 +67,8 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
+        if self.smoother not in SMOOTHERS:
+            raise ValueError(f"unknown smoother {self.smoother!r}")
         if not _is_int(self.maxit):
             raise ValueError(f"maxit must be an integer, got {self.maxit}")
         if self.maxit < 0:

@@ -15,6 +15,7 @@ import contextlib
 import sys
 
 from .bench import MAX_INV_H, PROBLEMS, ExperimentGrid, emit, run_grid
+from .precond import SMOOTHERS
 from .verify import run_verification
 
 
@@ -69,9 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the dense verification suite instead of a sweep",
     )
-    p.add_argument(
-        "--smoother", choices=["patch-sgs", "jacobi"], default="patch-sgs"
-    )
+    p.add_argument("--smoother", choices=SMOOTHERS, default="patch-sgs")
     p.add_argument(
         "--allow-large",
         action="store_true",

@@ -76,6 +76,9 @@ from .spaces import EssentialData, Spaces
 # that record it in their environment line
 HAVE_NUMBA = False
 
+# the velocity smoothers, the default first
+SMOOTHERS = ("patch-sgs", "jacobi")
+
 
 # ---------------------------------------------------------------------------
 # pressure block
@@ -371,7 +374,7 @@ def asp_structure(
     ``position_map`` of the condensed velocity block A_g. The vertex patches
     (the free unknowns on the free edges at a vertex) are coloured greedily
     in natural vertex order."""
-    if smoother not in ("patch-sgs", "jacobi"):
+    if smoother not in SMOOTHERS:
         raise ValueError(f"unknown smoother '{smoother}'")
     mesh = spaces.mesh
     k = spaces.k

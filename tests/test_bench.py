@@ -26,7 +26,7 @@ from divhdg.krylov import (
 )
 from divhdg.linalg import CapExceeded
 from divhdg.mesh import step_domain, unit_square
-from divhdg.precond import build_asp, build_schur
+from divhdg.precond import SMOOTHERS, build_asp, build_schur
 from divhdg.spaces import build_spaces, interpolate_essential
 
 
@@ -136,6 +136,13 @@ class TestGridValidation:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             _tiny_grid(problem="channel")
+
+    def test_unknown_smoother(self):
+        # rejected when the grid is built, not by every row of the sweep
+        with pytest.raises(ValueError, match="unknown smoother 'sgs'"):
+            _tiny_grid(smoother="sgs")
+        for smoother in SMOOTHERS:
+            _tiny_grid(smoother=smoother)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -535,6 +542,7 @@ class TestCliUsageErrors:
             (["--tol", "1"], "tol must be finite and below 1, got 1.0"),
             (["--k", "1", "--inv-h", "2", "--out", "/nonexistent/x.csv"], "cannot open --out"),
             (["--schur-mode", "approx"], "unrecognized arguments: --schur-mode approx"),
+            (["--smoother", "sgs"], "invalid choice: 'sgs'"),
         ],
     )
     def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):
