@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from divhdg.assembly import assemble_pressure_ops
+from divhdg.assembly import ProblemParams, assemble_pressure_ops, assemble_saddle
 from divhdg.condense import (
     back_substitute,
     build_condensed_monolithic,
     build_monolithic,
+    eliminate_local,
 )
+from divhdg.mesh import step_domain, unit_square
+from divhdg.spaces import build_spaces, interpolate_essential
 from conftest import pipeline
 
 
@@ -99,14 +105,45 @@ class TestMonolithicAgreement:
         r = km @ z - fm
         assert np.linalg.norm(r) <= 1e-9 * max(np.linalg.norm(fm), 1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("problem", ["cavity", "step"])
+    def test_generic_essential_data(self, problem, k):
+        # nonzero data on every essential unknown, so that free trace unknowns
+        # meet data from two elements, which the lid and inlet data never do;
+        # the bound is the one of verify.check_condensation
+        mesh = step_domain(2) if problem == "step" else unit_square(2)
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        rng = np.random.default_rng(k)
+        n = ess.values.size
+        ess = replace(ess, values=rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n))
+
+        def force(x):
+            return np.column_stack([np.sin(3.0 * x[:, 1]), x[:, 0] * x[:, 1]])
+
+        params = ProblemParams(tau=1.0, inv_lambda=1.0)
+        block = assemble_saddle(mesh, spaces, params, ess, body_force=force)
+        cond = eliminate_local(block)
+        pos = ess.pos[cond.g_slots]
+        touch = (pos < 0).any(axis=1)
+        assert np.bincount(cond.g_slots[(pos >= 0) & touch[:, None]]).max() == 2
+
+        kc, fc = build_condensed_monolithic(cond)
+        zc = spla.spsolve(kc.tocsc(), fc)
+        vel, pressure = back_substitute(cond, zc[: cond.n_free], zc[cond.n_free :])
+        km, fm = build_monolithic(block)
+        zm = spla.spsolve(km.tocsc(), fm)
+        vel_m = ess.full_vector()
+        vel_m[ess.free_ids] = zm[: block.n_free]
+        scale = max(np.abs(zm).max(), 1.0)
+        err = max(np.abs(vel - vel_m).max(), np.abs(pressure - zm[block.n_free :]).max())
+        assert err <= 1e-9 * scale
+
     def test_zero_data_gives_zero_locals(self, cavity22):
         mesh, spaces, ess, block, cond = cavity22
         ess0 = type(ess)(
             ids=ess.ids, values=np.zeros_like(ess.values), free_mask=ess.free_mask
         )
-        from divhdg.assembly import assemble_saddle
-        from divhdg.condense import eliminate_local
-
         block0 = assemble_saddle(mesh, spaces, block.params, ess0)
         cond0 = eliminate_local(block0)
         vel, pressure = back_substitute(
