@@ -54,11 +54,12 @@ Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
 sweep: Pi and its transpose, the auxiliary space's pattern, the patches, their
 colouring and each colour's positions into A_g's data, N, and the RCM orders
-of both banded factors. ``build_asp`` and ``build_schur`` then do one row's
-work: the auxiliary operator and its factor, the patch blocks and row slices
-gathered from A_g's data with the blocks inverted, and the Schur inner
-factor; the library calls them from ``bench.Structure.row``. Called without
-a structure (the traced benchmark, tests), they build it first.
+of both banded factors. The inner Schur factor grounded at element 0 takes
+N's order without element 0. ``build_asp`` and ``build_schur`` then do one
+row's work: the auxiliary operator and its factor, the patch blocks and row
+slices gathered from A_g's data with the blocks inverted, and the Schur
+inner factor; the library calls them from ``bench.Structure.row``. Called
+without a structure (the traced benchmark, tests), they build it first.
 """
 
 from dataclasses import dataclass, field
@@ -122,24 +123,24 @@ def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
 class SchurStructure:
     """The parameter-independent part of the Schur block on one mesh, shared
     by every row of a sweep: N, the element areas, whether the mesh has an
-    outflow facet, and the RCM order of the inner banded factor per
-    ``deflate``. N holds every diagonal entry, so c3 M + N has N's pattern,
-    grounded at element 0 when deflating."""
+    outflow facet, and N's RCM order. N holds every diagonal entry, so
+    c3 M + N has N's pattern and takes N's order. Grounded at element 0 when
+    deflating, it takes the same order without element 0: deleting a row and
+    its column widens no band."""
 
     n_mat: SparseSym
     areas: np.ndarray
     has_outlet: bool
-    perms: dict
+    perm: np.ndarray
 
 
 def schur_structure(mesh: Mesh) -> SchurStructure:
     n_mat = assemble_pressure_laplacian(mesh)
-    has_outlet = bool(np.any(mesh.edge_tags == TAG_OUTLET))
-    perms = {False: rcm_order(n_mat.csr)}
-    if not has_outlet:  # without an outflow facet, 1/lambda = 0 deflates
-        perms[True] = rcm_order(n_mat.csr[1:, 1:])
     return SchurStructure(
-        n_mat=n_mat, areas=mesh.areas.copy(), has_outlet=has_outlet, perms=perms
+        n_mat=n_mat,
+        areas=mesh.areas.copy(),
+        has_outlet=bool(np.any(mesh.edge_tags == TAG_OUTLET)),
+        perm=rcm_order(n_mat.csr),
     )
 
 
@@ -165,9 +166,11 @@ def build_schur(
     inner = None
     if c2 != 0.0:
         mat = (structure.n_mat.csr + sp.diags(c3 * areas)).tocsr()
+        perm = structure.perm
         if deflate:  # c3 == 0: N is singular on constants only
             mat = mat[1:, 1:]
-        inner = factor_spd(SparseSym(mat), structure.perms[deflate])
+            perm = perm[perm != 0] - 1
+        inner = factor_spd(SparseSym(mat), perm)
     return SchurPrecond(m_diag=areas, deflate=deflate, c1=c1, c2=c2, inner=inner)
 
 
