@@ -25,11 +25,11 @@ from .krylov import solve_condensed
 from .linalg import CapExceeded
 from .mesh import Mesh, step_domain, unit_square
 from .precond import (
+    SMOOTHERS,
     AspStructure,
     SchurStructure,
     asp_structure,
     build_asp,
-    SMOOTHERS,
     build_schur,
     schur_structure,
 )
