@@ -127,12 +127,14 @@ class BenchRow:
     solve_ms: float
     error: str = ""  # per-row failure capture; empty on success
 
-    def csv_line(self) -> str:
-        """One CSV record; the error text is quoted when it holds a comma,
-        quote or line break, so the record may span several lines."""
+    def csv_line(self, names=None) -> str:
+        """One CSV record of the fields ``names`` (default: all); the error
+        text is quoted when it holds a comma, quote or line break, so the
+        record may span several lines."""
+        types = {f.name: f.type for f in fields(self)}
         buf = io.StringIO()
         csv.writer(buf, lineterminator="").writerow(
-            _CODECS[f.type][0](getattr(self, f.name)) for f in fields(self)
+            _CODECS[types[n]][0](getattr(self, n)) for n in names or types
         )
         return buf.getvalue()
 
@@ -147,6 +149,10 @@ _CODECS = {
 }
 
 CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
+
+# the fields of the committed iteration table, tests/data/iterations.csv
+TABLE_COLUMNS = ("problem", "k", "inv_h", "mu", "tau", "inv_lambda", "iters", "converged",
+                 "final_relres")
 
 
 def parse_csv(text: str) -> list:
@@ -261,6 +267,16 @@ def solve_one(grid: ExperimentGrid, structure: Structure, tup) -> BenchRow:
         return _failed_row(grid, tup, exc, (time.perf_counter() - t0) * 1e3)
 
 
+def table_grids(inv_hs=(2, 4, 8)) -> list:
+    """The grids of the committed iteration table on the meshes ``inv_hs``:
+    cavity k=1,2,3 and step k=2,3, each at every (tau, 1/lambda) pair."""
+    return [
+        ExperimentGrid(problem=p, ks=ks, inv_hs=list(inv_hs), taus=[0.0, 1.0, 100.0, 1e4],
+                       inv_lambdas=[0.0, 1e-4, 1.0])
+        for p, ks in (("cavity", [1, 2, 3]), ("step", [2, 3]))
+    ]
+
+
 def run_grid(grid: ExperimentGrid) -> list:
     # grid order keeps each (degree, mesh) contiguous: one structure at a time
     rows = []
@@ -282,8 +298,12 @@ def run_grid(grid: ExperimentGrid) -> list:
 
 
 def emit(table: list, fmt: str = "csv") -> str:
-    if fmt == "csv":
-        return "\n".join([CSV_HEADER] + [r.csv_line() for r in table]) + "\n"
+    """``table`` as CSV, as markdown ("md"), or as CSV of the iteration
+    table's ``TABLE_COLUMNS`` ("table")."""
+    if fmt in ("csv", "table"):
+        names = TABLE_COLUMNS if fmt == "table" else None
+        header = ",".join(names) if names else CSV_HEADER
+        return "\n".join([header] + [r.csv_line(names) for r in table]) + "\n"
     if fmt in ("md", "markdown"):
         return _emit_markdown(table)
     raise ValueError(f"unknown format {fmt!r}")

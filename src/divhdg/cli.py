@@ -8,13 +8,14 @@ Examples::
         --tau 0 --tau 1 --tau 100 --format md
     divhdg-bench --problem cavity --inv-lambda 1e-4 --lambda inf
     divhdg-bench --verify small
+    divhdg-bench --verify iterations --out tests/data/iterations.csv
 """
 
 import argparse
 import contextlib
 import sys
 
-from .bench import MAX_INV_H, PROBLEMS, ExperimentGrid, emit, run_grid
+from .bench import MAX_INV_H, PROBLEMS, ExperimentGrid, emit, run_grid, table_grids
 from .precond import SMOOTHERS
 from .verify import run_verification
 
@@ -66,9 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument(
         "--verify",
-        choices=["small", "full"],
+        choices=["small", "full", "iterations"],
         default=None,
-        help="run the dense verification suite instead of a sweep",
+        help="run the dense verification suite (small, full), or the committed "
+        "iteration table's grid on --inv-h (default 2, 4, 8), instead of a sweep",
     )
     p.add_argument("--smoother", choices=SMOOTHERS, default="patch-sgs")
     p.add_argument(
@@ -96,13 +98,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.verify is not None:
+    if args.verify in ("small", "full"):
         return run_verification(args.verify)
 
     cap = MAX_INV_H.get(args.k, 0)  # an unsupported degree is rejected below
     inv_hs = args.inv_h or [n for n in (8, 16, 32, 64) if n <= cap]
     try:
-        grid = ExperimentGrid(
+        grids = table_grids(args.inv_h or (2, 4, 8)) if args.verify else [ExperimentGrid(
             problem=args.problem,
             ks=[args.k],
             inv_hs=inv_hs,
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
             seed=args.seed,
             smoother=args.smoother,
             allow_large=args.allow_large,
-        )
+        )]
     except ValueError as exc:  # invalid values, CapExceeded included
         parser.error(str(exc))
     try:  # before the sweep, so an unwritable path costs no run
@@ -123,7 +125,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         parser.error(f"cannot open --out: {exc}")
     with out as f:
-        f.write(emit(run_grid(grid), args.format))
+        rows = [row for grid in grids for row in run_grid(grid)]
+        f.write(emit(rows, "table" if args.verify else args.format))
     return 0
 
 

@@ -156,8 +156,7 @@ def eliminate_local(
         flat = aloc.reshape(m, -1)
         rhs[:, :n_int, :n_G] = flat[:, lg].reshape(m, n_int, n_G)
         rhs[:, :n_int, n_G] = block.floc[sel, ii]
-        if n_L:
-            sol[sel] = np.linalg.solve(k_ll, rhs)
+        sol[sel] = np.linalg.solve(k_ll, rhs)
         del k_ll  # each temporary goes before the next one is made
 
         k_gl = np.swapaxes(rhs[:, :, :n_G], 1, 2)
@@ -193,7 +192,6 @@ def back_substitute(
     spaces = cond.spaces
     split = spaces.split
     dm = spaces.dofmap
-    ref = spaces.ref
     mesh = spaces.mesh
     nt = mesh.num_triangles
     n_int = dm.n_loc_int
@@ -210,8 +208,7 @@ def back_substitute(
 
     pressure = np.zeros(split.n_pressure)
     pressure[:nt] = pbar_sol
-    if ref.n_int_d:
-        pressure[nt:] = u_l[:, n_int:].ravel()
+    pressure[nt:] = u_l[:, n_int:].ravel()
     return vel, pressure
 
 

@@ -45,17 +45,16 @@ one SPD solve):
 With no outflow and 1/lambda = 0 the operators are consistently singular on
 constants (c3 = 0, and N is the Laplacian of the connected element-adjacency
 graph). The application then deflates the constant vector: it projects its
-input and its output onto mean-zero vectors, and the inner solve grounds N at
-element 0 (N without its first row and column is SPD; the solution gets
-x[0] = 0). The output projection turns that grounded solution into the
-minimum-norm one.
+input and its output onto mean-zero vectors, and the inner factor is of
+N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
+(N + e0 e0^T) y = r gives y[0] = 0, so y is the solution grounded at element
+0. The output projection turns it into the minimum-norm one.
 
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
 sweep: Pi and its transpose, the auxiliary space's pattern, the patches, their
 colouring and each colour's positions into A_g's data, N, and the RCM orders
-of both banded factors. The inner Schur factor grounded at element 0 takes
-N's order without element 0. ``build_asp`` and ``build_schur`` then do one
+of both banded factors. ``build_asp`` and ``build_schur`` then do one
 row's work: the auxiliary operator and its factor, the patch blocks and row
 slices gathered from A_g's data with the blocks inverted, and the Schur
 inner factor; the library calls them from ``bench.Structure.row``. Called
@@ -98,12 +97,7 @@ class SchurPrecond:
             r = r - r.mean()
         z = self.c1 * (r / self.m_diag)
         if self.inner is not None:
-            if self.deflate:  # grounded at element 0
-                y = np.zeros_like(r)
-                y[1:] = self.inner.solve(r[1:])
-            else:
-                y = self.inner.solve(r)
-            z = z + self.c2 * y
+            z = z + self.c2 * self.inner.solve(r)
         if self.deflate:
             z = z - z.mean()
         return z
@@ -123,10 +117,8 @@ def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
 class SchurStructure:
     """The parameter-independent part of the Schur block on one mesh, shared
     by every row of a sweep: N, the element areas, whether the mesh has an
-    outflow facet, and N's RCM order. N holds every diagonal entry, so
-    c3 M + N has N's pattern and takes N's order. Grounded at element 0 when
-    deflating, it takes the same order without element 0: deleting a row and
-    its column widens no band."""
+    outflow facet, and N's RCM order. c3 M + N, and N + e0 e0^T when
+    deflating, take N's order: a diagonal term widens no band."""
 
     n_mat: SparseSym
     areas: np.ndarray
@@ -165,12 +157,11 @@ def build_schur(
 
     inner = None
     if c2 != 0.0:
-        mat = (structure.n_mat.csr + sp.diags(c3 * areas)).tocsr()
-        perm = structure.perm
-        if deflate:  # c3 == 0: N is singular on constants only
-            mat = mat[1:, 1:]
-            perm = perm[perm != 0] - 1
-        inner = factor_spd(SparseSym(mat), perm)
+        shift = c3 * areas
+        if deflate:  # c3 == 0: ground N's constant mode at element 0
+            shift[0] += 1.0
+        mat = (structure.n_mat.csr + sp.diags(shift)).tocsr()
+        inner = factor_spd(SparseSym(mat), structure.perm)
     return SchurPrecond(m_diag=areas, deflate=deflate, c1=c1, c2=c2, inner=inner)
 
 
@@ -200,19 +191,35 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # velocity block
 
 
-@dataclass
-class _ColourBlock:
+@dataclass(frozen=True)
+class _Colour:
     """One colour of the patch smoother.  ``rows`` holds the unknowns of its
-    patches, grouped by patch size: group ``(lo, hi, inv)`` covers
-    ``rows[lo:hi]`` as a (P, m) block with patch inverses ``inv`` of shape
-    (P, m, m).  ``a_rows`` is the matching row slice of A_g and ``a_fwd`` the
-    same rows restricted to the columns of the colours before this one, the
-    only columns where the forward pass's iterate can be nonzero."""
+    patches, grouped by patch size: group ``(lo, hi, blocks)`` covers
+    ``rows[lo:hi]`` as P patches of m unknowns, with blocks (P, m, m).
+    ``a_rows`` is its row slice of A_g, and ``a_fwd`` those rows on the
+    columns of the earlier colours, the only ones where the forward pass's
+    iterate can be nonzero.  A structure's colour holds positions into A_g's
+    data (1-based, 0 outside its pattern) as blocks and CSR data; ``fill``
+    gives one row's colour, with A_g's values and the blocks inverted."""
 
     rows: np.ndarray
+    groups: list
     a_rows: sp.csr_matrix
     a_fwd: sp.csr_matrix
-    groups: list
+
+    def fill(self, padded: np.ndarray) -> "_Colour":
+        """This colour's values from ``padded``, A_g's data after a 0."""
+
+        def values(p: sp.csr_matrix) -> sp.csr_matrix:
+            return sp.csr_matrix((padded.take(p.data), p.indices, p.indptr), shape=p.shape)
+
+        a_rows = values(self.a_rows)
+        return _Colour(
+            rows=self.rows,
+            groups=[(lo, hi, np.linalg.inv(padded.take(p))) for lo, hi, p in self.groups],
+            a_rows=a_rows,
+            a_fwd=a_rows if self.a_fwd is self.a_rows else values(self.a_fwd),
+        )
 
     def correct(self, r: np.ndarray, z: np.ndarray, a: sp.csr_matrix) -> None:
         """Exact block solves on every patch of the colour at once, with the
@@ -233,8 +240,8 @@ class AspPrecond:
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
-    aux_factor: SpdFactor  # None when the auxiliary space is empty
-    colours: list = field(repr=False, default=None)  # of _ColourBlock
+    aux_factor: SpdFactor  # 0x0 when the auxiliary space is empty
+    colours: list = field(repr=False, default=None)  # of filled _Colour
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
@@ -252,8 +259,6 @@ class AspPrecond:
         return z
 
     def coarse(self, r: np.ndarray) -> np.ndarray:
-        if self.aux_factor is None:
-            return np.zeros_like(r)
         return self.transfer @ self.aux_factor.solve(self.restrict @ r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -284,22 +289,9 @@ def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
     return np.array(colour, np.int64)
 
 
-@dataclass(frozen=True)
-class _ColourPattern:
-    """One colour of the patch smoother as positions into A_g's data, 1-based
-    with 0 for an entry outside A_g's pattern: ``rows`` as in
-    ``_ColourBlock``, ``groups`` as (lo, hi, block positions (P, m, m)), and
-    ``a_rows``, ``a_fwd`` as CSR patterns whose data are positions."""
-
-    rows: np.ndarray
-    groups: list
-    a_rows: sp.csr_matrix
-    a_fwd: sp.csr_matrix
-
-
 def _colour_patterns(offsets, dofs, colour, pos: sp.csr_matrix) -> list:
-    """The colours' unknowns, patch blocks and row slices, read from the
-    position map ``pos`` of A_g (its pattern with data 1..nnz)."""
+    """The colours' unknowns, patch blocks and row slices as positions, read
+    from the position map ``pos`` of A_g (its pattern with data 1..nnz)."""
     sizes = np.diff(offsets)
     patterns = []
     done = np.zeros(pos.shape[0], bool)  # unknowns of the colours so far
@@ -319,9 +311,7 @@ def _colour_patterns(offsets, dofs, colour, pos: sp.csr_matrix) -> list:
             lo += ids.size
         rows = np.concatenate(rows)
         a_rows = pos[rows]
-        if not done.any():  # the first colour: z is still zero
-            a_fwd = sp.csr_matrix(a_rows.shape, dtype=pos.dtype)
-        elif done.all():  # the last colour: every column is corrected
+        if done.all():  # the last colour: every column is corrected
             a_fwd = a_rows
         else:
             sel = np.flatnonzero(done.take(a_rows.indices))
@@ -330,25 +320,8 @@ def _colour_patterns(offsets, dofs, colour, pos: sp.csr_matrix) -> list:
                 (a_rows.data.take(sel), a_rows.indices.take(sel), ptr), shape=a_rows.shape
             )
         done[rows] = True
-        patterns.append(_ColourPattern(rows=rows, groups=groups, a_rows=a_rows, a_fwd=a_fwd))
+        patterns.append(_Colour(rows=rows, groups=groups, a_rows=a_rows, a_fwd=a_fwd))
     return patterns
-
-
-def _colour_blocks(patterns: list, data: np.ndarray) -> list:
-    """One row's colours: the patterns filled from A_g's ``data``, and the
-    patch blocks inverted."""
-    padded = np.concatenate([[0.0], data])  # position 0: outside A_g's pattern
-
-    def values(p: sp.csr_matrix) -> sp.csr_matrix:
-        return sp.csr_matrix((padded.take(p.data), p.indices, p.indptr), shape=p.shape)
-
-    blocks = []
-    for c in patterns:
-        a_rows = values(c.a_rows)
-        groups = [(lo, hi, np.linalg.inv(padded.take(p))) for lo, hi, p in c.groups]
-        a_fwd = a_rows if c.a_fwd is c.a_rows else values(c.a_fwd)
-        blocks.append(_ColourBlock(rows=c.rows, a_rows=a_rows, a_fwd=a_fwd, groups=groups))
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -356,8 +329,9 @@ class AspStructure:
     """The parameter-independent part of the ASP preconditioner on one (mesh,
     k, essential data), shared by every row of a sweep: the transfer Pi and
     its transpose, the auxiliary space with the RCM order of its banded
-    factor, and for the patch smoother the patches, their colouring and each
-    colour's ``_ColourPattern``. A Jacobi structure holds no patches."""
+    factor (with no free vertex, both are empty and the factor is 0x0), and
+    for the patch smoother the patches, their colouring and each colour's
+    ``_Colour`` of positions. A Jacobi structure holds no patches."""
 
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
@@ -367,7 +341,7 @@ class AspStructure:
     patch_offsets: np.ndarray = field(repr=False, default=None)
     patch_dofs: np.ndarray = field(repr=False, default=None)
     patch_colour: np.ndarray = field(repr=False, default=None)
-    colours: list = field(repr=False, default=None)  # of _ColourPattern
+    colours: list = field(repr=False, default=None)  # of _Colour of positions
 
 
 def asp_structure(
@@ -453,13 +427,14 @@ def asp_structure(
 
 
 def build_asp(
-    cond: CondensedSystem, smoother: str = "patch-sgs", structure: AspStructure = None
+    cond: CondensedSystem, smoother: str = None, structure: AspStructure = None
 ) -> AspPrecond:
     """Additive preconditioner for the condensed velocity block: a smoother on
     the fine space plus a transferred exact solve in the continuous piecewise-
     linear auxiliary space.  ``smoother`` selects vertex-patch symmetric block
-    Gauss-Seidel (default) or pointwise Jacobi; with a ``structure``, the
-    smoother is the one it was built for.
+    Gauss-Seidel or pointwise Jacobi; None means the structure's smoother, or
+    without a structure the patch smoother.  A smoother other than the
+    structure's raises ValueError.
 
     ``structure`` (``asp_structure``) holds the part that lives for the whole
     sweep; without it (the traced benchmark and the tests), that part is
@@ -469,18 +444,21 @@ def build_asp(
     """
     if structure is None:
         pos = position_map(cond.A_g.csr)
+        smoother = SMOOTHERS[0] if smoother is None else smoother
         structure = asp_structure(cond.spaces, cond.block.essential, pos, smoother)
-    a0 = structure.aux.operator(cond.block.params)
+    elif smoother not in (None, structure.smoother):
+        raise ValueError(f"smoother {smoother!r}, structure built for {structure.smoother!r}")
     pre = AspPrecond(
         smoother=structure.smoother,
         transfer=structure.transfer,
         restrict=structure.restrict,
-        aux_factor=factor_spd(a0, structure.aux_perm) if a0.n else None,  # no interior vertex
+        aux_factor=factor_spd(structure.aux.operator(cond.block.params), structure.aux_perm),
     )
     if pre.smoother == "jacobi":
         pre.jacobi_diag = cond.A_g.diagonal().copy()
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")
         return pre
-    pre.colours = _colour_blocks(structure.colours, cond.A_g.csr.data)
+    padded = np.concatenate([[0.0], cond.A_g.csr.data])  # position 0: outside A_g's pattern
+    pre.colours = [c.fill(padded) for c in structure.colours]
     return pre

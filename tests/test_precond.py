@@ -13,6 +13,7 @@ from divhdg.precond import (
     build_asp,
     build_schur,
     materialize_schur_dense,
+    schur_structure,
 )
 
 from conftest import pipeline
@@ -62,11 +63,10 @@ class TestSchurClosedForms:
         assert np.allclose(s.apply(r), lam * r / m.areas, atol=1e-14)
 
     def test_single_element_enclosed_incompressible(self):
-        # one enclosed element at 1/lambda = 0: deflation grounds the only
-        # pressure, so the inner factor is 0x0 and the output is the zero
-        # mean-free vector
+        # one enclosed element at 1/lambda = 0: N = [[0]], so the grounded
+        # factor is of [[1]], and the output is the zero mean-free vector
         s = build_schur(_one_triangle(), ProblemParams(tau=1.0, inv_lambda=0.0))
-        assert s.deflate and s.inner.n == 0
+        assert s.deflate and s.inner.n == 1
         assert np.array_equal(s.apply(np.ones(1)), [0.0])
 
     def test_woodbury_roundtrip_single_point(self):
@@ -121,6 +121,14 @@ class TestSchurDeflation:
             want -= want.mean()
             got = s.apply(r)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_grounded_factor_on_n_pattern_and_order(self):
+        # deflation grounds N in place: the factor keeps every element and
+        # N's own RCM order
+        m = unit_square(4)
+        s = build_schur(m, ProblemParams(mu=1.0, tau=1.0, inv_lambda=0.0))
+        assert s.deflate and s.inner.n == m.num_triangles
+        assert np.array_equal(s.inner.perm, schur_structure(m).perm)
 
 
 class TestSchurMode:
@@ -523,10 +531,19 @@ class TestPatchPositions:
         pos = position_map(cond.A_g.csr)
         structure = asp_structure(cond.spaces, cond.block.essential, pos, "jacobi")
         assert structure.colours is None and structure.patch_offsets is None
-        asp = build_asp(cond, smoother="patch-sgs", structure=structure)
+        asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
         r = np.random.default_rng(14).standard_normal(cond.n_free)
         assert np.array_equal(asp.apply(r), build_asp(cond, smoother="jacobi").apply(r))
+
+    @pytest.mark.parametrize("built,asked", [("patch-sgs", "jacobi"), ("jacobi", "patch-sgs")])
+    def test_smoother_other_than_the_structure_rejected(self, built, asked):
+        *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
+        pos = position_map(cond.A_g.csr)
+        structure = asp_structure(cond.spaces, cond.block.essential, pos, built)
+        assert build_asp(cond, smoother=built, structure=structure).smoother == built
+        with pytest.raises(ValueError, match=f"built for '{built}'"):
+            build_asp(cond, smoother=asked, structure=structure)
 
 
 def _owns_exactly_nnz(m):

@@ -144,12 +144,7 @@ def _former_schur_apply(schur, r):
         r = r - r.mean()
     z = schur.c1 * (r / schur.m_diag)
     if schur.inner is not None:
-        if schur.deflate:
-            y = np.zeros_like(r)
-            y[1:] = _former_solve(schur.inner, r[1:])
-        else:
-            y = _former_solve(schur.inner, r)
-        z = z + schur.c2 * y
+        z = z + schur.c2 * _former_solve(schur.inner, r)
     if schur.deflate:
         z = z - z.mean()
     return z
@@ -188,8 +183,6 @@ def _former_solve_condensed(cond, asp, schur, *, tol, maxit, seed):
     restrict = transfer.T.tocsr()
 
     def coarse(r):
-        if asp.aux_factor is None:
-            return np.zeros_like(r)
         return transfer @ _former_solve(asp.aux_factor, restrict @ r)
 
     def pinv(r):
