@@ -70,7 +70,7 @@ from .mesh import Mesh
 from .refbasis import ReferenceBasis, map_piola
 from .spaces import EssentialData, Spaces
 
-_CHUNK = 2048  # elements per chunk of a row's element work, at most
+_CHUNK = 512  # elements per chunk of a row's element work, at most
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,10 @@ def element_chunks(n: int):
     Per-element results do not depend on the chunk as long as no chunk is
     tiny: OpenBLAS 0.3.31 on an AVX-512 Xeon computes a GEMM with a small
     output (below about 1200 entries, so fewer than 27 elements at k = 1) in
-    a kernel that rounds differently. Equal chunks hold at least (``_CHUNK`` + 1) / 2 elements,
-    1024 at the default, so none is that small unless the whole mesh is."""
+    a kernel that rounds differently. Equal chunks hold at least (``_CHUNK``
+    + 1) / 2 elements, 256 at the default, so none is that small unless the
+    whole mesh is. At k = 2 the element matrices of 512 elements take 1.3
+    MB, within a 2 MB L2 cache."""
     count = -(-n // _CHUNK)
     for i in range(count):
         yield slice(i * n // count, (i + 1) * n // count)
@@ -292,22 +294,28 @@ def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
 @dataclass(frozen=True)
 class ScatterPattern:
     """Where ``scatter_stack`` puts each entry of an element stack with given
-    row and column slots. ``positions`` is the CSR pattern of the sum with
-    data 1..nnz: fancy-indexing it gives 1 + the position in the data of any
-    entry, and 0 for an entry outside the pattern. ``slot`` (E, r c) holds,
-    per element and entry in row-major order, its position in the data, and
-    nnz for an entry that a -1 slot drops. The pattern depends only on the
-    slots, so it is built once; a sum over the same slots starts from
-    ``zeros``, takes the element matrices with ``add``, in one call or per
-    chunk of elements, and becomes a matrix with ``matrix``."""
+    row and column slots: ``indptr``, ``indices`` and ``shape`` are the CSR
+    pattern of the sum, and ``slot`` (E, r c) holds, per element and entry in
+    row-major order, its position in the data, and nnz for an entry that a -1
+    slot drops. The pattern depends only on the slots, so it is built once; a
+    sum over the same slots starts from ``zeros``, takes the element matrices
+    with ``add``, in one call or per chunk of elements, and becomes a matrix
+    with ``matrix``. A lookup of positions in the pattern builds its
+    ``position_map`` for as long as it needs one."""
 
-    positions: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple
     slot: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
 
     def zeros(self) -> np.ndarray:
         """The data of an empty sum, one entry past nnz for the dropped
         entries."""
-        return np.zeros(self.positions.nnz + 1)
+        return np.zeros(self.nnz + 1)
 
     def add(self, data: np.ndarray, stack: np.ndarray, sel=slice(None)) -> None:
         """Add the element matrices ``stack`` of the elements ``sel`` to
@@ -318,9 +326,8 @@ class ScatterPattern:
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The summed matrix of ``data``. It shares the pattern's index
         arrays and owns exactly nnz values."""
-        p = self.positions
-        data.resize(p.nnz, refcheck=False)  # drop the dropped entries' bin
-        return sp.csr_matrix((data, p.indices, p.indptr), shape=p.shape)
+        data.resize(self.nnz, refcheck=False)  # drop the dropped entries' bin
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def fill(self, stack: np.ndarray) -> sp.csr_matrix:
         """The summed matrix of the whole ``stack``."""
@@ -343,22 +350,29 @@ def scatter_pattern(
     r = np.broadcast_to(rows[:, :, None], shape)[keep]
     c = np.broadcast_to(cols[:, None, :], shape)[keep]
     size = (n, n if m is None else m)
-    positions = position_map(
-        sp.coo_matrix((np.ones(r.size, bool), (r, c)), shape=size).tocsr()
+    csr = sp.coo_matrix((np.ones(r.size, bool), (r, c)), shape=size).tocsr()
+    slot = np.full(shape, csr.nnz, csr.indices.dtype)
+    pattern = ScatterPattern(
+        indptr=csr.indptr,
+        # compact: COO->CSR may leave the indices in a larger buffer
+        indices=csr.indices[: csr.nnz].copy(),
+        shape=size,
+        slot=slot.reshape(shape[0], shape[1] * shape[2]),  # filled below
     )
-    slot = np.full(shape, positions.nnz, positions.indices.dtype)
+    del csr
     if r.size:
-        slot[keep] = np.asarray(positions[r, c]).ravel() - 1
-    return ScatterPattern(positions=positions, slot=slot.reshape(shape[0], shape[1] * shape[2]))
+        slot[keep] = np.asarray(position_map(pattern)[r, c]).ravel() - 1
+    return pattern
 
 
-def position_map(m: sp.csr_matrix) -> sp.csr_matrix:
-    """The pattern of the canonical CSR matrix ``m`` with data 1..nnz, in
-    compact index arrays: fancy-indexing it gives 1 + the position in
-    ``m.data`` of any entry, and 0 for an entry outside the pattern."""
-    nnz = m.nnz
+def position_map(m) -> sp.csr_matrix:
+    """The pattern of the canonical CSR matrix or ``ScatterPattern`` ``m``
+    with data 1..nnz, sharing its index arrays: fancy-indexing it gives 1 +
+    the position in the data of any entry, and 0 for an entry outside the
+    pattern."""
+    nnz = int(m.indptr[-1])
     return sp.csr_matrix(
-        (np.arange(1, nnz + 1, dtype=m.indices.dtype), m.indices[:nnz].copy(), m.indptr),
+        (np.arange(1, nnz + 1, dtype=m.indices.dtype), m.indices[:nnz], m.indptr),
         shape=m.shape,
     )
 

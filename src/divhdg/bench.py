@@ -209,7 +209,7 @@ def build_structure(problem: str, inv_h: int, k: int, smoother: str = "patch-sgs
         essential=ess,
         stacks=assemble_local_stacks(mesh, spaces),
         condensed=condensed,
-        asp=asp_structure(spaces, ess, condensed.a_g.positions, smoother),
+        asp=asp_structure(spaces, ess, condensed.a_g, smoother),
         schur=schur_structure(mesh),
     )
 

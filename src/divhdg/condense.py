@@ -25,9 +25,11 @@ their coercivity), solves the local systems, and adds the condensed blocks
 to A_g's data. The essential data g leaves the trace unknowns element by
 element: F_g is the sum of the element right sides minus the sum of each
 condensed block times its element's g, which is 0 at a free unknown. Only
-the per-element outputs (back_x, back_y, the trace right sides and the
-lifts) span the whole mesh; no whole-mesh element stack is formed. Every
-result is bit-identical to one chunk.
+the trace right sides and the lifts, (nt, n_G) each, span the whole mesh,
+and only until F_g is summed; no whole-mesh element stack is formed, and
+the condensed system keeps no local solutions. ``back_substitute`` solves
+the local systems again, chunk by chunk with the same ``_local_solve``.
+Every result is bit-identical to one chunk.
 """
 
 from dataclasses import dataclass, field
@@ -82,7 +84,8 @@ def condensed_structure(spaces: Spaces, essential: EssentialData) -> CondensedSt
 
 @dataclass
 class CondensedSystem:
-    """Trace-unknown saddle system and the data to recover interiors."""
+    """Trace-unknown saddle system; its saddle system ``block`` and its
+    ``structure`` recover the interiors."""
 
     A_g: SparseSym  # free condensed velocity block
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
@@ -90,9 +93,7 @@ class CondensedSystem:
     F_g: np.ndarray
     F_pbar: np.ndarray
     free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
-    back_x: np.ndarray = field(repr=False)  # (nt, n_L, n_G) K_LL^-1 K_LG
-    back_y: np.ndarray = field(repr=False)  # (nt, n_L) K_LL^-1 F_L
-    g_slots: np.ndarray = field(repr=False)  # (nt, n_G) global ids of trace slots
+    structure: CondensedStructure = field(repr=False)
     spaces: Spaces = field(repr=False, default=None)
     block: BlockSystem = field(repr=False, default=None)
 
@@ -105,6 +106,37 @@ class CondensedSystem:
         return self.C_g.n
 
 
+def _local_solve(block: BlockSystem, g: np.ndarray, sel: slice):
+    """The local systems of the elements ``sel``: their element matrices
+    ``flat`` (E, n_loc^2) from ``LocalStacks.combine``, ``rhs`` = [K_LG |
+    F_L] (E, n_L, n_G + 1) and ``sol`` = K_LL^-1 rhs, with ``g`` the local
+    trace slots. The one local solve of condensation and back substitution."""
+    spaces = block.spaces
+    dm = spaces.dofmap
+    n_int = dm.n_loc_int
+    n_d = spaces.ref.n_int_d
+    n_c = spaces.ref.n_int_c
+    n_L = n_int + n_d
+    ii = dm.interior_slots
+    n_G = g.size
+    # flat positions in an element matrix of its (interior, trace) block
+    lg = (np.arange(dm.n_loc)[ii, None] * dm.n_loc + g).ravel()
+
+    aloc = block.stacks.combine(block.params, spaces.k, sel)
+    m = aloc.shape[0]
+    k_ll = np.zeros((m, n_L, n_L))
+    k_ll[:, :n_int, :n_int] = aloc[:, ii, ii]
+    for r in range(n_d):
+        k_ll[:, n_int + r, n_c + r] = -1.0
+        k_ll[:, n_c + r, n_int + r] = -1.0
+        k_ll[:, n_int + r, n_int + r] = -block.params.inv_lambda * block.mesh.det_j[sel]
+    rhs = np.zeros((m, n_L, n_G + 1))  # [K_LG | F_L]
+    flat = aloc.reshape(m, -1)
+    rhs[:, :n_int, :n_G] = flat[:, lg].reshape(m, n_int, n_G)
+    rhs[:, :n_int, n_G] = block.floc[sel, ii]
+    return flat, rhs, np.linalg.solve(k_ll, rhs)
+
+
 def eliminate_local(
     block: BlockSystem, structure: CondensedStructure = None
 ) -> CondensedSystem:
@@ -112,58 +144,35 @@ def eliminate_local(
     benchmark, tests), its parameter-independent part is built here.
 
     The elements run in chunks of ``element_chunks``. Each chunk forms its
-    element matrices with ``LocalStacks.combine`` (which checks them), solves
-    its local systems, adds its condensed blocks to A_g's data and lifts the
-    essential data through them: each element's condensed block times its
-    trace data, which is 0 at a free unknown. F_g sums the element right
-    sides first and subtracts the summed lifts after."""
+    element matrices and solves its local systems (``_local_solve``, whose
+    ``combine`` checks the matrices), adds its condensed blocks to A_g's
+    data and lifts the essential data through them: each element's condensed
+    block times its trace data, which is 0 at a free unknown. F_g sums the
+    element right sides first and subtracts the summed lifts after."""
     spaces = block.spaces
     if structure is None:
         structure = condensed_structure(spaces, block.essential)
-    ref = spaces.ref
     dm = spaces.dofmap
     mesh = block.mesh
     nt = mesh.num_triangles
-    n_int = dm.n_loc_int
-    n_d = ref.n_int_d
-    n_c = ref.n_int_c
-    n_L = n_int + n_d
-    ii = dm.interior_slots
     g = structure.g_slot_idx
     n_G = g.size
-    # flat positions in an element matrix of its (interior, trace) and
-    # (trace, trace) blocks: one contiguous gather each
-    lg = (np.arange(dm.n_loc)[ii, None] * dm.n_loc + g).ravel()
+    # flat positions in an element matrix of its (trace, trace) block
     gg = (g[:, None] * dm.n_loc + g).ravel()
-    inv_l = block.params.inv_lambda
     ess = block.essential
     g_ess = ess.full_vector()  # 0 at a free unknown
 
-    sol = np.empty((nt, n_L, n_G + 1))  # per element K_LL^-1 [K_LG | F_L]
     f_g_loc = np.empty((nt, n_G))
     lift_loc = np.empty((nt, n_G))  # per element A_cond g
     a_data = structure.a_g.zeros()
     for sel in element_chunks(nt):
-        aloc = block.stacks.combine(block.params, spaces.k, sel)
-        m = aloc.shape[0]
-        k_ll = np.zeros((m, n_L, n_L))
-        k_ll[:, :n_int, :n_int] = aloc[:, ii, ii]
-        for r in range(n_d):
-            k_ll[:, n_int + r, n_c + r] = -1.0
-            k_ll[:, n_c + r, n_int + r] = -1.0
-            k_ll[:, n_int + r, n_int + r] = -inv_l * mesh.det_j[sel]
-        rhs = np.zeros((m, n_L, n_G + 1))  # [K_LG | F_L]
-        flat = aloc.reshape(m, -1)
-        rhs[:, :n_int, :n_G] = flat[:, lg].reshape(m, n_int, n_G)
-        rhs[:, :n_int, n_G] = block.floc[sel, ii]
-        sol[sel] = np.linalg.solve(k_ll, rhs)
-        del k_ll  # each temporary goes before the next one is made
-
+        flat, rhs, sol = _local_solve(block, g, sel)
+        m = flat.shape[0]
         k_gl = np.swapaxes(rhs[:, :, :n_G], 1, 2)
         a_cond = flat[:, gg].reshape(m, n_G, n_G)
-        del aloc, flat
-        a_cond -= k_gl @ sol[sel, :, :n_G]
-        f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[sel, :, n_G, None])[:, :, 0]
+        del flat  # each temporary goes before the next one is made
+        a_cond -= k_gl @ sol[:, :, :n_G]
+        f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[:, :, n_G, None])[:, :, 0]
         lift_loc[sel] = (a_cond @ g_ess[structure.g_slots[sel], None])[:, :, 0]
         structure.a_g.add(a_data, a_cond, sel)
 
@@ -176,9 +185,7 @@ def eliminate_local(
         F_g=free_rhs(g_pos, f_g_loc, n_g) - free_rhs(g_pos, lift_loc, n_g),
         F_pbar=structure.F_pbar,
         free_cond=structure.free_cond,
-        back_x=sol[:, :, :n_G],
-        back_y=sol[:, :, n_G],
-        g_slots=structure.g_slots,
+        structure=structure,
         spaces=spaces,
         block=block,
     )
@@ -188,18 +195,24 @@ def back_substitute(
     cond: CondensedSystem, trace_sol: np.ndarray, pbar_sol: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover all velocity and pressure coefficients from the condensed
-    solution (free trace unknowns) and the elementwise-constant pressure."""
+    solution (free trace unknowns) and the elementwise-constant pressure.
+    The local solutions are solved again chunk by chunk, with the solve of
+    ``eliminate_local``, so they are its bits."""
     spaces = cond.spaces
     split = spaces.split
     dm = spaces.dofmap
-    mesh = spaces.mesh
-    nt = mesh.num_triangles
+    nt = spaces.mesh.num_triangles
     n_int = dm.n_loc_int
+    g = cond.structure.g_slot_idx
+    n_G = g.size
 
     g_full = cond.block.essential.full_vector()[: split.n_cond]
     g_full[cond.free_cond] = trace_sol
-    g_loc = g_full[cond.g_slots]
-    u_l = cond.back_y - np.einsum("tlg,tg->tl", cond.back_x, g_loc)
+    g_loc = g_full[cond.structure.g_slots]
+    u_l = np.empty((nt, n_int + spaces.ref.n_int_d))
+    for sel in element_chunks(nt):
+        sol = _local_solve(cond.block, g, sel)[2]
+        u_l[sel] = sol[:, :, n_G] - np.einsum("tlg,tg->tl", sol[:, :, :n_G], g_loc[sel])
 
     vel = np.zeros(split.n_vel)
     vel[: split.n_cond] = g_full

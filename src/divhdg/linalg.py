@@ -106,11 +106,14 @@ def factor_spd(a: SparseSym, perm: np.ndarray = None) -> SpdFactor:
         perm = rcm_order(m)
     mp = m[perm][:, perm].tocoo()
     bw = int(np.max(np.abs(mp.row - mp.col))) if mp.nnz else 0
-    ab = np.zeros((bw + 1, n))
+    # Fortran order, so LAPACK factors the band in place, without a copy
+    ab = np.zeros((bw + 1, n), order="F")
     lower = mp.row >= mp.col
     ab[mp.row[lower] - mp.col[lower], mp.col[lower]] = mp.data[lower]
     try:
-        cb = scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+        cb = scipy.linalg.cholesky_banded(
+            ab, overwrite_ab=True, lower=True, check_finite=False
+        )
     except scipy.linalg.LinAlgError as exc:
         raise NotSPD(f"banded Cholesky failed: {exc}") from None
     d = cb[0] ** 2

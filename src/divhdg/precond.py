@@ -345,12 +345,13 @@ class AspStructure:
 
 
 def asp_structure(
-    spaces: Spaces, ess: EssentialData, pos: sp.csr_matrix, smoother: str = "patch-sgs"
+    spaces: Spaces, ess: EssentialData, a_g, smoother: str = "patch-sgs"
 ) -> AspStructure:
-    """The parameter-independent part of ``build_asp``; ``pos`` is the
-    ``position_map`` of the condensed velocity block A_g. The vertex patches
-    (the free unknowns on the free edges at a vertex) are coloured greedily
-    in natural vertex order."""
+    """The parameter-independent part of ``build_asp``; ``a_g`` is the
+    pattern of the condensed velocity block A_g, as its CSR matrix or its
+    ``ScatterPattern``. Its ``position_map`` lives only while the patches
+    look their positions up. The vertex patches (the free unknowns on the
+    free edges at a vertex) are coloured greedily in natural vertex order."""
     if smoother not in SMOOTHERS:
         raise ValueError(f"unknown smoother '{smoother}'")
     mesh = spaces.mesh
@@ -359,7 +360,7 @@ def asp_structure(
     fb = spaces.ref.facet
 
     aux = aux_space(mesh, spaces, ess)
-    n_aux = aux.pattern.positions.shape[0]
+    n_aux = aux.pattern.shape[0]
 
     # the edge-trace projections of the two endpoint hat profiles, scaled
     # per edge below
@@ -393,7 +394,7 @@ def asp_structure(
     transfer = scatter_stack(
         vals.reshape(fe.size, 4, 2 * k + 1).transpose(0, 2, 1),
         edofs,
-        pos.shape[0],
+        a_g.shape[0],
         cols.reshape(fe.size, 4),
         n_aux,
     )
@@ -409,6 +410,7 @@ def asp_structure(
         counts = np.unique(ends, return_counts=True)[1]
         dofs = edofs[order // 2].ravel()
         offsets = np.concatenate([[0], np.cumsum(counts * edofs.shape[1])])
+        pos = position_map(a_g)
         colour = _colour_patches(offsets, dofs, pos)
         patches = dict(
             patch_offsets=offsets,
@@ -421,7 +423,7 @@ def asp_structure(
         transfer=transfer,
         restrict=transfer.T.tocsr(),
         aux=aux,
-        aux_perm=rcm_order(aux.pattern.positions),
+        aux_perm=rcm_order(position_map(aux.pattern)),
         **patches,
     )
 
@@ -443,9 +445,8 @@ def build_asp(
     and row slices from A_g's data and inverts the blocks.
     """
     if structure is None:
-        pos = position_map(cond.A_g.csr)
         smoother = SMOOTHERS[0] if smoother is None else smoother
-        structure = asp_structure(cond.spaces, cond.block.essential, pos, smoother)
+        structure = asp_structure(cond.spaces, cond.block.essential, cond.A_g.csr, smoother)
     elif smoother not in (None, structure.smoother):
         raise ValueError(f"smoother {smoother!r}, structure built for {structure.smoother!r}")
     pre = AspPrecond(

@@ -20,7 +20,7 @@ from divhdg.assembly import (
     sym_gradients,
     viscous_volume_coefficients,
 )
-from divhdg.condense import eliminate_local
+from divhdg.condense import _local_solve, eliminate_local
 from divhdg.linalg import NotSPD
 from divhdg.mesh import step_domain, unit_square
 from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
@@ -496,19 +496,21 @@ def _former_scatter(stack, slots, n):
     return sp.coo_matrix((stack.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
 
 
-def _former_condensed(block, cond):
+def _former_condensed(block):
     """The former scatter-then-slice elimination, kept verbatim as reference:
     A_g, F_g and B_g from the condensed element blocks, which are rebuilt
-    from the back-substitution data with the operations of
-    ``eliminate_local``."""
+    from the local solutions of the whole mesh, solved as ``eliminate_local``
+    solves each chunk, with the operations of ``eliminate_local``."""
     dm, split = block.spaces.dofmap, block.spaces.split
     nt, n_int = block.mesh.num_triangles, dm.n_loc_int
     g_slot_idx = np.r_[0 : dm.n_loc_facet, dm.n_loc_facet + n_int : dm.n_loc]
-    k_lg = np.zeros((nt, cond.back_x.shape[1], g_slot_idx.size))
+    sol = _local_solve(block, g_slot_idx, slice(None))[2]
+    back_x, back_y = sol[:, :, : g_slot_idx.size], sol[:, :, g_slot_idx.size]
+    k_lg = np.zeros((nt, back_x.shape[1], g_slot_idx.size))
     k_lg[:, :n_int, :] = block.aloc[:, dm.interior_slots][:, :, g_slot_idx]
     k_gl = np.swapaxes(k_lg, 1, 2)
-    a_cond = block.aloc[:, g_slot_idx[:, None], g_slot_idx] - k_gl @ cond.back_x
-    f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ cond.back_y[:, :, None])[:, :, 0]
+    a_cond = block.aloc[:, g_slot_idx[:, None], g_slot_idx] - k_gl @ back_x
+    f_g_loc = block.floc[:, g_slot_idx] - (k_gl @ back_y[:, :, None])[:, :, 0]
 
     g_slots = dm.vel_loc[:, g_slot_idx]
     n_cond = split.n_cond
@@ -562,7 +564,7 @@ class TestEliminationByPosition:
 
         block = assemble_saddle(mesh, spaces, params, ess, body_force=force)
         cond = eliminate_local(block)
-        a_g, f_g, b_g = _former_condensed(block, cond)
+        a_g, f_g, b_g = _former_condensed(block)
         _same_csr(cond.A_g.csr, a_g)
         assert np.array_equal(cond.F_g, f_g)
         assert np.abs(f_g).max() > 0

@@ -124,9 +124,9 @@ class TestMonolithicAgreement:
         params = ProblemParams(tau=1.0, inv_lambda=1.0)
         block = assemble_saddle(mesh, spaces, params, ess, body_force=force)
         cond = eliminate_local(block)
-        pos = ess.pos[cond.g_slots]
+        pos = ess.pos[cond.structure.g_slots]
         touch = (pos < 0).any(axis=1)
-        assert np.bincount(cond.g_slots[(pos >= 0) & touch[:, None]]).max() == 2
+        assert np.bincount(cond.structure.g_slots[(pos >= 0) & touch[:, None]]).max() == 2
 
         kc, fc = build_condensed_monolithic(cond)
         zc = spla.spsolve(kc.tocsc(), fc)

@@ -1,11 +1,12 @@
 """A row's element work streamed in chunks of elements: the same bits as one
-chunk, the same coercivity failure, and a transient memory peak below one
-whole-mesh element stack."""
+chunk, the same coercivity failure, a transient memory peak of a few chunks'
+element stacks, and no per-element local solutions kept by the row."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from divhdg import assembly
 from divhdg.assembly import (
@@ -16,7 +17,7 @@ from divhdg.assembly import (
     element_chunks,
 )
 from divhdg.bench import ExperimentGrid, Structure, build_structure, run_grid
-from divhdg.condense import condensed_structure, eliminate_local
+from divhdg.condense import back_substitute, condensed_structure, eliminate_local
 from divhdg.linalg import NotSPD
 from divhdg.mesh import step_domain, unit_square
 from divhdg.precond import asp_structure, schur_structure
@@ -52,18 +53,30 @@ def _structure(name, k) -> Structure:
         essential=ess,
         stacks=assemble_local_stacks(mesh, spaces),
         condensed=condensed,
-        asp=asp_structure(spaces, ess, condensed.a_g.positions, "patch-sgs"),
+        asp=asp_structure(spaces, ess, condensed.a_g, "patch-sgs"),
         schur=schur_structure(mesh),
     )
 
 
+def _substituted(cond):
+    """``back_substitute`` of a fixed random condensed solution: the local
+    solutions, read through the recovered interiors."""
+    rng = np.random.default_rng(5)
+    return back_substitute(
+        cond, rng.standard_normal(cond.n_free), rng.standard_normal(cond.n_pbar)
+    )
+
+
 def _assert_same_condensed(got, want):
+    """``got`` and ``want`` are (cond, ``_substituted(cond)``), each taken
+    under its own chunk size."""
+    (got, got_sub), (want, want_sub) = got, want
     assert np.array_equal(got.A_g.csr.indptr, want.A_g.csr.indptr)
     assert np.array_equal(got.A_g.csr.indices, want.A_g.csr.indices)
     assert np.array_equal(got.A_g.csr.data, want.A_g.csr.data)
     assert np.array_equal(got.F_g, want.F_g)
-    assert np.array_equal(got.back_x, want.back_x)
-    assert np.array_equal(got.back_y, want.back_y)
+    for g, w in zip(got_sub, want_sub):
+        assert np.array_equal(g, w)
     assert np.array_equal(got.block.aloc, want.block.aloc)
 
 
@@ -76,13 +89,28 @@ class TestChunkBoundaries:
         conds = {}
         for chunk in (ONE_CHUNK, SMALL_CHUNK):
             monkeypatch.setattr(assembly, "_CHUNK", chunk)
-            conds[chunk] = s.row(params)[0]
+            cond = s.row(params)[0]
+            conds[chunk] = cond, _substituted(cond)
         chunks = list(element_chunks(s.mesh.num_triangles))
         assert len(chunks) > 1 and min(c.stop - c.start for c in chunks) >= 32
         _assert_same_condensed(conds[SMALL_CHUNK], conds[ONE_CHUNK])
         # the chunks of ``combine`` put together are the whole-mesh stack
         whole = np.concatenate([s.stacks.combine(params, k, c) for c in chunks])
-        assert np.array_equal(whole, conds[SMALL_CHUNK].block.aloc)
+        assert np.array_equal(whole, conds[SMALL_CHUNK][0].block.aloc)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["cavity", "step", "jittered"])
+    def test_back_substitute_bit_identical_to_one_chunk(self, monkeypatch, name, k):
+        s = _structure(name, k)
+        cond = s.row(ProblemParams(mu=0.7, tau=3.0, inv_lambda=1e-2))[0]
+        subs = {}
+        for chunk in (ONE_CHUNK, SMALL_CHUNK):
+            monkeypatch.setattr(assembly, "_CHUNK", chunk)
+            subs[chunk] = _substituted(cond)
+        for got, want in zip(subs[SMALL_CHUNK], subs[ONE_CHUNK]):
+            assert np.array_equal(got, want)
+        # the interior unknowns are recovered, not left at 0
+        assert np.all(subs[ONE_CHUNK][1][s.mesh.num_triangles :] != 0.0)
 
     @pytest.mark.parametrize("name,k", [("cavity", 2), ("step", 3), ("jittered", 4)])
     def test_body_force_bit_identical_to_one_chunk(self, monkeypatch, name, k):
@@ -98,9 +126,10 @@ class TestChunkBoundaries:
             block = assemble_saddle(
                 s.mesh, s.spaces, params, s.essential, body_force=force, stacks=s.stacks
             )
-            conds[chunk] = eliminate_local(block, s.condensed)
-        assert np.array_equal(conds[SMALL_CHUNK].block.floc, conds[ONE_CHUNK].block.floc)
-        assert np.abs(conds[ONE_CHUNK].F_g).max() > 0
+            cond = eliminate_local(block, s.condensed)
+            conds[chunk] = cond, _substituted(cond)
+        assert np.array_equal(conds[SMALL_CHUNK][0].block.floc, conds[ONE_CHUNK][0].block.floc)
+        assert np.abs(conds[ONE_CHUNK][0].F_g).max() > 0
         _assert_same_condensed(conds[SMALL_CHUNK], conds[ONE_CHUNK])
 
 
@@ -144,32 +173,64 @@ class TestCoercivityAcrossChunks:
         )
 
 
+def _arrays(obj, seen):
+    """Every numpy array reachable from ``obj`` through the attributes of
+    this library's objects and of sparse matrices, and through containers."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays(item, seen)
+    elif sp.issparse(obj) or type(obj).__module__.startswith("divhdg."):
+        for item in vars(obj).values():
+            yield from _arrays(item, seen)
+
+
 class TestRowMemory:
+    @pytest.mark.parametrize("name,k", [("cavity", 2), ("step", 3)])
+    def test_row_keeps_no_local_solutions(self, name, k):
+        """Nothing the row returns holds a per-element (nt, n_L, .) array,
+        such as the local solutions K_LL^-1 [K_LG | F_L]: only
+        ``back_substitute`` reads them, and it solves them again."""
+        s = _structure(name, k)
+        row = s.row(ProblemParams(tau=1.0, inv_lambda=1.0))
+        n_L = s.spaces.dofmap.n_loc_int + s.spaces.ref.n_int_d
+        shapes = [a.shape for a in _arrays(row, set())]
+        assert (s.mesh.num_triangles, s.spaces.dofmap.n_loc) in shapes  # the walk reached floc
+        assert not [sh for sh in shapes if sh[:2] == (s.mesh.num_triangles, n_L)]
+
     def test_transient_peak_below_one_element_stack(self, monkeypatch):
         """Bound: what ``Structure.row`` returns (the condensed system, with
-        A_g's values, back_x and back_y, and the preconditioners) is still
-        allocated after the call, so the growth of the traced memory at its
-        end, ``kept``, counts it. Everything above ``kept`` during the call
-        is transient. The whole-mesh code held the (nt, n_loc, n_loc)
-        float64 element stack together with at least two more arrays of its
-        size (the coercivity check's shifted copy and Cholesky factor, or
-        the condensed blocks and their correction), so its transient peak
-        exceeds one stack: 13.7 MB against 5.3 MB for one stack here.
-        Streamed in chunks of 255 elements (9 chunks of nt = 2048), each
-        per-chunk temporary is about a ninth of a stack: 1.5 MB measured.
-        The Jacobi smoother keeps the patch inverses out of the row."""
+        A_g's values, and the preconditioners) is still allocated after the
+        call, so the growth of the traced memory at its end, ``kept``, counts
+        it. Everything above ``kept`` during the call is transient. Streamed
+        in chunks of 255 elements (9 chunks of nt = 2048, at most 228
+        elements each), the transient peak is 3.1 element stacks of one
+        chunk: the chunk's element matrices, the coercivity check's shifted
+        copy and its Cholesky factor, and the (nt, n_G) trace right sides and
+        lifts (measured 1.81 MB against 0.59 MB for one chunk's stack). The
+        whole-mesh code held one (nt, n_loc, n_loc) stack with at least two
+        more of its size: 13.7 MB, 23 chunk stacks. The Jacobi smoother keeps
+        the patch inverses out of the row."""
         monkeypatch.setattr(assembly, "_CHUNK", 255)
         s = build_structure("cavity", 32, 2, "jacobi")
         params = ProblemParams(tau=1.0, inv_lambda=1.0)
         s.row(params)  # per-degree caches are filled before tracing
         n_loc = s.spaces.dofmap.n_loc
-        stack_bytes = s.mesh.num_triangles * n_loc * n_loc * 8
+        nt = s.mesh.num_triangles
+        largest = max(c.stop - c.start for c in element_chunks(nt))
+        chunk_stack_bytes = largest * n_loc * n_loc * 8
         tracemalloc.start()
         try:
-            base = tracemalloc.get_traced_memory()[0]
             row = s.row(params)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert row[0].n_free > 0
-        assert peak - base < stack_bytes + (kept - base)
+        assert peak - kept < 4 * chunk_stack_bytes

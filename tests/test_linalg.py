@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from divhdg.linalg import (
     SparseSym,
     factor_spd,
     gen_condition,
+    rcm_order,
 )
 
 
@@ -97,6 +99,35 @@ class TestFactorSpd:
         x = f.solve(b)
         assert np.array_equal(b, np.arange(1.0, 7.0))
         assert np.allclose(x, np.linalg.solve(d, b), rtol=0.0, atol=1e-12)
+
+    def test_factors_the_band_in_place(self, monkeypatch):
+        """The factor is the band's own memory, and bit for bit the factor
+        of the C-ordered band that LAPACK would copy first."""
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+        eye = sp.identity(12)
+        m = (sp.kron(lap, eye) + sp.kron(eye, lap) + 0.1 * sp.identity(144)).tocsr()
+        shuffle = np.random.default_rng(3).permutation(144)
+        a = SparseSym(m[shuffle][:, shuffle])
+        bands = []
+
+        def spy(ab, **kwargs):
+            bands.append(ab)
+            return cholesky_banded(ab, **kwargs)
+
+        cholesky_banded = scipy.linalg.cholesky_banded
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded", spy)
+        f = factor_spd(a)
+        assert len(bands) == 1 and np.shares_memory(f._chol_band, bands[0])
+
+        perm = rcm_order(a.csr)
+        dense = a.toarray()[perm][:, perm]
+        bw = f._chol_band.shape[0] - 1
+        assert 0 < bw < 143
+        ab = np.zeros((bw + 1, 144))  # C order
+        for i in range(bw + 1):
+            ab[i, : 144 - i] = np.diagonal(dense, -i)
+        want = cholesky_banded(ab, lower=True)
+        assert np.array_equal(f._chol_band, want)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 30), seed=st.integers(0, 10**6))
