@@ -20,12 +20,15 @@ with parameter-independent MASS, VISC and PEN. Set-up data is split by
 lifetime. What depends only on the mesh, the degree and the essential data is
 built once and lives for a whole parameter sweep: ``LocalStacks`` keeps the
 three forms as per-element geometry coefficients (129 columns per element),
-``ScatterPattern`` the CSR pattern of an assembled matrix with the position
-of every element entry in it, and ``AuxSpace`` the parameter-independent part
-of the auxiliary operator. What depends on (mu, tau, 1/lambda) is built per
-row and lives only while the row runs: ``LocalStacks.combine`` forms the
-element matrices of a chunk of elements (``element_chunks``), and
-``ScatterPattern.add`` sums them into a matrix's data with ``np.add.at``.
+``CsrPattern`` the CSR pattern of an assembled matrix, and ``AuxSpace`` the
+parameter-independent part of the auxiliary operator. Where a pattern puts
+each element entry is its ``slots``: ``ScatterPattern``, the generic one,
+keeps them as a table, and the condensed block's pattern
+(``condense.TracePattern``) computes them per chunk from a few numbers per
+element. What depends on (mu, tau, 1/lambda) is built per row and lives only
+while the row runs: ``LocalStacks.combine`` forms the element matrices of a
+chunk of elements (``element_chunks``), and ``CsrPattern.add`` sums them into
+a matrix's data with ``np.add.at``.
 Essential trace data is eliminated by position: ``scatter_stack`` drops the
 rows and columns at -1 in ``EssentialData.pos``, and ``free_rhs`` the entries
 of the element right sides there. The eliminated columns move to the
@@ -292,25 +295,27 @@ def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
 
 
 @dataclass(frozen=True)
-class ScatterPattern:
-    """Where ``scatter_stack`` puts each entry of an element stack with given
-    row and column slots: ``indptr``, ``indices`` and ``shape`` are the CSR
-    pattern of the sum, and ``slot`` (E, r c) holds, per element and entry in
-    row-major order, its position in the data, and nnz for an entry that a -1
-    slot drops. The pattern depends only on the slots, so it is built once; a
-    sum over the same slots starts from ``zeros``, takes the element matrices
-    with ``add``, in one call or per chunk of elements, and becomes a matrix
-    with ``matrix``. A lookup of positions in the pattern builds its
-    ``position_map`` for as long as it needs one."""
+class CsrPattern:
+    """The CSR pattern ``indptr``, ``indices``, ``shape`` of a sum of element
+    matrices, built once because it depends only on where the elements'
+    entries go. A sum starts from ``zeros``, takes the element matrices with
+    ``add``, in one call or per chunk of elements, and becomes a matrix with
+    ``matrix``. A subclass says where the entries go with ``slots``. A lookup
+    of positions in the pattern builds its ``position_map`` for as long as it
+    needs one."""
 
     indptr: np.ndarray
     indices: np.ndarray
     shape: tuple
-    slot: np.ndarray
 
     @property
     def nnz(self) -> int:
         return self.indices.size
+
+    def slots(self, sel=slice(None)) -> np.ndarray:
+        """Per element of ``sel`` and entry in row-major order, its position
+        in the data, and nnz for an entry that a -1 slot drops."""
+        raise NotImplementedError
 
     def zeros(self) -> np.ndarray:
         """The data of an empty sum, one entry past nnz for the dropped
@@ -321,7 +326,7 @@ class ScatterPattern:
         """Add the element matrices ``stack`` of the elements ``sel`` to
         ``data``, in element-major order. Summing chunk by chunk in element
         order adds every entry's terms in the order of one call."""
-        np.add.at(data, self.slot[sel].ravel(), stack.ravel())
+        np.add.at(data, self.slots(sel).ravel(), stack.ravel())
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The summed matrix of ``data``. It shares the pattern's index
@@ -334,6 +339,17 @@ class ScatterPattern:
         data = self.zeros()
         self.add(data, stack)
         return self.matrix(data)
+
+
+@dataclass(frozen=True)
+class ScatterPattern(CsrPattern):
+    """Where ``scatter_stack`` puts each entry of an element stack with given
+    row and column slots: ``slot`` (E, r c) holds every entry's position."""
+
+    slot: np.ndarray
+
+    def slots(self, sel=slice(None)) -> np.ndarray:
+        return self.slot[sel]
 
 
 def scatter_pattern(
@@ -366,7 +382,7 @@ def scatter_pattern(
 
 
 def position_map(m) -> sp.csr_matrix:
-    """The pattern of the canonical CSR matrix or ``ScatterPattern`` ``m``
+    """The pattern of the canonical CSR matrix or ``CsrPattern`` ``m``
     with data 1..nnz, sharing its index arrays: fancy-indexing it gives 1 +
     the position in the data of any entry, and 0 for an entry outside the
     pattern."""
@@ -434,7 +450,7 @@ def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
         base = l * (k + 1)
         rows.append(np.arange(nt))
         cols.append(dm.vel_loc[:, base])
-        vals.append(-dm.signs[:, base])
+        vals.append(-dm.signs[:, base].astype(float))
     n_d = ref.n_int_d
     for r in range(n_d):
         rows.append(nt + np.arange(nt) * n_d + r)
@@ -457,7 +473,8 @@ def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np
 class BlockSystem:
     """Saddle-point system of one parameter row, essential data eliminated.
 
-    floc holds the signed element right sides, and ``stacks`` the sweep's
+    floc holds the signed element right sides (without a body force, a
+    read-only broadcast zero that takes no memory), and ``stacks`` the sweep's
     element forms, from which static condensation forms the element matrices
     chunk by chunk with ``LocalStacks.combine``. The whole-mesh element stack
     ``aloc``, the reduced velocity block A (over free velocity unknowns, at
@@ -569,8 +586,11 @@ def assemble_saddle(
     if stacks is None:
         stacks = assemble_local_stacks(mesh, spaces)
     dm = spaces.dofmap
-    floc = np.zeros((mesh.num_triangles, dm.n_loc))
-    if body_force is not None:
+    shape = (mesh.num_triangles, dm.n_loc)
+    if body_force is None:  # read-only zeros that take no memory
+        floc = np.broadcast_to(0.0, shape)
+    else:
+        floc = np.zeros(shape)
         deg = volume_quad_degree or spaces.ref.vol_rule.degree
         rule, vals, _, _, _ = spaces.ref.volume_tables(deg)
         a0 = mesh.vertices[mesh.triangles[:, 0]]

@@ -16,22 +16,27 @@ For finite lambda the same elimination equals adding lambda-weighted
 divergence penalization to the interior block before inverting.
 
 ``CondensedStructure`` holds what depends only on the mesh, the degree and the
-essential data, built once per sweep: the trace slots, the pattern of A_g
-with the position of every element entry in it, and B_g with its right side.
-``eliminate_local`` then does one row's work. Condensation is element-local,
-so it streams the elements in chunks (``assembly.element_chunks``): per chunk
-it forms the element matrices (``LocalStacks.combine``, which also checks
-their coercivity), solves the local systems, and adds the condensed blocks
-to A_g's data. The essential data g leaves the trace unknowns element by
-element: F_g is the sum of the element right sides minus the sum of each
-condensed block times its element's g, which is 0 at a free unknown. Only
-the trace right sides and the lifts, (nt, n_G) each, span the whole mesh,
-and only until F_g is summed; no whole-mesh element stack is formed, and
-the condensed system keeps no local solutions. ``back_substitute`` solves
-the local systems again, chunk by chunk with the same ``_local_solve``.
-Every result is bit-identical to one chunk.
+essential data, built once per sweep: the trace slots, A_g's pattern
+(``TracePattern``) and B_g with its right side. A_g's pattern follows from the
+graph of the free edges, since each edge's 2k+1 trace unknowns are all free or
+all essential: ``trace_pattern`` expands each free edge to its unknowns, and
+keeps per element only where its rows start and the rank of each of its edges
+in them. ``eliminate_local`` then does one row's work. Condensation is
+element-local, so it streams the elements in chunks
+(``assembly.element_chunks``): per chunk it forms the element matrices
+(``LocalStacks.combine``, which also checks their coercivity), solves the
+local systems, computes where the condensed blocks go (``TracePattern.slots``)
+and adds them to A_g's data. The essential data g leaves the trace unknowns
+element by element: F_g is the sum of the element right sides minus the sum of
+each condensed block times its element's g, which is 0 at a free unknown. Only
+the trace right sides and the lifts, (nt, n_G) each, span the whole mesh, and
+only until F_g is summed; no whole-mesh element stack is formed, and the
+condensed system keeps no local solutions. ``back_substitute`` solves the
+local systems again, chunk by chunk with the same ``_local_solve``. Every
+result is bit-identical to one chunk.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +44,7 @@ import scipy.sparse as sp
 
 from .assembly import (
     BlockSystem,
-    ScatterPattern,
+    CsrPattern,
     assemble_pressure_ops,
     element_chunks,
     free_rhs,
@@ -51,6 +56,124 @@ from .spaces import EssentialData, Spaces
 
 
 @dataclass(frozen=True)
+class TracePattern(CsrPattern):
+    """A_g's CSR pattern, and where each element's (n_G, n_G) condensed block
+    goes in it, computed per chunk by ``slots`` from two small tables:
+    ``row_start`` (nt, n_G), the position in A_g's data where the row of each
+    element trace unknown starts (nnz for an essential one), and
+    ``edge_rank`` (nt, 3, 3) int8, the rank of local edge lb's unknowns among
+    the neighbour edges in the rows of local edge la's unknowns (-1 for an
+    essential edge). A row of a free edge's unknown holds the normal modes of
+    its d neighbour edges (the free edges that share an element with it) in
+    rank order, then their tangential modes."""
+
+    row_start: np.ndarray
+    edge_rank: np.ndarray
+
+    def slots(self, sel=slice(None)) -> np.ndarray:
+        """(E, n_G^2) positions in A_g's data of the condensed blocks of the
+        elements ``sel``, row-major, and nnz for an entry that an essential
+        unknown drops."""
+        start = self.row_start[sel]
+        e, n_g = start.shape
+        k = (n_g // 3 - 1) // 2
+        n_n = 3 * (k + 1)  # the normal rows, k+1 per local edge; then k tangential
+        edge, width, mode = _trace_layout(k)
+        nnz = self.nnz
+        dt = np.int32 if 8 * nnz < 2**31 else np.int64
+        # an edge's 2k+1 rows have one length, d (2k+1), and its normal rows
+        # are consecutive: the step between its first two is that length, and
+        # its tangential columns start at d (k+1) in each row (0 for an
+        # essential edge, whose rows start at nnz)
+        step = start[:, 1:n_n : k + 1] - start[:, :n_n : k + 1]
+        rank = self.edge_rank[sel]
+        dropped = np.flatnonzero((rank < 0).any(axis=(1, 2)))  # elements at an essential edge
+        # a dropped column lands at nnz or beyond, as a dropped row does
+        rank = np.where(rank < 0, dt(nnz), rank.astype(dt))
+        col = rank[:, :, edge] * width + mode  # (E, 3, n_G): its place in a row of edge la
+        col[:, :, n_n:] += (step // (2 * k + 1) * (k + 1))[:, :, None]
+        out = np.take(col, edge, axis=1)
+        out += start[:, :, None]
+        out[dropped] = np.minimum(out[dropped], nnz)
+        return out.reshape(e, n_g * n_g)
+
+
+@functools.cache
+def _trace_layout(k: int):
+    """Per element trace unknown, in ``g_slot_idx`` order (the normal modes
+    of the three local edges, then their tangential modes): its local edge,
+    its block width in a row (k+1 normal, k tangential) and its mode."""
+    edges = np.arange(3)
+    return (
+        np.r_[np.repeat(edges, k + 1), np.repeat(edges, k)],
+        np.r_[np.full(3 * (k + 1), k + 1), np.full(3 * k, k)].astype(np.int32),
+        np.r_[np.tile(np.arange(k + 1), 3), np.tile(np.arange(k), 3)].astype(np.int32),
+    )
+
+
+def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -> TracePattern:
+    """A_g's pattern from the free-edge graph, for the element trace unknowns
+    at the free positions ``g_pos`` (nt, n_G). The graph is one
+    ``scatter_pattern`` of the (nt, 3) free-edge ranks; each free edge then
+    expands to its 2k+1 unknowns, which take the free positions r (k+1) + m
+    (normal mode m of the free edge of rank r) and n_fe (k+1) + r k + j
+    (tangential mode j). Raises ValueError unless each edge's unknowns are
+    all free or all essential."""
+    mesh, k, split = spaces.mesh, spaces.k, spaces.split
+    n = 2 * k + 1
+    free = essential.free_mask
+    free_edge = free[: split.n_bnd : k + 1]
+    per_edge = np.concatenate(
+        [free[: split.n_bnd].reshape(-1, k + 1), free[split.n_bnd : split.n_cond].reshape(-1, k)],
+        axis=1,
+    )
+    if not np.all(per_edge == free_edge[:, None]):
+        raise ValueError("an edge's trace unknowns must be all free or all essential")
+    n_fe = int(np.count_nonzero(free_edge))
+    erank = np.full(mesh.num_edges, -1, np.int32)
+    erank[free_edge] = np.arange(n_fe, dtype=np.int32)
+    tri_rank = erank[mesh.tri_edges]
+    graph = scatter_pattern(tri_rank, n_fe)
+    eptr = graph.indptr.astype(np.int64)
+    deg = np.diff(eptr)
+
+    # each free edge's row template: at n eptr[r], the normal modes of its
+    # neighbours p, then at n eptr[r] + d (k+1) their tangential modes
+    nb = graph.indices.astype(np.int64)[:, None]
+    p = np.arange(nb.size)[:, None]
+    row = np.repeat(np.arange(n_fe), deg)[:, None]  # the edge row of each neighbour
+    template = np.empty(n * nb.size, np.int64)
+    template[k * eptr[row] + (k + 1) * p + np.arange(k + 1)] = nb * (k + 1) + np.arange(k + 1)
+    template[(k + 1) * eptr[row + 1] + k * p + np.arange(k)] = (
+        n_fe * (k + 1) + nb * k + np.arange(k)
+    )
+
+    # the rows of A_g: each free edge's k+1 normal rows, then each one's k
+    # tangential rows, every row its edge's template
+    first = np.concatenate([np.repeat(n * eptr[:-1], k + 1), np.repeat(n * eptr[:-1], k)])
+    lengths = np.concatenate([np.repeat(n * deg, k + 1), np.repeat(n * deg, k)])
+    nnz = int(lengths.sum())
+    idx = np.int32 if nnz < 2**31 else np.int64
+    indptr = np.zeros(lengths.size + 1, idx)
+    np.cumsum(lengths, out=indptr[1:])
+    src = np.repeat((first - indptr[:-1]).astype(idx), lengths)
+    src += np.arange(nnz, dtype=idx)
+    indices = template.astype(idx).take(src)
+    del src
+
+    slot = graph.slot.reshape(-1, 3, 3)
+    rank = slot - graph.indptr[tri_rank][:, :, None]
+    return TracePattern(
+        indptr=indptr,
+        indices=indices,
+        shape=(n * n_fe, n * n_fe),
+        # an essential unknown's position -1 reads indptr[-1] = nnz
+        row_start=indptr[g_pos],
+        edge_rank=np.where(slot < graph.nnz, rank, -1).astype(np.int8),
+    )
+
+
+@dataclass(frozen=True)
 class CondensedStructure:
     """The parameter-independent part of the condensed system on one (mesh,
     k, essential data), shared by every row of a sweep."""
@@ -58,7 +181,7 @@ class CondensedStructure:
     g_slot_idx: np.ndarray  # local slots of the trace unknowns
     g_slots: np.ndarray  # (nt, n_G) their global ids
     free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
-    a_g: ScatterPattern  # A_g's pattern and the slot of each element entry
+    a_g: TracePattern  # A_g's pattern and where each element block goes in it
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
     F_pbar: np.ndarray
 
@@ -76,7 +199,7 @@ def condensed_structure(spaces: Spaces, essential: EssentialData) -> CondensedSt
         g_slot_idx=g_slot_idx,
         g_slots=g_slots,
         free_cond=free_cond,
-        a_g=scatter_pattern(essential.pos[g_slots], n_g),
+        a_g=trace_pattern(spaces, essential, essential.pos[g_slots]),
         B_g=b_full[:, essential.free_ids][:nt, :n_g],
         F_pbar=-(b_full @ essential.full_vector())[:nt],
     )

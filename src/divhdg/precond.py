@@ -271,12 +271,12 @@ def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
     """Greedy colouring of the patches, in their given order.  Two patches
     conflict if they share an unknown or A couples their unknowns: a nonzero
     of the pattern of P (|A| + I) P^T, with P the patch-to-unknown
-    incidence."""
+    incidence, formed in bool."""
     n_p = offsets.size - 1
     n = a.shape[0]
-    inc = sp.csr_matrix((np.ones(dofs.size), dofs, offsets), shape=(n_p, n))
-    pattern = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-    conflict = (inc @ (pattern + sp.identity(n, format="csr")) @ inc.T).tocsr()
+    inc = sp.csr_matrix((np.ones(dofs.size, bool), dofs, offsets), shape=(n_p, n))
+    pattern = sp.csr_matrix((np.ones(a.nnz, bool), a.indices, a.indptr), shape=a.shape)
+    conflict = (inc @ (pattern + sp.identity(n, dtype=bool, format="csr")) @ inc.T).tocsr()
     ptr = conflict.indptr.tolist()
     nbr = conflict.indices.tolist()
     colour = [-1] * n_p
@@ -349,7 +349,7 @@ def asp_structure(
 ) -> AspStructure:
     """The parameter-independent part of ``build_asp``; ``a_g`` is the
     pattern of the condensed velocity block A_g, as its CSR matrix or its
-    ``ScatterPattern``. Its ``position_map`` lives only while the patches
+    ``TracePattern``. Its ``position_map`` lives only while the patches
     look their positions up. The vertex patches (the free unknowns on the
     free edges at a vertex) are coloured greedily in natural vertex order."""
     if smoother not in SMOOTHERS:

@@ -68,8 +68,8 @@ class SpaceSplit:
 
 @dataclass(frozen=True)
 class DofMap:
-    vel_loc: np.ndarray  # (nt, n_loc) global velocity id per local slot
-    signs: np.ndarray  # (nt, n_loc) +-1 local -> global orientation factors
+    vel_loc: np.ndarray  # (nt, n_loc) int32 global velocity id per local slot
+    signs: np.ndarray  # (nt, n_loc) int8 +-1 local -> global orientation factors
     n_loc: int
     n_loc_facet: int  # 3(k+1)
     n_loc_int: int  # k^2-1
@@ -98,8 +98,8 @@ def build_spaces(mesh: Mesh, k: int) -> Spaces:
     nt = mesh.num_triangles
     n_loc = ref.n_u + 3 * k
 
-    vel_loc = np.empty((nt, n_loc), np.int64)
-    signs = np.ones((nt, n_loc))
+    vel_loc = np.empty((nt, n_loc), np.int32)
+    signs = np.ones((nt, n_loc), np.int8)  # +-1 is exact in every product
     exps = ref.facet_sign_exponents()
     for l in range(3):
         e = mesh.tri_edges[:, l]
@@ -107,7 +107,7 @@ def build_spaces(mesh: Mesh, k: int) -> Spaces:
         base = l * (k + 1)
         for m in range(k + 1):
             vel_loc[:, base + m] = e * (k + 1) + m
-            signs[:, base + m] = np.where((exps[base + m] * flip) % 2, -1.0, 1.0)
+            signs[:, base + m] = np.where((exps[base + m] * flip) % 2, -1, 1)
         for j in range(k):
             vel_loc[:, ref.n_u + l * k + j] = split.n_bnd + e * k + j
     n_int = k * k - 1

@@ -5,16 +5,24 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from divhdg.assembly import ProblemParams, assemble_pressure_ops, assemble_saddle
+from divhdg import assembly
+from divhdg.assembly import (
+    ProblemParams,
+    assemble_pressure_ops,
+    assemble_saddle,
+    element_chunks,
+    scatter_pattern,
+)
 from divhdg.condense import (
     back_substitute,
     build_condensed_monolithic,
     build_monolithic,
+    condensed_structure,
     eliminate_local,
 )
-from divhdg.mesh import step_domain, unit_square
+from divhdg.mesh import TAG_WALL, build_mesh, step_domain, unit_square
 from divhdg.spaces import build_spaces, interpolate_essential
-from conftest import pipeline
+from conftest import jittered_square, pipeline
 
 
 def _positions(free_ids, cut):
@@ -217,3 +225,61 @@ class TestMonolithicStructure:
         evs = sla.eigvalsh(km.toarray())
         assert np.count_nonzero(evs < 0) == block.n_pressure
         assert np.count_nonzero(evs > 0) == block.n_free
+
+
+def _wall_triangle():
+    """One triangle with every edge a wall: no free edge."""
+    return build_mesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.array([[0, 1, 2]]),
+        tag_fn=lambda mids: np.full(mids.shape[0], TAG_WALL),
+    )
+
+
+PATTERN_MESHES = {
+    "cavity": (lambda: unit_square(8), "cavity"),
+    "step": (lambda: step_domain(4), "step"),
+    "jittered": (lambda: jittered_square(8), "cavity"),
+    "no-free-edge": (_wall_triangle, "cavity"),
+}
+
+
+class TestTracePattern:
+    """A_g's pattern built from the free-edge graph is the element-level
+    ``scatter_pattern`` of the trace unknowns' free positions: the same
+    indptr and indices, and the same data position for every entry of every
+    chunk of elements."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(PATTERN_MESHES))
+    def test_equals_element_scatter_pattern(self, monkeypatch, name, k):
+        make_mesh, problem = PATTERN_MESHES[name]
+        mesh = make_mesh()
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        structure = condensed_structure(spaces, ess)
+        got = structure.a_g
+        want = scatter_pattern(ess.pos[structure.g_slots], structure.free_cond.size)
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        monkeypatch.setattr(assembly, "_CHUNK", 63)
+        chunks = list(element_chunks(mesh.num_triangles))
+        assert len(chunks) == (1 if name == "no-free-edge" else 3 if name != "step" else 2)
+        for sel in chunks:
+            assert np.array_equal(got.slots(sel), want.slot[sel])
+        if name == "no-free-edge":
+            assert got.nnz == 0 and np.all(got.slots() == 0)
+        else:  # some entries are dropped, and some elements keep all theirs
+            dropped = (got.slots() == got.nnz).any(axis=1)
+            assert dropped.any() and not dropped.all()
+
+    def test_edge_split_between_free_and_essential_is_rejected(self):
+        mesh = unit_square(2)
+        spaces = build_spaces(mesh, 2)
+        ess = interpolate_essential(mesh, spaces, "cavity")
+        free = ess.free_mask.copy()
+        edge = np.flatnonzero(free[: spaces.split.n_bnd : 3])[0]
+        free[3 * edge + 1] = False  # one normal mode of a free edge
+        with pytest.raises(ValueError, match="all free or all essential"):
+            condensed_structure(spaces, replace(ess, free_mask=free))

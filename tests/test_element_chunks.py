@@ -205,6 +205,31 @@ class TestRowMemory:
         assert (s.mesh.num_triangles, s.spaces.dofmap.n_loc) in shapes  # the walk reached floc
         assert not [sh for sh in shapes if sh[:2] == (s.mesh.num_triangles, n_L)]
 
+    @pytest.mark.parametrize("name,k", [("cavity", 2), ("step", 3), ("jittered", 4)])
+    def test_structure_keeps_no_per_entry_map(self, name, k):
+        """The condensed structure keeps no array with an entry per element
+        matrix entry, nt n_G^2, such as a table of A_g's data position of
+        every condensed block entry: ``TracePattern.slots`` computes them per
+        chunk from its (nt, n_G) row starts."""
+        s = _structure(name, k)
+        nt = s.mesh.num_triangles
+        n_G = s.condensed.g_slot_idx.size
+        arrays = list(_arrays(s.condensed, set()))
+        assert any(a is s.condensed.a_g.row_start for a in arrays)  # the walk reached them
+        assert not [a.shape for a in arrays if a.size >= nt * n_G * n_G]
+
+    def test_narrow_index_tables(self):
+        """The per-element index tables that live for the sweep are int32,
+        the orientation signs int8, and a right side without a body force is
+        a read-only zero that takes no memory."""
+        s = _structure("cavity", 2)
+        dm = s.spaces.dofmap
+        assert dm.vel_loc.dtype == np.int32 and s.condensed.g_slots.dtype == np.int32
+        assert dm.signs.dtype == np.int8 and set(np.unique(dm.signs)) == {-1, 1}
+        floc = s.row(ProblemParams(tau=1.0))[0].block.floc
+        assert floc.strides == (0, 0) and not floc.flags.writeable
+        assert floc.shape == (s.mesh.num_triangles, dm.n_loc) and not floc.any()
+
     def test_transient_peak_below_one_element_stack(self, monkeypatch):
         """Bound: what ``Structure.row`` returns (the condensed system, with
         A_g's values, and the preconditioners) is still allocated after the
