@@ -258,6 +258,7 @@ def signed_stack(upper: np.ndarray, signs: np.ndarray) -> np.ndarray:
     packed = np.empty((n, n), np.int64)
     packed[iu, ju] = packed[ju, iu] = np.arange(iu.size)
     s = np.take(upper, packed.ravel(), axis=1).reshape(-1, n, n)
+    signs = signs.astype(s.dtype)  # int8 signs would make each product cast
     s *= signs[:, :, None]
     s *= signs[:, None, :]
     return s

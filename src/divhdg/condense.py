@@ -159,7 +159,6 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
     src = np.repeat((first - indptr[:-1]).astype(idx), lengths)
     src += np.arange(nnz, dtype=idx)
     indices = template.astype(idx).take(src)
-    del src
 
     slot = graph.slot.reshape(-1, 3, 3)
     rank = slot - graph.indptr[tri_rank][:, :, None]
