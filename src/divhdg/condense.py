@@ -134,41 +134,43 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
     erank[free_edge] = np.arange(n_fe, dtype=np.int32)
     tri_rank = erank[mesh.tri_edges]
     graph = scatter_pattern(tri_rank, n_fe)
-    eptr = graph.indptr.astype(np.int64)
-    deg = np.diff(eptr)
+    deg = np.diff(graph.indptr)
+    nnz = n * n * graph.nnz  # each neighbour pair: 2k+1 rows by 2k+1 columns
+    idx = np.int32 if nnz < 2**31 else np.int64
 
-    # each free edge's row template: at n eptr[r], the normal modes of its
-    # neighbours p, then at n eptr[r] + d (k+1) their tangential modes
-    nb = graph.indices.astype(np.int64)[:, None]
-    p = np.arange(nb.size)[:, None]
-    row = np.repeat(np.arange(n_fe), deg)[:, None]  # the edge row of each neighbour
-    template = np.empty(n * nb.size, np.int64)
-    template[k * eptr[row] + (k + 1) * p + np.arange(k + 1)] = nb * (k + 1) + np.arange(k + 1)
-    template[(k + 1) * eptr[row + 1] + k * p + np.arange(k)] = (
-        n_fe * (k + 1) + nb * k + np.arange(k)
-    )
+    # each free edge's columns, one row padded with -1 to the largest degree:
+    # the normal modes of its d neighbour edges in rank order, then their
+    # tangential modes from d (k+1) on
+    row = np.repeat(np.arange(n_fe), deg)[:, None]  # the edge of each neighbour
+    rank = np.arange(graph.nnz)[:, None] - graph.indptr[row]
+    nb = graph.indices[:, None].astype(idx)
+    cols = np.full((n_fe, n * deg.max(initial=0)), -1, idx)
+    cols[row, rank * (k + 1) + np.arange(k + 1)] = nb * (k + 1) + np.arange(k + 1)
+    cols[row, deg[row] * (k + 1) + rank * k + np.arange(k)] = n_fe * (k + 1) + nb * k + np.arange(k)
 
     # the rows of A_g: each free edge's k+1 normal rows, then each one's k
-    # tangential rows, every row its edge's template
-    first = np.concatenate([np.repeat(n * eptr[:-1], k + 1), np.repeat(n * eptr[:-1], k)])
-    lengths = np.concatenate([np.repeat(n * deg, k + 1), np.repeat(n * deg, k)])
-    nnz = int(lengths.sum())
-    idx = np.int32 if nnz < 2**31 else np.int64
-    indptr = np.zeros(lengths.size + 1, idx)
-    np.cumsum(lengths, out=indptr[1:])
-    src = np.repeat((first - indptr[:-1]).astype(idx), lengths)
-    src += np.arange(nnz, dtype=idx)
-    indices = template.astype(idx).take(src)
+    # tangential rows, every row its edge's columns
+    indptr = np.zeros(n * n_fe + 1, idx)
+    np.cumsum(np.r_[np.repeat(n * deg, k + 1), np.repeat(n * deg, k)], out=indptr[1:])
+    indices = np.empty(nnz, idx)
+    lo = 0
+    for copies in (k + 1, k):
+        rows = np.repeat(cols, copies, axis=0)
+        hi = lo + copies * n * graph.nnz
+        indices[lo:hi] = rows[rows >= 0]
+        del rows  # before the next copies are made
+        lo = hi
 
     slot = graph.slot.reshape(-1, 3, 3)
-    rank = slot - graph.indptr[tri_rank][:, :, None]
     return TracePattern(
         indptr=indptr,
         indices=indices,
         shape=(n * n_fe, n * n_fe),
         # an essential unknown's position -1 reads indptr[-1] = nnz
         row_start=indptr[g_pos],
-        edge_rank=np.where(slot < graph.nnz, rank, -1).astype(np.int8),
+        edge_rank=np.where(slot < graph.nnz, slot - graph.indptr[tri_rank][:, :, None], -1).astype(
+            np.int8
+        ),
     )
 
 
