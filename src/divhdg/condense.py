@@ -162,15 +162,14 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
         lo = hi
 
     slot = graph.slot.reshape(-1, 3, 3)
+    in_row = slot - graph.indptr[tri_rank][:, :, None]
     return TracePattern(
         indptr=indptr,
         indices=indices,
         shape=(n * n_fe, n * n_fe),
         # an essential unknown's position -1 reads indptr[-1] = nnz
         row_start=indptr[g_pos],
-        edge_rank=np.where(slot < graph.nnz, slot - graph.indptr[tri_rank][:, :, None], -1).astype(
-            np.int8
-        ),
+        edge_rank=np.where(slot < graph.nnz, in_row, -1).astype(np.int8),
     )
 
 
