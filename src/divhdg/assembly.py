@@ -71,7 +71,7 @@ import scipy.sparse as sp
 from .linalg import NotSPD, SparseSym
 from .mesh import Mesh
 from .refbasis import ReferenceBasis, map_piola
-from .spaces import EssentialData, Spaces
+from .spaces import EssentialData, Spaces, free_edge_rank
 
 _CHUNK = 512  # elements per chunk of a row's element work, at most
 
@@ -619,13 +619,13 @@ def assemble_saddle(
 
 @dataclass(frozen=True)
 class AuxSpace:
-    """The continuous piecewise-linear vector auxiliary space on the vertices
-    not on the essentially imposed boundary, and the parameter-independent
-    part of its operator, kept for the whole sweep: ``vpos`` gives each vertex
-    its position among the free ones (-1 for a vertex of an essential edge),
-    ``stiff`` and ``mass`` are the P1 element stiffness and consistent mass
-    (nt, 3, 3), and ``pattern`` scatters them into the vector operator, one
-    copy per component. ``operator`` builds one row's matrix."""
+    """The continuous piecewise-linear auxiliary space on the vertices not on
+    the essentially imposed boundary, and the parameter-independent part of
+    its scalar operator A0, kept for the whole sweep (the vector operator is
+    A0 kron I2): ``vpos`` gives each vertex its position among the free ones
+    (-1 for a vertex of an essential edge), ``stiff`` and ``mass`` are the P1
+    element stiffness and consistent mass (nt, 3, 3), and ``pattern``
+    scatters them over the free vertices. ``operator`` builds one row's A0."""
 
     vpos: np.ndarray
     stiff: np.ndarray
@@ -633,10 +633,8 @@ class AuxSpace:
     pattern: ScatterPattern
 
     def operator(self, params: ProblemParams) -> SparseSym:
-        """The kron of the scalar combination 2 mu * stiffness + tau * mass
-        with the 2x2 identity, over the free vertices."""
-        loc = 2.0 * params.mu * self.stiff + params.tau * self.mass
-        return SparseSym(self.pattern.fill(np.repeat(loc, 2, axis=0)))
+        """The scalar 2 mu * stiffness + tau * mass over the free vertices."""
+        return SparseSym(self.pattern.fill(2.0 * params.mu * self.stiff + params.tau * self.mass))
 
 
 def aux_space(mesh: Mesh, spaces: Spaces, essential: EssentialData) -> AuxSpace:
@@ -649,21 +647,15 @@ def aux_space(mesh: Mesh, spaces: Spaces, essential: EssentialData) -> AuxSpace:
     stiff = np.einsum("tid,tjd->tij", grads, grads) * (0.5 * det)[:, None, None]
     mloc = (np.ones((3, 3)) + np.eye(3)) / 24.0
 
-    # an edge is essential when its first normal unknown is; outlet vertices
-    # stay free unless shared with an essential edge
-    free_edge = essential.free_mask[: spaces.split.n_bnd : spaces.k + 1]
+    # outlet vertices stay free unless shared with an essential edge
     vpos = np.zeros(mesh.num_vertices, np.int32)
-    vpos[mesh.edges[~free_edge]] = -1
+    vpos[mesh.edges[free_edge_rank(spaces.split, essential) < 0]] = -1
     free = vpos == 0
     n_free = np.count_nonzero(free)
     vpos[free] = np.arange(n_free, dtype=np.int32)
-
-    # element e's component c is copy 2e + c, at the slots 2 vpos + c
-    tv = vpos[mesh.triangles][:, None, :]
-    slots = np.where(tv >= 0, 2 * tv + np.arange(2)[:, None], -1).reshape(-1, 3)
     return AuxSpace(
         vpos=vpos,
         stiff=stiff,
         mass=mloc[None, :, :] * det[:, None, None],
-        pattern=scatter_pattern(slots, 2 * n_free),
+        pattern=scatter_pattern(vpos[mesh.triangles], n_free),
     )

@@ -79,6 +79,11 @@ class ExperimentGrid:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.tol < 1.0:  # MINRES meets tol >= 1 at its first iteration
             raise ValueError(f"tol must be finite and below 1, got {self.tol}")
+        even = self.problem == "step"  # the re-entrant corner must be a vertex
+        for ih in self.inv_hs:  # before the caps, which compare each 1/h with a number
+            if not _is_int(ih) or ih < 1 or (even and ih % 2):
+                kind = "a positive even" if even else "a positive"
+                raise ValueError(f"1/h must be {kind} integer, got {ih}")
         for k in self.ks:
             if not _is_int(k) or k not in MAX_INV_H:
                 raise ValueError(f"polynomial degree must be in 1..4, got {k}")
@@ -89,11 +94,6 @@ class ExperimentGrid:
                         f"1/h={ih} exceeds the desk-scale cap {cap} for k={k}; "
                         "pass allow_large (--allow-large) to run it anyway"
                     )
-        even = self.problem == "step"  # the re-entrant corner must be a vertex
-        for ih in self.inv_hs:
-            if not _is_int(ih) or ih < 1 or (even and ih % 2):
-                kind = "a positive even" if even else "a positive"
-                raise ValueError(f"1/h must be {kind} integer, got {ih}")
         for mu in self.mus:
             ProblemParams(mu=mu, alpha=self.alpha)  # validates mu, alpha
         for tau in self.taus:

@@ -52,7 +52,7 @@ from .assembly import (
     scatter_pattern,
 )
 from .linalg import SparseSym
-from .spaces import EssentialData, Spaces
+from .spaces import EssentialData, Spaces, free_edge_rank
 
 
 @dataclass(frozen=True)
@@ -115,23 +115,13 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
     """A_g's pattern from the free-edge graph, for the element trace unknowns
     at the free positions ``g_pos`` (nt, n_G). The graph is one
     ``scatter_pattern`` of the (nt, 3) free-edge ranks; each free edge then
-    expands to its 2k+1 unknowns, which take the free positions r (k+1) + m
-    (normal mode m of the free edge of rank r) and n_fe (k+1) + r k + j
-    (tangential mode j). Raises ValueError unless each edge's unknowns are
-    all free or all essential."""
-    mesh, k, split = spaces.mesh, spaces.k, spaces.split
+    expands to its 2k+1 unknowns at the free positions that
+    ``free_edge_rank`` gives them (it raises ValueError unless each edge's
+    unknowns are all free or all essential)."""
+    mesh, k = spaces.mesh, spaces.k
     n = 2 * k + 1
-    free = essential.free_mask
-    free_edge = free[: split.n_bnd : k + 1]
-    per_edge = np.concatenate(
-        [free[: split.n_bnd].reshape(-1, k + 1), free[split.n_bnd : split.n_cond].reshape(-1, k)],
-        axis=1,
-    )
-    if not np.all(per_edge == free_edge[:, None]):
-        raise ValueError("an edge's trace unknowns must be all free or all essential")
-    n_fe = int(np.count_nonzero(free_edge))
-    erank = np.full(mesh.num_edges, -1, np.int32)
-    erank[free_edge] = np.arange(n_fe, dtype=np.int32)
+    erank = free_edge_rank(spaces.split, essential)
+    n_fe = int(np.count_nonzero(erank >= 0))
     tri_rank = erank[mesh.tri_edges]
     graph = scatter_pattern(tri_rank, n_fe)
     deg = np.diff(graph.indptr)

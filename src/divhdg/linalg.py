@@ -78,14 +78,18 @@ class SpdFactor:
     _inv_perm: np.ndarray = field(repr=False, default=None)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """A^{-1} b for a right side (n,) or several as columns (n, m), all
+        in one LAPACK call, which solves column by column."""
         b = np.asarray(b, float)
         if b.shape[0] != self.n:
             raise ValueError(f"length mismatch: n={self.n}, rhs {b.shape[0]}")
-        # b[perm] is a fresh copy, so LAPACK may overwrite it in place
-        y, info = _PBTRS(self._chol_band, b[self.perm], lower=1, overwrite_b=1)
+        if self.n == 0:  # LAPACK rejects an empty right side of several columns
+            return np.zeros(b.shape)
+        # take copies, so LAPACK may overwrite it; b[perm] is slow on rows
+        y, info = _PBTRS(self._chol_band, b.take(self.perm, axis=0), lower=1, overwrite_b=1)
         if info != 0:
             raise ValueError(f"pbtrs rejected argument {-info}")
-        return y[self._inv_perm]
+        return y.take(self._inv_perm, axis=0)
 
 
 def rcm_order(m: sp.csr_matrix) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Uniform block-diagonal preconditioner for the condensed saddle system.
 
-Velocity block (auxiliary-space): additive combination of a vertex-patch
-symmetric block Gauss-Seidel smoother on the condensed trace unknowns and a
+Velocity block (auxiliary space, Xu, Computing 56, 1996): a vertex-patch
+symmetric block Gauss-Seidel smoother on the condensed trace unknowns plus a
 coarse correction through the continuous piecewise-linear vector space,
-    Az^{-1} = R + Pi A0^{-1} Pi^T.
+    Az^{-1} = R + Pi (A0 kron I2)^{-1} Pi^T.
 The smoother R visits the patches in multicolour order: the patches are
 coloured so that no two of one colour share or couple unknowns, and a sweep
 is one forward pass over the colours and one backward pass, each colour
@@ -24,8 +24,11 @@ act on those two profiles once and each edge scales them by its length,
 normal and tangent.  Pi stores no exact zero: the entries that vanish through
 a zero normal or tangent component (axis-parallel edges) are dropped after
 the scatter.  The modes above degree 1 get only roundoff (about 1e-17), which
-is kept as computed.  A0 is the linear-element discretization of
-2 mu (grad ., grad .) + tau (., .) on free vertices, solved exactly.
+is kept as computed.  A0 is the scalar linear-element discretization of
+2 mu (grad ., grad .) + tau (., .) on the free vertices; the vector operator
+acts on each component alone, so it is A0 kron I2.  Pi's columns are the
+(free vertex, component) pairs 2 vpos + c, so the coarse solve reshapes
+Pi^T r to (n, 2): both components are two right sides of A0's one factor.
 
 Pressure block: the elementwise-constant Schur approximation
 
@@ -52,12 +55,12 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
-sweep: Pi and its transpose, the auxiliary space's pattern, the patches, their
-colouring and each colour's positions into A_g's data, N, and the RCM orders
-of both banded factors. ``build_asp`` and ``build_schur`` then do one
-row's work: the auxiliary operator and its factor, the patch blocks and row
-slices gathered from A_g's data with the blocks inverted, and the Schur
-inner factor; the library calls them from ``bench.Structure.row``. Called
+sweep: Pi and its transpose, the scalar auxiliary space's pattern, the
+patches' colours with each colour's positions into A_g's data, N, and the RCM
+orders of both banded factors. ``build_asp`` and ``build_schur`` then do one
+row's work: the scalar auxiliary operator and its factor, the patch blocks
+and row slices gathered from A_g's data with the blocks inverted, and the
+Schur inner factor; the library calls them from ``bench.Structure.row``. Called
 without a structure (the traced benchmark, tests), they build it first.
 """
 
@@ -70,7 +73,7 @@ from .assembly import AuxSpace, ProblemParams, aux_space, position_map, scatter_
 from .condense import CondensedSystem
 from .linalg import SparseSym, SpdFactor, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
-from .spaces import EssentialData, Spaces
+from .spaces import EssentialData, Spaces, free_edge_rank
 
 # no compiled smoother kernel exists; the name stays for benchmark scripts
 # that record it in their environment line
@@ -240,7 +243,7 @@ class AspPrecond:
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
-    aux_factor: SpdFactor  # 0x0 when the auxiliary space is empty
+    aux_factor: SpdFactor  # of the scalar A0; 0x0 when the auxiliary space is empty
     colours: list = field(repr=False, default=None)  # of filled _Colour
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
@@ -259,7 +262,7 @@ class AspPrecond:
         return z
 
     def coarse(self, r: np.ndarray) -> np.ndarray:
-        return self.transfer @ self.aux_factor.solve(self.restrict @ r)
+        return self.transfer @ self.aux_factor.solve((self.restrict @ r).reshape(-1, 2)).ravel()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         z = self.smooth(r)
@@ -328,19 +331,16 @@ def _colour_patterns(offsets, dofs, colour, pos: sp.csr_matrix) -> list:
 class AspStructure:
     """The parameter-independent part of the ASP preconditioner on one (mesh,
     k, essential data), shared by every row of a sweep: the transfer Pi and
-    its transpose, the auxiliary space with the RCM order of its banded
-    factor (with no free vertex, both are empty and the factor is 0x0), and
-    for the patch smoother the patches, their colouring and each colour's
-    ``_Colour`` of positions. A Jacobi structure holds no patches."""
+    its transpose, the scalar auxiliary space with the RCM order of its
+    banded factor (with no free vertex, both are empty and the factor is
+    0x0), and for the patch smoother each colour's ``_Colour`` of positions.
+    A Jacobi structure holds no patches."""
 
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux: AuxSpace
     aux_perm: np.ndarray
-    patch_offsets: np.ndarray = field(repr=False, default=None)
-    patch_dofs: np.ndarray = field(repr=False, default=None)
-    patch_colour: np.ndarray = field(repr=False, default=None)
     colours: list = field(repr=False, default=None)  # of _Colour of positions
 
 
@@ -356,11 +356,9 @@ def asp_structure(
         raise ValueError(f"unknown smoother '{smoother}'")
     mesh = spaces.mesh
     k = spaces.k
-    split = spaces.split
     fb = spaces.ref.facet
 
     aux = aux_space(mesh, spaces, ess)
-    n_aux = aux.pattern.shape[0]
 
     # the edge-trace projections of the two endpoint hat profiles, scaled
     # per edge below
@@ -369,16 +367,18 @@ def asp_structure(
     hat_n = hats @ fb.normal_projection.T  # (2, k+1)
     hat_t = hats @ fb.tangential_projection.T  # (2, k)
 
-    # free edges and the free positions of their 2k+1 condensed unknowns:
-    # normal modes, then tangential
-    fe = np.flatnonzero(ess.free_mask[: split.n_bnd : k + 1])
-    normal = fe[:, None] * (k + 1) + np.arange(k + 1)
-    tangential = split.n_bnd + fe[:, None] * k + np.arange(k)
+    # free edges in rank order and the free positions of their 2k+1
+    # condensed unknowns (``free_edge_rank``): normal modes, then tangential;
     # (E, 2k+1), as intp: the smoother indexes vectors with these every apply
-    edofs = ess.pos[np.concatenate([normal, tangential], axis=1)].astype(np.intp)
+    fe = np.flatnonzero(free_edge_rank(spaces.split, ess) >= 0)
+    r = np.arange(fe.size, dtype=np.intp)[:, None]
+    edofs = np.concatenate(
+        [r * (k + 1) + np.arange(k + 1), fe.size * (k + 1) + r * k + np.arange(k)], axis=1
+    )
 
     # one (2k+1, 4) block per free edge: its unknowns by the (endpoint,
-    # component) columns of the aux space, -1 at an essential endpoint
+    # component) columns 2 vpos + c of the vector auxiliary space, -1 at an
+    # essential endpoint
     t = mesh.tangents[fe]
     nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
     le = mesh.edge_lengths[fe]
@@ -396,12 +396,12 @@ def asp_structure(
         edofs,
         a_g.shape[0],
         cols.reshape(fe.size, 4),
-        n_aux,
+        2 * aux.pattern.shape[0],
     )
     transfer.eliminate_zeros()
     transfer = transfer.copy()  # compact: eliminate_zeros keeps views of the larger buffers
 
-    patches = {}
+    colours = None
     if smoother == "patch-sgs":
         # vertex patches in natural vertex order, each listing the unknowns of
         # its free edges in ascending edge order
@@ -411,20 +411,14 @@ def asp_structure(
         dofs = edofs[order // 2].ravel()
         offsets = np.concatenate([[0], np.cumsum(counts * edofs.shape[1])])
         pos = position_map(a_g)
-        colour = _colour_patches(offsets, dofs, pos)
-        patches = dict(
-            patch_offsets=offsets,
-            patch_dofs=dofs,
-            patch_colour=colour,
-            colours=_colour_patterns(offsets, dofs, colour, pos),
-        )
+        colours = _colour_patterns(offsets, dofs, _colour_patches(offsets, dofs, pos), pos)
     return AspStructure(
         smoother=smoother,
         transfer=transfer,
         restrict=transfer.T.tocsr(),
         aux=aux,
         aux_perm=rcm_order(position_map(aux.pattern)),
-        **patches,
+        colours=colours,
     )
 
 

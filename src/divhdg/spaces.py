@@ -152,6 +152,25 @@ class EssentialData:
         return g
 
 
+def free_edge_rank(split: SpaceSplit, essential: EssentialData) -> np.ndarray:
+    """Each edge's rank r among the n_fe free edges, -1 for an essential
+    edge. A free edge's unknowns take the free positions r (k+1) + m (normal
+    mode m) and n_fe (k+1) + r k + j (tangential mode j); raises ValueError
+    unless each edge's unknowns are all free or all essential."""
+    k = split.k
+    free = essential.free_mask
+    free_edge = free[: split.n_bnd : k + 1]
+    per_edge = np.concatenate(
+        [free[: split.n_bnd].reshape(-1, k + 1), free[split.n_bnd : split.n_cond].reshape(-1, k)],
+        axis=1,
+    )
+    if not np.all(per_edge == free_edge[:, None]):
+        raise ValueError("an edge's trace unknowns must be all free or all essential")
+    rank = np.full(split.n_edges, -1, np.int32)
+    rank[free_edge] = np.arange(np.count_nonzero(free_edge), dtype=np.int32)
+    return rank
+
+
 def _boundary_velocity(problem: str):
     """Map edge tag -> callable(points (Q,2)) -> velocity (Q,2) for the
     essentially imposed parts of the boundary."""

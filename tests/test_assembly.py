@@ -573,7 +573,8 @@ class TestEliminationByPosition:
         space = aux_space(mesh, spaces, ess)
         aux, vpos = space.operator(params), space.vpos
         want, free_v = _former_aux(mesh, spaces, params, ess)
-        _same_csr(aux.csr, want)
+        # the former vector operator is the kron with I2: compare its scalar part
+        _same_csr(aux.csr, want[::2, ::2])
         assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
         assert np.array_equal(vpos[free_v], np.arange(free_v.size))
 

@@ -180,6 +180,8 @@ class TestGridValidation:
             (dict(inv_hs=[2.5]), "1/h must be a positive integer, got 2.5"),
             (dict(inv_hs=[4.0]), "1/h must be a positive integer, got 4.0"),
             (dict(inv_hs=[True]), "1/h must be a positive integer, got True"),
+            (dict(inv_hs=["8"]), "1/h must be a positive integer, got 8"),
+            (dict(inv_hs=[None]), "1/h must be a positive integer, got None"),
             (dict(problem="step", inv_hs=[2.0]), "1/h must be a positive even integer, got 2.0"),
             (dict(maxit=10.5), "maxit must be an integer, got 10.5"),
             (dict(maxit=False), "maxit must be an integer, got False"),
@@ -293,7 +295,7 @@ class TestRunGrid:
         assert [r.error for r in rows] == [""] * 4
         assert all(r.converged for r in rows)
         asp = build_structure("cavity", 4, 2, "jacobi").asp
-        assert asp.colours is None and asp.patch_offsets is None
+        assert asp.colours is None
 
 
 def _former_structure(problem, inv_h, k):

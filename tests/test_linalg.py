@@ -86,6 +86,19 @@ class TestFactorSpd:
         with pytest.raises(ValueError, match="length mismatch"):
             f.solve(np.ones(1))
 
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_several_right_sides_equal_column_solves(self, n):
+        # one LAPACK call on (n, 2), bit for bit the two column solves; an
+        # empty factor returns the empty (0, 2), which LAPACK would reject
+        d = 2.5 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        shuffle = np.random.default_rng(n).permutation(n)
+        f = factor_spd(SparseSym(sp.csr_matrix(d[shuffle][:, shuffle])))
+        b = np.random.default_rng(n + 1).standard_normal((n, 2))
+        x = f.solve(b)
+        assert x.shape == (n, 2)
+        for j in range(2):
+            assert np.array_equal(x[:, j], f.solve(b[:, j]))
+
     def test_wrong_length_rhs_rejected(self):
         f = factor_spd(SparseSym(sp.diags([4.0, 9.0]).tocsr()))
         with pytest.raises(ValueError, match="length mismatch"):

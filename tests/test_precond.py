@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from divhdg.assembly import ProblemParams, aux_space, position_map
 from divhdg.krylov import minres, operator_condensed
@@ -219,7 +220,7 @@ class TestTransfer:
         assert isinstance(asp.restrict, sp.csr_matrix)
         assert (asp.restrict != asp.transfer.T).nnz == 0
         r = np.random.default_rng(6).standard_normal(cond.n_free)
-        z = asp.transfer @ asp.aux_factor.solve(asp.transfer.T @ r)
+        z = asp.transfer @ asp.aux_factor.solve((asp.transfer.T @ r).reshape(-1, 2)).ravel()
         assert np.array_equal(asp.coarse(r), z)
 
 
@@ -284,6 +285,22 @@ def _former_transfer(mesh, spaces, cond):
     return free_v, transfer
 
 
+class TestCoarseSolve:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("problem,n", [("cavity", 4), ("step", 4)])
+    def test_equals_vector_operator_solve(self, problem, n, k):
+        # Pi (A0 kron I2)^{-1} Pi^T r, the vector operator formed and solved
+        # directly, against the two right sides of the scalar factor
+        mesh, spaces, ess, block, cond = pipeline(problem, n, k, tau=1.0)
+        asp = build_asp(cond, smoother="jacobi")
+        a0 = aux_space(mesh, spaces, ess).operator(block.params).csr
+        vector = sp.kron(a0, sp.identity(2), format="csc")
+        r = np.random.default_rng(k).standard_normal(cond.n_free)
+        want = asp.transfer @ spla.spsolve(vector, asp.restrict @ r)
+        got = asp.coarse(r)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestTransferEqualsFormerClosedForm:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("problem,n", [("cavity", 4), ("step", 4)])
@@ -313,12 +330,11 @@ class TestSmoother:
 
     def test_patch_membership_counts(self, built):
         cond, _ = built
-        structure = _structure(cond)
-        sizes = np.diff(structure.patch_offsets)
+        patches = [p for colour in _patches(_structure(cond)) for p in colour]
         # the interior vertex of this mesh touches six free edges, each
         # contributing 2k+1 = 5 condensed unknowns
-        assert sizes.max() == 30
-        counts = np.bincount(structure.patch_dofs, minlength=cond.free_cond.size)
+        assert max(p.size for p in patches) == 30
+        counts = np.bincount(np.concatenate(patches), minlength=cond.free_cond.size)
         assert counts.min() >= 1
         assert counts.max() <= 2
 
@@ -346,17 +362,19 @@ def step_built():
 
 
 def _patches(structure):
-    off = structure.patch_offsets
-    return [structure.patch_dofs[off[p] : off[p + 1]] for p in range(off.size - 1)]
+    """Per colour, its patches as arrays of unknowns: a group of P patches of
+    m unknowns covers ``rows[lo:hi]`` as (P, m)."""
+    return [
+        [ids for lo, hi, pos in c.groups for ids in c.rows[lo:hi].reshape(pos.shape[:2])]
+        for c in structure.colours
+    ]
 
 
 def _reference_sgs(cond, structure, r):
     """Plain sequential block symmetric Gauss-Seidel on dense A_g: patches in
     colour order, a forward pass, then the same patches in reverse."""
     a = cond.A_g.toarray()
-    patches = _patches(structure)
-    order = np.argsort(structure.patch_colour, kind="stable")
-    sweep = [patches[p] for p in order]
+    sweep = [ids for colour in _patches(structure) for ids in colour]
     z = np.zeros_like(r)
     for ids in sweep + sweep[::-1]:
         z[ids] += np.linalg.solve(a[np.ix_(ids, ids)], r[ids] - a[ids] @ z)
@@ -372,18 +390,17 @@ class TestColouredSmoother:
         cond, asp = built
         structure = _structure(cond)
         a = cond.A_g.toarray() != 0.0
-        patches = _patches(structure)
-        assert structure.patch_colour.min() == 0
-        assert len(asp.colours) == structure.patch_colour.max() + 1
-        for c in range(len(asp.colours)):
+        colours = _patches(structure)
+        assert len(asp.colours) == len(colours)
+        for members in colours:
+            assert members  # no empty colour
             owner = np.full(cond.n_free, -1)
-            members = np.flatnonzero(structure.patch_colour == c)
-            for p in members:
-                assert np.all(owner[patches[p]] == -1)  # no shared unknown
-                owner[patches[p]] = p
-            for p in members:
-                coupled = owner[np.flatnonzero(a[patches[p]].any(axis=0))]
-                assert set(coupled.tolist()) <= {-1, int(p)}
+            for p, ids in enumerate(members):
+                assert np.all(owner[ids] == -1)  # no shared unknown
+                owner[ids] = p
+            for p, ids in enumerate(members):
+                coupled = owner[np.flatnonzero(a[ids].any(axis=0))]
+                assert set(coupled.tolist()) <= {-1, p}
 
     def test_matches_sequential_reference(self, built):
         cond, asp = built
@@ -402,7 +419,8 @@ class TestColouredSmoother:
 class TestStepSmoother:
     def test_several_patch_sizes(self, step_built):
         cond, _ = step_built
-        assert np.unique(np.diff(_structure(cond).patch_offsets)).size >= 3
+        sizes = [ids.size for colour in _patches(_structure(cond)) for ids in colour]
+        assert np.unique(sizes).size >= 3
 
     def test_symmetric_operator(self, step_built):
         cond, asp = step_built
@@ -530,7 +548,7 @@ class TestPatchPositions:
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
         pos = position_map(cond.A_g.csr)
         structure = asp_structure(cond.spaces, cond.block.essential, pos, "jacobi")
-        assert structure.colours is None and structure.patch_offsets is None
+        assert structure.colours is None
         asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
         r = np.random.default_rng(14).standard_normal(cond.n_free)

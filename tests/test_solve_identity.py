@@ -183,7 +183,7 @@ def _former_solve_condensed(cond, asp, schur, *, tol, maxit, seed):
     restrict = transfer.T.tocsr()
 
     def coarse(r):
-        return transfer @ _former_solve(asp.aux_factor, restrict @ r)
+        return transfer @ _former_solve(asp.aux_factor, (restrict @ r).reshape(-1, 2)).ravel()
 
     def pinv(r):
         ru = r[:n_u]
