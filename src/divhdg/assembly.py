@@ -62,6 +62,7 @@ also of the auxiliary-space transfer and the pressure graph Laplacian.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,6 +77,10 @@ from .spaces import EssentialData, Spaces, free_edge_rank
 _CHUNK = 512  # elements per chunk of a row's element work, at most
 
 
+def is_real(x) -> bool:  # a Python or numpy real number, not a bool
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     mu: float = 1.0
@@ -86,6 +91,8 @@ class ProblemParams:
     def __post_init__(self):
         for name in ("mu", "tau", "inv_lambda", "alpha"):
             value = getattr(self, name)
+            if not is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0.0:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
-from .assembly import LocalStacks, ProblemParams, assemble_local_stacks, assemble_saddle
+from .assembly import LocalStacks, ProblemParams, assemble_local_stacks, assemble_saddle, is_real
 from .condense import CondensedStructure, condensed_structure, eliminate_local
 from .krylov import solve_condensed
 from .linalg import CapExceeded
@@ -75,6 +75,8 @@ class ExperimentGrid:
             raise ValueError(f"maxit must be >= 0, got {self.maxit}")
         if not _is_int(self.seed):  # a CSV record must parse back as an int
             raise ValueError(f"seed must be an integer, got {self.seed}")
+        if not is_real(self.tol):
+            raise ValueError(f"tol must be a real number, got {self.tol}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.tol < 1.0:  # MINRES meets tol >= 1 at its first iteration

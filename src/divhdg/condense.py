@@ -38,6 +38,7 @@ result is bit-identical to one chunk.
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,38 +78,73 @@ class TracePattern(CsrPattern):
         start = self.row_start[sel]
         e, n_g = start.shape
         k = (n_g // 3 - 1) // 2
-        n_n = 3 * (k + 1)  # the normal rows, k+1 per local edge; then k tangential
-        edge, width, mode = _trace_layout(k)
-        nnz = self.nnz
-        dt = np.int32 if 8 * nnz < 2**31 else np.int64
-        # an edge's 2k+1 rows have one length, d (2k+1), and its normal rows
-        # are consecutive: the step between its first two is that length, and
-        # its tangential columns start at d (k+1) in each row (0 for an
-        # essential edge, whose rows start at nnz)
-        step = start[:, 1:n_n : k + 1] - start[:, :n_n : k + 1]
-        rank = self.edge_rank[sel]
-        dropped = np.flatnonzero((rank < 0).any(axis=(1, 2)))  # elements at an essential edge
-        # a dropped column lands at nnz or beyond, as a dropped row does
-        rank = np.where(rank < 0, dt(nnz), rank.astype(dt))
-        col = rank[:, :, edge] * width + mode  # (E, 3, n_G): its place in a row of edge la
-        col[:, :, n_n:] += (step // (2 * k + 1) * (k + 1))[:, :, None]
-        out = np.take(col, edge, axis=1)
-        out += start[:, :, None]
-        out[dropped] = np.minimum(out[dropped], nnz)
+        out = block_positions(start, self.edge_rank[sel], trace_layout(k), self.nnz)
         return out.reshape(e, n_g * n_g)
 
 
+class TraceLayout(NamedTuple):
+    """Per trace unknown of a list of edges: its ``edge``, its block ``width``
+    in a row (k+1 normal, k tangential), its ``mode`` and whether it is
+    ``tangential``; and per edge, ``first``, the place of its normal mode 0,
+    which its normal mode 1 follows."""
+
+    edge: np.ndarray
+    width: np.ndarray
+    mode: np.ndarray
+    tangential: np.ndarray
+    first: np.ndarray
+
+
 @functools.cache
-def _trace_layout(k: int):
-    """Per element trace unknown, in ``g_slot_idx`` order (the normal modes
-    of the three local edges, then their tangential modes): its local edge,
-    its block width in a row (k+1 normal, k tangential) and its mode."""
-    edges = np.arange(3)
-    return (
-        np.r_[np.repeat(edges, k + 1), np.repeat(edges, k)],
-        np.r_[np.full(3 * (k + 1), k + 1), np.full(3 * k, k)].astype(np.int32),
-        np.r_[np.tile(np.arange(k + 1), 3), np.tile(np.arange(k), 3)].astype(np.int32),
+def trace_layout(k: int, n_e: int = 3, by_edge: bool = False) -> TraceLayout:
+    """The trace unknowns of n_e edges in one of two orders: by default the
+    normal modes of every edge, then their tangential modes (an element's, in
+    ``g_slot_idx`` order); with ``by_edge`` each edge's normal then
+    tangential modes in turn (a vertex patch's)."""
+    tangential = np.tile(np.r_[np.zeros(k + 1, bool), np.ones(k, bool)], n_e)
+    mode = np.tile(np.r_[np.arange(k + 1), np.arange(k)], n_e).astype(np.int32)
+    edge = np.repeat(np.arange(n_e), 2 * k + 1)
+    # stable: the edges and modes keep their order within each kind
+    order = np.arange(edge.size) if by_edge else np.argsort(tangential, kind="stable")
+    edge, mode, tangential = edge[order], mode[order], tangential[order]
+    layout = TraceLayout(
+        edge=edge,
+        width=np.where(tangential, k, k + 1).astype(np.int32),
+        mode=mode,
+        tangential=tangential,
+        first=np.flatnonzero(~tangential & (mode == 0)),
     )
+    for a in layout:  # cached: every caller gets these arrays
+        a.setflags(write=False)
+    return layout
+
+
+def block_positions(
+    start: np.ndarray, rank: np.ndarray, layout: TraceLayout, nnz: int
+) -> np.ndarray:
+    """(B, n, n) positions in A_g's data of the blocks of A_g on B lists of
+    edges' trace unknowns, rows and columns in ``layout``'s order, and nnz
+    for an entry outside A_g's pattern. ``start`` (B, n) is where the row of
+    each unknown starts in the data (nnz for an essential one), and ``rank``
+    (B, n_e, n_e) int8 the rank of edge c among the neighbour edges in the
+    rows of edge r, -1 when either is essential or they share no element.
+
+    A row of a free edge with d neighbour edges holds their normal modes at
+    rank (k+1) + b, then their tangential modes at d (k+1) + rank k + j. An
+    edge's normal rows are consecutive, so the step between the starts of its
+    first two is that row's length, d (2k+1); 0 for an essential edge, whose
+    rows start at nnz."""
+    edge, width, mode, tangential, first = layout
+    k = int(width[0]) - 1
+    dt = np.int32 if 8 * nnz < 2**31 else np.int64
+    step = start[:, first + 1] - start[:, first]
+    # a column outside the pattern lands at nnz or beyond, as a dropped row does
+    rank = np.where(rank < 0, dt(nnz), rank.astype(dt))
+    col = rank[:, :, edge] * width + mode  # (B, n_e, n): its place in a row of edge r
+    col[:, :, tangential] += (step // (2 * k + 1) * (k + 1))[:, :, None]
+    out = np.take(col, edge, axis=1)
+    out += start[:, :, None]
+    return np.minimum(out, nnz, out=out)
 
 
 def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -> TracePattern:

@@ -56,10 +56,12 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
 sweep: Pi and its transpose, the scalar auxiliary space's pattern, the
-patches' colours with each colour's positions into A_g's data, N, and the RCM
+patches' colours as free edges (each colour's unknowns, and per pair of a
+patch's edges the rank of one among the other's neighbours), N, and the RCM
 orders of both banded factors. ``build_asp`` and ``build_schur`` then do one
 row's work: the scalar auxiliary operator and its factor, the patch blocks
-and row slices gathered from A_g's data with the blocks inverted, and the
+gathered from A_g's data at positions computed from its row starts, batch by
+batch, with the blocks inverted, each colour's row slice of A_g, and the
 Schur inner factor; the library calls them from ``bench.Structure.row``. Called
 without a structure (the traced benchmark, tests), they build it first.
 """
@@ -70,7 +72,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import AuxSpace, ProblemParams, aux_space, position_map, scatter_stack
-from .condense import CondensedSystem
+from .condense import CondensedSystem, block_positions, trace_layout
 from .linalg import SparseSym, SpdFactor, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
 from .spaces import EssentialData, Spaces, free_edge_rank
@@ -194,35 +196,24 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # velocity block
 
 
+# block entries per batch of patches whose positions and values a row
+# computes at once: 2 MB of float64
+_BATCH = 1 << 18
+
+
 @dataclass(frozen=True)
 class _Colour:
-    """One colour of the patch smoother.  ``rows`` holds the unknowns of its
-    patches, grouped by patch size: group ``(lo, hi, blocks)`` covers
-    ``rows[lo:hi]`` as P patches of m unknowns, with blocks (P, m, m).
-    ``a_rows`` is its row slice of A_g, and ``a_fwd`` those rows on the
-    columns of the earlier colours, the only ones where the forward pass's
-    iterate can be nonzero.  A structure's colour holds positions into A_g's
-    data (1-based, 0 outside its pattern) as blocks and CSR data; ``fill``
-    gives one row's colour, with A_g's values and the blocks inverted."""
+    """One row's colour of the patch smoother.  ``rows`` holds the unknowns
+    of its patches, grouped by patch size: group ``(lo, hi, inv)`` covers
+    ``rows[lo:hi]`` as P patches of m unknowns, with ``inv`` (P, m, m) the
+    inverses of their blocks of A_g.  ``a_rows`` is its row slice of A_g,
+    and ``a_fwd`` those rows on the columns of the earlier colours, the only
+    ones where the forward pass's iterate can be nonzero."""
 
     rows: np.ndarray
     groups: list
     a_rows: sp.csr_matrix
     a_fwd: sp.csr_matrix
-
-    def fill(self, padded: np.ndarray) -> "_Colour":
-        """This colour's values from ``padded``, A_g's data after a 0."""
-
-        def values(p: sp.csr_matrix) -> sp.csr_matrix:
-            return sp.csr_matrix((padded.take(p.data), p.indices, p.indptr), shape=p.shape)
-
-        a_rows = values(self.a_rows)
-        return _Colour(
-            rows=self.rows,
-            groups=[(lo, hi, np.linalg.inv(padded.take(p))) for lo, hi, p in self.groups],
-            a_rows=a_rows,
-            a_fwd=a_rows if self.a_fwd is self.a_rows else values(self.a_fwd),
-        )
 
     def correct(self, r: np.ndarray, z: np.ndarray, a: sp.csr_matrix) -> None:
         """Exact block solves on every patch of the colour at once, with the
@@ -236,6 +227,60 @@ class _Colour:
             p, m, _ = inv.shape
             res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
         z[self.rows] += res
+
+
+@dataclass(frozen=True)
+class _ColourPattern:
+    """One colour of the patch smoother in an ``AspStructure``: ``rows``
+    holds the unknowns of its patches as in ``_Colour``, grouped by the
+    patches' number d of free edges.  Group ``(lo, hi, rank)`` covers
+    ``rows[lo:hi]`` as P patches of d (2k+1) unknowns, each free edge's in
+    turn, and ``rank`` (P, d, d) int8 is the rank of a patch's edge c among
+    the neighbour edges in the rows of its edge r, -1 when the two share no
+    element (``condense.block_positions``).  ``fill`` gives one row's
+    ``_Colour``."""
+
+    rows: np.ndarray
+    groups: list
+
+    def fill(self, a: sp.csr_matrix, first: np.ndarray, c: int) -> _Colour:
+        """Colour ``c`` of the row whose A_g is ``a``; ``first`` holds the
+        first colour of each unknown."""
+        a_rows = a[self.rows]
+        a_fwd = _earlier_columns(a_rows, first, c)
+        groups = [(lo, hi, _block_inverses(a, self.rows[lo:hi], r)) for lo, hi, r in self.groups]
+        return _Colour(rows=self.rows, groups=groups, a_rows=a_rows, a_fwd=a_fwd)
+
+
+def _earlier_columns(m: sp.csr_matrix, first: np.ndarray, c: int) -> sp.csr_matrix:
+    """The entries of the canonical CSR matrix ``m`` in the columns whose
+    first colour is before ``c``; ``m`` itself when that is every entry."""
+    kept = first.take(m.indices) < c
+    if kept.all():
+        return m
+    sel = np.flatnonzero(kept)
+    ptr = np.searchsorted(sel, m.indptr).astype(m.indptr.dtype)
+    return sp.csr_matrix((m.data.take(sel), m.indices.take(sel), ptr), shape=m.shape)
+
+
+def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The inverses of the blocks of ``a`` on P patches of d free edges, with
+    unknowns ``rows`` and edge ranks ``rank`` (P, d, d), in batches of
+    patches: their positions follow from ``a``'s row starts, and an entry
+    outside its pattern is 0."""
+    p, d, _ = rank.shape
+    rows = rows.reshape(p, -1)
+    m = rows.shape[1]  # d (2k+1)
+    layout = trace_layout(m // d // 2, d, by_edge=True)
+    inv = np.empty((p, m, m))
+    step = max(1, _BATCH // (m * m))
+    for lo in range(0, p, step):
+        batch = slice(lo, lo + step)
+        pos = block_positions(a.indptr.take(rows[batch]), rank[batch], layout, a.nnz)
+        blocks = a.data.take(pos, mode="clip")
+        blocks[pos == a.nnz] = 0.0
+        inv[batch] = np.linalg.inv(blocks)
+    return inv
 
 
 @dataclass
@@ -270,16 +315,33 @@ class AspPrecond:
         return z
 
 
-def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
+def _edge_graph(a_g, k: int, n_fe: int) -> sp.csr_matrix:
+    """The graph of the n_fe free edges in A_g's pattern (``a_g``, laid out
+    as ``condense.trace_pattern`` lays it out), each edge its own neighbour:
+    the first normal row of free edge r, row r (k+1), holds the normal modes
+    of its d neighbour edges in rank order, mode 0 of each at every (k+1)-th
+    of its first d (k+1) columns."""
+    start = a_g.indptr[: n_fe * (k + 1) : k + 1]
+    deg = (a_g.indptr[1 : n_fe * (k + 1) + 1 : k + 1] - start) // (2 * k + 1)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    rank = np.arange(indptr[-1]) - np.repeat(indptr[:-1], deg)
+    indices = a_g.indices.take(np.repeat(start, deg) + rank * (k + 1)) // (k + 1)
+    return sp.csr_matrix((np.ones(indices.size, bool), indices, indptr), shape=(n_fe, n_fe))
+
+
+def _colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
     """Greedy colouring of the patches, in their given order.  Two patches
-    conflict if they share an unknown or A couples their unknowns: a nonzero
-    of the pattern of P (|A| + I) P^T, with P the patch-to-unknown
-    incidence, formed in bool."""
+    conflict if they share a free edge or A_g couples their unknowns: a
+    nonzero of P G P^T, with P the patch-to-edge incidence and G the
+    free-edge graph, formed in bool.  Each free edge's unknowns lie in the
+    patches of the edge, and A_g couples two edges' unknowns where G holds
+    the pair, so it is the pattern of P_u (|A_g| + I) P_u^T, P_u the
+    patch-to-unknown incidence."""
     n_p = offsets.size - 1
-    n = a.shape[0]
-    inc = sp.csr_matrix((np.ones(dofs.size, bool), dofs, offsets), shape=(n_p, n))
-    pattern = sp.csr_matrix((np.ones(a.nnz, bool), a.indices, a.indptr), shape=a.shape)
-    conflict = (inc @ (pattern + sp.identity(n, dtype=bool, format="csr")) @ inc.T).tocsr()
+    inc = sp.csr_matrix(
+        (np.ones(spokes.size, bool), spokes, offsets), shape=(n_p, graph.shape[0])
+    )
+    conflict = (inc @ graph @ inc.T).tocsr()
     ptr = conflict.indptr.tolist()
     nbr = conflict.indices.tolist()
     colour = [-1] * n_p
@@ -292,39 +354,38 @@ def _colour_patches(offsets, dofs, a: sp.csr_matrix) -> np.ndarray:
     return np.array(colour, np.int64)
 
 
-def _colour_patterns(offsets, dofs, colour, pos: sp.csr_matrix) -> list:
-    """The colours' unknowns, patch blocks and row slices as positions, read
-    from the position map ``pos`` of A_g (its pattern with data 1..nnz)."""
+def _spoke_ranks(spokes: np.ndarray, graph: sp.csr_matrix) -> np.ndarray:
+    """(P, d, d) int8: for P patches of d free edges ``spokes``, the rank of
+    edge c among the neighbours of edge r in ``graph``, -1 if it is not
+    one.  Each row of the graph is sorted, so the pairs (r, c) of its
+    entries, as r n_fe + c, are sorted too."""
+    n_fe = graph.shape[0]
+    keys = np.repeat(np.arange(n_fe, dtype=np.int64), np.diff(graph.indptr)) * n_fe + graph.indices
+    pairs = spokes[:, :, None].astype(np.int64) * n_fe + spokes[:, None, :]
+    at = np.searchsorted(keys, pairs)
+    found = keys.take(at, mode="clip") == pairs
+    return np.where(found, at - graph.indptr[spokes][:, :, None], -1).astype(np.int8)
+
+
+def _colour_patterns(offsets, spokes, colour, edofs, graph) -> tuple:
+    """The colours' ``_ColourPattern``s and, per free unknown, the first
+    colour that holds it (one byte for fewer than 256 colours)."""
     sizes = np.diff(offsets)
     patterns = []
-    done = np.zeros(pos.shape[0], bool)  # unknowns of the colours so far
     for c in range(colour.max(initial=-1) + 1):
         members = np.flatnonzero(colour == c)
         rows, groups, lo = [], [], 0
-        for m in np.unique(sizes[members]):
-            ps = members[sizes[members] == m]
-            ids = dofs[offsets[ps, None] + np.arange(m)]  # (P, m)
-            shape = (ps.size, m, m)
-            sub = pos[
-                np.broadcast_to(ids[:, :, None], shape).ravel(),
-                np.broadcast_to(ids[:, None, :], shape).ravel(),
-            ]
-            rows.append(ids.ravel())
-            groups.append((lo, lo + ids.size, np.asarray(sub).reshape(shape)))
-            lo += ids.size
-        rows = np.concatenate(rows)
-        a_rows = pos[rows]
-        if done.all():  # the last colour: every column is corrected
-            a_fwd = a_rows
-        else:
-            sel = np.flatnonzero(done.take(a_rows.indices))
-            ptr = np.searchsorted(sel, a_rows.indptr).astype(a_rows.indptr.dtype)
-            a_fwd = sp.csr_matrix(
-                (a_rows.data.take(sel), a_rows.indices.take(sel), ptr), shape=a_rows.shape
-            )
-        done[rows] = True
-        patterns.append(_Colour(rows=rows, groups=groups, a_rows=a_rows, a_fwd=a_fwd))
-    return patterns
+        for d in np.unique(sizes[members]):
+            ps = members[sizes[members] == d]
+            edges = spokes[offsets[ps, None] + np.arange(d)]  # (P, d)
+            rows.append(edofs[edges].ravel())
+            groups.append((lo, lo + rows[-1].size, _spoke_ranks(edges, graph)))
+            lo += rows[-1].size
+        patterns.append(_ColourPattern(rows=np.concatenate(rows), groups=groups))
+    first = np.empty(edofs.size, np.min_scalar_type(len(patterns)))
+    for c in reversed(range(len(patterns))):
+        first[patterns[c].rows] = c
+    return patterns, first
 
 
 @dataclass(frozen=True)
@@ -333,15 +394,18 @@ class AspStructure:
     k, essential data), shared by every row of a sweep: the transfer Pi and
     its transpose, the scalar auxiliary space with the RCM order of its
     banded factor (with no free vertex, both are empty and the factor is
-    0x0), and for the patch smoother each colour's ``_Colour`` of positions.
-    A Jacobi structure holds no patches."""
+    0x0), and for the patch smoother each colour's ``_ColourPattern`` and
+    the first colour of each unknown.  It keeps no position in A_g's data:
+    a row computes them per batch of patches from A_g's row starts.  A
+    Jacobi structure holds no patches."""
 
     smoother: str
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux: AuxSpace
     aux_perm: np.ndarray
-    colours: list = field(repr=False, default=None)  # of _Colour of positions
+    colours: list = field(repr=False, default=None)  # of _ColourPattern
+    first: np.ndarray = field(repr=False, default=None)  # per free unknown, its first colour
 
 
 def asp_structure(
@@ -349,9 +413,9 @@ def asp_structure(
 ) -> AspStructure:
     """The parameter-independent part of ``build_asp``; ``a_g`` is the
     pattern of the condensed velocity block A_g, as its CSR matrix or its
-    ``TracePattern``. Its ``position_map`` lives only while the patches
-    look their positions up. The vertex patches (the free unknowns on the
-    free edges at a vertex) are coloured greedily in natural vertex order."""
+    ``TracePattern``. The vertex patches (the free unknowns on the free
+    edges at a vertex) are coloured greedily in natural vertex order, on
+    the graph of the free edges that A_g's pattern holds."""
     if smoother not in SMOOTHERS:
         raise ValueError(f"unknown smoother '{smoother}'")
     mesh = spaces.mesh
@@ -401,17 +465,17 @@ def asp_structure(
     transfer.eliminate_zeros()
     transfer = transfer.copy()  # compact: eliminate_zeros keeps views of the larger buffers
 
-    colours = None
+    colours = first = None
     if smoother == "patch-sgs":
-        # vertex patches in natural vertex order, each listing the unknowns of
-        # its free edges in ascending edge order
+        # vertex patches in natural vertex order, each listing its free edges
+        # (spokes) in ascending rank, and so their unknowns in ascending order
         ends = mesh.edges[fe].ravel()  # endpoint a, b of each free edge in turn
-        order = np.argsort(ends, kind="stable")
+        spokes = np.argsort(ends, kind="stable") // 2
         counts = np.unique(ends, return_counts=True)[1]
-        dofs = edofs[order // 2].ravel()
-        offsets = np.concatenate([[0], np.cumsum(counts * edofs.shape[1])])
-        pos = position_map(a_g)
-        colours = _colour_patterns(offsets, dofs, _colour_patches(offsets, dofs, pos), pos)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        graph = _edge_graph(a_g, k, fe.size)
+        colour = _colour_patches(offsets, spokes, graph)
+        colours, first = _colour_patterns(offsets, spokes, colour, edofs, graph)
     return AspStructure(
         smoother=smoother,
         transfer=transfer,
@@ -419,6 +483,7 @@ def asp_structure(
         aux=aux,
         aux_perm=rcm_order(position_map(aux.pattern)),
         colours=colours,
+        first=first,
     )
 
 
@@ -436,7 +501,8 @@ def build_asp(
     sweep; without it (the traced benchmark and the tests), that part is
     built here for ``smoother``.  A row then only assembles and factors the
     auxiliary operator and, for the patch smoother, gathers its patch blocks
-    and row slices from A_g's data and inverts the blocks.
+    (at positions computed from A_g's row starts) and row slices from A_g
+    and inverts the blocks.
     """
     if structure is None:
         smoother = SMOOTHERS[0] if smoother is None else smoother
@@ -454,6 +520,6 @@ def build_asp(
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")
         return pre
-    padded = np.concatenate([[0.0], cond.A_g.csr.data])  # position 0: outside A_g's pattern
-    pre.colours = [c.fill(padded) for c in structure.colours]
+    a = cond.A_g.csr
+    pre.colours = [p.fill(a, structure.first, c) for c, p in enumerate(structure.colours)]
     return pre

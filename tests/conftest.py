@@ -15,7 +15,7 @@ from divhdg import (
     step_domain,
     unit_square,
 )
-from divhdg.mesh import build_mesh
+from divhdg.mesh import TAG_WALL, build_mesh
 
 _CACHE = {}
 
@@ -32,6 +32,15 @@ def jittered_square(n):
     mesh = replace(build_mesh(v + step, base.triangles), edge_tags=base.edge_tags)
     assert np.unique(np.round(mesh.det_j, 12)).size == mesh.num_triangles
     return mesh
+
+
+def wall_triangle():
+    """One triangle with every edge a wall: no free edge."""
+    return build_mesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.array([[0, 1, 2]]),
+        tag_fn=lambda mids: np.full(mids.shape[0], TAG_WALL),
+    )
 
 
 def pipeline(problem, n, k, mu=1.0, tau=0.0, inv_lambda=0.0, alpha=8.0):

@@ -187,10 +187,20 @@ class TestGridValidation:
             (dict(maxit=False), "maxit must be an integer, got False"),
             (dict(seed=1.5), "seed must be an integer, got 1.5"),
             (dict(seed=True), "seed must be an integer, got True"),
+            (dict(taus=["1"]), "tau must be a real number, got 1"),
+            (dict(taus=[True]), "tau must be a real number, got True"),
+            (dict(mus=[None]), "mu must be a real number, got None"),
+            (dict(inv_lambdas=["0"]), "inv_lambda must be a real number, got 0"),
+            (dict(inv_lambdas=[False]), "inv_lambda must be a real number, got False"),
+            (dict(alpha="8"), "alpha must be a real number, got 8"),
+            (dict(tol="1e-8"), "tol must be a real number, got 1e-8"),
+            (dict(tol=True), "tol must be a real number, got True"),
         ],
     )
     def test_non_integer_degree_mesh_size_maxit_rejected(self, kw, needle):
-        # each used to pass and then fail every row with a TypeError
+        # each used to pass and then fail every row with a TypeError, or to
+        # raise TypeError rather than ValueError (the parameters and tol), or
+        # to run a bool as 0 or 1
         with pytest.raises(ValueError, match=f"^{re.escape(needle)}$"):
             _tiny_grid(**kw)
 

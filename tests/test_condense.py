@@ -20,9 +20,9 @@ from divhdg.condense import (
     condensed_structure,
     eliminate_local,
 )
-from divhdg.mesh import TAG_WALL, build_mesh, step_domain, unit_square
+from divhdg.mesh import step_domain, unit_square
 from divhdg.spaces import build_spaces, interpolate_essential
-from conftest import jittered_square, pipeline
+from conftest import jittered_square, pipeline, wall_triangle
 
 
 def _positions(free_ids, cut):
@@ -227,20 +227,11 @@ class TestMonolithicStructure:
         assert np.count_nonzero(evs > 0) == block.n_free
 
 
-def _wall_triangle():
-    """One triangle with every edge a wall: no free edge."""
-    return build_mesh(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        np.array([[0, 1, 2]]),
-        tag_fn=lambda mids: np.full(mids.shape[0], TAG_WALL),
-    )
-
-
 PATTERN_MESHES = {
     "cavity": (lambda: unit_square(8), "cavity"),
     "step": (lambda: step_domain(4), "step"),
     "jittered": (lambda: jittered_square(8), "cavity"),
-    "no-free-edge": (_wall_triangle, "cavity"),
+    "no-free-edge": (wall_triangle, "cavity"),
 }
 
 

@@ -218,6 +218,27 @@ class TestRowMemory:
         assert any(a is s.condensed.a_g.row_start for a in arrays)  # the walk reached them
         assert not [a.shape for a in arrays if a.size >= nt * n_G * n_G]
 
+    @pytest.mark.parametrize("name,k", [("cavity", 2), ("step", 3), ("jittered", 4)])
+    def test_asp_structure_keeps_no_positions(self, name, k):
+        """The patch smoother's structure keeps free-edge data only: no array
+        with an entry per patch block entry, Σ P m^2, nor per entry of A_g,
+        such as positions of the patch blocks or of the colours' row slices
+        in A_g's data. A row computes those from A_g's row starts. The
+        colours' arrays together hold fewer entries than A_g; the former
+        structure's row slices alone held twice as many."""
+        s = _structure(name, k)
+        nnz = s.condensed.a_g.nnz
+        blocks = sum(
+            rank.shape[0] * ((hi - lo) // rank.shape[0]) ** 2
+            for c in s.asp.colours
+            for lo, hi, rank in c.groups
+        )
+        arrays = list(_arrays(s.asp, set()))
+        assert any(a is s.asp.first for a in arrays)  # the walk reached the colours
+        assert not [a.shape for a in arrays if a.size >= min(nnz, blocks)]
+        patch_data = list(_arrays((s.asp.colours, s.asp.first), set()))
+        assert sum(a.size for a in patch_data) < nnz
+
     def test_narrow_index_tables(self):
         """The per-element index tables that live for the sweep are int32,
         the orientation signs int8, and a right side without a body force is

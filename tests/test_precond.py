@@ -4,7 +4,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from divhdg.assembly import ProblemParams, aux_space, position_map
+from divhdg import precond
+from divhdg.assembly import ProblemParams, assemble_saddle, aux_space, position_map
+from divhdg.condense import block_positions, eliminate_local, trace_layout
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import factor_spd
 from divhdg.mesh import build_mesh, step_domain, unit_square
@@ -16,8 +18,9 @@ from divhdg.precond import (
     materialize_schur_dense,
     schur_structure,
 )
+from divhdg.spaces import build_spaces, free_edge_rank, interpolate_essential
 
-from conftest import pipeline
+from conftest import jittered_square, pipeline, wall_triangle
 
 
 def _one_triangle():
@@ -363,9 +366,9 @@ def step_built():
 
 def _patches(structure):
     """Per colour, its patches as arrays of unknowns: a group of P patches of
-    m unknowns covers ``rows[lo:hi]`` as (P, m)."""
+    d free edges, its ranks (P, d, d), covers ``rows[lo:hi]`` as (P, m)."""
     return [
-        [ids for lo, hi, pos in c.groups for ids in c.rows[lo:hi].reshape(pos.shape[:2])]
+        [ids for lo, hi, rank in c.groups for ids in c.rows[lo:hi].reshape(rank.shape[0], -1)]
         for c in structure.colours
     ]
 
@@ -392,7 +395,8 @@ class TestColouredSmoother:
         a = cond.A_g.toarray() != 0.0
         colours = _patches(structure)
         assert len(asp.colours) == len(colours)
-        for members in colours:
+        first = np.full(cond.n_free, -1)
+        for c, members in enumerate(colours):
             assert members  # no empty colour
             owner = np.full(cond.n_free, -1)
             for p, ids in enumerate(members):
@@ -401,6 +405,11 @@ class TestColouredSmoother:
             for p, ids in enumerate(members):
                 coupled = owner[np.flatnonzero(a[ids].any(axis=0))]
                 assert set(coupled.tolist()) <= {-1, p}
+            first[(owner >= 0) & (first < 0)] = c
+        # every unknown lies in a patch, and the structure's byte is the first
+        # colour that holds it
+        assert structure.first.dtype == np.uint8
+        assert np.array_equal(structure.first, first)
 
     def test_matches_sequential_reference(self, built):
         cond, asp = built
@@ -516,24 +525,113 @@ def _fancy_block(a, ids, m):
     return np.asarray(sub).reshape(shape)
 
 
+def _former_colour_rows(cond):
+    """Per colour, the unknowns of its patches as the former unknown-level
+    colouring ordered them, kept as reference: the vertex patches in natural
+    vertex order, each the unknowns of its free edges in ascending rank,
+    coloured greedily on the pattern of P (|A_g| + I) P^T, with P the
+    patch-to-unknown incidence; then each colour's patches by size."""
+    mesh, spaces, a = cond.spaces.mesh, cond.spaces, cond.A_g.csr
+    k = spaces.k
+    erank = free_edge_rank(spaces.split, cond.block.essential)
+    n_fe = np.count_nonzero(erank >= 0)
+    patches = []
+    for v in range(mesh.num_vertices):
+        at_v = np.flatnonzero((mesh.edges == v).any(axis=1))
+        edges = sorted(erank[e] for e in at_v if erank[e] >= 0)
+        if edges:
+            unknowns = [
+                np.r_[r * (k + 1) + np.arange(k + 1), n_fe * (k + 1) + r * k + np.arange(k)]
+                for r in edges
+            ]
+            patches.append(np.concatenate(unknowns))
+    n = a.shape[0]
+    inc = np.zeros((len(patches), n), bool)
+    for p, ids in enumerate(patches):
+        inc[p, ids] = True
+    coupled = (position_map(a).toarray() > 0) | np.eye(n, dtype=bool)  # A_g's stored pattern
+    conflict = (inc.astype(int) @ coupled @ inc.T.astype(int)) > 0
+    colour = []
+    for p in range(len(patches)):
+        used = {colour[q] for q in np.flatnonzero(conflict[p]) if q < p}
+        colour.append(min(set(range(len(used) + 1)) - used))
+    rows = []
+    for c in range(max(colour, default=-1) + 1):
+        members = [p for p in range(len(patches)) if colour[p] == c]
+        rows.append(sorted((patches[p] for p in members), key=len))  # stable: by size
+    return rows
+
+
+EDGE_LEVEL_MESHES = {
+    "cavity": (lambda: unit_square(4), "cavity"),
+    "step": (lambda: step_domain(4), "step"),
+    "jittered": (lambda: jittered_square(4), "cavity"),
+    "no-free-edge": (wall_triangle, "cavity"),
+}
+
+
+class TestEdgeLevelStructure:
+    """The patch structure keeps free-edge data only: its colours equal the
+    former unknown-level colouring's, and the block positions a row computes
+    from A_g's row starts equal lookups of A_g's position map."""
+
+    @pytest.fixture(params=[1, 2, 3, 4])
+    def cond(self, request, name):
+        make_mesh, problem = EDGE_LEVEL_MESHES[name]
+        mesh = make_mesh()
+        spaces = build_spaces(mesh, request.param)
+        ess = interpolate_essential(mesh, spaces, problem)
+        return eliminate_local(assemble_saddle(mesh, spaces, ProblemParams(tau=1.0), ess))
+
+    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
+    def test_colours_equal_unknown_level_colouring(self, cond, name):
+        structure = _structure(cond)
+        want = _former_colour_rows(cond)
+        assert len(structure.colours) == len(want)
+        for c, patches in zip(structure.colours, want):
+            assert np.array_equal(c.rows, np.concatenate(patches))
+        assert [[ids.tolist() for ids in colour] for colour in _patches(structure)] == [
+            [ids.tolist() for ids in colour] for colour in want
+        ]
+        if name == "no-free-edge":
+            assert structure.colours == [] and structure.first.size == 0
+
+    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
+    def test_block_positions_equal_position_map(self, cond, name):
+        a = cond.A_g.csr
+        pos = position_map(a)
+        k = cond.spaces.k
+        outside = 0
+        for c in _structure(cond).colours:
+            for lo, hi, rank in c.groups:
+                p, d, _ = rank.shape
+                ids = c.rows[lo:hi].reshape(p, d * (2 * k + 1))
+                got = block_positions(a.indptr[ids], rank, trace_layout(k, d, by_edge=True), a.nnz)
+                want = _fancy_block(pos, ids.ravel(), ids.shape[1]) - 1
+                want[want < 0] = a.nnz  # outside A_g's pattern
+                assert np.array_equal(got, want)
+                outside += np.count_nonzero(got == a.nnz)
+        assert outside > 0 or name == "no-free-edge"
+
+
 class TestPatchPositions:
     @pytest.mark.parametrize("problem,n,k", [("cavity", 4, 2), ("step", 2, 3), ("step", 4, 1)])
     def test_gathered_blocks_equal_fancy_index_of_a_g(self, problem, n, k):
         *_, cond = pipeline(problem, n, k, tau=1.0)
         a = cond.A_g.csr
         structure = asp_structure(cond.spaces, cond.block.essential, position_map(a))
-        padded = np.concatenate([[0.0], a.data])
         outside = 0
         done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
         for pattern, blk in zip(structure.colours, build_asp(cond).colours):
             assert np.array_equal(pattern.rows, blk.rows)
-            for (lo, hi, pos), (_, _, inv) in zip(pattern.groups, blk.groups):
-                want = _fancy_block(a, pattern.rows[lo:hi], pos.shape[1])
-                assert np.array_equal(padded[pos], want)
+            for (lo, hi, rank), (_, _, inv) in zip(pattern.groups, blk.groups):
+                p, d, _ = rank.shape
+                want = _fancy_block(a, pattern.rows[lo:hi], (hi - lo) // p)
                 assert np.array_equal(inv, np.linalg.inv(want))
                 # two edges of one patch that share no triangle do not couple
-                assert np.all(want[pos == 0] == 0.0)
-                outside += np.count_nonzero(pos == 0)
+                uncoupled = np.repeat(np.repeat(rank < 0, 2 * k + 1, axis=1), 2 * k + 1, axis=2)
+                assert np.all(want[uncoupled] == 0.0)
+                outside += np.count_nonzero(uncoupled)
             want_rows = a[pattern.rows]
             assert np.array_equal(blk.a_rows.indptr, want_rows.indptr)
             assert np.array_equal(blk.a_rows.indices, want_rows.indices)
@@ -544,11 +642,22 @@ class TestPatchPositions:
             done[pattern.rows] = True
         assert outside > 0
 
+    def test_batches_give_the_same_inverses(self, monkeypatch):
+        # a row computes the blocks batch by batch; one patch per batch gives
+        # the same bits as whole groups
+        *_, cond = pipeline("step", 2, 3)
+        structure = _structure(cond)
+        whole = build_asp(cond, structure=structure)
+        monkeypatch.setattr(precond, "_BATCH", 1)
+        for blk, ref in zip(build_asp(cond, structure=structure).colours, whole.colours):
+            for (_, _, inv), (_, _, want) in zip(blk.groups, ref.groups):
+                assert np.array_equal(inv, want)
+
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
         pos = position_map(cond.A_g.csr)
         structure = asp_structure(cond.spaces, cond.block.essential, pos, "jacobi")
-        assert structure.colours is None
+        assert structure.colours is None and structure.first is None
         asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
         r = np.random.default_rng(14).standard_normal(cond.n_free)
