@@ -19,16 +19,19 @@ carriers (-identity). The assembled element blocks split into
 with parameter-independent MASS, VISC and PEN. Set-up data is split by
 lifetime. What depends only on the mesh, the degree and the essential data is
 built once and lives for a whole parameter sweep: ``LocalStacks`` keeps the
-three forms as per-element geometry coefficients (129 columns per element),
+three forms as geometry coefficients, 129 columns per element class (the
+elements whose coefficients, orientation signs and det J are equal bit for
+bit; ``unit_square`` and ``step_domain`` have two at any 1/h),
 ``CsrPattern`` the CSR pattern of an assembled matrix, and ``AuxSpace`` the
 parameter-independent part of the auxiliary operator. Where a pattern puts
 each element entry is its ``slots``: ``ScatterPattern``, the generic one,
 keeps them as a table, and the condensed block's pattern
 (``condense.TracePattern``) computes them per chunk from a few numbers per
 element. What depends on (mu, tau, 1/lambda) is built per row and lives only
-while the row runs: ``LocalStacks.combine`` forms the element matrices of a
-chunk of elements (``element_chunks``), and ``CsrPattern.add`` sums them into
-a matrix's data with ``np.add.at``.
+while the row runs: ``LocalStacks.class_matrices`` forms the element
+matrices of the distinct classes of a chunk of elements (``element_chunks``),
+and ``CsrPattern.add`` sums per-element matrices into a matrix's data with
+``np.add.at``.
 Essential trace data is eliminated by position: ``scatter_stack`` drops the
 rows and columns at -1 in ``EssentialData.pos``, and ``free_rhs`` the entries
 of the element right sides there. The eliminated columns move to the
@@ -69,12 +72,13 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import NotSPD, SparseSym
+from .linalg import NotSPD, SparseSym, distinct_rows
 from .mesh import Mesh
 from .refbasis import ReferenceBasis, map_piola
 from .spaces import EssentialData, Spaces, free_edge_rank
 
 _CHUNK = 512  # elements per chunk of a row's element work, at most
+_GEMM_ROWS = 32  # rows of a chunk's coefficient GEMM, at least (element_chunks)
 
 
 def is_real(x) -> bool:  # a Python or numpy real number, not a bool
@@ -112,7 +116,15 @@ def element_chunks(n: int):
     a kernel that rounds differently. Equal chunks hold at least (``_CHUNK``
     + 1) / 2 elements, 256 at the default, so none is that small unless the
     whole mesh is. At k = 2 the element matrices of 512 elements take 1.3
-    MB, within a 2 MB L2 cache."""
+    MB, within a 2 MB L2 cache.
+
+    A chunk forms the matrices of its distinct element classes only, often
+    two. Their coefficient GEMM is kept at least min(E, ``_GEMM_ROWS``) rows
+    tall, E the chunk's elements, by repeating the class rows: 32 rows give
+    at least 1440 output entries at k = 1, so the GEMM takes the kernel of a
+    whole chunk, and a chunk of a mesh with fewer than 32 elements the
+    kernel of the whole mesh. A 2-row GEMM would take the small kernel,
+    which moves viscous entries of size 1e3 by up to 5e-13 at 1/h = 16."""
     count = -(-n // _CHUNK)
     for i in range(count):
         yield slice(i * n // count, (i + 1) * n // count)
@@ -121,57 +133,85 @@ def element_chunks(n: int):
 @dataclass(frozen=True)
 class LocalStacks:
     """The three parameter-independent forms of the velocity block, kept for
-    the whole sweep as the per-element geometry coefficients that
-    ``TensorStack`` multiplies: ``mass``, ``visc`` and ``pen`` are (nt, C)
-    with C = 4, 88 and 37. ``tensors`` holds per form the upper triangles
-    (C, n_loc (n_loc + 1) / 2) of its reference tensors, which depend only on
-    the degree, and ``signs`` the orientation signs of ``spaces.dofmap``.
-    The element matrices themselves exist only per row and per chunk of
-    elements, in ``combine``."""
+    the whole sweep as the geometry coefficients that ``TensorStack``
+    multiplies, one row per element class: ``mass``, ``visc`` and ``pen``
+    are (n_class, C) with C = 4, 88 and 37, and ``signs`` (n_class, n_loc)
+    the orientation signs of ``spaces.dofmap``. ``element_class`` (nt,)
+    int32 gives each element its class, numbered by first element. Two
+    elements share a class when everything that enters their local problems
+    is equal bit for bit: the 129 coefficients, the signs and det J
+    (``assemble_local_stacks``). ``tensors`` holds per form the upper
+    triangles (C, n_loc (n_loc + 1) / 2) of its reference tensors, which
+    depend only on the degree. The element matrices themselves exist only
+    per row and per chunk of elements: per element in ``combine``, per class
+    in ``class_matrices``."""
 
-    mass: np.ndarray  # (nt, 4)
+    mass: np.ndarray  # (n_class, 4)
     visc: np.ndarray  # gradient + consistency terms
     pen: np.ndarray  # jump penalty with 1/h_F included, alpha k^2 excluded
     tensors: dict = field(repr=False)
     signs: np.ndarray = field(repr=False)
-
-    def upper(self, form: str, sel=slice(None)) -> np.ndarray:
-        """The upper triangles (E, n_loc (n_loc + 1) / 2) of one form's
-        unsigned element matrices on the elements ``sel``: one GEMM."""
-        return getattr(self, form)[sel] @ self.tensors[form]
+    element_class: np.ndarray = field(repr=False)
 
     def stack(self, form: str) -> np.ndarray:
-        """The signed element matrices (nt, n_loc, n_loc) of one form."""
-        return signed_stack(self.upper(form), self.signs)
+        """The signed element matrices (nt, n_loc, n_loc) of one form: one
+        GEMM."""
+        upper = getattr(self, form)[self.element_class] @ self.tensors[form]
+        return signed_stack(upper, self.signs[self.element_class])
 
     def combine(self, p: ProblemParams, k: int, sel=slice(None)) -> np.ndarray:
         """The element matrices tau * mass + 2 mu * (visc + alpha k^2 * pen)
-        (E, n_loc, n_loc) of the elements ``sel``, by default all of them.
-        This is the one producer of a row's element matrices: static
-        condensation calls it per chunk of ``element_chunks``, and
-        ``BlockSystem.aloc`` for the whole mesh.
+        (E, n_loc, n_loc) of the elements ``sel``, by default all of them:
+        ``BlockSystem.aloc`` forms the whole mesh's with it, for
+        verification. Raises NotSPD as ``class_matrices`` does."""
+        return self._checked(p, k, self._combined(p, k, sel))
+
+    def class_matrices(
+        self, p: ProblemParams, k: int, classes: np.ndarray, elements: int
+    ) -> np.ndarray:
+        """The element matrices (C, n_loc, n_loc) of the classes ``classes``
+        of a chunk of ``elements`` elements, each form's GEMM at least
+        min(``elements``, ``_GEMM_ROWS``) rows tall, the classes repeated
+        (``element_chunks`` says why). Static condensation forms a row's
+        element matrices with it, per chunk of ``element_chunks``, for the
+        chunk's distinct classes.
 
         One GEMM per form, combined on the upper triangles, then signed and
         mirrored; a sign flip is exact, so this equals combining the signed
         stacks bit for bit. Raises NotSPD from ``_element_coercivity_check``;
         its text names the worst element over the whole mesh, whatever
-        ``sel`` is."""
-        a = self._combined(p, k, sel)
-        nt = self.mass.shape[0]
-        _element_coercivity_check(
-            a, lambda: (self._combined(p, k, c) for c in element_chunks(nt))
-        )
+        ``classes`` are."""
+        return self._checked(p, k, self._of_classes(p, k, classes, min(elements, _GEMM_ROWS)))
+
+    def _checked(self, p: ProblemParams, k: int, a: np.ndarray) -> np.ndarray:
+        nt = self.element_class.size
+
+        def chunks():  # every class's matrix, as static condensation forms it
+            for c in element_chunks(nt):
+                cls = np.unique(self.element_class[c])
+                yield self._of_classes(p, k, cls, min(c.stop - c.start, _GEMM_ROWS))
+
+        _element_coercivity_check(a, chunks)
         return a
 
     def _combined(self, p: ProblemParams, k: int, sel) -> np.ndarray:
-        a = self.upper("pen", sel)
+        return self._of_classes(p, k, self.element_class[sel], 0)
+
+    def _of_classes(self, p: ProblemParams, k: int, cls: np.ndarray, rows: int) -> np.ndarray:
+        n = cls.size
+        take = np.resize(cls, rows) if rows > n else cls
+
+        def upper(form):
+            return (getattr(self, form)[take] @ self.tensors[form])[:n]
+
+        a = upper("pen")
         a *= p.alpha * k * k
-        a += self.upper("visc", sel)
+        a += upper("visc")
         a *= 2.0 * p.mu
-        m = self.upper("mass", sel)
+        m = upper("mass")
         m *= p.tau
         a += m
-        return signed_stack(a, self.signs[sel])
+        return signed_stack(a, self.signs[cls])
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +460,11 @@ def free_rhs(pos: np.ndarray, stack: np.ndarray, n: int) -> np.ndarray:
 
 
 def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
+    """The sweep's ``LocalStacks``: the 129 geometry coefficients of every
+    element, then one row per class of elements whose coefficients,
+    orientation signs and det J are equal bit for bit (``distinct_rows``).
+    A mesh of translated copies of a few triangles, such as ``unit_square``
+    or ``step_domain`` at any 1/h, has two classes."""
     ref, dm, k = spaces.ref, spaces.dofmap, spaces.k
     j, det = mesh.jacobians, mesh.det_j
     o = sym_grad_maps(j, det)
@@ -438,10 +483,13 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
         pen.add(c2, uh=-tm, hat=hat)
     pen.add(np.ones((mesh.num_triangles, 1)), hh=np.eye(3 * k), hat=dm.hat_slots)
     forms = dict(mass=mass, visc=visc, pen=pen)
+    coef = {name: f.coefficients() for name, f in forms.items()}
+    first, element_class = distinct_rows(*coef.values(), dm.signs, det)
     return LocalStacks(
-        **{name: f.coefficients() for name, f in forms.items()},
+        **{name: c[first] for name, c in coef.items()},
         tensors={name: f.reference() for name, f in forms.items()},
-        signs=dm.signs,
+        signs=dm.signs[first],
+        element_class=element_class.astype(np.int32),
     )
 
 

@@ -23,17 +23,24 @@ all essential: ``trace_pattern`` expands each free edge to its unknowns, and
 keeps per element only where its rows start and the rank of each of its edges
 in them. ``eliminate_local`` then does one row's work. Condensation is
 element-local, so it streams the elements in chunks
-(``assembly.element_chunks``): per chunk it forms the element matrices
-(``LocalStacks.combine``, which also checks their coercivity), solves the
-local systems, computes where the condensed blocks go (``TracePattern.slots``)
-and adds them to A_g's data. The essential data g leaves the trace unknowns
-element by element: F_g is the sum of the element right sides minus the sum of
-each condensed block times its element's g, which is 0 at a free unknown. Only
-the trace right sides and the lifts, (nt, n_G) each, span the whole mesh, and
-only until F_g is summed; no whole-mesh element stack is formed, and the
-condensed system keeps no local solutions. ``back_substitute`` solves the
-local systems again, chunk by chunk with the same ``_local_solve``. Every
-result is bit-identical to one chunk.
+(``assembly.element_chunks``). Elements whose local problems are equal bit
+for bit share an element class (``LocalStacks.element_class``), and a chunk
+does the local work once per distinct pair of class and element load: it
+forms those element matrices (``LocalStacks.class_matrices``, which also
+checks their coercivity), solves their local systems and condenses them.
+A mesh of translated copies of two triangles, such as ``unit_square`` at any
+1/h, has two pairs per chunk without a body force, and a mesh with no two
+elements alike one pair per element. Per element the chunk then gathers the
+condensed blocks, computes where they go (``TracePattern.slots``) and adds
+them to A_g's data. The essential data g leaves the trace unknowns element by
+element: F_g is the sum of the element right sides minus the sum of each
+condensed block times its element's g, which is 0 at a free unknown, so only
+the elements with nonzero g are multiplied. Only the trace right sides and
+the lifts, (nt, n_G) each, span the whole mesh, and only until F_g is summed;
+no whole-mesh element stack is formed, and the condensed system keeps no
+local solutions. ``back_substitute`` solves the local systems again, chunk by
+chunk with the same ``_local_solve``. Every result is bit-identical to one
+chunk, and to solving every element's local system on its own.
 """
 
 import functools
@@ -52,7 +59,7 @@ from .assembly import (
     pressure_c_diagonal,
     scatter_pattern,
 )
-from .linalg import SparseSym
+from .linalg import SparseSym, distinct_rows
 from .spaces import EssentialData, Spaces, free_edge_rank
 
 
@@ -256,10 +263,14 @@ class CondensedSystem:
 
 
 def _local_solve(block: BlockSystem, g: np.ndarray, sel: slice):
-    """The local systems of the elements ``sel``: their element matrices
-    ``flat`` (E, n_loc^2) from ``LocalStacks.combine``, ``rhs`` = [K_LG |
-    F_L] (E, n_L, n_G + 1) and ``sol`` = K_LL^-1 rhs, with ``g`` the local
-    trace slots. The one local solve of condensation and back substitution."""
+    """The local systems of the elements ``sel``, solved once per distinct
+    pair of element class and element load (``distinct_rows``; without a
+    body force every element's load is the one broadcast zero, and the
+    pairs are the classes). Per pair: its element matrix ``flat`` (P,
+    n_loc^2) from ``LocalStacks.class_matrices``, ``rhs`` = [K_LG | F_L]
+    (P, n_L, n_G + 1) and ``sol`` = K_LL^-1 rhs, with ``g`` the local trace
+    slots; and ``pair`` (E,), the pair of each element. The one local solve
+    of condensation and back substitution."""
     spaces = block.spaces
     dm = spaces.dofmap
     n_int = dm.n_loc_int
@@ -271,19 +282,41 @@ def _local_solve(block: BlockSystem, g: np.ndarray, sel: slice):
     # flat positions in an element matrix of its (interior, trace) block
     lg = (np.arange(dm.n_loc)[ii, None] * dm.n_loc + g).ravel()
 
-    aloc = block.stacks.combine(block.params, spaces.k, sel)
+    stacks = block.stacks
+    cls = stacks.element_class[sel]
+    floc = block.floc[sel]
+    # rows that share their memory (the broadcast zero) are one load
+    first, pair = distinct_rows(cls, *(() if floc.strides[0] == 0 else (floc,)))
+    det = block.mesh.det_j[sel][first]
+
+    aloc = stacks.class_matrices(block.params, spaces.k, cls[first], cls.size)
     m = aloc.shape[0]
     k_ll = np.zeros((m, n_L, n_L))
     k_ll[:, :n_int, :n_int] = aloc[:, ii, ii]
     for r in range(n_d):
         k_ll[:, n_int + r, n_c + r] = -1.0
         k_ll[:, n_c + r, n_int + r] = -1.0
-        k_ll[:, n_int + r, n_int + r] = -block.params.inv_lambda * block.mesh.det_j[sel]
+        k_ll[:, n_int + r, n_int + r] = -block.params.inv_lambda * det
     rhs = np.zeros((m, n_L, n_G + 1))  # [K_LG | F_L]
     flat = aloc.reshape(m, -1)
     rhs[:, :n_int, :n_G] = flat[:, lg].reshape(m, n_int, n_G)
-    rhs[:, :n_int, n_G] = block.floc[sel, ii]
-    return flat, rhs, np.linalg.solve(k_ll, rhs)
+    rhs[:, :n_int, n_G] = floc[first][:, ii]
+    return flat, rhs, np.linalg.solve(k_ll, rhs), pair
+
+
+def _lifts(a_cond: np.ndarray, pair: np.ndarray, g_loc: np.ndarray) -> np.ndarray:
+    """The lifts (L, n_G) of L elements: the condensed blocks ``a_cond[pair]``
+    (rows of n_G^2 entries) times the elements' trace data ``g_loc``. The
+    products run in numpy's own matmul loop, not in BLAS, which rounds them
+    differently: the blocks are laid out element-fastest, with a spare
+    column, so that no block is contiguous, not even the only one. An
+    element whose data is 0 lifts +0.0, which adds nothing to F_g, so
+    ``eliminate_local`` multiplies only the others."""
+    n_el, n_G = g_loc.shape
+    buf = np.empty((n_G * n_G, n_el + 1))
+    buf[:, :n_el] = a_cond.T.take(pair, axis=1)
+    blocks = buf[:, :n_el].T.reshape(n_el, n_G, n_G)
+    return (blocks @ g_loc[:, :, None])[:, :, 0]
 
 
 def eliminate_local(
@@ -292,12 +325,14 @@ def eliminate_local(
     """Condense one row's saddle system; without ``structure`` (the traced
     benchmark, tests), its parameter-independent part is built here.
 
-    The elements run in chunks of ``element_chunks``. Each chunk forms its
-    element matrices and solves its local systems (``_local_solve``, whose
-    ``combine`` checks the matrices), adds its condensed blocks to A_g's
-    data and lifts the essential data through them: each element's condensed
-    block times its trace data, which is 0 at a free unknown. F_g sums the
-    element right sides first and subtracts the summed lifts after."""
+    The elements run in chunks of ``element_chunks``. Each chunk forms the
+    element matrices of its distinct (class, load) pairs and solves their
+    local systems (``_local_solve``, whose ``class_matrices`` checks the
+    matrices), and condenses each pair once. Per element it then gathers
+    the condensed blocks, adds them to A_g's data and lifts the essential
+    data through them: each element's condensed block times its trace data,
+    which is 0 at a free unknown. F_g sums the element right sides first and
+    subtracts the summed lifts after."""
     spaces = block.spaces
     if structure is None:
         structure = condensed_structure(spaces, block.essential)
@@ -312,18 +347,22 @@ def eliminate_local(
     g_ess = ess.full_vector()  # 0 at a free unknown
 
     f_g_loc = np.empty((nt, n_G))
-    lift_loc = np.empty((nt, n_G))  # per element A_cond g
+    lift_loc = np.zeros((nt, n_G))  # per element A_cond g
     a_data = structure.a_g.zeros()
     for sel in element_chunks(nt):
-        flat, rhs, sol = _local_solve(block, g, sel)
+        flat, rhs, sol, pair = _local_solve(block, g, sel)
         m = flat.shape[0]
         k_gl = np.swapaxes(rhs[:, :, :n_G], 1, 2)
-        a_cond = flat[:, gg].reshape(m, n_G, n_G)
+        a_cond = flat[:, gg].reshape(m, n_G * n_G)
         del flat  # each temporary goes before the next one is made
-        a_cond -= k_gl @ sol[:, :, :n_G]
-        f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[:, :, n_G, None])[:, :, 0]
-        lift_loc[sel] = (a_cond @ g_ess[structure.g_slots[sel], None])[:, :, 0]
-        structure.a_g.add(a_data, a_cond, sel)
+        a_cond -= (k_gl @ sol[:, :, :n_G]).reshape(m, -1)
+        f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[:, :, n_G, None])[pair, :, 0]
+        del rhs, sol
+        g_loc = g_ess[structure.g_slots[sel]]
+        lifted = np.flatnonzero(g_loc.any(axis=1))
+        if lifted.size:
+            lift_loc[sel][lifted] = _lifts(a_cond, pair[lifted], g_loc[lifted])
+        structure.a_g.add(a_data, a_cond[pair], sel)
 
     g_pos = ess.pos[structure.g_slots]
     n_g = structure.free_cond.size
@@ -360,7 +399,8 @@ def back_substitute(
     g_loc = g_full[cond.structure.g_slots]
     u_l = np.empty((nt, n_int + spaces.ref.n_int_d))
     for sel in element_chunks(nt):
-        sol = _local_solve(cond.block, g, sel)[2]
+        _, _, sol, pair = _local_solve(cond.block, g, sel)
+        sol = sol[pair]
         u_l[sel] = sol[:, :, n_G] - np.einsum("tlg,tg->tl", sol[:, :, :n_G], g_loc[sel])
 
     vel = np.zeros(split.n_vel)

@@ -61,9 +61,12 @@ patch's edges the rank of one among the other's neighbours), N, and the RCM
 orders of both banded factors. ``build_asp`` and ``build_schur`` then do one
 row's work: the scalar auxiliary operator and its factor, the patch blocks
 gathered from A_g's data at positions computed from its row starts, batch by
-batch, with the blocks inverted, each colour's row slice of A_g, and the
-Schur inner factor; the library calls them from ``bench.Structure.row``. Called
-without a structure (the traced benchmark, tests), they build it first.
+batch, each distinct block of a batch inverted once (``linalg.distinct_rows``:
+a mesh of translated copies of two triangles has only a few distinct patch
+blocks, 14 among 287 patches on the unit square at 1/h=16 and k=2), each
+colour's row slice of A_g, and the Schur inner factor; the library calls them
+from ``bench.Structure.row``. Called without a structure (the traced
+benchmark, tests), they build it first.
 """
 
 from dataclasses import dataclass, field
@@ -73,7 +76,7 @@ import scipy.sparse as sp
 
 from .assembly import AuxSpace, ProblemParams, aux_space, position_map, scatter_stack
 from .condense import CondensedSystem, block_positions, trace_layout
-from .linalg import SparseSym, SpdFactor, factor_spd, rcm_order
+from .linalg import SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
 from .spaces import EssentialData, Spaces, free_edge_rank
 
@@ -267,7 +270,9 @@ def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> np.
     """The inverses of the blocks of ``a`` on P patches of d free edges, with
     unknowns ``rows`` and edge ranks ``rank`` (P, d, d), in batches of
     patches: their positions follow from ``a``'s row starts, and an entry
-    outside its pattern is 0."""
+    outside its pattern is 0. Each distinct block of a batch is inverted
+    once (``distinct_rows``) and its inverse copied to every patch that has
+    it, so patches with equal blocks get equal bits."""
     p, d, _ = rank.shape
     rows = rows.reshape(p, -1)
     m = rows.shape[1]  # d (2k+1)
@@ -279,7 +284,8 @@ def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> np.
         pos = block_positions(a.indptr.take(rows[batch]), rank[batch], layout, a.nnz)
         blocks = a.data.take(pos, mode="clip")
         blocks[pos == a.nnz] = 0.0
-        inv[batch] = np.linalg.inv(blocks)
+        first, inverse = distinct_rows(blocks)
+        np.take(np.linalg.inv(blocks[first]), inverse, axis=0, out=inv[batch])
     return inv
 
 
