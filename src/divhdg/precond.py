@@ -13,7 +13,16 @@ colour forms its residual from ``a_fwd``, its row slice of A_g restricted to
 those columns: empty for the first colour and the whole slice for the last
 (every unknown lies in two patches of different colours).  The dropped terms
 are products with +0.0, so the sums are unchanged.  The backward pass uses
-the whole slices.  Pointwise Jacobi is the one alternative smoother.
+the whole slices.  The patches of one colour and size whose blocks of A_g
+are equal bit for bit form a class, and a mesh of translated copies of two
+triangles has few (14 among 287 patches on the unit square at 1/h=16 and
+k=2).  A class of at least ``_CLASS_MIN`` patches is one slice of the
+colour's rows, solved with one GEMM against its one inverse.  The other
+patches of each size form a tail, each patch with its own inverse, solved
+by one batched matrix-vector product.  A GEMM rounds otherwise than that
+product, so classes move the iterates by rounding; on a mesh with no
+repeated patch every patch is in a tail and the sweep keeps its bits.
+Pointwise Jacobi is the one alternative smoother.
 
 Pi injects a piecewise-linear field through the edge-trace projections of
 ``refbasis.FacetBasis``, the same ones that define the essential boundary
@@ -59,14 +68,14 @@ sweep: Pi and its transpose, the scalar auxiliary space's pattern, the
 patches' colours as free edges (each colour's unknowns, and per pair of a
 patch's edges the rank of one among the other's neighbours), N, and the RCM
 orders of both banded factors. ``build_asp`` and ``build_schur`` then do one
-row's work: the scalar auxiliary operator and its factor, the patch blocks
-gathered from A_g's data at positions computed from its row starts, batch by
-batch, each distinct block of a batch inverted once (``linalg.distinct_rows``:
-a mesh of translated copies of two triangles has only a few distinct patch
-blocks, 14 among 287 patches on the unit square at 1/h=16 and k=2), each
-colour's row slice of A_g, and the Schur inner factor; the library calls them
-from ``bench.Structure.row``. Called without a structure (the traced
-benchmark, tests), they build it first.
+row's work: the scalar auxiliary operator and its factor; the patch blocks,
+gathered from A_g's data at positions computed from its row starts batch by
+batch and classed exactly (``linalg.distinct_rows`` within each batch, then
+across the batches' first blocks), each class's block inverted once and the
+colours' rows ordered by class; each colour's row slice of A_g; and the
+Schur inner factor.  The library calls them from ``bench.Structure.row``.
+Called without a structure (the traced benchmark, tests), they build it
+first.
 """
 
 from dataclasses import dataclass, field
@@ -203,30 +212,42 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # computes at once: 2 MB of float64
 _BATCH = 1 << 18
 
+# the fewest patches of one colour and size with equal blocks that the sweep
+# solves as one class, with one GEMM against their one inverse; a smaller
+# class joins the tail, whose patches each keep their own inverse
+_CLASS_MIN = 8
+
 
 @dataclass(frozen=True)
 class _Colour:
     """One row's colour of the patch smoother.  ``rows`` holds the unknowns
-    of its patches, grouped by patch size: group ``(lo, hi, inv)`` covers
-    ``rows[lo:hi]`` as P patches of m unknowns, with ``inv`` (P, m, m) the
-    inverses of their blocks of A_g.  ``a_rows`` is its row slice of A_g,
-    and ``a_fwd`` those rows on the columns of the earlier colours, the only
+    of its patches, per patch size first the classes, then the tail
+    (``_ColourPattern.fill``).  Class ``(lo, hi, inv)`` covers ``rows[lo:hi]``
+    as at least ``_CLASS_MIN`` patches of m unknowns with equal blocks of
+    A_g, and ``inv`` (m, m) is the inverse of that block.  Tail ``(lo, hi,
+    inv)`` covers ``rows[lo:hi]`` as P patches, with ``inv`` (P, m, m) the
+    inverses of their blocks.  ``a_rows`` is its row slice of A_g, and
+    ``a_fwd`` those rows on the columns of the earlier colours, the only
     ones where the forward pass's iterate can be nonzero."""
 
     rows: np.ndarray
-    groups: list
+    classes: list
+    tails: list
     a_rows: sp.csr_matrix
     a_fwd: sp.csr_matrix
 
     def correct(self, r: np.ndarray, z: np.ndarray, a: sp.csr_matrix) -> None:
         """Exact block solves on every patch of the colour at once, with the
-        residual rows ``r[rows] - a @ z``.  Patches of one colour share no
+        residual rows ``r[rows] - a @ z``: one GEMM per class, one batched
+        matrix-vector product per tail.  Patches of one colour share no
         unknown and no A_g coupling, so this equals visiting them one by
         one."""
         res = r[self.rows]
         if a.nnz:
             res -= a @ z
-        for lo, hi, inv in self.groups:
+        for lo, hi, inv in self.classes:
+            res[lo:hi] = (res[lo:hi].reshape(-1, inv.shape[0]) @ inv.T).ravel()
+        for lo, hi, inv in self.tails:
             p, m, _ = inv.shape
             res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
         z[self.rows] += res
@@ -248,11 +269,32 @@ class _ColourPattern:
 
     def fill(self, a: sp.csr_matrix, first: np.ndarray, c: int) -> _Colour:
         """Colour ``c`` of the row whose A_g is ``a``; ``first`` holds the
-        first colour of each unknown."""
-        a_rows = a[self.rows]
+        first colour of each unknown.  Per group, the patches of each class
+        of at least ``_CLASS_MIN`` patches become one slice of the rows, in
+        the order of the classes' first patches, and the other patches
+        follow in their given order."""
+        rows, classes, tails, lo = [], [], [], 0
+        for glo, ghi, rank in self.groups:
+            ids = self.rows[glo:ghi].reshape(rank.shape[0], -1)
+            m = ids.shape[1]
+            cls, inv = _block_inverses(a, ids, rank)
+            size = np.bincount(cls)
+            big = np.flatnonzero(size >= _CLASS_MIN)
+            order = np.argsort(np.where(size[cls] >= _CLASS_MIN, cls, size.size), kind="stable")
+            for j in big:
+                hi = lo + m * int(size[j])
+                classes.append((lo, hi, inv[j].copy()))
+                lo = hi
+            tail = order[int(size[big].sum()) :]
+            if tail.size:
+                hi = lo + m * tail.size
+                tails.append((lo, hi, inv[cls[tail]]))
+                lo = hi
+            rows.append(ids[order].ravel())
+        rows = np.concatenate(rows)
+        a_rows = a[rows]
         a_fwd = _earlier_columns(a_rows, first, c)
-        groups = [(lo, hi, _block_inverses(a, self.rows[lo:hi], r)) for lo, hi, r in self.groups]
-        return _Colour(rows=self.rows, groups=groups, a_rows=a_rows, a_fwd=a_fwd)
+        return _Colour(rows=rows, classes=classes, tails=tails, a_rows=a_rows, a_fwd=a_fwd)
 
 
 def _earlier_columns(m: sp.csr_matrix, first: np.ndarray, c: int) -> sp.csr_matrix:
@@ -266,18 +308,21 @@ def _earlier_columns(m: sp.csr_matrix, first: np.ndarray, c: int) -> sp.csr_matr
     return sp.csr_matrix((m.data.take(sel), m.indices.take(sel), ptr), shape=m.shape)
 
 
-def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The inverses of the blocks of ``a`` on P patches of d free edges, with
-    unknowns ``rows`` and edge ranks ``rank`` (P, d, d), in batches of
+def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> tuple:
+    """The blocks of ``a`` on P patches of d free edges, with unknowns
+    ``rows`` (P, m) and edge ranks ``rank`` (P, d, d), as their exact
+    classes: the class of each patch (P,), numbered by first patch, and
+    each class's inverse (C, m, m).  The blocks are gathered in batches of
     patches: their positions follow from ``a``'s row starts, and an entry
-    outside its pattern is 0. Each distinct block of a batch is inverted
-    once (``distinct_rows``) and its inverse copied to every patch that has
-    it, so patches with equal blocks get equal bits."""
+    outside its pattern is 0.  ``distinct_rows`` classes each batch's
+    blocks, and once more the first blocks of the batches' classes, so
+    equal blocks share a class wherever they lie; each class's block is
+    inverted once."""
     p, d, _ = rank.shape
-    rows = rows.reshape(p, -1)
     m = rows.shape[1]  # d (2k+1)
     layout = trace_layout(m // d // 2, d, by_edge=True)
-    inv = np.empty((p, m, m))
+    cls = np.empty(p, np.intp)
+    reps = []
     step = max(1, _BATCH // (m * m))
     for lo in range(0, p, step):
         batch = slice(lo, lo + step)
@@ -285,8 +330,11 @@ def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> np.
         blocks = a.data.take(pos, mode="clip")
         blocks[pos == a.nnz] = 0.0
         first, inverse = distinct_rows(blocks)
-        np.take(np.linalg.inv(blocks[first]), inverse, axis=0, out=inv[batch])
-    return inv
+        cls[batch] = inverse + sum(r.shape[0] for r in reps)
+        reps.append(blocks[first])
+    reps = np.concatenate(reps)
+    first, inverse = distinct_rows(reps)
+    return inverse[cls], np.linalg.inv(reps[first])
 
 
 @dataclass

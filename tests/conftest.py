@@ -73,3 +73,28 @@ def cavity22():
 def cavity22_stokes():
     """unit_square(2), k=2, tau=1, 1/lambda=0: enclosed incompressible."""
     return pipeline("cavity", 2, 2, tau=1.0, inv_lambda=0.0)
+
+
+def patch_groups(colour):
+    """A filled ``precond._Colour``'s block inverses per patch, as (lo, hi,
+    inv) in row order with ``inv`` (P, m, m): each class's one inverse
+    repeated for every patch of the class, and the tails as they are."""
+    classes = [
+        (lo, hi, np.repeat(inv[None], (hi - lo) // inv.shape[0], axis=0))
+        for lo, hi, inv in colour.classes
+    ]
+    return sorted(classes + colour.tails, key=lambda g: g[0])
+
+
+def patch_inverses(colour, ids):
+    """(P, m, m): the inverses that the filled ``colour`` applies to its
+    patches whose unknowns are ``ids`` (P, m); each patch must lie whole in
+    the colour's rows, found there by its first unknown."""
+    at = {}
+    for lo, _, inv in patch_groups(colour):
+        at.update((lo + i * inv.shape[1], b) for i, b in enumerate(inv))
+    slot = np.empty(colour.rows.max() + 1, np.intp)
+    slot[colour.rows] = np.arange(colour.rows.size)
+    start = slot[ids[:, 0]]
+    assert np.array_equal(colour.rows[start[:, None] + np.arange(ids.shape[1])], ids)
+    return np.stack([at[s] for s in start])

@@ -1,7 +1,7 @@
 """Set-up by element class. ``linalg.distinct_rows`` classes rows exactly;
 static condensation solves one local problem per distinct (element class,
 element load) pair of a chunk, and the patch smoother inverts each distinct
-block of a batch once. Every result keeps the bits of the former
+block of a group of patches once. Every result keeps the bits of the former
 per-element and per-patch work, kept verbatim below as reference."""
 
 import numpy as np
@@ -31,7 +31,7 @@ from divhdg.mesh import step_domain, unit_square
 from divhdg.precond import asp_structure, build_asp, schur_structure
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import jittered_square
+from conftest import jittered_square, patch_inverses
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,8 @@ class TestBitIdentity:
         cond, asp, _ = s.row(ProblemParams(mu=0.7, tau=3.0, inv_lambda=1e-2))
         a = cond.A_g.csr
         for pattern, colour in zip(s.asp.colours, asp.colours):
-            for (lo, hi, rank), (_, _, inv) in zip(pattern.groups, colour.groups):
+            for lo, hi, rank in pattern.groups:
+                inv = patch_inverses(colour, pattern.rows[lo:hi].reshape(rank.shape[0], -1))
                 assert np.array_equal(inv, _former_block_inverses(a, pattern.rows[lo:hi], rank))
 
 
@@ -352,20 +353,21 @@ class _Spy:
 
 
 def _distinct_blocks(a, rows, rank):
-    """The number of distinct blocks in each batch of ``_block_inverses``,
-    gathered as ``_former_block_inverses`` gathers them."""
+    """The number of distinct blocks of one group of patches, which
+    ``_block_inverses`` inverts once each, gathered batch by batch as
+    ``_former_block_inverses`` gathers them."""
     p, d, _ = rank.shape
     rows = rows.reshape(p, -1)
     m = rows.shape[1]
     layout = trace_layout(m // d // 2, d, by_edge=True)
     step = max(1, precond._BATCH // (m * m))
-    counts = []
+    blocks = []
     for lo in range(0, p, step):
         pos = block_positions(a.indptr.take(rows[lo : lo + step]), rank[lo : lo + step], layout, a.nnz)
-        blocks = a.data.take(pos, mode="clip")
-        blocks[pos == a.nnz] = 0.0
-        counts.append(len(np.unique(blocks.reshape(len(blocks), -1).view(np.uint64), axis=0)))
-    return counts
+        blocks.append(a.data.take(pos, mode="clip"))
+        blocks[-1][pos == a.nnz] = 0.0
+    blocks = np.concatenate(blocks)
+    return len(np.unique(blocks.reshape(len(blocks), -1).view(np.uint64), axis=0))
 
 
 class TestWorkCounts:
@@ -406,10 +408,9 @@ class TestWorkCounts:
         spy = _Spy(monkeypatch, "inv")
         build_asp(cond, structure=s.asp)
         want = [
-            c
+            _distinct_blocks(cond.A_g.csr, pattern.rows[lo:hi], rank)
             for pattern in s.asp.colours
             for lo, hi, rank in pattern.groups
-            for c in _distinct_blocks(cond.A_g.csr, pattern.rows[lo:hi], rank)
         ]
         assert spy.sizes == want
         assert sum(spy.sizes) == total

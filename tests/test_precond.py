@@ -20,7 +20,7 @@ from divhdg.precond import (
 )
 from divhdg.spaces import build_spaces, free_edge_rank, interpolate_essential
 
-from conftest import jittered_square, pipeline, wall_triangle
+from conftest import jittered_square, patch_inverses, pipeline, wall_triangle
 
 
 def _one_triangle():
@@ -623,16 +623,18 @@ class TestPatchPositions:
         outside = 0
         done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
         for pattern, blk in zip(structure.colours, build_asp(cond).colours):
-            assert np.array_equal(pattern.rows, blk.rows)
-            for (lo, hi, rank), (_, _, inv) in zip(pattern.groups, blk.groups):
+            # the row holds the colour's patches whole, perhaps reordered
+            assert np.array_equal(np.sort(pattern.rows), np.sort(blk.rows))
+            for lo, hi, rank in pattern.groups:
                 p, d, _ = rank.shape
                 want = _fancy_block(a, pattern.rows[lo:hi], (hi - lo) // p)
+                inv = patch_inverses(blk, pattern.rows[lo:hi].reshape(p, -1))
                 assert np.array_equal(inv, np.linalg.inv(want))
                 # two edges of one patch that share no triangle do not couple
                 uncoupled = np.repeat(np.repeat(rank < 0, 2 * k + 1, axis=1), 2 * k + 1, axis=2)
                 assert np.all(want[uncoupled] == 0.0)
                 outside += np.count_nonzero(uncoupled)
-            want_rows = a[pattern.rows]
+            want_rows = a[blk.rows]
             assert np.array_equal(blk.a_rows.indptr, want_rows.indptr)
             assert np.array_equal(blk.a_rows.indices, want_rows.indices)
             assert np.array_equal(blk.a_rows.data, want_rows.data)
@@ -642,16 +644,22 @@ class TestPatchPositions:
             done[pattern.rows] = True
         assert outside > 0
 
-    def test_batches_give_the_same_inverses(self, monkeypatch):
+    @pytest.mark.parametrize("problem,n,k", [("step", 2, 3), ("cavity", 16, 2)])
+    def test_batches_give_the_same_inverses(self, monkeypatch, problem, n, k):
         # a row computes the blocks batch by batch; one patch per batch gives
-        # the same bits as whole groups
-        *_, cond = pipeline("step", 2, 3)
+        # the same classes, order and bits as whole groups (only the cavity
+        # at 1/h=16 has classes of _CLASS_MIN patches)
+        *_, cond = pipeline(problem, n, k)
         structure = _structure(cond)
         whole = build_asp(cond, structure=structure)
         monkeypatch.setattr(precond, "_BATCH", 1)
         for blk, ref in zip(build_asp(cond, structure=structure).colours, whole.colours):
-            for (_, _, inv), (_, _, want) in zip(blk.groups, ref.groups):
-                assert np.array_equal(inv, want)
+            assert np.array_equal(blk.rows, ref.rows)
+            assert len(blk.classes) == len(ref.classes) and len(blk.tails) == len(ref.tails)
+            for (lo, hi, inv), want in zip(blk.classes + blk.tails, ref.classes + ref.tails):
+                assert (lo, hi) == want[:2]
+                assert np.array_equal(inv, want[2])
+        assert any(blk.classes for blk in whole.colours) == (problem == "cavity")
 
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)

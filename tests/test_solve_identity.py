@@ -19,7 +19,7 @@ from divhdg.precond import build_asp, build_schur
 from divhdg.prng import XorShift
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import pipeline
+from conftest import patch_groups, pipeline
 
 
 def _former_minres(apply_k, apply_pinv, b, *, tol=1e-8, maxit=1000, seed=0, project=None):
@@ -122,7 +122,7 @@ def _former_solve(factor, b):
 
 def _former_correct(blk, r, z):
     res = r[blk.rows] - blk.a_rows @ z
-    for lo, hi, inv in blk.groups:
+    for lo, hi, inv in patch_groups(blk):
         p, m, _ = inv.shape
         res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
     z[blk.rows] += res
@@ -217,6 +217,10 @@ class TestIterateBitIdentical:
     def test_equal_to_former_solve(self, problem, inv_h, k, tau, invl, smoother, deflates):
         *_, cond = pipeline(problem, inv_h, k, tau=tau, inv_lambda=invl)
         asp = build_asp(cond, smoother=smoother)
+        # these meshes hold no class of _CLASS_MIN patches, so every patch
+        # takes the former batched product; tests/test_patch_classes.py
+        # bounds the GEMM of a class
+        assert not any(blk.classes for blk in asp.colours or [])
         schur = build_schur(cond.spaces.mesh, cond.block.params)
         assert schur.deflate is deflates
         x, rep = solve_condensed(cond, asp, schur, tol=1e-8, maxit=1000, seed=3)
