@@ -531,13 +531,13 @@ class BlockSystem:
 
     floc holds the signed element right sides (without a body force, a
     read-only broadcast zero that takes no memory), and ``stacks`` the sweep's
-    element forms, from which static condensation forms the element matrices
-    chunk by chunk with ``LocalStacks.combine``. The whole-mesh element stack
-    ``aloc``, the reduced velocity block A (over free velocity unknowns, at
-    their ``essential.pos`` positions), its right side F_u, the reduced
-    pressure coupling B, its right side F_p and the compressibility block C
-    are built on first access, for verification: the condensed solve never
-    forms them.
+    element forms, from which static condensation forms the matrices of each
+    chunk's element classes (``LocalStacks.class_matrices``). The whole-mesh
+    element stack ``aloc``, the reduced velocity block A (over free velocity
+    unknowns, at their ``essential.pos`` positions), its right side F_u, the
+    reduced pressure coupling B, its right side F_p and the compressibility
+    block C are built on first access, for verification: the condensed solve
+    never forms them.
     """
 
     floc: np.ndarray = field(repr=False)

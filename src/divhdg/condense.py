@@ -20,9 +20,10 @@ essential data, built once per sweep: the trace slots, A_g's pattern
 (``TracePattern``) and B_g with its right side. A_g's pattern follows from the
 graph of the free edges, since each edge's 2k+1 trace unknowns are all free or
 all essential: ``trace_pattern`` expands each free edge to its unknowns, and
-keeps per element only where its rows start and the rank of each of its edges
-in them. ``eliminate_local`` then does one row's work. Condensation is
-element-local, so it streams the elements in chunks
+keeps the graph, and per element only where its rows start and the
+``edge_ranks`` of its edges, read from the graph as the vertex patches' of
+``precond.asp_structure`` are. ``eliminate_local`` then does one row's work.
+Condensation is element-local, so it streams the elements in chunks
 (``assembly.element_chunks``). Elements whose local problems are equal bit
 for bit share an element class (``LocalStacks.element_class``), and a chunk
 does the local work once per distinct pair of class and element load: it
@@ -56,11 +57,12 @@ from .assembly import (
     assemble_pressure_ops,
     element_chunks,
     free_rhs,
+    position_map,
     pressure_c_diagonal,
     scatter_pattern,
 )
 from .linalg import SparseSym, distinct_rows
-from .spaces import EssentialData, Spaces, free_edge_rank
+from .spaces import EssentialData, Spaces, free_edge_rank, free_edge_unknowns
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,16 @@ class TracePattern(CsrPattern):
     goes in it, computed per chunk by ``slots`` from two small tables:
     ``row_start`` (nt, n_G), the position in A_g's data where the row of each
     element trace unknown starts (nnz for an essential one), and
-    ``edge_rank`` (nt, 3, 3) int8, the rank of local edge lb's unknowns among
-    the neighbour edges in the rows of local edge la's unknowns (-1 for an
-    essential edge). A row of a free edge's unknown holds the normal modes of
-    its d neighbour edges (the free edges that share an element with it) in
-    rank order, then their tangential modes."""
+    ``edge_rank`` (nt, 3, 3) int8, the ``edge_ranks`` of its three edges.
+    The ``graph`` (n_fe, n_fe) bool of the ``free_edges`` (the mesh edge of
+    each rank) pairs each with its neighbour edges, itself included: the
+    free edges that share an element with it. A row of A_g holds the
+    unknowns of its edge's neighbours (``free_edge_unknowns`` of their ranks)."""
 
     row_start: np.ndarray
     edge_rank: np.ndarray
+    free_edges: np.ndarray
+    graph: sp.csr_matrix
 
     def slots(self, sel=slice(None)) -> np.ndarray:
         """(E, n_G^2) positions in A_g's data of the condensed blocks of the
@@ -133,14 +137,13 @@ def block_positions(
     edges' trace unknowns, rows and columns in ``layout``'s order, and nnz
     for an entry outside A_g's pattern. ``start`` (B, n) is where the row of
     each unknown starts in the data (nnz for an essential one), and ``rank``
-    (B, n_e, n_e) int8 the rank of edge c among the neighbour edges in the
-    rows of edge r, -1 when either is essential or they share no element.
+    (B, n_e, n_e) int8 the lists' ``edge_ranks``.
 
-    A row of a free edge with d neighbour edges holds their normal modes at
-    rank (k+1) + b, then their tangential modes at d (k+1) + rank k + j. An
-    edge's normal rows are consecutive, so the step between the starts of its
-    first two is that row's length, d (2k+1); 0 for an essential edge, whose
-    rows start at nnz."""
+    A row of a free edge with d neighbour edges holds their unknowns at the
+    ``free_edge_unknowns`` of their ranks among the d, here per place in
+    ``layout``. An edge's normal rows are consecutive, so the step between
+    the starts of its first two is that row's length, d (2k+1); 0 for an
+    essential edge, whose rows start at nnz."""
     edge, width, mode, tangential, first = layout
     k = int(width[0]) - 1
     dt = np.int32 if 8 * nnz < 2**31 else np.int64
@@ -154,32 +157,46 @@ def block_positions(
     return np.minimum(out, nnz, out=out)
 
 
+def edge_ranks(graph: sp.csr_matrix, edges: np.ndarray) -> np.ndarray:
+    """(B, d, d) int8: for B lists of d free-edge ranks ``edges`` (-1 for an
+    essential edge), the rank of edge c among the neighbour edges of edge r
+    in the free-edge ``graph``, -1 when either is essential or the two share
+    no element: the pair's position in the graph, from its ``position_map``,
+    less where row r starts."""
+    r, c = np.broadcast_arrays(edges[:, :, None], edges[:, None, :])
+    free = (r >= 0) & (c >= 0)
+    if not free.any():  # every edge essential, as on a mesh with no free edge
+        return np.full(r.shape, -1, np.int8)
+    pos = position_map(graph)[np.maximum(r, 0).ravel(), np.maximum(c, 0).ravel()]
+    pos = np.asarray(pos).reshape(r.shape) - 1  # -1 outside the graph
+    return np.where(free & (pos >= 0), pos - graph.indptr[r], -1).astype(np.int8)
+
+
 def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -> TracePattern:
     """A_g's pattern from the free-edge graph, for the element trace unknowns
-    at the free positions ``g_pos`` (nt, n_G). The graph is one
-    ``scatter_pattern`` of the (nt, 3) free-edge ranks; each free edge then
-    expands to its 2k+1 unknowns at the free positions that
-    ``free_edge_rank`` gives them (it raises ValueError unless each edge's
-    unknowns are all free or all essential)."""
+    at the free positions ``g_pos`` (nt, n_G). The graph is the pattern of
+    one ``scatter_pattern`` of the (nt, 3) free-edge ranks; each free edge
+    then expands to its 2k+1 unknowns at the free positions that
+    ``free_edge_unknowns`` gives them (``free_edge_rank`` raises ValueError
+    unless each edge's unknowns are all free or all essential)."""
     mesh, k = spaces.mesh, spaces.k
     n = 2 * k + 1
     erank = free_edge_rank(spaces.split, essential)
-    n_fe = int(np.count_nonzero(erank >= 0))
+    free_edges = np.flatnonzero(erank >= 0)
+    n_fe = free_edges.size
     tri_rank = erank[mesh.tri_edges]
-    graph = scatter_pattern(tri_rank, n_fe)
+    graph = position_map(scatter_pattern(tri_rank, n_fe)).astype(bool)
     deg = np.diff(graph.indptr)
     nnz = n * n * graph.nnz  # each neighbour pair: 2k+1 rows by 2k+1 columns
     idx = np.int32 if nnz < 2**31 else np.int64
 
     # each free edge's columns, one row padded with -1 to the largest degree:
-    # the normal modes of its d neighbour edges in rank order, then their
-    # tangential modes from d (k+1) on
-    row = np.repeat(np.arange(n_fe), deg)[:, None]  # the edge of each neighbour
-    rank = np.arange(graph.nnz)[:, None] - graph.indptr[row]
-    nb = graph.indices[:, None].astype(idx)
+    # its d neighbour edges' unknowns, laid out by their ranks among the d
+    row = np.repeat(np.arange(n_fe), deg)  # the edge of each neighbour
+    rank = np.arange(graph.nnz) - graph.indptr[row]
     cols = np.full((n_fe, n * deg.max(initial=0)), -1, idx)
-    cols[row, rank * (k + 1) + np.arange(k + 1)] = nb * (k + 1) + np.arange(k + 1)
-    cols[row, deg[row] * (k + 1) + rank * k + np.arange(k)] = n_fe * (k + 1) + nb * k + np.arange(k)
+    nb = free_edge_unknowns(graph.indices, n_fe, k)  # (nnz, 2k+1): each neighbour's unknowns
+    cols[row[:, None], free_edge_unknowns(rank, deg[row], k)] = nb
 
     # the rows of A_g: each free edge's k+1 normal rows, then each one's k
     # tangential rows, every row its edge's columns
@@ -194,15 +211,15 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
         del rows  # before the next copies are made
         lo = hi
 
-    slot = graph.slot.reshape(-1, 3, 3)
-    in_row = slot - graph.indptr[tri_rank][:, :, None]
     return TracePattern(
         indptr=indptr,
         indices=indices,
         shape=(n * n_fe, n * n_fe),
         # an essential unknown's position -1 reads indptr[-1] = nnz
         row_start=indptr[g_pos],
-        edge_rank=np.where(slot < graph.nnz, in_row, -1).astype(np.int8),
+        edge_rank=edge_ranks(graph, tri_rank),
+        free_edges=free_edges,
+        graph=graph,
     )
 
 

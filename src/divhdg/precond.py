@@ -84,10 +84,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import AuxSpace, ProblemParams, aux_space, position_map, scatter_stack
-from .condense import CondensedSystem, block_positions, trace_layout
+from .condense import CondensedSystem, TracePattern, block_positions, edge_ranks, trace_layout
 from .linalg import SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
-from .spaces import EssentialData, Spaces, free_edge_rank
+from .spaces import EssentialData, Spaces, free_edge_unknowns
 
 # no compiled smoother kernel exists; the name stays for benchmark scripts
 # that record it in their environment line
@@ -259,10 +259,8 @@ class _ColourPattern:
     holds the unknowns of its patches as in ``_Colour``, grouped by the
     patches' number d of free edges.  Group ``(lo, hi, rank)`` covers
     ``rows[lo:hi]`` as P patches of d (2k+1) unknowns, each free edge's in
-    turn, and ``rank`` (P, d, d) int8 is the rank of a patch's edge c among
-    the neighbour edges in the rows of its edge r, -1 when the two share no
-    element (``condense.block_positions``).  ``fill`` gives one row's
-    ``_Colour``."""
+    turn, and ``rank`` (P, d, d) int8 holds their ``condense.edge_ranks``.
+    ``fill`` gives one row's ``_Colour``."""
 
     rows: np.ndarray
     groups: list
@@ -369,20 +367,6 @@ class AspPrecond:
         return z
 
 
-def _edge_graph(a_g, k: int, n_fe: int) -> sp.csr_matrix:
-    """The graph of the n_fe free edges in A_g's pattern (``a_g``, laid out
-    as ``condense.trace_pattern`` lays it out), each edge its own neighbour:
-    the first normal row of free edge r, row r (k+1), holds the normal modes
-    of its d neighbour edges in rank order, mode 0 of each at every (k+1)-th
-    of its first d (k+1) columns."""
-    start = a_g.indptr[: n_fe * (k + 1) : k + 1]
-    deg = (a_g.indptr[1 : n_fe * (k + 1) + 1 : k + 1] - start) // (2 * k + 1)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
-    rank = np.arange(indptr[-1]) - np.repeat(indptr[:-1], deg)
-    indices = a_g.indices.take(np.repeat(start, deg) + rank * (k + 1)) // (k + 1)
-    return sp.csr_matrix((np.ones(indices.size, bool), indices, indptr), shape=(n_fe, n_fe))
-
-
 def _colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
     """Greedy colouring of the patches, in their given order.  Two patches
     conflict if they share a free edge or A_g couples their unknowns: a
@@ -408,19 +392,6 @@ def _colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
     return np.array(colour, np.int64)
 
 
-def _spoke_ranks(spokes: np.ndarray, graph: sp.csr_matrix) -> np.ndarray:
-    """(P, d, d) int8: for P patches of d free edges ``spokes``, the rank of
-    edge c among the neighbours of edge r in ``graph``, -1 if it is not
-    one.  Each row of the graph is sorted, so the pairs (r, c) of its
-    entries, as r n_fe + c, are sorted too."""
-    n_fe = graph.shape[0]
-    keys = np.repeat(np.arange(n_fe, dtype=np.int64), np.diff(graph.indptr)) * n_fe + graph.indices
-    pairs = spokes[:, :, None].astype(np.int64) * n_fe + spokes[:, None, :]
-    at = np.searchsorted(keys, pairs)
-    found = keys.take(at, mode="clip") == pairs
-    return np.where(found, at - graph.indptr[spokes][:, :, None], -1).astype(np.int8)
-
-
 def _colour_patterns(offsets, spokes, colour, edofs, graph) -> tuple:
     """The colours' ``_ColourPattern``s and, per free unknown, the first
     colour that holds it (one byte for fewer than 256 colours)."""
@@ -433,7 +404,7 @@ def _colour_patterns(offsets, spokes, colour, edofs, graph) -> tuple:
             ps = members[sizes[members] == d]
             edges = spokes[offsets[ps, None] + np.arange(d)]  # (P, d)
             rows.append(edofs[edges].ravel())
-            groups.append((lo, lo + rows[-1].size, _spoke_ranks(edges, graph)))
+            groups.append((lo, lo + rows[-1].size, edge_ranks(graph, edges)))
             lo += rows[-1].size
         patterns.append(_ColourPattern(rows=np.concatenate(rows), groups=groups))
     first = np.empty(edofs.size, np.min_scalar_type(len(patterns)))
@@ -463,13 +434,13 @@ class AspStructure:
 
 
 def asp_structure(
-    spaces: Spaces, ess: EssentialData, a_g, smoother: str = "patch-sgs"
+    spaces: Spaces, ess: EssentialData, a_g: TracePattern, smoother: str = "patch-sgs"
 ) -> AspStructure:
     """The parameter-independent part of ``build_asp``; ``a_g`` is the
-    pattern of the condensed velocity block A_g, as its CSR matrix or its
-    ``TracePattern``. The vertex patches (the free unknowns on the free
-    edges at a vertex) are coloured greedily in natural vertex order, on
-    the graph of the free edges that A_g's pattern holds."""
+    ``TracePattern`` of the condensed velocity block A_g, whose free edges
+    and free-edge graph it reads. The vertex patches (the free unknowns on
+    the free edges at a vertex) are coloured greedily in natural vertex
+    order, on that graph."""
     if smoother not in SMOOTHERS:
         raise ValueError(f"unknown smoother '{smoother}'")
     mesh = spaces.mesh
@@ -486,13 +457,10 @@ def asp_structure(
     hat_t = hats @ fb.tangential_projection.T  # (2, k)
 
     # free edges in rank order and the free positions of their 2k+1
-    # condensed unknowns (``free_edge_rank``): normal modes, then tangential;
-    # (E, 2k+1), as intp: the smoother indexes vectors with these every apply
-    fe = np.flatnonzero(free_edge_rank(spaces.split, ess) >= 0)
-    r = np.arange(fe.size, dtype=np.intp)[:, None]
-    edofs = np.concatenate(
-        [r * (k + 1) + np.arange(k + 1), fe.size * (k + 1) + r * k + np.arange(k)], axis=1
-    )
+    # condensed unknowns, (E, 2k+1) as intp: the smoother indexes vectors
+    # with these every apply
+    fe = a_g.free_edges
+    edofs = free_edge_unknowns(np.arange(fe.size, dtype=np.intp), fe.size, k)
 
     # one (2k+1, 4) block per free edge: its unknowns by the (endpoint,
     # component) columns 2 vpos + c of the vector auxiliary space, -1 at an
@@ -527,9 +495,8 @@ def asp_structure(
         spokes = np.argsort(ends, kind="stable") // 2
         counts = np.unique(ends, return_counts=True)[1]
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        graph = _edge_graph(a_g, k, fe.size)
-        colour = _colour_patches(offsets, spokes, graph)
-        colours, first = _colour_patterns(offsets, spokes, colour, edofs, graph)
+        colour = _colour_patches(offsets, spokes, a_g.graph)
+        colours, first = _colour_patterns(offsets, spokes, colour, edofs, a_g.graph)
     return AspStructure(
         smoother=smoother,
         transfer=transfer,
@@ -560,7 +527,7 @@ def build_asp(
     """
     if structure is None:
         smoother = SMOOTHERS[0] if smoother is None else smoother
-        structure = asp_structure(cond.spaces, cond.block.essential, cond.A_g.csr, smoother)
+        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g, smoother)
     elif smoother not in (None, structure.smoother):
         raise ValueError(f"smoother {smoother!r}, structure built for {structure.smoother!r}")
     pre = AspPrecond(

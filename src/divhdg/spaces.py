@@ -154,9 +154,9 @@ class EssentialData:
 
 def free_edge_rank(split: SpaceSplit, essential: EssentialData) -> np.ndarray:
     """Each edge's rank r among the n_fe free edges, -1 for an essential
-    edge. A free edge's unknowns take the free positions r (k+1) + m (normal
-    mode m) and n_fe (k+1) + r k + j (tangential mode j); raises ValueError
-    unless each edge's unknowns are all free or all essential."""
+    edge. A free edge's unknowns take the free positions of
+    ``free_edge_unknowns``; raises ValueError unless each edge's unknowns
+    are all free or all essential."""
     k = split.k
     free = essential.free_mask
     free_edge = free[: split.n_bnd : k + 1]
@@ -169,6 +169,17 @@ def free_edge_rank(split: SpaceSplit, essential: EssentialData) -> np.ndarray:
     rank = np.full(split.n_edges, -1, np.int32)
     rank[free_edge] = np.arange(np.count_nonzero(free_edge), dtype=np.int32)
     return rank
+
+
+def free_edge_unknowns(rank, n_fe, k: int) -> np.ndarray:
+    """(..., 2k+1) in ``rank``'s type: the free positions of the unknowns of
+    the free edges ``rank`` (...) among ``n_fe`` (broadcast to them), normal
+    mode m at r (k+1) + m, tangential mode j at n_fe (k+1) + r k + j. A row
+    of A_g lays out its d neighbour edges so, by their ranks among the d."""
+    r = np.asarray(rank)
+    normal, tangential = r * (k + 1), n_fe * (k + 1) + r * k
+    modes = [normal + m for m in range(k + 1)] + [tangential + j for j in range(k)]
+    return np.stack(modes, axis=-1)
 
 
 def _boundary_velocity(problem: str):

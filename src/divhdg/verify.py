@@ -42,7 +42,12 @@ from .bench import build_structure
 from .krylov import minres, solve_condensed
 from .linalg import factor_spd, gen_condition
 from .mesh import Mesh, unit_square
-from .precond import build_schur, materialize_schur_dense, schur_structure
+from .precond import (
+    assemble_pressure_laplacian,
+    build_schur,
+    materialize_schur_dense,
+    schur_structure,
+)
 from .prng import XorShift
 from .spaces import Spaces
 
@@ -434,8 +439,6 @@ def check_infsup(level: str) -> CheckResult:
         mv = mass_mat[vol][:, vol].toarray()
         bv = bbar[:, vol]
         l2 = bv @ np.linalg.solve(mv, bv.T)
-        from .precond import assemble_pressure_laplacian
-
         nmat = assemble_pressure_laplacian(mesh).toarray()
         ev = sla.eigh(z.T @ (0.5 * (l2 + l2.T)) @ z, z.T @ nmat @ z,
                       eigvals_only=True)

@@ -6,7 +6,13 @@ import scipy.sparse.linalg as spla
 
 from divhdg import precond
 from divhdg.assembly import ProblemParams, assemble_saddle, aux_space, position_map
-from divhdg.condense import block_positions, eliminate_local, trace_layout
+from divhdg.condense import (
+    block_positions,
+    condensed_structure,
+    edge_ranks,
+    eliminate_local,
+    trace_layout,
+)
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import factor_spd
 from divhdg.mesh import build_mesh, step_domain, unit_square
@@ -156,7 +162,7 @@ def transfer_built():
 def _structure(cond):
     """The patch-smoother ``AspStructure`` of ``cond``: its patches and their
     colouring."""
-    return asp_structure(cond.spaces, cond.block.essential, position_map(cond.A_g.csr))
+    return asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g)
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +576,83 @@ EDGE_LEVEL_MESHES = {
 }
 
 
+def _neighbour_edges(mesh, erank) -> list:
+    """Per free-edge rank, the sorted ranks of the free edges that share an
+    element with it, itself included, by a search over the elements."""
+    nbrs = [set() for _ in range(np.count_nonzero(erank >= 0))]
+    for tri in erank[mesh.tri_edges].tolist():
+        for r in tri:
+            if r >= 0:
+                nbrs[r].update(c for c in tri if c >= 0)
+    return [sorted(nb) for nb in nbrs]
+
+
+class TestFreeEdgeGraph:
+    """The free-edge graph that the condensed structure keeps: it holds the
+    free edges that share an element, A_g's pattern is its (2k+1)-expansion
+    in the documented row layout, and ``edge_ranks`` reads from it the
+    ranks that a search over the elements gives."""
+
+    @pytest.fixture(params=[1, 2, 3, 4])
+    def built(self, request, name):
+        make_mesh, problem = EDGE_LEVEL_MESHES[name]
+        mesh = make_mesh()
+        spaces = build_spaces(mesh, request.param)
+        ess = interpolate_essential(mesh, spaces, problem)
+        erank = free_edge_rank(spaces.split, ess)
+        a_g = condensed_structure(spaces, ess).a_g
+        return mesh, request.param, a_g, erank, _neighbour_edges(mesh, erank)
+
+    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
+    def test_a_g_pattern_expands_the_graph(self, built, name):
+        mesh, k, a_g, erank, nbrs = built
+        n_fe = len(nbrs)
+        assert np.array_equal(a_g.free_edges, np.flatnonzero(erank >= 0))
+        graph = a_g.graph
+        assert graph.shape == (n_fe, n_fe) and graph.dtype == bool
+        held = [graph.indices[graph.indptr[r] : graph.indptr[r + 1]].tolist() for r in range(n_fe)]
+        assert held == nbrs
+        assert a_g.shape == ((2 * k + 1) * n_fe,) * 2
+        assert a_g.nnz == (2 * k + 1) ** 2 * graph.nnz
+        for r, nb in enumerate(nbrs):
+            # the normal modes of the neighbour edges in rank order, then
+            # their tangential modes, in every row of edge r's unknowns
+            want = [q * (k + 1) + m for q in nb for m in range(k + 1)]
+            want += [n_fe * (k + 1) + q * k + j for q in nb for j in range(k)]
+            rows = [r * (k + 1) + m for m in range(k + 1)]
+            rows += [n_fe * (k + 1) + r * k + j for j in range(k)]
+            for i in rows:
+                assert a_g.indices[a_g.indptr[i] : a_g.indptr[i + 1]].tolist() == want
+        if name == "no-free-edge":
+            assert n_fe == 0 and a_g.nnz == 0
+
+    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
+    def test_edge_ranks_equal_a_search(self, built, name):
+        mesh, k, a_g, erank, nbrs = built
+
+        def rank(r, c):
+            return nbrs[r].index(c) if r >= 0 and c in nbrs[r] else -1
+
+        def search(edges):
+            want = [[[rank(r, c) for c in row] for r in row] for row in edges.tolist()]
+            return np.array(want, np.int8).reshape(edges.shape + edges.shape[1:])
+
+        tri_rank = erank[mesh.tri_edges]
+        assert a_g.edge_rank.dtype == np.int8
+        assert np.array_equal(a_g.edge_rank, search(tri_rank))
+        # lists of four ranks, essential (-1) ones and pairs that share no
+        # element among them, and each free edge beside an essential one
+        edges = np.random.default_rng(22).integers(-1, len(nbrs), size=(300, 4), dtype=np.int32)
+        beside = np.c_[np.arange(len(nbrs)), np.full(len(nbrs), -1)].astype(np.int32)
+        assert np.array_equal(edge_ranks(a_g.graph, beside), search(beside))
+        got = edge_ranks(a_g.graph, edges)
+        assert got.dtype == np.int8 and np.array_equal(got, search(edges))
+        essential = (edges < 0)[:, :, None] | (edges < 0)[:, None, :]
+        assert np.all(got[essential] == -1)
+        if name != "no-free-edge":
+            assert np.any(got[~essential] == -1) and np.any(got >= 0)
+
+
 class TestEdgeLevelStructure:
     """The patch structure keeps free-edge data only: its colours equal the
     former unknown-level colouring's, and the block positions a row computes
@@ -619,7 +702,7 @@ class TestPatchPositions:
     def test_gathered_blocks_equal_fancy_index_of_a_g(self, problem, n, k):
         *_, cond = pipeline(problem, n, k, tau=1.0)
         a = cond.A_g.csr
-        structure = asp_structure(cond.spaces, cond.block.essential, position_map(a))
+        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g)
         outside = 0
         done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
         for pattern, blk in zip(structure.colours, build_asp(cond).colours):
@@ -663,8 +746,7 @@ class TestPatchPositions:
 
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        pos = position_map(cond.A_g.csr)
-        structure = asp_structure(cond.spaces, cond.block.essential, pos, "jacobi")
+        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g, "jacobi")
         assert structure.colours is None and structure.first is None
         asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
@@ -674,8 +756,7 @@ class TestPatchPositions:
     @pytest.mark.parametrize("built,asked", [("patch-sgs", "jacobi"), ("jacobi", "patch-sgs")])
     def test_smoother_other_than_the_structure_rejected(self, built, asked):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        pos = position_map(cond.A_g.csr)
-        structure = asp_structure(cond.spaces, cond.block.essential, pos, built)
+        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g, built)
         assert build_asp(cond, smoother=built, structure=structure).smoother == built
         with pytest.raises(ValueError, match=f"built for '{built}'"):
             build_asp(cond, smoother=asked, structure=structure)
