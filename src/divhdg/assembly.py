@@ -21,9 +21,8 @@ lifetime. What depends only on the mesh, the degree and the essential data is
 built once and lives for a whole parameter sweep: ``LocalStacks`` keeps the
 three forms as geometry coefficients, 129 columns per element class (the
 elements whose coefficients, orientation signs and det J are equal bit for
-bit; ``unit_square`` and ``step_domain`` have two at any 1/h),
-``CsrPattern`` the CSR pattern of an assembled matrix, and ``AuxSpace`` the
-parameter-independent part of the auxiliary operator. Where a pattern puts
+bit; ``unit_square`` and ``step_domain`` have two at any 1/h), and
+``CsrPattern`` the CSR pattern of an assembled matrix. Where a pattern puts
 each element entry is its ``slots``: ``ScatterPattern``, the generic one,
 keeps them as a table, and the condensed block's pattern
 (``condense.TracePattern``) computes them per chunk from a few numbers per
@@ -61,7 +60,8 @@ verification norm stacks are built from the same pieces. Quadrature on
 physical elements remains only where the integrand is not a basis
 polynomial: ``refbasis.map_piola`` for the body force and ``sym_gradients``
 for error norms. ``scatter_stack`` is the one element-to-global assembly,
-also of the auxiliary-space transfer and the pressure graph Laplacian.
+also of the pressure coupling, the auxiliary-space transfer and the pressure
+graph Laplacian.
 """
 
 import math
@@ -75,7 +75,7 @@ import scipy.sparse as sp
 from .linalg import NotSPD, SparseSym, distinct_rows
 from .mesh import Mesh
 from .refbasis import ReferenceBasis, map_piola
-from .spaces import EssentialData, Spaces, free_edge_rank
+from .spaces import EssentialData, Spaces
 
 _CHUNK = 512  # elements per chunk of a row's element work, at most
 _GEMM_ROWS = 32  # rows of a chunk's coefficient GEMM, at least (element_chunks)
@@ -495,27 +495,21 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
 
 def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
     """The divergence-coupling matrix over all pressure x all velocity
-    unknowns. Exactly integer-structured; parameter independent."""
-    dm = spaces.dofmap
-    ref = spaces.ref
-    split = spaces.split
-    k = spaces.k
-    nt = mesh.num_triangles
-    rows, cols, vals = [], [], []
-    for l in range(3):
-        base = l * (k + 1)
-        rows.append(np.arange(nt))
-        cols.append(dm.vel_loc[:, base])
-        vals.append(-dm.signs[:, base].astype(float))
-    n_d = ref.n_int_d
-    for r in range(n_d):
-        rows.append(nt + np.arange(nt) * n_d + r)
-        cols.append(dm.vel_loc[:, ref.n_facet + ref.n_int_c + r])
-        vals.append(-np.ones(nt))
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(split.n_pressure, split.n_vel),
-    ).tocsr()
+    unknowns, parameter independent: per element a (1 + n_d, 3 + n_d) block,
+    -sign at the lowest-order flux unknowns in the constant-pressure row and
+    -I from the mean-zero pressures to the divergence carriers."""
+    dm, ref, split = spaces.dofmap, spaces.ref, spaces.split
+    nt, n_d = mesh.num_triangles, ref.n_int_d
+    # the three lowest-order flux unknowns, then the divergence carriers
+    cols = np.r_[np.arange(3) * (spaces.k + 1), ref.n_facet + ref.n_int_c + np.arange(n_d)]
+    stack = np.zeros((nt, 1 + n_d, 3 + n_d))
+    stack[:, 0, :3] = -dm.signs[:, cols[:3]]
+    stack[:, 1:, 3:] = -np.eye(n_d)
+    t = np.arange(nt)[:, None]
+    rows = np.concatenate([t, nt + t * n_d + np.arange(n_d)], axis=1)
+    b = scatter_stack(stack, rows, split.n_pressure, dm.vel_loc[:, cols], split.n_vel)
+    b.eliminate_zeros()
+    return b
 
 
 def pressure_c_diagonal(mesh: Mesh, spaces: Spaces, params: ProblemParams) -> np.ndarray:
@@ -669,48 +663,4 @@ def assemble_saddle(
         spaces=spaces,
         params=params,
         essential=essential,
-    )
-
-
-@dataclass(frozen=True)
-class AuxSpace:
-    """The continuous piecewise-linear auxiliary space on the vertices not on
-    the essentially imposed boundary, and the parameter-independent part of
-    its scalar operator A0, kept for the whole sweep (the vector operator is
-    A0 kron I2): ``vpos`` gives each vertex its position among the free ones
-    (-1 for a vertex of an essential edge), ``stiff`` and ``mass`` are the P1
-    element stiffness and consistent mass (nt, 3, 3), and ``pattern``
-    scatters them over the free vertices. ``operator`` builds one row's A0."""
-
-    vpos: np.ndarray
-    stiff: np.ndarray
-    mass: np.ndarray
-    pattern: ScatterPattern
-
-    def operator(self, params: ProblemParams) -> SparseSym:
-        """The scalar 2 mu * stiffness + tau * mass over the free vertices."""
-        return SparseSym(self.pattern.fill(2.0 * params.mu * self.stiff + params.tau * self.mass))
-
-
-def aux_space(mesh: Mesh, spaces: Spaces, essential: EssentialData) -> AuxSpace:
-    det = mesh.det_j
-
-    # P1 gradients, constant per element: grad lam_1, grad lam_2 are the rows
-    # of J^-1
-    jinv = inverse_jacobians(mesh.jacobians, det)
-    grads = np.concatenate([-(jinv[:, :1] + jinv[:, 1:]), jinv], axis=1)
-    stiff = np.einsum("tid,tjd->tij", grads, grads) * (0.5 * det)[:, None, None]
-    mloc = (np.ones((3, 3)) + np.eye(3)) / 24.0
-
-    # outlet vertices stay free unless shared with an essential edge
-    vpos = np.zeros(mesh.num_vertices, np.int32)
-    vpos[mesh.edges[free_edge_rank(spaces.split, essential) < 0]] = -1
-    free = vpos == 0
-    n_free = np.count_nonzero(free)
-    vpos[free] = np.arange(n_free, dtype=np.int32)
-    return AuxSpace(
-        vpos=vpos,
-        stiff=stiff,
-        mass=mloc[None, :, :] * det[:, None, None],
-        pattern=scatter_pattern(vpos[mesh.triangles], n_free),
     )

@@ -176,10 +176,11 @@ class Structure:
     """The parameter-independent data of one (1/h, k): built once and shared
     by every row on that mesh, it lives for the whole sweep over (mu, tau,
     1/lambda). It holds the mesh, spaces and essential data, the element
-    forms as geometry coefficients, the pattern of A_g with B_g, and the
-    preconditioners' patterns: the transfer Pi, the auxiliary space, the
-    patches and colours (patch smoother only), N, and the RCM orders of the
-    banded factors. ``row`` builds one row's systems on it."""
+    forms as geometry coefficients, the pattern of A_g with B_g and the
+    free-edge graph, and the preconditioners' patterns: the auxiliary space
+    (free vertices, A0's pattern and RCM order, the transfer Pi), the
+    patches and colours (patch smoother only), and N with its RCM order.
+    ``row`` builds one row's systems on it."""
 
     mesh: Mesh
     spaces: Spaces
@@ -211,7 +212,7 @@ def build_structure(problem: str, inv_h: int, k: int, smoother: str = "patch-sgs
         essential=ess,
         stacks=assemble_local_stacks(mesh, spaces),
         condensed=condensed,
-        asp=asp_structure(spaces, ess, condensed.a_g, smoother),
+        asp=asp_structure(spaces, condensed.a_g, smoother),
         schur=schur_structure(mesh),
     )
 

@@ -18,30 +18,34 @@ divergence penalization to the interior block before inverting.
 ``CondensedStructure`` holds what depends only on the mesh, the degree and the
 essential data, built once per sweep: the trace slots, A_g's pattern
 (``TracePattern``) and B_g with its right side. A_g's pattern follows from the
-graph of the free edges, since each edge's 2k+1 trace unknowns are all free or
-all essential: ``trace_pattern`` expands each free edge to its unknowns, and
-keeps the graph, and per element only where its rows start and the
-``edge_ranks`` of its edges, read from the graph as the vertex patches' of
-``precond.asp_structure`` are. ``eliminate_local`` then does one row's work.
-Condensation is element-local, so it streams the elements in chunks
-(``assembly.element_chunks``). Elements whose local problems are equal bit
-for bit share an element class (``LocalStacks.element_class``), and a chunk
-does the local work once per distinct pair of class and element load: it
-forms those element matrices (``LocalStacks.class_matrices``, which also
-checks their coercivity), solves their local systems and condenses them.
-A mesh of translated copies of two triangles, such as ``unit_square`` at any
-1/h, has two pairs per chunk without a body force, and a mesh with no two
-elements alike one pair per element. Per element the chunk then gathers the
-condensed blocks, computes where they go (``TracePattern.slots``) and adds
-them to A_g's data. The essential data g leaves the trace unknowns element by
-element: F_g is the sum of the element right sides minus the sum of each
-condensed block times its element's g, which is 0 at a free unknown, so only
-the elements with nonzero g are multiplied. Only the trace right sides and
-the lifts, (nt, n_G) each, span the whole mesh, and only until F_g is summed;
-no whole-mesh element stack is formed, and the condensed system keeps no
-local solutions. ``back_substitute`` solves the local systems again, chunk by
-chunk with the same ``_local_solve``. Every result is bit-identical to one
-chunk, and to solving every element's local system on its own.
+graph of the free edges, the pattern of E^T E with E the element-to-free-edge
+incidence, since each edge's 2k+1 trace unknowns are all free or all
+essential: ``trace_pattern`` expands each free edge to its unknowns, and keeps
+the graph and the free edges, and per element only where its rows start and
+the ``edge_ranks`` of its edges, read from the graph as the vertex patches' of
+``precond.asp_structure`` are. ``trace_pattern`` is the one place that decides
+which edges are free (``spaces.free_edge_rank``): ``precond.aux_space`` reads
+the auxiliary space's free vertices from those free edges.
+``eliminate_local`` then does one row's work. Condensation is element-local,
+so it streams the elements in chunks (``assembly.element_chunks``). Elements
+whose local problems are equal bit for bit share an element class
+(``LocalStacks.element_class``), and a chunk does the local work once per
+distinct pair of class and element load: it forms those element matrices
+(``LocalStacks.class_matrices``, which also checks their coercivity), solves
+their local systems and condenses them. A mesh of translated copies of two
+triangles, such as ``unit_square`` at any 1/h, has two pairs per chunk without
+a body force, and a mesh with no two elements alike one pair per element. Per
+element the chunk then gathers the condensed blocks, computes where they go
+(``TracePattern.slots``) and adds them to A_g's data. The essential data g
+leaves the trace unknowns element by element: F_g is the sum of the element
+right sides minus the sum of each condensed block times its element's g, which
+is 0 at a free unknown, so only the elements with nonzero g are multiplied.
+Only the trace right sides and the lifts, (nt, n_G) each, span the whole mesh,
+and only until F_g is summed; no whole-mesh element stack is formed, and the
+condensed system keeps no local solutions. ``back_substitute`` solves the
+local systems again, chunk by chunk with the same ``_local_solve``. Every
+result is bit-identical to one chunk, and to solving every element's local
+system on its own.
 """
 
 import functools
@@ -59,7 +63,6 @@ from .assembly import (
     free_rhs,
     position_map,
     pressure_c_diagonal,
-    scatter_pattern,
 )
 from .linalg import SparseSym, distinct_rows
 from .spaces import EssentialData, Spaces, free_edge_rank, free_edge_unknowns
@@ -175,8 +178,8 @@ def edge_ranks(graph: sp.csr_matrix, edges: np.ndarray) -> np.ndarray:
 def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -> TracePattern:
     """A_g's pattern from the free-edge graph, for the element trace unknowns
     at the free positions ``g_pos`` (nt, n_G). The graph is the pattern of
-    one ``scatter_pattern`` of the (nt, 3) free-edge ranks; each free edge
-    then expands to its 2k+1 unknowns at the free positions that
+    E^T E, E the (nt, n_fe) incidence of the elements and their free edges;
+    each free edge then expands to its 2k+1 unknowns at the free positions that
     ``free_edge_unknowns`` gives them (``free_edge_rank`` raises ValueError
     unless each edge's unknowns are all free or all essential)."""
     mesh, k = spaces.mesh, spaces.k
@@ -185,7 +188,12 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
     free_edges = np.flatnonzero(erank >= 0)
     n_fe = free_edges.size
     tri_rank = erank[mesh.tri_edges]
-    graph = position_map(scatter_pattern(tri_rank, n_fe)).astype(bool)
+    held = tri_rank >= 0
+    ptr = np.zeros(mesh.num_triangles + 1, np.int32)
+    np.cumsum(held.sum(axis=1), out=ptr[1:])
+    inc = sp.csr_matrix((np.ones(ptr[-1], bool), tri_rank[held], ptr), shape=(ptr.size - 1, n_fe))
+    graph = (inc.T @ inc).tocsr()
+    graph.sort_indices()
     deg = np.diff(graph.indptr)
     nnz = n * n * graph.nnz  # each neighbour pair: 2k+1 rows by 2k+1 columns
     idx = np.int32 if nnz < 2**31 else np.int64
@@ -194,9 +202,10 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
     # its d neighbour edges' unknowns, laid out by their ranks among the d
     row = np.repeat(np.arange(n_fe), deg)  # the edge of each neighbour
     rank = np.arange(graph.nnz) - graph.indptr[row]
-    cols = np.full((n_fe, n * deg.max(initial=0)), -1, idx)
+    width = n * deg.max(initial=0)
+    cols = np.full((n_fe, width), -1, idx)
     nb = free_edge_unknowns(graph.indices, n_fe, k)  # (nnz, 2k+1): each neighbour's unknowns
-    cols[row[:, None], free_edge_unknowns(rank, deg[row], k)] = nb
+    cols.ravel()[free_edge_unknowns(rank, deg[row], k) + (width * row)[:, None]] = nb
 
     # the rows of A_g: each free edge's k+1 normal rows, then each one's k
     # tangential rows, every row its edge's columns
@@ -241,17 +250,16 @@ def condensed_structure(spaces: Spaces, essential: EssentialData) -> CondensedSt
     nt = spaces.mesh.num_triangles
     g_slot_idx = np.r_[0 : dm.n_loc_facet, dm.n_loc_facet + dm.n_loc_int : dm.n_loc]
     g_slots = dm.vel_loc[:, g_slot_idx]
-    # the free condensed unknowns hold the first n_g free positions
+    # the free condensed unknowns hold the first free positions
     free_cond = np.flatnonzero(essential.free_mask[: spaces.split.n_cond])
-    n_g = free_cond.size
-    b_full = assemble_pressure_ops(spaces.mesh, spaces)
+    b_pbar = assemble_pressure_ops(spaces.mesh, spaces)[:nt]  # the constant-pressure rows
     return CondensedStructure(
         g_slot_idx=g_slot_idx,
         g_slots=g_slots,
         free_cond=free_cond,
         a_g=trace_pattern(spaces, essential, essential.pos[g_slots]),
-        B_g=b_full[:, essential.free_ids][:nt, :n_g],
-        F_pbar=-(b_full @ essential.full_vector())[:nt],
+        B_g=b_pbar[:, free_cond],
+        F_pbar=-(b_pbar @ essential.full_vector()),
     )
 
 

@@ -24,7 +24,10 @@ product, so classes move the iterates by rounding; on a mesh with no
 repeated patch every patch is in a tail and the sweep keeps its bits.
 Pointwise Jacobi is the one alternative smoother.
 
-Pi injects a piecewise-linear field through the edge-trace projections of
+The auxiliary space is one ``AuxSpace``, built from the condensed structure's
+free edges alone: its free vertices (those on no essential edge, outlet
+vertices included), A0's pattern and RCM order, and Pi. Pi injects a
+piecewise-linear field through the edge-trace projections of
 ``refbasis.FacetBasis``, the same ones that define the essential boundary
 data: the normal trace goes to the facet-normal unknowns (Legendre moments,
 then the theta solve), the tangential trace to the Legendre tangential modes.
@@ -64,11 +67,10 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
-sweep: Pi and its transpose, the scalar auxiliary space's pattern, the
-patches' colours as free edges (each colour's unknowns, and per pair of a
-patch's edges the rank of one among the other's neighbours), N, and the RCM
-orders of both banded factors. ``build_asp`` and ``build_schur`` then do one
-row's work: the scalar auxiliary operator and its factor; the patch blocks,
+sweep: the ``AuxSpace``, the patches' colours as free edges (each colour's
+unknowns, and per pair of a patch's edges the rank of one among the other's
+neighbours), and N with its RCM order. ``build_asp`` and ``build_schur``
+then do one row's work: the scalar auxiliary operator and its factor; the patch blocks,
 gathered from A_g's data at positions computed from its row starts batch by
 batch and classed exactly (``linalg.distinct_rows`` within each batch, then
 across the batches' first blocks), each class's block inverted once and the
@@ -83,11 +85,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import AuxSpace, ProblemParams, aux_space, position_map, scatter_stack
+from .assembly import (
+    ProblemParams,
+    ScatterPattern,
+    inverse_jacobians,
+    position_map,
+    scatter_pattern,
+    scatter_stack,
+)
 from .condense import CondensedSystem, TracePattern, block_positions, edge_ranks, trace_layout
 from .linalg import SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
-from .spaces import EssentialData, Spaces, free_edge_unknowns
+from .spaces import Spaces, free_edge_unknowns
 
 # no compiled smoother kernel exists; the name stays for benchmark scripts
 # that record it in their environment line
@@ -414,40 +423,53 @@ def _colour_patterns(offsets, spokes, colour, edofs, graph) -> tuple:
 
 
 @dataclass(frozen=True)
-class AspStructure:
-    """The parameter-independent part of the ASP preconditioner on one (mesh,
-    k, essential data), shared by every row of a sweep: the transfer Pi and
-    its transpose, the scalar auxiliary space with the RCM order of its
-    banded factor (with no free vertex, both are empty and the factor is
-    0x0), and for the patch smoother each colour's ``_ColourPattern`` and
-    the first colour of each unknown.  It keeps no position in A_g's data:
-    a row computes them per batch of patches from A_g's row starts.  A
-    Jacobi structure holds no patches."""
+class AuxSpace:
+    """The continuous piecewise-linear auxiliary space on the vertices off
+    the essential boundary, kept for the whole sweep: ``vpos``, each
+    vertex's position among the free ones (-1 on an essential edge); the P1
+    element ``stiff``-ness and consistent ``mass`` (nt, 3, 3) of the scalar
+    A0, which ``pattern`` scatters and ``operator`` sums per row; ``perm``,
+    the RCM order of A0's factor; and Pi (n_free_cond, 2 n_free_vertices)
+    as ``transfer`` and, as CSR, ``restrict``. With no free vertex each is
+    empty and A0's factor 0x0."""
 
-    smoother: str
-    transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
-    restrict: sp.csr_matrix  # transfer.T, stored as CSR once
-    aux: AuxSpace
-    aux_perm: np.ndarray
-    colours: list = field(repr=False, default=None)  # of _ColourPattern
-    first: np.ndarray = field(repr=False, default=None)  # per free unknown, its first colour
+    vpos: np.ndarray
+    stiff: np.ndarray
+    mass: np.ndarray
+    pattern: ScatterPattern
+    perm: np.ndarray
+    transfer: sp.csr_matrix
+    restrict: sp.csr_matrix
+
+    def operator(self, params: ProblemParams) -> SparseSym:
+        """The scalar 2 mu * stiffness + tau * mass over the free vertices."""
+        return SparseSym(self.pattern.fill(2.0 * params.mu * self.stiff + params.tau * self.mass))
 
 
-def asp_structure(
-    spaces: Spaces, ess: EssentialData, a_g: TracePattern, smoother: str = "patch-sgs"
-) -> AspStructure:
-    """The parameter-independent part of ``build_asp``; ``a_g`` is the
-    ``TracePattern`` of the condensed velocity block A_g, whose free edges
-    and free-edge graph it reads. The vertex patches (the free unknowns on
-    the free edges at a vertex) are coloured greedily in natural vertex
-    order, on that graph."""
-    if smoother not in SMOOTHERS:
-        raise ValueError(f"unknown smoother '{smoother}'")
-    mesh = spaces.mesh
-    k = spaces.k
+def aux_space(spaces: Spaces, a_g: TracePattern) -> AuxSpace:
+    """The ``AuxSpace`` of the condensed velocity block whose pattern is
+    ``a_g``: a mesh edge not among its ``free_edges`` is essential, and so
+    are its two vertices. An outlet vertex stays free unless it lies on an
+    essential edge."""
+    mesh, k = spaces.mesh, spaces.k
     fb = spaces.ref.facet
+    det = mesh.det_j
 
-    aux = aux_space(mesh, spaces, ess)
+    # P1 gradients, constant per element: grad lam_1, grad lam_2 are the rows
+    # of J^-1
+    jinv = inverse_jacobians(mesh.jacobians, det)
+    g = np.concatenate([-(jinv[:, :1] + jinv[:, 1:]), jinv], axis=1)
+    stiff = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    stiff *= (0.5 * det)[:, None, None]
+    mloc = (np.ones((3, 3)) + np.eye(3)) / 24.0
+
+    fe = a_g.free_edges
+    vpos = np.zeros(mesh.num_vertices, np.int32)
+    vpos[np.delete(mesh.edges, fe, axis=0)] = -1  # the vertices of the essential edges
+    free = vpos == 0
+    n_free = np.count_nonzero(free)
+    vpos[free] = np.arange(n_free, dtype=np.int32)
+    pattern = scatter_pattern(vpos[mesh.triangles], n_free)
 
     # the edge-trace projections of the two endpoint hat profiles, scaled
     # per edge below
@@ -455,12 +477,6 @@ def asp_structure(
     hats = np.stack([1.0 - s, s])  # (2, Qe): endpoint a, endpoint b
     hat_n = hats @ fb.normal_projection.T  # (2, k+1)
     hat_t = hats @ fb.tangential_projection.T  # (2, k)
-
-    # free edges in rank order and the free positions of their 2k+1
-    # condensed unknowns, (E, 2k+1) as intp: the smoother indexes vectors
-    # with these every apply
-    fe = a_g.free_edges
-    edofs = free_edge_unknowns(np.arange(fe.size, dtype=np.intp), fe.size, k)
 
     # one (2k+1, 4) block per free edge: its unknowns by the (endpoint,
     # component) columns 2 vpos + c of the vector auxiliary space, -1 at an
@@ -475,37 +491,67 @@ def asp_structure(
         ],
         axis=3,
     )  # (E, endpoint, component, mode)
-    vp = aux.vpos[mesh.edges[fe]]  # (E, 2)
+    vp = vpos[mesh.edges[fe]]  # (E, 2)
     cols = np.where(vp[:, :, None] >= 0, 2 * vp[:, :, None] + np.arange(2), -1)
     transfer = scatter_stack(
         vals.reshape(fe.size, 4, 2 * k + 1).transpose(0, 2, 1),
-        edofs,
+        free_edge_unknowns(np.arange(fe.size, dtype=np.intp), fe.size, k),
         a_g.shape[0],
         cols.reshape(fe.size, 4),
-        2 * aux.pattern.shape[0],
+        2 * n_free,
     )
     transfer.eliminate_zeros()
     transfer = transfer.copy()  # compact: eliminate_zeros keeps views of the larger buffers
+    return AuxSpace(
+        vpos=vpos,
+        stiff=stiff,
+        mass=mloc[None, :, :] * det[:, None, None],
+        pattern=pattern,
+        perm=rcm_order(position_map(pattern)),
+        transfer=transfer,
+        restrict=transfer.T.tocsr(),
+    )
 
+
+@dataclass(frozen=True)
+class AspStructure:
+    """The parameter-independent part of the ASP preconditioner on one (mesh,
+    k, essential data), shared by every row of a sweep: the auxiliary space
+    with its transfer, and for the patch smoother each colour's
+    ``_ColourPattern`` and the first colour of each unknown.  It keeps no
+    position in A_g's data: a row computes them per batch of patches from
+    A_g's row starts.  A Jacobi structure holds no patches."""
+
+    smoother: str
+    aux: AuxSpace
+    colours: list = field(repr=False, default=None)  # of _ColourPattern
+    first: np.ndarray = field(repr=False, default=None)  # per free unknown, its first colour
+
+
+def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs") -> AspStructure:
+    """The parameter-independent part of ``build_asp``; ``a_g`` is the
+    ``TracePattern`` of the condensed velocity block A_g, whose free edges
+    and free-edge graph it reads. The vertex patches (the free unknowns on
+    the free edges at a vertex) are coloured greedily in natural vertex
+    order, on that graph."""
+    if smoother not in SMOOTHERS:
+        raise ValueError(f"unknown smoother '{smoother}'")
     colours = first = None
     if smoother == "patch-sgs":
+        # free edges in rank order and the free positions of their 2k+1
+        # condensed unknowns, (E, 2k+1) as intp: the smoother indexes
+        # vectors with these every apply
+        fe = a_g.free_edges
+        edofs = free_edge_unknowns(np.arange(fe.size, dtype=np.intp), fe.size, spaces.k)
         # vertex patches in natural vertex order, each listing its free edges
         # (spokes) in ascending rank, and so their unknowns in ascending order
-        ends = mesh.edges[fe].ravel()  # endpoint a, b of each free edge in turn
+        ends = spaces.mesh.edges[fe].ravel()  # endpoint a, b of each free edge in turn
         spokes = np.argsort(ends, kind="stable") // 2
         counts = np.unique(ends, return_counts=True)[1]
         offsets = np.concatenate([[0], np.cumsum(counts)])
         colour = _colour_patches(offsets, spokes, a_g.graph)
         colours, first = _colour_patterns(offsets, spokes, colour, edofs, a_g.graph)
-    return AspStructure(
-        smoother=smoother,
-        transfer=transfer,
-        restrict=transfer.T.tocsr(),
-        aux=aux,
-        aux_perm=rcm_order(position_map(aux.pattern)),
-        colours=colours,
-        first=first,
-    )
+    return AspStructure(smoother, aux_space(spaces, a_g), colours, first)
 
 
 def build_asp(
@@ -527,14 +573,15 @@ def build_asp(
     """
     if structure is None:
         smoother = SMOOTHERS[0] if smoother is None else smoother
-        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g, smoother)
+        structure = asp_structure(cond.spaces, cond.structure.a_g, smoother)
     elif smoother not in (None, structure.smoother):
         raise ValueError(f"smoother {smoother!r}, structure built for {structure.smoother!r}")
+    aux = structure.aux
     pre = AspPrecond(
         smoother=structure.smoother,
-        transfer=structure.transfer,
-        restrict=structure.restrict,
-        aux_factor=factor_spd(structure.aux.operator(cond.block.params), structure.aux_perm),
+        transfer=aux.transfer,
+        restrict=aux.restrict,
+        aux_factor=factor_spd(aux.operator(cond.block.params), aux.perm),
     )
     if pre.smoother == "jacobi":
         pre.jacobi_diag = cond.A_g.diagonal().copy()

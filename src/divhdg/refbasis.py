@@ -197,13 +197,6 @@ class ReferenceBasis:
     def n_pressure(self) -> int:
         return self.qmodes.shape[0]
 
-    def facet_slice(self, l: int) -> slice:
-        return slice(l * (self.k + 1), (l + 1) * (self.k + 1))
-
-    @property
-    def interior_slice(self) -> slice:
-        return slice(self.n_facet, self.n_u)
-
     def facet_sign_exponents(self) -> np.ndarray:
         """Per-DOF exponent e so the globally oriented basis equals
         (-1)^(e * flip) times the locally oriented one (interior DOFs: 0)."""

@@ -9,7 +9,6 @@ from divhdg.assembly import (
     ProblemParams,
     TensorStack,
     _element_coercivity_check,
-    aux_space,
     assemble_local_stacks,
     assemble_pressure_ops,
     assemble_saddle,
@@ -20,9 +19,10 @@ from divhdg.assembly import (
     sym_gradients,
     viscous_volume_coefficients,
 )
-from divhdg.condense import _local_solve, eliminate_local
+from divhdg.condense import _local_solve, condensed_structure, eliminate_local
 from divhdg.linalg import NotSPD
 from divhdg.mesh import step_domain, unit_square
+from divhdg.precond import aux_space
 from divhdg.refbasis import build_facet_basis, build_reference_bdm, map_piola
 from divhdg.spaces import build_spaces, interpolate_essential
 from divhdg.verify import _bubble_curl, _energy_error, norm_stacks
@@ -151,7 +151,7 @@ class TestAuxOperator:
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
         mu = 1.5
-        aux = aux_space(mesh, spaces, ess)
+        aux = aux_space(spaces, condensed_structure(spaces, ess).a_g)
         a0, vpos = aux.operator(ProblemParams(mu=mu, tau=0.0)), aux.vpos
         assert np.count_nonzero(vpos >= 0) == 1  # single interior vertex
         d = a0.diagonal()
@@ -161,7 +161,7 @@ class TestAuxOperator:
         mesh = unit_square(2)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
-        aux = aux_space(mesh, spaces, ess)
+        aux = aux_space(spaces, condensed_structure(spaces, ess).a_g)
         a1 = aux.operator(ProblemParams(mu=1.0, tau=1.0))
         a0 = aux.operator(ProblemParams(mu=1.0, tau=0.0))
         mass = a1.csr - a0.csr
@@ -173,7 +173,7 @@ class TestAuxOperator:
         mesh = unit_square(4)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
-        a0 = aux_space(mesh, spaces, ess).operator(ProblemParams())
+        a0 = aux_space(spaces, condensed_structure(spaces, ess).a_g).operator(ProblemParams())
         assert sla.eigvalsh(a0.toarray())[0] > 0
 
 
@@ -570,7 +570,7 @@ class TestEliminationByPosition:
         assert np.abs(f_g).max() > 0
         _same_csr(cond.B_g, b_g)
 
-        space = aux_space(mesh, spaces, ess)
+        space = aux_space(spaces, cond.structure.a_g)
         aux, vpos = space.operator(params), space.vpos
         want, free_v = _former_aux(mesh, spaces, params, ess)
         # the former vector operator is the kron with I2: compare its scalar part

@@ -53,7 +53,7 @@ def _structure(name, k) -> Structure:
         essential=ess,
         stacks=assemble_local_stacks(mesh, spaces),
         condensed=condensed,
-        asp=asp_structure(spaces, ess, condensed.a_g, "patch-sgs"),
+        asp=asp_structure(spaces, condensed.a_g, "patch-sgs"),
         schur=schur_structure(mesh),
     )
 

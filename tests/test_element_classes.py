@@ -192,7 +192,7 @@ def _structure(mesh, problem, k, smoother="patch-sgs") -> Structure:
         essential=ess,
         stacks=assemble_local_stacks(mesh, spaces),
         condensed=condensed,
-        asp=asp_structure(spaces, ess, condensed.a_g, smoother),
+        asp=asp_structure(spaces, condensed.a_g, smoother),
         schur=schur_structure(mesh),
     )
 

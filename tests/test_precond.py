@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from divhdg import precond
-from divhdg.assembly import ProblemParams, assemble_saddle, aux_space, position_map
+from divhdg.assembly import ProblemParams, assemble_saddle, position_map
 from divhdg.condense import (
     block_positions,
     condensed_structure,
@@ -15,10 +15,11 @@ from divhdg.condense import (
 )
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import factor_spd
-from divhdg.mesh import build_mesh, step_domain, unit_square
+from divhdg.mesh import TAG_INLET, TAG_OUTLET, TAG_WALL, build_mesh, step_domain, unit_square
 from divhdg.precond import (
     asp_structure,
     assemble_pressure_laplacian,
+    aux_space,
     build_asp,
     build_schur,
     materialize_schur_dense,
@@ -162,7 +163,7 @@ def transfer_built():
 def _structure(cond):
     """The patch-smoother ``AspStructure`` of ``cond``: its patches and their
     colouring."""
-    return asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g)
+    return asp_structure(cond.spaces, cond.structure.a_g)
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +303,7 @@ class TestCoarseSolve:
         # directly, against the two right sides of the scalar factor
         mesh, spaces, ess, block, cond = pipeline(problem, n, k, tau=1.0)
         asp = build_asp(cond, smoother="jacobi")
-        a0 = aux_space(mesh, spaces, ess).operator(block.params).csr
+        a0 = aux_space(spaces, cond.structure.a_g).operator(block.params).csr
         vector = sp.kron(a0, sp.identity(2), format="csc")
         r = np.random.default_rng(k).standard_normal(cond.n_free)
         want = asp.transfer @ spla.spsolve(vector, asp.restrict @ r)
@@ -316,7 +317,7 @@ class TestTransferEqualsFormerClosedForm:
     def test_same_pattern_and_entries(self, problem, n, k):
         mesh, spaces, ess, _, cond = pipeline(problem, n, k, tau=1.0)
         free_v, want = _former_transfer(mesh, spaces, cond)
-        vpos = aux_space(mesh, spaces, ess).vpos
+        vpos = aux_space(spaces, cond.structure.a_g).vpos
         assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
         got = build_asp(cond, smoother="jacobi").transfer
         # the transfer stores no exact zero (axis-parallel edges give some);
@@ -653,6 +654,39 @@ class TestFreeEdgeGraph:
             assert np.any(got[~essential] == -1) and np.any(got >= 0)
 
 
+class TestAuxSpace:
+    """The auxiliary space built from the condensed structure's free edges:
+    its free vertices are those on no essential edge, the step's outlet
+    vertices off the walls and the inlet among them, and with no free edge
+    Pi and A0's factor are 0x0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
+    def test_free_vertices_lie_on_no_essential_edge(self, name, k):
+        make_mesh, problem = EDGE_LEVEL_MESHES[name]
+        mesh = make_mesh()
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        a_g = condensed_structure(spaces, ess).a_g
+        aux = aux_space(spaces, a_g)
+        on_essential = np.zeros(mesh.num_vertices, bool)
+        on_essential[mesh.edges[free_edge_rank(spaces.split, ess) < 0]] = True
+        free = aux.vpos >= 0
+        n = np.count_nonzero(free)
+        assert np.array_equal(free, ~on_essential)
+        assert np.array_equal(aux.vpos[free], np.arange(n))
+        assert aux.pattern.shape == (n, n) and aux.perm.size == n
+        assert aux.transfer.shape == (a_g.shape[0], 2 * n)
+        if problem == "step":
+            outlet = np.unique(mesh.edges[mesh.edge_tags == TAG_OUTLET])
+            walls = np.unique(mesh.edges[np.isin(mesh.edge_tags, (TAG_WALL, TAG_INLET))])
+            inner = np.setdiff1d(outlet, walls)
+            assert inner.size > 0 and np.all(free[inner])
+        if name == "no-free-edge":
+            assert n == 0 and aux.transfer.shape == (0, 0) and aux.restrict.shape == (0, 0)
+            assert factor_spd(aux.operator(ProblemParams(tau=1.0)), aux.perm).n == 0
+
+
 class TestEdgeLevelStructure:
     """The patch structure keeps free-edge data only: its colours equal the
     former unknown-level colouring's, and the block positions a row computes
@@ -702,7 +736,7 @@ class TestPatchPositions:
     def test_gathered_blocks_equal_fancy_index_of_a_g(self, problem, n, k):
         *_, cond = pipeline(problem, n, k, tau=1.0)
         a = cond.A_g.csr
-        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g)
+        structure = asp_structure(cond.spaces, cond.structure.a_g)
         outside = 0
         done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
         for pattern, blk in zip(structure.colours, build_asp(cond).colours):
@@ -746,7 +780,7 @@ class TestPatchPositions:
 
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g, "jacobi")
+        structure = asp_structure(cond.spaces, cond.structure.a_g, "jacobi")
         assert structure.colours is None and structure.first is None
         asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
@@ -756,7 +790,7 @@ class TestPatchPositions:
     @pytest.mark.parametrize("built,asked", [("patch-sgs", "jacobi"), ("jacobi", "patch-sgs")])
     def test_smoother_other_than_the_structure_rejected(self, built, asked):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        structure = asp_structure(cond.spaces, cond.block.essential, cond.structure.a_g, built)
+        structure = asp_structure(cond.spaces, cond.structure.a_g, built)
         assert build_asp(cond, smoother=built, structure=structure).smoother == built
         with pytest.raises(ValueError, match=f"built for '{built}'"):
             build_asp(cond, smoother=asked, structure=structure)

@@ -60,7 +60,7 @@ class TestDivergenceStructure:
     def test_edge_groups(self, ref):
         k = ref.k
         for l in range(3):
-            block = ref.vol_divs[ref.facet_slice(l)]
+            block = ref.vol_divs[l * (k + 1) : (l + 1) * (k + 1)]
             # lowest-order edge function: constant, nonzero divergence
             assert np.ptp(block[0]) <= 1e-12
             assert np.abs(block[0]).max() > 0.1
@@ -68,10 +68,11 @@ class TestDivergenceStructure:
             assert np.abs(block[1 : 1 + k]).max() <= 1e-12
 
     def test_interior_groups(self, ref):
+        interior = slice(ref.n_facet, ref.n_u)
         if ref.k == 1:
-            assert ref.interior_slice.start == ref.interior_slice.stop
+            assert interior.start == interior.stop
             return
-        inner = ref.vol_divs[ref.interior_slice]
+        inner = ref.vol_divs[interior]
         if ref.n_int_c:
             assert np.abs(inner[: ref.n_int_c]).max() <= 1e-12
         for row in inner[ref.n_int_c :]:
@@ -83,7 +84,7 @@ class TestDivergenceStructure:
         # moments of the nonzero-divergence group against the orthonormal
         # pressure modes: zero against the constant, full rank on the rest
         w = ref.vol_rule.weights
-        dgrp = ref.vol_divs[ref.interior_slice][ref.n_int_c :]
+        dgrp = ref.vol_divs[ref.n_facet : ref.n_u][ref.n_int_c :]
         mom = np.einsum("iq,jq,q->ij", dgrp, ref.vol_qvals, w)
         assert np.abs(mom[:, 0]).max() <= 1e-12
         rest = mom[:, 1:]
@@ -94,7 +95,7 @@ class TestDivergenceStructure:
 class TestNormalTraces:
     def test_lowest_order_edge_functions(self, ref):
         for l in range(3):
-            idx = ref.facet_slice(l).start
+            idx = l * (ref.k + 1)
             for m in range(3):
                 tr = ref.edge_vals[(m, 0)][idx] @ REF_NORMALS[m]
                 if m == l:
@@ -106,7 +107,7 @@ class TestNormalTraces:
     def test_edge_bubbles_confined_to_own_edge(self, ref):
         k = ref.k
         for l in range(3):
-            sl = ref.facet_slice(l)
+            sl = slice(l * (k + 1), (l + 1) * (k + 1))
             for m in range(3):
                 tr = np.einsum(
                     "iqa,a->iq", ref.edge_vals[(m, 0)][sl][1:], REF_NORMALS[m]
@@ -121,14 +122,14 @@ class TestNormalTraces:
         f = ref.facet
         we = f.rule.weights
         for l in range(3):
-            sl = ref.facet_slice(l)
+            sl = slice(l * (k + 1), (l + 1) * (k + 1))
             tr = np.einsum("iqa,a->iq", ref.edge_vals[(l, 0)][sl][1:], REF_NORMALS[l])
             mom = np.einsum("iq,jq,q->ij", tr, f.modes_vals, we)
             assert np.abs(mom[:, 0]).max() <= 1e-12
             assert np.linalg.matrix_rank(mom[:, 1:], tol=1e-10) == k
 
     def test_interior_functions_have_zero_normal_trace(self, ref):
-        sl = ref.interior_slice
+        sl = slice(ref.n_facet, ref.n_u)
         if sl.start == sl.stop:
             return
         for m in range(3):

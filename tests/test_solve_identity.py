@@ -10,12 +10,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from divhdg.assembly import ProblemParams, assemble_saddle, aux_space
+from divhdg.assembly import ProblemParams, assemble_saddle
 from divhdg.condense import eliminate_local
 from divhdg.krylov import minres, pressure_mean_projector, solve_condensed
 from divhdg.linalg import NotSPD
 from divhdg.mesh import TAG_WALL, build_mesh
-from divhdg.precond import build_asp, build_schur
+from divhdg.precond import aux_space, build_asp, build_schur
 from divhdg.prng import XorShift
 from divhdg.spaces import build_spaces, interpolate_essential
 
@@ -156,7 +156,7 @@ def _former_transfer(cond, asp):
     component) pattern."""
     mesh, k, ess = cond.spaces.mesh, cond.spaces.k, cond.block.essential
     split = cond.spaces.split
-    vpos = aux_space(mesh, cond.spaces, ess).vpos
+    vpos = aux_space(cond.spaces, cond.structure.a_g).vpos
     fe = np.flatnonzero(ess.free_mask[: split.n_bnd : k + 1])
     normal = fe[:, None] * (k + 1) + np.arange(k + 1)
     tangential = split.n_bnd + fe[:, None] * k + np.arange(k)
