@@ -134,39 +134,43 @@ def trace_layout(k: int, n_e: int = 3, by_edge: bool = False) -> TraceLayout:
 
 
 def block_positions(
-    start: np.ndarray, rank: np.ndarray, layout: TraceLayout, nnz: int
+    start: np.ndarray, rank: np.ndarray, layout: TraceLayout, nnz: int, cols: TraceLayout = None
 ) -> np.ndarray:
-    """(B, n, n) positions in A_g's data of the blocks of A_g on B lists of
-    edges' trace unknowns, rows and columns in ``layout``'s order, and nnz
-    for an entry outside A_g's pattern. ``start`` (B, n) is where the row of
-    each unknown starts in the data (nnz for an essential one), and ``rank``
-    (B, n_e, n_e) int8 the lists' ``edge_ranks``.
+    """(B, n, n_c) positions in A_g's data of the blocks of A_g on B lists of
+    edges' trace unknowns, rows in ``layout``'s order and columns in that of
+    ``cols`` (by default ``layout``), and nnz for an entry outside A_g's
+    pattern. ``start`` (B, n) is where the row of each unknown starts in the
+    data (nnz for an essential one), and ``rank`` (B, n_e, n_ce) int8 the
+    ``edge_ranks`` of the row edges among the column edges.
 
     A row of a free edge with d neighbour edges holds their unknowns at the
     ``free_edge_unknowns`` of their ranks among the d, here per place in
-    ``layout``. An edge's normal rows are consecutive, so the step between
+    ``cols``. An edge's normal rows are consecutive, so the step between
     the starts of its first two is that row's length, d (2k+1); 0 for an
     essential edge, whose rows start at nnz."""
-    edge, width, mode, tangential, first = layout
+    cols = layout if cols is None else cols
+    edge, width, mode, tangential, _ = cols
     k = int(width[0]) - 1
     dt = np.int32 if 8 * nnz < 2**31 else np.int64
-    step = start[:, first + 1] - start[:, first]
+    step = start[:, layout.first + 1] - start[:, layout.first]
     # a column outside the pattern lands at nnz or beyond, as a dropped row does
     rank = np.where(rank < 0, dt(nnz), rank.astype(dt))
-    col = rank[:, :, edge] * width + mode  # (B, n_e, n): its place in a row of edge r
+    col = rank[:, :, edge] * width + mode  # (B, n_e, n_c): its place in a row of edge r
     col[:, :, tangential] += (step // (2 * k + 1) * (k + 1))[:, :, None]
-    out = np.take(col, edge, axis=1)
+    out = np.take(col, layout.edge, axis=1)
     out += start[:, :, None]
     return np.minimum(out, nnz, out=out)
 
 
-def edge_ranks(graph: sp.csr_matrix, edges: np.ndarray) -> np.ndarray:
-    """(B, d, d) int8: for B lists of d free-edge ranks ``edges`` (-1 for an
-    essential edge), the rank of edge c among the neighbour edges of edge r
-    in the free-edge ``graph``, -1 when either is essential or the two share
-    no element: the pair's position in the graph, from its ``position_map``,
-    less where row r starts."""
-    r, c = np.broadcast_arrays(edges[:, :, None], edges[:, None, :])
+def edge_ranks(graph: sp.csr_matrix, edges: np.ndarray, cols: np.ndarray = None) -> np.ndarray:
+    """(B, d, d_c) int8: for B lists of d free-edge ranks ``edges`` (-1 for an
+    essential edge) and B lists of d_c ``cols`` (by default ``edges``), the
+    rank of edge c among the neighbour edges of edge r in the free-edge
+    ``graph``, -1 when either is essential or the two share no element: the
+    pair's position in the graph, from its ``position_map``, less where row r
+    starts."""
+    cols = edges if cols is None else cols
+    r, c = np.broadcast_arrays(edges[:, :, None], cols[:, None, :])
     free = (r >= 0) & (c >= 0)
     if not free.any():  # every edge essential, as on a mesh with no free edge
         return np.full(r.shape, -1, np.int8)

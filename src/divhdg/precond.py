@@ -6,22 +6,25 @@ coarse correction through the continuous piecewise-linear vector space,
     Az^{-1} = R + Pi (A0 kron I2)^{-1} Pi^T.
 The smoother R visits the patches in multicolour order: the patches are
 coloured so that no two of one colour share or couple unknowns, and a sweep
-is one forward pass over the colours and one backward pass, each colour
-solved for all its patches at once.  In the forward pass the iterate is still
-exactly zero outside the unknowns of the colours already visited, so each
-colour forms its residual from ``a_fwd``, its row slice of A_g restricted to
-those columns: empty for the first colour and the whole slice for the last
-(every unknown lies in two patches of different colours).  The dropped terms
-are products with +0.0, so the sums are unchanged.  The backward pass uses
-the whole slices.  The patches of one colour and size whose blocks of A_g
-are equal bit for bit form a class, and a mesh of translated copies of two
-triangles has few (14 among 287 patches on the unit square at 1/h=16 and
-k=2).  A class of at least ``_CLASS_MIN`` patches is one slice of the
-colour's rows, solved with one GEMM against its one inverse.  The other
-patches of each size form a tail, each patch with its own inverse, solved
-by one batched matrix-vector product.  A GEMM rounds otherwise than that
-product, so classes move the iterates by rounding; on a mesh with no
-repeated patch every patch is in a tail and the sweep keeps its bits.
+is one forward pass over the colours and one backward pass without the last
+colour, each colour solved for all its patches at once.  A patch's rows of
+A_g split as (A z)_p = D z_p + A_ring z_ring, D the patch block and the ring
+the columns of those rows outside the patch, so the block Gauss-Seidel
+correction z_p += D^-1 (r - A z)_p is the assignment
+
+    z_p = M [r_p | z_ring],   M = [D^-1 | -D^-1 A_ring]  (m, m + w),
+
+one product per patch with a gather from the stacked [r | z]; the first
+colour sees z = 0 and reads only D^-1 r_p.  No row of A_g is sliced.  The
+patches with the same numbers of free edges and ring edges form a group,
+and those of one group whose blocks [D | A_ring] are equal bit for bit
+form a class; a mesh of translated copies of two triangles has few (19
+among 287 patches on the unit square at 1/h=16 and k=2).  The patches of a
+class of at least ``_CLASS_MIN`` within one colour are solved with one GEMM
+against their one M.  The other patches of each group and colour form a
+tail, each patch with its own M, solved by one batched matrix-vector
+product.  The product rounds otherwise than the correction it replaces, so
+the iterates move by rounding only.
 Pointwise Jacobi is the one alternative smoother.
 
 The auxiliary space is one ``AuxSpace``, built from the condensed structure's
@@ -67,19 +70,19 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
-sweep: the ``AuxSpace``, the patches' colours as free edges (each colour's
-unknowns, and per pair of a patch's edges the rank of one among the other's
-neighbours), and N with its RCM order. ``build_asp`` and ``build_schur``
-then do one row's work: the scalar auxiliary operator and its factor; the patch blocks,
-gathered from A_g's data at positions computed from its row starts batch by
-batch and classed exactly (``linalg.distinct_rows`` within each batch, then
-across the batches' first blocks), each class's block inverted once and the
-colours' rows ordered by class; each colour's row slice of A_g; and the
-Schur inner factor.  The library calls them from ``bench.Structure.row``.
-Called without a structure (the traced benchmark, tests), they build it
-first.
+sweep: the ``AuxSpace``, the patches by group as free edges (each patch's
+unknowns and ring unknowns, its colour, and per pair of a spoke and a spoke
+or ring edge the rank of one among the other's neighbours), and N with its
+RCM order. ``build_asp`` and ``build_schur`` then do one row's work: the
+scalar auxiliary operator and its factor; each group's classes, found
+batch by batch from the patches' rows of A_g and then merged on their
+blocks (``_patch_matrices``), each class's M formed once and the colours'
+patches ordered by class; and the Schur inner factor.  The library calls
+them from ``bench.Structure.row``. Called without a structure (the traced
+benchmark, tests), they build it first.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +96,8 @@ from .assembly import (
     scatter_pattern,
     scatter_stack,
 )
-from .condense import CondensedSystem, TracePattern, block_positions, edge_ranks, trace_layout
+from .condense import CondensedSystem, TraceLayout, TracePattern
+from .condense import block_positions, edge_ranks, trace_layout
 from .linalg import SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
 from .spaces import Spaces, free_edge_unknowns
@@ -217,131 +221,156 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # velocity block
 
 
-# block entries per batch of patches whose positions and values a row
-# computes at once: 2 MB of float64
+# entries of A_g's rows per batch of patches that a row classes at once:
+# 2 MB of float64
 _BATCH = 1 << 18
 
-# the fewest patches of one colour and size with equal blocks that the sweep
-# solves as one class, with one GEMM against their one inverse; a smaller
-# class joins the tail, whose patches each keep their own inverse
+# the fewest patches of one group and colour with equal blocks that the sweep
+# solves as one class, with one GEMM against their one M; a smaller class
+# joins the tail, whose patches each keep their own M
 _CLASS_MIN = 8
 
 
 @dataclass(frozen=True)
 class _Colour:
-    """One row's colour of the patch smoother.  ``rows`` holds the unknowns
-    of its patches, per patch size first the classes, then the tail
-    (``_ColourPattern.fill``).  Class ``(lo, hi, inv)`` covers ``rows[lo:hi]``
-    as at least ``_CLASS_MIN`` patches of m unknowns with equal blocks of
-    A_g, and ``inv`` (m, m) is the inverse of that block.  Tail ``(lo, hi,
-    inv)`` covers ``rows[lo:hi]`` as P patches, with ``inv`` (P, m, m) the
-    inverses of their blocks.  ``a_rows`` is its row slice of A_g, and
-    ``a_fwd`` those rows on the columns of the earlier colours, the only
-    ones where the forward pass's iterate can be nonzero."""
+    """One row's colour of the patch smoother.  ``rows`` holds the m
+    unknowns of each of its patches, part by part, and ``take`` the m + w
+    positions of each patch's gather from the stacked [r | z], the patch's
+    unknowns and then its ring's, offset by n (``_PatchGroup``).  A part
+    ``(p, mat)`` is p patches of one group, either a class of at least
+    ``_CLASS_MIN`` patches with equal blocks [D | A_ring], ``mat`` (m, m + w)
+    their one M = [D^-1 | -D^-1 A_ring], or a tail, ``mat`` (p, m, m + w)
+    each patch's own M."""
 
     rows: np.ndarray
-    classes: list
-    tails: list
-    a_rows: sp.csr_matrix
-    a_fwd: sp.csr_matrix
+    take: np.ndarray
+    parts: list
 
-    def correct(self, r: np.ndarray, z: np.ndarray, a: sp.csr_matrix) -> None:
-        """Exact block solves on every patch of the colour at once, with the
-        residual rows ``r[rows] - a @ z``: one GEMM per class, one batched
-        matrix-vector product per tail.  Patches of one colour share no
-        unknown and no A_g coupling, so this equals visiting them one by
-        one."""
-        res = r[self.rows]
-        if a.nnz:
-            res -= a @ z
-        for lo, hi, inv in self.classes:
-            res[lo:hi] = (res[lo:hi].reshape(-1, inv.shape[0]) @ inv.T).ravel()
-        for lo, hi, inv in self.tails:
-            p, m, _ = inv.shape
-            res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
-        z[self.rows] += res
+    def correct(self, rz: np.ndarray, z: np.ndarray, first: bool) -> None:
+        """Exact block solves z_p = M [r_p | z_ring] on every patch of the
+        colour at once, ``z`` the second half of ``rz``: one GEMM per class,
+        one batched matrix-vector product per tail.  Patches of one colour
+        share no unknown and no A_g coupling, so no ring holds another
+        patch's unknowns, and this equals visiting them one by one.  The
+        ``first`` colour of a sweep sees z = 0 and reads only r_p and D^-1."""
+        out = np.empty(self.rows.size)
+        v = rz.take(self.rows if first else self.take)
+        lo = vlo = 0
+        for p, mat in self.parts:
+            m = mat.shape[-2]
+            w = m if first else mat.shape[-1]
+            mat = mat[..., :w]
+            x = v[vlo : vlo + p * w].reshape(p, w)
+            y = out[lo : lo + p * m]
+            if mat.ndim == 2:
+                np.matmul(x, mat.T, out=y.reshape(p, m))
+            else:
+                np.matmul(mat, x.reshape(p, w, 1), out=y.reshape(p, m, 1))
+            lo += p * m
+            vlo += p * w
+        z[self.rows] = out
 
 
 @dataclass(frozen=True)
-class _ColourPattern:
-    """One colour of the patch smoother in an ``AspStructure``: ``rows``
-    holds the unknowns of its patches as in ``_Colour``, grouped by the
-    patches' number d of free edges.  Group ``(lo, hi, rank)`` covers
-    ``rows[lo:hi]`` as P patches of d (2k+1) unknowns, each free edge's in
-    turn, and ``rank`` (P, d, d) int8 holds their ``condense.edge_ranks``.
-    ``fill`` gives one row's ``_Colour``."""
+class _PatchGroup:
+    """The patches of the patch smoother in an ``AspStructure`` with d free
+    edges (spokes) and e ring edges: the free edges, not spokes, that share
+    an element with a spoke, so that the ring's unknowns are the columns of
+    the patch's rows of A_g outside the patch.  ``take`` (P, m + w), with m
+    = d (2k+1) and w = e (2k+1), holds each patch's unknowns, each spoke's in
+    turn, then its ring's in ascending order, as positions in the stacked [r
+    | z] (the ring's offset by n); ``rank`` (P, d, d + e) int8 the
+    ``condense.edge_ranks`` of the spokes among the spokes and the ring.  The
+    patches of colour c are ``ends[c]:ends[c + 1]``, in natural vertex
+    order."""
 
-    rows: np.ndarray
-    groups: list
+    take: np.ndarray
+    rank: np.ndarray
+    ends: np.ndarray
 
-    def fill(self, a: sp.csr_matrix, first: np.ndarray, c: int) -> _Colour:
-        """Colour ``c`` of the row whose A_g is ``a``; ``first`` holds the
-        first colour of each unknown.  Per group, the patches of each class
-        of at least ``_CLASS_MIN`` patches become one slice of the rows, in
-        the order of the classes' first patches, and the other patches
-        follow in their given order."""
-        rows, classes, tails, lo = [], [], [], 0
-        for glo, ghi, rank in self.groups:
-            ids = self.rows[glo:ghi].reshape(rank.shape[0], -1)
-            m = ids.shape[1]
-            cls, inv = _block_inverses(a, ids, rank)
-            size = np.bincount(cls)
+
+def _fill_colours(a: sp.csr_matrix, groups: list) -> list:
+    """The ``_Colour``s of the row whose A_g is ``a``.  Per group and colour,
+    the patches of each class of at least ``_CLASS_MIN`` patches become one
+    part, in the order of the classes' first patches, and the other patches
+    follow as the tail in their given order."""
+    n_colours = groups[0].ends.size - 1 if groups else 0
+    rows, take, parts = ([[] for _ in range(n_colours)] for _ in range(3))
+    for g in groups:
+        m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
+        cls, mats = _patch_matrices(a, g.take, g.rank)
+        for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
+            if lo == hi:
+                continue
+            cc = cls[lo:hi]
+            size = np.bincount(cc)
             big = np.flatnonzero(size >= _CLASS_MIN)
-            order = np.argsort(np.where(size[cls] >= _CLASS_MIN, cls, size.size), kind="stable")
-            for j in big:
-                hi = lo + m * int(size[j])
-                classes.append((lo, hi, inv[j].copy()))
-                lo = hi
+            order = np.argsort(np.where(size[cc] >= _CLASS_MIN, cc, size.size), kind="stable")
+            parts[c] += [(int(size[j]), mats[j].copy()) for j in big]
             tail = order[int(size[big].sum()) :]
             if tail.size:
-                hi = lo + m * tail.size
-                tails.append((lo, hi, inv[cls[tail]]))
-                lo = hi
-            rows.append(ids[order].ravel())
-        rows = np.concatenate(rows)
-        a_rows = a[rows]
-        a_fwd = _earlier_columns(a_rows, first, c)
-        return _Colour(rows=rows, classes=classes, tails=tails, a_rows=a_rows, a_fwd=a_fwd)
+                parts[c].append((tail.size, mats[cc[tail]]))
+            t = g.take[lo:hi][order]
+            rows[c].append(t[:, :m].ravel())
+            take[c].append(t.ravel())
+    return [
+        _Colour(rows=np.concatenate(r), take=np.concatenate(t), parts=p)
+        for r, t, p in zip(rows, take, parts)
+    ]
 
 
-def _earlier_columns(m: sp.csr_matrix, first: np.ndarray, c: int) -> sp.csr_matrix:
-    """The entries of the canonical CSR matrix ``m`` in the columns whose
-    first colour is before ``c``; ``m`` itself when that is every entry."""
-    kept = first.take(m.indices) < c
-    if kept.all():
-        return m
-    sel = np.flatnonzero(kept)
-    ptr = np.searchsorted(sel, m.indptr).astype(m.indptr.dtype)
-    return sp.csr_matrix((m.data.take(sel), m.indices.take(sel), ptr), shape=m.shape)
+def _patch_matrices(a: sp.csr_matrix, take: np.ndarray, rank: np.ndarray) -> tuple:
+    """The sweep matrices of the P patches of one ``_PatchGroup`` in the row
+    whose A_g is ``a``, as exact classes of their blocks [D | A_ring] (m, m +
+    w): the class of each patch (P,), numbered by first patch, and each
+    class's M = [D^-1 | -D^-1 A_ring] (C, m, m + w), formed once.
 
-
-def _block_inverses(a: sp.csr_matrix, rows: np.ndarray, rank: np.ndarray) -> tuple:
-    """The blocks of ``a`` on P patches of d free edges, with unknowns
-    ``rows`` (P, m) and edge ranks ``rank`` (P, d, d), as their exact
-    classes: the class of each patch (P,), numbered by first patch, and
-    each class's inverse (C, m, m).  The blocks are gathered in batches of
-    patches: their positions follow from ``a``'s row starts, and an entry
-    outside its pattern is 0.  ``distinct_rows`` classes each batch's
-    blocks, and once more the first blocks of the batches' classes, so
-    equal blocks share a class wherever they lie; each class's block is
-    inverted once."""
-    p, d, _ = rank.shape
-    m = rows.shape[1]  # d (2k+1)
-    layout = trace_layout(m // d // 2, d, by_edge=True)
+    A patch's rows of A_g hold every entry of its block and its ranks say
+    where each goes, so equal ranks and rows give equal blocks.  Per batch of
+    patches, ``distinct_rows`` classes the rows (zero-padded to one width,
+    about half the block's entries) with the ranks, and only each class's
+    first block is gathered, at positions that follow from ``a``'s row
+    starts (0 outside its pattern).  ``distinct_rows`` of those blocks then
+    merges the classes with equal blocks, across batches and ranks."""
+    p, d, dc = rank.shape
+    m = take.shape[1] // dc * d
+    k = (m // d - 1) // 2
+    layout, cols = trace_layout(k, d, by_edge=True), _block_columns(k, d, dc - d)
+    start = a.indptr.take(take[:, :m])
+    length = a.indptr.take(take[:, :m] + 1) - start
+    width = np.arange(length.max())
     cls = np.empty(p, np.intp)
     reps = []
-    step = max(1, _BATCH // (m * m))
+    step = max(1, _BATCH // (m * width.size))
     for lo in range(0, p, step):
         batch = slice(lo, lo + step)
-        pos = block_positions(a.indptr.take(rows[batch]), rank[batch], layout, a.nnz)
-        blocks = a.data.take(pos, mode="clip")
-        blocks[pos == a.nnz] = 0.0
-        first, inverse = distinct_rows(blocks)
+        rows = a.data.take(start[batch, :, None] + width, mode="clip")
+        rows[width >= length[batch, :, None]] = 0.0
+        first, inverse = distinct_rows(rank[batch], rows)
         cls[batch] = inverse + sum(r.shape[0] for r in reps)
-        reps.append(blocks[first])
+        first += lo
+        pos = block_positions(start[first], rank[first], layout, a.nnz, cols)
+        reps.append(a.data.take(pos, mode="clip"))
+        reps[-1][pos == a.nnz] = 0.0
     reps = np.concatenate(reps)
     first, inverse = distinct_rows(reps)
-    return inverse[cls], np.linalg.inv(reps[first])
+    blocks = reps[first]
+    dinv = np.linalg.inv(blocks[:, :, :m])
+    return inverse[cls], np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
+
+
+@functools.cache
+def _block_columns(k: int, d: int, e: int) -> TraceLayout:
+    """The columns of the block [D | A_ring] of a patch of d spokes and e ring
+    edges: the spokes' unknowns by edge, as its rows, then the ring's in
+    A_g's column order, the ring edges' normal modes, then their tangential
+    modes."""
+    spokes, ring = trace_layout(k, d, by_edge=True), trace_layout(k, e)
+    ring = ring._replace(edge=ring.edge + d, first=ring.first + spokes.edge.size)
+    layout = TraceLayout(*(np.concatenate(pair) for pair in zip(spokes, ring)))
+    for a in layout:  # cached: every caller gets these arrays
+        a.setflags(write=False)
+    return layout
 
 
 @dataclass
@@ -354,17 +383,20 @@ class AspPrecond:
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
-        """R r: pointwise Jacobi, or one multicolour SGS sweep whose forward
-        pass reads ``a_fwd`` and whose backward pass reads ``a_rows``."""
+        """R r: pointwise Jacobi, or one multicolour SGS sweep, each colour
+        one ``_Colour.correct`` on the stacked [r | z]."""
         if self.smoother == "jacobi":
             return r / self.jacobi_diag
+        n = r.size
+        rz = np.zeros(2 * n)
+        rz[:n] = r
+        z = rz[n:]
         # forward over the colours, then back; the last colour is not
         # repeated, since its residual is already zero after the forward pass
-        z = np.zeros_like(r)
-        for blk in self.colours:
-            blk.correct(r, z, blk.a_fwd)
+        for c, blk in enumerate(self.colours):
+            blk.correct(rz, z, c == 0)
         for blk in reversed(self.colours[:-1]):
-            blk.correct(r, z, blk.a_rows)
+            blk.correct(rz, z, False)
         return z
 
     def coarse(self, r: np.ndarray) -> np.ndarray:
@@ -376,50 +408,23 @@ class AspPrecond:
         return z
 
 
-def _colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
-    """Greedy colouring of the patches, in their given order.  Two patches
-    conflict if they share a free edge or A_g couples their unknowns: a
-    nonzero of P G P^T, with P the patch-to-edge incidence and G the
-    free-edge graph, formed in bool.  Each free edge's unknowns lie in the
-    patches of the edge, and A_g couples two edges' unknowns where G holds
-    the pair, so it is the pattern of P_u (|A_g| + I) P_u^T, P_u the
-    patch-to-unknown incidence."""
-    n_p = offsets.size - 1
-    inc = sp.csr_matrix(
-        (np.ones(spokes.size, bool), spokes, offsets), shape=(n_p, graph.shape[0])
-    )
-    conflict = (inc @ graph @ inc.T).tocsr()
-    ptr = conflict.indptr.tolist()
-    nbr = conflict.indices.tolist()
-    colour = [-1] * n_p
-    for p in range(n_p):
-        used = {colour[q] for q in nbr[ptr[p] : ptr[p + 1]]}
-        c = 0
-        while c in used:
-            c += 1
-        colour[p] = c
+def _colour_patches(conflict: sp.csr_matrix) -> np.ndarray:
+    """Greedy colouring of the patches, in their given order, on the
+    symmetric ``conflict`` pattern: each patch takes the least colour that
+    no earlier conflicting patch took, read from a bitmask per patch of the
+    colours its earlier neighbours took."""
+    later = sp.triu(conflict, k=1, format="csr")
+    ptr = later.indptr.tolist()
+    nbr = later.indices.tolist()
+    taken = [0] * later.shape[0]
+    colour = []
+    for p, t in enumerate(taken):
+        c = (~t & (t + 1)).bit_length() - 1  # the lowest clear bit
+        colour.append(c)
+        bit = 1 << c
+        for q in nbr[ptr[p] : ptr[p + 1]]:
+            taken[q] |= bit
     return np.array(colour, np.int64)
-
-
-def _colour_patterns(offsets, spokes, colour, edofs, graph) -> tuple:
-    """The colours' ``_ColourPattern``s and, per free unknown, the first
-    colour that holds it (one byte for fewer than 256 colours)."""
-    sizes = np.diff(offsets)
-    patterns = []
-    for c in range(colour.max(initial=-1) + 1):
-        members = np.flatnonzero(colour == c)
-        rows, groups, lo = [], [], 0
-        for d in np.unique(sizes[members]):
-            ps = members[sizes[members] == d]
-            edges = spokes[offsets[ps, None] + np.arange(d)]  # (P, d)
-            rows.append(edofs[edges].ravel())
-            groups.append((lo, lo + rows[-1].size, edge_ranks(graph, edges)))
-            lo += rows[-1].size
-        patterns.append(_ColourPattern(rows=np.concatenate(rows), groups=groups))
-    first = np.empty(edofs.size, np.min_scalar_type(len(patterns)))
-    for c in reversed(range(len(patterns))):
-        first[patterns[c].rows] = c
-    return patterns, first
 
 
 @dataclass(frozen=True)
@@ -517,15 +522,14 @@ def aux_space(spaces: Spaces, a_g: TracePattern) -> AuxSpace:
 class AspStructure:
     """The parameter-independent part of the ASP preconditioner on one (mesh,
     k, essential data), shared by every row of a sweep: the auxiliary space
-    with its transfer, and for the patch smoother each colour's
-    ``_ColourPattern`` and the first colour of each unknown.  It keeps no
-    position in A_g's data: a row computes them per batch of patches from
-    A_g's row starts.  A Jacobi structure holds no patches."""
+    with its transfer, and for the patch smoother the patches as
+    ``_PatchGroup``s.  It keeps no position in A_g's data: a row computes
+    them per batch of patches from A_g's row starts.  A Jacobi structure
+    holds no patches."""
 
     smoother: str
     aux: AuxSpace
-    colours: list = field(repr=False, default=None)  # of _ColourPattern
-    first: np.ndarray = field(repr=False, default=None)  # per free unknown, its first colour
+    groups: list = field(repr=False, default=None)  # of _PatchGroup
 
 
 def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs") -> AspStructure:
@@ -533,10 +537,15 @@ def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs"
     ``TracePattern`` of the condensed velocity block A_g, whose free edges
     and free-edge graph it reads. The vertex patches (the free unknowns on
     the free edges at a vertex) are coloured greedily in natural vertex
-    order, on that graph."""
+    order. Two patches conflict if they share a free edge or A_g couples
+    their unknowns: a nonzero of P G P^T, with P the patch-to-edge incidence
+    and G the free-edge graph, formed in bool, since each free edge's
+    unknowns lie in the patches of the edge and A_g couples two edges'
+    unknowns where G holds the pair. The pattern of P G holds each patch's
+    spokes and ring."""
     if smoother not in SMOOTHERS:
         raise ValueError(f"unknown smoother '{smoother}'")
-    colours = first = None
+    groups = None
     if smoother == "patch-sgs":
         # free edges in rank order and the free positions of their 2k+1
         # condensed unknowns, (E, 2k+1) as intp: the smoother indexes
@@ -549,9 +558,28 @@ def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs"
         spokes = np.argsort(ends, kind="stable") // 2
         counts = np.unique(ends, return_counts=True)[1]
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        colour = _colour_patches(offsets, spokes, a_g.graph)
-        colours, first = _colour_patterns(offsets, spokes, colour, edofs, a_g.graph)
-    return AspStructure(smoother, aux_space(spaces, a_g), colours, first)
+        inc = sp.csr_matrix(
+            (np.ones(spokes.size, bool), spokes, offsets), shape=(offsets.size - 1, fe.size)
+        )
+        reach = (inc @ a_g.graph).tocsr()
+        colour = _colour_patches((reach @ inc.T).tocsr())
+        ring = (reach.astype(np.int8) - inc.astype(np.int8)).tocsr()
+        ring.eliminate_zeros()  # each spoke is its own neighbour
+        ring.sort_indices()
+        sizes, widths = np.diff(offsets), np.diff(ring.indptr)
+        groups = []
+        for d, e in np.unique(np.stack([sizes, widths], axis=1), axis=0):
+            ps = np.flatnonzero((sizes == d) & (widths == e))
+            ps = ps[np.argsort(colour[ps], kind="stable")]
+            own = spokes[offsets[ps, None] + np.arange(d)]
+            rim = ring.indices[ring.indptr[ps, None] + np.arange(e)]
+            # the ring's unknowns in ascending order, A_g's column order
+            rim_unknowns = np.sort(edofs[rim].reshape(ps.size, -1), axis=1) + edofs.size
+            take = np.concatenate([edofs[own].reshape(ps.size, -1), rim_unknowns], axis=1)
+            rank = edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
+            ends = np.searchsorted(colour[ps], np.arange(colour.max() + 2))
+            groups.append(_PatchGroup(take, rank, ends))
+    return AspStructure(smoother, aux_space(spaces, a_g), groups)
 
 
 def build_asp(
@@ -567,9 +595,8 @@ def build_asp(
     ``structure`` (``asp_structure``) holds the part that lives for the whole
     sweep; without it (the traced benchmark and the tests), that part is
     built here for ``smoother``.  A row then only assembles and factors the
-    auxiliary operator and, for the patch smoother, gathers its patch blocks
-    (at positions computed from A_g's row starts) and row slices from A_g
-    and inverts the blocks.
+    auxiliary operator and, for the patch smoother, classes its patches and
+    forms each class's sweep matrix (``_patch_matrices``).
     """
     if structure is None:
         smoother = SMOOTHERS[0] if smoother is None else smoother
@@ -588,6 +615,5 @@ def build_asp(
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")
         return pre
-    a = cond.A_g.csr
-    pre.colours = [p.fill(a, structure.first, c) for c, p in enumerate(structure.colours)]
+    pre.colours = _fill_colours(cond.A_g.csr, structure.groups)
     return pre

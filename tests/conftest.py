@@ -75,26 +75,28 @@ def cavity22_stokes():
     return pipeline("cavity", 2, 2, tau=1.0, inv_lambda=0.0)
 
 
-def patch_groups(colour):
-    """A filled ``precond._Colour``'s block inverses per patch, as (lo, hi,
-    inv) in row order with ``inv`` (P, m, m): each class's one inverse
-    repeated for every patch of the class, and the tails as they are."""
-    classes = [
-        (lo, hi, np.repeat(inv[None], (hi - lo) // inv.shape[0], axis=0))
-        for lo, hi, inv in colour.classes
-    ]
-    return sorted(classes + colour.tails, key=lambda g: g[0])
+def colour_patches(structure):
+    """Per colour of a patch-smoother ``AspStructure``, its patches group by
+    group, each as (unknowns (m,), ring unknowns (w,)), from the groups'
+    gathers from the stacked [r | z] (the ring's offset by n)."""
+    groups = structure.groups
+    n = structure.aux.transfer.shape[0]
+    out = [[] for _ in range(groups[0].ends.size - 1 if groups else 0)]
+    for g in groups:
+        m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
+        for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
+            out[c] += [(t[:m], t[m:] - n) for t in g.take[lo:hi]]
+    return out
 
 
-def patch_inverses(colour, ids):
-    """(P, m, m): the inverses that the filled ``colour`` applies to its
-    patches whose unknowns are ``ids`` (P, m); each patch must lie whole in
-    the colour's rows, found there by its first unknown."""
-    at = {}
-    for lo, _, inv in patch_groups(colour):
-        at.update((lo + i * inv.shape[1], b) for i, b in enumerate(inv))
-    slot = np.empty(colour.rows.max() + 1, np.intp)
-    slot[colour.rows] = np.arange(colour.rows.size)
-    start = slot[ids[:, 0]]
-    assert np.array_equal(colour.rows[start[:, None] + np.arange(ids.shape[1])], ids)
-    return np.stack([at[s] for s in start])
+def patch_matrices(colour, n):
+    """Per patch of a filled ``precond._Colour``, in its order: (unknowns
+    (m,), ring unknowns (w,), M (m, m + w)), each class's one M repeated for
+    every patch of the class; ``n`` is the number of free unknowns."""
+    out, lo = [], 0
+    for p, mat in colour.parts:
+        m, mw = mat.shape[-2:]
+        take = colour.take[lo : lo + p * mw].reshape(p, mw)
+        out += [(t[:m], t[m:] - n, mat if mat.ndim == 2 else mat[i]) for i, t in enumerate(take)]
+        lo += p * mw
+    return out

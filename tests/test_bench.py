@@ -299,13 +299,12 @@ class TestRunGrid:
             raise AssertionError("patch structure built for a Jacobi sweep")
 
         monkeypatch.setattr(precond, "_colour_patches", refuse)
-        monkeypatch.setattr(precond, "_colour_patterns", refuse)
         g = _tiny_grid(inv_hs=[2, 4], taus=[0.0, 1.0], smoother="jacobi")
         rows = run_grid(g)
         assert [r.error for r in rows] == [""] * 4
         assert all(r.converged for r in rows)
         asp = build_structure("cavity", 4, 2, "jacobi").asp
-        assert asp.colours is None
+        assert asp.groups is None
 
 
 def _former_structure(problem, inv_h, k):

@@ -221,22 +221,17 @@ class TestRowMemory:
     @pytest.mark.parametrize("name,k", [("cavity", 2), ("step", 3), ("jittered", 4)])
     def test_asp_structure_keeps_no_positions(self, name, k):
         """The patch smoother's structure keeps free-edge data only: no array
-        with an entry per patch block entry, Σ P m^2, nor per entry of A_g,
-        such as positions of the patch blocks or of the colours' row slices
-        in A_g's data. A row computes those from A_g's row starts. The
-        colours' arrays together hold fewer entries than A_g; the former
-        structure's row slices alone held twice as many."""
+        with an entry per patch block entry, Σ P m (m + w), nor per entry of
+        A_g, such as positions of the patch blocks in A_g's data. A row
+        computes those from A_g's row starts. The groups' arrays together
+        hold fewer entries than A_g."""
         s = _structure(name, k)
         nnz = s.condensed.a_g.nnz
-        blocks = sum(
-            rank.shape[0] * ((hi - lo) // rank.shape[0]) ** 2
-            for c in s.asp.colours
-            for lo, hi, rank in c.groups
-        )
+        blocks = sum(g.take.size * g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1] for g in s.asp.groups)
         arrays = list(_arrays(s.asp, set()))
-        assert any(a is s.asp.first for a in arrays)  # the walk reached the colours
+        assert any(a is s.asp.groups[0].take for a in arrays)  # the walk reached the groups
         assert not [a.shape for a in arrays if a.size >= min(nnz, blocks)]
-        patch_data = list(_arrays((s.asp.colours, s.asp.first), set()))
+        patch_data = list(_arrays(s.asp.groups, set()))
         assert sum(a.size for a in patch_data) < nnz
 
     def test_narrow_index_tables(self):

@@ -1,8 +1,9 @@
 """Set-up by element class. ``linalg.distinct_rows`` classes rows exactly;
 static condensation solves one local problem per distinct (element class,
-element load) pair of a chunk, and the patch smoother inverts each distinct
-block of a group of patches once. Every result keeps the bits of the former
-per-element and per-patch work, kept verbatim below as reference."""
+element load) pair of a chunk, and the patch smoother forms the sweep
+matrix of each distinct block of a group of patches once. Every result
+keeps the bits of the former per-element work, kept verbatim below as
+reference, and of per-patch work."""
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from divhdg.mesh import step_domain, unit_square
 from divhdg.precond import asp_structure, build_asp, schur_structure
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import jittered_square, patch_inverses
+from conftest import jittered_square, patch_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +135,25 @@ def _former_back_substitute(cond, trace_sol, pbar_sol):
     return vel, pressure
 
 
-def _former_block_inverses(a, rows, rank):
-    p, d, _ = rank.shape
-    rows = rows.reshape(p, -1)
-    m = rows.shape[1]  # d (2k+1)
-    layout = trace_layout(m // d // 2, d, by_edge=True)
-    inv = np.empty((p, m, m))
-    step = max(1, precond._BATCH // (m * m))
+def _per_patch_matrices(a, take, rank):
+    """Each patch's own M = [D^-1 | -D^-1 A_ring] (P, m, m + w) of one
+    ``precond._PatchGroup``, its block gathered at the positions that
+    ``block_positions`` gives, in batches of patches as a row gathers."""
+    p, d, dc = rank.shape
+    m = take.shape[1] // dc * d
+    k = (m // d - 1) // 2
+    layout, cols = trace_layout(k, d, by_edge=True), precond._block_columns(k, d, dc - d)
+    out = np.empty((p, m, take.shape[1]))
+    step = max(1, precond._BATCH // (m * take.shape[1]))
     for lo in range(0, p, step):
         batch = slice(lo, lo + step)
-        pos = block_positions(a.indptr.take(rows[batch]), rank[batch], layout, a.nnz)
+        start = a.indptr.take(take[batch, :m])
+        pos = block_positions(start, rank[batch], layout, a.nnz, cols)
         blocks = a.data.take(pos, mode="clip")
         blocks[pos == a.nnz] = 0.0
-        inv[batch] = np.linalg.inv(blocks)
-    return inv
+        dinv = np.linalg.inv(blocks[:, :, :m])
+        out[batch] = np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +305,24 @@ class TestBitIdentity:
             assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("batch", [1, precond._BATCH])
-    def test_patch_inverses(self, monkeypatch, name, k, batch):
+    def test_patch_matrices(self, monkeypatch, name, k, batch):
         monkeypatch.setattr(precond, "_BATCH", batch)
         make_mesh, problem = MESHES[name]
         s = _structure(make_mesh(), problem, k)
         cond, asp, _ = s.row(ProblemParams(mu=0.7, tau=3.0, inv_lambda=1e-2))
-        a = cond.A_g.csr
-        for pattern, colour in zip(s.asp.colours, asp.colours):
-            for lo, hi, rank in pattern.groups:
-                inv = patch_inverses(colour, pattern.rows[lo:hi].reshape(rank.shape[0], -1))
-                assert np.array_equal(inv, _former_block_inverses(a, pattern.rows[lo:hi], rank))
+        a, n = cond.A_g.csr, cond.n_free
+        # by unknowns: the two patches of the mesh with one free edge hold
+        # the same unknowns in two colours
+        got = {}
+        for colour in asp.colours:
+            for ids, _, mat in patch_matrices(colour, n):
+                got.setdefault(tuple(ids), []).append(mat)
+        for g in s.asp.groups:
+            m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
+            want = _per_patch_matrices(a, g.take, g.rank)
+            for t, mat in zip(g.take, want):
+                assert np.array_equal(got[tuple(t[:m])].pop(), mat)
+        assert not any(got.values())
 
 
 # the texts the per-element check gave at alpha = 0.01
@@ -352,22 +366,14 @@ class _Spy:
         return self.fn(a, *args)
 
 
-def _distinct_blocks(a, rows, rank):
-    """The number of distinct blocks of one group of patches, which
-    ``_block_inverses`` inverts once each, gathered batch by batch as
-    ``_former_block_inverses`` gathers them."""
-    p, d, _ = rank.shape
-    rows = rows.reshape(p, -1)
-    m = rows.shape[1]
-    layout = trace_layout(m // d // 2, d, by_edge=True)
-    step = max(1, precond._BATCH // (m * m))
-    blocks = []
-    for lo in range(0, p, step):
-        pos = block_positions(a.indptr.take(rows[lo : lo + step]), rank[lo : lo + step], layout, a.nnz)
-        blocks.append(a.data.take(pos, mode="clip"))
-        blocks[-1][pos == a.nnz] = 0.0
-    blocks = np.concatenate(blocks)
-    return len(np.unique(blocks.reshape(len(blocks), -1).view(np.uint64), axis=0))
+def _distinct_blocks(a, take, rank):
+    """The number of distinct blocks [D | A_ring] of one group of patches,
+    whose M ``_patch_matrices`` forms once each."""
+    p, d, dc = rank.shape
+    m = take.shape[1] // dc * d
+    cols = np.concatenate([take[:, :m], take[:, m:] - a.shape[0]], axis=1)
+    blocks = np.stack([a[t[:m]][:, t].toarray() for t in cols])
+    return len(np.unique(blocks.reshape(p, -1).view(np.uint64), axis=0))
 
 
 class TestWorkCounts:
@@ -401,16 +407,12 @@ class TestWorkCounts:
         eliminate_local(block, s.condensed)
         assert spy.sizes == [128]
 
-    @pytest.mark.parametrize("problem,n,k,total", [("cavity", 16, 2, 14), ("step", 8, 3, 19)])
-    def test_patch_inverses_per_row(self, monkeypatch, problem, n, k, total):
+    @pytest.mark.parametrize("problem,n,k,total", [("cavity", 16, 2, 19), ("step", 8, 3, 17)])
+    def test_patch_matrices_per_row(self, monkeypatch, problem, n, k, total):
         s = build_structure(problem, n, k)
         cond = s.row(ProblemParams(tau=1.0, inv_lambda=1.0))[0]
         spy = _Spy(monkeypatch, "inv")
         build_asp(cond, structure=s.asp)
-        want = [
-            _distinct_blocks(cond.A_g.csr, pattern.rows[lo:hi], rank)
-            for pattern in s.asp.colours
-            for lo, hi, rank in pattern.groups
-        ]
+        want = [_distinct_blocks(cond.A_g.csr, g.take, g.rank) for g in s.asp.groups]
         assert spy.sizes == want
         assert sum(spy.sizes) == total

@@ -1,7 +1,10 @@
-"""The patch smoother applied by class: the patches of one colour and size
-whose blocks of A_g are equal share one inverse, and a class of at least
-``precond._CLASS_MIN`` patches is solved with one GEMM. The other patches
-keep their own inverses and the former batched matrix-vector product."""
+"""The patch smoother as one gathered product per patch: since (A z)_p =
+D z_p + A_ring z_ring, a patch's block Gauss-Seidel correction is the
+assignment z_p = M [r_p | z_ring], M = [D^-1 | -D^-1 A_ring]. The patches of
+one group whose blocks [D | A_ring] are equal bit for bit share one M, and
+a class of at least ``precond._CLASS_MIN`` patches of one colour is solved
+with one GEMM. The sweep is checked against a dense multiplicative Schwarz
+sweep."""
 
 import numpy as np
 import pytest
@@ -10,169 +13,178 @@ from divhdg import precond
 from divhdg.assembly import ProblemParams
 from divhdg.bench import build_structure
 
-from conftest import jittered_square, patch_groups
+from conftest import colour_patches, jittered_square, patch_matrices
 from test_element_classes import _structure
-from test_solve_identity import _former_correct
 
 PARAMS = ProblemParams(tau=1.0, inv_lambda=1.0)
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _gamma(n):
+    return n * U / (1 - n * U)
 
 
 @pytest.fixture(scope="module", params=[("cavity", 16, 2), ("step", 8, 3)], ids=str)
 def row(request):
-    """(structure, condensed system, ASP) of one row on a mesh whose
-    colours hold classes."""
+    """(problem, structure, condensed system, ASP) of one row on a mesh
+    whose colours hold classes."""
     s = build_structure(*request.param)
     cond, asp, _ = s.row(PARAMS)
-    return s, cond, asp
+    return request.param[0], s, cond, asp
 
 
-def _blocks(a, ids):
-    """(P, m, m): the blocks of the sparse ``a`` on the patches ``ids``
-    (P, m), by scipy's own indexing."""
-    return np.stack([a[p][:, p].toarray() for p in ids])
+def _own_matrix(a, ids, ring):
+    """M = [D^-1 | -D^-1 A_ring] of one patch, from its block [D | A_ring]
+    gathered by scipy's own indexing."""
+    m = ids.size
+    block = a[ids][:, np.r_[ids, ring]].toarray()[None]
+    dinv = np.linalg.inv(block[:, :, :m])
+    return np.concatenate([dinv, -(dinv @ block[:, :, m:])], axis=2)[0]
 
 
-def _patches(rows, lo, hi, m):
-    return rows[lo:hi].reshape(-1, m)
-
-
-def _former_sweep(a, structure, r):
-    """One patch-SGS sweep as before classes: the structure's patches in its
-    order, each solved with np.linalg.inv of its block gathered by scipy,
-    by the batched matrix-vector product, and the residual formed from the
-    whole row slice in both passes (the forward pass's iterate is +0.0 on
-    the columns it drops, which leaves the sums unchanged)."""
-    colours = []
-    for pattern in structure.colours:
-        groups = []
-        for lo, hi, rank in pattern.groups:
-            ids = _patches(pattern.rows, lo, hi, (hi - lo) // rank.shape[0])
-            groups.append((lo, hi, np.linalg.inv(_blocks(a, ids))))
-        colours.append((pattern.rows, groups, a[pattern.rows]))
+def _dense_sweep(a, colours, r):
+    """One multiplicative Schwarz sweep on dense A_g, kept as reference:
+    the patches in colour order, each solved exactly with np.linalg.solve
+    against its residual r - A z, forward over the colours, then backward
+    without the last."""
     z = np.zeros_like(r)
-    for rows, groups, a_rows in colours + colours[-2::-1]:
-        res = r[rows] - a_rows @ z
-        for lo, hi, inv in groups:
-            p, m, _ = inv.shape
-            res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
-        z[rows] += res
+    for colour in colours + colours[-2::-1]:
+        for ids in colour:
+            z[ids] += np.linalg.solve(a[np.ix_(ids, ids)], r[ids] - a[ids] @ z)
     return z
 
 
-class TestClasses:
-    def test_class_inverse_is_inv_of_every_member(self, row):
-        _, cond, asp = row
+class TestSweepMatrices:
+    # the class parts (one GEMM each) of the row's colours
+    CLASSES = {"cavity": 4, "step": 12}
+
+    def test_class_matrix_is_every_members_own(self, row):
+        problem, _, cond, asp = row
         a = cond.A_g.csr
         n_classes = 0
         for blk in asp.colours:
-            for lo, hi, inv in blk.classes:
-                blocks = _blocks(a, _patches(blk.rows, lo, hi, inv.shape[0]))
-                for block in blocks:
-                    assert np.array_equal(inv, np.linalg.inv(block))
-                n_classes += 1
-            for lo, hi, inv in blk.tails:
-                blocks = _blocks(a, _patches(blk.rows, lo, hi, inv.shape[1]))
-                for want, block in zip(inv, blocks):
-                    assert np.array_equal(want, np.linalg.inv(block))
-        assert n_classes == 8
+            for ids, ring, mat in patch_matrices(blk, cond.n_free):
+                assert np.array_equal(mat, _own_matrix(a, ids, ring))
+            n_classes += sum(mat.ndim == 2 for _, mat in blk.parts)
+        assert n_classes == self.CLASSES[problem]
 
-    def test_each_class_is_one_slice(self, row):
-        s, _, asp = row
-        for pattern, blk in zip(s.asp.colours, asp.colours):
-            # classes, then the tail, per patch size: the slices tile the rows
-            spans = sorted((lo, hi) for lo, hi, _ in blk.classes + blk.tails)
-            assert spans[0][0] == 0 and spans[-1][1] == blk.rows.size
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            # every patch with a class's inverse lies in the class's slice, and
-            # no tail holds _CLASS_MIN patches with one inverse
-            where = {}
-            for lo, hi, inv in patch_groups(blk):
-                m = inv.shape[1]
-                for i, b in enumerate(inv):
-                    where.setdefault((m, b.tobytes()), []).append(lo + i * m)
-            for lo, hi, inv in blk.classes:
-                m = inv.shape[0]
-                assert (hi - lo) // m >= precond._CLASS_MIN
-                assert where[m, inv.tobytes()] == list(range(lo, hi, m))
-            for lo, hi, inv in blk.tails:
-                for b in inv:
-                    starts = where[inv.shape[1], b.tobytes()]
-                    assert len(starts) < precond._CLASS_MIN
-                    assert all(lo <= t < hi for t in starts)
-            # the tail patches keep the structure's order; a patch stays whole
-            tail = [
-                tuple(p)
-                for lo, hi, inv in blk.tails
-                for p in _patches(blk.rows, lo, hi, inv.shape[1])
-            ]
-            given = [
-                tuple(p)
-                for lo, hi, rank in pattern.groups
-                for p in _patches(pattern.rows, lo, hi, (hi - lo) // rank.shape[0])
-            ]
+    def test_ring_is_the_columns_outside_the_patch(self, row):
+        """A patch's ring unknowns are exactly the columns of its rows of A_g
+        outside the patch, each once, and they cover the stored entries of
+        those rows with the patch's own."""
+        _, s, cond, _ = row
+        a = cond.A_g.csr
+        for colour in colour_patches(s.asp):
+            for ids, ring in colour:
+                cols = np.unique(a[ids].indices)
+                assert np.array_equal(np.sort(ring), np.setdiff1d(cols, ids))
+                assert np.unique(ring).size == ring.size
+                assert a[ids][:, np.r_[ids, ring]].nnz == a[ids].nnz
+
+    def test_parts_tile_the_colours(self, row):
+        """Each colour's parts tile its rows and gathers and hold the
+        structure's patches whole; a class holds at least ``_CLASS_MIN``
+        patches with one M, no tail holds that many with one M, and the
+        tail patches keep the structure's order."""
+        _, s, cond, asp = row
+        n = cond.n_free
+        for given, blk in zip(colour_patches(s.asp), asp.colours):
+            got = patch_matrices(blk, n)
+            assert blk.rows.size == sum(ids.size for ids, _, _ in got)
+            assert np.array_equal(blk.rows, np.concatenate([ids for ids, _, _ in got]))
+            assert sorted(ids.tolist() for ids, _, _ in got) == sorted(
+                ids.tolist() for ids, _ in given
+            )
+            lo = 0
+            tail = []
+            for p, mat in blk.parts:
+                if mat.ndim == 2:
+                    assert p >= precond._CLASS_MIN
+                else:
+                    same = {}
+                    for b in mat:
+                        same[b.tobytes()] = same.get(b.tobytes(), 0) + 1
+                    assert max(same.values()) < precond._CLASS_MIN
+                    tail += [tuple(ids) for ids, _, _ in got[lo : lo + p]]
+                lo += p
             in_tail = set(tail)
-            assert tail == [p for p in given if p in in_tail]
-            assert np.array_equal(np.sort(blk.rows), np.sort(pattern.rows))
+            assert tail == [tuple(ids) for ids, _ in given if tuple(ids) in in_tail]
 
-    def test_correction_within_the_dot_product_bound(self, row):
-        """Each entry of a patch's solve is a dot product of m terms, inv's
-        row with the residual x. Whatever the summation order (the GEMM's
-        blocking, FMA, or the batched matrix-vector product), a computed
-        m-term dot product differs from the exact one by at most
-        gamma_m |inv| |x|, gamma_m = m u / (1 - m u), u = 2^-53 (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5).
-        Two such results differ by at most twice that. With z = 0 the
-        residual x = r[rows] - a @ 0 is exact in both, and z = 0 + y is y,
-        so the corrections differ only by the two solves. |inv| |x| is
-        itself computed with nonnegative terms, which the bound allows for
-        by the factor 1 / (1 - gamma_m)."""
-        _, cond, asp = row
+    def test_product_within_the_dot_product_bound(self, row):
+        """Each entry of a patch's new z_p is a dot product of m + w terms, a
+        row of M with the gathered v = [r_p | z_ring]. Whatever the
+        summation order (the GEMM's blocking, FMA, or the batched
+        matrix-vector product), a computed n-term dot product differs from
+        the exact one by at most gamma_n |M| |v|, gamma_n = n u / (1 - n u),
+        u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., eq. 3.5). Two such results differ by at most twice that;
+        |M| |v| is itself computed with nonnegative terms, which the bound
+        allows for by the factor 1 / (1 - gamma_n)."""
+        *_, cond, asp = row
+        n = cond.n_free
         rng = np.random.default_rng(21)
-        u = np.finfo(float).eps / 2
-        for blk in asp.colours:
-            r = rng.standard_normal(cond.n_free)
-            got, want = np.zeros_like(r), np.zeros_like(r)
-            blk.correct(r, got, blk.a_rows)
-            _former_correct(blk, r, want)
-            x = r[blk.rows]
-            bound = np.empty_like(x)
-            for lo, hi, inv in patch_groups(blk):
-                p, m, _ = inv.shape
-                gamma = m * u / (1 - m * u)
-                scale = (np.abs(inv) @ np.abs(x[lo:hi]).reshape(p, m, 1)).ravel()
-                bound[lo:hi] = 2 * gamma / (1 - gamma) * scale
-            diff = np.abs(got[blk.rows] - want[blk.rows])
-            assert np.all(diff <= bound)
+        for first in (True, False):
+            for blk in asp.colours:
+                rz = np.concatenate([rng.standard_normal(n), rng.standard_normal(n)])
+                z = rz[n:]
+                want, bound = z.copy(), z.copy()
+                for ids, ring, mat in patch_matrices(blk, n):
+                    v = rz[np.r_[ids, n + ring]]
+                    if first:
+                        mat, v = mat[:, : ids.size], v[: ids.size]
+                    want[ids] = [row_ @ v for row_ in mat]
+                    g = _gamma(v.size)
+                    bound[ids] = 2 * g / (1 - g) * (np.abs(mat) @ np.abs(v))
+                blk.correct(rz, z, first)
+                assert np.all(np.abs(z[blk.rows] - want[blk.rows]) <= bound[blk.rows])
 
-    def test_inverses_held_by_class(self, row):
-        """A row's colours hold (classes + tail patches) m^2 floats, each in
-        an array of its own, instead of P m^2."""
-        _, _, asp = row
+    def test_matrices_held_by_class(self, row):
+        """A row's colours hold (classes + tail patches) m (m + w) floats,
+        each part in an array of its own, instead of one M per patch: 28% of
+        that at cavity 1/h=16, whose boundary classes of 7 patches per
+        colour stay in the tails, and 10% on the step at 1/h=8."""
+        *_, asp = row
         held = per_patch = 0
         for blk in asp.colours:
-            for _, _, inv in blk.classes + blk.tails:
-                assert inv.base is None
-                held += inv.nbytes
-            per_patch += sum(inv.nbytes for _, _, inv in patch_groups(blk))
-        want = sum(
-            8 * inv.shape[-1] ** 2 * (1 if inv.ndim == 2 else inv.shape[0])
-            for blk in asp.colours
-            for _, _, inv in blk.classes + blk.tails
-        )
-        assert held == want
-        assert held < per_patch / 4
+            for p, mat in blk.parts:
+                assert mat.base is None
+                held += mat.nbytes
+                per_patch += p * mat.nbytes // (1 if mat.ndim == 2 else p)
+        assert held < per_patch / 3
 
 
-def test_singleton_classes_sweep_bit_identical():
-    """On a jittered mesh no two patch blocks are equal, so every patch is
-    in the tail, the rows keep the structure's order and the sweep gives
-    the bits of the per-patch reference."""
-    s = _structure(jittered_square(8), "cavity", 2)
+@pytest.mark.parametrize(
+    "case",
+    [("cavity", 4, 2), ("step", 2, 3), ("jittered", 4, 2), ("cavity", 16, 2)],
+    ids=str,
+)
+def test_sweep_equals_dense_multiplicative_schwarz(case):
+    """The sweep against ``_dense_sweep`` on the structure's own patches and
+    colours. Bound: each of the 2C - 1 colour steps computes, for each
+    patch, the exact solution of a system with its block D up to the
+    rounding of a factorization and of a product of at most m + w terms;
+    to first order its relative error is at most gamma_{m+w} kappa(D)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.5 and 7.1). Block Gauss-Seidel contracts the error of the
+    earlier steps in A_g's energy norm, so the steps' errors add, and the
+    two computations differ by at most twice (2C - 1) gamma_{m+w}
+    max kappa(D) relative to the largest entry of z."""
+    problem, inv_h, k = case
+    if problem == "jittered":
+        s = _structure(jittered_square(inv_h), "cavity", k)
+    else:
+        s = build_structure(problem, inv_h, k)
     cond, asp, _ = s.row(PARAMS)
+    a = cond.A_g.toarray()
+    colours = [[ids for ids, _ in colour] for colour in colour_patches(s.asp)]
+    kappa = max(np.linalg.cond(a[np.ix_(ids, ids)]) for colour in colours for ids in colour)
+    width = max(g.take.shape[1] for g in s.asp.groups)
+    bound = 2 * (2 * len(colours) - 1) * _gamma(width) * kappa
+    assert any(blk.parts for blk in asp.colours)
+    if case == ("cavity", 16, 2):
+        assert any(mat.ndim == 2 for blk in asp.colours for _, mat in blk.parts)
     rng = np.random.default_rng(8)
-    for pattern, blk in zip(s.asp.colours, asp.colours):
-        assert blk.classes == []
-        assert np.array_equal(blk.rows, pattern.rows)
     for _ in range(3):
         r = rng.standard_normal(cond.n_free)
-        assert np.array_equal(asp.smooth(r), _former_sweep(cond.A_g.csr, s.asp, r))
+        want = _dense_sweep(a, colours, r)
+        assert np.abs(asp.smooth(r) - want).max() <= bound * np.abs(want).max()

@@ -27,7 +27,7 @@ from divhdg.precond import (
 )
 from divhdg.spaces import build_spaces, free_edge_rank, interpolate_essential
 
-from conftest import jittered_square, patch_inverses, pipeline, wall_triangle
+from conftest import colour_patches, jittered_square, patch_matrices, pipeline, wall_triangle
 
 
 def _one_triangle():
@@ -372,12 +372,8 @@ def step_built():
 
 
 def _patches(structure):
-    """Per colour, its patches as arrays of unknowns: a group of P patches of
-    d free edges, its ranks (P, d, d), covers ``rows[lo:hi]`` as (P, m)."""
-    return [
-        [ids for lo, hi, rank in c.groups for ids in c.rows[lo:hi].reshape(rank.shape[0], -1)]
-        for c in structure.colours
-    ]
+    """Per colour, its patches as arrays of unknowns, group by group."""
+    return [[ids for ids, _ in colour] for colour in colour_patches(structure)]
 
 
 def _reference_sgs(cond, structure, r):
@@ -402,8 +398,8 @@ class TestColouredSmoother:
         a = cond.A_g.toarray() != 0.0
         colours = _patches(structure)
         assert len(asp.colours) == len(colours)
-        first = np.full(cond.n_free, -1)
-        for c, members in enumerate(colours):
+        covered = np.zeros(cond.n_free, bool)
+        for members in colours:
             assert members  # no empty colour
             owner = np.full(cond.n_free, -1)
             for p, ids in enumerate(members):
@@ -412,11 +408,8 @@ class TestColouredSmoother:
             for p, ids in enumerate(members):
                 coupled = owner[np.flatnonzero(a[ids].any(axis=0))]
                 assert set(coupled.tolist()) <= {-1, p}
-            first[(owner >= 0) & (first < 0)] = c
-        # every unknown lies in a patch, and the structure's byte is the first
-        # colour that holds it
-        assert structure.first.dtype == np.uint8
-        assert np.array_equal(structure.first, first)
+            covered |= owner >= 0
+        assert covered.all()  # every unknown lies in a patch
 
     def test_matches_sequential_reference(self, built):
         cond, asp = built
@@ -520,16 +513,6 @@ class TestPressureLaplacianAssembly:
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
-
-
-def _fancy_block(a, ids, m):
-    shape = (ids.size // m, m, m)
-    ids = ids.reshape(shape[:2])
-    sub = a[
-        np.broadcast_to(ids[:, :, None], shape).ravel(),
-        np.broadcast_to(ids[:, None, :], shape).ravel(),
-    ]
-    return np.asarray(sub).reshape(shape)
 
 
 def _former_colour_rows(cond):
@@ -648,6 +631,8 @@ class TestFreeEdgeGraph:
         assert np.array_equal(edge_ranks(a_g.graph, beside), search(beside))
         got = edge_ranks(a_g.graph, edges)
         assert got.dtype == np.int8 and np.array_equal(got, search(edges))
+        # rectangular: the first two edges of each list among all four
+        assert np.array_equal(edge_ranks(a_g.graph, edges[:, :2], edges), got[:, :2])
         essential = (edges < 0)[:, :, None] | (edges < 0)[:, None, :]
         assert np.all(got[essential] == -1)
         if name != "no-free-edge":
@@ -702,68 +687,114 @@ class TestEdgeLevelStructure:
 
     @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
     def test_colours_equal_unknown_level_colouring(self, cond, name):
+        # the patches of a colour are independent, so only their set counts
         structure = _structure(cond)
         want = _former_colour_rows(cond)
-        assert len(structure.colours) == len(want)
-        for c, patches in zip(structure.colours, want):
-            assert np.array_equal(c.rows, np.concatenate(patches))
-        assert [[ids.tolist() for ids in colour] for colour in _patches(structure)] == [
-            [ids.tolist() for ids in colour] for colour in want
+        assert [sorted(ids.tolist() for ids in colour) for colour in _patches(structure)] == [
+            sorted(ids.tolist() for ids in colour) for colour in want
         ]
         if name == "no-free-edge":
-            assert structure.colours == [] and structure.first.size == 0
+            assert structure.groups == []
 
     @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
     def test_block_positions_equal_position_map(self, cond, name):
+        """The positions of each patch's block [D | A_ring], rows the patch's
+        unknowns and columns the patch's then the ring's."""
         a = cond.A_g.csr
         pos = position_map(a)
-        k = cond.spaces.k
+        k, n = cond.spaces.k, cond.n_free
         outside = 0
-        for c in _structure(cond).colours:
-            for lo, hi, rank in c.groups:
-                p, d, _ = rank.shape
-                ids = c.rows[lo:hi].reshape(p, d * (2 * k + 1))
-                got = block_positions(a.indptr[ids], rank, trace_layout(k, d, by_edge=True), a.nnz)
-                want = _fancy_block(pos, ids.ravel(), ids.shape[1]) - 1
-                want[want < 0] = a.nnz  # outside A_g's pattern
-                assert np.array_equal(got, want)
-                outside += np.count_nonzero(got == a.nnz)
+        for g in _structure(cond).groups:
+            p, d, dc = g.rank.shape
+            m = d * (2 * k + 1)
+            rows, cols = g.take[:, :m], np.concatenate([g.take[:, :m], g.take[:, m:] - n], 1)
+            got = block_positions(
+                a.indptr[rows],
+                g.rank,
+                trace_layout(k, d, by_edge=True),
+                a.nnz,
+                precond._block_columns(k, d, dc - d),
+            )
+            shape = (p, m, cols.shape[1])
+            want = pos[
+                np.broadcast_to(rows[:, :, None], shape).ravel(),
+                np.broadcast_to(cols[:, None, :], shape).ravel(),
+            ]
+            want = np.asarray(want).reshape(shape) - 1
+            want[want < 0] = a.nnz  # outside A_g's pattern
+            assert np.array_equal(got, want)
+            outside += np.count_nonzero(got == a.nnz)
         assert outside > 0 or name == "no-free-edge"
+
+
+def _former_colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
+    """The former greedy colouring, a Python set per patch, kept verbatim as
+    reference."""
+    n_p = offsets.size - 1
+    inc = sp.csr_matrix(
+        (np.ones(spokes.size, bool), spokes, offsets), shape=(n_p, graph.shape[0])
+    )
+    conflict = (inc @ graph @ inc.T).tocsr()
+    ptr = conflict.indptr.tolist()
+    nbr = conflict.indices.tolist()
+    colour = [-1] * n_p
+    for p in range(n_p):
+        used = {colour[q] for q in nbr[ptr[p] : ptr[p + 1]]}
+        c = 0
+        while c in used:
+            c += 1
+        colour[p] = c
+    return np.array(colour, np.int64)
+
+
+@pytest.mark.parametrize(
+    "make_mesh,problem",
+    [(lambda n=n: unit_square(n), "cavity") for n in (2, 4, 8, 64)]
+    + [(lambda n=n: step_domain(n), "step") for n in (2, 4, 8)]
+    + [(lambda: jittered_square(16), "cavity")],
+    ids=["cavity2", "cavity4", "cavity8", "cavity64", "step2", "step4", "step8", "jittered16"],
+)
+def test_bitmask_colouring_equals_the_set_loop(make_mesh, problem):
+    """The table's meshes (the colouring reads the free edges, which do not
+    depend on k), a large one and one with no two elements alike."""
+    mesh = make_mesh()
+    spaces = build_spaces(mesh, 2)
+    a_g = condensed_structure(spaces, interpolate_essential(mesh, spaces, problem)).a_g
+    ends = mesh.edges[a_g.free_edges].ravel()
+    spokes = np.argsort(ends, kind="stable") // 2
+    offsets = np.r_[0, np.cumsum(np.unique(ends, return_counts=True)[1])]
+    inc = sp.csr_matrix(
+        (np.ones(spokes.size, bool), spokes, offsets), shape=(offsets.size - 1, a_g.free_edges.size)
+    )
+    got = precond._colour_patches((inc @ a_g.graph @ inc.T).tocsr())
+    assert np.array_equal(got, _former_colour_patches(offsets, spokes, a_g.graph))
 
 
 class TestPatchPositions:
     @pytest.mark.parametrize("problem,n,k", [("cavity", 4, 2), ("step", 2, 3), ("step", 4, 1)])
-    def test_gathered_blocks_equal_fancy_index_of_a_g(self, problem, n, k):
+    def test_matrices_equal_those_of_the_fancy_indexed_blocks(self, problem, n, k):
         *_, cond = pipeline(problem, n, k, tau=1.0)
         a = cond.A_g.csr
         structure = asp_structure(cond.spaces, cond.structure.a_g)
         outside = 0
-        done = np.zeros(a.shape[0], bool)  # unknowns of the colours so far
-        for pattern, blk in zip(structure.colours, build_asp(cond).colours):
+        for given, blk in zip(colour_patches(structure), build_asp(cond).colours):
+            got = patch_matrices(blk, cond.n_free)
             # the row holds the colour's patches whole, perhaps reordered
-            assert np.array_equal(np.sort(pattern.rows), np.sort(blk.rows))
-            for lo, hi, rank in pattern.groups:
-                p, d, _ = rank.shape
-                want = _fancy_block(a, pattern.rows[lo:hi], (hi - lo) // p)
-                inv = patch_inverses(blk, pattern.rows[lo:hi].reshape(p, -1))
-                assert np.array_equal(inv, np.linalg.inv(want))
-                # two edges of one patch that share no triangle do not couple
-                uncoupled = np.repeat(np.repeat(rank < 0, 2 * k + 1, axis=1), 2 * k + 1, axis=2)
-                assert np.all(want[uncoupled] == 0.0)
-                outside += np.count_nonzero(uncoupled)
-            want_rows = a[blk.rows]
-            assert np.array_equal(blk.a_rows.indptr, want_rows.indptr)
-            assert np.array_equal(blk.a_rows.indices, want_rows.indices)
-            assert np.array_equal(blk.a_rows.data, want_rows.data)
-            # the forward pass reads the columns of the earlier colours only
-            assert blk.a_fwd.nnz == np.count_nonzero(done[want_rows.indices])
-            assert np.array_equal(blk.a_fwd.toarray(), want_rows.toarray() * done)
-            done[pattern.rows] = True
+            assert sorted(ids.tolist() for ids, _, _ in got) == sorted(
+                ids.tolist() for ids, _ in given
+            )
+            for ids, ring, mat in got:
+                block = a[ids][:, np.r_[ids, ring]].toarray()
+                dinv = np.linalg.inv(block[None, :, : ids.size])
+                want = np.concatenate([dinv, -(dinv @ block[None, :, ids.size :])], axis=2)
+                assert np.array_equal(mat, want[0])
+                outside += np.count_nonzero(block == 0.0)
+        # two edges of one patch that share no triangle do not couple
         assert outside > 0
 
     @pytest.mark.parametrize("problem,n,k", [("step", 2, 3), ("cavity", 16, 2)])
-    def test_batches_give_the_same_inverses(self, monkeypatch, problem, n, k):
-        # a row computes the blocks batch by batch; one patch per batch gives
+    def test_batches_give_the_same_matrices(self, monkeypatch, problem, n, k):
+        # a row classes the patches batch by batch; one patch per batch gives
         # the same classes, order and bits as whole groups (only the cavity
         # at 1/h=16 has classes of _CLASS_MIN patches)
         *_, cond = pipeline(problem, n, k)
@@ -771,17 +802,17 @@ class TestPatchPositions:
         whole = build_asp(cond, structure=structure)
         monkeypatch.setattr(precond, "_BATCH", 1)
         for blk, ref in zip(build_asp(cond, structure=structure).colours, whole.colours):
-            assert np.array_equal(blk.rows, ref.rows)
-            assert len(blk.classes) == len(ref.classes) and len(blk.tails) == len(ref.tails)
-            for (lo, hi, inv), want in zip(blk.classes + blk.tails, ref.classes + ref.tails):
-                assert (lo, hi) == want[:2]
-                assert np.array_equal(inv, want[2])
-        assert any(blk.classes for blk in whole.colours) == (problem == "cavity")
+            assert np.array_equal(blk.rows, ref.rows) and np.array_equal(blk.take, ref.take)
+            assert [p for p, _ in blk.parts] == [p for p, _ in ref.parts]
+            for (_, mat), (_, want) in zip(blk.parts, ref.parts):
+                assert np.array_equal(mat, want)
+        classes = any(mat.ndim == 2 for blk in whole.colours for _, mat in blk.parts)
+        assert classes == (problem == "cavity")
 
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
         structure = asp_structure(cond.spaces, cond.structure.a_g, "jacobi")
-        assert structure.colours is None and structure.first is None
+        assert structure.groups is None
         asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
         r = np.random.default_rng(14).standard_normal(cond.n_free)

