@@ -8,23 +8,21 @@ The smoother R visits the patches in multicolour order: the patches are
 coloured so that no two of one colour share or couple unknowns, and a sweep
 is one forward pass over the colours and one backward pass without the last
 colour, each colour solved for all its patches at once.  A patch's rows of
-A_g split as (A z)_p = D z_p + A_ring z_ring, D the patch block and the ring
-the columns of those rows outside the patch, so the block Gauss-Seidel
-correction z_p += D^-1 (r - A z)_p is the assignment
+A_g split as (A z)_p = D z_p + A_ring z_ring, the ring being the columns of
+those rows outside the patch, so the block Gauss-Seidel correction
+z_p += D^-1 (r - A z)_p is the assignment
 
     z_p = M [r_p | z_ring],   M = [D^-1 | -D^-1 A_ring]  (m, m + w),
 
-one product per patch with a gather from the stacked [r | z]; the first
-colour sees z = 0 and reads only D^-1 r_p.  No row of A_g is sliced.  The
-patches with the same numbers of free edges and ring edges form a group,
-and those of one group whose blocks [D | A_ring] are equal bit for bit
-form a class; a mesh of translated copies of two triangles has few (19
-among 287 patches on the unit square at 1/h=16 and k=2).  The patches of a
-class of at least ``_CLASS_MIN`` within one colour are solved with one GEMM
-against their one M.  The other patches of each group and colour form a
-tail, each patch with its own M, solved by one batched matrix-vector
-product.  The product rounds otherwise than the correction it replaces, so
-the iterates move by rounding only.
+one product per patch with a gather from the stacked [r | z] (the first
+colour sees z = 0 and reads only D^-1 r_p).  The patches with the same
+numbers of free edges and ring edges form a group, and those of one group
+whose blocks [D | A_ring] are equal bit for bit a class: a mesh of
+translated copies of two triangles has few (19 among 287 patches on the
+unit square at 1/h=16 and k=2).  The patches of one colour in a class of at
+least ``_CLASS_MIN`` are solved with one GEMM against their one M, the
+others of each group, each with its own M, by one batched matrix-vector
+product.
 Pointwise Jacobi is the one alternative smoother.
 
 The auxiliary space is one ``AuxSpace``, built from the condensed structure's
@@ -273,16 +271,14 @@ class _Colour:
 
 @dataclass(frozen=True)
 class _PatchGroup:
-    """The patches of the patch smoother in an ``AspStructure`` with d free
-    edges (spokes) and e ring edges: the free edges, not spokes, that share
-    an element with a spoke, so that the ring's unknowns are the columns of
-    the patch's rows of A_g outside the patch.  ``take`` (P, m + w), with m
-    = d (2k+1) and w = e (2k+1), holds each patch's unknowns, each spoke's in
-    turn, then its ring's in ascending order, as positions in the stacked [r
-    | z] (the ring's offset by n); ``rank`` (P, d, d + e) int8 the
-    ``condense.edge_ranks`` of the spokes among the spokes and the ring.  The
-    patches of colour c are ``ends[c]:ends[c + 1]``, in natural vertex
-    order."""
+    """The patches of the patch smoother with d free edges (spokes) and e
+    ring edges (the free edges, not spokes, that share an element with a
+    spoke).  ``take`` (P, m + w), m = d (2k+1) and w = e (2k+1), holds each
+    patch's unknowns, each spoke's in turn, then its ring's in ascending
+    order, as positions in the stacked [r | z] (the ring's offset by n);
+    ``rank`` (P, d, d + e) int8 the ``condense.edge_ranks`` of the spokes
+    among the spokes and the ring.  The patches of colour c are
+    ``ends[c]:ends[c + 1]``, in natural vertex order."""
 
     take: np.ndarray
     rank: np.ndarray
@@ -300,8 +296,6 @@ def _fill_colours(a: sp.csr_matrix, groups: list) -> list:
         m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
         cls, mats = _patch_matrices(a, g.take, g.rank)
         for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
-            if lo == hi:
-                continue
             cc = cls[lo:hi]
             size = np.bincount(cc)
             big = np.flatnonzero(size >= _CLASS_MIN)
@@ -387,10 +381,8 @@ class AspPrecond:
         one ``_Colour.correct`` on the stacked [r | z]."""
         if self.smoother == "jacobi":
             return r / self.jacobi_diag
-        n = r.size
-        rz = np.zeros(2 * n)
-        rz[:n] = r
-        z = rz[n:]
+        rz = np.concatenate([r, np.zeros_like(r)])
+        z = rz[r.size :]
         # forward over the colours, then back; the last colour is not
         # repeated, since its residual is already zero after the forward pass
         for c, blk in enumerate(self.colours):
