@@ -410,7 +410,7 @@ def _colour_patches(conflict: sp.csr_matrix) -> np.ndarray:
     nbr = later.indices.tolist()
     taken = [0] * later.shape[0]
     colour = []
-    for p, t in enumerate(taken):
+    for p, t in enumerate(taken):  # only earlier patches set p's bits
         c = (~t & (t + 1)).bit_length() - 1  # the lowest clear bit
         colour.append(c)
         bit = 1 << c

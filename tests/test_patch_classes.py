@@ -180,7 +180,6 @@ def test_sweep_equals_dense_multiplicative_schwarz(case):
     kappa = max(np.linalg.cond(a[np.ix_(ids, ids)]) for colour in colours for ids in colour)
     width = max(g.take.shape[1] for g in s.asp.groups)
     bound = 2 * (2 * len(colours) - 1) * _gamma(width) * kappa
-    assert any(blk.parts for blk in asp.colours)
     if case == ("cavity", 16, 2):
         assert any(mat.ndim == 2 for blk in asp.colours for _, mat in blk.parts)
     rng = np.random.default_rng(8)
