@@ -176,8 +176,9 @@ class Structure:
     """The parameter-independent data of one (1/h, k): built once and shared
     by every row on that mesh, it lives for the whole sweep over (mu, tau,
     1/lambda). It holds the mesh, spaces and essential data, the element
-    forms as geometry coefficients, the pattern of A_g with B_g and the
-    free-edge graph, and the preconditioners' patterns: the auxiliary space
+    forms as geometry coefficients, the pattern of A_g with B_g, the
+    free-edge graph and the element-class tables of A_g's apply, and the
+    preconditioners' patterns: the auxiliary space
     (free vertices, A0's pattern and RCM order, the transfer Pi), the
     patches and colours (patch smoother only), and N with its RCM order.
     ``row`` builds one row's systems on it."""
@@ -205,12 +206,13 @@ def build_structure(problem: str, inv_h: int, k: int, smoother: str = "patch-sgs
     mesh = (step_domain if problem == "step" else unit_square)(inv_h)
     spaces = build_spaces(mesh, k)
     ess = interpolate_essential(mesh, spaces, problem)
-    condensed = condensed_structure(spaces, ess)
+    stacks = assemble_local_stacks(mesh, spaces)
+    condensed = condensed_structure(spaces, ess, stacks.element_class)
     return Structure(
         mesh=mesh,
         spaces=spaces,
         essential=ess,
-        stacks=assemble_local_stacks(mesh, spaces),
+        stacks=stacks,
         condensed=condensed,
         asp=asp_structure(spaces, condensed.a_g, smoother),
         schur=schur_structure(mesh),

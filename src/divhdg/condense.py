@@ -17,7 +17,12 @@ divergence penalization to the interior block before inverting.
 
 ``CondensedStructure`` holds what depends only on the mesh, the degree and the
 essential data, built once per sweep: the trace slots, A_g's pattern
-(``TracePattern``) and B_g with its right side. A_g's pattern follows from the
+(``TracePattern``), B_g with its right side, and the tables by which MINRES
+applies A_g element class by element class (``krylov.operator_condensed``):
+the elements of each class of at least ``_CLASS_MIN`` (``LocalStacks
+.element_class``) in class order, the gather of their free trace unknowns,
+the fold that sums each free unknown's one or two element outputs, and the
+pattern of the other elements' summed blocks. A_g's pattern follows from the
 graph of the free edges, the pattern of E^T E with E the element-to-free-edge
 incidence, since each edge's 2k+1 trace unknowns are all free or all
 essential: ``trace_pattern`` expands each free edge to its unknowns, and keeps
@@ -34,9 +39,14 @@ distinct pair of class and element load: it forms those element matrices
 (``LocalStacks.class_matrices``, which also checks their coercivity), solves
 their local systems and condenses them. A mesh of translated copies of two
 triangles, such as ``unit_square`` at any 1/h, has two pairs per chunk without
-a body force, and a mesh with no two elements alike one pair per element. Per
-element the chunk then gathers the condensed blocks, computes where they go
-(``TracePattern.slots``) and adds them to A_g's data. The essential data g
+a body force, and a mesh with no two elements alike one pair per element. The
+row keeps one condensed block per large class, and adds
+the other elements' blocks to their CSR's data (``CsrPattern.add``). A_g
+itself is assembled only when read (``CondensedSystem.A_g``: the patch
+smoother's set-up and the checks), from the class blocks chunk by chunk and
+the other elements' sums, bit for bit the sum of every element's own block;
+the Jacobi smoother reads only its diagonal, folded from the class blocks'
+diagonals and the other elements' CSR. The essential data g
 leaves the trace unknowns element by element: F_g is the sum of the element
 right sides minus the sum of each condensed block times its element's g, which
 is 0 at a free unknown, so only the elements with nonzero g are multiplied.
@@ -63,8 +73,9 @@ from .assembly import (
     free_rhs,
     position_map,
     pressure_c_diagonal,
+    scatter_pattern,
 )
-from .linalg import SparseSym, distinct_rows
+from .linalg import _CLASS_MIN, SparseSym, distinct_rows
 from .spaces import EssentialData, Spaces, free_edge_rank, free_edge_unknowns
 
 
@@ -239,7 +250,19 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
 @dataclass(frozen=True)
 class CondensedStructure:
     """The parameter-independent part of the condensed system on one (mesh,
-    k, essential data), shared by every row of a sweep."""
+    k, essential data), shared by every row of a sweep.
+
+    The tables of A_g's apply by element class (``krylov.operator_condensed``):
+    ``part`` (nt,) gives each element its part, the rank of its class among
+    those of at least ``_CLASS_MIN`` elements, or -1; ``gather`` (n_in, n_G)
+    the free positions of those n_in elements' trace unknowns, part by part
+    and in element order within one, n_free at an essential unknown, with
+    part c in rows ``ends[c]:ends[c + 1]``; and ``fold`` (2, n_free) the
+    places in ``gather.ravel()`` of each free unknown, in one element or two,
+    ``gather.size`` where there is none. The other elements, the rest, sum
+    their blocks into one CSR on the pattern ``rest``: ``a_g`` itself when
+    no class is large, ``scatter_pattern`` of their free positions when some
+    are, and None when none is left."""
 
     g_slot_idx: np.ndarray  # local slots of the trace unknowns
     g_slots: np.ndarray  # (nt, n_G) their global ids
@@ -247,48 +270,137 @@ class CondensedStructure:
     a_g: TracePattern  # A_g's pattern and where each element block goes in it
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
     F_pbar: np.ndarray
+    part: np.ndarray
+    ends: np.ndarray
+    gather: np.ndarray
+    fold: np.ndarray
+    rest: CsrPattern
 
 
-def condensed_structure(spaces: Spaces, essential: EssentialData) -> CondensedStructure:
+def condensed_structure(
+    spaces: Spaces, essential: EssentialData, element_class: np.ndarray
+) -> CondensedStructure:
+    """The ``CondensedStructure`` of ``spaces`` and ``essential``, its class
+    tables from ``element_class`` (``LocalStacks.element_class``)."""
     dm = spaces.dofmap
     nt = spaces.mesh.num_triangles
     g_slot_idx = np.r_[0 : dm.n_loc_facet, dm.n_loc_facet + dm.n_loc_int : dm.n_loc]
     g_slots = dm.vel_loc[:, g_slot_idx]
+    g_pos = essential.pos[g_slots]
     # the free condensed unknowns hold the first free positions
     free_cond = np.flatnonzero(essential.free_mask[: spaces.split.n_cond])
+    n_free = free_cond.size
     b_pbar = assemble_pressure_ops(spaces.mesh, spaces)[:nt]  # the constant-pressure rows
+    a_g = trace_pattern(spaces, essential, g_pos)
+
+    size = np.bincount(element_class)
+    big = np.flatnonzero(size >= _CLASS_MIN)
+    rank = np.full(size.size, -1, np.int32)
+    rank[big] = np.arange(big.size, dtype=np.int32)
+    part = rank[element_class]
+    inside = np.flatnonzero(part >= 0)
+    inside = inside[np.argsort(part[inside], kind="stable")]
+    gather = np.where(g_pos[inside] >= 0, g_pos[inside], n_free)
+    # each free unknown lies in one element or two: its first place, then
+    # its second
+    flat = gather.ravel()
+    places = np.flatnonzero(flat < n_free)
+    places = places[np.argsort(flat[places], kind="stable")]
+    unknown = flat[places]
+    second = np.zeros(unknown.size, bool)
+    second[1:] = unknown[1:] == unknown[:-1]
+    fold = np.full((2, n_free), flat.size, np.intp)
+    fold[0, unknown[~second]] = places[~second]
+    fold[1, unknown[second]] = places[second]
+
+    rest = np.flatnonzero(part < 0)
+    if rest.size == nt:
+        rest_pattern = a_g
+    elif rest.size:
+        rest_pattern = scatter_pattern(g_pos[rest], n_free)
+    else:
+        rest_pattern = None
     return CondensedStructure(
         g_slot_idx=g_slot_idx,
         g_slots=g_slots,
         free_cond=free_cond,
-        a_g=trace_pattern(spaces, essential, essential.pos[g_slots]),
+        a_g=a_g,
         B_g=b_pbar[:, free_cond],
         F_pbar=-(b_pbar @ essential.full_vector()),
+        part=part,
+        ends=np.r_[0, np.cumsum(size[big])],
+        # intp, as ``take`` reads indices: int32 would be converted on every
+        # apply (0.22 against 0.13 ms per gather at cavity k=2 1/h=64)
+        gather=gather.astype(np.intp),
+        fold=fold,
+        rest=rest_pattern,
     )
 
 
 @dataclass
 class CondensedSystem:
     """Trace-unknown saddle system; its saddle system ``block`` and its
-    ``structure`` recover the interiors."""
+    ``structure`` recover the interiors.
 
-    A_g: SparseSym  # free condensed velocity block
+    The condensed velocity block A_g is kept as the structure splits it:
+    ``class_blocks`` (C, n_G, n_G), the one condensed block of each part's
+    elements, and ``rest``, the sum of the other elements' blocks on the
+    structure's ``rest`` pattern (None without such elements). A_g itself is
+    assembled only on first access."""
+
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
     C_g: SparseSym  # constant-pressure mass, -(1/lambda) diag(areas)
     F_g: np.ndarray
     F_pbar: np.ndarray
     free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
     structure: CondensedStructure = field(repr=False)
+    class_blocks: np.ndarray = field(repr=False)
+    rest: SparseSym = field(repr=False)
     spaces: Spaces = field(repr=False, default=None)
     block: BlockSystem = field(repr=False, default=None)
 
     @property
     def n_free(self) -> int:
-        return self.A_g.n
+        return self.structure.a_g.shape[0]
 
     @property
     def n_pbar(self) -> int:
         return self.C_g.n
+
+    @functools.cached_property
+    def A_g(self) -> SparseSym:
+        """The free condensed velocity block, summed on the structure's
+        ``a_g`` pattern chunk by chunk with ``TracePattern.add``: each class
+        element's block, then the rest's sums. Every entry sums the blocks of
+        at most two elements, and two floats add alike in either order, so it
+        equals summing every element's own block in element order bit for
+        bit. With no class it is ``rest``."""
+        s = self.structure
+        if not self.class_blocks.shape[0]:
+            return self.rest
+        data = s.a_g.zeros()
+        for sel in element_chunks(s.part.size):
+            e = sel.start + np.flatnonzero(s.part[sel] >= 0)
+            s.a_g.add(data, self.class_blocks[s.part[e]], e)
+        if self.rest is not None:
+            rest = self.rest.csr
+            rows = np.repeat(np.arange(rest.shape[0]), np.diff(rest.indptr))
+            pos = np.asarray(position_map(s.a_g)[rows, rest.indices]).ravel() - 1
+            data[pos] += rest.data
+        return SparseSym(s.a_g.matrix(data))
+
+    def a_g_diagonal(self) -> np.ndarray:
+        """A_g's diagonal, without assembling A_g: the fold of the class
+        blocks' diagonals plus the rest's. Bit for bit ``A_g.diagonal()``,
+        since each entry sums at most two positive terms."""
+        s = self.structure
+        diag = np.zeros(s.gather.size + 1)
+        blocks = np.diagonal(self.class_blocks, axis1=1, axis2=2)
+        diag[:-1] = np.repeat(blocks, np.diff(s.ends), axis=0).ravel()
+        out = diag.take(s.fold[0]) + diag.take(s.fold[1])
+        if self.rest is not None:
+            out += self.rest.diagonal()
+        return out
 
 
 def _local_solve(block: BlockSystem, g: np.ndarray, sel: slice):
@@ -357,14 +469,15 @@ def eliminate_local(
     The elements run in chunks of ``element_chunks``. Each chunk forms the
     element matrices of its distinct (class, load) pairs and solves their
     local systems (``_local_solve``, whose ``class_matrices`` checks the
-    matrices), and condenses each pair once. Per element it then gathers
-    the condensed blocks, adds them to A_g's data and lifts the essential
-    data through them: each element's condensed block times its trace data,
-    which is 0 at a free unknown. F_g sums the element right sides first and
-    subtracts the summed lifts after."""
+    matrices), and condenses each pair once. Each of the structure's parts
+    keeps the condensed block of its pairs as its class block; the rest's
+    blocks are added to the rest's data. Each element's condensed block also
+    lifts the essential data: the block times its trace data, which is 0 at
+    a free unknown. F_g sums the element right sides first and subtracts the
+    summed lifts after."""
     spaces = block.spaces
     if structure is None:
-        structure = condensed_structure(spaces, block.essential)
+        structure = condensed_structure(spaces, block.essential, block.stacks.element_class)
     dm = spaces.dofmap
     mesh = block.mesh
     nt = mesh.num_triangles
@@ -375,9 +488,12 @@ def eliminate_local(
     ess = block.essential
     g_ess = ess.full_vector()  # 0 at a free unknown
 
+    part = structure.part
+    rest_el = np.flatnonzero(part < 0)
+    class_blocks = np.empty((structure.ends.size - 1, n_G * n_G))
+    rest_data = None if structure.rest is None else structure.rest.zeros()
     f_g_loc = np.empty((nt, n_G))
     lift_loc = np.zeros((nt, n_G))  # per element A_cond g
-    a_data = structure.a_g.zeros()
     for sel in element_chunks(nt):
         flat, rhs, sol, pair = _local_solve(block, g, sel)
         m = flat.shape[0]
@@ -391,18 +507,27 @@ def eliminate_local(
         lifted = np.flatnonzero(g_loc.any(axis=1))
         if lifted.size:
             lift_loc[sel][lifted] = _lifts(a_cond, pair[lifted], g_loc[lifted])
-        structure.a_g.add(a_data, a_cond[pair], sel)
+        # the part of each pair, whose elements are all of one class; every
+        # pair of a part has its block, bit for bit
+        pair_part = np.empty(m, np.int32)
+        pair_part[pair] = part[sel]
+        held = np.flatnonzero(pair_part >= 0)
+        class_blocks[pair_part[held]] = a_cond[held]
+        if rest_data is not None:
+            lo, hi = np.searchsorted(rest_el, [sel.start, sel.stop])
+            structure.rest.add(rest_data, a_cond[pair[rest_el[lo:hi] - sel.start]], slice(lo, hi))
 
     g_pos = ess.pos[structure.g_slots]
     n_g = structure.free_cond.size
     return CondensedSystem(
-        A_g=SparseSym(structure.a_g.matrix(a_data)),
         B_g=structure.B_g,
         C_g=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, block.params)[:nt]).tocsr()),
         F_g=free_rhs(g_pos, f_g_loc, n_g) - free_rhs(g_pos, lift_loc, n_g),
         F_pbar=structure.F_pbar,
         free_cond=structure.free_cond,
         structure=structure,
+        class_blocks=class_blocks.reshape(-1, n_G, n_G),
+        rest=None if rest_data is None else SparseSym(structure.rest.matrix(rest_data)),
         spaces=spaces,
         block=block,
     )

@@ -5,6 +5,15 @@ is MINRES with a symmetric positive definite block-diagonal preconditioner.
 The recurrence below tracks the preconditioned residual norm exactly (it is
 the quantity ``|eta|`` updated by the Givens rotations), which makes the
 reported history monotone by construction and the stopping test free.
+
+Every iteration applies the condensed operator once. Its velocity block A_g
+is a sum of per-element condensed blocks, and on a mesh of translated copies
+of a few triangles most elements share one of a few blocks, so
+``operator_condensed`` applies A_g cell-wise (Kronbichler and Kormann,
+Computers & Fluids 63, 2012): it reads those few blocks and the gather and
+fold tables of ``condense.CondensedStructure``, not A_g's CSR. Only the
+elements outside the large classes keep a CSR of their summed blocks; with
+no large class that CSR is A_g, applied as one sparse product.
 """
 
 from __future__ import annotations
@@ -184,21 +193,50 @@ def minres(
 def operator_condensed(cond) -> Apply:
     """Matrix-vector action of the condensed block system
     ``[[A_g, B_g^T], [B_g, C_g]]`` on stacked (velocity, cell-mean pressure)
-    vectors.  ``B_g^T`` is formed once here, and the diagonal C_g acts as its
-    diagonal times the pressure block (skipped when it is zero, at
-    1/lambda = 0).  Each call returns a fresh array."""
-    a_g = cond.A_g.csr
+    vectors.  A_g acts element class by element class, as the sum over the
+    elements T of E_T^T S_T E_T, E_T gathering T's trace unknowns and S_T
+    its condensed block, with the tables of ``cond.structure``: one gather of
+    the class elements' unknowns from [x_u | 0], one GEMM per class against
+    its one block's transpose, and one fold, two gathers from the elements'
+    outputs (a pad 0 where an unknown lies in one element) and one add.  The
+    other elements' summed blocks ``cond.rest`` add one CSR product; with no
+    class that CSR is A_g, and no gather is made.  ``B_g^T`` is formed once
+    here, and the diagonal C_g acts as its diagonal times the pressure block
+    (skipped when it is zero, at 1/lambda = 0).  Each call returns a fresh
+    array."""
+    s = cond.structure
+    rest = None if cond.rest is None else cond.rest.csr
+    parts = [
+        (slice(lo, hi), blk.T) for lo, hi, blk in zip(s.ends[:-1], s.ends[1:], cond.class_blocks)
+    ]
+    gather, (first, second) = s.gather, s.fold
     b_g = cond.B_g
     b_gt = b_g.T
     c_diag = cond.C_g.diagonal()
     has_c = bool(np.any(c_diag))
-    n_u = a_g.shape[0]
+    n_u = cond.n_free
+    xz = np.zeros(n_u + 1)  # [x_u | 0]
+    ye = np.zeros(gather.size + 1)  # the class elements' outputs, then 0
+    ys = ye[:-1].reshape(gather.shape)
+
+    def apply_a(xu: np.ndarray) -> np.ndarray:
+        if not parts:
+            return rest @ xu
+        xz[:n_u] = xu
+        xe = xz.take(gather)
+        for rows, s_t in parts:
+            np.matmul(xe[rows], s_t, out=ys[rows])
+        au = ye.take(first)
+        au += ye.take(second)
+        if rest is not None:
+            au += rest @ xu
+        return au
 
     def apply(xv: np.ndarray) -> np.ndarray:
         xu = xv[:n_u]
         xp = xv[n_u:]
         out = np.empty_like(xv)
-        np.add(a_g @ xu, b_gt @ xp, out=out[:n_u])
+        np.add(apply_a(xu), b_gt @ xp, out=out[:n_u])
         if has_c:
             np.add(b_g @ xu, c_diag * xp, out=out[n_u:])
         else:

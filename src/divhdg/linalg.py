@@ -132,6 +132,12 @@ def factor_spd(a: SparseSym, perm: np.ndarray = None) -> SpdFactor:
     return SpdFactor(perm=perm, n=n, _chol_band=cb, _inv_perm=inv_perm)
 
 
+# the fewest members of one exact class (``distinct_rows``) that are applied
+# as a class, with one GEMM against their one matrix: the elements of
+# ``condense.CondensedStructure`` in A_g's apply, the patches of one group
+# and colour in the patch sweep; a smaller class's members keep their own
+_CLASS_MIN = 8
+
 _HASH_WORDS = 1 << 16  # 64-bit words per block of rows that distinct_rows reads at once
 _MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
 

@@ -96,7 +96,7 @@ from .assembly import (
 )
 from .condense import CondensedSystem, TraceLayout, TracePattern
 from .condense import block_positions, edge_ranks, trace_layout
-from .linalg import SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
+from .linalg import _CLASS_MIN, SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
 from .spaces import Spaces, free_edge_unknowns
 
@@ -222,11 +222,6 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # entries of A_g's rows per batch of patches that a row classes at once:
 # 2 MB of float64
 _BATCH = 1 << 18
-
-# the fewest patches of one group and colour with equal blocks that the sweep
-# solves as one class, with one GEMM against their one M; a smaller class
-# joins the tail, whose patches each keep their own M
-_CLASS_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -588,7 +583,9 @@ def build_asp(
     sweep; without it (the traced benchmark and the tests), that part is
     built here for ``smoother``.  A row then only assembles and factors the
     auxiliary operator and, for the patch smoother, classes its patches and
-    forms each class's sweep matrix (``_patch_matrices``).
+    forms each class's sweep matrix (``_patch_matrices``) from the rows of
+    A_g, which it assembles (``CondensedSystem.A_g``).  Jacobi reads only
+    A_g's diagonal (``CondensedSystem.a_g_diagonal``).
     """
     if structure is None:
         smoother = SMOOTHERS[0] if smoother is None else smoother
@@ -603,7 +600,7 @@ def build_asp(
         aux_factor=factor_spd(aux.operator(cond.block.params), aux.perm),
     )
     if pre.smoother == "jacobi":
-        pre.jacobi_diag = cond.A_g.diagonal().copy()
+        pre.jacobi_diag = cond.a_g_diagonal()
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")
         return pre

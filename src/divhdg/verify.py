@@ -556,7 +556,7 @@ def check_galerkin(level: str) -> CheckResult:
                 volume_quad_degree=14,
                 stacks=stacks,
             )
-            cond = eliminate_local(block, condensed_structure(spaces, ess))
+            cond = eliminate_local(block, condensed_structure(spaces, ess, stacks.element_class))
             kc, rc = build_condensed_monolithic(cond)
             nf = cond.n_free
             kc, rc = _pin(kc, rc, nf)

@@ -45,12 +45,14 @@ def wall_triangle():
 
 def pipeline(problem, n, k, mu=1.0, tau=0.0, inv_lambda=0.0, alpha=8.0):
     """(mesh, spaces, essential, block, condensed) for one configuration,
-    cached for the whole test session."""
+    cached for the whole test session; the problem "jittered" is the cavity
+    on ``jittered_square(n)``."""
     key = (problem, n, k, mu, tau, inv_lambda, alpha)
     if key not in _CACHE:
-        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        make_mesh = {"step": step_domain, "jittered": jittered_square}.get(problem, unit_square)
+        mesh = make_mesh(n)
         spaces = build_spaces(mesh, k)
-        ess = interpolate_essential(mesh, spaces, problem)
+        ess = interpolate_essential(mesh, spaces, "cavity" if problem == "jittered" else problem)
         params = ProblemParams(mu=mu, tau=tau, inv_lambda=inv_lambda, alpha=alpha)
         block = assemble_saddle(mesh, spaces, params, ess)
         cond = eliminate_local(block)

@@ -151,7 +151,7 @@ class TestAuxOperator:
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
         mu = 1.5
-        aux = aux_space(spaces, condensed_structure(spaces, ess).a_g)
+        aux = aux_space(spaces, condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g)
         a0, vpos = aux.operator(ProblemParams(mu=mu, tau=0.0)), aux.vpos
         assert np.count_nonzero(vpos >= 0) == 1  # single interior vertex
         d = a0.diagonal()
@@ -161,7 +161,7 @@ class TestAuxOperator:
         mesh = unit_square(2)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
-        aux = aux_space(spaces, condensed_structure(spaces, ess).a_g)
+        aux = aux_space(spaces, condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g)
         a1 = aux.operator(ProblemParams(mu=1.0, tau=1.0))
         a0 = aux.operator(ProblemParams(mu=1.0, tau=0.0))
         mass = a1.csr - a0.csr
@@ -173,7 +173,7 @@ class TestAuxOperator:
         mesh = unit_square(4)
         spaces = build_spaces(mesh, 2)
         ess = interpolate_essential(mesh, spaces, "cavity")
-        a0 = aux_space(spaces, condensed_structure(spaces, ess).a_g).operator(ProblemParams())
+        a0 = aux_space(spaces, condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g).operator(ProblemParams())
         assert sla.eigvalsh(a0.toarray())[0] > 0
 
 

@@ -248,7 +248,7 @@ class TestTracePattern:
         mesh = make_mesh()
         spaces = build_spaces(mesh, k)
         ess = interpolate_essential(mesh, spaces, problem)
-        structure = condensed_structure(spaces, ess)
+        structure = condensed_structure(spaces, ess, np.arange(mesh.num_triangles))
         got = structure.a_g
         want = scatter_pattern(ess.pos[structure.g_slots], structure.free_cond.size)
         assert got.shape == want.shape
@@ -273,4 +273,4 @@ class TestTracePattern:
         edge = np.flatnonzero(free[: spaces.split.n_bnd : 3])[0]
         free[3 * edge + 1] = False  # one normal mode of a free edge
         with pytest.raises(ValueError, match="all free or all essential"):
-            condensed_structure(spaces, replace(ess, free_mask=free))
+            condensed_structure(spaces, replace(ess, free_mask=free), np.arange(mesh.num_triangles))

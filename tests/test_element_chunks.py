@@ -46,12 +46,13 @@ def _structure(name, k) -> Structure:
     mesh = make_mesh()
     spaces = build_spaces(mesh, k)
     ess = interpolate_essential(mesh, spaces, problem)
-    condensed = condensed_structure(spaces, ess)
+    stacks = assemble_local_stacks(mesh, spaces)
+    condensed = condensed_structure(spaces, ess, stacks.element_class)
     return Structure(
         mesh=mesh,
         spaces=spaces,
         essential=ess,
-        stacks=assemble_local_stacks(mesh, spaces),
+        stacks=stacks,
         condensed=condensed,
         asp=asp_structure(spaces, condensed.a_g, "patch-sgs"),
         schur=schur_structure(mesh),

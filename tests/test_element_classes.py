@@ -5,6 +5,8 @@ matrix of each distinct block of a group of patches once. Every result
 keeps the bits of the former per-element work, kept verbatim below as
 reference, and of per-patch work."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,7 +22,6 @@ from divhdg.assembly import (
 )
 from divhdg.bench import Structure, build_structure
 from divhdg.condense import (
-    CondensedSystem,
     back_substitute,
     block_positions,
     condensed_structure,
@@ -80,6 +81,7 @@ def _former_eliminate_local(block, structure):
 
     f_g_loc = np.empty((nt, n_G))
     lift_loc = np.empty((nt, n_G))  # per element A_cond g
+    blocks = np.empty((nt, n_G, n_G))  # kept for the class blocks' check
     a_data = structure.a_g.zeros()
     for sel in element_chunks(nt):
         flat, rhs, sol = _former_local_solve(block, g, sel)
@@ -91,10 +93,11 @@ def _former_eliminate_local(block, structure):
         f_g_loc[sel] = block.floc[sel][:, g] - (k_gl @ sol[:, :, n_G, None])[:, :, 0]
         lift_loc[sel] = (a_cond @ g_ess[structure.g_slots[sel], None])[:, :, 0]
         structure.a_g.add(a_data, a_cond, sel)
+        blocks[sel] = a_cond
 
     g_pos = ess.pos[structure.g_slots]
     n_g = structure.free_cond.size
-    return CondensedSystem(
+    return SimpleNamespace(
         A_g=SparseSym(structure.a_g.matrix(a_data)),
         B_g=structure.B_g,
         C_g=SparseSym(sp.diags(pressure_c_diagonal(mesh, spaces, block.params)[:nt]).tocsr()),
@@ -104,6 +107,7 @@ def _former_eliminate_local(block, structure):
         structure=structure,
         spaces=spaces,
         block=block,
+        blocks=blocks,
     )
 
 
@@ -185,18 +189,21 @@ MESHES = {
     "step": (lambda: step_domain(4), "step"),  # 120 elements
     "jittered": (lambda: jittered_square(8), "cavity"),  # no two elements alike
     "two": (lambda: unit_square(1), "cavity"),  # two elements, one free edge
+    # 98 elements: 64 in 6 classes of at least _CLASS_MIN, 34 outside them
+    "mixed": (lambda: unit_square(7), "cavity"),
 }
 
 
 def _structure(mesh, problem, k, smoother="patch-sgs") -> Structure:
     spaces = build_spaces(mesh, k)
     ess = interpolate_essential(mesh, spaces, problem)
-    condensed = condensed_structure(spaces, ess)
+    stacks = assemble_local_stacks(mesh, spaces)
+    condensed = condensed_structure(spaces, ess, stacks.element_class)
     return Structure(
         mesh=mesh,
         spaces=spaces,
         essential=ess,
-        stacks=assemble_local_stacks(mesh, spaces),
+        stacks=stacks,
         condensed=condensed,
         asp=asp_structure(spaces, condensed.a_g, smoother),
         schur=schur_structure(mesh),
@@ -295,6 +302,13 @@ class TestBitIdentity:
             block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
         got = eliminate_local(block, s.condensed)
         want = _former_eliminate_local(block, s.condensed)
+        # each class block is every member's own block, and the folded
+        # diagonal and the lazy A_g are the former sums
+        part = s.condensed.part
+        members = np.flatnonzero(part >= 0)
+        assert (members.size > 0) == (name in ("cavity", "step", "mixed"))
+        assert np.array_equal(got.class_blocks[part[members]], want.blocks[members])
+        assert np.array_equal(got.a_g_diagonal(), want.A_g.diagonal())
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got.A_g.csr, attr), getattr(want.A_g.csr, attr))
         assert np.array_equal(got.F_g, want.F_g)

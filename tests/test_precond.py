@@ -584,7 +584,7 @@ class TestFreeEdgeGraph:
         spaces = build_spaces(mesh, request.param)
         ess = interpolate_essential(mesh, spaces, problem)
         erank = free_edge_rank(spaces.split, ess)
-        a_g = condensed_structure(spaces, ess).a_g
+        a_g = condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g
         return mesh, request.param, a_g, erank, _neighbour_edges(mesh, erank)
 
     @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
@@ -652,7 +652,7 @@ class TestAuxSpace:
         mesh = make_mesh()
         spaces = build_spaces(mesh, k)
         ess = interpolate_essential(mesh, spaces, problem)
-        a_g = condensed_structure(spaces, ess).a_g
+        a_g = condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g
         aux = aux_space(spaces, a_g)
         on_essential = np.zeros(mesh.num_vertices, bool)
         on_essential[mesh.edges[free_edge_rank(spaces.split, ess) < 0]] = True
@@ -759,7 +759,8 @@ def test_bitmask_colouring_equals_the_set_loop(make_mesh, problem):
     depend on k), a large one and one with no two elements alike."""
     mesh = make_mesh()
     spaces = build_spaces(mesh, 2)
-    a_g = condensed_structure(spaces, interpolate_essential(mesh, spaces, problem)).a_g
+    ess = interpolate_essential(mesh, spaces, problem)
+    a_g = condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g
     ends = mesh.edges[a_g.free_edges].ravel()
     spokes = np.argsort(ends, kind="stable") // 2
     offsets = np.r_[0, np.cumsum(np.unique(ends, return_counts=True)[1])]

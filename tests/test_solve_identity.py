@@ -7,7 +7,10 @@ produce the same iterates bit for bit. The patch smoother is handed to the
 former solve as the library's own: it is a gathered product per patch that
 rounds otherwise than the former correction, and
 ``tests/test_patch_classes.py`` checks it against a dense multiplicative
-Schwarz sweep."""
+Schwarz sweep. So is the condensed operator on a mesh with element classes,
+which applies A_g class by class and rounds otherwise than its CSR product
+(``tests/test_class_apply.py`` bounds the difference); on a mesh with no
+class, the jittered case, the former CSR operator is kept."""
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ import scipy.sparse as sp
 
 from divhdg.assembly import ProblemParams, assemble_saddle
 from divhdg.condense import eliminate_local
-from divhdg.krylov import minres, pressure_mean_projector, solve_condensed
+from divhdg.krylov import minres, operator_condensed, pressure_mean_projector, solve_condensed
 from divhdg.linalg import NotSPD
 from divhdg.mesh import TAG_WALL, build_mesh
 from divhdg.precond import aux_space, build_asp, build_schur
@@ -183,9 +186,12 @@ def _former_solve_condensed(cond, asp, schur, *, tol, maxit, seed):
 
     proj = pressure_mean_projector(n_u, cond.n_pbar) if schur.deflate else None
     rhs = np.concatenate([cond.F_g, cond.F_pbar])
+    # the former CSR operator on a mesh with no element class, else the
+    # library's own class apply
+    classes = cond.class_blocks.shape[0]
+    apply_k = operator_condensed(cond) if classes else _former_operator_condensed(cond)
     return _former_minres(
-        _former_operator_condensed(cond), pinv, rhs, tol=tol, maxit=maxit, seed=seed,
-        project=proj,
+        apply_k, pinv, rhs, tol=tol, maxit=maxit, seed=seed, project=proj
     )
 
 
@@ -196,6 +202,8 @@ CASES = [
     ("step", 2, 3, 1.0, 0.0, "patch-sgs", False),
     ("cavity", 4, 2, 1.0, 1.0, "jacobi", False),
     ("cavity", 4, 2, 1.0, 1e-4, "patch-sgs", False),  # the elasticity regime
+    ("jittered", 4, 2, 1.0, 0.0, "patch-sgs", True),  # no element class
+    ("jittered", 4, 2, 1.0, 1.0, "jacobi", False),
 ]
 
 
@@ -203,10 +211,12 @@ class TestIterateBitIdentical:
     @pytest.mark.parametrize(
         "problem,inv_h,k,tau,invl,smoother,deflates",
         CASES,
-        ids=["cavity-tau0", "cavity-tau1", "step", "jacobi", "elast"],
+        ids=["cavity-tau0", "cavity-tau1", "step", "jacobi", "elast", "jittered",
+             "jittered-jacobi"],
     )
     def test_equal_to_former_solve(self, problem, inv_h, k, tau, invl, smoother, deflates):
         *_, cond = pipeline(problem, inv_h, k, tau=tau, inv_lambda=invl)
+        assert (cond.class_blocks.shape[0] == 0) == (problem == "jittered")
         asp = build_asp(cond, smoother=smoother)
         schur = build_schur(cond.spaces.mesh, cond.block.params)
         assert schur.deflate is deflates
