@@ -342,15 +342,14 @@ def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
             yield (l, f), hat, c1 * mask, c2 * mask
 
 
-@dataclass(frozen=True)
 class CsrPattern:
     """The CSR pattern ``indptr``, ``indices``, ``shape`` of a sum of element
     matrices, built once because it depends only on where the elements'
     entries go. A sum starts from ``zeros``, takes the element matrices with
     ``add``, in one call or per chunk of elements, and becomes a matrix with
-    ``matrix``. A subclass says where the entries go with ``slots``. A lookup
-    of positions in the pattern builds its ``position_map`` for as long as it
-    needs one."""
+    ``matrix``. A subclass holds the three and says where the entries go
+    with ``slots``. A lookup of positions in the pattern builds its
+    ``position_map`` for as long as it needs one."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -358,7 +357,7 @@ class CsrPattern:
 
     @property
     def nnz(self) -> int:
-        return self.indices.size
+        return int(self.indptr[-1])
 
     def slots(self, sel=slice(None)) -> np.ndarray:
         """Per element of ``sel`` and entry in row-major order, its position
@@ -394,6 +393,9 @@ class ScatterPattern(CsrPattern):
     """Where ``scatter_stack`` puts each entry of an element stack with given
     row and column slots: ``slot`` (E, r c) holds every entry's position."""
 
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple
     slot: np.ndarray
 
     def slots(self, sel=slice(None)) -> np.ndarray:
@@ -493,13 +495,18 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
     )
 
 
-def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
+def assemble_pressure_ops(
+    mesh: Mesh, spaces: Spaces, constant_only: bool = False
+) -> sp.csr_matrix:
     """The divergence-coupling matrix over all pressure x all velocity
     unknowns, parameter independent: per element a (1 + n_d, 3 + n_d) block,
     -sign at the lowest-order flux unknowns in the constant-pressure row and
-    -I from the mean-zero pressures to the divergence carriers."""
+    -I from the mean-zero pressures to the divergence carriers. With
+    ``constant_only``, its first nt rows alone, the constant-pressure ones:
+    each holds one element's entries, so they are the whole matrix's rows
+    bit for bit."""
     dm, ref, split = spaces.dofmap, spaces.ref, spaces.split
-    nt, n_d = mesh.num_triangles, ref.n_int_d
+    nt, n_d = mesh.num_triangles, 0 if constant_only else ref.n_int_d
     # the three lowest-order flux unknowns, then the divergence carriers
     cols = np.r_[np.arange(3) * (spaces.k + 1), ref.n_facet + ref.n_int_c + np.arange(n_d)]
     stack = np.zeros((nt, 1 + n_d, 3 + n_d))
@@ -507,7 +514,8 @@ def assemble_pressure_ops(mesh: Mesh, spaces: Spaces) -> sp.csr_matrix:
     stack[:, 1:, 3:] = -np.eye(n_d)
     t = np.arange(nt)[:, None]
     rows = np.concatenate([t, nt + t * n_d + np.arange(n_d)], axis=1)
-    b = scatter_stack(stack, rows, split.n_pressure, dm.vel_loc[:, cols], split.n_vel)
+    n_rows = nt if constant_only else split.n_pressure
+    b = scatter_stack(stack, rows, n_rows, dm.vel_loc[:, cols], split.n_vel)
     b.eliminate_zeros()
     return b
 

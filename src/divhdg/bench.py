@@ -180,8 +180,9 @@ class Structure:
     free-edge graph and the element-class tables of A_g's apply, and the
     preconditioners' patterns: the auxiliary space
     (free vertices, A0's pattern and RCM order, the transfer Pi), the
-    patches and colours (patch smoother only), and N with its RCM order.
-    ``row`` builds one row's systems on it."""
+    patches, their classes and colours (patch smoother only), and N with
+    its RCM order. ``row`` builds one row's systems on it; on a mesh with
+    element classes it does not assemble A_g."""
 
     mesh: Mesh
     spaces: Spaces
@@ -214,7 +215,7 @@ def build_structure(problem: str, inv_h: int, k: int, smoother: str = "patch-sgs
         essential=ess,
         stacks=stacks,
         condensed=condensed,
-        asp=asp_structure(spaces, condensed.a_g, smoother),
+        asp=asp_structure(spaces, condensed, smoother),
         schur=schur_structure(mesh),
     )
 

@@ -17,7 +17,8 @@ divergence penalization to the interior block before inverting.
 
 ``CondensedStructure`` holds what depends only on the mesh, the degree and the
 essential data, built once per sweep: the trace slots, A_g's pattern
-(``TracePattern``), B_g with its right side, and the tables by which MINRES
+(``TracePattern``), B_g with its right side (from B's constant-pressure
+rows alone), and the tables by which MINRES
 applies A_g element class by element class (``krylov.operator_condensed``):
 the elements of each class of at least ``_CLASS_MIN`` (``LocalStacks
 .element_class``) in class order, the gather of their free trace unknowns,
@@ -42,9 +43,12 @@ triangles, such as ``unit_square`` at any 1/h, has two pairs per chunk without
 a body force, and a mesh with no two elements alike one pair per element. The
 row keeps one condensed block per large class, and adds
 the other elements' blocks to their CSR's data (``CsrPattern.add``). A_g
-itself is assembled only when read (``CondensedSystem.A_g``: the patch
-smoother's set-up and the checks), from the class blocks chunk by chunk and
-the other elements' sums, bit for bit the sum of every element's own block;
+itself is assembled only when read (``CondensedSystem.A_g``, by the checks
+and the traced benchmark's residual check; a row's patch smoother sums its
+patch blocks from the class blocks and the rest, see ``precond``), from the
+class blocks chunk by chunk and the other elements' sums, bit for bit the
+sum of every element's own block, and its pattern's column indices are
+expanded then too;
 the Jacobi smoother reads only its diagonal, folded from the class blocks'
 diagonals and the other elements' CSR. The essential data g
 leaves the trace unknowns element by element: F_g is the sum of the element
@@ -89,8 +93,12 @@ class TracePattern(CsrPattern):
     The ``graph`` (n_fe, n_fe) bool of the ``free_edges`` (the mesh edge of
     each rank) pairs each with its neighbour edges, itself included: the
     free edges that share an element with it. A row of A_g holds the
-    unknowns of its edge's neighbours (``free_edge_unknowns`` of their ranks)."""
+    unknowns of its edge's neighbours (``free_edge_unknowns`` of their ranks).
+    Only ``indptr`` is built with the pattern: the column ``indices`` are
+    expanded from the graph on first read, by whatever assembles A_g."""
 
+    indptr: np.ndarray
+    shape: tuple
     row_start: np.ndarray
     edge_rank: np.ndarray
     free_edges: np.ndarray
@@ -105,6 +113,34 @@ class TracePattern(CsrPattern):
         k = (n_g // 3 - 1) // 2
         out = block_positions(start, self.edge_rank[sel], trace_layout(k), self.nnz)
         return out.reshape(e, n_g * n_g)
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        """A_g's column indices: each free edge's columns written once, the
+        normal modes of its neighbour edges in rank order, then their
+        tangential modes, in one row padded with -1 to the largest degree,
+        and that row repeated for the edge's k+1 normal and k tangential
+        rows, the padding dropped."""
+        graph = self.graph
+        n_fe = graph.shape[0]
+        k = (self.row_start.shape[1] // 3 - 1) // 2
+        n = 2 * k + 1
+        deg = np.diff(graph.indptr)
+        row = np.repeat(np.arange(n_fe), deg)  # the edge of each neighbour
+        rank = np.arange(graph.nnz) - graph.indptr[row]
+        width = n * deg.max(initial=0)
+        cols = np.full((n_fe, width), -1, self.indptr.dtype)
+        nb = free_edge_unknowns(graph.indices, n_fe, k)  # (nnz, 2k+1): each neighbour's unknowns
+        cols.ravel()[free_edge_unknowns(rank, deg[row], k) + (width * row)[:, None]] = nb
+        indices = np.empty(self.nnz, self.indptr.dtype)
+        lo = 0
+        for copies in (k + 1, k):
+            rows = np.repeat(cols, copies, axis=0)
+            hi = lo + copies * n * graph.nnz
+            indices[lo:hi] = rows[rows >= 0]
+            del rows  # before the next copies are made
+            lo = hi
+        return indices
 
 
 class TraceLayout(NamedTuple):
@@ -210,34 +246,15 @@ def trace_pattern(spaces: Spaces, essential: EssentialData, g_pos: np.ndarray) -
     graph = (inc.T @ inc).tocsr()
     graph.sort_indices()
     deg = np.diff(graph.indptr)
-    nnz = n * n * graph.nnz  # each neighbour pair: 2k+1 rows by 2k+1 columns
-    idx = np.int32 if nnz < 2**31 else np.int64
-
-    # each free edge's columns, one row padded with -1 to the largest degree:
-    # its d neighbour edges' unknowns, laid out by their ranks among the d
-    row = np.repeat(np.arange(n_fe), deg)  # the edge of each neighbour
-    rank = np.arange(graph.nnz) - graph.indptr[row]
-    width = n * deg.max(initial=0)
-    cols = np.full((n_fe, width), -1, idx)
-    nb = free_edge_unknowns(graph.indices, n_fe, k)  # (nnz, 2k+1): each neighbour's unknowns
-    cols.ravel()[free_edge_unknowns(rank, deg[row], k) + (width * row)[:, None]] = nb
+    # each neighbour pair: 2k+1 rows by 2k+1 columns
+    idx = np.int32 if n * n * graph.nnz < 2**31 else np.int64
 
     # the rows of A_g: each free edge's k+1 normal rows, then each one's k
     # tangential rows, every row its edge's columns
     indptr = np.zeros(n * n_fe + 1, idx)
     np.cumsum(np.r_[np.repeat(n * deg, k + 1), np.repeat(n * deg, k)], out=indptr[1:])
-    indices = np.empty(nnz, idx)
-    lo = 0
-    for copies in (k + 1, k):
-        rows = np.repeat(cols, copies, axis=0)
-        hi = lo + copies * n * graph.nnz
-        indices[lo:hi] = rows[rows >= 0]
-        del rows  # before the next copies are made
-        lo = hi
-
     return TracePattern(
         indptr=indptr,
-        indices=indices,
         shape=(n * n_fe, n * n_fe),
         # an essential unknown's position -1 reads indptr[-1] = nnz
         row_start=indptr[g_pos],
@@ -253,8 +270,9 @@ class CondensedStructure:
     k, essential data), shared by every row of a sweep.
 
     The tables of A_g's apply by element class (``krylov.operator_condensed``):
-    ``part`` (nt,) gives each element its part, the rank of its class among
-    those of at least ``_CLASS_MIN`` elements, or -1; ``gather`` (n_in, n_G)
+    ``part`` (nt,) gives each element its part, the rank of its
+    ``element_class`` (``LocalStacks.element_class``) among those of at
+    least ``_CLASS_MIN`` elements, or -1; ``gather`` (n_in, n_G)
     the free positions of those n_in elements' trace unknowns, part by part
     and in element order within one, n_free at an essential unknown, with
     part c in rows ``ends[c]:ends[c + 1]``; and ``fold`` (2, n_free) the
@@ -270,6 +288,7 @@ class CondensedStructure:
     a_g: TracePattern  # A_g's pattern and where each element block goes in it
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
     F_pbar: np.ndarray
+    element_class: np.ndarray
     part: np.ndarray
     ends: np.ndarray
     gather: np.ndarray
@@ -290,7 +309,7 @@ def condensed_structure(
     # the free condensed unknowns hold the first free positions
     free_cond = np.flatnonzero(essential.free_mask[: spaces.split.n_cond])
     n_free = free_cond.size
-    b_pbar = assemble_pressure_ops(spaces.mesh, spaces)[:nt]  # the constant-pressure rows
+    b_pbar = assemble_pressure_ops(spaces.mesh, spaces, constant_only=True)
     a_g = trace_pattern(spaces, essential, g_pos)
 
     size = np.bincount(element_class)
@@ -327,6 +346,7 @@ def condensed_structure(
         a_g=a_g,
         B_g=b_pbar[:, free_cond],
         F_pbar=-(b_pbar @ essential.full_vector()),
+        element_class=element_class,
         part=part,
         ends=np.r_[0, np.cumsum(size[big])],
         # intp, as ``take`` reads indices: int32 would be converted on every

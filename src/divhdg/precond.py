@@ -17,8 +17,9 @@ z_p += D^-1 (r - A z)_p is the assignment
 one product per patch with a gather from the stacked [r | z] (the first
 colour sees z = 0 and reads only D^-1 r_p).  The patches with the same
 numbers of free edges and ring edges form a group, and those of one group
-whose blocks [D | A_ring] are equal bit for bit a class: a mesh of
-translated copies of two triangles has few (19 among 287 patches on the
+whose elements have the same element classes at the same places a class:
+their blocks [D | A_ring] are equal bit for bit at every parameter. A mesh
+of translated copies of two triangles has few (19 among 287 patches on the
 unit square at 1/h=16 and k=2).  The patches of one colour in a class of at
 least ``_CLASS_MIN`` are solved with one GEMM against their one M, the
 others of each group, each with its own M, by one batched matrix-vector
@@ -68,16 +69,20 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
-sweep: the ``AuxSpace``, the patches by group as free edges (each patch's
+sweep: the ``AuxSpace``; the patches by group as free edges (each patch's
 unknowns and ring unknowns, its colour, and per pair of a spoke and a spoke
-or ring edge the rank of one among the other's neighbours), and N with its
-RCM order. ``build_asp`` and ``build_schur`` then do one row's work: the
-scalar auxiliary operator and its factor; each group's classes, found
-batch by batch from the patches' rows of A_g and then merged on their
-blocks (``_patch_matrices``), each class's M formed once and the colours'
-patches ordered by class; and the Schur inner factor.  The library calls
-them from ``bench.Structure.row``. Called without a structure (the traced
-benchmark, tests), they build it first.
+or ring edge the rank of one among the other's neighbours), classed from the
+element classes by integer keys (``_patch_classes``), with the tables that
+sum each class's block from the condensed class blocks, and the colours'
+patches ordered by class (``_colour_plan``); and N with its RCM order.
+``build_asp`` and ``build_schur`` then do one row's work: the scalar
+auxiliary operator and its factor; each class's block, summed from
+``CondensedSystem.class_blocks`` and the rest, and its M, formed once
+(``_class_matrices``); and the Schur inner factor. A patch row reads no
+value of A_g and does not assemble it, unless no element class is large:
+then the rest is A_g, and the blocks are read from its rows.  The library
+calls them from ``bench.Structure.row``. Called without a structure (the
+traced benchmark, tests), they build it first.
 """
 
 import functools
@@ -94,7 +99,7 @@ from .assembly import (
     scatter_pattern,
     scatter_stack,
 )
-from .condense import CondensedSystem, TraceLayout, TracePattern
+from .condense import CondensedStructure, CondensedSystem, TraceLayout, TracePattern
 from .condense import block_positions, edge_ranks, trace_layout
 from .linalg import _CLASS_MIN, SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
 from .mesh import TAG_OUTLET, Mesh
@@ -219,25 +224,33 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # velocity block
 
 
-# entries of A_g's rows per batch of patches that a row classes at once:
-# 2 MB of float64
+# entries of the patch blocks per batch that a row gathers from A_g's CSR
+# at once, on a mesh with no element class: 2 MB of float64
 _BATCH = 1 << 18
 
 
 @dataclass(frozen=True)
 class _Colour:
-    """One row's colour of the patch smoother.  ``rows`` holds the m
-    unknowns of each of its patches, part by part, and ``take`` the m + w
-    positions of each patch's gather from the stacked [r | z], the patch's
-    unknowns and then its ring's, offset by n (``_PatchGroup``).  A part
-    ``(p, mat)`` is p patches of one group, either a class of at least
-    ``_CLASS_MIN`` patches with equal blocks [D | A_ring], ``mat`` (m, m + w)
-    their one M = [D^-1 | -D^-1 A_ring], or a tail, ``mat`` (p, m, m + w)
-    each patch's own M."""
+    """One colour of the patch smoother.  ``rows`` holds the m unknowns of
+    each of its patches, part by part, and ``take`` the m + w positions of
+    each patch's gather from the stacked [r | z], the patch's unknowns and
+    then its ring's, offset by n (``_PatchGroup``).  A part ``(p, mat)`` of
+    a row's colour is p patches of one group, either a class of at least
+    ``_CLASS_MIN`` patches with equal blocks [D | A_ring], ``mat`` (m, m +
+    w) their one M = [D^-1 | -D^-1 A_ring], or a tail, ``mat`` (p, m, m + w)
+    each patch's own M.  In an ``AspStructure`` a part is ``(p, group,
+    sel)``: the class ``sel`` of ``groups[group]``, or the classes ``sel``
+    (p,) of the tail's patches; ``filled`` puts in the row's M's."""
 
     rows: np.ndarray
     take: np.ndarray
     parts: list
+
+    def filled(self, mats: list) -> "_Colour":
+        """The row's colour, each part's M's ``mats[group][sel]`` (``mats``
+        per group, ``_class_matrices``) in an array of its own."""
+        parts = [(p, mats[g].take(sel, axis=0)) for p, g, sel in self.parts]
+        return _Colour(rows=self.rows, take=self.take, parts=parts)
 
     def correct(self, rz: np.ndarray, z: np.ndarray, first: bool) -> None:
         """Exact block solves z_p = M [r_p | z_ring] on every patch of the
@@ -273,32 +286,125 @@ class _PatchGroup:
     order, as positions in the stacked [r | z] (the ring's offset by n);
     ``rank`` (P, d, d + e) int8 the ``condense.edge_ranks`` of the spokes
     among the spokes and the ring.  The patches of colour c are
-    ``ends[c]:ends[c + 1]``, in natural vertex order."""
+    ``ends[c]:ends[c + 1]``, in natural vertex order.
+
+    ``cls`` (P,) is each patch's class (``_patch_classes``), numbered by
+    ``first`` (C,), its first patch; the patches of one class have equal
+    blocks [D | A_ring] at every parameter.  A row sums each class's block
+    from its first patch's elements (``_class_matrices``): per element of a
+    part, ``term_part`` (N,) the part, and per trace unknown of it
+    ``term_row`` (N, n_G) and ``term_col`` the offset of its row and its
+    column in the classes' blocks padded to (C, m + 1, m + w + 1), a place
+    in the padding where the unknown is no spoke's or none of the patch's.
+    ``rest_dst`` holds the places in the blocks (C, m, m + w) of the
+    entries that elements outside the parts add, and ``rest_src`` their
+    positions in the data of the rest's CSR (``CondensedSystem.rest``);
+    both are empty without such elements, and unused on a mesh with no
+    part, where the rest is A_g and a row reads the blocks from its rows
+    at the ranks."""
 
     take: np.ndarray
     rank: np.ndarray
     ends: np.ndarray
+    cls: np.ndarray
+    first: np.ndarray
+    term_part: np.ndarray
+    term_row: np.ndarray
+    term_col: np.ndarray
+    rest_dst: np.ndarray
+    rest_src: np.ndarray
 
 
-def _fill_colours(a: sp.csr_matrix, groups: list) -> list:
-    """The ``_Colour``s of the row whose A_g is ``a``.  Per group and colour,
-    the patches of each class of at least ``_CLASS_MIN`` patches become one
-    part, in the order of the classes' first patches, and the other patches
-    follow as the tail in their given order."""
+def _patch_classes(
+    spaces: Spaces,
+    condensed: CondensedStructure,
+    tri_rank: np.ndarray,
+    own: np.ndarray,
+    rim: np.ndarray,
+    take: np.ndarray,
+) -> tuple:
+    """The classes of the P vertex patches with spokes ``own`` (P, d) and
+    ring ``rim`` (P, e), free-edge ranks, and gathers ``take``, and the
+    tables from which a row sums each class's block: the ``_PatchGroup``
+    fields from ``cls`` on. ``tri_rank`` (nt, 3) holds each element's
+    free-edge ranks, -1 at an essential edge.
+
+    A patch's elements are those on its spokes. Each of them holds only
+    edges of the patch (spokes and ring) and essential edges, and its
+    condensed block follows from its element class. An entry of the block
+    [D | A_ring] sums the terms of the one or two elements that hold both of
+    its edges (only a spoke lies in two), and two floats add alike in either
+    order. So the patch's block follows from the set of its elements'
+    (element class, patch edge of each local edge) rows. Its key is that
+    set, each row one integer, sorted, and ``distinct_rows`` of the keys
+    gives the classes: equal keys give equal blocks at every parameter,
+    without reading a value."""
+    mesh, k = spaces.mesh, spaces.k
+    p, d = own.shape
+    e = rim.shape[1]
+    m, mw = d * (2 * k + 1), (d + e) * (2 * k + 1)
+    edges = np.concatenate([own, rim], axis=1).astype(tri_rank.dtype)  # spokes first
+    els = np.sort(mesh.edge_elems[condensed.a_g.free_edges[own]].reshape(p, 2 * d), axis=1)
+    els[:, 1:][els[:, 1:] == els[:, :-1]] = -1  # once each: an element holds two spokes at most
+    at = np.maximum(els, 0)
+    # (P, 2d, 3): the patch edge of each local edge, the one it equals, or -1
+    hit = (tri_rank[at][:, :, :, None] == edges[:, None, None, :]).view(np.uint8)
+    pe = (hit @ np.arange(1, d + e + 1, dtype=np.min_scalar_type(d + e))).astype(np.intp) - 1
+    key = condensed.element_class[at].astype(np.int64)
+    for loc in range(3):
+        key = key * (d + e + 1) + pe[:, :, loc] + 1
+    key[els < 0] = -1
+    first, cls = distinct_rows(np.sort(key, axis=1))
+
+    # the terms: each element of a part on a class's first patch, with the
+    # place of each of its trace unknowns in the block's columns (the last
+    # row of ``place`` is the padding, for an edge off the patch)
+    els, part = els[first], condensed.part[at[first]]
+    held = (els >= 0) & (part >= 0)
+    cols = _block_columns(k, d, e)
+    place = np.full((d + e + 1, 2 * k + 1), mw, np.intp)
+    place[cols.edge, np.where(cols.tangential, k + 1, 0) + cols.mode] = np.arange(mw)
+    lay = trace_layout(k)
+    col = place[pe[first][held][:, lay.edge], np.where(lay.tangential, k + 1, 0) + lay.mode]
+    cix = np.nonzero(held)[0][:, None]  # the class of each term
+    row = (cix * (m + 1) + np.minimum(col, m)) * (mw + 1)  # the spokes' unknowns are the rows
+
+    # the entries that the rest adds to the classes whose first patch holds
+    # an element outside the parts, at their positions in its pattern; with
+    # no part the rest is A_g, and a row reads it at the ranks
+    rest_dst = rest_src = np.zeros(0, np.intp)
+    rest = condensed.rest
+    rc = np.flatnonzero(((els >= 0) & (part < 0)).any(axis=1))
+    if rc.size and rest is not condensed.a_g:
+        t = take[first[rc]]
+        n = condensed.a_g.shape[0]
+        r = np.repeat(t[:, :m], mw, axis=1)  # (C_r, m mw): each block entry's row
+        c = np.tile(np.concatenate([t[:, :m], t[:, m:] - n], axis=1), m)  # and column
+        pos = np.asarray(position_map(rest)[r.ravel(), c.ravel()]).reshape(r.shape) - 1
+        dst = rc[:, None] * (m * mw) + np.arange(m * mw)
+        inside = pos >= 0
+        rest_dst, rest_src = dst[inside], pos[inside]
+    return cls, first, part[held], row, col, rest_dst, rest_src
+
+
+def _colour_plan(groups: list) -> list:
+    """The ``_Colour``s of the structure. Per group and colour, the patches
+    of each class of at least ``_CLASS_MIN`` patches become one part, in
+    the order of the classes' first patches, and the other patches follow
+    as the tail in their given order."""
     n_colours = groups[0].ends.size - 1 if groups else 0
     rows, take, parts = ([[] for _ in range(n_colours)] for _ in range(3))
-    for g in groups:
+    for i, g in enumerate(groups):
         m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
-        cls, mats = _patch_matrices(a, g.take, g.rank)
         for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
-            cc = cls[lo:hi]
+            cc = g.cls[lo:hi]
             size = np.bincount(cc)
             big = np.flatnonzero(size >= _CLASS_MIN)
             order = np.argsort(np.where(size[cc] >= _CLASS_MIN, cc, size.size), kind="stable")
-            parts[c] += [(int(size[j]), mats[j].copy()) for j in big]
+            parts[c] += [(int(size[j]), i, j) for j in big]
             tail = order[int(size[big].sum()) :]
             if tail.size:
-                parts[c].append((tail.size, mats[cc[tail]]))
+                parts[c].append((tail.size, i, cc[tail]))
             t = g.take[lo:hi][order]
             rows[c].append(t[:, :m].ravel())
             take[c].append(t.ravel())
@@ -308,44 +414,48 @@ def _fill_colours(a: sp.csr_matrix, groups: list) -> list:
     ]
 
 
-def _patch_matrices(a: sp.csr_matrix, take: np.ndarray, rank: np.ndarray) -> tuple:
-    """The sweep matrices of the P patches of one ``_PatchGroup`` in the row
-    whose A_g is ``a``, as exact classes of their blocks [D | A_ring] (m, m +
-    w): the class of each patch (P,), numbered by first patch, and each
-    class's M = [D^-1 | -D^-1 A_ring] (C, m, m + w), formed once.
+def _class_matrices(cond: CondensedSystem, g: _PatchGroup) -> np.ndarray:
+    """The sweep matrices M = [D^-1 | -D^-1 A_ring] (C, m, m + w) of the
+    classes of the group ``g`` in the row ``cond``, each formed once from its
+    block [D | A_ring]. The block sums the class blocks of its first patch's
+    elements into zeros, in one ``np.bincount`` over the padded blocks, and
+    then adds the rest's entries: every entry the sum that A_g holds, bit
+    for bit. With no part, the blocks are read from the rest, A_g itself."""
+    m, mw = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1], g.take.shape[1]
+    if cond.class_blocks.shape[0]:
+        at = g.term_row[:, :, None] + g.term_col[:, None, :]
+        padded = np.bincount(
+            at.ravel(),
+            weights=cond.class_blocks[g.term_part].ravel(),
+            minlength=g.first.size * (m + 1) * (mw + 1),
+        )
+        # float: np.bincount of no term counts in int
+        blocks = np.ascontiguousarray(padded.reshape(-1, m + 1, mw + 1)[:, :m, :mw], float)
+        if g.rest_dst.size:
+            blocks.reshape(-1)[g.rest_dst] += cond.rest.csr.data[g.rest_src]
+    else:
+        blocks = _csr_blocks(cond.rest.csr, g.take[g.first], g.rank[g.first])
+    dinv = np.linalg.inv(blocks[:, :, :m])
+    return np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
 
-    A patch's rows of A_g hold every entry of its block and its ranks say
-    where each goes, so equal ranks and rows give equal blocks.  Per batch of
-    patches, ``distinct_rows`` classes the rows (zero-padded to one width,
-    about half the block's entries) with the ranks, and only each class's
-    first block is gathered, at positions that follow from ``a``'s row
-    starts (0 outside its pattern).  ``distinct_rows`` of those blocks then
-    merges the classes with equal blocks, across batches and ranks."""
+
+def _csr_blocks(a: sp.csr_matrix, take: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The blocks [D | A_ring] (P, m, m + w) of the P patches ``take``,
+    ``rank`` of one group, read from A_g's CSR ``a`` at the positions that
+    ``block_positions`` gives from its row starts (0 outside its pattern),
+    in batches of ``_BATCH`` entries."""
     p, d, dc = rank.shape
     m = take.shape[1] // dc * d
     k = (m // d - 1) // 2
     layout, cols = trace_layout(k, d, by_edge=True), _block_columns(k, d, dc - d)
-    start = a.indptr.take(take[:, :m])
-    length = a.indptr.take(take[:, :m] + 1) - start
-    width = np.arange(length.max())
-    cls = np.empty(p, np.intp)
-    reps = []
-    step = max(1, _BATCH // (m * width.size))
+    out = np.empty((p, m, take.shape[1]))
+    step = max(1, _BATCH // (m * take.shape[1]))
     for lo in range(0, p, step):
         batch = slice(lo, lo + step)
-        rows = a.data.take(start[batch, :, None] + width, mode="clip")
-        rows[width >= length[batch, :, None]] = 0.0
-        first, inverse = distinct_rows(rank[batch], rows)
-        cls[batch] = inverse + sum(r.shape[0] for r in reps)
-        first += lo
-        pos = block_positions(start[first], rank[first], layout, a.nnz, cols)
-        reps.append(a.data.take(pos, mode="clip"))
-        reps[-1][pos == a.nnz] = 0.0
-    reps = np.concatenate(reps)
-    first, inverse = distinct_rows(reps)
-    blocks = reps[first]
-    dinv = np.linalg.inv(blocks[:, :, :m])
-    return inverse[cls], np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
+        pos = block_positions(a.indptr.take(take[batch, :m]), rank[batch], layout, a.nnz, cols)
+        out[batch] = a.data.take(pos, mode="clip")
+        out[batch][pos == a.nnz] = 0.0
+    return out
 
 
 @functools.cache
@@ -509,30 +619,37 @@ def aux_space(spaces: Spaces, a_g: TracePattern) -> AuxSpace:
 class AspStructure:
     """The parameter-independent part of the ASP preconditioner on one (mesh,
     k, essential data), shared by every row of a sweep: the auxiliary space
-    with its transfer, and for the patch smoother the patches as
-    ``_PatchGroup``s.  It keeps no position in A_g's data: a row computes
-    them per batch of patches from A_g's row starts.  A Jacobi structure
-    holds no patches."""
+    with its transfer, and for the patch smoother the patches, classed, as
+    ``_PatchGroup``s, and the ``colours`` with their parts, whose M's a row
+    fills in.  It keeps no position in A_g's data: with no element class a
+    row computes them per batch of classes from A_g's row starts.  A Jacobi
+    structure holds no patches."""
 
     smoother: str
     aux: AuxSpace
     groups: list = field(repr=False, default=None)  # of _PatchGroup
+    colours: list = field(repr=False, default=None)  # of _Colour, parts unfilled
 
 
-def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs") -> AspStructure:
-    """The parameter-independent part of ``build_asp``; ``a_g`` is the
-    ``TracePattern`` of the condensed velocity block A_g, whose free edges
-    and free-edge graph it reads. The vertex patches (the free unknowns on
+def asp_structure(
+    spaces: Spaces, condensed: CondensedStructure, smoother: str = "patch-sgs"
+) -> AspStructure:
+    """The parameter-independent part of ``build_asp`` on the condensed
+    structure ``condensed``, whose free edges, free-edge graph and element
+    classes it reads. The vertex patches (the free unknowns on
     the free edges at a vertex) are coloured greedily in natural vertex
     order. Two patches conflict if they share a free edge or A_g couples
     their unknowns: a nonzero of P G P^T, with P the patch-to-edge incidence
     and G the free-edge graph, formed in bool, since each free edge's
     unknowns lie in the patches of the edge and A_g couples two edges'
     unknowns where G holds the pair. The pattern of P G holds each patch's
-    spokes and ring."""
+    spokes and ring. The patches of each group are classed by their
+    elements (``_patch_classes``), and each colour's parts follow
+    (``_colour_plan``)."""
     if smoother not in SMOOTHERS:
         raise ValueError(f"unknown smoother '{smoother}'")
-    groups = None
+    a_g = condensed.a_g
+    groups = colours = None
     if smoother == "patch-sgs":
         # free edges in rank order and the free positions of their 2k+1
         # condensed unknowns, (E, 2k+1) as intp: the smoother indexes
@@ -554,6 +671,9 @@ def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs"
         ring.eliminate_zeros()  # each spoke is its own neighbour
         ring.sort_indices()
         sizes, widths = np.diff(offsets), np.diff(ring.indptr)
+        erank = np.full(spaces.mesh.num_edges, -1, np.int32)
+        erank[fe] = np.arange(fe.size, dtype=np.int32)
+        tri_rank = erank[spaces.mesh.tri_edges]
         groups = []
         for d, e in np.unique(np.stack([sizes, widths], axis=1), axis=0):
             ps = np.flatnonzero((sizes == d) & (widths == e))
@@ -565,8 +685,10 @@ def asp_structure(spaces: Spaces, a_g: TracePattern, smoother: str = "patch-sgs"
             take = np.concatenate([edofs[own].reshape(ps.size, -1), rim_unknowns], axis=1)
             rank = edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
             ends = np.searchsorted(colour[ps], np.arange(colour.max() + 2))
-            groups.append(_PatchGroup(take, rank, ends))
-    return AspStructure(smoother, aux_space(spaces, a_g), groups)
+            classes = _patch_classes(spaces, condensed, tri_rank, own, rim, take)
+            groups.append(_PatchGroup(take, rank, ends, *classes))
+        colours = _colour_plan(groups)
+    return AspStructure(smoother, aux_space(spaces, a_g), groups, colours)
 
 
 def build_asp(
@@ -582,14 +704,16 @@ def build_asp(
     ``structure`` (``asp_structure``) holds the part that lives for the whole
     sweep; without it (the traced benchmark and the tests), that part is
     built here for ``smoother``.  A row then only assembles and factors the
-    auxiliary operator and, for the patch smoother, classes its patches and
-    forms each class's sweep matrix (``_patch_matrices``) from the rows of
-    A_g, which it assembles (``CondensedSystem.A_g``).  Jacobi reads only
-    A_g's diagonal (``CondensedSystem.a_g_diagonal``).
+    auxiliary operator and, for the patch smoother, sums each patch class's
+    block from the condensed class blocks and the rest, and forms its sweep
+    matrix once (``_class_matrices``), into the structure's colours. It
+    does not assemble A_g, except that on a mesh with no element class the
+    rest is A_g.  Jacobi reads only A_g's diagonal
+    (``CondensedSystem.a_g_diagonal``).
     """
     if structure is None:
         smoother = SMOOTHERS[0] if smoother is None else smoother
-        structure = asp_structure(cond.spaces, cond.structure.a_g, smoother)
+        structure = asp_structure(cond.spaces, cond.structure, smoother)
     elif smoother not in (None, structure.smoother):
         raise ValueError(f"smoother {smoother!r}, structure built for {structure.smoother!r}")
     aux = structure.aux
@@ -604,5 +728,6 @@ def build_asp(
         if np.any(pre.jacobi_diag <= 0.0):
             raise ValueError("condensed diagonal not positive")
         return pre
-    pre.colours = _fill_colours(cond.A_g.csr, structure.groups)
+    mats = [_class_matrices(cond, g) for g in structure.groups]
+    pre.colours = [c.filled(mats) for c in structure.colours]
     return pre

@@ -578,6 +578,22 @@ class TestEliminationByPosition:
         assert np.array_equal(np.flatnonzero(vpos >= 0), free_v)
         assert np.array_equal(vpos[free_v], np.arange(free_v.size))
 
+    @pytest.mark.parametrize("problem,n,k", [("cavity", 4, 2), ("step", 4, 3), ("step", 2, 4)])
+    def test_constant_pressure_rows_equal_the_whole_couplings(self, problem, n, k):
+        """The structure assembles only B's nt constant-pressure rows: they,
+        and B_g and F_pbar from them, are those of the whole B bit for bit."""
+        mesh = step_domain(n) if problem == "step" else unit_square(n)
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        nt = mesh.num_triangles
+        want = assemble_pressure_ops(mesh, spaces)[:nt]
+        _same_csr(assemble_pressure_ops(mesh, spaces, constant_only=True), want)
+        s = condensed_structure(spaces, ess, np.arange(nt))
+        _same_csr(s.B_g, want[:, s.free_cond])
+        f_pbar = -(want @ ess.full_vector())
+        assert np.array_equal(s.F_pbar, f_pbar)
+        assert np.abs(f_pbar).max() > 0 or problem == "cavity"
+
 
 class TestCoercivityCheck:
     def test_agrees_with_eigenvalue_rule(self):

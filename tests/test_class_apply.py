@@ -132,11 +132,13 @@ def test_tables(problem, n, k):
 
 
 @pytest.mark.parametrize("smoother", ["jacobi", "patch-sgs"])
-def test_only_patch_rows_assemble_a_g(smoother):
-    """A Jacobi row reads A_g's folded diagonal and applies A_g by class, so
-    set-up and solve never assemble it; the patch smoother reads its rows."""
+def test_no_row_on_a_classed_mesh_assembles_a_g(smoother):
+    """On a mesh whose elements all lie in classes, set-up and solve never
+    assemble A_g: a Jacobi row reads its folded diagonal, a patch row sums
+    its patch blocks from the class blocks, and MINRES applies it by
+    class."""
     s = build_structure("cavity", 4, 2, smoother)
     cond, asp, schur = s.row(ProblemParams(tau=1.0, inv_lambda=1.0))
     _, rep = solve_condensed(cond, asp, schur, tol=1e-8, maxit=1000, seed=0)
-    assert rep.converged
-    assert ("A_g" in vars(cond)) == (smoother == "patch-sgs")
+    assert rep.converged and cond.rest is None
+    assert "A_g" not in vars(cond) and "indices" not in vars(s.condensed.a_g)

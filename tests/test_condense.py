@@ -265,6 +265,18 @@ class TestTracePattern:
             dropped = (got.slots() == got.nnz).any(axis=1)
             assert dropped.any() and not dropped.all()
 
+    def test_indices_built_on_first_read(self):
+        """The structure builds A_g's indptr alone; its indices wait for
+        the first read, and nnz is (2k+1)^2 per pair of the free-edge
+        graph."""
+        mesh = unit_square(4)
+        spaces = build_spaces(mesh, 2)
+        ess = interpolate_essential(mesh, spaces, "cavity")
+        got = condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g
+        assert "indices" not in vars(got)
+        assert got.nnz == 25 * got.graph.nnz == got.indptr[-1]
+        assert got.indices.size == got.nnz and "indices" in vars(got)
+
     def test_edge_split_between_free_and_essential_is_rejected(self):
         mesh = unit_square(2)
         spaces = build_spaces(mesh, 2)

@@ -54,7 +54,7 @@ def _structure(name, k) -> Structure:
         essential=ess,
         stacks=stacks,
         condensed=condensed,
-        asp=asp_structure(spaces, condensed.a_g, "patch-sgs"),
+        asp=asp_structure(spaces, condensed, "patch-sgs"),
         schur=schur_structure(mesh),
     )
 

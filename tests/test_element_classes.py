@@ -139,10 +139,10 @@ def _former_back_substitute(cond, trace_sol, pbar_sol):
     return vel, pressure
 
 
-def _per_patch_matrices(a, take, rank):
-    """Each patch's own M = [D^-1 | -D^-1 A_ring] (P, m, m + w) of one
-    ``precond._PatchGroup``, its block gathered at the positions that
-    ``block_positions`` gives, in batches of patches as a row gathers."""
+def _per_patch_blocks(a, take, rank):
+    """Each patch's own block [D | A_ring] (P, m, m + w) of one
+    ``precond._PatchGroup``, gathered from A_g's CSR ``a`` at the positions
+    that ``block_positions`` gives, in batches of patches."""
     p, d, dc = rank.shape
     m = take.shape[1] // dc * d
     k = (m // d - 1) // 2
@@ -153,11 +153,18 @@ def _per_patch_matrices(a, take, rank):
         batch = slice(lo, lo + step)
         start = a.indptr.take(take[batch, :m])
         pos = block_positions(start, rank[batch], layout, a.nnz, cols)
-        blocks = a.data.take(pos, mode="clip")
-        blocks[pos == a.nnz] = 0.0
-        dinv = np.linalg.inv(blocks[:, :, :m])
-        out[batch] = np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
+        out[batch] = a.data.take(pos, mode="clip")
+        out[batch][pos == a.nnz] = 0.0
     return out
+
+
+def _per_patch_matrices(a, take, rank):
+    """Each patch's own M = [D^-1 | -D^-1 A_ring] (P, m, m + w) of one
+    ``precond._PatchGroup``, from its block in A_g's CSR ``a``."""
+    m = take.shape[1] // rank.shape[2] * rank.shape[1]
+    blocks = _per_patch_blocks(a, take, rank)
+    dinv = np.linalg.inv(blocks[:, :, :m])
+    return np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +212,7 @@ def _structure(mesh, problem, k, smoother="patch-sgs") -> Structure:
         essential=ess,
         stacks=stacks,
         condensed=condensed,
-        asp=asp_structure(spaces, condensed.a_g, smoother),
+        asp=asp_structure(spaces, condensed, smoother),
         schur=schur_structure(mesh),
     )
 
@@ -324,19 +331,70 @@ class TestBitIdentity:
         make_mesh, problem = MESHES[name]
         s = _structure(make_mesh(), problem, k)
         cond, asp, _ = s.row(ProblemParams(mu=0.7, tau=3.0, inv_lambda=1e-2))
-        a, n = cond.A_g.csr, cond.n_free
-        # by unknowns: the two patches of the mesh with one free edge hold
-        # the same unknowns in two colours
-        got = {}
-        for colour in asp.colours:
-            for ids, _, mat in patch_matrices(colour, n):
-                got.setdefault(tuple(ids), []).append(mat)
+        _assert_per_patch_matrices(s, cond, asp)
+
+
+def _assert_per_patch_matrices(s, cond, asp):
+    """Every patch's M in the row's colours is its ``_per_patch_matrices``
+    reference bit for bit, each patch once."""
+    a, n = cond.A_g.csr, cond.n_free
+    # by unknowns: the two patches of the mesh with one free edge hold the
+    # same unknowns in two colours
+    got = {}
+    for colour in asp.colours:
+        for ids, _, mat in patch_matrices(colour, n):
+            got.setdefault(tuple(ids), []).append(mat)
+    for g in s.asp.groups:
+        m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
+        want = _per_patch_matrices(a, g.take, g.rank)
+        for t, mat in zip(g.take, want):
+            assert np.array_equal(got[tuple(t[:m])].pop(), mat)
+    assert not any(got.values())
+
+
+PATCH_MESHES = {
+    "cavity-4": (lambda: unit_square(4), "cavity", 2),
+    "cavity-16": (lambda: unit_square(16), "cavity", 2),
+    "step-8": (lambda: step_domain(8), "step", 3),
+    "mixed": (lambda: unit_square(7), "cavity", 2),
+    # mixed, and a group whose classes' first patches hold no part element
+    "step-mixed": (lambda: step_domain(6), "step", 3),
+    "jittered": (lambda: jittered_square(4), "cavity", 2),  # no class
+}
+
+
+@pytest.fixture(scope="module", params=list(PATCH_MESHES))
+def patch_structure(request):
+    make_mesh, problem, k = PATCH_MESHES[request.param]
+    return request.param, _structure(make_mesh(), problem, k)
+
+
+@pytest.mark.parametrize("tau,inv_lambda", [(1.0, 1.0), (0.0, 0.0), (100.0, 0.0)])
+class TestPatchClasses:
+    """The structure classes the patches by their elements' classes and
+    places alone; a row sums each class's block from the class blocks and
+    the rest, without assembling A_g."""
+
+    def test_classes_are_the_bit_equal_blocks(self, patch_structure, tau, inv_lambda):
+        """Two patches of a group share a class exactly when their blocks
+        [D | A_ring], read from the row's A_g, are equal bit for bit."""
+        name, s = patch_structure
+        cond = s.row(ProblemParams(tau=tau, inv_lambda=inv_lambda))[0]
+        assert "A_g" not in vars(cond)
+        a = cond.A_g.csr
         for g in s.asp.groups:
-            m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
-            want = _per_patch_matrices(a, g.take, g.rank)
-            for t, mat in zip(g.take, want):
-                assert np.array_equal(got[tuple(t[:m])].pop(), mat)
-        assert not any(got.values())
+            blocks = _per_patch_blocks(a, g.take, g.rank)
+            assert list(g.cls) == _bit_classes(blocks)
+            assert np.array_equal(g.first, np.unique(g.cls, return_index=True)[1])
+        n_classes = sum(g.first.size for g in s.asp.groups)
+        n_patches = sum(g.cls.size for g in s.asp.groups)
+        assert (n_classes < n_patches) == (name != "jittered")
+
+    def test_matrices_equal_per_patch_reference(self, patch_structure, tau, inv_lambda):
+        _, s = patch_structure
+        cond, asp, _ = s.row(ProblemParams(tau=tau, inv_lambda=inv_lambda))
+        assert "A_g" not in vars(cond)
+        _assert_per_patch_matrices(s, cond, asp)
 
 
 # the texts the per-element check gave at alpha = 0.01

@@ -163,7 +163,7 @@ def transfer_built():
 def _structure(cond):
     """The patch-smoother ``AspStructure`` of ``cond``: its patches and their
     colouring."""
-    return asp_structure(cond.spaces, cond.structure.a_g)
+    return asp_structure(cond.spaces, cond.structure)
 
 
 @pytest.fixture(scope="module")
@@ -776,7 +776,7 @@ class TestPatchPositions:
     def test_matrices_equal_those_of_the_fancy_indexed_blocks(self, problem, n, k):
         *_, cond = pipeline(problem, n, k, tau=1.0)
         a = cond.A_g.csr
-        structure = asp_structure(cond.spaces, cond.structure.a_g)
+        structure = asp_structure(cond.spaces, cond.structure)
         outside = 0
         for given, blk in zip(colour_patches(structure), build_asp(cond).colours):
             got = patch_matrices(blk, cond.n_free)
@@ -812,7 +812,7 @@ class TestPatchPositions:
 
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        structure = asp_structure(cond.spaces, cond.structure.a_g, "jacobi")
+        structure = asp_structure(cond.spaces, cond.structure, "jacobi")
         assert structure.groups is None
         asp = build_asp(cond, structure=structure)
         assert asp.smoother == "jacobi" and asp.colours is None
@@ -822,7 +822,7 @@ class TestPatchPositions:
     @pytest.mark.parametrize("built,asked", [("patch-sgs", "jacobi"), ("jacobi", "patch-sgs")])
     def test_smoother_other_than_the_structure_rejected(self, built, asked):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
-        structure = asp_structure(cond.spaces, cond.structure.a_g, built)
+        structure = asp_structure(cond.spaces, cond.structure, built)
         assert build_asp(cond, smoother=built, structure=structure).smoother == built
         with pytest.raises(ValueError, match=f"built for '{built}'"):
             build_asp(cond, smoother=asked, structure=structure)
