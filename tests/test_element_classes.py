@@ -440,7 +440,7 @@ class _Spy:
 
 def _distinct_blocks(a, take, rank):
     """The number of distinct blocks [D | A_ring] of one group of patches,
-    whose M ``_patch_matrices`` forms once each."""
+    whose M ``precond._class_matrices`` forms once each."""
     p, d, dc = rank.shape
     m = take.shape[1] // dc * d
     cols = np.concatenate([take[:, :m], take[:, m:] - a.shape[0]], axis=1)
