@@ -20,8 +20,10 @@ with parameter-independent MASS, VISC and PEN. Set-up data is split by
 lifetime. What depends only on the mesh, the degree and the essential data is
 built once and lives for a whole parameter sweep: ``LocalStacks`` keeps the
 three forms as geometry coefficients, 129 columns per element class (the
-elements whose coefficients, orientation signs and det J are equal bit for
-bit; ``unit_square`` and ``step_domain`` have two at any 1/h), and
+elements whose geometric inputs, J, det J, their edges' tangents, lengths
+and orientation flips, and orientation signs, are equal bit for bit, so
+that their coefficients are; ``unit_square`` and ``step_domain`` have two
+at any 1/h), formed only for each class's first element, and
 ``CsrPattern`` the CSR pattern of an assembled matrix. Where a pattern puts
 each element entry is its ``slots``: ``ScatterPattern``, the generic one,
 keeps them as a table, and the condensed block's pattern
@@ -138,9 +140,11 @@ class LocalStacks:
     are (n_class, C) with C = 4, 88 and 37, and ``signs`` (n_class, n_loc)
     the orientation signs of ``spaces.dofmap``. ``element_class`` (nt,)
     int32 gives each element its class, numbered by first element. Two
-    elements share a class when everything that enters their local problems
-    is equal bit for bit: the 129 coefficients, the signs and det J
-    (``assemble_local_stacks``). ``tensors`` holds per form the upper
+    elements share a class when the geometric inputs of their coefficients
+    are equal bit for bit: J, det J, the tangents, lengths and orientation
+    flips of their edges, and the signs (``assemble_local_stacks``). Then
+    everything that enters their local problems is: the 129 coefficients,
+    the signs and det J. ``tensors`` holds per form the upper
     triangles (C, n_loc (n_loc + 1) / 2) of its reference tensors, which
     depend only on the degree. The element matrices themselves exist only
     per row and per chunk of elements: per element in ``combine``, per class
@@ -317,19 +321,21 @@ def viscous_volume_coefficients(o: np.ndarray, det: np.ndarray) -> np.ndarray:
     return (np.swapaxes(o, 1, 2) @ o) * det[:, None, None]
 
 
-def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray):
+def edge_coefficients(mesh: Mesh, ref: ReferenceBasis, o: np.ndarray, sel=slice(None)):
     """Yield (key, hat, c1, c2) per local edge l and orientation flip, with
     key = (l, flip) into ``ref.edge_moments`` and ``hat`` the local slots of
-    the edge's trace unknowns. With t the global edge tangent and n the
-    outward normal, c1 = O^T vec(t n^T) |F| (nt, 4) and c2 = J^T t / det J
-    (nt, 2), so |F| t.D(phi)n = c1 . grad(phi_ref) and t.phi = c2 . phi_ref
-    on the edge. Both are zero on the elements traversing the edge in the
-    other orientation, which is how a stack picks the matching moments."""
+    the edge's trace unknowns, on the elements ``sel`` (by default all of
+    them) whose symmetric-gradient maps are ``o``. With t the global edge
+    tangent and n the outward normal, c1 = O^T vec(t n^T) |F| (E, 4) and c2
+    = J^T t / det J (E, 2), so |F| t.D(phi)n = c1 . grad(phi_ref) and t.phi
+    = c2 . phi_ref on the edge. Both are zero on the elements traversing the
+    edge in the other orientation, which is how a stack picks the matching
+    moments."""
     k = ref.k
-    j, det = mesh.jacobians, mesh.det_j
+    j, det = mesh.jacobians[sel], mesh.det_j[sel]
     for l in range(3):
-        e = mesh.tri_edges[:, l]
-        flip = mesh.tri_edge_flip[:, l]
+        e = mesh.tri_edges[sel, l]
+        flip = mesh.tri_edge_flip[sel, l]
         t = mesh.tangents[e]
         nout = np.column_stack([t[:, 1], -t[:, 0]])
         nrm = np.where(flip[:, None], -nout, nout)
@@ -461,19 +467,18 @@ def free_rhs(pos: np.ndarray, stack: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(pos[kept], weights=stack[kept], minlength=n)
 
 
-def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
-    """The sweep's ``LocalStacks``: the 129 geometry coefficients of every
-    element, then one row per class of elements whose coefficients,
-    orientation signs and det J are equal bit for bit (``distinct_rows``).
-    A mesh of translated copies of a few triangles, such as ``unit_square``
-    or ``step_domain`` at any 1/h, has two classes."""
+def local_forms(mesh: Mesh, spaces: Spaces, sel) -> dict:
+    """The ``TensorStack`` of each of the three forms, "mass", "visc" and
+    "pen", with the 129 geometry coefficients of the elements ``sel``. Each
+    element's coefficients are computed from its own geometry alone, so they
+    do not depend on which other elements ``sel`` holds."""
     ref, dm, k = spaces.ref, spaces.dofmap, spaces.k
-    j, det = mesh.jacobians, mesh.det_j
+    j, det = mesh.jacobians[sel], mesh.det_j[sel]
     o = sym_grad_maps(j, det)
     mass, visc, pen = (TensorStack(spaces) for _ in range(3))
     mass.add((np.swapaxes(j, 1, 2) @ j) / det[:, None, None], uu=ref.mass_moments)
     visc.add(viscous_volume_coefficients(o, det), uu=ref.grad_moments)
-    for key, hat, c1, c2 in edge_coefficients(mesh, ref, o):
+    for key, hat, c1, c2 in edge_coefficients(mesh, ref, o, sel):
         em = ref.edge_moments[key]
         st = em.stress_trace
         # -<D(u) n, tang(v)> - <D(v) n, tang(u)> and <D(u) n, vhat>
@@ -483,12 +488,32 @@ def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
         tm = em.trace_mode
         pen.add(c2[:, :, None] * c2[:, None, :], uu=np.einsum("aim,bjm->abij", tm, tm))
         pen.add(c2, uh=-tm, hat=hat)
-    pen.add(np.ones((mesh.num_triangles, 1)), hh=np.eye(3 * k), hat=dm.hat_slots)
-    forms = dict(mass=mass, visc=visc, pen=pen)
-    coef = {name: f.coefficients() for name, f in forms.items()}
-    first, element_class = distinct_rows(*coef.values(), dm.signs, det)
+    pen.add(np.ones((det.size, 1)), hh=np.eye(3 * k), hat=dm.hat_slots)
+    return dict(mass=mass, visc=visc, pen=pen)
+
+
+def assemble_local_stacks(mesh: Mesh, spaces: Spaces) -> LocalStacks:
+    """The sweep's ``LocalStacks``. The elements are classed by
+    ``distinct_rows`` of the geometric inputs of their coefficients: J, det
+    J, the tangents, lengths and orientation flips of their three edges, and
+    the orientation signs. Equal inputs give equal coefficients bit for bit,
+    so the 129 geometry coefficients (``local_forms``) are formed only for
+    each class's first element. A mesh of translated copies of a few
+    triangles, such as ``unit_square`` or ``step_domain`` at any 1/h, has
+    two classes."""
+    dm = spaces.dofmap
+    e = mesh.tri_edges
+    first, element_class = distinct_rows(
+        mesh.jacobians,
+        mesh.det_j,
+        mesh.tangents[e],
+        mesh.edge_lengths[e],
+        mesh.tri_edge_flip,
+        dm.signs,
+    )
+    forms = local_forms(mesh, spaces, first)
     return LocalStacks(
-        **{name: c[first] for name, c in coef.items()},
+        **{name: f.coefficients() for name, f in forms.items()},
         tensors={name: f.reference() for name, f in forms.items()},
         signs=dm.signs[first],
         element_class=element_class.astype(np.int32),

@@ -23,7 +23,13 @@ of translated copies of two triangles has few (19 among 287 patches on the
 unit square at 1/h=16 and k=2).  The patches of one colour in a class of at
 least ``_CLASS_MIN`` are solved with one GEMM against their one M, the
 others of each group, each with its own M, by one batched matrix-vector
-product.
+product.  A row plans its sweep once (``_sweep_plan``): the 2C - 1 colour
+steps in sweep order, each with its gather indices, the rows it writes and
+per part the operands of its product as views into two buffers that the
+steps share, so an apply allocates only the stacked [r | z].  The steps
+gather with ``take(..., mode="clip")``, since numpy copies a ``take`` into
+``out`` through a buffer under the default ``mode="raise"``; the plan
+therefore checks once that every gather index lies in [0, 2n).
 Pointwise Jacobi is the one alternative smoother.
 
 The auxiliary space is one ``AuxSpace``, built from the condensed structure's
@@ -70,15 +76,16 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
 sweep: the ``AuxSpace``; the patches by group as free edges (each patch's
-unknowns and ring unknowns, its colour, and per pair of a spoke and a spoke
-or ring edge the rank of one among the other's neighbours), classed from the
-element classes by integer keys (``_patch_classes``), with the tables that
-sum each class's block from the condensed class blocks, and the colours'
-patches ordered by class (``_colour_plan``); and N with its RCM order.
-``build_asp`` and ``build_schur`` then do one row's work: the scalar
-auxiliary operator and its factor; each class's block, summed from
-``CondensedSystem.class_blocks`` and the rest, and its M, formed once
-(``_class_matrices``); and the Schur inner factor. A patch row reads no
+unknowns and ring unknowns, its colour, and on a mesh with no large element
+class per pair of a spoke and a spoke or ring edge the rank of one among the
+other's neighbours), classed from the element classes by integer keys
+(``_patch_classes``), with the tables that sum each class's block from the
+condensed class blocks, and the colours' patches ordered by class
+(``_colour_plan``); and N with its RCM order. ``build_asp`` and
+``build_schur`` then do one row's work: the scalar auxiliary operator and
+its factor; each class's block, summed from ``CondensedSystem.class_blocks``
+and the rest, and its M, formed once (``_class_matrices``), and the sweep
+plan over them; and the Schur inner factor. A patch row reads no
 value of A_g and does not assemble it, unless no element class is large:
 then the rest is A_g, and the blocks are read from its rows.  The library
 calls them from ``bench.Structure.row``. Called without a structure (the
@@ -240,7 +247,9 @@ class _Colour:
     w) their one M = [D^-1 | -D^-1 A_ring], or a tail, ``mat`` (p, m, m + w)
     each patch's own M.  In an ``AspStructure`` a part is ``(p, group,
     sel)``: the class ``sel`` of ``groups[group]``, or the classes ``sel``
-    (p,) of the tail's patches; ``filled`` puts in the row's M's."""
+    (p,) of the tail's patches; ``filled`` puts in the row's M's, and
+    ``step`` turns a filled colour into one planned ``_Step`` of the sweep,
+    whose operands are views of the M's and of the plan's buffers."""
 
     rows: np.ndarray
     take: np.ndarray
@@ -252,41 +261,90 @@ class _Colour:
         parts = [(p, mats[g].take(sel, axis=0)) for p, g, sel in self.parts]
         return _Colour(rows=self.rows, take=self.take, parts=parts)
 
-    def correct(self, rz: np.ndarray, z: np.ndarray, first: bool) -> None:
-        """Exact block solves z_p = M [r_p | z_ring] on every patch of the
-        colour at once, ``z`` the second half of ``rz``: one GEMM per class,
-        one batched matrix-vector product per tail.  Patches of one colour
-        share no unknown and no A_g coupling, so no ring holds another
-        patch's unknowns, and this equals visiting them one by one.  The
-        ``first`` colour of a sweep sees z = 0 and reads only r_p and D^-1."""
-        out = np.empty(self.rows.size)
-        v = rz.take(self.rows if first else self.take)
+    def step(self, first: bool, gathered: np.ndarray, out: np.ndarray) -> "_Step":
+        """The filled colour's ``_Step``, its gather into ``gathered`` and its
+        new z_p into ``out``, buffers at least as long as ``take`` and
+        ``rows``.  The ``first`` colour of a sweep sees z = 0 and gathers
+        only r_p, against D^-1, the first m columns of each M."""
+        idx = self.rows if first else self.take
+        v, y = gathered[: idx.size], out[: self.rows.size]
+        products = []
         lo = vlo = 0
         for p, mat in self.parts:
             m = mat.shape[-2]
             w = m if first else mat.shape[-1]
             mat = mat[..., :w]
-            x = v[vlo : vlo + p * w].reshape(p, w)
-            y = out[lo : lo + p * m]
+            x, o = v[vlo : vlo + p * w], y[lo : lo + p * m]
             if mat.ndim == 2:
-                np.matmul(x, mat.T, out=y.reshape(p, m))
+                products.append((x.reshape(p, w), mat.T, o.reshape(p, m)))
             else:
-                np.matmul(mat, x.reshape(p, w, 1), out=y.reshape(p, m, 1))
+                products.append((mat, x.reshape(p, w, 1), o.reshape(p, m, 1)))
             lo += p * m
             vlo += p * w
-        z[self.rows] = out
+        return _Step(take=idx, rows=self.rows, gathered=v, out=y, products=products)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One colour step of a row's sweep: exact block solves z_p = M [r_p |
+    z_ring] on every patch of the colour at once.  ``run`` gathers ``take``
+    from the stacked [r | z] into ``gathered``, forms each part's product
+    ``(a, b, out)`` into ``out`` with ``np.matmul`` (a class ``(x, M^T,
+    y)``, x (p, w) and y (p, m), one GEMM; a tail ``(M, x, y)``, x (p, w, 1)
+    and y (p, m, 1), one batched matrix-vector product), and writes ``out``
+    to the ``rows`` of z.  The operands are views fixed when the plan is
+    built (``_sweep_plan``), so a step allocates nothing.  Patches of one
+    colour share no unknown and no
+    A_g coupling, so no ring holds another patch's unknowns, and this equals
+    visiting them one by one."""
+
+    take: np.ndarray
+    rows: np.ndarray
+    gathered: np.ndarray
+    out: np.ndarray
+    products: list
+
+    def run(self, rz: np.ndarray, z: np.ndarray) -> None:
+        """The step on ``rz``, whose second half is ``z``.  ``mode="clip"``:
+        numpy buffers a ``take`` into ``out`` under the default
+        ``mode="raise"``; ``_sweep_plan`` checked every index instead."""
+        rz.take(self.take, out=self.gathered, mode="clip")
+        for a, b, o in self.products:
+            np.matmul(a, b, out=o)
+        z[self.rows] = self.out
+
+
+def _sweep_plan(colours: list, n: int) -> list:
+    """The ``_Step``s of one sweep of a row's filled ``colours`` on n free
+    unknowns, in sweep order: forward over the colours, the first reading
+    only r_p, then back without the last colour, whose residual is already
+    zero after the forward pass.  The steps share one gather buffer as long
+    as the largest ``take`` and one output buffer as long as the largest
+    ``rows``.  Raises ValueError unless every gather index lies in [0, 2n):
+    a step gathers with ``mode="clip"``, which would read a wrong index
+    silently."""
+    gathered = np.empty(max((c.take.size for c in colours), default=0))
+    out = np.empty(max((c.rows.size for c in colours), default=0))
+    order = [(c, i == 0) for i, c in enumerate(colours)] + [(c, False) for c in colours[-2::-1]]
+    steps = [c.step(first, gathered, out) for c, first in order]
+    for s in steps:
+        if s.take.size and (s.take.min() < 0 or s.take.max() >= 2 * n):
+            raise ValueError(f"patch gather index outside [0, {2 * n})")
+    return steps
 
 
 @dataclass(frozen=True)
 class _PatchGroup:
-    """The patches of the patch smoother with d free edges (spokes) and e
-    ring edges (the free edges, not spokes, that share an element with a
-    spoke).  ``take`` (P, m + w), m = d (2k+1) and w = e (2k+1), holds each
+    """The patches of the patch smoother with ``d`` free edges (spokes) and
+    ``e`` ring edges (the free edges, not spokes, that share an element with
+    a spoke).  ``take`` (P, m + w), m = d (2k+1) and w = e (2k+1), holds each
     patch's unknowns, each spoke's in turn, then its ring's in ascending
-    order, as positions in the stacked [r | z] (the ring's offset by n);
-    ``rank`` (P, d, d + e) int8 the ``condense.edge_ranks`` of the spokes
-    among the spokes and the ring.  The patches of colour c are
-    ``ends[c]:ends[c + 1]``, in natural vertex order.
+    order, as positions in the stacked [r | z] (the ring's offset by n).
+    ``rank`` (P, d, d + e) int8 holds the ``condense.edge_ranks`` of the
+    spokes among the spokes and the ring, only on a mesh with no element
+    class of at least ``_CLASS_MIN``, where a row reads the blocks from A_g's
+    rows at them (``_csr_blocks``); it is None on any other.  The patches of
+    colour c are ``ends[c]:ends[c + 1]``, in natural vertex order.
 
     ``cls`` (P,) is each patch's class (``_patch_classes``), numbered by
     ``first`` (C,), its first patch; the patches of one class have equal
@@ -304,6 +362,8 @@ class _PatchGroup:
     at the ranks."""
 
     take: np.ndarray
+    d: int
+    e: int
     rank: np.ndarray
     ends: np.ndarray
     cls: np.ndarray
@@ -313,6 +373,11 @@ class _PatchGroup:
     term_col: np.ndarray
     rest_dst: np.ndarray
     rest_src: np.ndarray
+
+    @property
+    def m(self) -> int:
+        """The unknowns of each patch, d (2k+1)."""
+        return self.take.shape[1] // (self.d + self.e) * self.d
 
 
 def _patch_classes(
@@ -395,7 +460,6 @@ def _colour_plan(groups: list) -> list:
     n_colours = groups[0].ends.size - 1 if groups else 0
     rows, take, parts = ([[] for _ in range(n_colours)] for _ in range(3))
     for i, g in enumerate(groups):
-        m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
         for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
             cc = g.cls[lo:hi]
             size = np.bincount(cc)
@@ -406,7 +470,7 @@ def _colour_plan(groups: list) -> list:
             if tail.size:
                 parts[c].append((tail.size, i, cc[tail]))
             t = g.take[lo:hi][order]
-            rows[c].append(t[:, :m].ravel())
+            rows[c].append(t[:, : g.m].ravel())
             take[c].append(t.ravel())
     return [
         _Colour(rows=np.concatenate(r), take=np.concatenate(t), parts=p)
@@ -421,7 +485,7 @@ def _class_matrices(cond: CondensedSystem, g: _PatchGroup) -> np.ndarray:
     elements into zeros, in one ``np.bincount`` over the padded blocks, and
     then adds the rest's entries: every entry the sum that A_g holds, bit
     for bit. With no part, the blocks are read from the rest, A_g itself."""
-    m, mw = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1], g.take.shape[1]
+    m, mw = g.m, g.take.shape[1]
     if cond.class_blocks.shape[0]:
         at = g.term_row[:, :, None] + g.term_col[:, None, :]
         padded = np.bincount(
@@ -479,21 +543,21 @@ class AspPrecond:
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux_factor: SpdFactor  # of the scalar A0; 0x0 when the auxiliary space is empty
     colours: list = field(repr=False, default=None)  # of filled _Colour
+    sweep: list = field(repr=False, default=None)  # of _Step, over colours' M's
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
-        """R r: pointwise Jacobi, or one multicolour SGS sweep, each colour
-        one ``_Colour.correct`` on the stacked [r | z]."""
+        """R r: pointwise Jacobi, or one multicolour SGS sweep, the row's
+        planned ``sweep`` of 2C - 1 colour steps (``_sweep_plan``) on the
+        stacked [r | z], a new array per call.  The steps gather and solve
+        into buffers of the plan, so one ``AspPrecond`` runs one sweep at a
+        time."""
         if self.smoother == "jacobi":
             return r / self.jacobi_diag
         rz = np.concatenate([r, np.zeros_like(r)])
         z = rz[r.size :]
-        # forward over the colours, then back; the last colour is not
-        # repeated, since its residual is already zero after the forward pass
-        for c, blk in enumerate(self.colours):
-            blk.correct(rz, z, c == 0)
-        for blk in reversed(self.colours[:-1]):
-            blk.correct(rz, z, False)
+        for step in self.sweep:
+            step.run(rz, z)
         return z
 
     def coarse(self, r: np.ndarray) -> np.ndarray:
@@ -683,10 +747,12 @@ def asp_structure(
             # the ring's unknowns in ascending order, A_g's column order
             rim_unknowns = np.sort(edofs[rim].reshape(ps.size, -1), axis=1) + edofs.size
             take = np.concatenate([edofs[own].reshape(ps.size, -1), rim_unknowns], axis=1)
-            rank = edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
+            rank = None
+            if condensed.rest is a_g:  # no large element class: _csr_blocks reads them
+                rank = edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
             ends = np.searchsorted(colour[ps], np.arange(colour.max() + 2))
             classes = _patch_classes(spaces, condensed, tri_rank, own, rim, take)
-            groups.append(_PatchGroup(take, rank, ends, *classes))
+            groups.append(_PatchGroup(take, int(d), int(e), rank, ends, *classes))
         colours = _colour_plan(groups)
     return AspStructure(smoother, aux_space(spaces, a_g), groups, colours)
 
@@ -706,7 +772,8 @@ def build_asp(
     built here for ``smoother``.  A row then only assembles and factors the
     auxiliary operator and, for the patch smoother, sums each patch class's
     block from the condensed class blocks and the rest, and forms its sweep
-    matrix once (``_class_matrices``), into the structure's colours. It
+    matrix once (``_class_matrices``), into the structure's colours, which
+    ``_sweep_plan`` turns into the row's sweep. It
     does not assemble A_g, except that on a mesh with no element class the
     rest is A_g.  Jacobi reads only A_g's diagonal
     (``CondensedSystem.a_g_diagonal``).
@@ -730,4 +797,5 @@ def build_asp(
         return pre
     mats = [_class_matrices(cond, g) for g in structure.groups]
     pre.colours = [c.filled(mats) for c in structure.colours]
+    pre.sweep = _sweep_plan(pre.colours, cond.n_free)
     return pre

@@ -15,6 +15,7 @@ from divhdg import (
     step_domain,
     unit_square,
 )
+from divhdg.condense import edge_ranks
 from divhdg.mesh import TAG_WALL, build_mesh
 
 _CACHE = {}
@@ -85,10 +86,23 @@ def colour_patches(structure):
     n = structure.aux.transfer.shape[0]
     out = [[] for _ in range(groups[0].ends.size - 1 if groups else 0)]
     for g in groups:
-        m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
         for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
-            out[c] += [(t[:m], t[m:] - n) for t in g.take[lo:hi]]
+            out[c] += [(t[: g.m], t[g.m :] - n) for t in g.take[lo:hi]]
     return out
+
+
+def patch_ranks(a_g, g):
+    """The ranks (P, d, d + e) int8 of each patch's spokes among its spokes
+    and its ring in the free-edge graph of ``a_g`` (``condense.TracePattern``),
+    by ``condense.edge_ranks``, for a ``precond._PatchGroup`` ``g``. The
+    spokes' and ring edges' free-edge ranks are read back from the normal
+    mode 0 of each in ``g.take``: a spoke's 2k+1 unknowns are in turn, and
+    the ring's normal modes come first, in ascending edge rank."""
+    n = a_g.shape[0]
+    k = (g.take.shape[1] // (g.d + g.e) - 1) // 2
+    own = g.take[:, : g.m : 2 * k + 1] // (k + 1)
+    rim = (g.take[:, g.m : g.m + g.e * (k + 1) : k + 1] - n) // (k + 1)
+    return edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
 
 
 def patch_matrices(colour, n):
@@ -102,3 +116,40 @@ def patch_matrices(colour, n):
         out += [(t[:m], t[m:] - n, mat if mat.ndim == 2 else mat[i]) for i, t in enumerate(take)]
         lo += p * mw
     return out
+
+
+def correct(colour, rz, z, first):
+    """The former per-colour step of the patch sweep, kept as reference:
+    the exact block solves z_p = M [r_p | z_ring] on every patch of a filled
+    ``precond._Colour`` at once, ``z`` the second half of ``rz``, one GEMM
+    per class and one batched matrix-vector product per tail, gathering
+    into and solving into arrays of its own. The ``first`` colour of a
+    sweep sees z = 0 and reads only r_p and D^-1."""
+    out = np.empty(colour.rows.size)
+    v = rz.take(colour.rows if first else colour.take)
+    lo = vlo = 0
+    for p, mat in colour.parts:
+        m = mat.shape[-2]
+        w = m if first else mat.shape[-1]
+        mat = mat[..., :w]
+        x = v[vlo : vlo + p * w].reshape(p, w)
+        y = out[lo : lo + p * m]
+        if mat.ndim == 2:
+            np.matmul(x, mat.T, out=y.reshape(p, m))
+        else:
+            np.matmul(mat, x.reshape(p, w, 1), out=y.reshape(p, m, 1))
+        lo += p * m
+        vlo += p * w
+    z[colour.rows] = out
+
+
+def colour_sweep(colours, r):
+    """The former SGS sweep over a row's filled colours, ``correct`` per
+    colour: forward over the colours, then back without the last."""
+    rz = np.concatenate([r, np.zeros_like(r)])
+    z = rz[r.size :]
+    for c, blk in enumerate(colours):
+        correct(blk, rz, z, c == 0)
+    for blk in reversed(colours[:-1]):
+        correct(blk, rz, z, False)
+    return z

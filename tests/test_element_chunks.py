@@ -228,7 +228,7 @@ class TestRowMemory:
         hold fewer entries than A_g."""
         s = _structure(name, k)
         nnz = s.condensed.a_g.nnz
-        blocks = sum(g.take.size * g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1] for g in s.asp.groups)
+        blocks = sum(g.take.size * g.m for g in s.asp.groups)
         arrays = list(_arrays(s.asp, set()))
         assert any(a is s.asp.groups[0].take for a in arrays)  # the walk reached the groups
         assert not [a.shape for a in arrays if a.size >= min(nnz, blocks)]

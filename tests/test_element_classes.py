@@ -33,7 +33,7 @@ from divhdg.mesh import step_domain, unit_square
 from divhdg.precond import asp_structure, build_asp, schur_structure
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import jittered_square, patch_matrices
+from conftest import jittered_square, patch_matrices, patch_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,36 @@ class TestElementClasses:
         assert stacks.mass.shape[0] == stacks.visc.shape[0] == stacks.pen.shape[0] == 2
         assert stacks.signs.shape == (2, build_spaces(mesh, 2).dofmap.n_loc)
 
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize(
+        "make_mesh",
+        [
+            lambda: unit_square(16),
+            lambda: step_domain(6),
+            lambda: unit_square(7),
+            lambda: jittered_square(4),
+        ],
+        ids=["cavity16", "step6", "mixed", "jittered"],
+    )
+    def test_geometric_classes_are_the_coefficient_classes(self, make_mesh, k):
+        """The elements are classed by the geometric inputs of their
+        coefficients, which are then formed per class: every element's own
+        coefficients, formed on the whole mesh, equal its class row bit for
+        bit, and the partition equals that of the coefficients, signs and
+        det J."""
+        mesh = make_mesh()
+        spaces = build_spaces(mesh, k)
+        stacks = assemble_local_stacks(mesh, spaces)
+        forms = assembly.local_forms(mesh, spaces, slice(None))
+        coef = [forms[name].coefficients() for name in ("mass", "visc", "pen")]
+        assert sum(c.shape[1] for c in coef) == 129
+        for name, c in zip(("mass", "visc", "pen"), coef):
+            rows = getattr(stacks, name)[stacks.element_class]
+            assert np.array_equal(rows.view(np.uint64), c.view(np.uint64)), name
+        first, inverse = distinct_rows(*coef, spaces.dofmap.signs, mesh.det_j)
+        assert np.array_equal(inverse, stacks.element_class)
+        assert np.array_equal(spaces.dofmap.signs[first], stacks.signs)
+
     def test_jittered_mesh_has_a_class_per_element(self):
         mesh = jittered_square(8)
         stacks = assemble_local_stacks(mesh, build_spaces(mesh, 2))
@@ -345,10 +375,9 @@ def _assert_per_patch_matrices(s, cond, asp):
         for ids, _, mat in patch_matrices(colour, n):
             got.setdefault(tuple(ids), []).append(mat)
     for g in s.asp.groups:
-        m = g.take.shape[1] // g.rank.shape[2] * g.rank.shape[1]
-        want = _per_patch_matrices(a, g.take, g.rank)
+        want = _per_patch_matrices(a, g.take, patch_ranks(s.condensed.a_g, g))
         for t, mat in zip(g.take, want):
-            assert np.array_equal(got[tuple(t[:m])].pop(), mat)
+            assert np.array_equal(got[tuple(t[: g.m])].pop(), mat)
     assert not any(got.values())
 
 
@@ -369,6 +398,19 @@ def patch_structure(request):
     return request.param, _structure(make_mesh(), problem, k)
 
 
+def test_ranks_kept_only_where_read(patch_structure):
+    """A group keeps its spokes' ranks only on a mesh with no element class
+    of at least ``_CLASS_MIN``, where a row reads the blocks from A_g's
+    rows at them; they are then those of ``condense.edge_ranks``."""
+    name, s = patch_structure
+    assert (s.condensed.rest is s.condensed.a_g) == (name == "jittered")
+    for g in s.asp.groups:
+        if name == "jittered":
+            assert np.array_equal(g.rank, patch_ranks(s.condensed.a_g, g))
+        else:
+            assert g.rank is None
+
+
 @pytest.mark.parametrize("tau,inv_lambda", [(1.0, 1.0), (0.0, 0.0), (100.0, 0.0)])
 class TestPatchClasses:
     """The structure classes the patches by their elements' classes and
@@ -383,7 +425,7 @@ class TestPatchClasses:
         assert "A_g" not in vars(cond)
         a = cond.A_g.csr
         for g in s.asp.groups:
-            blocks = _per_patch_blocks(a, g.take, g.rank)
+            blocks = _per_patch_blocks(a, g.take, patch_ranks(s.condensed.a_g, g))
             assert list(g.cls) == _bit_classes(blocks)
             assert np.array_equal(g.first, np.unique(g.cls, return_index=True)[1])
         n_classes = sum(g.first.size for g in s.asp.groups)
@@ -438,14 +480,13 @@ class _Spy:
         return self.fn(a, *args)
 
 
-def _distinct_blocks(a, take, rank):
-    """The number of distinct blocks [D | A_ring] of one group of patches,
-    whose M ``precond._class_matrices`` forms once each."""
-    p, d, dc = rank.shape
-    m = take.shape[1] // dc * d
-    cols = np.concatenate([take[:, :m], take[:, m:] - a.shape[0]], axis=1)
+def _distinct_blocks(a, g):
+    """The number of distinct blocks [D | A_ring] of the group of patches
+    ``g``, whose M ``precond._class_matrices`` forms once each."""
+    m = g.m
+    cols = np.concatenate([g.take[:, :m], g.take[:, m:] - a.shape[0]], axis=1)
     blocks = np.stack([a[t[:m]][:, t].toarray() for t in cols])
-    return len(np.unique(blocks.reshape(p, -1).view(np.uint64), axis=0))
+    return len(np.unique(blocks.reshape(len(cols), -1).view(np.uint64), axis=0))
 
 
 class TestWorkCounts:
@@ -485,6 +526,6 @@ class TestWorkCounts:
         cond = s.row(ProblemParams(tau=1.0, inv_lambda=1.0))[0]
         spy = _Spy(monkeypatch, "inv")
         build_asp(cond, structure=s.asp)
-        want = [_distinct_blocks(cond.A_g.csr, g.take, g.rank) for g in s.asp.groups]
+        want = [_distinct_blocks(cond.A_g.csr, g) for g in s.asp.groups]
         assert spy.sizes == want
         assert sum(spy.sizes) == total

@@ -12,8 +12,9 @@ import pytest
 from divhdg import precond
 from divhdg.assembly import ProblemParams
 from divhdg.bench import build_structure
+from divhdg.mesh import unit_square
 
-from conftest import colour_patches, jittered_square, patch_matrices
+from conftest import colour_patches, colour_sweep, jittered_square, patch_matrices
 from test_element_classes import _structure
 
 PARAMS = ProblemParams(tau=1.0, inv_lambda=1.0)
@@ -119,7 +120,9 @@ class TestSweepMatrices:
         u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
         2nd ed., eq. 3.5). Two such results differ by at most twice that;
         |M| |v| is itself computed with nonnegative terms, which the bound
-        allows for by the factor 1 / (1 - gamma_n)."""
+        allows for by the factor 1 / (1 - gamma_n). Each colour's planned
+        step (``_Colour.step``) is checked as the first of a sweep and as a
+        later one."""
         *_, cond, asp = row
         n = cond.n_free
         rng = np.random.default_rng(21)
@@ -135,7 +138,8 @@ class TestSweepMatrices:
                     want[ids] = [row_ @ v for row_ in mat]
                     g = _gamma(v.size)
                     bound[ids] = 2 * g / (1 - g) * (np.abs(mat) @ np.abs(v))
-                blk.correct(rz, z, first)
+                step = blk.step(first, np.empty(blk.take.size), np.empty(blk.rows.size))
+                step.run(rz, z)
                 assert np.all(np.abs(z[blk.rows] - want[blk.rows]) <= bound[blk.rows])
 
     def test_matrices_held_by_class(self, row):
@@ -187,3 +191,65 @@ def test_sweep_equals_dense_multiplicative_schwarz(case):
         r = rng.standard_normal(cond.n_free)
         want = _dense_sweep(a, colours, r)
         assert np.abs(asp.smooth(r) - want).max() <= bound * np.abs(want).max()
+
+
+PLAN_CASES = {
+    "cavity-4": lambda: build_structure("cavity", 4, 2),
+    "cavity-16": lambda: build_structure("cavity", 16, 2),
+    "step-2": lambda: build_structure("step", 2, 3),
+    "step-8": lambda: build_structure("step", 8, 3),
+    "mixed": lambda: _structure(unit_square(7), "cavity", 2),
+    "jittered": lambda: _structure(jittered_square(4), "cavity", 2),  # no class
+    "step-k1": lambda: build_structure("step", 4, 1),  # 3 unknowns per edge
+    "step-k4": lambda: build_structure("step", 4, 4),  # 9 unknowns per edge
+}
+
+
+class TestSweepPlan:
+    """A row's sweep is planned once (``precond._sweep_plan``): 2C - 1 colour
+    steps whose gathers, products and writes go through views of two
+    buffers fixed when the row is built."""
+
+    @pytest.fixture(scope="class", params=list(PLAN_CASES))
+    def planned(self, request):
+        cond, asp, _ = PLAN_CASES[request.param]().row(PARAMS)
+        return cond, asp
+
+    def test_smooth_equals_the_colour_sequence(self, planned):
+        """The planned sweep forms the same products on the same operands
+        as the former per-colour steps (``conftest.correct``), so every
+        iterate is equal bit for bit."""
+        cond, asp = planned
+        assert len(asp.sweep) == 2 * len(asp.colours) - 1
+        rng = np.random.default_rng(27)
+        for _ in range(3):
+            r = rng.standard_normal(cond.n_free)
+            assert np.array_equal(asp.smooth(r), colour_sweep(asp.colours, r))
+
+    def test_consecutive_sweeps_are_independent(self, planned):
+        """Each call returns an array of its own: the buffers the steps
+        share are not the result, so a second call leaves the first
+        result as it was."""
+        cond, asp = planned
+        rng = np.random.default_rng(28)
+        r1, r2 = rng.standard_normal(cond.n_free), rng.standard_normal(cond.n_free)
+        z1 = asp.smooth(r1)
+        kept = z1.copy()
+        z2 = asp.smooth(r2)
+        assert np.array_equal(z1, kept)
+        assert not np.shares_memory(z1, z2)
+        assert np.array_equal(z2, colour_sweep(asp.colours, r2))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_gather_outside_the_stack_rejected(self, planned, bad):
+        """A step gathers with ``mode="clip"``, so the plan checks every
+        index against the stacked [r | z] of 2n entries when it is built."""
+        cond, asp = planned
+        n = cond.n_free
+        blk = asp.colours[-1]
+        take = blk.take.copy()
+        take[-1] = -1 if bad < 0 else bad * n
+        broken = precond._Colour(rows=blk.rows, take=take, parts=blk.parts)
+        with pytest.raises(ValueError, match="gather index"):
+            precond._sweep_plan(asp.colours[:-1] + [broken], n)
+        assert len(precond._sweep_plan(asp.colours, n)) == len(asp.sweep)

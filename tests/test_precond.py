@@ -27,7 +27,14 @@ from divhdg.precond import (
 )
 from divhdg.spaces import build_spaces, free_edge_rank, interpolate_essential
 
-from conftest import colour_patches, jittered_square, patch_matrices, pipeline, wall_triangle
+from conftest import (
+    colour_patches,
+    jittered_square,
+    patch_matrices,
+    patch_ranks,
+    pipeline,
+    wall_triangle,
+)
 
 
 def _one_triangle():
@@ -705,15 +712,14 @@ class TestEdgeLevelStructure:
         k, n = cond.spaces.k, cond.n_free
         outside = 0
         for g in _structure(cond).groups:
-            p, d, dc = g.rank.shape
-            m = d * (2 * k + 1)
+            p, d, m = g.take.shape[0], g.d, g.m
             rows, cols = g.take[:, :m], np.concatenate([g.take[:, :m], g.take[:, m:] - n], 1)
             got = block_positions(
                 a.indptr[rows],
-                g.rank,
+                patch_ranks(cond.structure.a_g, g),
                 trace_layout(k, d, by_edge=True),
                 a.nnz,
-                precond._block_columns(k, d, dc - d),
+                precond._block_columns(k, d, g.e),
             )
             shape = (p, m, cols.shape[1])
             want = pos[
