@@ -179,9 +179,9 @@ class Structure:
     forms as geometry coefficients, the pattern of A_g with B_g, the
     free-edge graph and the element-class tables of A_g's apply, and the
     preconditioners' patterns: the auxiliary space
-    (free vertices, A0's pattern and RCM order, the transfer Pi), the
+    (free vertices, A0's pattern and band layout, the transfer Pi), the
     patches, their classes and colours (patch smoother only), and N with
-    its RCM order. ``row`` builds one row's systems on it; on a mesh with
+    its band layout. ``row`` builds one row's systems on it; on a mesh with
     element classes it does not assemble A_g."""
 
     mesh: Mesh

@@ -2,7 +2,9 @@
 
 Provides the small, fixed vocabulary the rest of the library is written
 against: CSR-backed symmetric matrices, a banded Cholesky factorization of SPD
-matrices under a reverse Cuthill-McKee reordering, the exact classes of equal
+matrices under a reverse Cuthill-McKee reordering, on a band layout planned
+from the pattern and the order alone (``_band_layout``), so that every matrix
+with one pattern factors on one layout, the exact classes of equal
 rows (``distinct_rows``), by which local work is done once per distinct
 input, and the dense verification helper: the generalized condition number
 of a preconditioned operator.
@@ -70,7 +72,8 @@ class SparseSym:
 class SpdFactor:
     """Banded Cholesky factorization of an SPD matrix under an RCM reordering:
     the permutation and the lower factor L in banded layout
-    (_chol_band[i, j] = L[j+i, j]), so A[perm][:, perm] = L L^T.
+    (_chol_band[i, j] = L[j+i, j]), so A[perm][:, perm] = L L^T. The
+    factors of one ``_BandLayout`` share its ``perm`` and ``_inv_perm``.
     """
 
     perm: np.ndarray
@@ -103,33 +106,80 @@ def rcm_order(m: sp.csr_matrix) -> np.ndarray:
 
 def factor_spd(a: SparseSym, perm: np.ndarray = None) -> SpdFactor:
     """Factor an SPD SparseSym under the order ``perm`` (default: its
-    ``rcm_order``); raises NotSPD on failure or tiny/negative pivots. The
-    empty factor solves 0 -> 0."""
-    m = a.csr
-    n = m.shape[0]
+    ``rcm_order``): the band layout of its pattern (``_band_layout``), then
+    its values on it (``_BandLayout.factor``); raises NotSPD on failure or
+    tiny/negative pivots. The empty factor solves 0 -> 0."""
     if perm is None:
-        perm = rcm_order(m)
-    mp = m[perm][:, perm].tocoo()
-    bw = int(np.max(np.abs(mp.row - mp.col))) if mp.nnz else 0
-    # Fortran order, so LAPACK factors the band in place, without a copy
-    ab = np.zeros((bw + 1, n), order="F")
-    lower = mp.row >= mp.col
-    ab[mp.row[lower] - mp.col[lower], mp.col[lower]] = mp.data[lower]
-    try:
-        cb = scipy.linalg.cholesky_banded(
-            ab, overwrite_ab=True, lower=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
-        raise NotSPD(f"banded Cholesky failed: {exc}") from None
-    d = cb[0] ** 2
-    max_diag = float(np.max(np.abs(m.diagonal()))) if n else 0.0
-    if n and float(d.min()) <= PIVOT_TOL * max_diag:
-        raise NotSPD(
-            f"pivot {d.min():.3e} below tolerance {PIVOT_TOL:.0e} * {max_diag:.3e}"
-        )
+        perm = rcm_order(a.csr)
+    return _band_layout(a.csr, perm).factor(a.csr.data)
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where the values of one canonical symmetric CSR pattern go in the
+    band of its factor under the order ``perm``. It depends only on the
+    pattern, so every matrix with that pattern shares it: ``bw`` is the
+    bandwidth of the permuted pattern; ``src`` holds the data positions of
+    its lower entries (permuted row i >= column j) and ``slot`` their places
+    ab[i - j, j] in the (bw + 1, n) Fortran-ordered band, flat; ``diag``
+    holds the data positions of the stored diagonal entries."""
+
+    perm: np.ndarray
+    inv_perm: np.ndarray
+    bw: int
+    src: np.ndarray
+    slot: np.ndarray
+    diag: np.ndarray
+
+    def factor(self, data: np.ndarray) -> SpdFactor:
+        """The banded Cholesky factor of the matrix with the values ``data``
+        on this layout's pattern, the band factored in place; raises NotSPD
+        on failure or on a pivot below ``PIVOT_TOL`` times the largest
+        diagonal magnitude."""
+        n = self.perm.size
+        # the band's transpose in C order, so the band is in Fortran order
+        # and LAPACK factors it in place, without a copy
+        band = np.zeros((n, self.bw + 1))
+        band.reshape(-1)[self.slot] = data[self.src]
+        try:
+            cb = scipy.linalg.cholesky_banded(
+                band.T, overwrite_ab=True, lower=True, check_finite=False
+            )
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSPD(f"banded Cholesky failed: {exc}") from None
+        d = cb[0] ** 2
+        max_diag = float(np.max(np.abs(data[self.diag]))) if self.diag.size else 0.0
+        if n and float(d.min()) <= PIVOT_TOL * max_diag:
+            raise NotSPD(
+                f"pivot {d.min():.3e} below tolerance {PIVOT_TOL:.0e} * {max_diag:.3e}"
+            )
+        return SpdFactor(perm=self.perm, n=n, _chol_band=cb, _inv_perm=self.inv_perm)
+
+
+def _band_layout(pattern, perm: np.ndarray) -> _BandLayout:
+    """The ``_BandLayout`` of the canonical square CSR matrix or
+    ``assembly.CsrPattern`` ``pattern`` under the order ``perm``; it reads
+    only ``indptr`` and ``indices``."""
+    perm = np.asarray(perm)
+    n = perm.size
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(n)
-    return SpdFactor(perm=perm, n=n, _chol_band=cb, _inv_perm=inv_perm)
+    nnz = int(pattern.indptr[-1])
+    row = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    col = pattern.indices[:nnz]
+    i, j = inv_perm[row], inv_perm[col]
+    bw = int(np.max(np.abs(i - j))) if nnz else 0
+    # int32 where the data and the band fit: a sweep keeps its layouts
+    index = np.int32 if max(nnz, n * (bw + 1)) < 2**31 else np.intp
+    src = np.flatnonzero(i >= j).astype(index)
+    return _BandLayout(
+        perm=perm,
+        inv_perm=inv_perm,
+        bw=bw,
+        src=src,
+        slot=(j[src] * (bw + 1) + (i[src] - j[src])).astype(index),
+        diag=np.flatnonzero(row == col).astype(index),
+    )
 
 
 # the fewest members of one exact class (``distinct_rows``) that are applied

@@ -34,17 +34,20 @@ Pointwise Jacobi is the one alternative smoother.
 
 The auxiliary space is one ``AuxSpace``, built from the condensed structure's
 free edges alone: its free vertices (those on no essential edge, outlet
-vertices included), A0's pattern and RCM order, and Pi. Pi injects a
+vertices included), A0's pattern and band layout, and Pi. Pi injects a
 piecewise-linear field through the edge-trace projections of
 ``refbasis.FacetBasis``, the same ones that define the essential boundary
 data: the normal trace goes to the facet-normal unknowns (Legendre moments,
 then the theta solve), the tangential trace to the Legendre tangential modes.
 A linear trace is a sum of the two endpoint hat profiles, so the projections
 act on those two profiles once and each edge scales them by its length,
-normal and tangent.  Pi stores no exact zero: the entries that vanish through
-a zero normal or tangent component (axis-parallel edges) are dropped after
-the scatter.  The modes above degree 1 get only roundoff (about 1e-17), which
-is kept as computed.  A0 is the scalar linear-element discretization of
+normal and tangent.  Pi is written row by row as a CSR: a row is one free
+edge's unknown and holds at most four entries, one per (endpoint, component)
+column, each a single product, none a sum.  Pi stores no exact zero: the
+columns of an essential endpoint and the entries that vanish through a zero
+normal or tangent component (axis-parallel edges) are dropped by one mask.
+The modes above degree 1 get only roundoff (about 1e-17), which is kept as
+computed.  A0 is the scalar linear-element discretization of
 2 mu (grad ., grad .) + tau (., .) on the free vertices; the vector operator
 acts on each component alone, so it is A0 kron I2.  Pi's columns are the
 (free vertex, component) pairs 2 vpos + c, so the coarse solve reshapes
@@ -54,11 +57,11 @@ Pressure block: the elementwise-constant Schur approximation
 
     S~ = (1/lambda) M + M (tau M + 2 mu N)^{-1} N,
 
-with M = diag(element areas) and N the element-adjacency graph Laplacian:
-a sum of 2x2 facet blocks [[1, -1], [-1, 1]] over the two elements of each
-interior facet, and over each outflow facet the same block with the missing
-neighbour dropped, which leaves a unit diagonal boost. Its exact inverse is
-applied in closed form by the Woodbury identity (one diagonal scaling plus
+with M = diag(element areas) and N the element-adjacency graph Laplacian,
+built in closed form: -1 at the two elements of each interior facet, in both
+orders, and on the diagonal each element's count of interior facets plus
+outflow facets (a unit diagonal boost per outflow facet). Its exact inverse
+is applied in closed form by the Woodbury identity (one diagonal scaling plus
 one SPD solve):
 
     S~^{-1} r = c1 M^{-1} r + c2 (c3 M + N)^{-1} r,
@@ -75,21 +78,25 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
-sweep: the ``AuxSpace``; the patches by group as free edges (each patch's
-unknowns and ring unknowns, its colour, and on a mesh with no large element
-class per pair of a spoke and a spoke or ring edge the rank of one among the
-other's neighbours), classed from the element classes by integer keys
-(``_patch_classes``), with the tables that sum each class's block from the
-condensed class blocks, and the colours' patches ordered by class
-(``_colour_plan``); and N with its RCM order. ``build_asp`` and
+sweep: the ``AuxSpace``, with the band layout of A0's factor; the patches
+by group as free edges (each patch's unknowns and ring unknowns, its colour,
+and on a mesh with no large element class per pair of a spoke and a spoke or
+ring edge the rank of one among the other's neighbours), classed from the
+element classes by integer keys (``_patch_classes``), with the tables that
+sum each class's block from the condensed class blocks, and the colours'
+patches ordered by class (``_colour_plan``); and N with the band layout of
+its pattern, every diagonal entry stored, under its RCM order. A band layout
+(``linalg._BandLayout``) places each value of a pattern in the band of its
+factor, so a row only writes its values there and factors. ``build_asp`` and
 ``build_schur`` then do one row's work: the scalar auxiliary operator and
-its factor; each class's block, summed from ``CondensedSystem.class_blocks``
-and the rest, and its M, formed once (``_class_matrices``), and the sweep
-plan over them; and the Schur inner factor. A patch row reads no
-value of A_g and does not assemble it, unless no element class is large:
-then the rest is A_g, and the blocks are read from its rows.  The library
-calls them from ``bench.Structure.row``. Called without a structure (the
-traced benchmark, tests), they build it first.
+its factor on A0's layout; each class's block, summed from
+``CondensedSystem.class_blocks`` and the rest, and its M, formed once
+(``_class_matrices``), and the sweep plan over them; and the Schur inner
+factor, of N's values plus the row's diagonal shift, on N's layout. A patch
+row reads no value of A_g and does not assemble it, unless no element class
+is large: then the rest is A_g, and the blocks are read from its rows.  The
+library calls them from ``bench.Structure.row``. Called without a structure
+(the traced benchmark, tests), they build it first.
 """
 
 import functools
@@ -104,11 +111,11 @@ from .assembly import (
     inverse_jacobians,
     position_map,
     scatter_pattern,
-    scatter_stack,
 )
 from .condense import CondensedStructure, CondensedSystem, TraceLayout, TracePattern
 from .condense import block_positions, edge_ranks, trace_layout
-from .linalg import _CLASS_MIN, SparseSym, SpdFactor, distinct_rows, factor_spd, rcm_order
+from .linalg import _CLASS_MIN, SparseSym, SpdFactor, distinct_rows, rcm_order
+from .linalg import _band_layout, _BandLayout
 from .mesh import TAG_OUTLET, Mesh
 from .spaces import Spaces, free_edge_unknowns
 
@@ -143,36 +150,62 @@ class SchurPrecond:
         return z
 
 
+def _pressure_laplacian(mesh: Mesh) -> sp.csr_matrix:
+    """N in closed form, as a canonical CSR with int32 indices: row i holds
+    -1 at each element that shares an interior facet with element i, and at
+    i the count of its interior and outflow facets, an exact integer. Every
+    diagonal entry is stored, a zero one (an element with neither) too."""
+    nt = mesh.num_triangles
+    a, b = mesh.edge_elems[mesh.tri_edges].transpose(2, 0, 1)  # (nt, 3): each facet's elements
+    interior = b >= 0
+    own = np.arange(nt)[:, None]
+    # each row's columns, ascending: the elements across its interior facets
+    # (nt, past the end, at its other facets) and itself
+    cols = np.sort(np.concatenate([np.where(interior, a + b - own, nt), own], axis=1), axis=1)
+    count = np.count_nonzero(interior | (mesh.edge_tags[mesh.tri_edges] == TAG_OUTLET), axis=1)
+    vals = np.where(cols == own, count[:, None].astype(float), -1.0)
+    keep = cols < nt
+    indptr = np.zeros(nt + 1, np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep].astype(np.int32), indptr), shape=(nt, nt))
+
+
 def assemble_pressure_laplacian(mesh: Mesh) -> SparseSym:
     """Unit-weight graph Laplacian over element adjacency (interior facets)
-    plus a unit diagonal boost per outflow facet: one 2x2 block per facet at
-    its two elements, the outflow facet's missing neighbour (-1 in
-    ``edge_elems``) dropped by the scatter."""
-    facets = (mesh.edge_elems[:, 1] >= 0) | (mesh.edge_tags == TAG_OUTLET)
-    blocks = np.broadcast_to([[1.0, -1.0], [-1.0, 1.0]], (np.count_nonzero(facets), 2, 2))
-    return SparseSym(scatter_stack(blocks, mesh.edge_elems[facets], mesh.num_triangles))
+    plus a unit diagonal boost per outflow facet, in closed form: N with
+    each stored diagonal entry nonzero, the sum of 2x2 blocks [[1, -1], [-1,
+    1]] over the interior facets and [1] over the outflow facets."""
+    n_mat = _pressure_laplacian(mesh)
+    n_mat.eliminate_zeros()  # the diagonal of an element with no such facet
+    return SparseSym(n_mat)
 
 
 @dataclass(frozen=True)
 class SchurStructure:
     """The parameter-independent part of the Schur block on one mesh, shared
-    by every row of a sweep: N, the element areas, whether the mesh has an
-    outflow facet, and N's RCM order. c3 M + N, and N + e0 e0^T when
-    deflating, take N's order: a diagonal term widens no band."""
+    by every row of a sweep: the element areas, whether the mesh has an
+    outflow facet, and the values ``n_data`` of N on its pattern with every
+    diagonal entry stored, with the ``layout`` of that pattern's band under
+    N's RCM order. N's values are small integers, kept exactly as int8. c3 M
+    + N, and N + e0 e0^T when deflating, add a diagonal to N, which widens
+    no band, so a row adds it to N's values at the layout's diagonal
+    positions and factors on the layout."""
 
-    n_mat: SparseSym
+    n_data: np.ndarray
     areas: np.ndarray
     has_outlet: bool
-    perm: np.ndarray
+    layout: _BandLayout
 
 
 def schur_structure(mesh: Mesh) -> SchurStructure:
-    n_mat = assemble_pressure_laplacian(mesh)
+    full = _pressure_laplacian(mesh)
+    n_mat = full.copy()
+    n_mat.eliminate_zeros()  # N's own pattern, whose RCM order the rows take
     return SchurStructure(
-        n_mat=n_mat,
+        n_data=full.data.astype(np.int8),
         areas=mesh.areas.copy(),
         has_outlet=bool(np.any(mesh.edge_tags == TAG_OUTLET)),
-        perm=rcm_order(n_mat.csr),
+        layout=_band_layout(full, rcm_order(n_mat)),
     )
 
 
@@ -200,8 +233,9 @@ def build_schur(
         shift = c3 * areas
         if deflate:  # c3 == 0: ground N's constant mode at element 0
             shift[0] += 1.0
-        mat = (structure.n_mat.csr + sp.diags(shift)).tocsr()
-        inner = factor_spd(SparseSym(mat), structure.perm)
+        data = structure.n_data.astype(float)
+        data[structure.layout.diag] += shift
+        inner = structure.layout.factor(data)
     return SchurPrecond(m_diag=areas, deflate=deflate, c1=c1, c2=c2, inner=inner)
 
 
@@ -594,16 +628,17 @@ class AuxSpace:
     the essential boundary, kept for the whole sweep: ``vpos``, each
     vertex's position among the free ones (-1 on an essential edge); the P1
     element ``stiff``-ness and consistent ``mass`` (nt, 3, 3) of the scalar
-    A0, which ``pattern`` scatters and ``operator`` sums per row; ``perm``,
-    the RCM order of A0's factor; and Pi (n_free_cond, 2 n_free_vertices)
-    as ``transfer`` and, as CSR, ``restrict``. With no free vertex each is
-    empty and A0's factor 0x0."""
+    A0, which ``pattern`` scatters and ``operator`` sums per row; ``layout``,
+    the band layout of A0's pattern under its RCM order, on which a row
+    factors A0; and Pi (n_free_cond, 2 n_free_vertices) as ``transfer`` and,
+    as CSR, ``restrict``. With no free vertex each is empty and A0's factor
+    0x0."""
 
     vpos: np.ndarray
     stiff: np.ndarray
     mass: np.ndarray
     pattern: ScatterPattern
-    perm: np.ndarray
+    layout: _BandLayout
     transfer: sp.csr_matrix
     restrict: sp.csr_matrix
 
@@ -614,7 +649,7 @@ class AuxSpace:
 
 def aux_space(spaces: Spaces, a_g: TracePattern) -> AuxSpace:
     """The ``AuxSpace`` of the condensed velocity block whose pattern is
-    ``a_g``: a mesh edge not among its ``free_edges`` is essential, and so
+    ``a_g``: a mesh edge not in its ``free_edges`` is essential, and so
     are its two vertices. An outlet vertex stays free unless it lies on an
     essential edge."""
     mesh, k = spaces.mesh, spaces.k
@@ -644,36 +679,46 @@ def aux_space(spaces: Spaces, a_g: TracePattern) -> AuxSpace:
     hat_n = hats @ fb.normal_projection.T  # (2, k+1)
     hat_t = hats @ fb.tangential_projection.T  # (2, k)
 
-    # one (2k+1, 4) block per free edge: its unknowns by the (endpoint,
-    # component) columns 2 vpos + c of the vector auxiliary space, -1 at an
-    # essential endpoint
-    t = mesh.tangents[fe]
-    nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
-    le = mesh.edge_lengths[fe]
-    vals = np.concatenate(
-        [
-            le[:, None, None, None] * nrm[:, None, :, None] * hat_n[None, :, None, :],
-            t[:, None, :, None] * hat_t[None, :, None, :],
-        ],
-        axis=3,
-    )  # (E, endpoint, component, mode)
-    vp = vpos[mesh.edges[fe]]  # (E, 2)
-    cols = np.where(vp[:, :, None] >= 0, 2 * vp[:, :, None] + np.arange(2), -1)
-    transfer = scatter_stack(
-        vals.reshape(fe.size, 4, 2 * k + 1).transpose(0, 2, 1),
-        free_edge_unknowns(np.arange(fe.size, dtype=np.intp), fe.size, k),
-        a_g.shape[0],
-        cols.reshape(fe.size, 4),
-        2 * n_free,
+    # Pi row by row: its rows are the free edges' unknowns in the order of
+    # ``free_edge_unknowns`` (the k+1 normal modes, edge by edge, then the k
+    # tangential modes), and a row holds one product per (endpoint,
+    # component) column 2 vpos + c of its edge, none of them a sum. Each
+    # edge takes its endpoints in ascending vpos, so its four columns ascend.
+    # An essential endpoint's hat is set to 0, so that its columns and the
+    # products with a zero normal or tangent component (axis-parallel edges)
+    # are the exact zeros that one mask drops. The products are formed with
+    # the edges innermost, then laid out by row
+    vp = vpos[mesh.edges[fe]].T  # (2, E)
+    swap = vp[1] < vp[0]
+    ends = np.stack([np.minimum(vp[0], vp[1]), np.maximum(vp[0], vp[1])])
+    t = mesh.tangents[fe].T
+    nrm = np.stack([t[1], -t[0]])
+    vals = np.empty((fe.size * (2 * k + 1), 4))
+    at = 0
+    for c, hat in ((mesh.edge_lengths[fe] * nrm, hat_n), (t, hat_t)):
+        h = np.where(swap, hat.T[:, ::-1, None], hat.T[:, :, None])  # (mode, endpoint, E)
+        h[:, ends < 0] = 0.0
+        rows = fe.size * hat.shape[1]
+        out = vals[at : at + rows].reshape(fe.size, hat.shape[1], 2, 2)
+        out[...] = (c * h[:, :, None, :]).transpose(3, 0, 1, 2)
+        at += rows
+    nonzero = vals != 0.0
+    indptr = np.zeros(vals.shape[0] + 1, np.int32)
+    # per row; count_nonzero(axis=1) is several times slower on rows of 4
+    np.cumsum(nonzero.view(np.uint8) @ np.ones(4, np.uint8), dtype=np.int32, out=indptr[1:])
+    kept = np.flatnonzero(nonzero)  # then take: a boolean index is several times slower
+    cols = (2 * ends.T[:, :, None] + np.arange(2, dtype=np.int32)).reshape(fe.size, 4)
+    cols = np.concatenate([np.repeat(cols, k + 1, axis=0), np.repeat(cols, k, axis=0)])
+    transfer = sp.csr_matrix(
+        (vals.reshape(-1).take(kept), cols.reshape(-1).take(kept), indptr),
+        shape=(a_g.shape[0], 2 * n_free),
     )
-    transfer.eliminate_zeros()
-    transfer = transfer.copy()  # compact: eliminate_zeros keeps views of the larger buffers
     return AuxSpace(
         vpos=vpos,
         stiff=stiff,
         mass=mloc[None, :, :] * det[:, None, None],
         pattern=pattern,
-        perm=rcm_order(position_map(pattern)),
+        layout=_band_layout(pattern, rcm_order(position_map(pattern))),
         transfer=transfer,
         restrict=transfer.T.tocsr(),
     )
@@ -788,7 +833,7 @@ def build_asp(
         smoother=structure.smoother,
         transfer=aux.transfer,
         restrict=aux.restrict,
-        aux_factor=factor_spd(aux.operator(cond.block.params), aux.perm),
+        aux_factor=aux.layout.factor(aux.operator(cond.block.params).csr.data),
     )
     if pre.smoother == "jacobi":
         pre.jacobi_diag = cond.a_g_diagonal()

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divhdg.linalg import (
+    PIVOT_TOL,
     CapExceeded,
     NotSPD,
     VERIFY_CAP,
     SparseSym,
+    _band_layout,
     factor_spd,
     gen_condition,
     rcm_order,
@@ -150,6 +152,68 @@ class TestFactorSpd:
         b = np.random.default_rng(seed + 7).standard_normal(n)
         x = f.solve(b)
         assert np.linalg.norm(d @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _grid_laplacian(cx: float, cy: float, shift: float) -> SparseSym:
+    """cx (Laplacian in x) + cy (Laplacian in y) + shift I on a 12 x 12
+    grid, its unknowns shuffled by one fixed permutation, so every choice of
+    coefficients has the same pattern."""
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+    eye = sp.identity(12)
+    m = (cx * sp.kron(lap, eye) + cy * sp.kron(eye, lap) + shift * sp.identity(144)).tocsr()
+    shuffle = np.random.default_rng(3).permutation(144)
+    return SparseSym(m[shuffle][:, shuffle])
+
+
+def _reference_band(a: SparseSym, perm: np.ndarray, bw: int) -> np.ndarray:
+    """The lower band (bw + 1, n) of A[perm][:, perm], read off the dense
+    matrix, and its banded Cholesky factor."""
+    dense = a.toarray()[perm][:, perm]
+    ab = np.zeros((bw + 1, a.n))
+    for i in range(bw + 1):
+        ab[i, : a.n - i] = np.diagonal(dense, -i)
+    return scipy.linalg.cholesky_banded(ab, lower=True)
+
+
+class TestBandLayout:
+    """A band layout is planned from a pattern and an order alone; every
+    matrix with that pattern factors on it."""
+
+    def test_two_value_sets_on_one_layout(self):
+        mats = [_grid_laplacian(1.0, 1.0, 0.1), _grid_laplacian(0.7, 1.3, 0.5)]
+        assert all(np.array_equal(m.csr.indices, mats[0].csr.indices) for m in mats)
+        perm = rcm_order(mats[0].csr)
+        layout = _band_layout(mats[0].csr, perm)
+        assert 0 < layout.bw < 143
+        # twice each, so a factor leaves nothing behind in the layout
+        for m in mats + mats:
+            got = layout.factor(m.csr.data)
+            fresh = factor_spd(m, perm)
+            assert np.array_equal(got._chol_band.view(np.uint64), fresh._chol_band.view(np.uint64))
+            want = _reference_band(m, perm, layout.bw)
+            assert np.array_equal(got._chol_band, want)
+            assert np.array_equal(got.perm, perm) and np.array_equal(got._inv_perm, fresh._inv_perm)
+
+    def test_diagonal_positions(self):
+        a = _grid_laplacian(1.0, 1.0, 0.1)
+        layout = _band_layout(a.csr, rcm_order(a.csr))
+        assert np.array_equal(a.csr.data[layout.diag], a.diagonal())
+
+    def test_indefinite_matrix_rejected(self):
+        a = _grid_laplacian(1.0, 1.0, 0.1)
+        layout = _band_layout(a.csr, rcm_order(a.csr))
+        with pytest.raises(NotSPD, match="banded Cholesky failed"):
+            layout.factor(-a.csr.data)
+
+    def test_pivot_below_tolerance_rejected(self):
+        # the second pivot is 1 - (1 - 1e-14)^2, about 2e-14 < PIVOT_TOL
+        a = SparseSym(sp.csr_matrix(np.array([[1.0, 1.0 - 1e-14], [1.0 - 1e-14, 1.0]])))
+        layout = _band_layout(a.csr, np.arange(2))
+        assert 0.0 < 1.0 - (1.0 - 1e-14) ** 2 < PIVOT_TOL
+        with pytest.raises(NotSPD, match="below tolerance"):
+            layout.factor(a.csr.data)
+        with pytest.raises(NotSPD, match="below tolerance"):
+            factor_spd(a, np.arange(2))
 
 
 class TestGenCondition:

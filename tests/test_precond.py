@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from divhdg import precond
-from divhdg.assembly import ProblemParams, assemble_saddle, position_map
+from divhdg.assembly import ProblemParams, assemble_saddle, position_map, scatter_stack
 from divhdg.condense import (
     block_positions,
     condensed_structure,
@@ -14,7 +14,7 @@ from divhdg.condense import (
     trace_layout,
 )
 from divhdg.krylov import minres, operator_condensed
-from divhdg.linalg import factor_spd
+from divhdg.linalg import SparseSym, factor_spd
 from divhdg.mesh import TAG_INLET, TAG_OUTLET, TAG_WALL, build_mesh, step_domain, unit_square
 from divhdg.precond import (
     asp_structure,
@@ -25,7 +25,7 @@ from divhdg.precond import (
     materialize_schur_dense,
     schur_structure,
 )
-from divhdg.spaces import build_spaces, free_edge_rank, interpolate_essential
+from divhdg.spaces import build_spaces, free_edge_rank, free_edge_unknowns, interpolate_essential
 
 from conftest import (
     colour_patches,
@@ -146,7 +146,66 @@ class TestSchurDeflation:
         m = unit_square(4)
         s = build_schur(m, ProblemParams(mu=1.0, tau=1.0, inv_lambda=0.0))
         assert s.deflate and s.inner.n == m.num_triangles
-        assert np.array_equal(s.inner.perm, schur_structure(m).perm)
+        assert np.array_equal(s.inner.perm, schur_structure(m).layout.perm)
+
+
+def _bits_equal(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Equal CSR index arrays and data bit for bit, index types included."""
+    return (
+        a.shape == b.shape
+        and a.indptr.dtype == b.indptr.dtype
+        and a.indices.dtype == b.indices.dtype
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+    )
+
+
+class TestPlannedSchurFactor:
+    """The inner factor a row forms on the structure's band layout equals
+    the factor of N + diag(shift), formed and factored afresh under N's RCM
+    order, band bit for band bit."""
+
+    @pytest.mark.parametrize(
+        "make_mesh,inv_lambda,deflates",
+        [
+            (lambda: unit_square(4), 0.0, True),
+            (lambda: unit_square(4), 1.0, False),
+            (lambda: step_domain(4), 0.0, False),  # the outlet's path
+            (lambda: jittered_square(4), 1e-4, False),
+            (wall_triangle, 0.0, True),  # N stores no diagonal: no facet
+            (wall_triangle, 1.0, False),
+        ],
+        ids=["deflated", "plain", "outlet", "jittered", "one-deflated", "one-plain"],
+    )
+    def test_equals_fresh_factor(self, make_mesh, inv_lambda, deflates):
+        mesh = make_mesh()
+        params = ProblemParams(mu=1.5, tau=2.0, inv_lambda=inv_lambda)
+        structure = schur_structure(mesh)
+        s = build_schur(mesh, params, structure=structure)
+        assert s.deflate is deflates
+        d = 2.0 * params.mu * params.inv_lambda + 1.0
+        shift = params.tau * params.inv_lambda / d * mesh.areas
+        if deflates:
+            shift[0] += 1.0
+        n_mat = assemble_pressure_laplacian(mesh).csr
+        want = factor_spd(SparseSym((n_mat + sp.diags(shift)).tocsr()), structure.layout.perm)
+        assert np.array_equal(s.inner._chol_band.view(np.uint64), want._chol_band.view(np.uint64))
+        assert np.array_equal(s.inner.perm, want.perm)
+        assert np.array_equal(s.inner._inv_perm, want._inv_perm)
+
+    @pytest.mark.parametrize("inv_lambda", [0.0, 1.0])
+    def test_no_inner_factor_at_tau_zero(self, inv_lambda):
+        m = unit_square(4)
+        s = build_schur(m, ProblemParams(tau=0.0, inv_lambda=inv_lambda), structure=schur_structure(m))
+        assert s.c2 == 0.0 and s.inner is None
+
+    def test_structure_keeps_n_with_its_diagonal(self):
+        m = step_domain(4)
+        structure = schur_structure(m)
+        n_mat = assemble_pressure_laplacian(m).csr
+        assert np.array_equal(structure.n_data, n_mat.data)
+        assert np.array_equal(structure.n_data[structure.layout.diag], n_mat.diagonal())
 
 
 class TestSchurMode:
@@ -340,6 +399,71 @@ class TestTransferEqualsFormerClosedForm:
         assert abs(got - want).max() <= 1e-15 * np.abs(want.data).max()
 
 
+def _scattered_transfer(spaces, a_g, vpos):
+    """Pi as formerly built, kept as reference: one (2k+1, 4) block per free
+    edge over its (endpoint, component) columns, summed by ``scatter_stack``,
+    then its exact zeros dropped."""
+    mesh, k, fb = spaces.mesh, spaces.k, spaces.ref.facet
+    s = fb.rule.points[:, 0]
+    hats = np.stack([1.0 - s, s])
+    hat_n = hats @ fb.normal_projection.T
+    hat_t = hats @ fb.tangential_projection.T
+    fe = a_g.free_edges
+    t = mesh.tangents[fe]
+    nrm = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    le = mesh.edge_lengths[fe]
+    vals = np.concatenate(
+        [
+            le[:, None, None, None] * nrm[:, None, :, None] * hat_n[None, :, None, :],
+            t[:, None, :, None] * hat_t[None, :, None, :],
+        ],
+        axis=3,
+    )
+    vp = vpos[mesh.edges[fe]]
+    cols = np.where(vp[:, :, None] >= 0, 2 * vp[:, :, None] + np.arange(2), -1)
+    transfer = scatter_stack(
+        vals.reshape(fe.size, 4, 2 * k + 1).transpose(0, 2, 1),
+        free_edge_unknowns(np.arange(fe.size, dtype=np.intp), fe.size, k),
+        a_g.shape[0],
+        cols.reshape(fe.size, 4),
+        2 * np.count_nonzero(vpos >= 0),
+    )
+    transfer.eliminate_zeros()
+    return transfer.copy()
+
+
+TRANSFER_MESHES = (
+    [(f"cavity-{n}", lambda n=n: unit_square(n), "cavity", k) for n in (4, 16) for k in (1, 2, 3, 4)]
+    + [(f"step-{n}", lambda n=n: step_domain(n), "step", k) for n in (2, 8) for k in (1, 3, 4)]
+    + [("square-7", lambda: unit_square(7), "cavity", 2)]
+    + [("jittered-4", lambda: jittered_square(4), "cavity", 2)]
+)
+
+
+class TestTransferRowByRow:
+    """Pi written row by row equals the scatter of its per-edge blocks with
+    the exact zeros dropped, bit for bit; the step's outlet vertices are
+    free columns."""
+
+    @pytest.mark.parametrize(
+        "make_mesh,problem,k",
+        [case[1:] for case in TRANSFER_MESHES],
+        ids=[f"{case[0]}-k{case[3]}" for case in TRANSFER_MESHES],
+    )
+    def test_equals_scattered_blocks(self, make_mesh, problem, k):
+        mesh = make_mesh()
+        spaces = build_spaces(mesh, k)
+        ess = interpolate_essential(mesh, spaces, problem)
+        a_g = condensed_structure(spaces, ess, np.arange(mesh.num_triangles)).a_g
+        aux = aux_space(spaces, a_g)
+        got = aux.transfer
+        assert got.indptr.dtype == np.int32 and got.indices.dtype == np.int32
+        assert got.has_canonical_format
+        assert np.count_nonzero(got.data) == got.nnz
+        assert _bits_equal(got, _scattered_transfer(spaces, a_g, aux.vpos))
+        assert _bits_equal(aux.restrict, got.T.tocsr())
+
+
 class TestSmoother:
     @pytest.fixture()
     def built(self, smoother_built):
@@ -494,7 +618,8 @@ class TestAspOperator:
 
 class TestPressureLaplacianAssembly:
     @pytest.mark.parametrize(
-        "mesh", [unit_square(1), unit_square(5), step_domain(2), step_domain(6)]
+        "mesh",
+        [unit_square(1), unit_square(5), step_domain(2), step_domain(6), jittered_square(4)],
     )
     def test_equal_to_former_edge_loop(self, mesh):
         # the former per-edge loop, kept verbatim as reference
@@ -517,6 +642,8 @@ class TestPressureLaplacianAssembly:
         want.sum_duplicates()
         want.sort_indices()
         got = assemble_pressure_laplacian(mesh).csr
+        assert got.has_canonical_format
+        assert got.indptr.dtype == np.int32 and got.indices.dtype == np.int32
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
@@ -667,7 +794,7 @@ class TestAuxSpace:
         n = np.count_nonzero(free)
         assert np.array_equal(free, ~on_essential)
         assert np.array_equal(aux.vpos[free], np.arange(n))
-        assert aux.pattern.shape == (n, n) and aux.perm.size == n
+        assert aux.pattern.shape == (n, n) and aux.layout.perm.size == n
         assert aux.transfer.shape == (a_g.shape[0], 2 * n)
         if problem == "step":
             outlet = np.unique(mesh.edges[mesh.edge_tags == TAG_OUTLET])
@@ -676,7 +803,7 @@ class TestAuxSpace:
             assert inner.size > 0 and np.all(free[inner])
         if name == "no-free-edge":
             assert n == 0 and aux.transfer.shape == (0, 0) and aux.restrict.shape == (0, 0)
-            assert factor_spd(aux.operator(ProblemParams(tau=1.0)), aux.perm).n == 0
+            assert factor_spd(aux.operator(ProblemParams(tau=1.0)), aux.layout.perm).n == 0
 
 
 class TestEdgeLevelStructure:
