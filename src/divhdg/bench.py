@@ -59,7 +59,7 @@ class ExperimentGrid:
     maxit: int = 1000
     seed: int = 0
     # not a field: the one Schur formula, read only by perfbench/traced.py;
-    # the benchmark change of ROADMAP item 2 deletes it
+    # the benchmark change of ROADMAP item 7 deletes it
     schur_mode: ClassVar[str] = "exact"
     smoother: str = "patch-sgs"
     allow_large: bool = False

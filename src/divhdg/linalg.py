@@ -182,10 +182,12 @@ def _band_layout(pattern, perm: np.ndarray) -> _BandLayout:
     )
 
 
-# the fewest members of one exact class (``distinct_rows``) that are applied
-# as a class, with one GEMM against their one matrix: the elements of
-# ``condense.CondensedStructure`` in A_g's apply, the patches of one group
-# and colour in the patch sweep; a smaller class's members keep their own
+# the fewest members of exact classes (``distinct_rows``) that are applied
+# as classes, with one GEMM per class against its one matrix: in A_g's
+# apply the elements of one class of ``condense.CondensedStructure``; in the
+# patch sweep the patches of one stack, the classes of one group and colour
+# that hold the same count p >= 2 of its patches, C p together. Members of
+# a smaller class or stack keep their own matrix
 _CLASS_MIN = 8
 
 _HASH_WORDS = 1 << 16  # 64-bit words per block of rows that distinct_rows reads at once

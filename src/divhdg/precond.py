@@ -20,16 +20,22 @@ numbers of free edges and ring edges form a group, and those of one group
 whose elements have the same element classes at the same places a class:
 their blocks [D | A_ring] are equal bit for bit at every parameter. A mesh
 of translated copies of two triangles has few (19 among 287 patches on the
-unit square at 1/h=16 and k=2).  The patches of one colour in a class of at
-least ``_CLASS_MIN`` are solved with one GEMM against their one M, the
-others of each group, each with its own M, by one batched matrix-vector
-product.  A row plans its sweep once (``_sweep_plan``): the 2C - 1 colour
-steps in sweep order, each with its gather indices, the rows it writes and
-per part the operands of its product as views into two buffers that the
-steps share, so an apply allocates only the stacked [r | z].  The steps
-gather with ``take(..., mode="clip")``, since numpy copies a ``take`` into
-``out`` through a buffer under the default ``mode="raise"``; the plan
-therefore checks once that every gather index lies in [0, 2n).
+unit square at 1/h=16 and k=2).  Per group and colour, the classes with the
+same count p >= 2 of the colour's patches form a stack when their C p
+patches reach ``_CLASS_MIN``, solved by one ``np.matmul`` of the gathered
+(C, p, w) against the (C, w, m) transposed M's: one GEMM per class against
+its M.  A lone class of at least ``_CLASS_MIN`` is a stack of C = 1.  A
+wall's class is split across two colours and falls below ``_CLASS_MIN`` in
+each, but joins its equal siblings: at cavity 1/h=16 colour 0 solves the
+four walls' classes of 7 patches as one stack of 28.  The other patches of
+each group, each with its own M, are the tail, one batched matrix-vector
+product.  A row plans its sweep once (``_sweep_plan``): the colour steps in
+sweep order, each with its gather indices, the rows it writes and per part
+the operands of its product as views into two buffers that the steps
+share, so an apply allocates only the stacked [r | z].  The steps gather
+with ``take(..., mode="clip")``, since numpy copies a ``take`` into ``out``
+through a buffer under the default ``mode="raise"``; the plan therefore
+checks once that every gather index lies in [0, 2n).
 Pointwise Jacobi is the one alternative smoother.
 
 The auxiliary space is one ``AuxSpace``, built from the condensed structure's
@@ -215,7 +221,7 @@ def build_schur(
     """One row's exact S~^{-1} (c1, c2, c3 above); without ``structure`` (the
     traced benchmark, tests), its parameter-independent part is built here.
     ``mode`` is only "exact": ``perfbench/traced.py`` passes it, until the
-    benchmark change of ROADMAP item 2 deletes it."""
+    benchmark change of ROADMAP item 7 deletes it."""
     if mode != "exact":
         raise ValueError(f"unknown Schur mode '{mode}'")
     if structure is None:
@@ -276,14 +282,14 @@ class _Colour:
     each of its patches, part by part, and ``take`` the m + w positions of
     each patch's gather from the stacked [r | z], the patch's unknowns and
     then its ring's, offset by n (``_PatchGroup``).  A part ``(p, mat)`` of
-    a row's colour is p patches of one group, either a class of at least
-    ``_CLASS_MIN`` patches with equal blocks [D | A_ring], ``mat`` (m, m +
-    w) their one M = [D^-1 | -D^-1 A_ring], or a tail, ``mat`` (p, m, m + w)
-    each patch's own M.  In an ``AspStructure`` a part is ``(p, group,
-    sel)``: the class ``sel`` of ``groups[group]``, or the classes ``sel``
-    (p,) of the tail's patches; ``filled`` puts in the row's M's, and
-    ``step`` turns a filled colour into one planned ``_Step`` of the sweep,
-    whose operands are views of the M's and of the plan's buffers."""
+    a row's colour is C p patches of one group, p in turn for each of the C
+    M = [D^-1 | -D^-1 A_ring] in ``mat`` (C, m, m + w): a stack of C classes
+    of p >= 2 patches each, whose C p reach ``_CLASS_MIN``, or with p = 1
+    the tail, each patch's own M.  In an ``AspStructure`` a part is ``(p,
+    group, sel)``, ``sel`` (C,) the classes of ``groups[group]`` whose M's
+    it takes; ``filled`` puts in the row's M's, and ``step`` turns a filled
+    colour into one planned ``_Step`` of the sweep, whose operands are views
+    of the M's and of the plan's buffers."""
 
     rows: np.ndarray
     take: np.ndarray
@@ -305,16 +311,16 @@ class _Colour:
         products = []
         lo = vlo = 0
         for p, mat in self.parts:
-            m = mat.shape[-2]
-            w = m if first else mat.shape[-1]
-            mat = mat[..., :w]
-            x, o = v[vlo : vlo + p * w], y[lo : lo + p * m]
-            if mat.ndim == 2:
-                products.append((x.reshape(p, w), mat.T, o.reshape(p, m)))
+            c, m, mw = mat.shape
+            w = m if first else mw
+            mat = mat[:, :, :w]
+            x, o = v[vlo : vlo + c * p * w], y[lo : lo + c * p * m]
+            if p > 1:
+                products.append((x.reshape(c, p, w), mat.transpose(0, 2, 1), o.reshape(c, p, m)))
             else:
-                products.append((mat, x.reshape(p, w, 1), o.reshape(p, m, 1)))
-            lo += p * m
-            vlo += p * w
+                products.append((mat, x.reshape(c, w, 1), o.reshape(c, m, 1)))
+            lo += c * p * m
+            vlo += c * p * w
         return _Step(take=idx, rows=self.rows, gathered=v, out=y, products=products)
 
 
@@ -323,13 +329,13 @@ class _Step:
     """One colour step of a row's sweep: exact block solves z_p = M [r_p |
     z_ring] on every patch of the colour at once.  ``run`` gathers ``take``
     from the stacked [r | z] into ``gathered``, forms each part's product
-    ``(a, b, out)`` into ``out`` with ``np.matmul`` (a class ``(x, M^T,
-    y)``, x (p, w) and y (p, m), one GEMM; a tail ``(M, x, y)``, x (p, w, 1)
-    and y (p, m, 1), one batched matrix-vector product), and writes ``out``
-    to the ``rows`` of z.  The operands are views fixed when the plan is
-    built (``_sweep_plan``), so a step allocates nothing.  Patches of one
-    colour share no unknown and no
-    A_g coupling, so no ring holds another patch's unknowns, and this equals
+    ``(a, b, out)`` into ``out`` with ``np.matmul`` (a stack ``(x, M^T,
+    y)``, x (C, p, w) and y (C, p, m), one GEMM per class; the tail ``(M,
+    x, y)``, x (C, w, 1) and y (C, m, 1), one batched matrix-vector
+    product), and writes ``out`` to the ``rows`` of z.  The operands are
+    views fixed when the plan is built (``_sweep_plan``), so a step
+    allocates nothing.  Patches of one colour share no unknown and no A_g
+    coupling, so no ring holds another patch's unknowns, and this equals
     visiting them one by one."""
 
     take: np.ndarray
@@ -487,22 +493,33 @@ def _patch_classes(
 
 
 def _colour_plan(groups: list) -> list:
-    """The ``_Colour``s of the structure. Per group and colour, the patches
-    of each class of at least ``_CLASS_MIN`` patches become one part, in
-    the order of the classes' first patches, and the other patches follow
-    as the tail in their given order."""
+    """The ``_Colour``s of the structure. Per group and colour, the classes
+    with the same count p >= 2 of the colour's patches become one stack
+    when their patches reach ``_CLASS_MIN`` together, their patches class by
+    class, the stacks in the order of their first classes and the classes
+    of a stack in their order (that of their first patches). The other
+    patches follow as the tail in their given order: a class of one patch
+    has an M of its own."""
     n_colours = groups[0].ends.size - 1 if groups else 0
     rows, take, parts = ([[] for _ in range(n_colours)] for _ in range(3))
     for i, g in enumerate(groups):
         for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
             cc = g.cls[lo:hi]
             size = np.bincount(cc)
-            big = np.flatnonzero(size >= _CLASS_MIN)
-            order = np.argsort(np.where(size[cc] >= _CLASS_MIN, cc, size.size), kind="stable")
-            parts[c] += [(int(size[j]), i, j) for j in big]
+            # per class, the patches of all the classes of its count
+            together = np.bincount(size, weights=size)[size]
+            big = np.flatnonzero((size > 1) & (together >= _CLASS_MIN))
+            stacks = {}  # by count, in the order of their first classes
+            for j in big.tolist():
+                stacks.setdefault(int(size[j]), []).append(j)
+            parts[c] += [(p, i, np.array(sel)) for p, sel in stacks.items()]
+            # each class's place in the stacks, past them for the tail's
+            rank = np.full(size.size, big.size)
+            rank[[j for sel in stacks.values() for j in sel]] = np.arange(big.size)
+            order = np.argsort(rank[cc], kind="stable")
             tail = order[int(size[big].sum()) :]
             if tail.size:
-                parts[c].append((tail.size, i, cc[tail]))
+                parts[c].append((1, i, cc[tail]))
             t = g.take[lo:hi][order]
             rows[c].append(t[:, : g.m].ravel())
             take[c].append(t.ravel())
@@ -630,8 +647,13 @@ class AuxSpace:
     element ``stiff``-ness and consistent ``mass`` (nt, 3, 3) of the scalar
     A0, which ``pattern`` scatters and ``operator`` sums per row; ``layout``,
     the band layout of A0's pattern under its RCM order, on which a row
-    factors A0; and Pi (n_free_cond, 2 n_free_vertices) as ``transfer`` and,
-    as CSR, ``restrict``. With no free vertex each is empty and A0's factor
+    factors A0; and Pi (n_free_cond, 2 n_free_vertices) as ``transfer`` and
+    Pi^T, as a CSR of its own, as ``restrict``. ``transfer.T`` (a CSC view)
+    gives the same Pi^T r bit for bit, but the CSC product scatters into the
+    output and runs about 1.5x as long per coarse step: 8.3 against 11.1 us
+    at cavity k=2 1/h=16 and 97 against 150 us at 1/h=64 (one BLAS thread,
+    2-vCPU VM), about 9 ms over the 172 iterations of the 1/h=64 Jacobi row,
+    for 1.8 MB kept. With no free vertex each is empty and A0's factor
     0x0."""
 
     vpos: np.ndarray

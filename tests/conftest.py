@@ -107,39 +107,43 @@ def patch_ranks(a_g, g):
 
 def patch_matrices(colour, n):
     """Per patch of a filled ``precond._Colour``, in its order: (unknowns
-    (m,), ring unknowns (w,), M (m, m + w)), each class's one M repeated for
-    every patch of the class; ``n`` is the number of free unknowns."""
+    (m,), ring unknowns (w,), M (m, m + w)), a part ``(p, mat)`` giving each
+    of its C M's to p patches in turn (a stack's class, or with p = 1 a
+    tail patch); ``n`` is the number of free unknowns."""
     out, lo = [], 0
     for p, mat in colour.parts:
-        m, mw = mat.shape[-2:]
-        take = colour.take[lo : lo + p * mw].reshape(p, mw)
-        out += [(t[:m], t[m:] - n, mat if mat.ndim == 2 else mat[i]) for i, t in enumerate(take)]
-        lo += p * mw
+        c, m, mw = mat.shape
+        take = colour.take[lo : lo + c * p * mw].reshape(c * p, mw)
+        out += [(t[:m], t[m:] - n, mat[i // p]) for i, t in enumerate(take)]
+        lo += c * p * mw
     return out
 
 
 def correct(colour, rz, z, first):
     """The former per-colour step of the patch sweep, kept as reference:
     the exact block solves z_p = M [r_p | z_ring] on every patch of a filled
-    ``precond._Colour`` at once, ``z`` the second half of ``rz``, one GEMM
-    per class and one batched matrix-vector product per tail, gathering
-    into and solving into arrays of its own. The ``first`` colour of a
-    sweep sees z = 0 and reads only r_p and D^-1."""
+    ``precond._Colour`` at once, ``z`` the second half of ``rz``, one
+    two-dimensional GEMM per class of a stack and one batched
+    matrix-vector product per tail, gathering into and solving into arrays
+    of its own. The ``first`` colour of a sweep sees z = 0 and reads only
+    r_p and D^-1."""
     out = np.empty(colour.rows.size)
     v = rz.take(colour.rows if first else colour.take)
     lo = vlo = 0
     for p, mat in colour.parts:
-        m = mat.shape[-2]
-        w = m if first else mat.shape[-1]
-        mat = mat[..., :w]
-        x = v[vlo : vlo + p * w].reshape(p, w)
-        y = out[lo : lo + p * m]
-        if mat.ndim == 2:
-            np.matmul(x, mat.T, out=y.reshape(p, m))
+        c, m, mw = mat.shape
+        w = m if first else mw
+        mat = mat[:, :, :w]
+        x = v[vlo : vlo + c * p * w]
+        y = out[lo : lo + c * p * m]
+        if p > 1:
+            for j in range(c):
+                xj = x[j * p * w : (j + 1) * p * w].reshape(p, w)
+                np.matmul(xj, mat[j].T, out=y[j * p * m : (j + 1) * p * m].reshape(p, m))
         else:
-            np.matmul(mat, x.reshape(p, w, 1), out=y.reshape(p, m, 1))
-        lo += p * m
-        vlo += p * w
+            np.matmul(mat, x.reshape(c, w, 1), out=y.reshape(c, m, 1))
+        lo += c * p * m
+        vlo += c * p * w
     z[colour.rows] = out
 
 

@@ -2,9 +2,9 @@
 D z_p + A_ring z_ring, a patch's block Gauss-Seidel correction is the
 assignment z_p = M [r_p | z_ring], M = [D^-1 | -D^-1 A_ring]. The patches of
 one group whose blocks [D | A_ring] are equal bit for bit share one M, and
-a class of at least ``precond._CLASS_MIN`` patches of one colour is solved
-with one GEMM. The sweep is checked against a dense multiplicative Schwarz
-sweep."""
+the classes of one colour with an equal count of patches that reach
+``precond._CLASS_MIN`` together are solved as one stack, one GEMM per class.
+The sweep is checked against a dense multiplicative Schwarz sweep."""
 
 import numpy as np
 import pytest
@@ -56,18 +56,20 @@ def _dense_sweep(a, colours, r):
 
 
 class TestSweepMatrices:
-    # the class parts (one GEMM each) of the row's colours
-    CLASSES = {"cavity": 4, "step": 12}
+    # the stacks (one np.matmul each) of the row's colours: at cavity 1/h=16
+    # the interior class of each colour, and the walls' classes of 7 and 6
+    # patches in 6 stacks; on the step only lone classes of 12 to 41
+    STACKS = {"cavity": 10, "step": 12}
 
     def test_class_matrix_is_every_members_own(self, row):
         problem, _, cond, asp = row
         a = cond.A_g.csr
-        n_classes = 0
+        n_stacks = 0
         for blk in asp.colours:
             for ids, ring, mat in patch_matrices(blk, cond.n_free):
                 assert np.array_equal(mat, _own_matrix(a, ids, ring))
-            n_classes += sum(mat.ndim == 2 for _, mat in blk.parts)
-        assert n_classes == self.CLASSES[problem]
+            n_stacks += sum(p > 1 for p, _ in blk.parts)
+        assert n_stacks == self.STACKS[problem]
 
     def test_ring_is_the_columns_outside_the_patch(self, row):
         """A patch's ring unknowns are exactly the columns of its rows of A_g
@@ -83,13 +85,17 @@ class TestSweepMatrices:
                 assert a[ids][:, np.r_[ids, ring]].nnz == a[ids].nnz
 
     def test_parts_tile_the_colours(self, row):
-        """Each colour's parts tile its rows and gathers and hold the
-        structure's patches whole; a class holds at least ``_CLASS_MIN``
-        patches with one M, no tail holds that many with one M, and the
-        tail patches keep the structure's order."""
+        """Each colour's parts tile its rows and gathers and hold each of the
+        structure's patches whole, in exactly one part. A stack ``(p, group,
+        sel)`` holds the C classes ``sel`` of one group that have p >= 2 of
+        the colour's patches each, C p >= ``_CLASS_MIN`` together. A tail
+        holds no count >= 2 whose classes reach ``_CLASS_MIN`` together, and
+        its patches keep the structure's order."""
         _, s, cond, asp = row
         n = cond.n_free
-        for given, blk in zip(colour_patches(s.asp), asp.colours):
+        for c, (given, planned, blk) in enumerate(
+            zip(colour_patches(s.asp), s.asp.colours, asp.colours)
+        ):
             got = patch_matrices(blk, n)
             assert blk.rows.size == sum(ids.size for ids, _, _ in got)
             assert np.array_equal(blk.rows, np.concatenate([ids for ids, _, _ in got]))
@@ -98,16 +104,18 @@ class TestSweepMatrices:
             )
             lo = 0
             tail = []
-            for p, mat in blk.parts:
-                if mat.ndim == 2:
-                    assert p >= precond._CLASS_MIN
+            for (p, gi, sel), (q, mat) in zip(planned.parts, blk.parts):
+                g = s.asp.groups[gi]
+                size = np.bincount(g.cls[g.ends[c] : g.ends[c + 1]])
+                assert q == p and mat.shape[0] == sel.size
+                if p > 1:
+                    assert np.all(size[sel] == p) and sel.size * p >= precond._CLASS_MIN
                 else:
-                    same = {}
-                    for b in mat:
-                        same[b.tobytes()] = same.get(b.tobytes(), 0) + 1
-                    assert max(same.values()) < precond._CLASS_MIN
-                    tail += [tuple(ids) for ids, _, _ in got[lo : lo + p]]
-                lo += p
+                    counts = size[sel]
+                    for count in np.unique(counts[counts > 1]):
+                        assert count * np.count_nonzero(size == count) < precond._CLASS_MIN
+                    tail += [tuple(ids) for ids, _, _ in got[lo : lo + sel.size]]
+                lo += sel.size * p
             in_tail = set(tail)
             assert tail == [tuple(ids) for ids, _ in given if tuple(ids) in in_tail]
 
@@ -122,8 +130,11 @@ class TestSweepMatrices:
         |M| |v| is itself computed with nonnegative terms, which the bound
         allows for by the factor 1 / (1 - gamma_n). Each colour's planned
         step (``_Colour.step``) is checked as the first of a sweep and as a
-        later one."""
-        *_, cond, asp = row
+        later one, so a stack of several classes (cavity) is checked
+        too."""
+        problem, _, cond, asp = row
+        stacked = any(p > 1 and mat.shape[0] > 1 for blk in asp.colours for p, mat in blk.parts)
+        assert stacked == (problem == "cavity")
         n = cond.n_free
         rng = np.random.default_rng(21)
         for first in (True, False):
@@ -143,18 +154,18 @@ class TestSweepMatrices:
                 assert np.all(np.abs(z[blk.rows] - want[blk.rows]) <= bound[blk.rows])
 
     def test_matrices_held_by_class(self, row):
-        """A row's colours hold (classes + tail patches) m (m + w) floats,
-        each part in an array of its own, instead of one M per patch: 28% of
-        that at cavity 1/h=16, whose boundary classes of 7 patches per
-        colour stay in the tails, and 10% on the step at 1/h=8."""
+        """A row's colours hold (stacked classes + tail patches) m (m + w)
+        floats, each part in an array of its own, instead of one M per
+        patch: 7% of that at cavity 1/h=16, whose walls' classes are
+        stacked, and 10% on the step at 1/h=8."""
         *_, asp = row
         held = per_patch = 0
         for blk in asp.colours:
             for p, mat in blk.parts:
                 assert mat.base is None
                 held += mat.nbytes
-                per_patch += p * mat.nbytes // (1 if mat.ndim == 2 else p)
-        assert held < per_patch / 3
+                per_patch += p * mat.nbytes
+        assert held < per_patch / 8
 
 
 @pytest.mark.parametrize(
@@ -184,8 +195,12 @@ def test_sweep_equals_dense_multiplicative_schwarz(case):
     kappa = max(np.linalg.cond(a[np.ix_(ids, ids)]) for colour in colours for ids in colour)
     width = max(g.take.shape[1] for g in s.asp.groups)
     bound = 2 * (2 * len(colours) - 1) * _gamma(width) * kappa
-    if case == ("cavity", 16, 2):
-        assert any(mat.ndim == 2 for blk in asp.colours for _, mat in blk.parts)
+    if case == ("cavity", 16, 2):  # a stack of classes of fewer than _CLASS_MIN patches
+        assert any(
+            1 < p < precond._CLASS_MIN and mat.shape[0] > 1
+            for blk in asp.colours
+            for p, mat in blk.parts
+        )
     rng = np.random.default_rng(8)
     for _ in range(3):
         r = rng.standard_normal(cond.n_free)
@@ -205,10 +220,87 @@ PLAN_CASES = {
 }
 
 
+def _former_sweep(structure, cond, r):
+    """The sweep before stacks, kept as reference: per group and colour one
+    two-dimensional GEMM per class of at least ``_CLASS_MIN`` of the
+    colour's patches, and the group's other patches, in their given order,
+    one batched matrix-vector product, each against its own M."""
+    n = cond.n_free
+    colours = [[] for _ in range(len(structure.colours))]
+    for g in structure.groups:
+        mats = precond._class_matrices(cond, g)
+        for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
+            cc, take = g.cls[lo:hi], g.take[lo:hi]
+            size = np.bincount(cc)
+            big = np.flatnonzero(size >= precond._CLASS_MIN)
+            colours[c] += [(take[cc == j], mats[j]) for j in big]
+            tail = size[cc] < precond._CLASS_MIN
+            if tail.any():
+                colours[c].append((take[tail], mats[cc[tail]]))
+    rz = np.concatenate([r, np.zeros_like(r)])
+    for i, colour in enumerate(colours + colours[-2::-1]):
+        new = []
+        for take, mat in colour:
+            m = mat.shape[-2]
+            w = m if i == 0 else mat.shape[-1]
+            x = rz[take[:, :w]]
+            if mat.ndim == 2:
+                new.append((take[:, :m], x @ mat[:, :w].T))
+            else:
+                new.append((take[:, :m], np.matmul(mat[:, :, :w], x[:, :, None])[:, :, 0]))
+        for rows, y in new:
+            rz[n + rows] = y
+    return rz[n:]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_structure("cavity", 32, 2),  # stacks of 4 and 2 classes of 14 or 15
+        lambda: build_structure("step", 8, 3),  # lone classes only
+        lambda: _structure(jittered_square(4), "cavity", 2),  # no class of 2 patches
+    ],
+    ids=["cavity-32", "step-8", "jittered"],
+)
+def test_stacks_of_large_classes_equal_the_former_sweep(make):
+    """Where every class of every stack holds at least ``_CLASS_MIN``
+    patches, the stacks solve the classes that the former sweep solved by
+    one GEMM each, with the same GEMM per class, and the tails hold the same
+    patches: the sweep equals the former one bit for bit."""
+    s = make()
+    cond, asp, _ = s.row(PARAMS)
+    assert all(p == 1 or p >= precond._CLASS_MIN for blk in asp.colours for p, _ in blk.parts)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        r = rng.standard_normal(cond.n_free)
+        assert np.array_equal(asp.smooth(r), _former_sweep(s.asp, cond, r))
+
+
 class TestSweepPlan:
     """A row's sweep is planned once (``precond._sweep_plan``): 2C - 1 colour
     steps whose gathers, products and writes go through views of two
     buffers fixed when the row is built."""
+
+    def test_equal_count_classes_stacked(self):
+        """At cavity 1/h=16 every wall's class is split across two colours,
+        7 or 6 patches in each, fewer than ``_CLASS_MIN``; a colour's equal
+        classes form one stack (``precond._colour_plan``), so no tail holds
+        a class of more than one patch, and the sweep stays within rounding
+        of the former one."""
+        s = PLAN_CASES["cavity-16"]()
+        stacks = [(p, sel.size) for c in s.asp.colours for p, _, sel in c.parts if p > 1]
+        assert sorted(stacks) == [(6, 4), (7, 2), (7, 2), (7, 2), (7, 2), (7, 4)] + [
+            (p, 1) for p in (36, 42, 42, 49)
+        ]
+        for c in s.asp.colours:
+            for p, _, sel in c.parts:
+                if p == 1:
+                    assert np.unique(sel).size == sel.size
+        cond, asp, _ = s.row(PARAMS)
+        r = np.random.default_rng(30).standard_normal(cond.n_free)
+        want = _former_sweep(s.asp, cond, r)
+        # GEMM against batched matrix-vector rounding: 1.4e-16 relative here
+        assert np.abs(asp.smooth(r) - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.fixture(scope="class", params=list(PLAN_CASES))
     def planned(self, request):

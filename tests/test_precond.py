@@ -930,7 +930,7 @@ class TestPatchPositions:
     def test_batches_give_the_same_matrices(self, monkeypatch, problem, n, k):
         # a row classes the patches batch by batch; one patch per batch gives
         # the same classes, order and bits as whole groups (only the cavity
-        # at 1/h=16 has classes of _CLASS_MIN patches)
+        # at 1/h=16 has stacks of classes)
         *_, cond = pipeline(problem, n, k)
         structure = _structure(cond)
         whole = build_asp(cond, structure=structure)
@@ -940,7 +940,7 @@ class TestPatchPositions:
             assert [p for p, _ in blk.parts] == [p for p, _ in ref.parts]
             for (_, mat), (_, want) in zip(blk.parts, ref.parts):
                 assert np.array_equal(mat, want)
-        classes = any(mat.ndim == 2 for blk in whole.colours for _, mat in blk.parts)
+        classes = any(p > 1 for blk in whole.colours for p, _ in blk.parts)
         assert classes == (problem == "cavity")
 
     def test_structure_chooses_the_smoother(self):
