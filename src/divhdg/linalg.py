@@ -187,7 +187,8 @@ def _band_layout(pattern, perm: np.ndarray) -> _BandLayout:
 # apply the elements of one class of ``condense.CondensedStructure``; in the
 # patch sweep the patches of one stack, the classes of one group and colour
 # that hold the same count p >= 2 of its patches, C p together. Members of
-# a smaller class or stack keep their own matrix
+# a smaller class or stack keep their own matrix: in the sweep they are the
+# tail, a stack of single patches (p = 1), each with its own copy of its M
 _CLASS_MIN = 8
 
 _HASH_WORDS = 1 << 16  # 64-bit words per block of rows that distinct_rows reads at once

@@ -20,22 +20,25 @@ numbers of free edges and ring edges form a group, and those of one group
 whose elements have the same element classes at the same places a class:
 their blocks [D | A_ring] are equal bit for bit at every parameter. A mesh
 of translated copies of two triangles has few (19 among 287 patches on the
-unit square at 1/h=16 and k=2).  Per group and colour, the classes with the
-same count p >= 2 of the colour's patches form a stack when their C p
-patches reach ``_CLASS_MIN``, solved by one ``np.matmul`` of the gathered
-(C, p, w) against the (C, w, m) transposed M's: one GEMM per class against
-its M.  A lone class of at least ``_CLASS_MIN`` is a stack of C = 1.  A
-wall's class is split across two colours and falls below ``_CLASS_MIN`` in
-each, but joins its equal siblings: at cavity 1/h=16 colour 0 solves the
-four walls' classes of 7 patches as one stack of 28.  The other patches of
-each group, each with its own M, are the tail, one batched matrix-vector
-product.  A row plans its sweep once (``_sweep_plan``): the colour steps in
-sweep order, each with its gather indices, the rows it writes and per part
-the operands of its product as views into two buffers that the steps
-share, so an apply allocates only the stacked [r | z].  The steps gather
-with ``take(..., mode="clip")``, since numpy copies a ``take`` into ``out``
-through a buffer under the default ``mode="raise"``; the plan therefore
-checks once that every gather index lies in [0, 2n).
+unit square at 1/h=16 and k=2).  Every part of a colour is a stack of C
+classes of p patches each, solved by one ``np.matmul`` of the gathered
+(C, p, w) against the C transposed M's (C, w, m): one GEMM per class
+against its M.  Per group and colour, the classes with the same count
+p >= 2 of the colour's patches form a stack when their C p patches reach
+``_CLASS_MIN``; a lone class of at least ``_CLASS_MIN`` is a stack of
+C = 1.  A wall's class is split across two colours and falls below
+``_CLASS_MIN`` in each, but joins its equal siblings: at cavity 1/h=16
+colour 0 solves the four walls' classes of 7 patches as one stack of 28.
+The other patches of each group are the tail, a stack of single patches
+(p = 1), each against its own M.  A row plans its sweep once
+(``_sweep_plan``): it takes each colour's part M's once, and lays out the
+colour steps in sweep order, each with its gather indices, the rows it
+writes and per part the operands of its product as views into those M's,
+which a colour's forward and backward steps share, and into two buffers
+that all the steps share, so an apply allocates only the stacked [r | z].
+The steps gather with ``take(..., mode="clip")``, since numpy copies a
+``take`` into ``out`` through a buffer under the default ``mode="raise"``;
+the plan therefore checks once that every gather index lies in [0, 2n).
 Pointwise Jacobi is the one alternative smoother.
 
 The auxiliary space is one ``AuxSpace``, built from the condensed structure's
@@ -205,13 +208,11 @@ class SchurStructure:
 
 def schur_structure(mesh: Mesh) -> SchurStructure:
     full = _pressure_laplacian(mesh)
-    n_mat = full.copy()
-    n_mat.eliminate_zeros()  # N's own pattern, whose RCM order the rows take
     return SchurStructure(
         n_data=full.data.astype(np.int8),
         areas=mesh.areas.copy(),
         has_outlet=bool(np.any(mesh.edge_tags == TAG_OUTLET)),
-        layout=_band_layout(full, rcm_order(n_mat)),
+        layout=_band_layout(full, rcm_order(full)),
     )
 
 
@@ -281,44 +282,33 @@ class _Colour:
     """One colour of the patch smoother.  ``rows`` holds the m unknowns of
     each of its patches, part by part, and ``take`` the m + w positions of
     each patch's gather from the stacked [r | z], the patch's unknowns and
-    then its ring's, offset by n (``_PatchGroup``).  A part ``(p, mat)`` of
-    a row's colour is C p patches of one group, p in turn for each of the C
-    M = [D^-1 | -D^-1 A_ring] in ``mat`` (C, m, m + w): a stack of C classes
-    of p >= 2 patches each, whose C p reach ``_CLASS_MIN``, or with p = 1
-    the tail, each patch's own M.  In an ``AspStructure`` a part is ``(p,
-    group, sel)``, ``sel`` (C,) the classes of ``groups[group]`` whose M's
-    it takes; ``filled`` puts in the row's M's, and ``step`` turns a filled
-    colour into one planned ``_Step`` of the sweep, whose operands are views
-    of the M's and of the plan's buffers."""
+    then its ring's, offset by n (``_PatchGroup``).  A part ``(p, group,
+    sel)`` is C p patches of ``groups[group]``, p in turn for each of the C
+    classes ``sel`` (C,): a stack of classes of p >= 2 patches each, whose
+    C p reach ``_CLASS_MIN``, or with p = 1 the tail, one entry of ``sel``
+    per patch.  ``step`` plans the colour's ``_Step`` of a row's sweep over the
+    parts' M's."""
 
     rows: np.ndarray
     take: np.ndarray
     parts: list
 
-    def filled(self, mats: list) -> "_Colour":
-        """The row's colour, each part's M's ``mats[group][sel]`` (``mats``
-        per group, ``_class_matrices``) in an array of its own."""
-        parts = [(p, mats[g].take(sel, axis=0)) for p, g, sel in self.parts]
-        return _Colour(rows=self.rows, take=self.take, parts=parts)
-
-    def step(self, first: bool, gathered: np.ndarray, out: np.ndarray) -> "_Step":
-        """The filled colour's ``_Step``, its gather into ``gathered`` and its
-        new z_p into ``out``, buffers at least as long as ``take`` and
-        ``rows``.  The ``first`` colour of a sweep sees z = 0 and gathers
-        only r_p, against D^-1, the first m columns of each M."""
+    def step(self, mats: list, first: bool, gathered: np.ndarray, out: np.ndarray) -> "_Step":
+        """The colour's ``_Step`` against ``mats``, per part its C M's (C, m,
+        m + w), its gather into ``gathered`` and its new z_p into ``out``,
+        buffers at least as long as ``take`` and ``rows``.  The ``first``
+        colour of a sweep sees z = 0 and gathers only r_p, against D^-1,
+        the first m columns of each M."""
         idx = self.rows if first else self.take
         v, y = gathered[: idx.size], out[: self.rows.size]
         products = []
         lo = vlo = 0
-        for p, mat in self.parts:
+        for (p, _, _), mat in zip(self.parts, mats):
             c, m, mw = mat.shape
             w = m if first else mw
-            mat = mat[:, :, :w]
-            x, o = v[vlo : vlo + c * p * w], y[lo : lo + c * p * m]
-            if p > 1:
-                products.append((x.reshape(c, p, w), mat.transpose(0, 2, 1), o.reshape(c, p, m)))
-            else:
-                products.append((mat, x.reshape(c, w, 1), o.reshape(c, m, 1)))
+            x = v[vlo : vlo + c * p * w].reshape(c, p, w)
+            o = y[lo : lo + c * p * m].reshape(c, p, m)
+            products.append((x, mat[:, :, :w].transpose(0, 2, 1), o))
             lo += c * p * m
             vlo += c * p * w
         return _Step(take=idx, rows=self.rows, gathered=v, out=y, products=products)
@@ -329,10 +319,9 @@ class _Step:
     """One colour step of a row's sweep: exact block solves z_p = M [r_p |
     z_ring] on every patch of the colour at once.  ``run`` gathers ``take``
     from the stacked [r | z] into ``gathered``, forms each part's product
-    ``(a, b, out)`` into ``out`` with ``np.matmul`` (a stack ``(x, M^T,
-    y)``, x (C, p, w) and y (C, p, m), one GEMM per class; the tail ``(M,
-    x, y)``, x (C, w, 1) and y (C, m, 1), one batched matrix-vector
-    product), and writes ``out`` to the ``rows`` of z.  The operands are
+    ``(x, M^T, y)`` into ``out`` with ``np.matmul``, x (C, p, w) against the
+    C transposed M's (C, w, m) into y (C, p, m), one GEMM per class (p = 1
+    in the tail), and writes ``out`` to the ``rows`` of z.  The operands are
     views fixed when the plan is built (``_sweep_plan``), so a step
     allocates nothing.  Patches of one colour share no unknown and no A_g
     coupling, so no ring holds another patch's unknowns, and this equals
@@ -349,24 +338,28 @@ class _Step:
         numpy buffers a ``take`` into ``out`` under the default
         ``mode="raise"``; ``_sweep_plan`` checked every index instead."""
         rz.take(self.take, out=self.gathered, mode="clip")
-        for a, b, o in self.products:
-            np.matmul(a, b, out=o)
+        for x, mt, y in self.products:
+            np.matmul(x, mt, out=y)
         z[self.rows] = self.out
 
 
-def _sweep_plan(colours: list, n: int) -> list:
-    """The ``_Step``s of one sweep of a row's filled ``colours`` on n free
-    unknowns, in sweep order: forward over the colours, the first reading
-    only r_p, then back without the last colour, whose residual is already
-    zero after the forward pass.  The steps share one gather buffer as long
-    as the largest ``take`` and one output buffer as long as the largest
-    ``rows``.  Raises ValueError unless every gather index lies in [0, 2n):
-    a step gathers with ``mode="clip"``, which would read a wrong index
-    silently."""
+def _sweep_plan(colours: list, mats: list, n: int) -> list:
+    """The ``_Step``s of one sweep of the structure's ``colours`` on n free
+    unknowns, with ``mats`` the row's M's per group (``_class_matrices``),
+    in sweep order: forward over the colours, the first reading only r_p,
+    then back without the last colour, whose residual is already zero after
+    the forward pass.  Each part's M's are taken once, into an array of
+    their own, and a colour's forward and backward steps share them.  The
+    steps share one gather buffer as long as the largest ``take`` and one
+    output buffer as long as the largest ``rows``.  Raises ValueError unless
+    every gather index lies in [0, 2n): a step gathers with ``mode="clip"``,
+    which would read a wrong index silently."""
+    colour_mats = [[mats[g].take(sel, axis=0) for _, g, sel in c.parts] for c in colours]
     gathered = np.empty(max((c.take.size for c in colours), default=0))
     out = np.empty(max((c.rows.size for c in colours), default=0))
-    order = [(c, i == 0) for i, c in enumerate(colours)] + [(c, False) for c in colours[-2::-1]]
-    steps = [c.step(first, gathered, out) for c, first in order]
+    forward = range(len(colours))
+    order = [*forward, *forward[-2::-1]]
+    steps = [colours[i].step(colour_mats[i], j == 0, gathered, out) for j, i in enumerate(order)]
     for s in steps:
         if s.take.size and (s.take.min() < 0 or s.take.max() >= 2 * n):
             raise ValueError(f"patch gather index outside [0, {2 * n})")
@@ -593,8 +586,7 @@ class AspPrecond:
     transfer: sp.csr_matrix  # (n_free_cond, 2 * n_free_vertices)
     restrict: sp.csr_matrix  # transfer.T, stored as CSR once
     aux_factor: SpdFactor  # of the scalar A0; 0x0 when the auxiliary space is empty
-    colours: list = field(repr=False, default=None)  # of filled _Colour
-    sweep: list = field(repr=False, default=None)  # of _Step, over colours' M's
+    sweep: list = field(repr=False, default=None)  # of _Step
     jacobi_diag: np.ndarray = field(repr=False, default=None)
 
     def smooth(self, r: np.ndarray) -> np.ndarray:
@@ -751,15 +743,15 @@ class AspStructure:
     """The parameter-independent part of the ASP preconditioner on one (mesh,
     k, essential data), shared by every row of a sweep: the auxiliary space
     with its transfer, and for the patch smoother the patches, classed, as
-    ``_PatchGroup``s, and the ``colours`` with their parts, whose M's a row
-    fills in.  It keeps no position in A_g's data: with no element class a
-    row computes them per batch of classes from A_g's row starts.  A Jacobi
-    structure holds no patches."""
+    ``_PatchGroup``s, and the ``colours`` with their parts, over whose M's a
+    row plans its sweep.  It keeps no position in A_g's data: with no
+    element class a row computes them per batch of classes from A_g's row
+    starts.  A Jacobi structure holds no patches."""
 
     smoother: str
     aux: AuxSpace
     groups: list = field(repr=False, default=None)  # of _PatchGroup
-    colours: list = field(repr=False, default=None)  # of _Colour, parts unfilled
+    colours: list = field(repr=False, default=None)  # of _Colour
 
 
 def asp_structure(
@@ -839,10 +831,10 @@ def build_asp(
     built here for ``smoother``.  A row then only assembles and factors the
     auxiliary operator and, for the patch smoother, sums each patch class's
     block from the condensed class blocks and the rest, and forms its sweep
-    matrix once (``_class_matrices``), into the structure's colours, which
-    ``_sweep_plan`` turns into the row's sweep. It
-    does not assemble A_g, except that on a mesh with no element class the
-    rest is A_g.  Jacobi reads only A_g's diagonal
+    matrix once (``_class_matrices``), over which ``_sweep_plan`` lays out
+    the row's sweep on the structure's colours, the row's one sweep
+    object.  It does not assemble A_g, except that on a mesh with no
+    element class the rest is A_g.  Jacobi reads only A_g's diagonal
     (``CondensedSystem.a_g_diagonal``).
     """
     if structure is None:
@@ -863,6 +855,5 @@ def build_asp(
             raise ValueError("condensed diagonal not positive")
         return pre
     mats = [_class_matrices(cond, g) for g in structure.groups]
-    pre.colours = [c.filled(mats) for c in structure.colours]
-    pre.sweep = _sweep_plan(pre.colours, cond.n_free)
+    pre.sweep = _sweep_plan(structure.colours, mats, cond.n_free)
     return pre

@@ -2,6 +2,7 @@
 once per session."""
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from divhdg import (
     build_spaces,
     eliminate_local,
     interpolate_essential,
+    precond,
     step_domain,
     unit_square,
 )
@@ -105,11 +107,46 @@ def patch_ranks(a_g, g):
     return edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
 
 
+class Filled(NamedTuple):
+    """One colour with its M's: ``rows`` and ``take`` as in
+    ``precond._Colour``, and per part ``(p, mat)``, ``mat`` (C, m, m + w)
+    giving each of its C M's to p patches in turn (a stack's class, or with
+    p = 1 a tail patch)."""
+
+    rows: np.ndarray
+    take: np.ndarray
+    parts: list
+
+
+def filled_colours(structure, cond):
+    """The colours of a patch-smoother ``AspStructure`` with the M's of the
+    row ``cond``, formed by ``precond._class_matrices`` and taken per part,
+    as reference."""
+    mats = [precond._class_matrices(cond, g) for g in structure.groups]
+    return [
+        Filled(c.rows, c.take, [(p, mats[g][sel]) for p, g, sel in c.parts])
+        for c in structure.colours
+    ]
+
+
+def swept_colours(asp):
+    """The colours of a patch ``AspPrecond`` with the M's its sweep's steps
+    multiply: each step's (C, w, m) operand of a part of p patches per
+    class, transposed back. A colour's step that gathers its ring is the
+    forward one, colour 0's the last of the sweep (a sweep has no colour or
+    at least two: each free edge lies in the patches of both its ends)."""
+    c = (len(asp.sweep) + 1) // 2
+    out = []
+    for i in range(c):
+        step = asp.sweep[i if i else -1]
+        parts = [(x.shape[1], mt.transpose(0, 2, 1)) for x, mt, _ in step.products]
+        out.append(Filled(step.rows, step.take, parts))
+    return out
+
+
 def patch_matrices(colour, n):
-    """Per patch of a filled ``precond._Colour``, in its order: (unknowns
-    (m,), ring unknowns (w,), M (m, m + w)), a part ``(p, mat)`` giving each
-    of its C M's to p patches in turn (a stack's class, or with p = 1 a
-    tail patch); ``n`` is the number of free unknowns."""
+    """Per patch of a ``Filled`` colour, in its order: (unknowns (m,), ring
+    unknowns (w,), M (m, m + w)); ``n`` is the number of free unknowns."""
     out, lo = [], 0
     for p, mat in colour.parts:
         c, m, mw = mat.shape
@@ -121,8 +158,8 @@ def patch_matrices(colour, n):
 
 def correct(colour, rz, z, first):
     """The former per-colour step of the patch sweep, kept as reference:
-    the exact block solves z_p = M [r_p | z_ring] on every patch of a filled
-    ``precond._Colour`` at once, ``z`` the second half of ``rz``, one
+    the exact block solves z_p = M [r_p | z_ring] on every patch of a
+    ``Filled`` colour at once, ``z`` the second half of ``rz``, one
     two-dimensional GEMM per class of a stack and one batched
     matrix-vector product per tail, gathering into and solving into arrays
     of its own. The ``first`` colour of a sweep sees z = 0 and reads only
@@ -148,8 +185,8 @@ def correct(colour, rz, z, first):
 
 
 def colour_sweep(colours, r):
-    """The former SGS sweep over a row's filled colours, ``correct`` per
-    colour: forward over the colours, then back without the last."""
+    """The former SGS sweep over a row's ``Filled`` colours, ``correct``
+    per colour: forward over the colours, then back without the last."""
     rz = np.concatenate([r, np.zeros_like(r)])
     z = rz[r.size :]
     for c, blk in enumerate(colours):

@@ -33,7 +33,7 @@ from divhdg.mesh import step_domain, unit_square
 from divhdg.precond import asp_structure, build_asp, schur_structure
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import jittered_square, patch_matrices, patch_ranks
+from conftest import jittered_square, patch_matrices, patch_ranks, swept_colours
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +365,14 @@ class TestBitIdentity:
 
 
 def _assert_per_patch_matrices(s, cond, asp):
-    """Every patch's M in the row's colours is its ``_per_patch_matrices``
-    reference bit for bit, each patch once."""
+    """Every patch's M that the row's sweep multiplies, the steps' (C, w, m)
+    operand transposed back, is its ``_per_patch_matrices`` reference bit
+    for bit, each patch once."""
     a, n = cond.A_g.csr, cond.n_free
     # by unknowns: the two patches of the mesh with one free edge hold the
     # same unknowns in two colours
     got = {}
-    for colour in asp.colours:
+    for colour in swept_colours(asp):
         for ids, _, mat in patch_matrices(colour, n):
             got.setdefault(tuple(ids), []).append(mat)
     for g in s.asp.groups:

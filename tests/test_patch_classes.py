@@ -14,7 +14,14 @@ from divhdg.assembly import ProblemParams
 from divhdg.bench import build_structure
 from divhdg.mesh import unit_square
 
-from conftest import colour_patches, colour_sweep, jittered_square, patch_matrices
+from conftest import (
+    colour_patches,
+    colour_sweep,
+    filled_colours,
+    jittered_square,
+    patch_matrices,
+    swept_colours,
+)
 from test_element_classes import _structure
 
 PARAMS = ProblemParams(tau=1.0, inv_lambda=1.0)
@@ -65,7 +72,7 @@ class TestSweepMatrices:
         problem, _, cond, asp = row
         a = cond.A_g.csr
         n_stacks = 0
-        for blk in asp.colours:
+        for blk in swept_colours(asp):
             for ids, ring, mat in patch_matrices(blk, cond.n_free):
                 assert np.array_equal(mat, _own_matrix(a, ids, ring))
             n_stacks += sum(p > 1 for p, _ in blk.parts)
@@ -94,7 +101,7 @@ class TestSweepMatrices:
         _, s, cond, asp = row
         n = cond.n_free
         for c, (given, planned, blk) in enumerate(
-            zip(colour_patches(s.asp), s.asp.colours, asp.colours)
+            zip(colour_patches(s.asp), s.asp.colours, swept_colours(asp))
         ):
             got = patch_matrices(blk, n)
             assert blk.rows.size == sum(ids.size for ids, _, _ in got)
@@ -132,13 +139,13 @@ class TestSweepMatrices:
         step (``_Colour.step``) is checked as the first of a sweep and as a
         later one, so a stack of several classes (cavity) is checked
         too."""
-        problem, _, cond, asp = row
-        stacked = any(p > 1 and mat.shape[0] > 1 for blk in asp.colours for p, mat in blk.parts)
+        problem, s, cond, _ = row
+        stacked = any(p > 1 and sel.size > 1 for c in s.asp.colours for p, _, sel in c.parts)
         assert stacked == (problem == "cavity")
         n = cond.n_free
         rng = np.random.default_rng(21)
         for first in (True, False):
-            for blk in asp.colours:
+            for planned, blk in zip(s.asp.colours, filled_colours(s.asp, cond)):
                 rz = np.concatenate([rng.standard_normal(n), rng.standard_normal(n)])
                 z = rz[n:]
                 want, bound = z.copy(), z.copy()
@@ -149,23 +156,25 @@ class TestSweepMatrices:
                     want[ids] = [row_ @ v for row_ in mat]
                     g = _gamma(v.size)
                     bound[ids] = 2 * g / (1 - g) * (np.abs(mat) @ np.abs(v))
-                step = blk.step(first, np.empty(blk.take.size), np.empty(blk.rows.size))
+                mats = [mat for _, mat in blk.parts]
+                step = planned.step(mats, first, np.empty(blk.take.size), np.empty(blk.rows.size))
                 step.run(rz, z)
                 assert np.all(np.abs(z[blk.rows] - want[blk.rows]) <= bound[blk.rows])
 
     def test_matrices_held_by_class(self, row):
-        """A row's colours hold (stacked classes + tail patches) m (m + w)
-        floats, each part in an array of its own, instead of one M per
-        patch: 7% of that at cavity 1/h=16, whose walls' classes are
-        stacked, and 10% on the step at 1/h=8."""
-        *_, asp = row
-        held = per_patch = 0
-        for blk in asp.colours:
-            for p, mat in blk.parts:
-                assert mat.base is None
-                held += mat.nbytes
-                per_patch += p * mat.nbytes
-        assert held < per_patch / 8
+        """A row's sweep holds (stacked classes + tail patches) m (m + w)
+        floats, each part's C M's in an array of its own, which the steps
+        multiply through views, instead of one M per patch: 7% of that at
+        cavity 1/h=16, whose walls' classes are stacked, and 10% on the step
+        at 1/h=8."""
+        _, s, _, asp = row
+        held = {}
+        for step in asp.sweep:
+            for _, mt, _ in step.products:
+                assert mt.base.shape[0] == mt.shape[0]
+                held[id(mt.base)] = mt.base.nbytes
+        per_patch = sum(g.take.shape[0] * g.m * g.take.shape[1] * 8 for g in s.asp.groups)
+        assert sum(held.values()) < per_patch / 8
 
 
 @pytest.mark.parametrize(
@@ -197,9 +206,9 @@ def test_sweep_equals_dense_multiplicative_schwarz(case):
     bound = 2 * (2 * len(colours) - 1) * _gamma(width) * kappa
     if case == ("cavity", 16, 2):  # a stack of classes of fewer than _CLASS_MIN patches
         assert any(
-            1 < p < precond._CLASS_MIN and mat.shape[0] > 1
-            for blk in asp.colours
-            for p, mat in blk.parts
+            1 < p < precond._CLASS_MIN and sel.size > 1
+            for c in s.asp.colours
+            for p, _, sel in c.parts
         )
     rng = np.random.default_rng(8)
     for _ in range(3):
@@ -269,7 +278,7 @@ def test_stacks_of_large_classes_equal_the_former_sweep(make):
     patches: the sweep equals the former one bit for bit."""
     s = make()
     cond, asp, _ = s.row(PARAMS)
-    assert all(p == 1 or p >= precond._CLASS_MIN for blk in asp.colours for p, _ in blk.parts)
+    assert all(p == 1 or p >= precond._CLASS_MIN for c in s.asp.colours for p, _, _ in c.parts)
     rng = np.random.default_rng(29)
     for _ in range(3):
         r = rng.standard_normal(cond.n_free)
@@ -302,27 +311,66 @@ class TestSweepPlan:
         # GEMM against batched matrix-vector rounding: 1.4e-16 relative here
         assert np.abs(asp.smooth(r) - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize(
+        "make,stacked",
+        [
+            (PLAN_CASES["cavity-16"], True),
+            (lambda: _structure(unit_square(12), "cavity", 2), False),  # no class of 8
+            (PLAN_CASES["jittered"], False),  # no class of two patches
+        ],
+        ids=["cavity-16", "tails-12", "jittered"],
+    )
+    def test_one_product_form_with_the_ms_taken_once(self, make, stacked):
+        """Every part is a stack, x (C, p, w) @ M^T (C, w, m) -> y (C, p,
+        m), the tail with p = 1, and each colour's forward and backward
+        steps multiply the same M arrays, taken once per colour. Taking
+        them once per step held every M twice and made the sweep slower
+        where tails dominate: unit_square(12) went 153 -> 205 us and step 6
+        k=3 236 -> 289 us per apply (minima of 300, one BLAS thread, 2-vCPU
+        VM)."""
+        s = make()
+        cond, asp, _ = s.row(PARAMS)
+        nc = len(s.asp.colours)
+        assert len(asp.sweep) == 2 * nc - 1
+        counts = set()
+        for c in range(nc):
+            fwd = asp.sweep[c]
+            for x, mt, y in fwd.products:
+                k, p, w = x.shape
+                assert mt.shape[:2] == (k, w) and y.shape == (k, p, mt.shape[2])
+                assert np.shares_memory(x, fwd.gathered) and np.shares_memory(y, fwd.out)
+                counts.add(p)
+            if c < nc - 1:
+                bwd = asp.sweep[2 * nc - 2 - c]
+                assert len(bwd.products) == len(fwd.products)
+                for (_, a, _), (_, b, _) in zip(fwd.products, bwd.products):
+                    assert np.shares_memory(a, b)
+        assert min(counts) == 1
+        assert (max(counts) > 1) == stacked
+
     @pytest.fixture(scope="class", params=list(PLAN_CASES))
     def planned(self, request):
-        cond, asp, _ = PLAN_CASES[request.param]().row(PARAMS)
-        return cond, asp
+        s = PLAN_CASES[request.param]()
+        cond, asp, _ = s.row(PARAMS)
+        return s, cond, asp
 
     def test_smooth_equals_the_colour_sequence(self, planned):
         """The planned sweep forms the same products on the same operands
         as the former per-colour steps (``conftest.correct``), so every
         iterate is equal bit for bit."""
-        cond, asp = planned
-        assert len(asp.sweep) == 2 * len(asp.colours) - 1
+        s, cond, asp = planned
+        assert len(asp.sweep) == 2 * len(s.asp.colours) - 1
+        colours = filled_colours(s.asp, cond)
         rng = np.random.default_rng(27)
         for _ in range(3):
             r = rng.standard_normal(cond.n_free)
-            assert np.array_equal(asp.smooth(r), colour_sweep(asp.colours, r))
+            assert np.array_equal(asp.smooth(r), colour_sweep(colours, r))
 
     def test_consecutive_sweeps_are_independent(self, planned):
         """Each call returns an array of its own: the buffers the steps
         share are not the result, so a second call leaves the first
         result as it was."""
-        cond, asp = planned
+        s, cond, asp = planned
         rng = np.random.default_rng(28)
         r1, r2 = rng.standard_normal(cond.n_free), rng.standard_normal(cond.n_free)
         z1 = asp.smooth(r1)
@@ -330,18 +378,20 @@ class TestSweepPlan:
         z2 = asp.smooth(r2)
         assert np.array_equal(z1, kept)
         assert not np.shares_memory(z1, z2)
-        assert np.array_equal(z2, colour_sweep(asp.colours, r2))
+        assert np.array_equal(z2, colour_sweep(filled_colours(s.asp, cond), r2))
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_gather_outside_the_stack_rejected(self, planned, bad):
         """A step gathers with ``mode="clip"``, so the plan checks every
         index against the stacked [r | z] of 2n entries when it is built."""
-        cond, asp = planned
+        s, cond, asp = planned
         n = cond.n_free
-        blk = asp.colours[-1]
+        colours = s.asp.colours
+        mats = [precond._class_matrices(cond, g) for g in s.asp.groups]
+        blk = colours[-1]
         take = blk.take.copy()
         take[-1] = -1 if bad < 0 else bad * n
         broken = precond._Colour(rows=blk.rows, take=take, parts=blk.parts)
         with pytest.raises(ValueError, match="gather index"):
-            precond._sweep_plan(asp.colours[:-1] + [broken], n)
-        assert len(precond._sweep_plan(asp.colours, n)) == len(asp.sweep)
+            precond._sweep_plan(colours[:-1] + [broken], mats, n)
+        assert len(precond._sweep_plan(colours, mats, n)) == len(asp.sweep)

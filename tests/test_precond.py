@@ -33,6 +33,7 @@ from conftest import (
     patch_matrices,
     patch_ranks,
     pipeline,
+    swept_colours,
     wall_triangle,
 )
 
@@ -528,7 +529,7 @@ class TestColouredSmoother:
         structure = _structure(cond)
         a = cond.A_g.toarray() != 0.0
         colours = _patches(structure)
-        assert len(asp.colours) == len(colours)
+        assert len(asp.sweep) == 2 * len(colours) - 1
         covered = np.zeros(cond.n_free, bool)
         for members in colours:
             assert members  # no empty colour
@@ -553,7 +554,7 @@ class TestColouredSmoother:
 
     def test_structured_mesh_needs_four_colours(self, transfer_built):
         *_, asp = transfer_built
-        assert len(asp.colours) == 4
+        assert len(asp.sweep) == 2 * 4 - 1
 
 
 class TestStepSmoother:
@@ -911,7 +912,7 @@ class TestPatchPositions:
         a = cond.A_g.csr
         structure = asp_structure(cond.spaces, cond.structure)
         outside = 0
-        for given, blk in zip(colour_patches(structure), build_asp(cond).colours):
+        for given, blk in zip(colour_patches(structure), swept_colours(build_asp(cond))):
             got = patch_matrices(blk, cond.n_free)
             # the row holds the colour's patches whole, perhaps reordered
             assert sorted(ids.tolist() for ids, _, _ in got) == sorted(
@@ -935,12 +936,13 @@ class TestPatchPositions:
         structure = _structure(cond)
         whole = build_asp(cond, structure=structure)
         monkeypatch.setattr(precond, "_BATCH", 1)
-        for blk, ref in zip(build_asp(cond, structure=structure).colours, whole.colours):
+        got = swept_colours(build_asp(cond, structure=structure))
+        for blk, ref in zip(got, swept_colours(whole)):
             assert np.array_equal(blk.rows, ref.rows) and np.array_equal(blk.take, ref.take)
             assert [p for p, _ in blk.parts] == [p for p, _ in ref.parts]
             for (_, mat), (_, want) in zip(blk.parts, ref.parts):
                 assert np.array_equal(mat, want)
-        classes = any(p > 1 for blk in whole.colours for p, _ in blk.parts)
+        classes = any(p > 1 for c in structure.colours for p, _, _ in c.parts)
         assert classes == (problem == "cavity")
 
     def test_structure_chooses_the_smoother(self):
@@ -948,7 +950,7 @@ class TestPatchPositions:
         structure = asp_structure(cond.spaces, cond.structure, "jacobi")
         assert structure.groups is None
         asp = build_asp(cond, structure=structure)
-        assert asp.smoother == "jacobi" and asp.colours is None
+        assert asp.smoother == "jacobi" and asp.sweep is None
         r = np.random.default_rng(14).standard_normal(cond.n_free)
         assert np.array_equal(asp.apply(r), build_asp(cond, smoother="jacobi").apply(r))
 

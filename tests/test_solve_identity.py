@@ -324,7 +324,7 @@ class TestEdgeCases:
         asp = build_asp(cond, smoother=smoother)
         assert asp.transfer.shape == (0, 0)
         if smoother == "patch-sgs":
-            assert asp.colours == []
+            assert asp.sweep == []
         z = asp.smooth(np.zeros(0))
         assert z.shape == (0,)
         assert asp.apply(np.zeros(0)).shape == (0,)
