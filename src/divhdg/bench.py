@@ -181,8 +181,10 @@ class Structure:
     preconditioners' patterns: the auxiliary space
     (free vertices, A0's pattern and band layout, the transfer Pi), the
     patches, their classes and colours (patch smoother only), and N with
-    its band layout. ``row`` builds one row's systems on it; on a mesh with
-    element classes it does not assemble A_g."""
+    its band layout. ``row`` builds one row's systems on it, and does not
+    assemble A_g: MINRES applies it by element class and one CSR of the
+    other elements, and the patch smoother sums its blocks from the element
+    blocks."""
 
     mesh: Mesh
     spaces: Spaces

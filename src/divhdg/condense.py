@@ -22,16 +22,18 @@ rows alone), and the tables by which MINRES
 applies A_g element class by element class (``krylov.operator_condensed``):
 the elements of each class of at least ``_CLASS_MIN`` (``LocalStacks
 .element_class``) in class order, the gather of their free trace unknowns,
-the fold that sums each free unknown's one or two element outputs, and the
-pattern of the other elements' summed blocks. A_g's pattern follows from the
-graph of the free edges, the pattern of E^T E with E the element-to-free-edge
+the fold that sums each free unknown's one or two element outputs, the
+pattern of the other elements' summed blocks, and the row of each element's
+block among the row's element blocks. A_g's pattern follows from the graph of
+the free edges, the pattern of E^T E with E the element-to-free-edge
 incidence, since each edge's 2k+1 trace unknowns are all free or all
 essential: ``trace_pattern`` expands each free edge to its unknowns, and keeps
 the graph and the free edges, and per element only where its rows start and
-the ``edge_ranks`` of its edges, read from the graph as the vertex patches' of
-``precond.asp_structure`` are. ``trace_pattern`` is the one place that decides
-which edges are free (``spaces.free_edge_rank``): ``precond.aux_space`` reads
-the auxiliary space's free vertices from those free edges.
+the ``edge_ranks`` of its edges, read from the graph, from which
+``TracePattern.slots`` places the element's block. ``trace_pattern`` is the
+one place that decides which edges are free (``spaces.free_edge_rank``):
+``precond.aux_space`` reads the auxiliary space's free vertices from those
+free edges.
 ``eliminate_local`` then does one row's work. Condensation is element-local,
 so it streams the elements in chunks (``assembly.element_chunks``). Elements
 whose local problems are equal bit for bit share an element class
@@ -41,22 +43,25 @@ distinct pair of class and element load: it forms those element matrices
 their local systems and condenses them. A mesh of translated copies of two
 triangles, such as ``unit_square`` at any 1/h, has two pairs per chunk without
 a body force, and a mesh with no two elements alike one pair per element. The
-row keeps one condensed block per large class, and adds
-the other elements' blocks to their CSR's data (``CsrPattern.add``). A_g
+row keeps one stack of element blocks (``CondensedSystem.blocks``): one
+condensed block per large class, then each other element's own block, which
+it also adds to their CSR's data (``CsrPattern.add``) for MINRES. A row's
+patch smoother sums its patch blocks from that stack (see ``precond``). A_g
 itself is assembled only when read (``CondensedSystem.A_g``, by the checks
-and the traced benchmark's residual check; a row's patch smoother sums its
-patch blocks from the class blocks and the rest, see ``precond``), from the
-class blocks chunk by chunk and the other elements' sums, bit for bit the
-sum of every element's own block, and its pattern's column indices are
-expanded then too;
-the Jacobi smoother reads only its diagonal, folded from the class blocks'
-diagonals and the other elements' CSR. The essential data g
+and the traced benchmark's residual check), from every element's row of the
+stack chunk by chunk, and its pattern's column indices are expanded then
+too. Every entry of A_g sums the blocks of at most two elements, and two
+floats add alike in either order, so every such sum is bit for bit the sum
+of every element's own block in element order. The Jacobi smoother reads
+only A_g's diagonal, folded from the class blocks' diagonals and the other
+elements' CSR. The essential data g
 leaves the trace unknowns element by element: F_g is the sum of the element
 right sides minus the sum of each condensed block times its element's g, which
 is 0 at a free unknown, so only the elements with nonzero g are multiplied.
-Only the trace right sides and the lifts, (nt, n_G) each, span the whole mesh,
-and only until F_g is summed; no whole-mesh element stack is formed, and the
-condensed system keeps no local solutions. ``back_substitute`` solves the
+The trace right sides and the lifts, (nt, n_G) each, span the whole mesh only
+until F_g is summed. No element matrix of the whole mesh is formed: of the
+condensed blocks the row keeps the class blocks and the rest's, and it keeps
+no local solutions. ``back_substitute`` solves the
 local systems again, chunk by chunk with the same ``_local_solve``. Every
 result is bit-identical to one chunk, and to solving every element's local
 system on its own.
@@ -181,43 +186,39 @@ def trace_layout(k: int, n_e: int = 3, by_edge: bool = False) -> TraceLayout:
 
 
 def block_positions(
-    start: np.ndarray, rank: np.ndarray, layout: TraceLayout, nnz: int, cols: TraceLayout = None
+    start: np.ndarray, rank: np.ndarray, layout: TraceLayout, nnz: int
 ) -> np.ndarray:
-    """(B, n, n_c) positions in A_g's data of the blocks of A_g on B lists of
-    edges' trace unknowns, rows in ``layout``'s order and columns in that of
-    ``cols`` (by default ``layout``), and nnz for an entry outside A_g's
-    pattern. ``start`` (B, n) is where the row of each unknown starts in the
-    data (nnz for an essential one), and ``rank`` (B, n_e, n_ce) int8 the
-    ``edge_ranks`` of the row edges among the column edges.
+    """(B, n, n) positions in A_g's data of the blocks of A_g on B lists of
+    edges' trace unknowns in ``layout``'s order, and nnz for an entry outside
+    A_g's pattern. ``start`` (B, n) is where the row of each unknown starts
+    in the data (nnz for an essential one), and ``rank`` (B, n_e, n_e) int8
+    the ``edge_ranks`` of the edges among themselves.
 
     A row of a free edge with d neighbour edges holds their unknowns at the
-    ``free_edge_unknowns`` of their ranks among the d, here per place in
-    ``cols``. An edge's normal rows are consecutive, so the step between
-    the starts of its first two is that row's length, d (2k+1); 0 for an
-    essential edge, whose rows start at nnz."""
-    cols = layout if cols is None else cols
-    edge, width, mode, tangential, _ = cols
+    ``free_edge_unknowns`` of their ranks among the d. An edge's normal rows
+    are consecutive, so the step between the starts of its first two is that
+    row's length, d (2k+1); 0 for an essential edge, whose rows start at
+    nnz."""
+    edge, width, mode, tangential, first = layout
     k = int(width[0]) - 1
     dt = np.int32 if 8 * nnz < 2**31 else np.int64
-    step = start[:, layout.first + 1] - start[:, layout.first]
+    step = start[:, first + 1] - start[:, first]
     # a column outside the pattern lands at nnz or beyond, as a dropped row does
     rank = np.where(rank < 0, dt(nnz), rank.astype(dt))
-    col = rank[:, :, edge] * width + mode  # (B, n_e, n_c): its place in a row of edge r
+    col = rank[:, :, edge] * width + mode  # (B, n_e, n): its place in a row of edge r
     col[:, :, tangential] += (step // (2 * k + 1) * (k + 1))[:, :, None]
-    out = np.take(col, layout.edge, axis=1)
+    out = np.take(col, edge, axis=1)
     out += start[:, :, None]
     return np.minimum(out, nnz, out=out)
 
 
-def edge_ranks(graph: sp.csr_matrix, edges: np.ndarray, cols: np.ndarray = None) -> np.ndarray:
-    """(B, d, d_c) int8: for B lists of d free-edge ranks ``edges`` (-1 for an
-    essential edge) and B lists of d_c ``cols`` (by default ``edges``), the
-    rank of edge c among the neighbour edges of edge r in the free-edge
-    ``graph``, -1 when either is essential or the two share no element: the
-    pair's position in the graph, from its ``position_map``, less where row r
-    starts."""
-    cols = edges if cols is None else cols
-    r, c = np.broadcast_arrays(edges[:, :, None], cols[:, None, :])
+def edge_ranks(graph: sp.csr_matrix, edges: np.ndarray) -> np.ndarray:
+    """(B, d, d) int8: for B lists of d free-edge ranks ``edges`` (-1 for an
+    essential edge), the rank of edge c among the neighbour edges of edge r
+    in the free-edge ``graph``, -1 when either is essential or the two share
+    no element: the pair's position in the graph, from its
+    ``position_map``, less where row r starts."""
+    r, c = np.broadcast_arrays(edges[:, :, None], edges[:, None, :])
     free = (r >= 0) & (c >= 0)
     if not free.any():  # every edge essential, as on a mesh with no free edge
         return np.full(r.shape, -1, np.int8)
@@ -280,7 +281,9 @@ class CondensedStructure:
     ``gather.size`` where there is none. The other elements, the rest, sum
     their blocks into one CSR on the pattern ``rest``: ``a_g`` itself when
     no class is large, ``scatter_pattern`` of their free positions when some
-    are, and None when none is left."""
+    are, and None when none is left. ``block_row`` (nt,) is the row of each
+    element's block in ``CondensedSystem.blocks``: its part, or past the C
+    class blocks its rank among the rest."""
 
     g_slot_idx: np.ndarray  # local slots of the trace unknowns
     g_slots: np.ndarray  # (nt, n_G) their global ids
@@ -294,6 +297,7 @@ class CondensedStructure:
     gather: np.ndarray
     fold: np.ndarray
     rest: CsrPattern
+    block_row: np.ndarray
 
 
 def condensed_structure(
@@ -333,6 +337,8 @@ def condensed_structure(
     fold[1, unknown[second]] = places[second]
 
     rest = np.flatnonzero(part < 0)
+    block_row = part.astype(np.intp)
+    block_row[rest] = big.size + np.arange(rest.size)
     if rest.size == nt:
         rest_pattern = a_g
     elif rest.size:
@@ -354,6 +360,7 @@ def condensed_structure(
         gather=gather.astype(np.intp),
         fold=fold,
         rest=rest_pattern,
+        block_row=block_row,
     )
 
 
@@ -362,11 +369,14 @@ class CondensedSystem:
     """Trace-unknown saddle system; its saddle system ``block`` and its
     ``structure`` recover the interiors.
 
-    The condensed velocity block A_g is kept as the structure splits it:
-    ``class_blocks`` (C, n_G, n_G), the one condensed block of each part's
-    elements, and ``rest``, the sum of the other elements' blocks on the
-    structure's ``rest`` pattern (None without such elements). A_g itself is
-    assembled only on first access."""
+    The condensed velocity block A_g is kept as element blocks: ``blocks``
+    (C + n_rest, n_G, n_G) holds the one condensed block of each of the C
+    parts' elements (``class_blocks``), then each of the other elements' own
+    block in element order, at the structure's ``block_row``. The patch
+    smoother sums its patch blocks from them. ``rest`` is the sum of the
+    other elements' blocks on the structure's ``rest`` pattern (None without
+    such elements), which MINRES applies as one CSR. A_g itself is assembled
+    only on first access."""
 
     B_g: sp.csr_matrix  # constant-pressure coupling, free columns
     C_g: SparseSym  # constant-pressure mass, -(1/lambda) diag(areas)
@@ -374,7 +384,7 @@ class CondensedSystem:
     F_pbar: np.ndarray
     free_cond: np.ndarray  # free condensed unknown ids (global velocity ids)
     structure: CondensedStructure = field(repr=False)
-    class_blocks: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
     rest: SparseSym = field(repr=False)
     spaces: Spaces = field(repr=False, default=None)
     block: BlockSystem = field(repr=False, default=None)
@@ -387,26 +397,20 @@ class CondensedSystem:
     def n_pbar(self) -> int:
         return self.C_g.n
 
+    @property
+    def class_blocks(self) -> np.ndarray:
+        """The C class blocks, the first rows of ``blocks``."""
+        return self.blocks[: self.structure.ends.size - 1]
+
     @functools.cached_property
     def A_g(self) -> SparseSym:
-        """The free condensed velocity block, summed on the structure's
-        ``a_g`` pattern chunk by chunk with ``TracePattern.add``: each class
-        element's block, then the rest's sums. Every entry sums the blocks of
-        at most two elements, and two floats add alike in either order, so it
-        equals summing every element's own block in element order bit for
-        bit. With no class it is ``rest``."""
+        """The free condensed velocity block, every element's row of
+        ``blocks`` summed on the structure's ``a_g`` pattern chunk by chunk
+        with ``TracePattern.add``, in element order."""
         s = self.structure
-        if not self.class_blocks.shape[0]:
-            return self.rest
         data = s.a_g.zeros()
-        for sel in element_chunks(s.part.size):
-            e = sel.start + np.flatnonzero(s.part[sel] >= 0)
-            s.a_g.add(data, self.class_blocks[s.part[e]], e)
-        if self.rest is not None:
-            rest = self.rest.csr
-            rows = np.repeat(np.arange(rest.shape[0]), np.diff(rest.indptr))
-            pos = np.asarray(position_map(s.a_g)[rows, rest.indices]).ravel() - 1
-            data[pos] += rest.data
+        for sel in element_chunks(s.block_row.size):
+            s.a_g.add(data, self.blocks[s.block_row[sel]], sel)
         return SparseSym(s.a_g.matrix(data))
 
     def a_g_diagonal(self) -> np.ndarray:
@@ -490,8 +494,9 @@ def eliminate_local(
     element matrices of its distinct (class, load) pairs and solves their
     local systems (``_local_solve``, whose ``class_matrices`` checks the
     matrices), and condenses each pair once. Each of the structure's parts
-    keeps the condensed block of its pairs as its class block; the rest's
-    blocks are added to the rest's data. Each element's condensed block also
+    keeps the condensed block of its pairs as its class block, and each
+    other element its own block (``CondensedSystem.blocks``), which are also
+    added to the rest's data. Each element's condensed block also
     lifts the essential data: the block times its trace data, which is 0 at
     a free unknown. F_g sums the element right sides first and subtracts the
     summed lifts after."""
@@ -510,7 +515,8 @@ def eliminate_local(
 
     part = structure.part
     rest_el = np.flatnonzero(part < 0)
-    class_blocks = np.empty((structure.ends.size - 1, n_G * n_G))
+    n_class = structure.ends.size - 1
+    blocks = np.empty((n_class + rest_el.size, n_G * n_G))
     rest_data = None if structure.rest is None else structure.rest.zeros()
     f_g_loc = np.empty((nt, n_G))
     lift_loc = np.zeros((nt, n_G))  # per element A_cond g
@@ -532,10 +538,12 @@ def eliminate_local(
         pair_part = np.empty(m, np.int32)
         pair_part[pair] = part[sel]
         held = np.flatnonzero(pair_part >= 0)
-        class_blocks[pair_part[held]] = a_cond[held]
+        blocks[pair_part[held]] = a_cond[held]
         if rest_data is not None:
             lo, hi = np.searchsorted(rest_el, [sel.start, sel.stop])
-            structure.rest.add(rest_data, a_cond[pair[rest_el[lo:hi] - sel.start]], slice(lo, hi))
+            own = blocks[n_class + lo : n_class + hi]
+            own[...] = a_cond[pair[rest_el[lo:hi] - sel.start]]
+            structure.rest.add(rest_data, own, slice(lo, hi))
 
     g_pos = ess.pos[structure.g_slots]
     n_g = structure.free_cond.size
@@ -546,7 +554,7 @@ def eliminate_local(
         F_pbar=structure.F_pbar,
         free_cond=structure.free_cond,
         structure=structure,
-        class_blocks=class_blocks.reshape(-1, n_G, n_G),
+        blocks=blocks.reshape(-1, n_G, n_G),
         rest=None if rest_data is None else SparseSym(structure.rest.matrix(rest_data)),
         spaces=spaces,
         block=block,

@@ -88,22 +88,21 @@ N + e0 e0^T, SPD on N's own pattern. For mean-zero r, summing the rows of
 Set-up is split by lifetime. ``asp_structure`` and ``schur_structure`` build
 what depends only on the mesh, the degree and the essential data, once per
 sweep: the ``AuxSpace``, with the band layout of A0's factor; the patches
-by group as free edges (each patch's unknowns and ring unknowns, its colour,
-and on a mesh with no large element class per pair of a spoke and a spoke or
-ring edge the rank of one among the other's neighbours), classed from the
-element classes by integer keys (``_patch_classes``), with the tables that
-sum each class's block from the condensed class blocks, and the colours'
+by group as free edges (each patch's unknowns and ring unknowns, and its
+colour), classed from the element classes by integer keys
+(``_patch_classes``), with the tables that sum each class's block from the
+element blocks of its first patch, planned in batches, and the colours'
 patches ordered by class (``_colour_plan``); and N with the band layout of
 its pattern, every diagonal entry stored, under its RCM order. A band layout
 (``linalg._BandLayout``) places each value of a pattern in the band of its
 factor, so a row only writes its values there and factors. ``build_asp`` and
 ``build_schur`` then do one row's work: the scalar auxiliary operator and
-its factor on A0's layout; each class's block, summed from
-``CondensedSystem.class_blocks`` and the rest, and its M, formed once
+its factor on A0's layout; each class's block, summed from the row's element
+blocks ``CondensedSystem.blocks`` (the class blocks, then each element
+outside the large classes as a class of one), and its M, formed once
 (``_class_matrices``), and the sweep plan over them; and the Schur inner
 factor, of N's values plus the row's diagonal shift, on N's layout. A patch
-row reads no value of A_g and does not assemble it, unless no element class
-is large: then the rest is A_g, and the blocks are read from its rows.  The
+row reads no value of A_g and does not assemble it, on every mesh.  The
 library calls them from ``bench.Structure.row``. Called without a structure
 (the traced benchmark, tests), they build it first.
 """
@@ -122,7 +121,7 @@ from .assembly import (
     scatter_pattern,
 )
 from .condense import CondensedStructure, CondensedSystem, TraceLayout, TracePattern
-from .condense import block_positions, edge_ranks, trace_layout
+from .condense import trace_layout
 from .linalg import _CLASS_MIN, SparseSym, SpdFactor, distinct_rows, rcm_order
 from .linalg import _band_layout, _BandLayout
 from .mesh import TAG_OUTLET, Mesh
@@ -272,8 +271,8 @@ def materialize_schur_dense(mesh: Mesh, params: ProblemParams) -> np.ndarray:
 # velocity block
 
 
-# entries of the patch blocks per batch that a row gathers from A_g's CSR
-# at once, on a mesh with no element class: 2 MB of float64
+# padded-block entries per bincount batch of a row's patch blocks
+# (``_class_matrices``), one class at least: 2 MB of float64
 _BATCH = 1 << 18
 
 
@@ -373,39 +372,31 @@ class _PatchGroup:
     a spoke).  ``take`` (P, m + w), m = d (2k+1) and w = e (2k+1), holds each
     patch's unknowns, each spoke's in turn, then its ring's in ascending
     order, as positions in the stacked [r | z] (the ring's offset by n).
-    ``rank`` (P, d, d + e) int8 holds the ``condense.edge_ranks`` of the
-    spokes among the spokes and the ring, only on a mesh with no element
-    class of at least ``_CLASS_MIN``, where a row reads the blocks from A_g's
-    rows at them (``_csr_blocks``); it is None on any other.  The patches of
-    colour c are ``ends[c]:ends[c + 1]``, in natural vertex order.
+    The patches of colour c are ``ends[c]:ends[c + 1]``, in natural vertex
+    order.
 
     ``cls`` (P,) is each patch's class (``_patch_classes``), numbered by
     ``first`` (C,), its first patch; the patches of one class have equal
     blocks [D | A_ring] at every parameter.  A row sums each class's block
-    from its first patch's elements (``_class_matrices``): per element of a
-    part, ``term_part`` (N,) the part, and per trace unknown of it
-    ``term_row`` (N, n_G) and ``term_col`` the offset of its row and its
-    column in the classes' blocks padded to (C, m + 1, m + w + 1), a place
-    in the padding where the unknown is no spoke's or none of the patch's.
-    ``rest_dst`` holds the places in the blocks (C, m, m + w) of the
-    entries that elements outside the parts add, and ``rest_src`` their
-    positions in the data of the rest's CSR (``CondensedSystem.rest``);
-    both are empty without such elements, and unused on a mesh with no
-    part, where the rest is A_g and a row reads the blocks from its rows
-    at the ranks."""
+    from its first patch's elements (``_class_matrices``), class by class:
+    per element, a term, ``term_block`` (N,) the row of its block in
+    ``CondensedSystem.blocks``, and per trace unknown of it ``term_row``
+    (N, n_G) and ``term_col`` the offset of its row and its column in its
+    batch's blocks padded to (C_b, m + 1, m + w + 1), a place in the padding
+    where the unknown is no spoke's or none of the patch's.  ``batches``
+    holds per batch its classes and its terms, as two slices: whole classes
+    of at most ``_BATCH`` padded entries together, or one class."""
 
     take: np.ndarray
     d: int
     e: int
-    rank: np.ndarray
     ends: np.ndarray
     cls: np.ndarray
     first: np.ndarray
-    term_part: np.ndarray
+    term_block: np.ndarray
     term_row: np.ndarray
     term_col: np.ndarray
-    rest_dst: np.ndarray
-    rest_src: np.ndarray
+    batches: list
 
     @property
     def m(self) -> int:
@@ -419,13 +410,12 @@ def _patch_classes(
     tri_rank: np.ndarray,
     own: np.ndarray,
     rim: np.ndarray,
-    take: np.ndarray,
 ) -> tuple:
     """The classes of the P vertex patches with spokes ``own`` (P, d) and
-    ring ``rim`` (P, e), free-edge ranks, and gathers ``take``, and the
-    tables from which a row sums each class's block: the ``_PatchGroup``
-    fields from ``cls`` on. ``tri_rank`` (nt, 3) holds each element's
-    free-edge ranks, -1 at an essential edge.
+    ring ``rim`` (P, e), free-edge ranks, and the tables from which a row
+    sums each class's block: the ``_PatchGroup`` fields from ``cls`` on.
+    ``tri_rank`` (nt, 3) holds each element's free-edge ranks, -1 at an
+    essential edge.
 
     A patch's elements are those on its spokes. Each of them holds only
     edges of the patch (spokes and ring) and essential edges, and its
@@ -454,35 +444,26 @@ def _patch_classes(
     key[els < 0] = -1
     first, cls = distinct_rows(np.sort(key, axis=1))
 
-    # the terms: each element of a part on a class's first patch, with the
-    # place of each of its trace unknowns in the block's columns (the last
-    # row of ``place`` is the padding, for an edge off the patch)
-    els, part = els[first], condensed.part[at[first]]
-    held = (els >= 0) & (part >= 0)
+    # the terms: each element on a class's first patch, class by class, with
+    # the place of each of its trace unknowns in the block's columns (the
+    # last row of ``place`` is the padding, for an edge off the patch)
+    els = els[first]
+    held = els >= 0
     cols = _block_columns(k, d, e)
     place = np.full((d + e + 1, 2 * k + 1), mw, np.intp)
     place[cols.edge, np.where(cols.tangential, k + 1, 0) + cols.mode] = np.arange(mw)
     lay = trace_layout(k)
     col = place[pe[first][held][:, lay.edge], np.where(lay.tangential, k + 1, 0) + lay.mode]
-    cix = np.nonzero(held)[0][:, None]  # the class of each term
-    row = (cix * (m + 1) + np.minimum(col, m)) * (mw + 1)  # the spokes' unknowns are the rows
+    cix = np.nonzero(held)[0]  # the class of each term, ascending
 
-    # the entries that the rest adds to the classes whose first patch holds
-    # an element outside the parts, at their positions in its pattern; with
-    # no part the rest is A_g, and a row reads it at the ranks
-    rest_dst = rest_src = np.zeros(0, np.intp)
-    rest = condensed.rest
-    rc = np.flatnonzero(((els >= 0) & (part < 0)).any(axis=1))
-    if rc.size and rest is not condensed.a_g:
-        t = take[first[rc]]
-        n = condensed.a_g.shape[0]
-        r = np.repeat(t[:, :m], mw, axis=1)  # (C_r, m mw): each block entry's row
-        c = np.tile(np.concatenate([t[:, :m], t[:, m:] - n], axis=1), m)  # and column
-        pos = np.asarray(position_map(rest)[r.ravel(), c.ravel()]).reshape(r.shape) - 1
-        dst = rc[:, None] * (m * mw) + np.arange(m * mw)
-        inside = pos >= 0
-        rest_dst, rest_src = dst[inside], pos[inside]
-    return cls, first, part[held], row, col, rest_dst, rest_src
+    # the batches: runs of ``per`` classes, and each term's row offset in
+    # its batch's padded blocks (the spokes' unknowns are the rows)
+    per = max(1, _BATCH // ((m + 1) * (mw + 1)))
+    row = ((cix % per)[:, None] * (m + 1) + np.minimum(col, m)) * (mw + 1)
+    ends = np.r_[0 : first.size : per, first.size]
+    c, t = ends.tolist(), np.searchsorted(cix, ends).tolist()
+    batches = [(slice(*c[i : i + 2]), slice(*t[i : i + 2])) for i in range(len(c) - 1)]
+    return cls, first, condensed.block_row[els[held]], row, col, batches
 
 
 def _colour_plan(groups: list) -> list:
@@ -525,45 +506,23 @@ def _colour_plan(groups: list) -> list:
 def _class_matrices(cond: CondensedSystem, g: _PatchGroup) -> np.ndarray:
     """The sweep matrices M = [D^-1 | -D^-1 A_ring] (C, m, m + w) of the
     classes of the group ``g`` in the row ``cond``, each formed once from its
-    block [D | A_ring]. The block sums the class blocks of its first patch's
-    elements into zeros, in one ``np.bincount`` over the padded blocks, and
-    then adds the rest's entries: every entry the sum that A_g holds, bit
-    for bit. With no part, the blocks are read from the rest, A_g itself."""
+    block [D | A_ring]. The block sums the element blocks
+    (``CondensedSystem.blocks``) of its first patch's elements into zeros,
+    in one ``np.bincount`` over the padded blocks per batch of classes.
+    Every entry sums at most two element terms, as A_g's does, and two
+    floats add alike in either order, so it is the entry of A_g bit for
+    bit."""
     m, mw = g.m, g.take.shape[1]
-    if cond.class_blocks.shape[0]:
-        at = g.term_row[:, :, None] + g.term_col[:, None, :]
+    blocks = np.empty((g.first.size, m, mw))
+    for cls, terms in g.batches:
         padded = np.bincount(
-            at.ravel(),
-            weights=cond.class_blocks[g.term_part].ravel(),
-            minlength=g.first.size * (m + 1) * (mw + 1),
+            (g.term_row[terms, :, None] + g.term_col[terms, None, :]).ravel(),
+            weights=cond.blocks[g.term_block[terms]].ravel(),
+            minlength=(cls.stop - cls.start) * (m + 1) * (mw + 1),
         )
-        # float: np.bincount of no term counts in int
-        blocks = np.ascontiguousarray(padded.reshape(-1, m + 1, mw + 1)[:, :m, :mw], float)
-        if g.rest_dst.size:
-            blocks.reshape(-1)[g.rest_dst] += cond.rest.csr.data[g.rest_src]
-    else:
-        blocks = _csr_blocks(cond.rest.csr, g.take[g.first], g.rank[g.first])
+        blocks[cls] = padded.reshape(-1, m + 1, mw + 1)[:, :m, :mw]
     dinv = np.linalg.inv(blocks[:, :, :m])
     return np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
-
-
-def _csr_blocks(a: sp.csr_matrix, take: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The blocks [D | A_ring] (P, m, m + w) of the P patches ``take``,
-    ``rank`` of one group, read from A_g's CSR ``a`` at the positions that
-    ``block_positions`` gives from its row starts (0 outside its pattern),
-    in batches of ``_BATCH`` entries."""
-    p, d, dc = rank.shape
-    m = take.shape[1] // dc * d
-    k = (m // d - 1) // 2
-    layout, cols = trace_layout(k, d, by_edge=True), _block_columns(k, d, dc - d)
-    out = np.empty((p, m, take.shape[1]))
-    step = max(1, _BATCH // (m * take.shape[1]))
-    for lo in range(0, p, step):
-        batch = slice(lo, lo + step)
-        pos = block_positions(a.indptr.take(take[batch, :m]), rank[batch], layout, a.nnz, cols)
-        out[batch] = a.data.take(pos, mode="clip")
-        out[batch][pos == a.nnz] = 0.0
-    return out
 
 
 @functools.cache
@@ -744,9 +703,9 @@ class AspStructure:
     k, essential data), shared by every row of a sweep: the auxiliary space
     with its transfer, and for the patch smoother the patches, classed, as
     ``_PatchGroup``s, and the ``colours`` with their parts, over whose M's a
-    row plans its sweep.  It keeps no position in A_g's data: with no
-    element class a row computes them per batch of classes from A_g's row
-    starts.  A Jacobi structure holds no patches."""
+    row plans its sweep.  It keeps no position in A_g's data: a row sums
+    each class's block from the element blocks, in the batches each group
+    plans.  A Jacobi structure holds no patches."""
 
     smoother: str
     aux: AuxSpace
@@ -806,12 +765,9 @@ def asp_structure(
             # the ring's unknowns in ascending order, A_g's column order
             rim_unknowns = np.sort(edofs[rim].reshape(ps.size, -1), axis=1) + edofs.size
             take = np.concatenate([edofs[own].reshape(ps.size, -1), rim_unknowns], axis=1)
-            rank = None
-            if condensed.rest is a_g:  # no large element class: _csr_blocks reads them
-                rank = edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
             ends = np.searchsorted(colour[ps], np.arange(colour.max() + 2))
-            classes = _patch_classes(spaces, condensed, tri_rank, own, rim, take)
-            groups.append(_PatchGroup(take, int(d), int(e), rank, ends, *classes))
+            classes = _patch_classes(spaces, condensed, tri_rank, own, rim)
+            groups.append(_PatchGroup(take, int(d), int(e), ends, *classes))
         colours = _colour_plan(groups)
     return AspStructure(smoother, aux_space(spaces, a_g), groups, colours)
 
@@ -830,11 +786,10 @@ def build_asp(
     sweep; without it (the traced benchmark and the tests), that part is
     built here for ``smoother``.  A row then only assembles and factors the
     auxiliary operator and, for the patch smoother, sums each patch class's
-    block from the condensed class blocks and the rest, and forms its sweep
-    matrix once (``_class_matrices``), over which ``_sweep_plan`` lays out
-    the row's sweep on the structure's colours, the row's one sweep
-    object.  It does not assemble A_g, except that on a mesh with no
-    element class the rest is A_g.  Jacobi reads only A_g's diagonal
+    block from the element blocks ``CondensedSystem.blocks`` and forms its
+    sweep matrix once (``_class_matrices``), over which ``_sweep_plan`` lays
+    out the row's sweep on the structure's colours, the row's one sweep
+    object.  It does not assemble A_g.  Jacobi reads only A_g's diagonal
     (``CondensedSystem.a_g_diagonal``).
     """
     if structure is None:

@@ -17,7 +17,7 @@ from divhdg import (
     step_domain,
     unit_square,
 )
-from divhdg.condense import edge_ranks
+from divhdg.linalg import distinct_rows
 from divhdg.mesh import TAG_WALL, build_mesh
 
 _CACHE = {}
@@ -26,14 +26,16 @@ _CACHE = {}
 def jittered_square(n):
     """unit_square(n) with each vertex moved by a fixed pseudo-random offset of
     at most h/5 per coordinate, boundary vertices only along the boundary, so
-    that no two elements are congruent. Every triangle stays
-    counter-clockwise, and every edge keeps its unit_square tag."""
+    that no two elements are alike: no two have equal Jacobians. Every
+    triangle stays counter-clockwise, and every edge keeps its unit_square
+    tag."""
     base = unit_square(n)
     v = base.vertices.copy()
     step = np.random.default_rng(n).uniform(-0.2 / n, 0.2 / n, v.shape)
     step[(v == 0.0) | (v == 1.0)] = 0.0
     mesh = replace(build_mesh(v + step, base.triangles), edge_tags=base.edge_tags)
-    assert np.unique(np.round(mesh.det_j, 12)).size == mesh.num_triangles
+    first, _ = distinct_rows(mesh.jacobians.reshape(mesh.num_triangles, 4))
+    assert first.size == mesh.num_triangles
     return mesh
 
 
@@ -91,20 +93,6 @@ def colour_patches(structure):
         for c, (lo, hi) in enumerate(zip(g.ends[:-1], g.ends[1:])):
             out[c] += [(t[: g.m], t[g.m :] - n) for t in g.take[lo:hi]]
     return out
-
-
-def patch_ranks(a_g, g):
-    """The ranks (P, d, d + e) int8 of each patch's spokes among its spokes
-    and its ring in the free-edge graph of ``a_g`` (``condense.TracePattern``),
-    by ``condense.edge_ranks``, for a ``precond._PatchGroup`` ``g``. The
-    spokes' and ring edges' free-edge ranks are read back from the normal
-    mode 0 of each in ``g.take``: a spoke's 2k+1 unknowns are in turn, and
-    the ring's normal modes come first, in ascending edge rank."""
-    n = a_g.shape[0]
-    k = (g.take.shape[1] // (g.d + g.e) - 1) // 2
-    own = g.take[:, : g.m : 2 * k + 1] // (k + 1)
-    rim = (g.take[:, g.m : g.m + g.e * (k + 1) : k + 1] - n) // (k + 1)
-    return edge_ranks(a_g.graph, own, np.concatenate([own, rim], axis=1))
 
 
 class Filled(NamedTuple):

@@ -18,22 +18,17 @@ from divhdg.assembly import (
     assemble_saddle,
     element_chunks,
     free_rhs,
+    position_map,
     pressure_c_diagonal,
 )
 from divhdg.bench import Structure, build_structure
-from divhdg.condense import (
-    back_substitute,
-    block_positions,
-    condensed_structure,
-    eliminate_local,
-    trace_layout,
-)
+from divhdg.condense import back_substitute, condensed_structure, eliminate_local
 from divhdg.linalg import NotSPD, SparseSym, distinct_rows
 from divhdg.mesh import step_domain, unit_square
 from divhdg.precond import asp_structure, build_asp, schur_structure
 from divhdg.spaces import build_spaces, interpolate_essential
 
-from conftest import jittered_square, patch_matrices, patch_ranks, swept_colours
+from conftest import jittered_square, patch_matrices, swept_colours
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +134,28 @@ def _former_back_substitute(cond, trace_sol, pbar_sol):
     return vel, pressure
 
 
-def _per_patch_blocks(a, take, rank):
+def _per_patch_blocks(a, g):
     """Each patch's own block [D | A_ring] (P, m, m + w) of one
-    ``precond._PatchGroup``, gathered from A_g's CSR ``a`` at the positions
-    that ``block_positions`` gives, in batches of patches."""
-    p, d, dc = rank.shape
-    m = take.shape[1] // dc * d
-    k = (m // d - 1) // 2
-    layout, cols = trace_layout(k, d, by_edge=True), precond._block_columns(k, d, dc - d)
-    out = np.empty((p, m, take.shape[1]))
-    step = max(1, precond._BATCH // (m * take.shape[1]))
-    for lo in range(0, p, step):
-        batch = slice(lo, lo + step)
-        start = a.indptr.take(take[batch, :m])
-        pos = block_positions(start, rank[batch], layout, a.nnz, cols)
-        out[batch] = a.data.take(pos, mode="clip")
-        out[batch][pos == a.nnz] = 0.0
-    return out
+    ``precond._PatchGroup`` ``g``, read from A_g's CSR ``a`` by lookups of
+    its ``position_map``: rows the patch's unknowns, columns the patch's and
+    then the ring's, 0 outside A_g's pattern."""
+    m, n = g.m, a.shape[0]
+    rows, cols = g.take[:, :m], np.concatenate([g.take[:, :m], g.take[:, m:] - n], axis=1)
+    shape = (rows.shape[0], m, cols.shape[1])
+    pos = position_map(a)[
+        np.broadcast_to(rows[:, :, None], shape).ravel(),
+        np.broadcast_to(cols[:, None, :], shape).ravel(),
+    ]
+    pos = np.asarray(pos).reshape(shape) - 1  # -1 outside the pattern
+    return np.where(pos >= 0, a.data[pos], 0.0)
 
 
-def _per_patch_matrices(a, take, rank):
+def _per_patch_matrices(a, g):
     """Each patch's own M = [D^-1 | -D^-1 A_ring] (P, m, m + w) of one
-    ``precond._PatchGroup``, from its block in A_g's CSR ``a``."""
-    m = take.shape[1] // rank.shape[2] * rank.shape[1]
-    blocks = _per_patch_blocks(a, take, rank)
-    dinv = np.linalg.inv(blocks[:, :, :m])
-    return np.concatenate([dinv, -(dinv @ blocks[:, :, m:])], axis=2)
+    ``precond._PatchGroup`` ``g``, from its block in A_g's CSR ``a``."""
+    blocks = _per_patch_blocks(a, g)
+    dinv = np.linalg.inv(blocks[:, :, : g.m])
+    return np.concatenate([dinv, -(dinv @ blocks[:, :, g.m :])], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,7 @@ def _assert_per_patch_matrices(s, cond, asp):
         for ids, _, mat in patch_matrices(colour, n):
             got.setdefault(tuple(ids), []).append(mat)
     for g in s.asp.groups:
-        want = _per_patch_matrices(a, g.take, patch_ranks(s.condensed.a_g, g))
+        want = _per_patch_matrices(a, g)
         for t, mat in zip(g.take, want):
             assert np.array_equal(got[tuple(t[: g.m])].pop(), mat)
     assert not any(got.values())
@@ -399,24 +390,70 @@ def patch_structure(request):
     return request.param, _structure(make_mesh(), problem, k)
 
 
-def test_ranks_kept_only_where_read(patch_structure):
-    """A group keeps its spokes' ranks only on a mesh with no element class
-    of at least ``_CLASS_MIN``, where a row reads the blocks from A_g's
-    rows at them; they are then those of ``condense.edge_ranks``."""
+def _assert_batches_tile(s, groups):
+    """Each group's batches tile its classes and its terms in order: each
+    batch holds ``max(1, _BATCH // padded block entries)`` classes (the last
+    fewer), its terms are the elements of its classes' first patches once
+    each, class by class, and their rows and columns address its padded
+    blocks."""
+    k = s.spaces.k
+    edge_elems = s.mesh.edge_elems[s.condensed.a_g.free_edges]
+    for g in groups:
+        m, mw = g.m, g.take.shape[1]
+        size = (m + 1) * (mw + 1)
+        per = max(1, precond._BATCH // size)
+        assert g.term_block.shape == g.term_row.shape[:1] == g.term_col.shape[:1]
+        lo = tlo = 0
+        for cls, terms in g.batches:
+            assert (cls.start, terms.start) == (lo, tlo)
+            assert cls.stop - lo == min(per, g.first.size - lo)
+            at = g.term_row[terms, :, None] + g.term_col[terms, None, :]
+            assert at.min() >= 0 and at.max() < (cls.stop - cls.start) * size
+            # each term's class, from its row in the batch
+            of = cls.start + g.term_row[terms].min(axis=1) // size
+            assert np.all(g.term_row[terms].max(axis=1) // size == of - cls.start)
+            for c in range(cls.start, cls.stop):
+                spokes = g.take[g.first[c], : m : 2 * k + 1] // (k + 1)
+                els = np.unique(edge_elems[spokes])
+                els = els[els >= 0]
+                assert np.array_equal(g.term_block[terms][of == c], s.condensed.block_row[els])
+            lo, tlo = cls.stop, terms.stop
+        assert (lo, tlo) == (g.first.size, g.term_block.size)
+
+
+def test_element_blocks_and_batches(monkeypatch, patch_structure):
+    """A row's element blocks ``cond.blocks`` are the class blocks, then
+    each rest element's own block in element order, bit for bit the former
+    per-element condensation's, each element's at its ``block_row``; and the
+    planned batches tile each group's classes and terms, at the default
+    ``_BATCH`` and at one class per batch."""
     name, s = patch_structure
-    assert (s.condensed.rest is s.condensed.a_g) == (name == "jittered")
-    for g in s.asp.groups:
-        if name == "jittered":
-            assert np.array_equal(g.rank, patch_ranks(s.condensed.a_g, g))
-        else:
-            assert g.rank is None
+    params = ProblemParams(tau=1.0, inv_lambda=1.0)
+    block = assemble_saddle(s.mesh, s.spaces, params, s.essential, stacks=s.stacks)
+    got = eliminate_local(block, s.condensed)
+    want = _former_eliminate_local(block, s.condensed).blocks
+    part = s.condensed.part
+    members, rest = np.flatnonzero(part >= 0), np.flatnonzero(part < 0)
+    n_class = s.condensed.ends.size - 1
+    assert (rest.size == part.size) == (name == "jittered")
+    assert got.blocks.shape == (n_class + rest.size, *want.shape[1:])
+    assert got.class_blocks.shape[0] == n_class
+    assert n_class == 0 or np.shares_memory(got.class_blocks, got.blocks)
+    assert np.array_equal(got.blocks[part[members]], want[members])
+    assert np.array_equal(got.blocks[n_class:], want[rest])
+    assert np.array_equal(got.blocks[s.condensed.block_row], want)
+    _assert_batches_tile(s, s.asp.groups)
+    monkeypatch.setattr(precond, "_BATCH", 1)
+    one = asp_structure(s.spaces, s.condensed).groups
+    assert all(len(g.batches) == g.first.size for g in one)
+    _assert_batches_tile(s, one)
 
 
 @pytest.mark.parametrize("tau,inv_lambda", [(1.0, 1.0), (0.0, 0.0), (100.0, 0.0)])
 class TestPatchClasses:
     """The structure classes the patches by their elements' classes and
-    places alone; a row sums each class's block from the class blocks and
-    the rest, without assembling A_g."""
+    places alone; a row sums each class's block from the element blocks,
+    without assembling A_g."""
 
     def test_classes_are_the_bit_equal_blocks(self, patch_structure, tau, inv_lambda):
         """Two patches of a group share a class exactly when their blocks
@@ -426,7 +463,7 @@ class TestPatchClasses:
         assert "A_g" not in vars(cond)
         a = cond.A_g.csr
         for g in s.asp.groups:
-            blocks = _per_patch_blocks(a, g.take, patch_ranks(s.condensed.a_g, g))
+            blocks = _per_patch_blocks(a, g)
             assert list(g.cls) == _bit_classes(blocks)
             assert np.array_equal(g.first, np.unique(g.cls, return_index=True)[1])
         n_classes = sum(g.first.size for g in s.asp.groups)

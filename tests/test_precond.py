@@ -6,13 +6,7 @@ import scipy.sparse.linalg as spla
 
 from divhdg import precond
 from divhdg.assembly import ProblemParams, assemble_saddle, position_map, scatter_stack
-from divhdg.condense import (
-    block_positions,
-    condensed_structure,
-    edge_ranks,
-    eliminate_local,
-    trace_layout,
-)
+from divhdg.condense import condensed_structure, edge_ranks, eliminate_local
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import SparseSym, factor_spd
 from divhdg.mesh import TAG_INLET, TAG_OUTLET, TAG_WALL, build_mesh, step_domain, unit_square
@@ -31,7 +25,6 @@ from conftest import (
     colour_patches,
     jittered_square,
     patch_matrices,
-    patch_ranks,
     pipeline,
     swept_colours,
     wall_triangle,
@@ -766,8 +759,6 @@ class TestFreeEdgeGraph:
         assert np.array_equal(edge_ranks(a_g.graph, beside), search(beside))
         got = edge_ranks(a_g.graph, edges)
         assert got.dtype == np.int8 and np.array_equal(got, search(edges))
-        # rectangular: the first two edges of each list among all four
-        assert np.array_equal(edge_ranks(a_g.graph, edges[:, :2], edges), got[:, :2])
         essential = (edges < 0)[:, :, None] | (edges < 0)[:, None, :]
         assert np.all(got[essential] == -1)
         if name != "no-free-edge":
@@ -809,8 +800,7 @@ class TestAuxSpace:
 
 class TestEdgeLevelStructure:
     """The patch structure keeps free-edge data only: its colours equal the
-    former unknown-level colouring's, and the block positions a row computes
-    from A_g's row starts equal lookups of A_g's position map."""
+    former unknown-level colouring's."""
 
     @pytest.fixture(params=[1, 2, 3, 4])
     def cond(self, request, name):
@@ -830,35 +820,6 @@ class TestEdgeLevelStructure:
         ]
         if name == "no-free-edge":
             assert structure.groups == []
-
-    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
-    def test_block_positions_equal_position_map(self, cond, name):
-        """The positions of each patch's block [D | A_ring], rows the patch's
-        unknowns and columns the patch's then the ring's."""
-        a = cond.A_g.csr
-        pos = position_map(a)
-        k, n = cond.spaces.k, cond.n_free
-        outside = 0
-        for g in _structure(cond).groups:
-            p, d, m = g.take.shape[0], g.d, g.m
-            rows, cols = g.take[:, :m], np.concatenate([g.take[:, :m], g.take[:, m:] - n], 1)
-            got = block_positions(
-                a.indptr[rows],
-                patch_ranks(cond.structure.a_g, g),
-                trace_layout(k, d, by_edge=True),
-                a.nnz,
-                precond._block_columns(k, d, g.e),
-            )
-            shape = (p, m, cols.shape[1])
-            want = pos[
-                np.broadcast_to(rows[:, :, None], shape).ravel(),
-                np.broadcast_to(cols[:, None, :], shape).ravel(),
-            ]
-            want = np.asarray(want).reshape(shape) - 1
-            want[want < 0] = a.nnz  # outside A_g's pattern
-            assert np.array_equal(got, want)
-            outside += np.count_nonzero(got == a.nnz)
-        assert outside > 0 or name == "no-free-edge"
 
 
 def _former_colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
@@ -927,15 +888,27 @@ class TestPatchPositions:
         # two edges of one patch that share no triangle do not couple
         assert outside > 0
 
-    @pytest.mark.parametrize("problem,n,k", [("step", 2, 3), ("cavity", 16, 2)])
-    def test_batches_give_the_same_matrices(self, monkeypatch, problem, n, k):
-        # a row classes the patches batch by batch; one patch per batch gives
-        # the same classes, order and bits as whole groups (only the cavity
-        # at 1/h=16 has stacks of classes)
+    @pytest.mark.parametrize(
+        "problem,n,k,stacked",
+        [
+            ("step", 2, 3, False),
+            ("cavity", 16, 2, True),
+            ("jittered", 4, 2, False),
+            ("cavity", 7, 2, False),
+        ],
+        ids=["step-2-3", "cavity-16-2", "jittered-4-2", "cavity-7-2"],
+    )
+    def test_batches_give_the_same_matrices(self, monkeypatch, problem, n, k, stacked):
+        # a row sums the class blocks in the batches its structure plans;
+        # one class per batch gives the same classes, order and bits as
+        # whole groups, on a mesh with no large element class
+        # (jittered_square(4)) and one with some (unit_square(7)) too. Only
+        # the cavity at 1/h=16 has stacks of classes
         *_, cond = pipeline(problem, n, k)
-        structure = _structure(cond)
-        whole = build_asp(cond, structure=structure)
+        whole = build_asp(cond, structure=_structure(cond))
         monkeypatch.setattr(precond, "_BATCH", 1)
+        structure = _structure(cond)
+        assert all(len(g.batches) == g.first.size for g in structure.groups)
         got = swept_colours(build_asp(cond, structure=structure))
         for blk, ref in zip(got, swept_colours(whole)):
             assert np.array_equal(blk.rows, ref.rows) and np.array_equal(blk.take, ref.take)
@@ -943,7 +916,7 @@ class TestPatchPositions:
             for (_, mat), (_, want) in zip(blk.parts, ref.parts):
                 assert np.array_equal(mat, want)
         classes = any(p > 1 for c in structure.colours for p, _, _ in c.parts)
-        assert classes == (problem == "cavity")
+        assert classes == stacked
 
     def test_structure_chooses_the_smoother(self):
         *_, cond = pipeline("cavity", 2, 2, tau=1.0, inv_lambda=1.0)
