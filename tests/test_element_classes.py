@@ -421,6 +421,28 @@ def _assert_batches_tile(s, groups):
         assert (lo, tlo) == (g.first.size, g.term_block.size)
 
 
+def test_ranks_kept_only_where_read(patch_structure):
+    """No patch group keeps its spokes' edge ranks, as a row sums its patch
+    blocks from the element blocks on every mesh. The ranks kept are each
+    element's among its own edges, which ``TracePattern.slots`` reads to
+    place its block in A_g: edge c's place among the sorted neighbour edges
+    of edge r in the free-edge graph, -1 where either is essential."""
+    _, s = patch_structure
+    a_g = s.condensed.a_g
+    assert s.asp.groups and not any(hasattr(g, "rank") for g in s.asp.groups)
+    erank = np.full(s.mesh.num_edges, -1)
+    erank[a_g.free_edges] = np.arange(a_g.free_edges.size)
+    graph = a_g.graph
+    want = np.full((s.mesh.num_triangles, 3, 3), -1)
+    for t, tri in enumerate(erank[s.mesh.tri_edges].tolist()):
+        for i, r in enumerate(tri):
+            nbrs = graph.indices[graph.indptr[r] : graph.indptr[r + 1]].tolist() if r >= 0 else []
+            for j, c in enumerate(tri):
+                if c >= 0 and c in nbrs:
+                    want[t, i, j] = nbrs.index(c)
+    assert a_g.edge_rank.dtype == np.int8 and np.array_equal(a_g.edge_rank, want)
+
+
 def test_element_blocks_and_batches(monkeypatch, patch_structure):
     """A row's element blocks ``cond.blocks`` are the class blocks, then
     each rest element's own block in element order, bit for bit the former

@@ -6,7 +6,13 @@ import scipy.sparse.linalg as spla
 
 from divhdg import precond
 from divhdg.assembly import ProblemParams, assemble_saddle, position_map, scatter_stack
-from divhdg.condense import condensed_structure, edge_ranks, eliminate_local
+from divhdg.condense import (
+    block_positions,
+    condensed_structure,
+    edge_ranks,
+    eliminate_local,
+    trace_layout,
+)
 from divhdg.krylov import minres, operator_condensed
 from divhdg.linalg import SparseSym, factor_spd
 from divhdg.mesh import TAG_INLET, TAG_OUTLET, TAG_WALL, build_mesh, step_domain, unit_square
@@ -800,7 +806,9 @@ class TestAuxSpace:
 
 class TestEdgeLevelStructure:
     """The patch structure keeps free-edge data only: its colours equal the
-    former unknown-level colouring's."""
+    former unknown-level colouring's, and the positions of each patch's
+    block D that ``block_positions`` computes from A_g's row starts equal
+    lookups of A_g's position map."""
 
     @pytest.fixture(params=[1, 2, 3, 4])
     def cond(self, request, name):
@@ -820,6 +828,37 @@ class TestEdgeLevelStructure:
         ]
         if name == "no-free-edge":
             assert structure.groups == []
+
+    @pytest.mark.parametrize("name", list(EDGE_LEVEL_MESHES))
+    def test_block_positions_equal_position_map(self, cond, name):
+        """The positions of each patch's block D, rows and columns the
+        patch's unknowns, each spoke's in turn; the spokes' free-edge ranks
+        are read back from the normal mode 0 of each in ``take``."""
+        a = cond.A_g.csr
+        pos = position_map(a)
+        k = cond.spaces.k
+        outside = 0
+        for g in _structure(cond).groups:
+            p, d, m = g.take.shape[0], g.d, g.m
+            rows = g.take[:, :m]
+            spokes = rows[:, :: 2 * k + 1] // (k + 1)
+            got = block_positions(
+                a.indptr[rows],
+                edge_ranks(cond.structure.a_g.graph, spokes),
+                trace_layout(k, d, by_edge=True),
+                a.nnz,
+            )
+            shape = (p, m, m)
+            want = pos[
+                np.broadcast_to(rows[:, :, None], shape).ravel(),
+                np.broadcast_to(rows[:, None, :], shape).ravel(),
+            ]
+            want = np.asarray(want).reshape(shape) - 1
+            want[want < 0] = a.nnz  # outside A_g's pattern
+            assert np.array_equal(got, want)
+            outside += np.count_nonzero(got == a.nnz)
+        # two spokes of one patch that share no element do not couple
+        assert outside > 0 or name == "no-free-edge"
 
 
 def _former_colour_patches(offsets, spokes, graph: sp.csr_matrix) -> np.ndarray:
