@@ -31,13 +31,13 @@ def edge_rule(degree: int) -> Rule:
 
 
 def triangle_rule(degree: int) -> Rule:
-    # in the collapsed coordinates a monomial of total degree d needs a 1D
-    # degree of d in a and d+1 in b, so n points handle total degree 2n-2
+    """Collapsed n x n Gauss rule, exact to total degree 2n-2 >= `degree`: a
+    monomial of total degree d needs 1D degree d in a and d+1 in b. One n-point
+    rule, computed once, serves both collapsed directions."""
     n = max((degree + 3) // 2, 1)
     a, wa = gauss01(n)
-    b, wb = gauss01(n)
-    A, B = np.meshgrid(a, b, indexing="ij")
+    A, B = np.meshgrid(a, a, indexing="ij")
     x = (A * (1.0 - B)).ravel()
     y = B.ravel()
-    w = (wa[:, None] * wb[None, :] * (1.0 - B)).ravel()
+    w = (wa[:, None] * wa[None, :] * (1.0 - B)).ravel()
     return Rule(np.column_stack([x, y]), w, 2 * n - 2)

@@ -25,6 +25,12 @@ Facet trace space: on each edge the k tangential-trace unknowns use the
 orthonormal shifted Legendre modes l_j(s) = sqrt(2j+1) P_j(2s-1) in the global
 (low vertex -> high vertex) edge parameterization.
 
+The basis is built from coefficient stacks (see ``poly``): each group is a
+few stacked products, and the Gram matrix of each orthonormalization pass and
+the divergence moments of the zero-trace functions against the pressure modes
+are one stacked product-and-integral each, summed in the order of per-pair
+loops, so every table is the same to the last bit.
+
 Each reference-element operation has one implementation here. ``_evaluate``
 returns values, gradients, divergences and pressure-mode values of the whole
 coefficient stack at any reference points; it serves the volume rule, the six
@@ -63,10 +69,13 @@ def _graded_monomials(max_deg: int) -> list[tuple[int, int]]:
     return [(d - j, j) for d in range(max_deg + 1) for j in range(d + 1)]
 
 
-def _mono(i: int, j: int, deg: int) -> np.ndarray:
-    c = poly.zero(deg)
-    c[i, j] = 1.0
-    return c
+def _monomials(deg: int) -> np.ndarray:
+    """Stack (t, deg+1, deg+1) of the graded monomials of degree <= deg."""
+    monos = _graded_monomials(deg)
+    out = np.zeros((len(monos), deg + 1, deg + 1))
+    for a, (i, j) in enumerate(monos):
+        out[a, i, j] = 1.0
+    return out
 
 
 def orthonormal_pressure_modes(k: int) -> np.ndarray:
@@ -75,20 +84,12 @@ def orthonormal_pressure_modes(k: int) -> np.ndarray:
     Mode 0 is constant; modes 1.. are mean zero. Returns (R, k, k) coefficient
     stack with R = k(k+1)/2, orthonormal in the reference L2 inner product.
     """
-    monos = _graded_monomials(k - 1)
-    r = len(monos)
-    out = np.zeros((r, k, k))
-    for a, (i, j) in enumerate(monos):
-        out[a, i, j] = 1.0
+    out = _monomials(k - 1)
     # repeated orthonormalization passes against the exact Gram matrix remove
-    # the conditioning loss of the raw monomial basis
+    # the conditioning loss of the raw monomial basis; each pass forms the
+    # Gram matrix as one stack of products and integrals
     for _ in range(3):
-        gram = np.empty((r, r))
-        for a in range(r):
-            for b in range(r):
-                gram[a, b] = poly.tri_integral(
-                    poly.mul(poly.pad(out[a], k - 1), poly.pad(out[b], k - 1))
-                )
+        gram = poly.tri_integral(poly.mul(out[:, None], out[None]))
         coeff = np.linalg.inv(np.linalg.cholesky(gram))
         out = np.einsum("ab,bij->aij", coeff, out)
     return out
@@ -247,15 +248,10 @@ def _edge_points(s: np.ndarray) -> np.ndarray:
 def _nullspace_interior(k: int, facet: FacetBasis) -> np.ndarray:
     """Coefficients (n, 2, k+1, k+1) of a basis of the zero-normal-trace
     subspace of degree-k vector polynomials (dimension k^2 - 1)."""
-    monos = _graded_monomials(k)
-    t = len(monos)
-    cols = []  # (2, k+1, k+1) per column
-    for comp in range(2):
-        for i, j in monos:
-            c = np.zeros((2, k + 1, k + 1))
-            c[comp, i, j] = 1.0
-            cols.append(c)
-    stack = np.array(cols)  # (2t, 2, k+1, k+1)
+    monos = _monomials(k)
+    stack = np.zeros((2, len(monos), 2, k + 1, k + 1))
+    stack[0, :, 0], stack[1, :, 1] = monos, monos
+    stack = stack.reshape((-1,) + stack.shape[2:])  # (2t, 2, k+1, k+1)
 
     w = facet.rule.weights
     rows = []
@@ -294,57 +290,48 @@ def _freeze(obj):
 @functools.cache
 def build_reference_bdm(k: int) -> ReferenceBasis:
     """Construct the hierarchical reference basis and all evaluation tables,
-    once per degree: the result is cached and its tables are read-only."""
+    once per degree: the result is cached and its tables are read-only.
+
+    The cache lives in the process, so every fresh process (each benchmark
+    repetition, each CLI run) pays the build in its set-up. The groups
+    (a)-(d) are built as coefficient stacks. Raises RuntimeError unless the
+    zero-trace subspace has dimension k^2 - 1 and zero-mean divergences."""
     if not 1 <= k <= 4:
         raise ValueError("polynomial degree k must be in 1..4")
     facet = build_facet_basis(k)
     lam = poly.barycentric()
-    deg = k + 1  # storage degree for vector components
+    p, q = EDGE_VERTS.T
 
-    funcs = []  # (2, k+1, k+1) arrays
-
-    # facet blocks: per edge, lowest-order flux then k curls of edge bubbles
-    for l in range(3):
-        p, q = EDGE_VERTS[l]
-        rt = np.zeros((2, k + 1, k + 1))
-        # x - v_l has unit flux through edge l and zero normal trace elsewhere
-        rt[0, 1, 0] = 1.0
-        rt[0, 0, 0] = -REF_VERTS[l][0]
-        rt[1, 0, 1] = 1.0
-        rt[1, 0, 0] = -REF_VERTS[l][1]
-        funcs.append(rt)
-        edge_lin = poly.add(lam[q], -lam[p])
-        for i in range(1, k + 1):
-            gen = poly.mul(
-                poly.mul(lam[p], lam[q]),
-                poly.compose_1d(poly.legendre_1d(i - 1), edge_lin),
-            )
-            funcs.append(_pad_vec(poly.curl(gen), k))
+    # facet blocks: per edge, lowest-order flux then k curls of edge bubbles.
+    # x - v_l has unit flux through edge l and zero normal trace elsewhere
+    rt = np.zeros((3, 1, 2, k + 1, k + 1))
+    rt[:, 0, 0, 1, 0] = 1.0
+    rt[:, 0, 0, 0, 0] = -REF_VERTS[:, 0]
+    rt[:, 0, 1, 0, 1] = 1.0
+    rt[:, 0, 1, 0, 0] = -REF_VERTS[:, 1]
+    edge_bump, edge_lin = poly.mul(lam[p], lam[q]), lam[q] - lam[p]
+    gens = [poly.mul(edge_bump, poly.compose_1d(poly.legendre_1d(i - 1), edge_lin))
+            for i in range(1, k + 1)]  # per i, the 3 edges' generators
+    bubbles = np.stack([poly.pad(poly.curl(g), k) for g in gens], axis=1)
+    facets = np.concatenate([rt, bubbles], axis=1)
 
     # interior divergence-free: curls of the element bubble times P^{k-2}
-    bubble = poly.mul(poly.mul(lam[0], lam[1]), lam[2])
-    monos_c = _graded_monomials(k - 2) if k >= 2 else []
-    for i, j in monos_c:
-        gen = poly.mul(bubble, _mono(i, j, max(k - 2, 0)))
-        funcs.append(_pad_vec(poly.curl(gen), k))
-    n_int_c = len(monos_c)
+    interior_c = np.zeros((0, 2, k + 1, k + 1))
+    if k >= 2:
+        bubble = poly.mul(poly.mul(lam[0], lam[1]), lam[2])
+        interior_c = poly.pad(poly.curl(poly.mul(bubble, _monomials(k - 2))), k)
+    n_int_c = interior_c.shape[0]
 
     # interior divergence carriers: zero normal trace, div = mean-zero modes
     qmodes = orthonormal_pressure_modes(k)
     n_int_d = qmodes.shape[0] - 1
+    carriers = np.zeros((0, 2, k + 1, k + 1))
     if n_int_d:
         zcols = _nullspace_interior(k, facet)  # (k^2-1, 2, k+1, k+1)
-        div_rows = np.array(
-            [
-                [
-                    poly.tri_integral(
-                        poly.mul(poly.divergence(z), poly.pad(qmodes[r], 2 * k))
-                    )
-                    for z in zcols
-                ]
-                for r in range(qmodes.shape[0])
-            ]
-        )  # (R, k^2-1)
+        # (R, k^2-1): every (pressure mode, zero-trace function) moment at once
+        div_rows = poly.tri_integral(
+            poly.mul(poly.divergence(zcols)[None], qmodes[:, None])
+        )
         if np.max(np.abs(div_rows[0])) > 1e-10:
             raise RuntimeError("zero-trace functions acquired nonzero mean divergence")
         sol, *_ = np.linalg.lstsq(div_rows[1:], np.eye(n_int_d), rcond=None)
@@ -353,12 +340,14 @@ def build_reference_bdm(k: int) -> ReferenceBasis:
                 div_rows[1:], np.eye(n_int_d) - div_rows[1:] @ sol, rcond=None
             )
             sol = sol + corr
-        funcs.extend(np.einsum("nj,ndab->jdab", sol, zcols))
+        carriers = np.einsum("nj,ndab->jdab", sol, zcols)
 
-    coeffs = np.array(funcs)
+    coeffs = np.concatenate(
+        [facets.reshape(-1, 2, k + 1, k + 1), interior_c, carriers]
+    )
     n_u = coeffs.shape[0]
     assert n_u == (k + 1) * (k + 2), n_u
-    div_coeffs = poly.diff_x(coeffs[:, 0]) + poly.diff_y(coeffs[:, 1])
+    div_coeffs = poly.divergence(coeffs)
 
     vol_rule = triangle_rule(2 * k + 2)
     vol_vals, vol_grads, vol_divs, vol_qvals = _evaluate(
@@ -413,13 +402,6 @@ def _moments(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     matmul."""
     xw = (x * w[:, None]).transpose(2, 0, 1)[:, None]  # (a, 1, i, q)
     return xw @ y.transpose(2, 1, 0)[None]  # (1, b, q, j)
-
-
-def _pad_vec(v: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((2, k + 1, k + 1))
-    d = v.shape[-1]
-    out[:, :d, :d] = v
-    return out
 
 
 def map_piola(jac: np.ndarray, det, vals: np.ndarray) -> np.ndarray:

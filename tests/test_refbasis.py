@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,13 @@ class TestCachedReference:
                     ref.facet.rule.weights, ref.vol_rule.points, ref.edge_vals[(0, 1)],
                     ref.edge_moments[(2, 0)].trace_trace):
             assert not arr.flags.writeable
+        # the monomial-integral table is cached per degree and shared by
+        # every degree's build: the Gram and divergence moments read d = 2k-2
+        table = poly._monomial_integrals(2 * ref.k - 2)
+        assert poly._monomial_integrals(2 * ref.k - 2) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
         with pytest.raises(ValueError):
             ref.mass_moments[0, 0, 0, 0] = 1.0
         with pytest.raises(TypeError):
@@ -206,6 +214,103 @@ class TestPressureModes:
         assert gram.shape == (n, n)
         assert np.abs(gram - np.eye(n)).max() <= 1e-12
         assert np.ptp(vals[0]) <= 1e-13
+
+
+def _pairwise_mul(a, b):
+    """The single-table product loop that the stacked ``poly.mul`` replaced."""
+    da, db = a.shape[0] - 1, b.shape[0] - 1
+    out = np.zeros((da + db + 1, da + db + 1))
+    for i in range(da + 1):
+        for j in range(da + 1):
+            if a[i, j] == 0.0:
+                continue
+            out[i : i + db + 1, j : j + db + 1] += a[i, j] * b
+    return out
+
+
+def _sequential_integral(c):
+    """The single-table entry-by-entry sum that the stacked
+    ``poly.tri_integral`` replaced."""
+    total = 0.0
+    for i in range(c.shape[0]):
+        for j in range(c.shape[1]):
+            if c[i, j] != 0.0:
+                total += c[i, j] * (
+                    math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
+                )
+    return total
+
+
+def _sparse_stack(rng, shape):
+    """Random tables with exact zeros and negative zeros among the entries."""
+    c = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    c[pick < 0.25] = 0.0
+    c[pick > 0.85] = -0.0
+    return c
+
+
+class TestPolynomialStacks:
+    """The stacked polynomial algebra adds the same products in the same
+    order as the single-table loops, so every table is bit-identical."""
+
+    @pytest.mark.parametrize("da, db", [(0, 0), (0, 3), (1, 2), (2, 1), (3, 3), (4, 2)])
+    def test_mul_equals_pairwise_loop(self, da, db):
+        rng = np.random.default_rng(10 * da + db)
+        a = _sparse_stack(rng, (4, 1, da + 1, da + 1))
+        b = _sparse_stack(rng, (1, 3, db + 1, db + 1))
+        got = poly.mul(a, b)
+        assert got.shape == (4, 3, da + db + 1, da + db + 1)
+        for p in range(4):
+            for q in range(3):
+                want = _pairwise_mul(a[p, 0], b[0, q])
+                assert got[p, q].tobytes() == want.tobytes()
+        # a single table against a stack broadcasts the same way
+        assert poly.mul(a[1, 0], b).tobytes() == got[1:2].tobytes()
+
+    def test_mul_exact_on_integers(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(-9, 10, (4, 4)).astype(float)
+        b = rng.integers(-9, 10, (3, 3)).astype(float)
+        want = [[Fraction(0)] * 6 for _ in range(6)]
+        for i, j, p, q in np.ndindex(4, 4, 3, 3):
+            want[i + p][j + q] += Fraction(int(a[i, j])) * Fraction(int(b[p, q]))
+        got = poly.mul(a, b)
+        for m, n in np.ndindex(6, 6):
+            assert Fraction(got[m, n]) == want[m][n]
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 4, 6, 9])
+    def test_tri_integral_equals_sequential_sum(self, d):
+        rng = np.random.default_rng(40 + d)
+        c = _sparse_stack(rng, (5, 3, d + 1, d + 1))
+        c[0, 0] = -0.0  # an all-zero table integrates to +0.0
+        got = poly.tri_integral(c)
+        assert got.shape == (5, 3)
+        for p, q in np.ndindex(5, 3):
+            want = np.float64(_sequential_integral(c[p, q]))
+            assert got[p, q].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [0, 3, 9])
+    def test_tri_integral_of_monomials(self, d):
+        monos = np.zeros((d + 1, d + 1, d + 1, d + 1))
+        for i, j in np.ndindex(d + 1, d + 1):
+            monos[i, j, i, j] = 1.0
+        got = poly.tri_integral(monos)
+        for i, j in np.ndindex(d + 1, d + 1):
+            exact = Fraction(
+                math.factorial(i) * math.factorial(j), math.factorial(i + j + 2)
+            )
+            assert got[i, j] == float(exact)
+
+    @pytest.mark.parametrize("j", range(5))
+    def test_legendre_closed_forms(self, j):
+        # every degree the library requests: j <= k = 4
+        e = np.zeros(j + 1)
+        e[j] = 1.0
+        ref = np.polynomial.legendre.leg2poly(e)
+        assert poly.legendre_1d(j).tobytes() == ref.tobytes()
+        shifted = np.polynomial.Polynomial(ref)(np.polynomial.Polynomial([-1.0, 2.0]))
+        assert poly.shifted_legendre(j).tobytes() == shifted.coef.tobytes()
 
 
 class TestQuadrature:
