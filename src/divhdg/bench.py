@@ -122,6 +122,7 @@ class BenchRow:
     inv_lambda: float
     alpha: float
     seed: int
+    smoother: str
     iters: int
     converged: bool
     final_relres: float
@@ -153,8 +154,8 @@ _CODECS = {
 CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 # the fields of the committed iteration table, tests/data/iterations.csv
-TABLE_COLUMNS = ("problem", "k", "inv_h", "mu", "tau", "inv_lambda", "iters", "converged",
-                 "final_relres")
+TABLE_COLUMNS = ("problem", "k", "inv_h", "mu", "tau", "inv_lambda", "smoother", "iters",
+                 "converged", "final_relres")
 
 
 def parse_csv(text: str) -> list:
@@ -233,6 +234,7 @@ def _row_fields(grid: ExperimentGrid, tup) -> dict:
         inv_lambda=invl,
         alpha=grid.alpha,
         seed=grid.seed,
+        smoother=grid.smoother,
     )
 
 
@@ -275,13 +277,34 @@ def solve_one(grid: ExperimentGrid, structure: Structure, tup) -> BenchRow:
         return _failed_row(grid, tup, exc, (time.perf_counter() - t0) * 1e3)
 
 
-def table_grids(inv_hs=(2, 4, 8)) -> list:
-    """The grids of the committed iteration table on the meshes ``inv_hs``:
-    cavity k=1,2,3 and step k=2,3, each at every (tau, 1/lambda) pair."""
+def table_grids() -> list:
+    """The grids of the committed iteration table: cavity k=1,2,3 and step
+    k=2,3 on 1/h = 2, 4, 8, each at every (tau, 1/lambda) pair, then fixed
+    grids on their own meshes, each for a path those do not reach."""
+    full = dict(inv_hs=[2, 4, 8], taus=[0.0, 1.0, 100.0, 1e4], inv_lambdas=[0.0, 1e-4, 1.0])
     return [
-        ExperimentGrid(problem=p, ks=ks, inv_hs=list(inv_hs), taus=[0.0, 1.0, 100.0, 1e4],
-                       inv_lambdas=[0.0, 1e-4, 1.0])
-        for p, ks in (("cavity", [1, 2, 3]), ("step", [2, 3]))
+        # at 1/h=2 no element class reaches _CLASS_MIN: every element is a class of one
+        ExperimentGrid(problem="cavity", ks=[1, 2, 3], **full),
+        ExperimentGrid(problem="step", ks=[2, 3], **full),
+        # the smallest and the largest trace layout, 3 and 9 unknowns per edge
+        ExperimentGrid(problem="step", ks=[1, 4], inv_hs=[2, 4]),
+        # Pi with free outlet vertices through the Jacobi smoother alone
+        ExperimentGrid(problem="step", ks=[1], inv_hs=[2, 4], smoother="jacobi"),
+        # mixed element classes (40 at 1/h=6: vertex coordinates that are not
+        # binary fractions), and several patch groups per colour at 1/h=16
+        ExperimentGrid(problem="step", ks=[3], inv_hs=[6, 16]),
+        # the three Schur paths with the Jacobi smoother: no inner solve at
+        # tau=0, deflated at 1/lambda=0, plain at 1/lambda=1
+        ExperimentGrid(ks=[2], inv_hs=[4], taus=[0.0, 1.0], inv_lambdas=[0.0, 1.0],
+                       smoother="jacobi"),
+        # the all-tail sweep at 1/h=12, where no patch class reaches
+        # _CLASS_MIN patches, and the walls' classes of fewer than _CLASS_MIN
+        # patches stacked at 1/h=16
+        ExperimentGrid(ks=[2], inv_hs=[12, 16], taus=[0.0, 1.0, 100.0], inv_lambdas=[0.0, 1.0]),
+        # mixed element classes at 1/h=10, thousands of patches per colour at 1/h=32
+        ExperimentGrid(ks=[2], inv_hs=[10, 32], taus=[1.0], inv_lambdas=[1.0]),
+        # 4608 elements: condensation streams them in nine chunks of 512
+        ExperimentGrid(ks=[2], inv_hs=[48], taus=[1.0], inv_lambdas=[1.0], smoother="jacobi"),
     ]
 
 

@@ -1,6 +1,9 @@
 """Command-line entry point: benchmark sweeps and the verification suite.
 
 The pressure block is always the exact Woodbury inverse (``build_schur``).
+``--verify`` runs a fixed suite: the dense checks (small, full) or every row
+of the committed iteration table (iterations, ``bench.table_grids``). It
+takes ``--out`` and no sweep option.
 
 Examples::
 
@@ -70,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["small", "full", "iterations"],
         default=None,
         help="run the dense verification suite (small, full), or the committed "
-        "iteration table's grid on --inv-h (default 2, 4, 8), instead of a sweep",
+        "iteration table's grids (iterations), instead of a sweep; takes --out "
+        "and no sweep option",
     )
     p.add_argument("--smoother", choices=SMOOTHERS, default="patch-sgs")
     p.add_argument(
@@ -98,34 +102,45 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.verify in ("small", "full"):
-        return run_verification(args.verify)
-
-    cap = MAX_INV_H.get(args.k, 0)  # an unsupported degree is rejected below
-    inv_hs = args.inv_h or [n for n in (8, 16, 32, 64) if n <= cap]
-    try:
-        grids = table_grids(args.inv_h or (2, 4, 8)) if args.verify else [ExperimentGrid(
-            problem=args.problem,
-            ks=[args.k],
-            inv_hs=inv_hs,
-            mus=[args.mu],
-            taus=list(args.tau or [0.0]),
-            inv_lambdas=_inv_lambdas(args),
-            alpha=args.alpha,
-            tol=args.tol,
-            maxit=args.maxit,
-            seed=args.seed,
-            smoother=args.smoother,
-            allow_large=args.allow_large,
-        )]
-    except ValueError as exc:  # invalid values, CapExceeded included
-        parser.error(str(exc))
-    try:  # before the sweep, so an unwritable path costs no run
+    if args.verify:
+        # parsed again with every default None, a sweep option reads None
+        # unless it is given
+        parser.set_defaults(**dict.fromkeys(vars(args)))
+        given = [
+            "--" + ("lambda" if dest == "lam" else dest.replace("_", "-"))
+            for dest, value in vars(parser.parse_args(argv)).items()
+            if value is not None and dest not in ("verify", "out")
+        ]
+        if given:
+            parser.error(f"--verify takes no sweep option, got {', '.join(given)}")
+    else:
+        cap = MAX_INV_H.get(args.k, 0)  # an unsupported degree is rejected below
+        try:
+            grid = ExperimentGrid(
+                problem=args.problem,
+                ks=[args.k],
+                inv_hs=args.inv_h or [n for n in (8, 16, 32, 64) if n <= cap],
+                mus=[args.mu],
+                taus=list(args.tau or [0.0]),
+                inv_lambdas=_inv_lambdas(args),
+                alpha=args.alpha,
+                tol=args.tol,
+                maxit=args.maxit,
+                seed=args.seed,
+                smoother=args.smoother,
+                allow_large=args.allow_large,
+            )
+        except ValueError as exc:  # invalid values, CapExceeded included
+            parser.error(str(exc))
+    try:  # before any run, so an unwritable path costs none
         out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         parser.error(f"cannot open --out: {exc}")
     with out as f:
-        rows = [row for grid in grids for row in run_grid(grid)]
+        if args.verify in ("small", "full"):
+            return run_verification(args.verify, out=lambda line: print(line, file=f))
+        grids = table_grids() if args.verify else [grid]
+        rows = [row for g in grids for row in run_grid(g)]
         f.write(emit(rows, "table" if args.verify else args.format))
     return 0
 

@@ -54,7 +54,7 @@ class TestCsv:
     def test_header_text(self):
         assert (
             CSV_HEADER
-            == "problem,k,inv_h,mu,tau,inv_lambda,alpha,seed,iters,"
+            == "problem,k,inv_h,mu,tau,inv_lambda,alpha,seed,smoother,iters,"
             "converged,final_relres,setup_ms,solve_ms,error"
         )
 
@@ -71,6 +71,7 @@ class TestCsv:
             inv_lambda=1e-4,
             alpha=8.0,
             seed=7,
+            smoother="jacobi",
             iters=41,
             converged=True,
             final_relres=3.14159e-9,
@@ -89,6 +90,7 @@ class TestCsv:
             "inv_lambda",
             "alpha",
             "seed",
+            "smoother",
             "iters",
             "converged",
             "final_relres",
@@ -99,10 +101,10 @@ class TestCsv:
 
     def test_failed_row_roundtrip_keeps_error(self):
         ok = BenchRow(
-            "cavity", 2, 4, 1.0, 0.0, 0.0, 8.0, 0, 54, True, 1e-9, 1.0, 2.0
+            "cavity", 2, 4, 1.0, 0.0, 0.0, 8.0, 0, "patch-sgs", 54, True, 1e-9, 1.0, 2.0
         )
         failed = BenchRow(
-            "step", 3, 8, 1.0, 0.0, 0.0, 0.01, 0, 0, False, np.inf, 3.0, 0.0,
+            "step", 3, 8, 1.0, 0.0, 0.0, 0.01, 0, "jacobi", 0, False, np.inf, 3.0, 0.0,
             error='NotSPD: pivot 3, value -1e-3\nat "row 7"',
         )
         text = emit([ok, failed], "csv")
@@ -119,7 +121,7 @@ class TestCsv:
     def test_record_of_wrong_width_rejected(self, extra):
         fields = _row().csv_line().split(",")
         fields = fields[:extra] if extra < 0 else fields + ["x"]
-        with pytest.raises(ValueError, match="expected 14"):
+        with pytest.raises(ValueError, match="expected 15"):
             parse_csv(CSV_HEADER + "\n" + ",".join(fields) + "\n")
 
 
@@ -250,6 +252,7 @@ class TestRunGrid:
         assert len(rows) == 1
         assert not rows[0].converged
         assert rows[0].error != ""
+        assert rows[0].smoother == "patch-sgs"  # a failed row keeps its smoother too
 
     @pytest.mark.parametrize("smoother", ["patch-sgs", "jacobi"])
     def test_single_element_mesh_has_empty_aux_space(self, smoother):
@@ -501,6 +504,8 @@ class TestCli:
                 "0",
                 "--inv-lambda",
                 "0",
+                "--smoother",
+                "jacobi",
                 "--out",
                 str(out),
             ]
@@ -510,7 +515,7 @@ class TestCli:
         assert text.splitlines()[0] == CSV_HEADER
         rows = parse_csv(text)
         assert len(rows) == 1
-        assert rows[0].converged
+        assert rows[0].converged and rows[0].smoother == "jacobi"
 
     @pytest.mark.parametrize(
         "k,want",
@@ -523,11 +528,13 @@ class TestCli:
         assert grids[0].inv_hs == want
         assert capsys.readouterr().out.strip() == CSV_HEADER
 
-    def test_verify_small_exits_clean(self, capsys):
-        assert main(["--verify", "small"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out
-        assert "[FAIL]" not in out
+    def test_verify_small_exits_clean(self, tmp_path, capsys):
+        report = tmp_path / "small.txt"
+        assert main(["--verify", "small", "--out", str(report)]) == 0
+        text = report.read_text()
+        assert "[PASS]" in text and "[FAIL]" not in text
+        assert text.splitlines()[-1].startswith("verification level=small: 0 failing")
+        assert capsys.readouterr().out == ""
 
 
 class TestCliUsageErrors:
@@ -554,6 +561,11 @@ class TestCliUsageErrors:
             (["--k", "1", "--inv-h", "2", "--out", "/nonexistent/x.csv"], "cannot open --out"),
             (["--schur-mode", "approx"], "unrecognized arguments: --schur-mode approx"),
             (["--smoother", "sgs"], "invalid choice: 'sgs'"),
+            (["--verify", "small", "--k", "3"], "--verify takes no sweep option, got --k"),
+            (["--verify", "iterations", "--smoother", "jacobi"],
+             "--verify takes no sweep option, got --smoother"),
+            (["--verify", "small", "--lambda", "inf", "--format", "md", "--allow-large"],
+             "--verify takes no sweep option, got --lambda, --format, --allow-large"),
         ],
     )
     def test_invalid_value_is_one_line_usage_error(self, argv, needle, capsys):
@@ -611,6 +623,7 @@ def _row(**kw):
         inv_lambda=0.0,
         alpha=8.0,
         seed=0,
+        smoother="patch-sgs",
         iters=0,
         converged=True,
         final_relres=1e-9,

@@ -1,25 +1,22 @@
 """The MINRES iteration table as a committed contract.
 
-``tests/data/iterations.csv`` holds the 180-row grid {cavity k=1,2,3; step
-k=2,3} x 1/h in {2,4,8} x tau in {0,1,100,1e4} x 1/lambda in {0,1e-4,1}. It
-is produced, from the repository root, by the one command
+``tests/data/iterations.csv`` holds the 207 rows of ``bench.table_grids()``:
+the 180-row grid {cavity k=1,2,3; step k=2,3} x 1/h in {2,4,8} x tau in
+{0,1,100,1e4} x 1/lambda in {0,1e-4,1}, and 27 rows of fixed grids, each on a
+path that grid does not reach (k=1 and k=4, the Jacobi smoother, 1/h from 6
+to 48). It is produced, from the repository root, by the one command
 
     OMP_NUM_THREADS=1 PYTHONPATH=src python -m divhdg.cli --verify iterations \\
         --out tests/data/iterations.csv
 
 (``divhdg-bench --verify iterations ...`` once installed). The test below
-reruns the 120 rows with 1/h <= 4 through the same command and asserts
-``iters`` and ``converged`` exactly; ``final_relres`` is kept as a record and
-moves with rounding. A change that moves a count regenerates the file and
-names every changed row in CHANGES.md.
-
-Run as a script, ``python tests/test_iteration_table.py FRESH.csv`` compares
-a regenerated full table with the committed one, prints every row whose count
-differs, and exits 1 if there is one.
+reruns every row through the same command and asserts ``iters`` and
+``converged`` exactly, naming each row that differs; ``final_relres`` is kept
+as a record and moves with rounding. A change that moves a count regenerates
+the file and names every changed row in CHANGES.md.
 """
 
 import csv
-import sys
 from pathlib import Path
 
 import pytest
@@ -28,19 +25,22 @@ from divhdg.bench import TABLE_COLUMNS, table_grids
 from divhdg.cli import main
 
 COMMITTED = Path(__file__).parent / "data" / "iterations.csv"
-KEY = ("problem", "k", "inv_h", "mu", "tau", "inv_lambda")
+KEY = ("problem", "k", "inv_h", "mu", "tau", "inv_lambda", "smoother")
 
 
-def counts(path: Path, max_inv_h: int = None) -> dict:
-    """(iters, converged) per grid point of a table file, on 1/h <= max_inv_h."""
+def counts(path: Path) -> dict:
+    """(iters, converged) per grid point of a table file; a point listed
+    twice raises."""
+    got = {}
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         assert tuple(reader.fieldnames) == TABLE_COLUMNS
-        return {
-            tuple(r[c] for c in KEY): (int(r["iters"]), r["converged"] == "1")
-            for r in reader
-            if max_inv_h is None or int(r["inv_h"]) <= max_inv_h
-        }
+        for r in reader:
+            key = tuple(r[c] for c in KEY)
+            if key in got:
+                raise ValueError(f"{path.name} lists {dict(zip(KEY, key))} twice")
+            got[key] = (int(r["iters"]), r["converged"] == "1")
+    return got
 
 
 def changed_rows(got: dict, want: dict) -> list:
@@ -49,35 +49,43 @@ def changed_rows(got: dict, want: dict) -> list:
 
 
 def test_committed_table_covers_the_grid():
-    points = {
-        (g.problem, str(k), str(ih), format(mu, "g"), format(tau, "g"), format(invl, "g"))
+    points = [
+        (g.problem, str(k), str(ih), format(mu, "g"), format(tau, "g"), format(invl, "g"),
+         g.smoother)
         for g in table_grids()
         for k, ih, mu, tau, invl in g.tuples()
-    }
-    assert len(points) == 180
-    assert set(counts(COMMITTED)) == points
+    ]
+    with open(COMMITTED, newline="") as f:
+        n_rows = sum(1 for _ in csv.DictReader(f))
+    assert n_rows == len(counts(COMMITTED)) == len(points) == 207
+    assert set(counts(COMMITTED)) == set(points)
 
 
 def test_counts_equal_committed_table(tmp_path):
     fresh = tmp_path / "iterations.csv"
-    argv = ["--verify", "iterations", "--inv-h", "2", "--inv-h", "4", "--out", str(fresh)]
-    assert main(argv) == 0
-    want = counts(COMMITTED, max_inv_h=4)
-    assert len(want) == 120
-    assert changed_rows(counts(fresh), want) == []
+    assert main(["--verify", "iterations", "--out", str(fresh)]) == 0
+    changed = changed_rows(counts(fresh), counts(COMMITTED))
+    if changed:
+        pytest.fail(
+            f"{len(changed)} row(s) differ from {COMMITTED.name}:\n" + "\n".join(
+                f"{dict(zip(KEY, key))}: (iters, converged) {got}, committed {want}"
+                for key, got, want in changed
+            ),
+            pytrace=False,
+        )
 
 
-def test_odd_mesh_rejected_before_any_run(capsys):
-    # the step grids need an even 1/h: the parser rejects 3 before a sweep
+def test_repeated_row_raises(tmp_path):
+    lines = COMMITTED.read_text().splitlines(keepends=True)
+    twice = tmp_path / "iterations.csv"
+    twice.write_text("".join(lines + lines[1:2]))
+    with pytest.raises(ValueError, match="lists .* twice"):
+        counts(twice)
+
+
+def test_inv_h_with_verify_rejected_before_any_run(capsys, monkeypatch):
+    monkeypatch.setattr("divhdg.cli.run_grid", lambda g: pytest.fail("a row ran"))
     with pytest.raises(SystemExit) as exc:
-        main(["--verify", "iterations", "--inv-h", "3"])
+        main(["--verify", "iterations", "--inv-h", "2"])
     assert exc.value.code == 2
-    assert "even" in capsys.readouterr().err
-
-
-if __name__ == "__main__":
-    changed = changed_rows(counts(Path(sys.argv[1])), counts(COMMITTED))
-    for key, got, want in changed:
-        print(f"{dict(zip(KEY, key))}: (iters, converged) {got}, committed {want}")
-    print(f"{len(changed)} row(s) differ from {COMMITTED.name}")
-    sys.exit(1 if changed else 0)
+    assert "--verify takes no sweep option, got --inv-h" in capsys.readouterr().err
