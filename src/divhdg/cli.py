@@ -3,7 +3,8 @@
 The pressure block is always the exact Woodbury inverse (``build_schur``).
 ``--verify`` runs a fixed suite: the dense checks (small, full) or every row
 of the committed iteration table (iterations, ``bench.table_grids``). It
-takes ``--out`` and no sweep option.
+takes ``--out`` and no sweep option. A table row that raises is named on
+stderr with its exception, and the exit status is 1.
 
 Examples::
 
@@ -142,7 +143,18 @@ def main(argv=None) -> int:
         grids = table_grids() if args.verify else [grid]
         rows = [row for g in grids for row in run_grid(g)]
         f.write(emit(rows, "table" if args.verify else args.format))
-    return 0
+    if not args.verify:
+        return 0
+    # the table has no error column: each raising row is named on stderr
+    failed = [r for r in rows if r.error]
+    for r in failed:
+        error = " ".join(r.error.splitlines())
+        print(
+            f"{r.problem} k={r.k} 1/h={r.inv_h} mu={r.mu:g} tau={r.tau:g} "
+            f"1/lambda={r.inv_lambda:g} {r.smoother} raised: {error}",
+            file=sys.stderr,
+        )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ against: CSR-backed symmetric matrices, a banded Cholesky factorization of SPD
 matrices under a reverse Cuthill-McKee reordering, on a band layout planned
 from the pattern and the order alone (``_band_layout``), so that every matrix
 with one pattern factors on one layout, the exact classes of equal
-rows (``distinct_rows``), by which local work is done once per distinct
-input, and the dense verification helper: the generalized condition number
-of a preconditioned operator.
+rows (``distinct_rows``, one stable sort of their bytes, no hash), by which
+local work is done once per distinct input, and the dense verification
+helper: the generalized condition number of a preconditioned operator.
 """
 
 from dataclasses import dataclass, field
@@ -191,47 +191,6 @@ def _band_layout(pattern, perm: np.ndarray) -> _BandLayout:
 # tail, a stack of single patches (p = 1), each with its own copy of its M
 _CLASS_MIN = 8
 
-_HASH_WORDS = 1 << 16  # 64-bit words per block of rows that distinct_rows reads at once
-_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9))
-
-
-def _words(a: np.ndarray) -> np.ndarray:
-    """The rows of ``a`` (B, ...) as 64-bit words (B, w): a float64 array's
-    bits, an integer or bool array's values widened exactly."""
-    a = np.ascontiguousarray(a).reshape(a.shape[0], -1)
-    if a.dtype.kind == "f" and a.dtype.itemsize == 8:
-        return a.view(np.uint64)
-    if a.dtype.kind in "biu":
-        return a.astype(np.int64).view(np.uint64)
-    raise TypeError(f"distinct_rows reads float64, integer or bool arrays, got {a.dtype}")
-
-
-def _block_rows(arrays) -> int:
-    """Rows per block, so that a block of all ``arrays`` holds about
-    ``_HASH_WORDS`` words."""
-    return max(1, _HASH_WORDS // max(1, sum(int(np.prod(a.shape[1:])) for a in arrays)))
-
-
-def _hash_rows(arrays) -> np.ndarray:
-    """A 64-bit hash (n,) of each row of ``arrays``: every word is weighted
-    by its place among the row's words, mixed, and the words summed."""
-    n = arrays[0].shape[0]
-    step = _block_rows(arrays)
-    h = np.zeros(n, np.uint64)
-    col = 0
-    for a in arrays:
-        width = int(np.prod(a.shape[1:]))
-        weight = (np.arange(col, col + width, dtype=np.uint64) * _MIX[0]) | np.uint64(1)
-        col += width
-        for lo in range(0, n, step):
-            x = _words(a[lo : lo + step]) * weight
-            x ^= x >> np.uint64(31)
-            x *= _MIX[1]
-            x ^= x >> np.uint64(29)
-            h[lo : lo + step] += x.sum(axis=1, dtype=np.uint64)
-    return h
-
-
 def distinct_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact classes of equal rows of ``arrays``, each (n, ...): row i
     is the tuple of the i-th rows of all of them, equal to another only when
@@ -239,31 +198,24 @@ def distinct_rows(*arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``first`` (C,), the first row of each class in ascending order,
     and ``inverse`` (n,), the class of each row.
 
-    Each row is hashed from its 64-bit words, the arrays in turn and their
-    rows in blocks, so no concatenated key is formed. ``np.unique`` of the
-    hashes gives the candidate classes; then every row's bits are checked
-    against its class's first row, and a row that differs (a hash collision)
-    becomes a class of its own. A class therefore never holds two different
-    rows, whatever the hash does; a collision only costs a class."""
+    Each row is its arrays' raw bytes side by side, one ``np.void`` of that
+    width, and one stable sort of them (``np.unique``) gives the classes:
+    equal bytes are equal rows, with no hash between them."""
     n = arrays[0].shape[0]
-    step = _block_rows(arrays)
-    _, first, inverse = np.unique(_hash_rows(arrays), return_index=True, return_inverse=True)
-    inverse = inverse.reshape(n)
-    rep = first[inverse]
-    differs = np.zeros(n, bool)
-    for a in arrays:
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            differs[lo:hi] |= (_words(a[lo:hi]) != _words(a[rep[lo:hi]])).any(axis=1)
-    if differs.any():
-        own = np.flatnonzero(differs)
-        inverse[own] = first.size + np.arange(own.size)
-        first = np.concatenate([first, own])
+    if n == 0:
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    key = np.concatenate(
+        [np.ascontiguousarray(a).reshape(n, -1).view(np.uint8) for a in arrays], axis=1
+    )
+    if key.shape[1] == 0:  # rows of no bytes are all one row
+        return np.zeros(1, np.intp), np.zeros(n, np.intp)
+    key = key.view(np.dtype((np.void, key.shape[1]))).reshape(n)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     # number the classes by their first row
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+    return first[order], rank[inverse.reshape(n)]
 
 
 def gen_condition(a: np.ndarray, apply_pinv) -> float:

@@ -15,7 +15,7 @@ for bit.
 import numpy as np
 
 _MULT = np.uint64(2685821657736338717)
-_SEED_MIX = 0x9E3779B97F4A7C15
+_SEED_XOR = 0x9E3779B97F4A7C15
 _LANES = 256
 _BITS = np.arange(64, dtype=np.uint64)
 
@@ -49,9 +49,9 @@ class XorShift:
     """xorshift64* stream; seed 0 is remapped so the state is never zero."""
 
     def __init__(self, seed: int):
-        state = (int(seed) ^ _SEED_MIX) & ((1 << 64) - 1)
+        state = (int(seed) ^ _SEED_XOR) & ((1 << 64) - 1)
         if state == 0:
-            state = _SEED_MIX
+            state = _SEED_XOR
         self._state = state
 
     def uniform(self, n: int, low: float = -1.0, high: float = 1.0) -> np.ndarray:

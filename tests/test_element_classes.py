@@ -1,17 +1,22 @@
-"""Set-up by element class. ``linalg.distinct_rows`` classes rows exactly;
-static condensation solves one local problem per distinct (element class,
-element load) pair of a chunk, and the patch smoother forms the sweep
-matrix of each distinct block of a group of patches once. Every result
-keeps the bits of the former per-element work, kept verbatim below as
-reference, and of per-patch work."""
+"""Set-up by element class. ``linalg.distinct_rows`` classes rows exactly,
+by one sort of their bytes: it equals a pure-Python reference that keys each
+row by its bytes (``_bit_classes``), on planted and generated rows and on
+the arrays its callers class. Static condensation solves one local problem
+per distinct (element class, element load) pair of a chunk, and the patch
+smoother forms the sweep matrix of each distinct block of a group of
+patches once. Every result keeps the bits of the former per-element work,
+kept verbatim below as reference, and of per-patch work."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from divhdg import assembly, linalg, precond
+from divhdg import assembly, precond
 from divhdg.assembly import (
     ProblemParams,
     assemble_local_stacks,
@@ -168,6 +173,21 @@ def _bit_classes(rows) -> list:
     return [seen.setdefault(r.tobytes(), len(seen)) for r in rows]
 
 
+def _row_bytes(*arrays) -> np.ndarray:
+    """The rows of ``arrays``, each (n, ...), as their bytes side by side
+    (n, width), row by row."""
+    rows = [b"".join(a[i].tobytes() for a in arrays) for i in range(arrays[0].shape[0])]
+    return np.array([np.frombuffer(r, np.uint8) for r in rows]).reshape(len(rows), -1)
+
+
+def _assert_bit_classes(rows, first, inverse):
+    """``first`` and ``inverse`` are the classes of ``_bit_classes(rows)``,
+    numbered by their first row."""
+    want = _bit_classes(rows)
+    assert list(inverse) == want
+    assert list(first) == [want.index(c) for c in range(len(set(want)))]
+
+
 def _assert_exact(rows, first, inverse, merged=True):
     """No class holds two rows with different bits, each class's ``first``
     is its first row, and with ``merged`` equal rows share a class."""
@@ -236,33 +256,94 @@ class TestDistinctRows:
         first, inverse = distinct_rows(np.array([[np.nan], [np.nan]]))
         assert list(inverse) == [0, 0]  # the same bits: the same input
 
-    def test_constant_hash_still_exact(self, monkeypatch):
-        """Every row collides: each row that differs from the first becomes
-        its own class, and no class holds two different rows."""
-        monkeypatch.setattr(linalg, "_hash_rows", lambda arrays: np.zeros(arrays[0].shape[0], np.uint64))
-        rng = np.random.default_rng(4)
-        rows = rng.integers(0, 3, (200, 2)).astype(float)
-        rows[5] = -0.0 * rows[0]
+    def test_constant_hash_still_exact(self):
+        """Rows that each differ from a base row in one bit, 0.0 against
+        -0.0 among them, are each a class of their own, and the base row's
+        copies one class."""
+        base = np.array([0.0, 1.0, -2.5, np.nan])
+        bit = np.arange(base.size * 64)
+        words = np.tile(base.view(np.uint64), (bit.size, 1))
+        words[bit, bit // 64] ^= np.uint64(1) << (bit % 64).astype(np.uint64)
+        rows = np.vstack([base, words.view(np.float64), base])
+        assert rows[1 + 63].tobytes() == np.array([-0.0, 1.0, -2.5, np.nan]).tobytes()
         first, inverse = distinct_rows(rows)
-        _assert_exact(rows, first, inverse, merged=False)
-        assert inverse[5] != inverse[0] or rows[0].tobytes() == rows[5].tobytes()
+        assert list(inverse) == [0, *range(1, bit.size + 1), 0]
+        assert np.array_equal(first, np.arange(bit.size + 1))
 
-    def test_several_arrays_are_their_concatenated_rows(self, monkeypatch):
+    def test_several_arrays_are_their_concatenated_rows(self):
         rng = np.random.default_rng(5)
-        cls = rng.integers(0, 3, 400).astype(np.int32)
-        signs = rng.choice(np.array([-1, 1], np.int8), (400, 5))
-        vals = rng.integers(0, 2, (400, 2, 2)).astype(float)
-        whole = np.column_stack([cls, signs, vals.reshape(400, -1)]).astype(float)
-        want = distinct_rows(whole)
-        _assert_exact(whole, *want)
-        for words in (linalg._HASH_WORDS, 7):  # many blocks of rows
-            monkeypatch.setattr(linalg, "_HASH_WORDS", words)
-            got = distinct_rows(cls, signs, vals)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        arrays = (
+            rng.integers(0, 3, 400).astype(np.int32),
+            rng.choice(np.array([-1, 1], np.int8), (400, 2, 2)),
+            rng.integers(0, 2, (400, 3)).astype(bool),
+            rng.choice(np.array([0.0, -0.0, 1.0]), (400, 2, 2)),
+        )
+        first, inverse = distinct_rows(*arrays)
+        _assert_bit_classes(_row_bytes(*arrays), first, inverse)
+        assert 1 < first.size < 400
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=hnp.arrays(
+            st.sampled_from([np.int8, np.int32, np.float64]),
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=12),
+            elements=st.integers(-1, 1),
+        )
+    )
+    def test_classes_are_the_bytes_of_each_row(self, rows):
+        """Small integer-valued rows with many duplicates, of every width
+        from zero and every count from none, against the bytes reference."""
+        _assert_bit_classes(rows, *distinct_rows(rows))
 
     def test_empty(self):
-        first, inverse = distinct_rows(np.zeros((0, 3)))
-        assert first.size == 0 and inverse.size == 0
+        for arrays in ((np.zeros((0, 3)),), (np.zeros(0, np.int32), np.zeros((0, 2, 2), bool))):
+            first, inverse = distinct_rows(*arrays)
+            assert first.size == 0 and inverse.size == 0
+
+    def test_one_row(self):
+        first, inverse = distinct_rows(np.array([[np.nan, -0.0]]), np.array([3], np.int8))
+        assert list(first) == [0] and list(inverse) == [0]
+
+    def test_zero_width_rows_are_one_class(self):
+        first, inverse = distinct_rows(np.zeros((5, 0)), np.zeros((5, 2, 0), np.int8))
+        assert list(first) == [0] and list(inverse) == [0] * 5
+        # no bytes beside another array's bytes add nothing
+        vals = np.array([1.0, 2.0, 1.0])
+        got = distinct_rows(np.zeros((3, 0)), vals)
+        assert list(got[0]) == [0, 1] and list(got[1]) == [0, 1, 0]
+
+
+class TestCallerClasses:
+    """On the arrays its callers class, ``distinct_rows`` equals the bytes
+    reference: the six geometry arrays of ``assemble_local_stacks`` and the
+    sorted keys of every ``precond._PatchGroup``."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "make_mesh,problem",
+        [
+            (lambda: unit_square(16), "cavity"),
+            (lambda: step_domain(6), "step"),
+            (lambda: unit_square(7), "cavity"),
+            (lambda: jittered_square(4), "cavity"),
+        ],
+        ids=["cavity16", "step6", "mixed", "jittered"],
+    )
+    def test_equal_the_bytes_reference(self, monkeypatch, make_mesh, problem, k):
+        calls = []
+
+        def recorded(*arrays):
+            got = distinct_rows(*arrays)
+            calls.append((arrays, got))
+            return got
+
+        monkeypatch.setattr(assembly, "distinct_rows", recorded)
+        monkeypatch.setattr(precond, "distinct_rows", recorded)
+        s = _structure(make_mesh(), problem, k)
+        n_arrays = [len(arrays) for arrays, _ in calls]
+        assert n_arrays == [6] + [1] * len(s.asp.groups)
+        for arrays, got in calls:
+            _assert_bit_classes(_row_bytes(*arrays), *got)
 
 
 class TestElementClasses:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from divhdg.bench import TABLE_COLUMNS, table_grids
+from divhdg.bench import TABLE_COLUMNS, ExperimentGrid, table_grids
 from divhdg.cli import main
 
 COMMITTED = Path(__file__).parent / "data" / "iterations.csv"
@@ -61,18 +61,34 @@ def test_committed_table_covers_the_grid():
     assert set(counts(COMMITTED)) == set(points)
 
 
-def test_counts_equal_committed_table(tmp_path):
+def test_counts_equal_committed_table(tmp_path, capsys):
     fresh = tmp_path / "iterations.csv"
-    assert main(["--verify", "iterations", "--out", str(fresh)]) == 0
+    code = main(["--verify", "iterations", "--out", str(fresh)])
+    raised = capsys.readouterr().err
     changed = changed_rows(counts(fresh), counts(COMMITTED))
-    if changed:
+    if changed or code:
         pytest.fail(
-            f"{len(changed)} row(s) differ from {COMMITTED.name}:\n" + "\n".join(
+            f"{len(changed)} row(s) differ from {COMMITTED.name}, exit {code}:\n" + "\n".join(
                 f"{dict(zip(KEY, key))}: (iters, converged) {got}, committed {want}"
                 for key, got, want in changed
-            ),
+            ) + "\n" + raised,
             pytrace=False,
         )
+
+
+def test_raising_row_is_named_on_stderr(tmp_path, capsys, monkeypatch):
+    """The table keeps no error column, so a row that raises (NotSPD at a
+    penalty too small for coercivity) is named with its exception on stderr,
+    one line per row, and the exit status is 1."""
+    monkeypatch.setattr(
+        "divhdg.cli.table_grids", lambda: [ExperimentGrid(ks=[2], inv_hs=[2], alpha=0.01)]
+    )
+    out = tmp_path / "iterations.csv"
+    assert main(["--verify", "iterations", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("cavity k=2 1/h=2 mu=1 tau=0 1/lambda=0 patch-sgs raised: NotSPD: ")
+    assert tuple(out.read_text().splitlines()[0].split(",")) == TABLE_COLUMNS
 
 
 def test_repeated_row_raises(tmp_path):
